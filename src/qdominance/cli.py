@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import antitelescope, dominance, lemma, partitions, polyring, proposal
-from .series import QSeries, first_negative, serialize, series_add, series_sub, spec_reciprocal
+from .series import serialize, series_sub, spec_reciprocal
 
 ENV_ORDER = "QDOMINANCE_ORDER"
 DEFAULT_ORDER = 100
@@ -242,7 +242,7 @@ def _cmd_check(args, config, stream) -> int:
 def _as_product_family(spec) -> antitelescope.ProductFamily:
     moduli = {f.modulus for f in spec.families}
     lengths = {f.length for f in spec.families}
-    if not spec.is_finite or len(moduli) != 1 or len(lengths) != 1:
+    if not spec.is_finite() or len(moduli) != 1 or len(lengths) != 1:
         raise UsageError("antitelescoping needs finite products with one shared modulus and length")
     return antitelescope.ProductFamily(tuple(f.base for f in spec.families), moduli.pop())
 
@@ -303,24 +303,9 @@ def _cmd_antitelescope(args, config, stream) -> int:
     if split != "none" and ineq_id not in ("Thm1", "Thm2"):
         raise UsageError(f"--split {split} is only available for Thm1/Thm2 products")
     P, Q = _antitelescope_families(ineq_id, parameters)
-    L = parameters["L"]
-    scan = antitelescope.positivity_scan(P, Q, L, config.order, split=split)
-    result = dict(scan)
-    if args.dump_series:
-        dumps = []
-        names = dominance.REQUIRED_PARAMETERS[ineq_id]
-        split_params = tuple(parameters[n] for n in names)
-        for i in range(1, L + 1):
-            entry = {"i": i}
-            if split == "none":
-                entry["addend"] = serialize(antitelescope.addend(P, Q, i, L, config.order))
-            else:
-                splitter = antitelescope.thm1_split if split == "thm1" else antitelescope.thm2_split
-                decomposition = splitter(split_params, i, config.order)
-                entry["addend"] = serialize(decomposition.addend)
-                entry["groups"] = {name: serialize(g) for name, g in decomposition.groups}
-            dumps.append(entry)
-        result["series"] = dumps
+    scan = antitelescope.positivity_scan(
+        P, Q, parameters["L"], config.order, split=split, dump_series=args.dump_series
+    )
     status = "pass" if scan["all_nonnegative"] else "fail"
     envelope = _envelope(
         "antitelescope",
@@ -328,7 +313,7 @@ def _cmd_antitelescope(args, config, stream) -> int:
         {"ineq": ineq_id, "params": _params_jsonable(parameters), "split": split},
         status,
         witness=_scan_witness(scan["rows"]),
-        result=result,
+        result=scan,
         started=started,
     )
     _write_report(stream, envelope, config)
@@ -625,44 +610,6 @@ def expand_box(entries: list[tuple[str, str, str]]) -> list[dict]:
     return tuples
 
 
-def _split_check(ineq_id: str, parameters: dict, order: int) -> dict:
-    """Nonnegativity of every split group plus exact telescoping."""
-    ineq = dominance.NamedInequality(ineq_id, parameters)
-    lhs, rhs = dominance.build_specs(ineq)
-    diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
-    names = dominance.REQUIRED_PARAMETERS[ineq_id]
-    split_params = tuple(parameters[n] for n in names)
-    splitter = antitelescope.thm1_split if ineq_id == "Thm1" else antitelescope.thm2_split
-    total = QSeries.zero(order)
-    witness = None
-
-    def note(found):
-        nonlocal witness
-        if witness is None:
-            witness = found
-
-    for i in range(1, parameters["L"] + 1):
-        decomposition = splitter(split_params, i, order)
-        group_total = QSeries.zero(order)
-        for name, group in decomposition.groups:
-            neg = first_negative(group)
-            if neg is not None:
-                note({"i": i, "location": name, "exponent": neg[0], "coefficient": neg[1]})
-            group_total = series_add(group_total, group)
-        if group_total != decomposition.addend:
-            note({"i": i, "location": "group-sum"})
-        neg = first_negative(decomposition.addend)
-        if neg is not None:
-            note({"i": i, "location": "addend", "exponent": neg[0], "coefficient": neg[1]})
-        total = series_add(total, decomposition.addend)
-    neg = first_negative(diff)
-    if neg is not None:
-        note({"location": "difference", "exponent": neg[0], "coefficient": neg[1]})
-    if total != diff:
-        note({"location": "telescope"})
-    return {"ok": witness is None, "witness": witness}
-
-
 def _sweep_job(job: tuple) -> dict:
     """One box point; top-level so process pools can pickle it."""
     kind, ineq_id, parameters, order, bounds = job
@@ -671,7 +618,10 @@ def _sweep_job(job: tuple) -> dict:
             report = lemma_report(parameters["r"], parameters["R"], bounds)
             return {"status": "pass" if report["ok"] else "fail", "witness": report["witness"]}
         if kind == "split":
-            outcome = _split_check(ineq_id, parameters, order)
+            names = dominance.REQUIRED_PARAMETERS[ineq_id]
+            outcome = antitelescope.certify_split(
+                ineq_id.lower(), tuple(parameters[n] for n in names), order
+            )
             return {"status": "pass" if outcome["ok"] else "fail", "witness": outcome["witness"]}
         ineq = dominance.NamedInequality(ineq_id, parameters)
         report = dominance.check_named(ineq, order)
@@ -727,6 +677,9 @@ def _cmd_sweep(args, config, stream) -> int:
     passed = sum(1 for row in rows if row["status"] == "pass")
     failed = sum(1 for row in rows if row["status"] == "fail")
     skipped = sum(1 for row in rows if row["status"] == "skipped")
+    if passed + failed == 0:
+        reason = next((row["reason"] for row in rows), "the box is empty")
+        raise UsageError(f"no point of the box could be checked ({reason})")
     degenerate = sum(1 for row in rows if row.get("degenerate"))
     failures = [
         {"params": point, "witness": row["witness"]}

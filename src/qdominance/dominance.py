@@ -97,7 +97,9 @@ def _positive_tuple(parameters: Mapping[str, Any], name: str) -> tuple[int, ...]
         items = tuple(value)
     except TypeError:
         raise ValueError(f"parameter {name} must be a sequence of integers") from None
-    if not items or any(not isinstance(v, int) or v < 1 for v in items):
+    if not items or any(
+        not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in items
+    ):
         raise ValueError(f"parameter {name} must hold positive integers, got {value!r}")
     return items
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .antitelescope import thm1_split
+from .antitelescope import decompositions, thm1_families
 from .series import QSeries, reciprocal_from_exponents, series_add
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
@@ -356,11 +356,11 @@ def unrestricted_series(params: PartitionParams, order: int) -> QSeries:
 
 def split_series(params: PartitionParams, order: int) -> tuple[QSeries, QSeries]:
     """(sum of V(i), sum of W(i)) over i = 1..L, truncated at `order`."""
-    sextuple = (params.L, params.m, params.x, params.y, params.r, params.R)
+    P, Q = thm1_families(params.m, params.x, params.y, params.r, params.R)
     v_total = QSeries.zero(order)
     w_total = QSeries.zero(order)
-    for i in range(1, params.L + 1):
-        groups = dict(thm1_split(sextuple, i, order).groups)
+    for decomposition in decompositions(P, Q, params.L, order, "thm1"):
+        groups = dict(decomposition.groups)
         v_total = series_add(v_total, groups["V"])
         w_total = series_add(w_total, groups["W"])
     return v_total, w_total

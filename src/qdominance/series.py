@@ -3,7 +3,9 @@
 A QSeries holds the coefficients of q^0 through q^N densely, where N is
 the truncation order.  Coefficients are plain ints wherever the value is
 integral and fractions.Fraction otherwise; all arithmetic is exact, and
-every operation stays strictly inside the truncation window.
+every operation stays strictly inside the truncation window.  A result
+whose coefficients are all ints is stored as computed; only a list that
+holds a Fraction is normalized coefficient by coefficient.
 
 Products of binomial factors (1 - q^(a+jm)) are described by ProductSpec
 values rather than expanded eagerly, so reciprocals can be taken factor
@@ -34,6 +36,9 @@ class SingularSeriesError(ValueError):
     """Raised when a reciprocal of a series with zero constant term is requested."""
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def _norm(c: Coefficient) -> Coefficient:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
@@ -58,7 +63,9 @@ class QSeries:
 
     @staticmethod
     def from_coeffs(coeffs, order: int | None = None) -> "QSeries":
-        cs = [_norm(c) for c in coeffs]
+        cs = list(coeffs)
+        if not _INT_ONLY.issuperset(map(type, cs)):
+            cs = [_norm(c) for c in cs]
         if order is None:
             order = len(cs) - 1
         if len(cs) < order + 1:
@@ -167,20 +174,37 @@ def divide_binomial(a: QSeries, exponent: int) -> QSeries:
     return QSeries.from_coeffs(out, a.order)
 
 
+def multiply_binomials(a: QSeries, exponents) -> QSeries:
+    """Product of a with (1 - q^e) over the given exponents."""
+    for e in exponents:
+        a = multiply_binomial(a, e)
+    return a
+
+
+def divide_binomials(a: QSeries, exponents) -> QSeries:
+    """Product of a with 1/(1 - q^e) over the given exponents."""
+    for e in exponents:
+        a = divide_binomial(a, e)
+    return a
+
+
+def series_shift(a: QSeries, exponent: int) -> QSeries:
+    """Product with q^exponent, exponent >= 0; the top coefficients drop out."""
+    if exponent < 0:
+        raise ValueError(f"shift must be nonnegative, got {exponent}")
+    if exponent > a.order:
+        return QSeries.zero(a.order)
+    return QSeries(a.order, (0,) * exponent + a.coeffs[: a.order + 1 - exponent])
+
+
 def poly_from_exponents(exponents, order: int) -> QSeries:
     """Expand the product of (1 - q^e) over the given exponents."""
-    s = QSeries.one(order)
-    for e in exponents:
-        s = multiply_binomial(s, e)
-    return s
+    return multiply_binomials(QSeries.one(order), exponents)
 
 
 def reciprocal_from_exponents(exponents, order: int) -> QSeries:
     """Expand the product of 1/(1 - q^e) over the given exponents."""
-    s = QSeries.one(order)
-    for e in exponents:
-        s = divide_binomial(s, e)
-    return s
+    return divide_binomials(QSeries.one(order), exponents)
 
 
 def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:

@@ -6,6 +6,7 @@ import pytest
 
 from qdominance.cli import (
     DEFAULT_BOUNDS,
+    _as_product_family,
     DEFAULT_ORDER,
     ENV_ORDER,
     RunConfig,
@@ -15,6 +16,7 @@ from qdominance.cli import (
     parse_box,
     parse_inequality_params,
 )
+from qdominance.series import product_spec
 
 
 def run_cli(argv, capsys):
@@ -133,6 +135,14 @@ class TestCheck:
 
 
 class TestAntitelescope:
+    def test_infinite_products_are_refused(self):
+        with pytest.raises(UsageError):
+            _as_product_family(product_spec((1, 4), 5))
+
+    def test_finite_products_convert(self):
+        fam = _as_product_family(product_spec((2, 3), 5, 3))
+        assert (fam.bases, fam.modulus) == ((2, 3), 5)
+
     def test_naive_failure_witness(self, capsys):
         code, out, _ = run_cli(
             ["antitelescope", "--ineq", "finiteRR", "--L", "2", "--split", "none"], capsys
@@ -433,6 +443,30 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "r,R,status,witness"
         assert lines[1:] == ["1,1,pass,", "1,2,pass,", "2,1,pass,", "2,2,pass,"]
+
+    def test_all_points_skipped_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--ineq", "BGa", "--box", "m=3:3,r=3:3,L=1:1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "no point of the box could be checked" in err
+        assert "0 < r < m" in err
+
+    def test_empty_box_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["sweep", "--ineq", "BGa", "--box", "m=3:3,r=2:1,L=1:1"], capsys
+        )
+        assert code == 2
+        assert "no point of the box could be checked" in err
+
+    def test_partly_skipped_box_still_reports(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--ineq", "BGa", "--box", "m=4:4,r=1:4,L=1:1", "--order", "20"], capsys
+        )
+        result = report(out)["result"]
+        assert code == 1
+        assert (result["total"], result["failed"], result["skipped"]) == (4, 1, 1)
 
     def test_box_must_bind_the_declared_names(self, capsys):
         code, _, err = run_cli(

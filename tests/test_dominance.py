@@ -178,6 +178,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_specs(named("Proposal", L=1, m=5, xs=(1, 2), rs=(2,)))
 
+    def test_proposal_rejects_bool_sizes(self):
+        with pytest.raises(ValueError, match="xs"):
+            build_specs(named("Proposal", L=1, m=5, xs=(True, 2), rs=(2, 2)))
+
 
 class TestReportDict:
     def test_holding_report(self):

@@ -15,14 +15,17 @@ from qdominance.series import (
     SingularSeriesError,
     deserialize,
     divide_binomial,
+    divide_binomials,
     first_negative,
     multiply_binomial,
+    multiply_binomials,
     pochhammer,
     poly_from_exponents,
     product_spec,
     serialize,
     series_mul,
     series_reciprocal,
+    series_shift,
     series_sub,
     spec_reciprocal,
 )
@@ -37,6 +40,43 @@ def rand_series(rng, order, unit=False):
     if unit:
         cs[0] = rng.choice([1, -1, 2])
     return QSeries.from_coeffs(cs, order)
+
+
+class TestFromCoeffs:
+    def test_integral_fraction_becomes_int(self):
+        a = QSeries.from_coeffs([Fraction(4, 2), 1])
+        assert a.coeffs == (2, 1)
+        assert type(a.coeffs[0]) is int
+
+    def test_mixed_list_is_normalized(self):
+        a = QSeries.from_coeffs([1, Fraction(3, 1), Fraction(1, 2), 0])
+        assert [type(c) for c in a.coeffs] == [int, int, Fraction, int]
+        assert a.coeffs == (1, 3, Fraction(1, 2), 0)
+
+    def test_all_int_list_is_kept_as_given(self):
+        given = [10**30, -7, 0, 5]
+        a = QSeries.from_coeffs(given)
+        assert all(got is want for got, want in zip(a.coeffs, given))
+
+    def test_padding_and_truncation(self):
+        assert QSeries.from_coeffs([1, 2], 3).coeffs == (1, 2, 0, 0)
+        assert QSeries.from_coeffs([1, Fraction(2), 3], 1).coeffs == (1, 2)
+
+
+class TestShiftAndBinomials:
+    def test_shift_moves_coefficients_up(self):
+        assert series_shift(S(1, 2, 3, 4), 2) == S(0, 0, 1, 2)
+        assert series_shift(S(1, 2), 0) == S(1, 2)
+        assert series_shift(S(1, 2), 5).is_zero()
+        with pytest.raises(ValueError):
+            series_shift(S(1, 2), -1)
+
+    def test_binomial_helpers_invert_each_other(self):
+        rng = random.Random(5)
+        a = rand_series(rng, 20)
+        exps = [3, 1, 7, 30]
+        assert divide_binomials(multiply_binomials(a, exps), exps) == a
+        assert multiply_binomials(QSeries.one(12), exps) == poly_from_exponents(exps, 12)
 
 
 class TestMul:
