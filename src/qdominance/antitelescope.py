@@ -5,11 +5,14 @@ The difference of two reciprocal products telescopes as
     1/P(L) - 1/Q(L) = sum over i of
         (Q(i)/Q(i-1) - P(i)/P(i-1)) / (P(i) * Q(L)/Q(i-1))
 
-where P(i) and Q(i) are the products truncated at i factor layers.  When
-every addend is coefficientwise nonnegative the dominance is certified
-term by term; where a bare addend goes negative, the splittings below
-(V/W for the three-base pairs, G1..G4 for the four-base pairs) refine it
-into pieces that stay nonnegative.
+where P(i) and Q(i) are the products truncated at i factor layers.  The
+engine takes P(L) and Q(L) as two ProductSpecs whose factor families share
+one modulus and one finite length L.  When every addend is coefficientwise
+nonnegative the dominance is certified term by term; where a bare addend
+goes negative, the splittings below (V/W for the three-base pairs, G1..G4
+for the four-base pairs) refine it into pieces that stay nonnegative.  Both
+splittings read their sizes and multipliers back off the pair through
+`dominance.nbase_params`.
 
 Every addend and split group at index i shares the denominator
 reciprocal D_i = 1/(P(i) * Q(L)/Q(i-1)).  With F_j = 1/(P(j) * Q(L)/Q(j)),
@@ -26,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Any, Mapping
+from typing import Any
 
+from .dominance import nbase_params
 from .series import (
+    INF,
     Coefficient,
     ProductSpec,
     QSeries,
@@ -37,7 +41,6 @@ from .series import (
     divide_binomials,
     first_negative,
     multiply_binomials,
-    product_spec,
     serialize,
     series_add,
     series_scale,
@@ -50,49 +53,12 @@ SPLIT_MODES = ("none", "thm1", "thm2")
 
 
 @dataclass(frozen=True)
-class ProductFamily:
-    """Products P(i) built from the same base exponents, one layer per index.
-
-    spec(i) is the product of (1 - q^(b + j*modulus)) over bases b and layers
-    j < i; spec(0) is the empty product.  ``params`` optionally records the
-    named parameters the bases were derived from, so splits can recover them.
-    """
-
-    bases: tuple[int, ...]
-    modulus: int
-    params: Mapping[str, int] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.bases or any(not isinstance(b, int) or b < 1 for b in self.bases):
-            raise ValueError(f"bases must be positive integers, got {self.bases}")
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-
-    def spec(self, i: int) -> ProductSpec:
-        if i < 0:
-            raise ValueError(f"index must be >= 0, got {i}")
-        if i == 0:
-            return ProductSpec(())
-        return product_spec(self.bases, self.modulus, i)
-
-    def step_exponents(self, i: int) -> list[int]:
-        """Exponents of the factors spec(i) adds on top of spec(i-1)."""
-        if i < 1:
-            raise ValueError(f"index must be >= 1, got {i}")
-        return [b + (i - 1) * self.modulus for b in self.bases]
-
-    def layer_exponents(self, lo: int, hi: int) -> list[int]:
-        """Exponents of spec(hi)/spec(lo), i.e. layers lo .. hi-1."""
-        return [b + j * self.modulus for j in range(lo, hi) for b in self.bases]
-
-
-@dataclass(frozen=True)
 class AddendDecomposition:
     """One telescoping addend together with a named split that sums to it.
 
     The groups are stored multiplied by ``scale``, so that they stay
     integral: the engine carries the half-weighted Thm2 groups doubled
-    (scale 2), and the public views return them at scale 1.
+    (scale 2), and `unscaled()` returns them at scale 1.
     """
 
     index: int
@@ -126,51 +92,6 @@ class AddendDecomposition:
         if self.scale != 1:
             return total == series_scale(self.addend, self.scale)
         return total == self.addend
-
-
-def family(bases, modulus: int, **params: int) -> ProductFamily:
-    return ProductFamily(tuple(bases), modulus, params or None)
-
-
-def thm1_families(
-    m: int, x: int, y: int, r: int, R: int
-) -> tuple[ProductFamily, ProductFamily]:
-    """The dominant/subordinate family pair for a sextuple's product shapes."""
-    record = {"x": x, "y": y, "r": r, "R": R}
-    p = ProductFamily((x, y, r * x + R * y), m, record)
-    q = ProductFamily((r * x, R * y, x + y), m, record)
-    return p, q
-
-
-def thm2_families(
-    m: int, x: int, y: int, z: int, r: int, R: int, rho: int
-) -> tuple[ProductFamily, ProductFamily]:
-    """The dominant/subordinate family pair for an octuple's product shapes."""
-    record = {"x": x, "y": y, "z": z, "r": r, "R": R, "rho": rho}
-    p = ProductFamily((x, y, z, r * x + R * y + rho * z), m, record)
-    q = ProductFamily((r * x, R * y, rho * z, x + y + z), m, record)
-    return p, q
-
-
-def _check_index(i: int, L: int) -> None:
-    if not isinstance(i, int) or not isinstance(L, int) or not 1 <= i <= L:
-        raise ValueError(f"need 1 <= i <= L, got i={i}, L={L}")
-
-
-def denominator_exponents(
-    P: ProductFamily, Q: ProductFamily, i: int, L: int
-) -> list[int]:
-    """Factor exponents of P(i) * Q(L)/Q(i-1)."""
-    return P.layer_exponents(0, i) + Q.layer_exponents(i - 1, L)
-
-
-def _validate_params(params, count: int, label: str) -> tuple[int, ...]:
-    values = tuple(params)
-    if len(values) != count or any(
-        not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in values
-    ):
-        raise ValueError(f"{label} needs {count} positive integers, got {params!r}")
-    return values
 
 
 def _thm1_numerators(values, t: int):
@@ -212,52 +133,52 @@ def _thm2_numerators(values, t: int):
     )
 
 
-_NUMERATORS = {"thm1": (_thm1_numerators, 1), "thm2": (_thm2_numerators, 2)}
+# split -> (number of sizes n, numerators, integer scale of the groups)
+_SPLITS = {"thm1": (2, _thm1_numerators, 1), "thm2": (3, _thm2_numerators, 2)}
 
 
-def _split_params(P: ProductFamily, Q: ProductFamily, split: str) -> tuple[int, ...]:
-    names = ("x", "y", "r", "R") if split == "thm1" else ("x", "y", "z", "r", "R", "rho")
-    record = P.params or {}
-    if any(n not in record for n in names):
-        raise ValueError(f"{split} split needs families built with parameters {names}")
-    values = tuple(record[n] for n in names)
-    maker = thm1_families if split == "thm1" else thm2_families
-    expected = maker(P.modulus, *values)
-    if (P.bases, Q.bases) != (expected[0].bases, expected[1].bases) or (
-        P.modulus != Q.modulus
-    ):
-        raise ValueError(f"families do not match the {split} product shapes")
-    return values
+def _layers(P: ProductSpec, Q: ProductSpec) -> tuple[int, int]:
+    """(modulus, L) shared by every factor family of the pair, or ValueError."""
+    moduli = {f.modulus for f in P.families + Q.families}
+    lengths = {f.length for f in P.families + Q.families}
+    if len(moduli) != 1 or len(lengths) != 1 or INF in lengths:
+        raise ValueError(
+            "antitelescoping needs finite products with one shared modulus and length"
+        )
+    return moduli.pop(), lengths.pop()
 
 
 def decompositions(
-    P: ProductFamily,
-    Q: ProductFamily,
-    L: int,
+    P: ProductSpec,
+    Q: ProductSpec,
     order: int,
     split: str = "none",
     reciprocal_q: QSeries | None = None,
 ):
-    """Yield the decomposition of every index i = 1..L, in order.
+    """Yield the decomposition of 1/P - 1/Q at every index i = 1..L, in order.
 
-    One denominator reciprocal D_i per index is shared by the addend and
-    all split groups; see the module docstring.  ``reciprocal_q`` may pass
-    in 1/Q(L) when the caller has it already.  Split groups are yielded at
-    the engine's integer scale (Thm2 doubled).
+    P and Q must share one modulus and one finite length L; a split also
+    needs them to be the `nbase_pair` with two (thm1) or three (thm2)
+    sizes.  One denominator reciprocal D_i per index is shared by the
+    addend and all split groups; see the module docstring.
+    ``reciprocal_q`` may pass in 1/Q when the caller has it already.  Split
+    groups are yielded at the engine's integer scale (Thm2 doubled).
     """
     if split not in SPLIT_MODES:
         raise ValueError(f"split must be one of {SPLIT_MODES}, got {split!r}")
-    if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-        raise ValueError(f"L must be a positive integer, got {L!r}")
-    if split == "none":
-        numerators, scale, values = None, 1, ()
-    else:
-        (numerators, scale), values = _NUMERATORS[split], _split_params(P, Q, split)
-    f = spec_reciprocal(Q.spec(L), order) if reciprocal_q is None else reciprocal_q
+    m, L = _layers(P, Q)
+    numerators, scale, values = None, 1, ()
+    if split != "none":
+        n, numerators, scale = _SPLITS[split]
+        xs, rs = nbase_params(P, Q)
+        if len(xs) != n:
+            raise ValueError(f"the {split} split needs {n} sizes, the pair has {len(xs)}")
+        values = xs + rs
+    f = spec_reciprocal(Q, order) if reciprocal_q is None else reciprocal_q
     for i in range(1, L + 1):
-        d = divide_binomials(f, P.step_exponents(i))
-        f_next = multiply_binomials(d, Q.step_exponents(i))
-        t = (i - 1) * P.modulus
+        t = (i - 1) * m
+        d = divide_binomials(f, [b + t for b in P.bases])
+        f_next = multiply_binomials(d, [b + t for b in Q.bases])
         groups = ()
         if numerators is not None:
             groups = tuple(
@@ -275,49 +196,8 @@ def _sum_pieces(d: QSeries, pieces) -> QSeries:
     return total
 
 
-def _at_index(items, i: int) -> AddendDecomposition:
-    """The i-th item of the engine's walk; the caller has checked 1 <= i <= L."""
-    return next(islice(items, i - 1, None))
-
-
-def addend(P: ProductFamily, Q: ProductFamily, i: int, L: int, order: int) -> QSeries:
-    """The i-th telescoping addend of 1/P(L) - 1/Q(L), truncated."""
-    _check_index(i, L)
-    return _at_index(decompositions(P, Q, L, order), i).addend
-
-
-def _split_families(split: str, params):
-    """(L, P, Q) for a Thm1 sextuple or a Thm2 octuple."""
-    if split == "thm1":
-        L, m, *rest = _validate_params(params, 6, "sextuple")
-        return L, *thm1_families(m, *rest)
-    if split == "thm2":
-        L, m, *rest = _validate_params(params, 8, "octuple")
-        return L, *thm2_families(m, *rest)
-    raise ValueError(f"split must be thm1 or thm2, got {split!r}")
-
-
-def thm1_split(params, i: int, order: int) -> AddendDecomposition:
-    """Split a three-base addend into the two nonnegative pieces V and W."""
-    L, P, Q = _split_families("thm1", params)
-    _check_index(i, L)
-    return _at_index(decompositions(P, Q, L, order, "thm1"), i)
-
-
-def thm2_split(params, i: int, order: int) -> AddendDecomposition:
-    """Split a four-base addend into nonnegative half-weighted groups.
-
-    The first index gets three groups; later indices get four, the last of
-    which is the piece whose positivity rests on the two-variable kernel in
-    the lemma module.
-    """
-    L, P, Q = _split_families("thm2", params)
-    _check_index(i, L)
-    return _at_index(decompositions(P, Q, L, order, "thm2"), i).unscaled()
-
-
-def certify_split(split: str, params, order: int) -> dict[str, Any]:
-    """Split certificate for one Thm1 sextuple or Thm2 octuple.
+def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dict[str, Any]:
+    """Split certificate for a Thm1 (split "thm1") or Thm2 ("thm2") pair.
 
     Checks that every split group is nonnegative, that the groups sum to
     their addend, that every addend and the difference 1/P(L) - 1/Q(L) are
@@ -327,9 +207,10 @@ def certify_split(split: str, params, order: int) -> dict[str, Any]:
     check compares the end of the walk, F_L, with a direct expansion of
     1/P(L).
     """
-    L, P, Q = _split_families(split, params)
-    reciprocal_q = spec_reciprocal(Q.spec(L), order)
-    diff = series_sub(spec_reciprocal(P.spec(L), order), reciprocal_q)
+    if split not in _SPLITS:
+        raise ValueError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
+    reciprocal_q = spec_reciprocal(Q, order)
+    diff = series_sub(spec_reciprocal(P, order), reciprocal_q)
     total = QSeries.zero(order)
     witness = None
 
@@ -338,7 +219,7 @@ def certify_split(split: str, params, order: int) -> dict[str, Any]:
         if witness is None:
             witness = found
 
-    for dec in decompositions(P, Q, L, order, split, reciprocal_q):
+    for dec in decompositions(P, Q, order, split, reciprocal_q):
         i = dec.index
         for name, neg in dec.group_negatives().items():
             if neg is not None:
@@ -358,9 +239,8 @@ def certify_split(split: str, params, order: int) -> dict[str, Any]:
 
 
 def positivity_scan(
-    P: ProductFamily,
-    Q: ProductFamily,
-    L: int,
+    P: ProductSpec,
+    Q: ProductSpec,
     order: int,
     split: str = "none",
     dump_series: bool = False,
@@ -373,7 +253,7 @@ def positivity_scan(
     rows = []
     dumps = []
     all_nonnegative = True
-    for dec in decompositions(P, Q, L, order, split):
+    for dec in decompositions(P, Q, order, split):
         row = {
             "i": dec.index,
             "addend": first_negative(dec.addend),
@@ -390,7 +270,7 @@ def positivity_scan(
                 entry["groups"] = {name: serialize(g) for name, g in dec.unscaled().groups}
             dumps.append(entry)
     report = {
-        "L": L,
+        "L": len(rows),  # one row per index 1..L
         "order": order,
         "split": split,
         "rows": rows,

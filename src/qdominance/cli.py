@@ -133,29 +133,40 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {value!r}")
 
 
-def _envelope(command, config, params, status, witness=None, result=None, started=None):
-    env = {
-        "command": command,
-        "config": config.as_dict(),
-        "params": params,
-        "status": status,
-    }
-    if witness is not None:
-        env["witness"] = witness
-    if result is not None:
-        env["result"] = result
-    elapsed = 0.0 if started is None else time.perf_counter() - started
-    env["timings"] = {"seconds": round(elapsed, 6)}
-    return env
+@dataclass(frozen=True)
+class Outcome:
+    """What one command found; `main` turns it into output and an exit code.
+
+    ``ok`` is the verdict, ``params`` the echoed request, ``witness`` the
+    first failure (or None) and ``result`` the report body (or None).
+    ``table`` holds the CSV rows, header first, for the commands that have
+    a CSV form, and None for the others.
+    """
+
+    ok: bool
+    params: dict
+    witness: object
+    result: object
+    table: list | None
 
 
-def _write_report(stream, envelope, config) -> None:
-    if config.format == "text":
-        stream.write(f"{envelope['command']}: {envelope['status']}\n")
-        if "witness" in envelope:
-            stream.write(f"witness: {json.dumps(_jsonable(envelope['witness']))}\n")
+def _write(stream, command: str, config: RunConfig, outcome: Outcome, started: float) -> None:
+    status = "pass" if outcome.ok else "fail"
+    if config.format == "csv":
+        csv.writer(stream).writerows(outcome.table)
         return
-    json.dump(_jsonable(envelope), stream)
+    if config.format == "text":
+        stream.write(f"{command}: {status}\n")
+        if outcome.witness is not None:
+            stream.write(f"witness: {json.dumps(_jsonable(outcome.witness))}\n")
+        return
+    env = {"command": command, "config": config.as_dict(), "params": outcome.params, "status": status}
+    if outcome.witness is not None:
+        env["witness"] = outcome.witness
+    if outcome.result is not None:
+        env["result"] = outcome.result
+    env["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
+    json.dump(_jsonable(env), stream)
     stream.write("\n")
 
 
@@ -211,40 +222,20 @@ def _dominance_witness(report: dominance.DominanceReport):
     return {"exponent": report.failure[0], "deficit": report.failure[1]}
 
 
-def _cmd_check(args, config, stream) -> int:
-    started = time.perf_counter()
+def _cmd_check(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq)
-    parameters = parse_inequality_params(ineq_id, args.params)
-    ineq = dominance.NamedInequality(ineq_id, parameters)
-    report = dominance.check_named(ineq, config.order)
-    result = dominance.report_dict(report, inequality=ineq_id, parameters=_params_jsonable(parameters))
+    parameters = _params_jsonable(parse_inequality_params(ineq_id, args.params))
+    report = dominance.check_named(dominance.NamedInequality(ineq_id, parameters), config.order)
+    result = dominance.report_dict(report, inequality=ineq_id, parameters=parameters)
     if args.dump_series:
-        lhs, rhs = dominance.build_specs(ineq)
+        lhs, rhs = report.lhs_spec, report.rhs_spec
         diff = series_sub(spec_reciprocal(lhs, config.order), spec_reciprocal(rhs, config.order))
         result["difference"] = serialize(diff)
-    status = "pass" if report.holds else "fail"
-    envelope = _envelope(
-        "check",
-        config,
-        {"ineq": ineq_id, "params": _params_jsonable(parameters)},
-        status,
-        witness=_dominance_witness(report),
-        result=result,
-        started=started,
-    )
-    _write_report(stream, envelope, config)
-    return EXIT_PASS if report.holds else EXIT_FAIL
+    params = {"ineq": ineq_id, "params": parameters}
+    return Outcome(report.holds, params, _dominance_witness(report), result, None)
 
 
 # --- antitelescope ----------------------------------------------------------
-
-
-def _as_product_family(spec) -> antitelescope.ProductFamily:
-    moduli = {f.modulus for f in spec.families}
-    lengths = {f.length for f in spec.families}
-    if not spec.is_finite() or len(moduli) != 1 or len(lengths) != 1:
-        raise UsageError("antitelescoping needs finite products with one shared modulus and length")
-    return antitelescope.ProductFamily(tuple(f.base for f in spec.families), moduli.pop())
 
 
 def _antitelescope_parameters(args, ineq_id: str) -> dict:
@@ -263,25 +254,6 @@ def _antitelescope_parameters(args, ineq_id: str) -> dict:
     return parameters
 
 
-def _antitelescope_families(ineq_id: str, parameters: dict):
-    if ineq_id == "Thm1":
-        return antitelescope.thm1_families(
-            parameters["m"], parameters["x"], parameters["y"], parameters["r"], parameters["R"]
-        )
-    if ineq_id == "Thm2":
-        return antitelescope.thm2_families(
-            parameters["m"],
-            parameters["x"],
-            parameters["y"],
-            parameters["z"],
-            parameters["r"],
-            parameters["R"],
-            parameters["rho"],
-        )
-    lhs, rhs = dominance.build_specs(dominance.NamedInequality(ineq_id, parameters))
-    return _as_product_family(lhs), _as_product_family(rhs)
-
-
 def _scan_witness(rows):
     for row in rows:
         if row["addend"] is not None:
@@ -293,8 +265,7 @@ def _scan_witness(rows):
     return None
 
 
-def _cmd_antitelescope(args, config, stream) -> int:
-    started = time.perf_counter()
+def _cmd_antitelescope(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq)
     if ineq_id == "RR":
         raise UsageError("RR is an infinite-product statement; antitelescope its finite cousin finiteRR")
@@ -302,22 +273,10 @@ def _cmd_antitelescope(args, config, stream) -> int:
     split = args.split
     if split != "none" and ineq_id not in ("Thm1", "Thm2"):
         raise UsageError(f"--split {split} is only available for Thm1/Thm2 products")
-    P, Q = _antitelescope_families(ineq_id, parameters)
-    scan = antitelescope.positivity_scan(
-        P, Q, parameters["L"], config.order, split=split, dump_series=args.dump_series
-    )
-    status = "pass" if scan["all_nonnegative"] else "fail"
-    envelope = _envelope(
-        "antitelescope",
-        config,
-        {"ineq": ineq_id, "params": _params_jsonable(parameters), "split": split},
-        status,
-        witness=_scan_witness(scan["rows"]),
-        result=scan,
-        started=started,
-    )
-    _write_report(stream, envelope, config)
-    return EXIT_PASS if scan["all_nonnegative"] else EXIT_FAIL
+    P, Q = dominance.build_specs(dominance.NamedInequality(ineq_id, parameters))
+    scan = antitelescope.positivity_scan(P, Q, config.order, split, args.dump_series)
+    params = {"ineq": ineq_id, "params": _params_jsonable(parameters), "split": split}
+    return Outcome(scan["all_nonnegative"], params, _scan_witness(scan["rows"]), scan, None)
 
 
 # --- lemma ------------------------------------------------------------------
@@ -364,8 +323,7 @@ def lemma_report(r: int, R: int, bounds: tuple[int, int, int]) -> dict:
     }
 
 
-def _cmd_lemma(args, config, stream) -> int:
-    started = time.perf_counter()
+def _cmd_lemma(args, config) -> Outcome:
     if args.r < 1 or args.R < 1:
         raise UsageError(f"multipliers must be positive, got r={args.r}, R={args.R}")
     report = lemma_report(args.r, args.R, config.bounds)
@@ -376,18 +334,8 @@ def _cmd_lemma(args, config, stream) -> int:
             "numerator": polyring.to_text(term.numerator),
             "denominator": [polyring.to_text(f) for f in term.denominator_factors],
         }
-    status = "pass" if report["ok"] else "fail"
-    envelope = _envelope(
-        "lemma",
-        config,
-        {"r": args.r, "R": args.R, "bounds": list(config.bounds)},
-        status,
-        witness=report["witness"],
-        result=result,
-        started=started,
-    )
-    _write_report(stream, envelope, config)
-    return EXIT_PASS if report["ok"] else EXIT_FAIL
+    params = {"r": args.r, "R": args.R, "bounds": list(config.bounds)}
+    return Outcome(report["ok"], params, report["witness"], result, None)
 
 
 # --- enumerate / interpret-check -------------------------------------------
@@ -400,64 +348,41 @@ def _partition_params(text: str) -> partitions.PartitionParams:
     return partitions.PartitionParams.from_values(values)
 
 
-def _cmd_enumerate(args, config, stream) -> int:
-    started = time.perf_counter()
+def _cmd_enumerate(args, config) -> Outcome:
     params = _partition_params(args.params)
     items = partitions.enumerate_partitions(args.n, params, cap=config.cap)
     listed = [
         [[base, index, mult] for (base, index), mult in p.counts] for p in items
     ]
-    envelope = _envelope(
-        "enumerate",
-        config,
-        {"params": list(params.as_tuple()), "n": args.n},
-        "pass",
-        result={"n": args.n, "count": len(items), "partitions": listed},
-        started=started,
-    )
-    _write_report(stream, envelope, config)
-    return EXIT_PASS
+    result = {"n": args.n, "count": len(items), "partitions": listed}
+    return Outcome(True, {"params": list(params.as_tuple()), "n": args.n}, None, result, None)
 
 
-def _cmd_interpret_check(args, config, stream) -> int:
-    started = time.perf_counter()
+_INTERPRET_COLUMNS = ["n", "V_count", "W_count", "series_V", "series_W", "match"]
+
+
+def _cmd_interpret_check(args, config) -> Outcome:
     params = _partition_params(args.params)
     if args.max_n < 0:
         raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
     check = partitions.interpretation_check(params, args.max_n)
-    if config.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["n", "V_count", "W_count", "series_V", "series_W", "match"])
-        for row in check["rows"]:
-            writer.writerow(
-                [
-                    row["n"],
-                    row["V_count"],
-                    row["W_count"],
-                    row["series_V"],
-                    row["series_W"],
-                    "true" if row["match"] else "false",
-                ]
-            )
-    else:
-        envelope = _envelope(
-            "interpret-check",
-            config,
-            {"params": list(params.as_tuple()), "max_n": args.max_n},
-            "pass" if check["ok"] else "fail",
-            witness=check["witness"],
-            result={"rows": check["rows"], "ok": check["ok"]},
-            started=started,
-        )
-        _write_report(stream, envelope, config)
-    return EXIT_PASS if check["ok"] else EXIT_FAIL
+    table = [_INTERPRET_COLUMNS] + [
+        [row[c] for c in _INTERPRET_COLUMNS[:-1]] + ["true" if row["match"] else "false"]
+        for row in check["rows"]
+    ]
+    return Outcome(
+        check["ok"],
+        {"params": list(params.as_tuple()), "max_n": args.max_n},
+        check["witness"],
+        {"rows": check["rows"], "ok": check["ok"]},
+        table,
+    )
 
 
 # --- proposal ---------------------------------------------------------------
 
 
-def _cmd_proposal(args, config, stream) -> int:
-    started = time.perf_counter()
+def _cmd_proposal(args, config) -> Outcome:
     sizes = _csv_ints(args.x, "--x")
     multipliers = _csv_ints(args.r, "--r")
     if args.n is not None and args.n != len(sizes):
@@ -470,17 +395,8 @@ def _cmd_proposal(args, config, stream) -> int:
     if not outcome["holds"]:
         report = outcome["report"]
         witness = {"exponent": report["failure_exponent"], "deficit": report["deficit"]}
-    envelope = _envelope(
-        "proposal",
-        config,
-        {"x": list(sizes), "r": list(multipliers), "m": args.m, "L": args.L},
-        "pass" if outcome["holds"] else "fail",
-        witness=witness,
-        result=outcome,
-        started=started,
-    )
-    _write_report(stream, envelope, config)
-    return EXIT_PASS if outcome["holds"] else EXIT_FAIL
+    params = {"x": list(sizes), "r": list(multipliers), "m": args.m, "L": args.L}
+    return Outcome(outcome["holds"], params, witness, outcome, None)
 
 
 # --- identities -------------------------------------------------------------
@@ -494,8 +410,7 @@ def _polynomial_identity_entry(name: str, sides) -> dict:
     return {"name": name, "equal": verdict.equal}
 
 
-def _cmd_identities(args, config, stream) -> int:
-    started = time.perf_counter()
+def _cmd_identities(args, config) -> Outcome:
     entries = [
         _polynomial_identity_entry("three-factor-difference", polyring.three_factor_identity_sides()),
         _polynomial_identity_entry("four-factor-difference", polyring.four_factor_identity_sides()),
@@ -538,17 +453,7 @@ def _cmd_identities(args, config, stream) -> int:
     witness = None
     if not ok:
         witness = {"name": next(e["name"] for e in entries if not e["equal"])}
-    envelope = _envelope(
-        "identities",
-        config,
-        {"seed": config.seed},
-        "pass" if ok else "fail",
-        witness=witness,
-        result={"checks": entries},
-        started=started,
-    )
-    _write_report(stream, envelope, config)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return Outcome(ok, {"seed": config.seed}, witness, {"checks": entries}, None)
 
 
 # --- sweep ------------------------------------------------------------------
@@ -617,13 +522,11 @@ def _sweep_job(job: tuple) -> dict:
         if kind == "lemma":
             report = lemma_report(parameters["r"], parameters["R"], bounds)
             return {"status": "pass" if report["ok"] else "fail", "witness": report["witness"]}
-        if kind == "split":
-            names = dominance.REQUIRED_PARAMETERS[ineq_id]
-            outcome = antitelescope.certify_split(
-                ineq_id.lower(), tuple(parameters[n] for n in names), order
-            )
-            return {"status": "pass" if outcome["ok"] else "fail", "witness": outcome["witness"]}
         ineq = dominance.NamedInequality(ineq_id, parameters)
+        if kind == "split":
+            P, Q = dominance.build_specs(ineq)
+            outcome = antitelescope.certify_split(P, Q, order, ineq_id.lower())
+            return {"status": "pass" if outcome["ok"] else "fail", "witness": outcome["witness"]}
         report = dominance.check_named(ineq, order)
         row = {
             "status": "pass" if report.holds else "fail",
@@ -663,14 +566,19 @@ def _sweep_points(args, config, ineq_id: str | None) -> tuple[list[tuple[str, st
     return entries, points
 
 
-def _cmd_sweep(args, config, stream) -> int:
-    started = time.perf_counter()
+def pool_size(jobs: int, points: int) -> int:
+    """Sweep worker processes: no more than requested, points to check, or CPUs."""
+    return min(jobs, points, os.cpu_count() or 1)
+
+
+def _cmd_sweep(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq) if args.ineq else None
     entries, points = _sweep_points(args, config, ineq_id)
     names = [name for name, _, _ in entries]
     jobs = [(args.kind, ineq_id, point, config.order, config.bounds) for point in points]
-    if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = pool_size(config.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_job, jobs, chunksize=16))
     else:
         rows = [_sweep_job(job) for job in jobs]
@@ -686,31 +594,21 @@ def _cmd_sweep(args, config, stream) -> int:
         for point, row in zip(points, rows)
         if row["status"] == "fail"
     ]
-    if config.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(names + ["status", "witness"])
-        for point, row in zip(points, rows):
-            witness = "" if row["witness"] is None else json.dumps(_jsonable(row["witness"]))
-            writer.writerow([point[name] for name in names] + [row["status"], witness])
-    else:
-        result = {
-            "total": len(rows),
-            "passed": passed,
-            "failed": failed,
-            "skipped": skipped,
-            "degenerate": degenerate,
-            "failures": failures,
-        }
-        envelope = _envelope(
-            "sweep",
-            config,
-            {"kind": args.kind, "ineq": ineq_id, "box": args.box, "sample": args.sample},
-            "pass" if failed == 0 else "fail",
-            result=result,
-            started=started,
-        )
-        _write_report(stream, envelope, config)
-    return EXIT_PASS if failed == 0 else EXIT_FAIL
+    table = [names + ["status", "witness"]] + [
+        [point[name] for name in names]
+        + [row["status"], "" if row["witness"] is None else json.dumps(_jsonable(row["witness"]))]
+        for point, row in zip(points, rows)
+    ]
+    result = {
+        "total": len(rows),
+        "passed": passed,
+        "failed": failed,
+        "skipped": skipped,
+        "degenerate": degenerate,
+        "failures": failures,
+    }
+    params = {"kind": args.kind, "ineq": ineq_id, "box": args.box, "sample": args.sample}
+    return Outcome(failed == 0, params, None, result, table)
 
 
 # --- entry point ------------------------------------------------------------
@@ -791,17 +689,20 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         config = config_from_args(args)
         if config.format == "csv" and args.command not in CSV_COMMANDS:
             raise UsageError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
-        return _HANDLERS[args.command](args, config, sys.stdout)
+        outcome = _HANDLERS[args.command](args, config)
     except partitions.EnumerationCapError as exc:
         print(f"qdominance: resource: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"qdominance: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _write(sys.stdout, args.command, config, outcome, started)
+    return EXIT_PASS if outcome.ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .series import (
+    INF,
     Coefficient,
     ProductSpec,
     first_negative,
+    positive_ints,
     product_spec,
     series_sub,
     spec_reciprocal,
@@ -84,26 +86,6 @@ def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport
     return DominanceReport(order, first_negative(diff), lhs, rhs)
 
 
-def _positive_int(parameters: Mapping[str, Any], name: str) -> int:
-    value = parameters[name]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"parameter {name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _positive_tuple(parameters: Mapping[str, Any], name: str) -> tuple[int, ...]:
-    value = parameters[name]
-    try:
-        items = tuple(value)
-    except TypeError:
-        raise ValueError(f"parameter {name} must be a sequence of integers") from None
-    if not items or any(
-        not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in items
-    ):
-        raise ValueError(f"parameter {name} must hold positive integers, got {value!r}")
-    return items
-
-
 def bga_expected(m: int, r: int) -> bool:
     """Whether the {1, m-1} product should dominate the {r, m-r} one.
 
@@ -118,63 +100,58 @@ def bga_degenerate(m: int, r: int) -> bool:
     return sorted((1, m - 1)) == sorted((r, m - r))
 
 
-def proposal_sums(xs: tuple[int, ...], rs: tuple[int, ...]) -> tuple[int, int]:
-    """The weighted and plain part sums appearing in the general conjecture."""
-    if len(xs) != len(rs):
-        raise ValueError("xs and rs must have the same length")
-    weighted = sum(r * x for r, x in zip(rs, xs))
-    plain = sum(xs)
-    return weighted, plain
+def nbase_pair(xs, rs, m: int, L: int | float) -> tuple[ProductSpec, ProductSpec]:
+    """The n-base pair {x_1..x_n, sum r_i x_i} over {r_1 x_1..r_n x_n, sum x_i}.
+
+    Every factor family has modulus m and length L.  Theorem 1 is the case
+    n = 2 and Theorem 2 the case n = 3.
+    """
+    xs = positive_ints(xs, "xs")
+    rs = positive_ints(rs, "rs", len(xs))
+    scaled = tuple(r * x for r, x in zip(rs, xs))
+    return product_spec((*xs, sum(scaled)), m, L), product_spec((*scaled, sum(xs)), m, L)
+
+
+def nbase_params(P: ProductSpec, Q: ProductSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (xs, rs) that `nbase_pair` turns into (P, Q); ValueError for any other pair."""
+    xs = P.bases[:-1]
+    rs = tuple(b // x for b, x in zip(Q.bases, xs))
+    if xs and 0 not in rs:
+        first = P.families[0]
+        if nbase_pair(xs, rs, first.modulus, first.length) == (P, Q):
+            return xs, rs
+    raise ValueError("the products are not an n-base pair {x_i, sum r_i x_i} over {r_i x_i, sum x_i}")
 
 
 def build_specs(ineq: NamedInequality) -> tuple[ProductSpec, ProductSpec]:
     """The (dominant, subordinate) product pair a named inequality asserts."""
     p = ineq.parameters
-    if ineq.id == "RR":
-        return product_spec((1, 4), 5), product_spec((2, 3), 5)
+    names = [n for n in REQUIRED_PARAMETERS[ineq.id] if n not in ("xs", "rs")]
+    label = f"{ineq.id} parameters ({', '.join(names)})"
+    v = dict(zip(names, positive_ints((p[n] for n in names), label, len(names))))
+    L = v.get("L", INF)
+    if ineq.id in ("RR", "finiteRR"):
+        return product_spec((1, 4), 5, L), product_spec((2, 3), 5, L)
     if ineq.id == "BGa":
-        m = _positive_int(p, "m")
-        r = _positive_int(p, "r")
-        L = _positive_int(p, "L")
+        m, r = v["m"], v["r"]
         if not 0 < r < m:
             raise ValueError(f"BGa needs 0 < r < m, got r={r}, m={m}")
         return product_spec((1, m - 1), m, L), product_spec((r, m - r), m, L)
-    if ineq.id == "finiteRR":
-        L = _positive_int(p, "L")
-        return product_spec((1, 4), 5, L), product_spec((2, 3), 5, L)
     if ineq.id == "littleGollnitz":
-        L = _positive_int(p, "L")
         return product_spec((1, 5, 6), 8, L), product_spec((2, 3, 7), 8, L)
     if ineq.id == "BGr":
-        y = _positive_int(p, "y")
-        L = _positive_int(p, "L")
+        y = v["y"]
         if y % 2 == 0 or y < 3:
             raise ValueError(f"BGr needs odd y > 1, got {y}")
         m = 2 * y + 2
-        lhs = product_spec((1, y + 2, 2 * y), m, L)
-        rhs = product_spec((2, y, 2 * y + 1), m, L)
-        return lhs, rhs
-    if ineq.id == "Thm1":
-        L, m, x, y, r, R = (_positive_int(p, n) for n in REQUIRED_PARAMETERS["Thm1"])
-        lhs = product_spec((x, y, r * x + R * y), m, L)
-        rhs = product_spec((r * x, R * y, x + y), m, L)
-        return lhs, rhs
-    if ineq.id == "Thm2":
-        L, m, x, y, z, r, R, rho = (
-            _positive_int(p, n) for n in REQUIRED_PARAMETERS["Thm2"]
-        )
-        lhs = product_spec((x, y, z, r * x + R * y + rho * z), m, L)
-        rhs = product_spec((r * x, R * y, rho * z, x + y + z), m, L)
-        return lhs, rhs
+        return product_spec((1, y + 2, 2 * y), m, L), product_spec((2, y, 2 * y + 1), m, L)
     if ineq.id == "Proposal":
-        L = _positive_int(p, "L")
-        m = _positive_int(p, "m")
-        xs = _positive_tuple(p, "xs")
-        rs = _positive_tuple(p, "rs")
-        weighted, plain = proposal_sums(xs, rs)
-        lhs = product_spec((*xs, weighted), m, L)
-        rhs = product_spec((*(r * x for r, x in zip(rs, xs)), plain), m, L)
-        return lhs, rhs
+        return nbase_pair(p["xs"], p["rs"], v["m"], L)
+    if ineq.id in ("Thm1", "Thm2"):
+        # (L, m, x1..xn, r1..rn) with n = 2 or 3
+        sizes = [v[n] for n in names[2:]]
+        half = len(sizes) // 2
+        return nbase_pair(sizes[:half], sizes[half:], v["m"], L)
     raise ValueError(f"unknown inequality id {ineq.id!r}")
 
 

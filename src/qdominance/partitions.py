@@ -8,18 +8,20 @@ separately), which is exactly what makes the counts line up with the series.
 
 Two seven-rule restriction systems, V and W, filter the partitions.  The
 restricted counts reproduce, weight by weight, the coefficients of the summed
-V/W split pieces from `antitelescope.thm1_split`; `interpretation_check`
-performs that comparison and reports the minimal mismatch witness if one ever
-appears.
+V/W split groups that `antitelescope.decompositions` yields for the Thm1
+pair; `interpretation_check` performs that comparison and reports the minimal
+mismatch witness if one ever appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .antitelescope import decompositions, thm1_families
-from .series import QSeries, reciprocal_from_exponents, series_add
+from .antitelescope import decompositions
+from .dominance import nbase_pair
+from .series import ProductSpec, QSeries, positive_ints, reciprocal_from_exponents, series_add
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
 
@@ -46,28 +48,27 @@ class PartitionParams:
     L: int
 
     def __post_init__(self) -> None:
-        for name in ("m", "x", "y", "r", "R", "L"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        positive_ints(self.as_tuple(), "m, x, y, r, R and L", 6)
 
     @classmethod
     def from_values(cls, values) -> "PartitionParams":
         m, x, y, r, R, L = values
         return cls(m, x, y, r, R, L)
 
+    @cached_property
+    def pair(self) -> tuple[ProductSpec, ProductSpec]:
+        """The Thm1 pair: bases x, y, r*x+R*y over r*x, R*y, x+y."""
+        return nbase_pair((self.x, self.y), (self.r, self.R), self.m, self.L)
+
+    @cached_property
+    def _sizes(self) -> dict[str, int]:
+        dominant, subordinate = self.pair
+        return dict(zip((X, Y, S, RX, RY, XY), dominant.bases + subordinate.bases))
+
     def base_size(self, base: str) -> int:
-        sizes = {
-            X: self.x,
-            Y: self.y,
-            XY: self.x + self.y,
-            RX: self.r * self.x,
-            RY: self.R * self.y,
-            S: self.r * self.x + self.R * self.y,
-        }
-        if base not in sizes:
+        if base not in self._sizes:
             raise ValueError(f"unknown base label {base!r}")
-        return sizes[base]
+        return self._sizes[base]
 
     def part_size(self, base: str, index: int) -> int:
         if not isinstance(index, int) or not 1 <= index <= self.L:
@@ -356,10 +357,9 @@ def unrestricted_series(params: PartitionParams, order: int) -> QSeries:
 
 def split_series(params: PartitionParams, order: int) -> tuple[QSeries, QSeries]:
     """(sum of V(i), sum of W(i)) over i = 1..L, truncated at `order`."""
-    P, Q = thm1_families(params.m, params.x, params.y, params.r, params.R)
     v_total = QSeries.zero(order)
     w_total = QSeries.zero(order)
-    for decomposition in decompositions(P, Q, params.L, order, "thm1"):
+    for decomposition in decompositions(*params.pair, order, "thm1"):
         groups = dict(decomposition.groups)
         v_total = series_add(v_total, groups["V"])
         w_total = series_add(w_total, groups["W"])

@@ -17,18 +17,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .dominance import NamedInequality, check_named, proposal_sums, report_dict
+from .dominance import NamedInequality, check_named, nbase_pair, report_dict
 from .series import (
     QSeries,
     divide_binomial,
     first_negative,
     multiply_binomial,
+    positive_ints,
     reciprocal_from_exponents,
     series_add,
     series_mul,
     series_scale,
     series_sub,
+    spec_reciprocal,
 )
 
 SIXTH = Fraction(1, 6)
@@ -50,35 +53,31 @@ class ProposalParams:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.x) != len(self.r) or not self.x:
-            raise ValueError(
-                f"x and r must be equally long and nonempty, got {self.x!r}, {self.r!r}"
-            )
-        for values in (self.x, self.r):
-            if any(not isinstance(v, int) or v < 1 for v in values):
-                raise ValueError(f"entries must be positive integers, got {values!r}")
+        positive_ints(self.x, "x")
+        positive_ints(self.r, "r", len(self.x))
 
     @property
     def n(self) -> int:
         return len(self.x)
 
+    @cached_property
+    def image_sizes(self) -> tuple[int, ...]:
+        """Part sizes on the dominant side: each x_(i), then Sigma."""
+        # the bases do not depend on the modulus and length
+        return nbase_pair(self.x, self.r, 1, 1)[0].bases
+
+    @cached_property
+    def source_sizes(self) -> tuple[int, ...]:
+        """Part sizes on the subordinate side: each r_(i)x_(i), then sigma."""
+        return nbase_pair(self.x, self.r, 1, 1)[1].bases
+
     @property
     def weighted_sum(self) -> int:
-        return proposal_sums(self.x, self.r)[0]
+        return self.image_sizes[-1]
 
     @property
     def plain_sum(self) -> int:
-        return proposal_sums(self.x, self.r)[1]
-
-    @property
-    def source_sizes(self) -> tuple[int, ...]:
-        """Part sizes on the subordinate side: each r_(i)x_(i), then sigma."""
-        return tuple(r * x for r, x in zip(self.r, self.x)) + (self.plain_sum,)
-
-    @property
-    def image_sizes(self) -> tuple[int, ...]:
-        """Part sizes on the dominant side: each x_(i), then Sigma."""
-        return self.x + (self.weighted_sum,)
+        return self.source_sizes[-1]
 
     def source_weight(self, vector: "CountVector") -> int:
         return _dot(vector, self.source_sizes)
@@ -200,13 +199,6 @@ def _geometric(e: int, order: int) -> QSeries:
     return divide_binomial(QSeries.monomial(e, order), e)
 
 
-def _validate_positive(values, count: int, label: str) -> tuple[int, ...]:
-    values = tuple(values)
-    if len(values) != count or any(not isinstance(v, int) or v < 1 for v in values):
-        raise ValueError(f"{label} needs {count} positive integers, got {values!r}")
-    return values
-
-
 def h_series(params, order: int) -> QSeries:
     """The nonnegative three-size splitting series, summed exactly.
 
@@ -217,7 +209,7 @@ def h_series(params, order: int) -> QSeries:
     blocks at weight 1/3; and the six triple products at weight 1.  Everything
     is accumulated six-fold in integers and divided once at the end.
     """
-    x, y, z, r, R, rho = _validate_positive(params, 6, "h parameters")
+    x, y, z, r, R, rho = positive_ints(params, "h parameters", 6)
     ax = _ratio_block(x, r, order)
     ay = _ratio_block(y, R, order)
     az = _ratio_block(z, rho, order)
@@ -272,18 +264,16 @@ def fourvar_identity(params, order: int) -> dict:
     the four h series (one per omitted size) divided by the two composite
     binomials.
     """
-    x, y, z, w, r, R, rho, P = _validate_positive(params, 8, "fourvar parameters")
-    plain = x + y + z + w
-    weighted_total = r * x + R * y + rho * z + P * w
-    lhs = series_sub(
-        reciprocal_from_exponents((x, y, z, w, weighted_total), order),
-        reciprocal_from_exponents((r * x, R * y, rho * z, P * w, plain), order),
-    )
+    x, y, z, w, r, R, rho, P = positive_ints(params, "fourvar parameters", 8)
+    dominant, subordinate = nbase_pair((x, y, z, w), (r, R, rho, P), 1, 1)
+    lhs = series_sub(spec_reciprocal(dominant, order), spec_reciprocal(subordinate, order))
     total = h_series((x, y, z, r, R, rho), order)
     total = series_add(total, h_series((x, y, w, r, R, P), order))
     total = series_add(total, h_series((x, z, w, r, rho, P), order))
     total = series_add(total, h_series((y, z, w, R, rho, P), order))
-    rhs = divide_binomial(divide_binomial(total, plain), weighted_total)
+    rhs = divide_binomial(
+        divide_binomial(total, subordinate.bases[-1]), dominant.bases[-1]
+    )
     mismatch = next(
         (n for n, c in enumerate(series_sub(lhs, rhs).coeffs) if c != 0), None
     )

@@ -215,6 +215,26 @@ def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
     return None
 
 
+def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ...]:
+    """The values as a tuple of positive ints, or ValueError naming the label.
+
+    Only exact ints pass: bools, floats and Fractions are refused.  With
+    ``count`` the tuple must have that length; without, it must not be empty.
+    """
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValueError(f"{label} must be positive integers, got {values!r}") from None
+    if (
+        (len(items) == count if count is not None else items)
+        and _INT_ONLY.issuperset(map(type, items))
+        and min(items, default=1) >= 1
+    ):
+        return items
+    wanted = "positive integers" if count is None else f"{count} positive integers"
+    raise ValueError(f"{label} must be {wanted}, got {items!r}")
+
+
 @dataclass(frozen=True)
 class FactorFamily:
     """The factors (1 - q^(base + j*modulus)) for j = 0 .. length-1 (or unbounded)."""
@@ -224,13 +244,8 @@ class FactorFamily:
     length: int | float = INF
 
     def __post_init__(self) -> None:
-        if self.base < 1:
-            raise ValueError(f"base must be >= 1, got {self.base}")
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        ok = self.length == INF or (isinstance(self.length, int) and self.length >= 1)
-        if not ok:
-            raise ValueError(f"length must be a positive integer or INF, got {self.length}")
+        sizes = (self.base, self.modulus) if self.length == INF else (self.base, self.modulus, self.length)
+        positive_ints(sizes, "factor base, modulus and length (or INF)")
 
     def exponents(self, order: int) -> list[int]:
         """Factor exponents that fit under the truncation order."""
@@ -256,6 +271,10 @@ class ProductSpec:
         for fam in self.families:
             out.extend(fam.exponents(order))
         return out
+
+    @property
+    def bases(self) -> tuple[int, ...]:
+        return tuple(f.base for f in self.families)
 
     def is_finite(self) -> bool:
         return all(f.length != INF for f in self.families)

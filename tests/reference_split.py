@@ -1,24 +1,20 @@
 """Per-group-divide reference for the telescoping addends and their splits.
 
-These are the original, deliberately direct bodies of `addend`,
-`thm1_split` and `thm2_split`: every addend and every split group builds
-its own numerator and divides it by the full denominator
-P(i) * Q(L)/Q(i-1), one binomial at a time, and the half-weighted Thm2
-groups are halved as rationals.  They share no state between indices or
-groups, so they pin the incremental engine in `qdominance.antitelescope`
-from outside.
+These are the original, deliberately direct per-index addend and Thm1/Thm2
+split bodies: every addend and every split group builds its own numerator
+and divides it by the full denominator P(i) * Q(L)/Q(i-1), one binomial at
+a time, and the half-weighted Thm2 groups are halved as rationals.  They
+share no state between indices or groups, so they pin the incremental
+engine in `qdominance.antitelescope` from outside.  P and Q are the
+length-L product specs; `layer_exponents` reads their factor layers off.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qdominance.antitelescope import (
-    AddendDecomposition,
-    denominator_exponents,
-    thm1_families,
-    thm2_families,
-)
+from qdominance.antitelescope import AddendDecomposition
+from qdominance.dominance import nbase_pair
 from qdominance.series import (
     QSeries,
     divide_binomial,
@@ -46,17 +42,34 @@ def _product_term(order: int, lead: int, binomial_exponents) -> QSeries:
     return out
 
 
+def thm_pair(values):
+    """The product pair of a Thm1 sextuple or Thm2 octuple (L, m, sizes, multipliers)."""
+    L, m, *rest = values
+    half = len(rest) // 2
+    return nbase_pair(rest[:half], rest[half:], m, L)
+
+
+def layer_exponents(spec, lo: int, hi: int) -> list[int]:
+    """Factor exponents of the spec's layers lo .. hi-1."""
+    return [f.base + j * f.modulus for j in range(lo, hi) for f in spec.families]
+
+
+def denominator_exponents(P, Q, i: int, L: int) -> list[int]:
+    """Factor exponents of P(i) * Q(L)/Q(i-1)."""
+    return layer_exponents(P, 0, i) + layer_exponents(Q, i - 1, L)
+
+
 def reference_addend(P, Q, i: int, L: int, order: int) -> QSeries:
     numerator = series_sub(
-        poly_from_exponents(Q.step_exponents(i), order),
-        poly_from_exponents(P.step_exponents(i), order),
+        poly_from_exponents(layer_exponents(Q, i - 1, i), order),
+        poly_from_exponents(layer_exponents(P, i - 1, i), order),
     )
     return _divide_all(numerator, denominator_exponents(P, Q, i, L))
 
 
 def reference_thm1_split(params, i: int, order: int) -> AddendDecomposition:
     L, m, x, y, r, R = params
-    P, Q = thm1_families(m, x, y, r, R)
+    P, Q = nbase_pair((x, y), (r, R), m, L)
     denominator = denominator_exponents(P, Q, i, L)
     t = (i - 1) * m
     v = _divide_all(
@@ -71,7 +84,7 @@ def reference_thm1_split(params, i: int, order: int) -> AddendDecomposition:
 
 def reference_thm2_split(params, i: int, order: int) -> AddendDecomposition:
     L, m, x, y, z, r, R, rho = params
-    P, Q = thm2_families(m, x, y, z, r, R, rho)
+    P, Q = nbase_pair((x, y, z), (r, R, rho), m, L)
     denominator = denominator_exponents(P, Q, i, L)
     t = (i - 1) * m
     a, b, c = r * x, R * y, rho * z

@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from qdominance.antitelescope import addend, family, thm1_split, thm2_split
+from qdominance.antitelescope import decompositions
 from qdominance.dominance import (
     NamedInequality,
     bga_degenerate,
@@ -42,6 +42,7 @@ from qdominance.series import (
     QSeries,
     first_negative,
     poly_from_exponents,
+    product_spec,
     reciprocal_from_exponents,
     series_add,
     series_mul,
@@ -78,10 +79,9 @@ class TestNaiveFailure:
     def test_second_addend_dips_at_exponent_eight(self):
         """The naive two-product telescoping goes negative at q^8, every length."""
         started = time.perf_counter()
-        P = family((1, 4), 5)
-        Q = family((2, 3), 5)
         for L in (2, 3, 4, 5):
-            a = addend(P, Q, 2, L, 16)
+            P, Q = product_spec((1, 4), 5, L), product_spec((2, 3), 5, L)
+            a = list(decompositions(P, Q, 16))[1].addend
             assert a.coeff(8) == -1, L
         assert time.perf_counter() - started < 1.0
 
@@ -100,8 +100,8 @@ class TestTwoBaseSplitBox:
             diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
             assert first_negative(diff) is None, values
             total = QSeries.zero(order)
-            for i in range(1, L + 1):
-                decomposition = thm1_split(values, i, order)
+            for decomposition in decompositions(lhs, rhs, order, "thm1"):
+                i = decomposition.index
                 group_total = QSeries.zero(order)
                 for name, group in decomposition.groups:
                     assert first_negative(group) is None, (values, i, name)
@@ -129,8 +129,9 @@ class TestThreeBaseSplitSample:
             diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
             assert first_negative(diff) is None, values
             total = QSeries.zero(order)
-            for i in range(1, L + 1):
-                decomposition = thm2_split(values, i, order)
+            for decomposition in decompositions(lhs, rhs, order, "thm2"):
+                i = decomposition.index
+                decomposition = decomposition.unscaled()
                 group_total = QSeries.zero(order)
                 for name, group in decomposition.groups:
                     assert first_negative(group) is None, (values, i, name)

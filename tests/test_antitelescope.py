@@ -4,18 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qdominance.antitelescope import (
-    AddendDecomposition,
-    ProductFamily,
-    addend,
-    denominator_exponents,
-    family,
-    positivity_scan,
-    thm1_families,
-    thm1_split,
-    thm2_families,
-    thm2_split,
-)
+from qdominance.antitelescope import decompositions, positivity_scan
+from qdominance.dominance import nbase_pair
 from qdominance.polyring import (
     RationalTerm,
     expand_rational,
@@ -26,21 +16,35 @@ from qdominance.polyring import (
     specialize,
 )
 from qdominance.series import (
+    FactorFamily,
+    ProductSpec,
     QSeries,
     divide_binomial,
     first_negative,
     multiply_binomial,
     poly_from_exponents,
+    product_spec,
     series_mul,
     series_reciprocal,
     series_scale,
     series_sub,
     spec_reciprocal,
 )
+from reference_split import denominator_exponents, layer_exponents, thm_pair
 
 
-def finite_rr_families():
-    return family((1, 4), 5), family((2, 3), 5)
+def finite_rr_pair(L):
+    return product_spec((1, 4), 5, L), product_spec((2, 3), 5, L)
+
+
+def addends(P, Q, order):
+    return [dec.addend for dec in decompositions(P, Q, order)]
+
+
+def split_at(values, i, order):
+    """Index i of the engine's walk over a Thm1/Thm2 tuple, groups at true value."""
+    split = "thm1" if len(values) == 6 else "thm2"
+    return list(decompositions(*thm_pair(values), order, split))[i - 1].unscaled()
 
 
 def sum_series(items):
@@ -53,58 +57,78 @@ def sum_series(items):
 
 
 class TestProductFamily:
+    """A length-L ProductSpec is the family of products P(0) .. P(L)."""
+
     def test_base_validation(self):
         with pytest.raises(ValueError):
-            ProductFamily((0, 2), 5)
+            product_spec((0, 2), 5, 2)
         with pytest.raises(ValueError):
-            ProductFamily((1,), 0)
+            product_spec((1,), 0, 2)
 
     def test_spec_zero_is_empty(self):
-        fam = family((1, 4), 5)
-        assert fam.spec(0).families == ()
-        assert fam.spec(0).exponents(10) == []
+        P, _ = finite_rr_pair(2)
+        assert layer_exponents(P, 0, 0) == []
 
     def test_layers_partition_the_spec(self):
-        fam = family((2, 3), 5)
-        full = sorted(fam.spec(3).exponents(100))
+        _, Q = finite_rr_pair(3)
+        full = sorted(Q.exponents(100))
         layered = sorted(
-            fam.step_exponents(1) + fam.step_exponents(2) + fam.step_exponents(3)
+            layer_exponents(Q, 0, 1) + layer_exponents(Q, 1, 2) + layer_exponents(Q, 2, 3)
         )
-        assert full == layered == sorted(fam.layer_exponents(0, 3))
+        assert full == layered == sorted(layer_exponents(Q, 0, 3))
 
     def test_denominator_exponents(self):
-        P, Q = finite_rr_families()
+        P, Q = finite_rr_pair(2)
         # P(2) * Q(2)/Q(1): P layers 0,1 plus Q layer 1
         assert sorted(denominator_exponents(P, Q, 2, 2)) == sorted(
             [1, 4, 6, 9, 7, 8]
         )
 
 
+class TestEngineInputs:
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            (product_spec((1, 4), 5), product_spec((2, 3), 5)),
+            (product_spec((1, 4), 5, 2), product_spec((2, 3), 5)),
+            (product_spec((1, 4), 5, 2), product_spec((2, 3), 5, 3)),
+            (product_spec((1, 4), 5, 2), product_spec((2, 3), 6, 2)),
+            (product_spec((1, 4), 5, 2), ProductSpec((FactorFamily(2, 5, 2), FactorFamily(3, 5, 1)))),
+            (ProductSpec(()), ProductSpec(())),
+        ],
+        ids=["infinite", "one-infinite", "lengths-differ", "moduli-differ", "ragged", "empty"],
+    )
+    def test_engine_refuses_pairs_without_one_modulus_and_length(self, P, Q):
+        with pytest.raises(ValueError, match="one shared modulus and length"):
+            next(decompositions(P, Q, 10))
+        with pytest.raises(ValueError, match="one shared modulus and length"):
+            positivity_scan(P, Q, 10)
+
+
 class TestAddend:
     def test_index_validation(self):
-        P, Q = finite_rr_families()
-        for bad in (0, 3):
-            with pytest.raises(ValueError):
-                addend(P, Q, bad, 2, 10)
+        """The walk yields indices 1..L and nothing outside them."""
+        for L in (1, 2, 5):
+            indices = [dec.index for dec in decompositions(*finite_rr_pair(L), 10)]
+            assert indices == list(range(1, L + 1))
 
     def test_first_addend_closed_form(self):
-        P, Q = finite_rr_families()
         n = 20
         L = 2
-        direct = addend(P, Q, 1, L, n)
+        P, Q = finite_rr_pair(L)
+        direct = addends(P, Q, n)[0]
         numerator = series_sub(
-            poly_from_exponents(Q.spec(1).exponents(n), n),
-            poly_from_exponents(P.spec(1).exponents(n), n),
+            poly_from_exponents(layer_exponents(Q, 0, 1), n),
+            poly_from_exponents(layer_exponents(P, 0, 1), n),
         )
         denominator = series_mul(
-            poly_from_exponents(P.spec(1).exponents(n), n),
-            poly_from_exponents(Q.spec(L).exponents(n), n),
+            poly_from_exponents(layer_exponents(P, 0, 1), n),
+            poly_from_exponents(Q.exponents(n), n),
         )
         assert direct == series_mul(numerator, series_reciprocal(denominator))
 
     def test_documented_negative_addend(self):
-        P, Q = finite_rr_families()
-        second = addend(P, Q, 2, 2, 10)
+        second = addends(*finite_rr_pair(2), 10)[1]
         assert second.coeff(6) == 1
         assert second.coeff(7) == 0
         assert second.coeff(8) == -1
@@ -113,25 +137,20 @@ class TestAddend:
     def test_telescoping_identity(self):
         n = 25
         for L in (1, 2, 3):
-            P, Q = finite_rr_families()
-            total = sum_series([addend(P, Q, i, L, n) for i in range(1, L + 1)])
-            want = series_sub(
-                spec_reciprocal(P.spec(L), n), spec_reciprocal(Q.spec(L), n)
-            )
+            P, Q = finite_rr_pair(L)
+            total = sum_series(addends(P, Q, n))
+            want = series_sub(spec_reciprocal(P, n), spec_reciprocal(Q, n))
             assert total == want
 
     def test_telescoping_identity_four_bases(self):
         n = 30
-        P, Q = thm2_families(3, 1, 1, 1, 2, 2, 2)
-        L = 3
-        total = sum_series([addend(P, Q, i, L, n) for i in range(1, L + 1)])
-        want = series_sub(spec_reciprocal(P.spec(L), n), spec_reciprocal(Q.spec(L), n))
+        P, Q = thm_pair((3, 3, 1, 1, 1, 2, 2, 2))
+        total = sum_series(addends(P, Q, n))
+        want = series_sub(spec_reciprocal(P, n), spec_reciprocal(Q, n))
         assert total == want
 
     def test_integer_coefficients(self):
-        P, Q = thm1_families(5, 1, 1, 2, 2)
-        for i in (1, 2):
-            series = addend(P, Q, i, 2, 30)
+        for series in addends(*thm_pair((2, 5, 1, 1, 2, 2)), 30):
             assert all(isinstance(c, int) for c in series.coeffs)
 
 
@@ -139,7 +158,7 @@ class TestThm1Split:
     def test_group_sum_and_positivity(self):
         params = (2, 5, 1, 1, 2, 2)
         for i in (1, 2):
-            dec = thm1_split(params, i, 30)
+            dec = split_at(params, i, 30)
             assert [name for name, _ in dec.groups] == ["V", "W"]
             assert sum_series([g for _, g in dec.groups]) == dec.addend
             for _, g in dec.groups:
@@ -147,54 +166,54 @@ class TestThm1Split:
                 assert all(isinstance(c, int) for c in g.coeffs)
 
     def test_t_exponent(self):
-        assert thm1_split((2, 5, 1, 1, 2, 2), 2, 10).t_exponent == 5
-        assert thm1_split((2, 5, 1, 1, 2, 2), 1, 10).t_exponent == 0
+        assert split_at((2, 5, 1, 1, 2, 2), 2, 10).t_exponent == 5
+        assert split_at((2, 5, 1, 1, 2, 2), 1, 10).t_exponent == 0
 
     def test_r_one_kills_w(self):
-        dec = thm1_split((2, 3, 1, 2, 1, 2), 1, 20)
+        dec = split_at((2, 3, 1, 2, 1, 2), 1, 20)
         groups = dict(dec.groups)
         assert groups["W"].is_zero()
         assert groups["V"] == dec.addend
 
     def test_big_r_one_kills_v(self):
-        dec = thm1_split((2, 3, 1, 2, 2, 1), 1, 20)
+        dec = split_at((2, 3, 1, 2, 2, 1), 1, 20)
         groups = dict(dec.groups)
         assert groups["V"].is_zero()
         assert groups["W"] == dec.addend
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            thm1_split((2, 5, 1, 1, 2), 1, 10)
+            nbase_pair((1, 1), (2,), 5, 2)
         with pytest.raises(ValueError):
-            thm1_split((2, 5, 0, 1, 2, 2), 1, 10)
+            nbase_pair((0, 1), (2, 2), 5, 2)
         with pytest.raises(ValueError):
-            thm1_split((2, 5, 1, 1, 2, 2), 3, 10)
+            nbase_pair((1, 1.5), (2, 2), 5, 2)
 
 
 class TestThm2Split:
     def test_first_index_three_groups(self):
-        dec = thm2_split((1, 2, 1, 1, 1, 2, 2, 2), 1, 20)
+        dec = split_at((1, 2, 1, 1, 1, 2, 2, 2), 1, 20)
         assert [name for name, _ in dec.groups] == ["G1", "G2", "G3"]
         assert sum_series([g for _, g in dec.groups]) == dec.addend
         for _, g in dec.groups:
             assert first_negative(g) is None
 
     def test_later_index_four_groups(self):
-        dec = thm2_split((2, 3, 1, 1, 1, 2, 2, 2), 2, 30)
+        dec = split_at((2, 3, 1, 1, 1, 2, 2, 2), 2, 30)
         assert [name for name, _ in dec.groups] == ["G1", "G2", "G3", "G4"]
         assert sum_series([g for _, g in dec.groups]) == dec.addend
         for _, g in dec.groups:
             assert first_negative(g) is None
 
     def test_half_integral_coefficients(self):
-        dec = thm2_split((2, 3, 1, 2, 1, 2, 3, 2), 2, 25)
+        dec = split_at((2, 3, 1, 2, 1, 2, 3, 2), 2, 25)
         for _, g in dec.groups:
             for c in g.coeffs:
                 assert isinstance(c, int) or c.denominator == 2
         assert all(isinstance(c, int) for c in dec.addend.coeffs)
 
     def test_rho_one_kills_g3_g4(self):
-        dec = thm2_split((2, 2, 1, 1, 1, 2, 2, 1), 2, 20)
+        dec = split_at((2, 2, 1, 1, 1, 2, 2, 1), 2, 20)
         groups = dict(dec.groups)
         assert groups["G3"].is_zero()
         assert groups["G4"].is_zero()
@@ -226,7 +245,7 @@ class TestThm2Split:
         tri = expand_rational(RationalTerm(numerator, factors), bounds)
         kernel = specialize(tri, t, x, y, n)
 
-        P, Q = thm2_families(m, x, y, z, r, R, rho)
+        P, Q = nbase_pair((x, y, z), (r, R, rho), m, L)
         denominator = denominator_exponents(P, Q, i, L)
         for used in (x, y, t + x, t + y, t + r * x, t + R * y):
             denominator.remove(used)
@@ -237,21 +256,19 @@ class TestThm2Split:
             rebuilt = divide_binomial(rebuilt, e)
         rebuilt = series_scale(rebuilt, Fraction(1, 2))
 
-        dec = thm2_split((L, m, x, y, z, r, R, rho), i, n)
+        dec = split_at((L, m, x, y, z, r, R, rho), i, n)
         assert dict(dec.groups)["G4"] == rebuilt
 
 
 class TestPositivityScan:
     def test_plain_scan_flags_documented_failure(self):
-        P, Q = finite_rr_families()
-        report = positivity_scan(P, Q, 2, 20, split="none")
+        report = positivity_scan(*finite_rr_pair(2), 20, split="none")
         assert report["all_nonnegative"] is False
         assert report["rows"][0]["addend"] is None
         assert report["rows"][1]["addend"] == (8, -1)
 
     def test_thm1_scan_clean(self):
-        P, Q = thm1_families(5, 1, 1, 2, 2)
-        report = positivity_scan(P, Q, 2, 60, split="thm1")
+        report = positivity_scan(*thm_pair((2, 5, 1, 1, 2, 2)), 60, split="thm1")
         assert report["all_nonnegative"] is True
         for row in report["rows"]:
             assert row["addend"] is None
@@ -259,27 +276,26 @@ class TestPositivityScan:
             assert all(v is None for v in row["groups"].values())
 
     def test_thm2_scan_clean(self):
-        P, Q = thm2_families(3, 1, 1, 1, 2, 2, 2)
-        report = positivity_scan(P, Q, 2, 60, split="thm2")
+        report = positivity_scan(*thm_pair((2, 3, 1, 1, 1, 2, 2, 2)), 60, split="thm2")
         assert report["all_nonnegative"] is True
         assert set(report["rows"][0]["groups"]) == {"G1", "G2", "G3"}
         assert set(report["rows"][1]["groups"]) == {"G1", "G2", "G3", "G4"}
 
     def test_split_requires_matching_families(self):
-        P, Q = finite_rr_families()
+        P, Q = finite_rr_pair(2)
         with pytest.raises(ValueError):
-            positivity_scan(P, Q, 2, 20, split="thm1")
+            positivity_scan(P, Q, 20, split="thm1")
         with pytest.raises(ValueError):
-            positivity_scan(P, Q, 2, 20, split="weird")
+            positivity_scan(P, Q, 20, split="weird")
 
     def test_structural_divisibility(self):
-        P, Q = thm2_families(3, 1, 1, 1, 2, 2, 2)
         L = 3
+        P, Q = thm_pair((L, 3, 1, 1, 1, 2, 2, 2))
         for i in range(1, L + 1):
             t = (i - 1) * 3
-            q_tail = Q.layer_exponents(i - 1, L)
+            q_tail = layer_exponents(Q, i - 1, L)
             for e in (t + 2, t + 2, t + 2):  # t q^rx, t q^Ry, t q^rho.z
                 assert e in q_tail
-            p_list = P.layer_exponents(0, i)
+            p_list = layer_exponents(P, 0, i)
             for e in (1, 1, 1, t + 1, t + 1, t + 1):
                 assert e in p_list

@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line surface."""
 
 import json
+import os
 
 import pytest
 
+from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     DEFAULT_BOUNDS,
-    _as_product_family,
     DEFAULT_ORDER,
     ENV_ORDER,
     RunConfig,
@@ -15,6 +16,7 @@ from qdominance.cli import (
     main,
     parse_box,
     parse_inequality_params,
+    pool_size,
 )
 from qdominance.series import product_spec
 
@@ -136,12 +138,13 @@ class TestCheck:
 
 class TestAntitelescope:
     def test_infinite_products_are_refused(self):
-        with pytest.raises(UsageError):
-            _as_product_family(product_spec((1, 4), 5))
+        with pytest.raises(ValueError, match="finite products"):
+            positivity_scan(product_spec((1, 4), 5), product_spec((2, 3), 5), 10)
 
     def test_finite_products_convert(self):
-        fam = _as_product_family(product_spec((2, 3), 5, 3))
-        assert (fam.bases, fam.modulus) == ((2, 3), 5)
+        scan = positivity_scan(product_spec((1, 4), 5, 3), product_spec((2, 3), 5, 3), 10)
+        assert scan["L"] == 3
+        assert [row["i"] for row in scan["rows"]] == [1, 2, 3]
 
     def test_naive_failure_witness(self, capsys):
         code, out, _ = run_cli(
@@ -405,6 +408,15 @@ class TestSweep:
         serial, parallel = report(serial), report(parallel)
         serial["config"].pop("jobs"), parallel["config"].pop("jobs")
         assert serial == parallel
+
+    def test_pool_is_bounded_by_points_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert pool_size(100_000, 2) == 2
+        assert pool_size(100_000, 1000) == 4
+        assert pool_size(3, 1000) == 3
+        assert pool_size(1, 1000) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool_size(8, 100) == 1
 
     def test_sampled_sweep_is_deterministic(self, capsys):
         argv = [

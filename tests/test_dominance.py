@@ -10,6 +10,8 @@ from qdominance.dominance import (
     build_specs,
     check_named,
     dominates,
+    nbase_pair,
+    nbase_params,
     report_dict,
 )
 from qdominance.series import product_spec, spec_reciprocal
@@ -149,6 +151,43 @@ class TestNamed:
         assert check_named(ineq, 30).holds
 
 
+class TestNbasePair:
+    def test_bases(self):
+        P, Q = nbase_pair((1, 2, 3), (2, 3, 4), 7, 2)
+        assert P.bases == (1, 2, 3, 20)
+        assert Q.bases == (2, 6, 12, 6)
+        assert {(f.modulus, f.length) for f in P.families + Q.families} == {(7, 2)}
+
+    def test_theorems_are_the_two_and_three_size_cases(self):
+        thm1 = build_specs(named("Thm1", L=3, m=4, x=1, y=2, r=3, R=2))
+        assert thm1 == nbase_pair((1, 2), (3, 2), 4, 3)
+        thm2 = build_specs(named("Thm2", L=2, m=5, x=1, y=2, z=3, r=2, R=1, rho=3))
+        assert thm2 == nbase_pair((1, 2, 3), (2, 1, 3), 5, 2)
+
+    def test_params_invert_the_pair(self):
+        for xs, rs in [((1,), (1,)), ((2, 2), (1, 3)), ((1, 2, 1), (4, 1, 2)), ((3, 1, 2, 5), (1, 1, 2, 2))]:
+            assert nbase_params(*nbase_pair(xs, rs, 6, 2)) == (xs, rs)
+
+    def test_params_refuse_other_pairs(self):
+        P, Q = nbase_pair((1, 2), (2, 3), 5, 2)
+        others = [
+            build_specs(named("finiteRR", L=2)),
+            build_specs(named("BGr", y=3, L=2)),
+            (Q, P),
+            (P, nbase_pair((1, 2), (2, 3), 6, 2)[1]),
+            (P, nbase_pair((1, 2), (2, 3), 5, 3)[1]),
+            (product_spec((3, 1), 5, 2), product_spec((1, 4), 5, 2)),
+        ]
+        for pair in others:
+            with pytest.raises(ValueError, match="n-base"):
+                nbase_params(*pair)
+
+    def test_rejects_bad_sizes(self):
+        for xs, rs in [((), ()), ((1, 2), (2,)), ((True, 2), (2, 2)), ((1, 2), (2, 0))]:
+            with pytest.raises(ValueError):
+                nbase_pair(xs, rs, 5, 2)
+
+
 class TestValidation:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
@@ -173,6 +212,10 @@ class TestValidation:
     def test_nonpositive(self):
         with pytest.raises(ValueError):
             build_specs(named("Thm1", L=1, m=0, x=1, y=1, r=1, R=1))
+        with pytest.raises(ValueError):
+            build_specs(named("Thm2", L=1, m=2, x=1, y=1, z=True, r=1, R=1, rho=1))
+        with pytest.raises(ValueError):
+            build_specs(named("finiteRR", L=2.0))
 
     def test_proposal_length_mismatch(self):
         with pytest.raises(ValueError):

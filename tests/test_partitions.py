@@ -58,6 +58,8 @@ class TestParams:
             PartitionParams(5, 1, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             PartitionParams(5, 1, -2, 1, 1, 1)
+        with pytest.raises(ValueError):
+            PartitionParams(5, True, 1, 2, 2, 2)
 
     def test_tuple_round_trip(self):
         values = (5, 1, 2, 2, 3, 4)

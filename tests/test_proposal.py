@@ -45,6 +45,10 @@ class TestProposalParams:
             proposal_params((1, 0), (1, 1))
         with pytest.raises(ValueError):
             proposal_params((1, 1), (1, -2))
+        with pytest.raises(ValueError):
+            proposal_params((True, 2), (2, 2))
+        with pytest.raises(ValueError):
+            proposal_params((1, 2), (2, 2.0))
 
 
 class TestCountVector:
@@ -172,6 +176,8 @@ class TestHSeries:
             h_series((1, 1, 1, 2, 2), 10)
         with pytest.raises(ValueError):
             h_series((1, 1, 0, 2, 2, 2), 10)
+        with pytest.raises(ValueError):
+            h_series((True, 1, 1, 2, 2, 2), 5)
 
 
 class TestFourvarIdentity:
@@ -188,6 +194,12 @@ class TestFourvarIdentity:
         for _ in range(6):
             params = tuple(rng.randint(1, 4) for _ in range(8))
             assert fourvar_identity(params, 20)["equal"], params
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            fourvar_identity((1, 1, 1, 1, 2, 2, 2), 10)
+        with pytest.raises(ValueError):
+            fourvar_identity((1, 1, 1, True, 2, 2, 2, 2), 10)
 
 
 class TestCheckProposal:

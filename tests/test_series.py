@@ -220,6 +220,12 @@ class TestPochhammer:
             FactorFamily(1, 0, 1)
         with pytest.raises(ValueError):
             FactorFamily(1, 5, 0)
+        with pytest.raises(ValueError):
+            FactorFamily(True, 5, 2)
+        with pytest.raises(ValueError):
+            product_spec((1.5,), 5, 2)
+        with pytest.raises(ValueError):
+            product_spec((1,), 5, 2.0)
 
 
 class TestFirstNegative:
