@@ -33,6 +33,11 @@ ENV_ORDER = "QDOMINANCE_ORDER"
 DEFAULT_ORDER = 100
 DEFAULT_BOUNDS = (10, 40, 40)
 DEFAULT_CAP = 40
+# Largest interpret-check --max-n.  Counting is polynomial in n, but the X
+# and Y count tables can hold about (n/m)*min(max(r, R), n/x) lists of n+1
+# coefficients each; at this bound they stay near 30 MB even for
+# m = x = y = 1 and r = R = L = n.
+MAX_INTERPRET_N = 100
 CSV_COMMANDS = ("interpret-check", "sweep")
 SWEEP_KINDS = ("dominance", "split", "lemma")
 
@@ -120,17 +125,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # --- report plumbing --------------------------------------------------------
 
 
-def _jsonable(value):
-    """Recursively convert report values to plain JSON types."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str, float)):
-        return value
+def _json_default(value):
+    """`json.dumps` hook: exact rationals print as strings such as '1/2'."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     raise TypeError(f"cannot serialize {value!r}")
+
+
+def _to_json(value) -> str:
+    return json.dumps(value, default=_json_default)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def _write(stream, command: str, config: RunConfig, outcome: Outcome, started: f
     if config.format == "text":
         stream.write(f"{command}: {status}\n")
         if outcome.witness is not None:
-            stream.write(f"witness: {json.dumps(_jsonable(outcome.witness))}\n")
+            stream.write(f"witness: {_to_json(outcome.witness)}\n")
         return
     env = {"command": command, "config": config.as_dict(), "params": outcome.params, "status": status}
     if outcome.witness is not None:
@@ -166,8 +169,7 @@ def _write(stream, command: str, config: RunConfig, outcome: Outcome, started: f
     if outcome.result is not None:
         env["result"] = outcome.result
     env["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
-    json.dump(_jsonable(env), stream)
-    stream.write("\n")
+    stream.write(_to_json(env) + "\n")
 
 
 # --- parameter parsing ------------------------------------------------------
@@ -209,10 +211,6 @@ def parse_inequality_params(ineq_id: str, text: str | None) -> dict:
     return dict(zip(required, values))
 
 
-def _params_jsonable(parameters: dict) -> dict:
-    return {k: _jsonable(v) for k, v in parameters.items()}
-
-
 # --- check ------------------------------------------------------------------
 
 
@@ -224,7 +222,7 @@ def _dominance_witness(report: dominance.DominanceReport):
 
 def _cmd_check(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq)
-    parameters = _params_jsonable(parse_inequality_params(ineq_id, args.params))
+    parameters = parse_inequality_params(ineq_id, args.params)
     report = dominance.check_named(dominance.NamedInequality(ineq_id, parameters), config.order)
     result = dominance.report_dict(report, inequality=ineq_id, parameters=parameters)
     if args.dump_series:
@@ -275,7 +273,7 @@ def _cmd_antitelescope(args, config) -> Outcome:
         raise UsageError(f"--split {split} is only available for Thm1/Thm2 products")
     P, Q = dominance.build_specs(dominance.NamedInequality(ineq_id, parameters))
     scan = antitelescope.positivity_scan(P, Q, config.order, split, args.dump_series)
-    params = {"ineq": ineq_id, "params": _params_jsonable(parameters), "split": split}
+    params = {"ineq": ineq_id, "params": parameters, "split": split}
     return Outcome(scan["all_nonnegative"], params, _scan_witness(scan["rows"]), scan, None)
 
 
@@ -365,6 +363,10 @@ def _cmd_interpret_check(args, config) -> Outcome:
     params = _partition_params(args.params)
     if args.max_n < 0:
         raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
+    if args.max_n > MAX_INTERPRET_N:
+        raise partitions.EnumerationCapError(
+            f"--max-n {args.max_n} exceeds the interpret-check bound {MAX_INTERPRET_N}"
+        )
     check = partitions.interpretation_check(params, args.max_n)
     table = [_INTERPRET_COLUMNS] + [
         [row[c] for c in _INTERPRET_COLUMNS[:-1]] + ["true" if row["match"] else "false"]
@@ -596,7 +598,7 @@ def _cmd_sweep(args, config) -> Outcome:
     ]
     table = [names + ["status", "witness"]] + [
         [point[name] for name in names]
-        + [row["status"], "" if row["witness"] is None else json.dumps(_jsonable(row["witness"]))]
+        + [row["status"], "" if row["witness"] is None else _to_json(row["witness"])]
         for point, row in zip(points, rows)
     ]
     result = {

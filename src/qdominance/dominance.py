@@ -116,10 +116,15 @@ def nbase_params(P: ProductSpec, Q: ProductSpec) -> tuple[tuple[int, ...], tuple
     """The (xs, rs) that `nbase_pair` turns into (P, Q); ValueError for any other pair."""
     xs = P.bases[:-1]
     rs = tuple(b // x for b, x in zip(Q.bases, xs))
-    if xs and 0 not in rs:
-        first = P.families[0]
-        if nbase_pair(xs, rs, first.modulus, first.length) == (P, Q):
-            return xs, rs
+    scaled = tuple(r * x for r, x in zip(rs, xs))
+    if (
+        xs
+        and 0 not in rs
+        and P.bases == (*xs, sum(scaled))
+        and Q.bases == (*scaled, sum(xs))
+        and len({(f.modulus, f.length) for f in P.families + Q.families}) == 1
+    ):
+        return xs, rs
     raise ValueError("the products are not an n-base pair {x_i, sum r_i x_i} over {r_i x_i, sum x_i}")
 
 

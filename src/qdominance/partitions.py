@@ -11,6 +11,13 @@ restricted counts reproduce, weight by weight, the coefficients of the summed
 V/W split groups that `antitelescope.decompositions` yields for the Thm1
 pair; `interpretation_check` performs that comparison and reports the minimal
 mismatch witness if one ever appears.
+
+`count_profile` counts without listing: each base gets a table from its
+statistic (the part of the rule record it determines) to a coefficient
+list, and each system is a sum of products of those tables, in time
+polynomial in the weight.  `enumerate_partitions` lists a single weight and
+prunes every branch that can no longer reach it.  The exhaustive walk both
+replaced lives on in `tests/reference_partitions.py` as their oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class PartitionParams:
         return self._sizes[base]
 
     def part_size(self, base: str, index: int) -> int:
-        if not isinstance(index, int) or not 1 <= index <= self.L:
+        if type(index) is not int or not 1 <= index <= self.L:
             raise ValueError(f"index must satisfy 1 <= index <= {self.L}, got {index!r}")
         return self.base_size(base) + (index - 1) * self.m
 
@@ -90,9 +97,9 @@ class ColoredPart:
     def __post_init__(self) -> None:
         if self.base not in _BASE_RANK:
             raise ValueError(f"unknown base label {self.base!r}")
-        if not isinstance(self.index, int) or self.index < 1:
+        if type(self.index) is not int or self.index < 1:
             raise ValueError(f"index must be a positive integer, got {self.index!r}")
-        if not isinstance(self.size, int) or self.size < 1:
+        if type(self.size) is not int or self.size < 1:
             raise ValueError(f"size must be a positive integer, got {self.size!r}")
 
 
@@ -120,7 +127,7 @@ class ColoredPartition:
         keys = []
         for (base, index), multiplicity in self.counts:
             self.params.part_size(base, index)  # validates base and index range
-            if not isinstance(multiplicity, int) or multiplicity < 1:
+            if type(multiplicity) is not int or multiplicity < 1:
                 raise ValueError(
                     f"multiplicity must be a positive integer, got {multiplicity!r}"
                 )
@@ -154,7 +161,7 @@ def colored_partition(params: PartitionParams, counts) -> ColoredPartition:
     merged: dict[tuple[str, int], int] = {}
     for (base, index), multiplicity in items:
         params.part_size(base, index)
-        if not isinstance(multiplicity, int) or multiplicity < 0:
+        if type(multiplicity) is not int or multiplicity < 0:
             raise ValueError(
                 f"multiplicity must be a nonnegative integer, got {multiplicity!r}"
             )
@@ -269,50 +276,140 @@ def _part_kinds(params: PartitionParams) -> list[tuple[str, int, int]]:
     ]
 
 
-def _visit_partitions(params: PartitionParams, max_weight: int, visit) -> None:
-    """Call visit(entries, weight) once per partition of weight <= max_weight.
+# The rule-record slots (see `_stat_record`) that each base's statistic fills.
+_STAT_SLOTS = {X: (0, 6), Y: (1, 7), S: (2,), RX: (3,), RY: (4,), XY: (5,)}
 
-    `entries` is the live list of ((base, index), multiplicity) items in
-    canonical order; visitors must copy it if they keep it.
+# The base that every rule of a system reads.
+_PIVOTS = {"V": Y, "W": X}
+
+
+def _geometric(coeffs: list[int], size: int) -> list[int]:
+    """Multiply a truncated coefficient list by 1/(1 - q^size), in place."""
+    for k in range(size, len(coeffs)):
+        coeffs[k] += coeffs[k - size]
+    return coeffs
+
+
+def _truncated_product(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * len(a)
+    for i, coefficient in enumerate(a):
+        if coefficient:
+            tail = out[i:]
+            out[i:] = [t + coefficient * c for t, c in zip(tail, b)]
+    return out
+
+
+def _by_highest_layer(sizes: list[int], one: list[int]) -> list[list[int]]:
+    """Entry j: the partitions into sizes[:j] that use sizes[j-1]; entry 0: the empty one."""
+    out = [one]
+    below = one
+    for size in sizes:
+        current = _geometric(below[:], size)
+        out.append([u - v for u, v in zip(current, below)])
+        below = current
+    return out
+
+
+def _nonzero(table: dict[tuple, list[int]]) -> dict[tuple, list[int]]:
+    """Drop the statistics that no partition of weight <= max_n attains."""
+    return {stat: coeffs for stat, coeffs in table.items() if any(coeffs)}
+
+
+def _base_table(params: PartitionParams, base: str, max_n: int) -> dict[tuple, list[int]]:
+    """Partitions into one base's L parts, keyed by the base's statistic.
+
+    The statistic is the base's share of the rule record (`_STAT_SLOTS`):
+    the lowest occupied layer for XY, RX and RY (L+1 when empty); the
+    highest for S (0 when empty); and for X and Y the highest layer together
+    with the first-layer multiplicity clamped at max(r, R), beyond which the
+    rules cannot tell multiplicities apart.  Each value is the coefficient
+    list, through q^max_n, of the partitions with that statistic.
     """
-    kinds = _part_kinds(params)
-    entries: list[tuple[tuple[str, int], int]] = []
+    L = params.L
+    sizes = [params.part_size(base, index) for index in range(1, L + 1)]
+    one = [1] + [0] * max_n
+    if base in (XY, RX, RY):
+        lowest = _by_highest_layer(sizes[::-1], one)
+        return _nonzero({(L + 1 - k,): coeffs for k, coeffs in enumerate(lowest)})
+    if base == S:
+        return _nonzero({(j,): coeffs for j, coeffs in enumerate(_by_highest_layer(sizes, one))})
+    clamp = max(params.r, params.R)
+    first = sizes[0]
+    table = {(0, 0): one}
+    # layer `index` is the highest: layers 2..index hold `upper`, layer 1 holds nu parts
+    for index, upper in enumerate(_by_highest_layer(sizes[1:], one), 1):
+        for nu in range(1 if index == 1 else 0, clamp + 1):
+            shift = nu * first
+            if shift > max_n:
+                break
+            entry = [0] * shift + upper[: max_n + 1 - shift]
+            table[(index, nu)] = _geometric(entry, first) if nu == clamp else entry
+    return _nonzero(table)
 
-    def extend(start: int, remaining: int) -> None:
-        for k in range(start, len(kinds)):
-            base, index, size = kinds[k]
-            for multiplicity in range(1, remaining // size + 1):
-                entries.append(((base, index), multiplicity))
-                visit(entries, max_weight - (remaining - multiplicity * size))
-                extend(k + 1, remaining - multiplicity * size)
-                entries.pop()
 
-    visit(entries, 0)
-    extend(0, max_weight)
+def _filled(record: tuple, base: str, stat: tuple) -> tuple:
+    """The rule record with one base's statistic written into its slots."""
+    out = list(record)
+    for slot, value in zip(_STAT_SLOTS[base], stat):
+        out[slot] = value
+    return tuple(out)
 
 
 def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
-    """Unfiltered and per-system partition counts for every weight <= max_n."""
+    """Unfiltered and per-system partition counts for every weight <= max_n.
+
+    A colored partition splits into six independent base partitions, so the
+    totals are one geometric pass per part kind.  The restricted counts
+    factor too.  Every one of the fourteen rules reads the system's pivot
+    base (Y for V, X for W) and at most one other base, and an empty base
+    is the loosest filling for every rule that reads it (highest layer 0,
+    lowest layer L+1, no first-layer parts).  So for a fixed pivot
+    statistic a partition passes exactly when each other base, judged on a
+    record in which every third base is empty, passes.  Each system is then
+    a sum over pivot statistics of the pivot's table times, per other base,
+    the sum of that base's tables whose statistic passes.  Pivot statistics
+    with the same passing sets share one product.  `_first_violation`
+    remains the only statement of the rules.  The cost is polynomial in
+    max_n; `tests/reference_partitions.py` keeps the exhaustive walk.
+    """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    totals = [0] * (max_n + 1)
-    v_counts = [0] * (max_n + 1)
-    w_counts = [0] * (max_n + 1)
-
-    def visit(entries, weight):
-        totals[weight] += 1
-        record = _stat_record(entries, params.L)
-        if _first_violation("V", params, record) is None:
-            v_counts[weight] += 1
-        if _first_violation("W", params, record) is None:
-            w_counts[weight] += 1
-
-    _visit_partitions(params, max_n, visit)
-    return {"totals": totals, "V": v_counts, "W": w_counts}
+    L = params.L
+    totals = [1] + [0] * max_n
+    for _, _, size in _part_kinds(params):
+        _geometric(totals, size)
+    tables = {base: _base_table(params, base, max_n) for base in BASE_LABELS}
+    empty = _stat_record((), L)
+    profile = {"totals": totals}
+    for system in SYSTEMS:
+        pivot = _PIVOTS[system]
+        others = [base for base in BASE_LABELS if base != pivot]
+        grouped: dict[tuple, list[int]] = {}
+        for stat, coeffs in tables[pivot].items():
+            record = _filled(empty, pivot, stat)
+            passing = tuple(
+                tuple(
+                    other_stat
+                    for other_stat in tables[base]
+                    if _first_violation(system, params, _filled(record, base, other_stat)) is None
+                )
+                for base in others
+            )
+            if all(passing):
+                summed = grouped.get(passing)
+                grouped[passing] = coeffs if summed is None else [a + b for a, b in zip(summed, coeffs)]
+        counts = [0] * (max_n + 1)
+        for passing, term in grouped.items():
+            for base, stats in zip(others, passing):
+                factor = [sum(column) for column in zip(*(tables[base][s] for s in stats))]
+                term = _truncated_product(term, factor)
+            counts = [a + b for a, b in zip(counts, term)]
+        profile[system] = counts
+    return profile
 
 
 def count_restricted(n: int, system: str, params: PartitionParams) -> int:
-    """Number of weight-n partitions satisfying one rule system; exhaustive."""
+    """Number of weight-n partitions satisfying one rule system."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if system not in SYSTEMS:
@@ -327,24 +424,42 @@ def enumerate_partitions(
 
     Partitions are ordered lexicographically by their count tuples, comparing
     entries by (base, index, multiplicity) with bases in declaration order.
+    The walk adds kinds in canonical order and multiplicities in increasing
+    order, so its preorder is already that order.  It enters only branches
+    that can still reach weight n exactly: `reachable[k][w]` says whether
+    weight w is a sum of parts of kinds k onwards.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > cap:
         raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {cap}")
+    kinds = _part_kinds(params)
+    reachable = [[True] + [False] * n]
+    for _, _, size in reversed(kinds):
+        row = reachable[-1][:]
+        for w in range(size, n + 1):
+            row[w] = row[w] or row[w - size]
+        reachable.append(row)
+    reachable.reverse()
     found: list[ColoredPartition] = []
+    entries: list[tuple[tuple[str, int], int]] = []
 
-    def visit(entries, weight):
-        if weight == n:
+    def extend(start: int, remaining: int) -> None:
+        if remaining == 0:
             found.append(ColoredPartition(tuple(entries), params))
+            return
+        for k in range(start, len(kinds)):
+            if not reachable[k][remaining]:
+                break  # no later kind can finish either
+            base, index, size = kinds[k]
+            for multiplicity in range(1, remaining // size + 1):
+                rest = remaining - multiplicity * size
+                if reachable[k + 1][rest]:
+                    entries.append(((base, index), multiplicity))
+                    extend(k + 1, rest)
+                    entries.pop()
 
-    _visit_partitions(params, n, visit)
-    found.sort(
-        key=lambda p: tuple(
-            (_BASE_RANK[base], index, multiplicity)
-            for (base, index), multiplicity in p.counts
-        )
-    )
+    extend(0, n)
     return found
 
 

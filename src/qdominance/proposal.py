@@ -14,10 +14,10 @@ labels how strong the supporting argument is.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .dominance import NamedInequality, check_named, nbase_pair, report_dict
 from .series import (
@@ -104,14 +104,12 @@ class CountVector:
     witness: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.counts or any(
-            not isinstance(c, int) or c < 0 for c in self.counts
-        ):
+        if not self.counts or any(type(c) is not int or c < 0 for c in self.counts):
             raise ValueError(
                 f"counts must be nonempty nonnegative integers, got {self.counts!r}"
             )
-        if not isinstance(self.joint, int) or self.joint < 0:
-            raise ValueError(f"joint count must be >= 0, got {self.joint!r}")
+        if type(self.joint) is not int or self.joint < 0:
+            raise ValueError(f"joint count must be an integer >= 0, got {self.joint!r}")
 
     @property
     def minimum(self) -> int:
@@ -126,64 +124,87 @@ def _dot(vector: CountVector, sizes: tuple[int, ...]) -> int:
     return sum(c * s for c, s in zip(vector.counts, sizes)) + vector.joint * sizes[-1]
 
 
-def inject(pi_prime: CountVector, params: ProposalParams) -> CountVector:
-    """Map a subordinate-side vector to its dominant-side image.
+def _inject(counts: tuple[int, ...], joint: int, rs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The injection on plain tuples: (image counts, image joint count).
 
     The composite count becomes the minimum mu' of the per-variable counts;
     each variable count becomes r_(i)*(count - mu') plus the old composite
-    count, which also serves as the congruence witness A.  Weight is
-    preserved.
+    count, which also serves as the congruence witness A.
     """
-    if len(pi_prime.counts) != params.n:
-        raise ValueError(f"expected {params.n} counts, got {len(pi_prime.counts)}")
-    mu_prime = pi_prime.minimum
-    counts = tuple(
-        r * (c - mu_prime) + pi_prime.joint
-        for r, c in zip(params.r, pi_prime.counts)
-    )
-    return CountVector(counts, mu_prime, witness=pi_prime.joint)
+    mu_prime = min(counts)
+    return tuple([r * (c - mu_prime) + joint for r, c in zip(rs, counts)]), mu_prime
 
 
-def invert(pi: CountVector, params: ProposalParams) -> CountVector:
-    """Pull a dominant-side vector back; fails off the injection's image.
+def _invert(counts: tuple[int, ...], joint: int, rs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The pull-back on plain tuples; NotInImageError off the image.
 
     Every count must be congruent to the minimum count mu modulo its r_(i);
     then the composite count of the preimage is mu and the variable counts
-    are the quotients shifted by the composite count of pi.
+    are the quotients shifted by the composite count of the image.
     """
-    if len(pi.counts) != params.n:
-        raise ValueError(f"expected {params.n} counts, got {len(pi.counts)}")
-    mu = pi.minimum
-    counts = []
-    for r, c in zip(params.r, pi.counts):
+    mu = min(counts)
+    out = []
+    for r, c in zip(rs, counts):
         offset = c - mu
         if offset % r:
             raise NotInImageError(
                 f"count {c} is not congruent to the minimum {mu} modulo {r}"
             )
-        counts.append(offset // r + pi.joint)
-    return CountVector(tuple(counts), mu)
+        out.append(offset // r + joint)
+    return tuple(out), mu
+
+
+def _check_arity(vector: CountVector, params: ProposalParams) -> None:
+    if len(vector.counts) != params.n:
+        raise ValueError(f"expected {params.n} counts, got {len(vector.counts)}")
+
+
+def inject(pi_prime: CountVector, params: ProposalParams) -> CountVector:
+    """Map a subordinate-side vector to its dominant-side image.
+
+    Weight is preserved, and the image carries the source's composite count
+    as its congruence witness; see `_inject`.
+    """
+    _check_arity(pi_prime, params)
+    counts, joint = _inject(pi_prime.counts, pi_prime.joint, params.r)
+    return CountVector(counts, joint, witness=pi_prime.joint)
+
+
+def invert(pi: CountVector, params: ProposalParams) -> CountVector:
+    """Pull a dominant-side vector back; fails off the injection's image."""
+    _check_arity(pi, params)
+    return CountVector(*_invert(pi.counts, pi.joint, params.r))
 
 
 def _bounded_vectors(sizes: tuple[int, ...], budget: int):
-    if not sizes:
-        yield ()
-        return
-    for count in range(budget // sizes[0] + 1):
-        for tail in _bounded_vectors(sizes[1:], budget - count * sizes[0]):
-            yield (count,) + tail
+    """(counts, joint, weight) for every vector of weight <= budget.
+
+    The last size weighs the joint count, the others the counts.  Vectors
+    come in lexicographic order of (counts, joint).
+    """
+    *head, last = sizes
+    prefixes = [((), 0)]
+    for size in head:
+        prefixes = [
+            (counts + (c,), weight + c * size)
+            for counts, weight in prefixes
+            for c in range((budget - weight) // size + 1)
+        ]
+    for counts, weight in prefixes:
+        for joint in range((budget - weight) // last + 1):
+            yield counts, joint, weight + joint * last
 
 
 def source_vectors(params: ProposalParams, max_weight: int):
     """All subordinate-side vectors of weight <= max_weight."""
-    for values in _bounded_vectors(params.source_sizes, max_weight):
-        yield CountVector(values[:-1], values[-1])
+    for counts, joint, _ in _bounded_vectors(params.source_sizes, max_weight):
+        yield CountVector(counts, joint)
 
 
 def image_vectors(params: ProposalParams, max_weight: int):
     """All dominant-side vectors of weight <= max_weight."""
-    for values in _bounded_vectors(params.image_sizes, max_weight):
-        yield CountVector(values[:-1], values[-1])
+    for counts, joint, _ in _bounded_vectors(params.image_sizes, max_weight):
+        yield CountVector(counts, joint)
 
 
 def _ratio_block(e: int, k: int, order: int) -> QSeries:
@@ -299,36 +320,30 @@ def proposal_status(n: int, L: int) -> str:
 def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
     """Exhaustively exercise the injection on all sources up to max_weight.
 
-    Verifies weight preservation, the congruence witness, pairwise-distinct
-    images, the inverse round-trip, and that per-weight source counts stay
-    below the unrestricted dominant-side counts.
+    Verifies weight preservation, the congruence witness, the inverse
+    round-trip (which implies that images are pairwise distinct), and that
+    per-weight source counts stay below the unrestricted dominant-side
+    counts.  Sources run through the plain-tuple core of `inject`/`invert`.
     """
     failure = None
-    seen = set()
-    per_weight = Counter()
+    rs, image_sizes = params.r, params.image_sizes
+    per_weight = [0] * (max_weight + 1)
     source_count = 0
-    for source in source_vectors(params, max_weight):
+    for counts, joint, weight in _bounded_vectors(params.source_sizes, max_weight):
         source_count += 1
-        image = inject(source, params)
-        weight = params.source_weight(source)
         per_weight[weight] += 1
-        if params.image_weight(image) != weight:
-            failure = f"weight changed on {source}"
+        image_counts, image_joint = _inject(counts, joint, rs)
+        if sum(map(mul, image_counts, image_sizes)) + image_joint * image_sizes[-1] != weight:
+            failure = f"weight changed on {CountVector(counts, joint)}"
             break
-        witness = image.witness
-        if any((c - witness) % r for c, r in zip(image.counts, params.r)):
-            failure = f"congruence witness failed on {source}"
+        if any([(c - joint) % r for c, r in zip(image_counts, rs)]):
+            failure = f"congruence witness failed on {CountVector(counts, joint)}"
             break
-        key = (image.counts, image.joint)
-        if key in seen:
-            failure = f"image collision at {key}"
-            break
-        seen.add(key)
-        if invert(image, params) != source:
-            failure = f"round-trip failed on {source}"
+        if _invert(image_counts, image_joint, rs) != (counts, joint):
+            failure = f"round-trip failed on {CountVector(counts, joint)}"
             break
     if failure is None:
-        unrestricted = reciprocal_from_exponents(params.image_sizes, max_weight)
+        unrestricted = reciprocal_from_exponents(image_sizes, max_weight)
         for weight in range(max_weight + 1):
             if per_weight[weight] > unrestricted.coeff(weight):
                 failure = f"source count exceeds dominant count at weight {weight}"

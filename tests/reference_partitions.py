@@ -1,0 +1,164 @@
+"""Brute-force reference for restricted counting, listing and the injection.
+
+These are the original, deliberately direct bodies: `count_profile` walks
+every colored partition of weight <= max_n and filters each one through
+the rule systems; `enumerate_partitions` keeps the weight-n leaves of the
+same walk and sorts them; `injection_evidence` maps every source vector
+through validated `CountVector`s and records each image in a `seen` set.
+Their cost is exponential in the weight, so they serve only as oracles for
+the factorized counts, the pruned listing and the plain-tuple injection
+core in the package.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from qdominance.partitions import (
+    _BASE_RANK,
+    ColoredPartition,
+    EnumerationCapError,
+    PartitionParams,
+    _first_violation,
+    _part_kinds,
+    _stat_record,
+)
+from qdominance.proposal import (
+    CountVector,
+    NotInImageError,
+    ProposalParams,
+    source_vectors,
+)
+from qdominance.series import reciprocal_from_exponents
+
+
+def visit_partitions(params: PartitionParams, max_weight: int, visit) -> None:
+    """Call visit(entries, weight) once per partition of weight <= max_weight.
+
+    `entries` is the live list of ((base, index), multiplicity) items in
+    canonical order; visitors must copy it if they keep it.
+    """
+    kinds = _part_kinds(params)
+    entries: list[tuple[tuple[str, int], int]] = []
+
+    def extend(start: int, remaining: int) -> None:
+        for k in range(start, len(kinds)):
+            base, index, size = kinds[k]
+            for multiplicity in range(1, remaining // size + 1):
+                entries.append(((base, index), multiplicity))
+                visit(entries, max_weight - (remaining - multiplicity * size))
+                extend(k + 1, remaining - multiplicity * size)
+                entries.pop()
+
+    visit(entries, 0)
+    extend(0, max_weight)
+
+
+def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
+    """Unfiltered and per-system partition counts for every weight <= max_n."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    totals = [0] * (max_n + 1)
+    v_counts = [0] * (max_n + 1)
+    w_counts = [0] * (max_n + 1)
+
+    def visit(entries, weight):
+        totals[weight] += 1
+        record = _stat_record(entries, params.L)
+        if _first_violation("V", params, record) is None:
+            v_counts[weight] += 1
+        if _first_violation("W", params, record) is None:
+            w_counts[weight] += 1
+
+    visit_partitions(params, max_n, visit)
+    return {"totals": totals, "V": v_counts, "W": w_counts}
+
+
+def enumerate_partitions(n: int, params: PartitionParams, cap: int = 40) -> list[ColoredPartition]:
+    """All weight-n partitions from the full walk, sorted into canonical order."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > cap:
+        raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {cap}")
+    found: list[ColoredPartition] = []
+
+    def visit(entries, weight):
+        if weight == n:
+            found.append(ColoredPartition(tuple(entries), params))
+
+    visit_partitions(params, n, visit)
+    found.sort(
+        key=lambda p: tuple(
+            (_BASE_RANK[base], index, multiplicity)
+            for (base, index), multiplicity in p.counts
+        )
+    )
+    return found
+
+
+def inject(pi_prime: CountVector, params: ProposalParams) -> CountVector:
+    """The subordinate-to-dominant map on validated vectors."""
+    if len(pi_prime.counts) != params.n:
+        raise ValueError(f"expected {params.n} counts, got {len(pi_prime.counts)}")
+    mu_prime = pi_prime.minimum
+    counts = tuple(
+        r * (c - mu_prime) + pi_prime.joint
+        for r, c in zip(params.r, pi_prime.counts)
+    )
+    return CountVector(counts, mu_prime, witness=pi_prime.joint)
+
+
+def invert(pi: CountVector, params: ProposalParams) -> CountVector:
+    """The pull-back on validated vectors; fails off the injection's image."""
+    if len(pi.counts) != params.n:
+        raise ValueError(f"expected {params.n} counts, got {len(pi.counts)}")
+    mu = pi.minimum
+    counts = []
+    for r, c in zip(params.r, pi.counts):
+        offset = c - mu
+        if offset % r:
+            raise NotInImageError(
+                f"count {c} is not congruent to the minimum {mu} modulo {r}"
+            )
+        counts.append(offset // r + pi.joint)
+    return CountVector(tuple(counts), mu)
+
+
+def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
+    """Exhaustively exercise the injection on all sources up to max_weight."""
+    failure = None
+    seen = set()
+    per_weight = Counter()
+    source_count = 0
+    for source in source_vectors(params, max_weight):
+        source_count += 1
+        image = inject(source, params)
+        weight = params.source_weight(source)
+        per_weight[weight] += 1
+        if params.image_weight(image) != weight:
+            failure = f"weight changed on {source}"
+            break
+        witness = image.witness
+        if any((c - witness) % r for c, r in zip(image.counts, params.r)):
+            failure = f"congruence witness failed on {source}"
+            break
+        key = (image.counts, image.joint)
+        if key in seen:
+            failure = f"image collision at {key}"
+            break
+        seen.add(key)
+        if invert(image, params) != source:
+            failure = f"round-trip failed on {source}"
+            break
+    if failure is None:
+        unrestricted = reciprocal_from_exponents(params.image_sizes, max_weight)
+        for weight in range(max_weight + 1):
+            if per_weight[weight] > unrestricted.coeff(weight):
+                failure = f"source count exceeds dominant count at weight {weight}"
+                break
+    return {
+        "max_weight": max_weight,
+        "source_count": source_count,
+        "ok": failure is None,
+        "failure": failure,
+    }

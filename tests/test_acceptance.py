@@ -199,6 +199,14 @@ class TestPartitionInterpretation:
             check = interpretation_check(params, 30)
             assert check["ok"], {"params": values, "witness": check["witness"]}
 
+    def test_counts_match_series_up_to_weight_one_hundred(self):
+        """The same comparison at n <= 100, reachable since counting is a
+        polynomial-time product of per-base tables."""
+        for values in INTERPRETATION_TUPLES:
+            params = PartitionParams.from_values(values)
+            check = interpretation_check(params, 100)
+            assert check["ok"], {"params": values, "witness": check["witness"]}
+
 
 class TestDivisibilityBoundary:
     def test_both_directions_over_the_box(self):

@@ -5,11 +5,13 @@ import os
 
 import pytest
 
+from qdominance import partitions
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     DEFAULT_BOUNDS,
     DEFAULT_ORDER,
     ENV_ORDER,
+    MAX_INTERPRET_N,
     RunConfig,
     UsageError,
     expand_box,
@@ -286,6 +288,18 @@ class TestInterpretCheck:
         envelope = report(out)
         assert envelope["status"] == "pass"
         assert len(envelope["result"]["rows"]) == 9
+
+    def test_max_n_above_the_bound_is_a_resource_error(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any counting")
+
+        monkeypatch.setattr(partitions, "interpretation_check", refuse)
+        argv = ["interpret-check", "--params", "5,1,1,2,2,2", "--max-n", str(MAX_INTERPRET_N + 1)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource:")
+        assert str(MAX_INTERPRET_N) in err
 
 
 class TestProposal:

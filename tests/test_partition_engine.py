@@ -1,0 +1,60 @@
+"""Factorized counts, pruned listing and lean injection against the walks."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_partitions as reference
+from qdominance.partitions import (
+    PartitionParams,
+    count_profile,
+    enumerate_partitions,
+    unrestricted_series,
+)
+from qdominance.proposal import injection_evidence, proposal_params
+
+small = st.integers(1, 4)
+partition_params = st.builds(
+    PartitionParams, st.integers(1, 6), small, small, small, small, st.integers(1, 3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_params, st.integers(0, 14))
+def test_counts_match_the_walk(params, max_n):
+    assert count_profile(params, max_n) == reference.count_profile(params, max_n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_params, st.integers(0, 60))
+def test_totals_are_the_product_series(params, max_n):
+    totals = count_profile(params, max_n)["totals"]
+    assert totals == list(unrestricted_series(params, max_n).coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_params, st.integers(0, 10))
+def test_listing_matches_the_sorted_walk(params, n):
+    assert enumerate_partitions(n, params) == reference.enumerate_partitions(n, params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.tuples(
+            st.tuples(*[st.integers(1, 3)] * n), st.tuples(*[st.integers(1, 3)] * n)
+        )
+    ),
+    st.integers(0, 20),
+)
+def test_injection_matches_the_validated_walk(sizes_and_multipliers, max_weight):
+    params = proposal_params(*sizes_and_multipliers)
+    assert injection_evidence(params, max_weight) == reference.injection_evidence(
+        params, max_weight
+    )
+
+
+def test_large_multipliers_clamp_the_first_layer():
+    # r and R far above the weight: every first-layer multiplicity is its own
+    # statistic, and none reaches the clamp
+    params = PartitionParams(2, 1, 2, 9, 7, 3)
+    assert count_profile(params, 14) == reference.count_profile(params, 14)

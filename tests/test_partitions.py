@@ -50,6 +50,8 @@ class TestParams:
             params.part_size("X", 0)
         with pytest.raises(ValueError):
             params.part_size("X", 5)
+        with pytest.raises(ValueError):
+            params.part_size("X", True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,18 +78,28 @@ class TestColoredPartition:
     def test_builder_rejects_negative(self):
         with pytest.raises(ValueError):
             colored_partition(FLAGSHIP, {("Y", 1): -1})
+        with pytest.raises(ValueError):
+            colored_partition(FLAGSHIP, {("Y", 1): True})
+        with pytest.raises(ValueError):
+            colored_partition(FLAGSHIP, {("X", True): 1})
 
     def test_bad_base_and_index(self):
         with pytest.raises(ValueError):
             colored_partition(FLAGSHIP, {("Q", 1): 1})
         with pytest.raises(ValueError):
             colored_partition(FLAGSHIP, {("Y", 3): 1})  # L == 2
+        with pytest.raises(ValueError):
+            ColoredPart("X", True, 1)
+        with pytest.raises(ValueError):
+            ColoredPart("X", 1, True)
 
     def test_direct_construction_demands_canonical_order(self):
         with pytest.raises(ValueError):
             ColoredPartition(((("Y", 1), 1), (("X", 1), 1)), FLAGSHIP)
         with pytest.raises(ValueError):
             ColoredPartition(((("Y", 1), 1), (("Y", 1), 2)), FLAGSHIP)
+        with pytest.raises(ValueError):
+            ColoredPartition(((("Y", 1), True),), FLAGSHIP)
 
     def test_weight_and_multiplicity(self):
         pi = colored_partition(FLAGSHIP, {("Y", 2): 1, ("S", 1): 2, ("X", 1): 3})

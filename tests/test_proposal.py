@@ -62,6 +62,10 @@ class TestCountVector:
             CountVector((1, -1), 0)
         with pytest.raises(ValueError):
             CountVector((1, 1), -1)
+        with pytest.raises(ValueError):
+            CountVector((True, 2), 0)
+        with pytest.raises(ValueError):
+            CountVector((1, 2), False)
 
     def test_witness_defaults_to_none(self):
         assert CountVector((1,), 0).witness is None
