@@ -280,51 +280,8 @@ def _cmd_antitelescope(args, config) -> Outcome:
 # --- lemma ------------------------------------------------------------------
 
 
-def lemma_report(r: int, R: int, bounds: tuple[int, int, int]) -> dict:
-    """Composite kernel-expansion check: signs, slices, window, symmetry."""
-    params = lemma.LemmaParams(r, R, bounds)
-    tri = lemma.f_expand(params)
-    minimum = tri.min_coefficient()
-    slice_mismatch = None
-    for n in range(bounds[0] + 1):
-        got = lemma.slice_eqtwo(n, params)
-        if got.coeffs != tuple(tuple(row) for row in tri.slice_at(n)):
-            slice_mismatch = n
-            break
-    window = lemma.negativity_window(params)
-    symmetry = lemma.symmetry_check(r, R, bounds) if bounds[1] == bounds[2] else None
-    checks = {
-        "expansion_nonnegative": minimum >= 0,
-        "slices_match": slice_mismatch is None,
-        "window": window["ok"],
-        "symmetry": None if symmetry is None else symmetry["equal"],
-    }
-    witness = None
-    if not checks["expansion_nonnegative"]:
-        witness = {"check": "expansion_nonnegative", "min_coefficient": minimum}
-    elif not checks["slices_match"]:
-        witness = {"check": "slices_match", "n": slice_mismatch}
-    elif not checks["window"]:
-        witness = {"check": "window", "details": window["checks"]}
-    elif checks["symmetry"] is False:
-        witness = {"check": "symmetry", "details": symmetry["first_mismatch"]}
-    return {
-        "r": r,
-        "R": R,
-        "bounds": list(bounds),
-        "checks": checks,
-        "min_coefficient": minimum,
-        "window": window,
-        "symmetry": symmetry,
-        "ok": witness is None,
-        "witness": witness,
-    }
-
-
 def _cmd_lemma(args, config) -> Outcome:
-    if args.r < 1 or args.R < 1:
-        raise UsageError(f"multipliers must be positive, got r={args.r}, R={args.R}")
-    report = lemma_report(args.r, args.R, config.bounds)
+    report = lemma.certify_lemma(args.r, args.R, config.bounds)
     result = {k: v for k, v in report.items() if k != "witness"}
     if args.dump_poly:
         term = lemma.kernel_term(args.r, args.R)
@@ -522,7 +479,7 @@ def _sweep_job(job: tuple) -> dict:
     kind, ineq_id, parameters, order, bounds = job
     try:
         if kind == "lemma":
-            report = lemma_report(parameters["r"], parameters["R"], bounds)
+            report = lemma.certify_lemma(parameters["r"], parameters["R"], bounds)
             return {"status": "pass" if report["ok"] else "fail", "witness": report["witness"]}
         ineq = dominance.NamedInequality(ineq_id, parameters)
         if kind == "split":
@@ -545,6 +502,7 @@ def _sweep_points(args, config, ineq_id: str | None) -> tuple[list[tuple[str, st
     entries = parse_box(args.box)
     names = [name for name, _, _ in entries]
     if args.kind == "lemma":
+        lemma.check_lattice(config.bounds)
         expected = {"r", "R"}
     else:
         if ineq_id is None:
@@ -697,7 +655,7 @@ def main(argv=None) -> int:
         if config.format == "csv" and args.command not in CSV_COMMANDS:
             raise UsageError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
         outcome = _HANDLERS[args.command](args, config)
-    except partitions.EnumerationCapError as exc:
+    except (partitions.EnumerationCapError, lemma.LatticeCapError) as exc:
         print(f"qdominance: resource: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

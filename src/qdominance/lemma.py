@@ -8,12 +8,16 @@ The kernel is
 This module expands f exactly on a bounded (t, x, y) lattice, evaluates the
 closed forms for its t-slices, and checks the argument that confines any
 negative per-term coefficient to a window that the x/y swap symmetry then
-rules out.
+rules out.  `certify_lemma` runs all of it in one pass: one expansion of f
+(two when the symmetry check needs the swapped (R, r) kernel), and one set
+of term grids per slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add
 from typing import Any
 
 from .polyring import (
@@ -28,13 +32,22 @@ from .polyring import (
     mp_mul,
     mp_sub,
 )
-from .series import Coefficient
+from .series import _INT_ONLY, Coefficient, positive_ints
 
 XY = ("x", "y")
 TXY = ("t", "x", "y")
 
 #: Monomials of one closed-form addend: (coefficient, x exponent, y exponent).
 Monomials = list[tuple[int, int, int]]
+
+# Largest (t, x, y) lattice, in cells (nt+1)(nx+1)(ny+1).  A certificate holds
+# at most two lattices plus one slice's nine term grids and their sums; at
+# this bound that peaks near 100 MB, when one slice is the whole lattice.
+MAX_LATTICE_CELLS = 10**6
+
+
+class LatticeCapError(RuntimeError):
+    """Raised when requested bounds exceed MAX_LATTICE_CELLS."""
 
 
 @dataclass(frozen=True)
@@ -44,12 +57,26 @@ class LemmaParams:
     bounds: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        if self.r < 1 or self.R < 1:
-            raise ValueError(f"need r, R >= 1, got r={self.r}, R={self.R}")
-        if len(self.bounds) != 3 or any(
-            not isinstance(b, int) or b < 0 for b in self.bounds
+        positive_ints((self.r, self.R), "r and R", 2)
+        bounds = tuple(self.bounds)
+        if not (
+            len(bounds) == 3
+            and _INT_ONLY.issuperset(map(type, bounds))
+            and min(bounds) >= 0
         ):
             raise ValueError(f"bounds must be three nonnegative integers: {self.bounds}")
+        check_lattice(bounds)
+
+
+def check_lattice(bounds: tuple[int, int, int]) -> None:
+    """Refuse bounds whose lattice exceeds MAX_LATTICE_CELLS, before allocating."""
+    nt, nx, ny = bounds
+    cells = (nt + 1) * (nx + 1) * (ny + 1)
+    if cells > MAX_LATTICE_CELLS:
+        raise LatticeCapError(
+            f"bounds {list(bounds)} make a lattice of {cells} cells, above the "
+            f"lemma bound {MAX_LATTICE_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -187,22 +214,51 @@ def _grid(nx: int, ny: int) -> list[list[int]]:
 
 
 def _evaluate(monomials: Monomials, powers: tuple[int, int], nx: int, ny: int):
-    """Expand a monomial list over (1-x)^px (1-y)^py as a dense grid."""
-    grid = _grid(nx, ny)
+    """Expand a monomial list over (1-x)^px (1-y)^py as a dense grid.
+
+    Only rows that hold a monomial take running sums along y; the first
+    division by (1-x) then adds each such row into every row below it, and
+    a row that holds no monomial repeats the row above it (px >= 1) or is
+    zero (px = 0).
+    """
+    px, py = powers
+    hits: dict[int, list[int]] = {}
     for c, a, b in monomials:
         if c and a <= nx and b <= ny:
-            grid[a][b] += c
-    px, py = powers
-    for _ in range(px):
+            if a not in hits:
+                hits[a] = [0] * (ny + 1)
+            hits[a][b] += c
+    zero = [0] * (ny + 1)
+    grid: list[list[int]] = []
+    above = zero
+    for a in sorted(hits):
+        row = hits[a]
+        for _ in range(py):
+            row = list(accumulate(row))
+        grid.extend(map(list, repeat(above, a - len(grid))))
+        grid.append(list(map(add, above, row)) if px else row)
+        above = grid[-1] if px else zero
+    grid.extend(map(list, repeat(above, nx + 1 - len(grid))))
+    for _ in range(px - 1):
         for j in range(1, nx + 1):
-            row, prev = grid[j], grid[j - 1]
-            for k in range(ny + 1):
-                row[k] += prev[k]
-    for _ in range(py):
-        for row in grid:
-            for k in range(1, ny + 1):
-                row[k] += row[k - 1]
+            grid[j] = list(map(add, grid[j], grid[j - 1]))
     return grid
+
+
+def _row_sums(grids) -> list[list[int]]:
+    """Cellwise sum of equally shaped grids.
+
+    All-zero rows are skipped, and where every grid repeats its row above,
+    so does the sum.
+    """
+    out = []
+    previous = None
+    for rows in zip(*grids):
+        if rows != previous:
+            previous = rows
+            total = list(map(sum, zip(*filter(any, rows)))) or [0] * len(rows[0])
+        out.append(total[:])
+    return out
 
 
 def eqtwo_term_grids(n: int, params: LemmaParams):
@@ -216,14 +272,8 @@ def eqtwo_term_grids(n: int, params: LemmaParams):
 
 def slice_eqtwo(n: int, params: LemmaParams) -> SliceSeries:
     """The n-th t-slice of f via the displayed closed form."""
-    _, nx, ny = params.bounds
-    total = _grid(nx, ny)
-    for _, grid in eqtwo_term_grids(n, params):
-        for j in range(nx + 1):
-            row, add = total[j], grid[j]
-            for k in range(ny + 1):
-                row[k] += add[k]
-    return SliceSeries(n, tuple(tuple(row) for row in total))
+    total = _row_sums(grid for _, grid in eqtwo_term_grids(n, params))
+    return SliceSeries(n, tuple(map(tuple, total)))
 
 
 def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
@@ -375,8 +425,9 @@ def check_eqone_eqthree(
     n: int, r: int, R: int, method: str = "exact", seed: int = 0
 ) -> LemmaVerdict:
     """Verify the three closed forms agree as rational functions."""
-    if n < 0 or r < 1 or R < 1:
-        raise ValueError(f"need n >= 0 and positive r, R, got {(n, r, R)}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"slice index must be a nonnegative integer, got {n!r}")
+    positive_ints((r, R), "r and R", 2)
     one = eqone_terms(n, r, R)
     three = eqthree_terms(n, r, R)
     two = eqtwo_terms_rational(n, r, R)
@@ -401,17 +452,11 @@ def t2_closed_form(n: int, r: int, R: int, nx: int, ny: int):
     return grid
 
 
-def _in_window(n: int, j: int, k: int, r: int, R: int) -> bool:
-    return r <= j < n < k < (n + 1) * R
-
-
-def negativity_window(params: LemmaParams) -> dict[str, Any]:
-    """Confine negative per-term coefficients to the displayed window.
-
-    Checks, for every slice n within bounds: (a) the slice sum without T2 is
-    nonnegative; (b) T2 matches its product closed form when r < n; (c) any
-    negative per-term cell lies in the window r <= j < n < k < (n+1)R; (d)
-    the total slice is nonnegative.
+def _scan_slices(params: LemmaParams, tri: TriSeries | None = None):
+    """The `negativity_window` report, plus the first slice whose term sum
+    differs from the matching slice of `tri` (None when all match or no
+    `tri` is given).  Each slice's nine term grids are built once, and every
+    check reads them.
     """
     nt, nx, ny = params.bounds
     r, R = params.r, params.R
@@ -421,33 +466,40 @@ def negativity_window(params: LemmaParams) -> dict[str, Any]:
     total_ok = True
     negative_cells = 0
     min_total: Coefficient = 0
+    mismatch = None
     for n in range(nt + 1):
-        grids = dict(eqtwo_term_grids(n, params))
-        total = _grid(nx, ny)
-        without_t2 = _grid(nx, ny)
-        for name, grid in grids.items():
-            for j in range(nx + 1):
-                for k in range(ny + 1):
-                    c = grid[j][k]
-                    if not c:
-                        continue
-                    total[j][k] += c
-                    if name != "T2":
-                        without_t2[j][k] += c
-                    if c < 0 and not _in_window(n, j, k, r, R):
-                        window_ok = False
-                    if c < 0:
-                        negative_cells += 1
-        if r < n:
-            if grids["T2"] != t2_closed_form(n, r, R, nx, ny):
-                t2_ok = False
-        if any(c < 0 for row in without_t2 for c in row):
+        grids = eqtwo_term_grids(n, params)
+        for _, grid in grids:
+            previous = None
+            for j, row in enumerate(grid):
+                # most rows repeat the row above; count a row's negatives once
+                if row != previous:
+                    previous = row
+                    negatives = sum(c < 0 for c in row) if min(row) < 0 else 0
+                if not negatives:
+                    continue
+                negative_cells += negatives
+                # a negative cell outside the window r <= j < n < k < (n+1)R
+                if not (
+                    r <= j < n
+                    and min(row[: n + 1], default=0) >= 0
+                    and min(row[(n + 1) * R :], default=0) >= 0
+                ):
+                    window_ok = False
+        t2 = dict(grids)["T2"]
+        if r < n and t2 != t2_closed_form(n, r, R, nx, ny):
+            t2_ok = False
+        without_t2 = _row_sums(grid for name, grid in grids if name != "T2")
+        if min(map(min, without_t2)) < 0:
             sum_without_t2_ok = False
-        slice_min = min(min(row) for row in total)
+        total = [list(map(add, a, b)) for a, b in zip(without_t2, t2)]
+        slice_min = min(map(min, total))
         min_total = min(min_total, slice_min)
         if slice_min < 0:
             total_ok = False
-    return {
+        if tri is not None and mismatch is None and total != tri.slice_at(n):
+            mismatch = n
+    report = {
         "r": r,
         "R": R,
         "bounds": list(params.bounds),
@@ -461,23 +513,87 @@ def negativity_window(params: LemmaParams) -> dict[str, Any]:
         "negative_term_cells": negative_cells,
         "ok": sum_without_t2_ok and t2_ok and window_ok and total_ok,
     }
+    return report, mismatch
+
+
+def negativity_window(params: LemmaParams) -> dict[str, Any]:
+    """Confine negative per-term coefficients to the displayed window.
+
+    Checks, for every slice n within bounds: (a) the slice sum without T2 is
+    nonnegative; (b) T2 matches its product closed form when r < n; (c) any
+    negative per-term cell lies in the window r <= j < n < k < (n+1)R; (d)
+    the total slice is nonnegative.
+    """
+    return _scan_slices(params)[0]
+
+
+def _transpose_match(lhs: TriSeries, rhs: TriSeries) -> dict[str, Any]:
+    """lhs(n, j, k) == rhs(n, k, j) everywhere, or the first (n, j, k) that differs."""
+    for n, (plane, other) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        for j, (row, column) in enumerate(zip(plane, zip(*other))):
+            if tuple(row) != column:
+                k = next(k for k, (a, b) in enumerate(zip(row, column)) if a != b)
+                return {
+                    "equal": False,
+                    "first_mismatch": {"n": n, "j": j, "k": k, "lhs": row[k], "rhs": column[k]},
+                }
+    return {"equal": True, "first_mismatch": None}
+
+
+def _mirror(tri: TriSeries, params: LemmaParams) -> TriSeries:
+    """The expansion of f with r and R swapped; f itself when r == R."""
+    if params.r == params.R:
+        return tri
+    return f_expand(LemmaParams(params.R, params.r, params.bounds))
 
 
 def symmetry_check(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
     """c_(r,R)(n,j,k) == c_(R,r)(n,k,j) over square (j,k) bounds."""
-    nt, nx, ny = bounds
+    _, nx, ny = bounds
     if nx != ny:
         raise ValueError(f"symmetry needs square x/y bounds, got {bounds}")
-    lhs = f_expand(LemmaParams(r, R, bounds))
-    rhs = f_expand(LemmaParams(R, r, bounds))
-    for n in range(nt + 1):
-        for j in range(nx + 1):
-            for k in range(ny + 1):
-                a = lhs.cell(n, j, k)
-                b = rhs.cell(n, k, j)
-                if a != b:
-                    return {
-                        "equal": False,
-                        "first_mismatch": {"n": n, "j": j, "k": k, "lhs": a, "rhs": b},
-                    }
-    return {"equal": True, "first_mismatch": None}
+    params = LemmaParams(r, R, bounds)
+    tri = f_expand(params)
+    return _transpose_match(tri, _mirror(tri, params))
+
+
+def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
+    """Composite kernel-expansion check: signs, slices, window, symmetry.
+
+    f is expanded once; the swapped kernel only when r != R and the x/y
+    bounds are square (otherwise symmetry is a transpose of f itself, or not
+    checked).  The first failed check, in that order, is the witness.
+    """
+    params = LemmaParams(r, R, bounds)
+    tri = f_expand(params)
+    minimum = tri.min_coefficient()
+    window, slice_mismatch = _scan_slices(params, tri)
+    symmetry = None
+    if bounds[1] == bounds[2]:
+        symmetry = _transpose_match(tri, _mirror(tri, params))
+    checks = {
+        "expansion_nonnegative": minimum >= 0,
+        "slices_match": slice_mismatch is None,
+        "window": window["ok"],
+        "symmetry": None if symmetry is None else symmetry["equal"],
+    }
+    witness = None
+    if not checks["expansion_nonnegative"]:
+        witness = {"check": "expansion_nonnegative", "min_coefficient": minimum}
+    elif not checks["slices_match"]:
+        witness = {"check": "slices_match", "n": slice_mismatch}
+    elif not checks["window"]:
+        witness = {"check": "window", "details": window["checks"]}
+    elif checks["symmetry"] is False:
+        witness = {"check": "symmetry", "details": symmetry["first_mismatch"]}
+    return {
+        "r": r,
+        "R": R,
+        "bounds": list(bounds),
+        "checks": checks,
+        "min_coefficient": minimum,
+        "window": window,
+        "symmetry": symmetry,
+        "ok": witness is None,
+        "witness": witness,
+    }

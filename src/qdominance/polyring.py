@@ -22,8 +22,10 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul
 
-from qdominance.series import Coefficient, QSeries, _norm
+from qdominance.series import _INT_ONLY, Coefficient, QSeries, _norm
 
 # axis order for TriSeries lattices
 TRI_VARIABLES = ("t", "x", "y")
@@ -52,12 +54,18 @@ class MultiPoly:
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
         width = len(self.variables)
+        if not all(map(width.__eq__, map(len, terms))):
+            exps = next(e for e in terms if len(e) != width)
+            raise ValueError(
+                f"exponent tuple {exps} does not match variables {self.variables}"
+            )
+        values = terms.values()
+        if _INT_ONLY.issuperset(map(type, values)):
+            # all-int maps are kept as given, less their zero terms
+            self.terms = {e: c for e, c in terms.items() if c} if 0 in values else dict(terms)
+            return
         clean: dict[tuple[int, ...], Coefficient] = {}
         for exps, c in terms.items():
-            if len(exps) != width:
-                raise ValueError(
-                    f"exponent tuple {exps} does not match variables {self.variables}"
-                )
             c = _norm(c)
             if c:
                 clean[tuple(exps)] = c
@@ -104,31 +112,25 @@ def mono(variables, coeff: Coefficient = 1, **exps) -> MultiPoly:
     return MultiPoly(variables, {key: coeff})
 
 
-def poly_arith(kind: str, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+def _same_variables(a: MultiPoly, b: MultiPoly) -> None:
     if a.variables != b.variables:
         raise VariableMismatchError(f"{a.variables} != {b.variables}")
-    if kind in ("add", "sub"):
-        sign = 1 if kind == "add" else -1
-        terms = dict(a.terms)
-        for exps, c in b.terms.items():
-            terms[exps] = terms.get(exps, 0) + sign * c
-        return MultiPoly(a.variables, terms)
-    if kind == "mul":
-        terms: dict[tuple[int, ...], Coefficient] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                terms[key] = terms.get(key, 0) + ca * cb
-        return MultiPoly(a.variables, terms)
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 def mp_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return poly_arith("add", a, b)
+    _same_variables(a, b)
+    terms = dict(a.terms)
+    for exps, c in b.terms.items():
+        terms[exps] = terms.get(exps, 0) + c
+    return MultiPoly(a.variables, terms)
 
 
 def mp_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return poly_arith("sub", a, b)
+    _same_variables(a, b)
+    terms = dict(a.terms)
+    for exps, c in b.terms.items():
+        terms[exps] = terms.get(exps, 0) - c
+    return MultiPoly(a.variables, terms)
 
 
 def mp_mul(*polys: MultiPoly) -> MultiPoly:
@@ -136,7 +138,13 @@ def mp_mul(*polys: MultiPoly) -> MultiPoly:
         raise ValueError("need at least one factor")
     out = polys[0]
     for p in polys[1:]:
-        out = poly_arith("mul", out, p)
+        _same_variables(out, p)
+        terms: dict[tuple[int, ...], Coefficient] = {}
+        for ea, ca in out.terms.items():
+            for eb, cb in p.terms.items():
+                key = tuple(map(add, ea, eb))
+                terms[key] = terms.get(key, 0) + ca * cb
+        out = MultiPoly(out.variables, terms)
     return out
 
 
@@ -281,14 +289,37 @@ def _unit_binomial_delta(factor: MultiPoly):
     return delta, -neg_c
 
 
+def _division_rank(hit) -> int:
+    """Order of division by one unit binomial in `expand_rational`.
+
+    The quotient does not depend on the order, but the work does: a zero
+    source row is skipped.  Factors in y alone, then those with t, leave most
+    (t, x) rows zero; a factor in x without t fills every row of its plane,
+    so it goes last.
+    """
+    (dn, dj, _), _ = hit
+    if dn:
+        return 1
+    return 2 if dj else 0
+
+
 def expand_rational(term: RationalTerm, bounds) -> TriSeries:
-    """Truncated expansion of the term over the (t, x, y) lattice."""
+    """Truncated expansion of the term over the (t, x, y) lattice.
+
+    Dividing by (1 - c*t^a x^b y^d) is the recurrence s[i] += c*s[i - delta],
+    run one (t, x) row at a time: with a or b nonzero each row adds its source
+    row, already divided, shifted by d; a factor in y alone is a running sum
+    along each residue class of the row mod d.  All-int lattices stay ints;
+    a lattice that holds a Fraction is normalized once, at the end.
+    """
     nt, nx, ny = bounds
     out = TriSeries.zero((nt, nx, ny))
     cs = out.coeffs
+    exact = True
     for (n, j, k), c in _tri_exponents(term.numerator).items():
         if n <= nt and j <= nx and k <= ny:
             cs[n][j][k] += c
+            exact = exact and type(c) is int
     deltas = []
     for factor in term.denominator_factors:
         hit = _unit_binomial_delta(factor)
@@ -297,19 +328,29 @@ def expand_rational(term: RationalTerm, bounds) -> TriSeries:
                 f"denominator factor is not 1 - c*monomial: {to_text(factor)}"
             )
         deltas.append(hit)
-    # dividing by (1 - c*q^delta) is the recurrence s[i] += c * s[i - delta],
-    # valid in any order that visits smaller lattice points first
+        exact = exact and type(hit[1]) is int
+    deltas.sort(key=_division_rank)
     for (dn, dj, dk), c in deltas:
-        for n in range(dn, nt + 1) if dn else range(nt + 1):
-            pn = cs[n - dn]
-            qn = cs[n]
-            for j in range(dj, nx + 1) if dj else range(nx + 1):
-                pj = pn[j - dj]
-                qj = qn[j]
-                for k in range(dk, ny + 1) if dk else range(ny + 1):
-                    prev = pj[k - dk]
-                    if prev:
-                        qj[k] = _norm(qj[k] + c * prev)
+        if dn or dj:
+            for n in range(dn, nt + 1):
+                pn, qn = cs[n - dn], cs[n]
+                for j in range(dj, nx + 1):
+                    src = pn[j - dj]
+                    if any(src):
+                        if c != 1:
+                            src = map(mul, repeat(c), src)
+                        row = qn[j]
+                        row[dk:] = map(add, row[dk:], src)
+        else:
+            step = None if c == 1 else (lambda acc, v: v + c * acc)
+            for plane in cs:
+                for row in filter(any, plane):
+                    for start in range(min(dk, ny + 1)):
+                        row[start::dk] = accumulate(row[start::dk], step)
+    if not exact:
+        for plane in cs:
+            for j, row in enumerate(plane):
+                plane[j] = [_norm(c) for c in row]
     return out
 
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qdominance import partitions
+from qdominance import cli, lemma, partitions
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     DEFAULT_BOUNDS,
@@ -20,6 +20,7 @@ from qdominance.cli import (
     parse_inequality_params,
     pool_size,
 )
+from qdominance.lemma import MAX_LATTICE_CELLS
 from qdominance.series import product_spec
 
 
@@ -239,6 +240,35 @@ class TestLemma:
         assert code == 0
         kernel = report(out)["result"]["kernel"]
         assert "numerator" in kernel and len(kernel["denominator"]) > 0
+
+    # (1+1)(2+1)(166666+1) = MAX_LATTICE_CELLS + 2 cells: the smallest lattice
+    # above the bound with every side positive, as --bounds requires
+    CAPPED_BOUNDS = "1,2,166666"
+
+    def test_bounds_above_the_lattice_bound_are_a_resource_error(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any expansion")
+
+        monkeypatch.setattr(lemma, "f_expand", refuse)
+        monkeypatch.setattr(lemma, "eqtwo_term_grids", refuse)
+        argv = ["lemma", "--r", "2", "--R", "3", "--bounds", self.CAPPED_BOUNDS]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource:")
+        assert str(MAX_LATTICE_CELLS) in err
+
+    def test_lemma_sweep_bounds_are_checked_before_any_point(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any point runs")
+
+        monkeypatch.setattr(cli, "_sweep_job", refuse)
+        monkeypatch.setattr(lemma, "f_expand", refuse)
+        argv = ["sweep", "--kind", "lemma", "--box", "r=1:2,R=1:2", "--bounds", self.CAPPED_BOUNDS]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource:")
 
 
 class TestEnumerate:

@@ -48,6 +48,18 @@ class TestFExpand:
             LemmaParams(0, 1, (2, 2, 2))
         with pytest.raises(ValueError):
             LemmaParams(1, 1, (2, -1, 2))
+        # only exact ints: bools and floats are refused before any expansion
+        for r, R, bounds in [
+            (True, 2, (2, 2, 2)),
+            (2, True, (2, 2, 2)),
+            (1.5, 2, (2, 2, 2)),
+            (2, 2.0, (2, 2, 2)),
+            (2, 2, (True, 4, 4)),
+            (2, 2, (2, 4.0, 4)),
+            (2, 2, (2, 4)),
+        ]:
+            with pytest.raises(ValueError):
+                LemmaParams(r, R, bounds)
 
 
 class TestSliceEqtwo:
@@ -116,6 +128,9 @@ class TestIdentities:
             check_eqone_eqthree(-1, 1, 1)
         with pytest.raises(ValueError):
             check_eqone_eqthree(0, 0, 1)
+        for n, r, R in [(True, True, 2), (1, True, 2), (1, 2, True), (1.0, 2, 2), (1, 1.5, 2)]:
+            with pytest.raises(ValueError):
+                check_eqone_eqthree(n, r, R)
 
 
 class TestNegativityWindow:
