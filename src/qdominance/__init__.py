@@ -17,7 +17,6 @@ from qdominance.dominance import (
 from qdominance.series import (
     INF,
     Coefficient,
-    FactorFamily,
     ProductSpec,
     QSeries,
     first_negative,
@@ -36,7 +35,6 @@ __all__ = [
     "INF",
     "Coefficient",
     "DominanceReport",
-    "FactorFamily",
     "NamedInequality",
     "ProductSpec",
     "QSeries",

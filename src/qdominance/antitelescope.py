@@ -6,8 +6,8 @@ The difference of two reciprocal products telescopes as
         (Q(i)/Q(i-1) - P(i)/P(i-1)) / (P(i) * Q(L)/Q(i-1))
 
 where P(i) and Q(i) are the products truncated at i factor layers.  The
-engine takes P(L) and Q(L) as two ProductSpecs whose factor families share
-one modulus and one finite length L.  When every addend is coefficientwise
+engine takes P(L) and Q(L) as two ProductSpecs that share one modulus and
+one finite length L.  When every addend is coefficientwise
 nonnegative the dominance is certified term by term; where a bare addend
 goes negative, the splittings below (V/W for the three-base pairs, G1..G4
 for the four-base pairs) refine it into pieces that stay nonnegative.  Both
@@ -138,14 +138,13 @@ _SPLITS = {"thm1": (2, _thm1_numerators, 1), "thm2": (3, _thm2_numerators, 2)}
 
 
 def _layers(P: ProductSpec, Q: ProductSpec) -> tuple[int, int]:
-    """(modulus, L) shared by every factor family of the pair, or ValueError."""
-    moduli = {f.modulus for f in P.families + Q.families}
-    lengths = {f.length for f in P.families + Q.families}
-    if len(moduli) != 1 or len(lengths) != 1 or INF in lengths:
+    """(modulus, L) shared by the two products, or ValueError; a pair needs a factor."""
+    shared = (P.modulus, P.length) == (Q.modulus, Q.length)
+    if not (shared and (P.bases or Q.bases)) or P.length == INF:
         raise ValueError(
             "antitelescoping needs finite products with one shared modulus and length"
         )
-    return moduli.pop(), lengths.pop()
+    return P.modulus, P.length
 
 
 def decompositions(

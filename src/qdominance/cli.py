@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import antitelescope, dominance, lemma, partitions, polyring, proposal
-from .series import serialize, series_sub, spec_reciprocal
+from .series import serialize
 
 ENV_ORDER = "QDOMINANCE_ORDER"
 DEFAULT_ORDER = 100
@@ -185,30 +185,40 @@ def inequality_id(text: str) -> str:
         raise UsageError(f"unknown inequality {text!r}; known: {known}") from None
 
 
-def parse_inequality_params(ineq_id: str, text: str | None) -> dict:
+def parse_inequality_params(ineq_id: str, text: str | None, L: int | None = None) -> dict:
     """Comma-separated integers in the declared parameter order.
 
     The generalized family takes ``L,m,x1..xn,r1..rn`` with the two
-    groups of equal length.
+    groups of equal length.  ``L``, when given, overrides the length slot
+    of the parsed values; a family whose only parameter is the length
+    needs no text then.
     """
     required = dominance.REQUIRED_PARAMETERS[ineq_id]
+    if L is not None and "L" not in required:
+        raise UsageError(f"{ineq_id} has no length parameter")
     values = _csv_ints(text, "--params") if text else ()
+    if L is not None and not values and required == ("L",):
+        return {"L": L}
     if ineq_id == "Proposal":
         if len(values) < 4 or (len(values) - 2) % 2 != 0:
             raise UsageError(
                 "Proposal takes L,m,x1..xn,r1..rn with equally many sizes and multipliers"
             )
         half = (len(values) - 2) // 2
-        return {
+        parameters = {
             "L": values[0],
             "m": values[1],
             "xs": values[2 : 2 + half],
             "rs": values[2 + half :],
         }
-    if len(values) != len(required):
+    elif len(values) != len(required):
         names = ",".join(required) if required else "(none)"
         raise UsageError(f"{ineq_id} takes parameters {names}; got {len(values)} values")
-    return dict(zip(required, values))
+    else:
+        parameters = dict(zip(required, values))
+    if L is not None:
+        parameters["L"] = L
+    return parameters
 
 
 # --- check ------------------------------------------------------------------
@@ -226,30 +236,12 @@ def _cmd_check(args, config) -> Outcome:
     report = dominance.check_named(dominance.NamedInequality(ineq_id, parameters), config.order)
     result = dominance.report_dict(report, inequality=ineq_id, parameters=parameters)
     if args.dump_series:
-        lhs, rhs = report.lhs_spec, report.rhs_spec
-        diff = series_sub(spec_reciprocal(lhs, config.order), spec_reciprocal(rhs, config.order))
-        result["difference"] = serialize(diff)
+        result["difference"] = serialize(report.difference)
     params = {"ineq": ineq_id, "params": parameters}
     return Outcome(report.holds, params, _dominance_witness(report), result, None)
 
 
 # --- antitelescope ----------------------------------------------------------
-
-
-def _antitelescope_parameters(args, ineq_id: str) -> dict:
-    required = dominance.REQUIRED_PARAMETERS[ineq_id]
-    parameters = parse_inequality_params(ineq_id, args.params) if args.params else {}
-    if args.L is not None:
-        if "L" not in required:
-            raise UsageError(f"{ineq_id} has no length parameter")
-        if not parameters and required == ("L",):
-            parameters = {"L": args.L}
-        else:
-            parameters["L"] = args.L
-    if set(parameters) != set(required):
-        names = ",".join(required)
-        raise UsageError(f"{ineq_id} needs parameters {names}; pass --params (and/or --L)")
-    return parameters
 
 
 def _scan_witness(rows):
@@ -267,7 +259,7 @@ def _cmd_antitelescope(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq)
     if ineq_id == "RR":
         raise UsageError("RR is an infinite-product statement; antitelescope its finite cousin finiteRR")
-    parameters = _antitelescope_parameters(args, ineq_id)
+    parameters = parse_inequality_params(ineq_id, args.params, args.L)
     split = args.split
     if split != "none" and ineq_id not in ("Thm1", "Thm2"):
         raise UsageError(f"--split {split} is only available for Thm1/Thm2 products")

@@ -16,6 +16,7 @@ from .series import (
     INF,
     Coefficient,
     ProductSpec,
+    QSeries,
     first_negative,
     positive_ints,
     product_spec,
@@ -55,8 +56,7 @@ class DominanceReport:
 
     holds_up_to: int
     failure: tuple[int, Coefficient] | None
-    lhs_spec: ProductSpec
-    rhs_spec: ProductSpec
+    difference: QSeries
 
     @property
     def holds(self) -> bool:
@@ -83,7 +83,7 @@ class NamedInequality:
 def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport:
     """Check 1/lhs - 1/rhs for a negative coefficient up to the order."""
     diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
-    return DominanceReport(order, first_negative(diff), lhs, rhs)
+    return DominanceReport(order, first_negative(diff), diff)
 
 
 def bga_expected(m: int, r: int) -> bool:
@@ -103,7 +103,7 @@ def bga_degenerate(m: int, r: int) -> bool:
 def nbase_pair(xs, rs, m: int, L: int | float) -> tuple[ProductSpec, ProductSpec]:
     """The n-base pair {x_1..x_n, sum r_i x_i} over {r_1 x_1..r_n x_n, sum x_i}.
 
-    Every factor family has modulus m and length L.  Theorem 1 is the case
+    Both products have modulus m and length L.  Theorem 1 is the case
     n = 2 and Theorem 2 the case n = 3.
     """
     xs = positive_ints(xs, "xs")
@@ -122,7 +122,7 @@ def nbase_params(P: ProductSpec, Q: ProductSpec) -> tuple[tuple[int, ...], tuple
         and 0 not in rs
         and P.bases == (*xs, sum(scaled))
         and Q.bases == (*scaled, sum(xs))
-        and len({(f.modulus, f.length) for f in P.families + Q.families}) == 1
+        and (P.modulus, P.length) == (Q.modulus, Q.length)
     ):
         return xs, rs
     raise ValueError("the products are not an n-base pair {x_i, sum r_i x_i} over {r_i x_i, sum x_i}")

@@ -421,9 +421,7 @@ class LemmaVerdict:
         return self.one_vs_three.equal and self.three_vs_two.equal
 
 
-def check_eqone_eqthree(
-    n: int, r: int, R: int, method: str = "exact", seed: int = 0
-) -> LemmaVerdict:
+def check_eqone_eqthree(n: int, r: int, R: int) -> LemmaVerdict:
     """Verify the three closed forms agree as rational functions."""
     if type(n) is not int or n < 0:
         raise ValueError(f"slice index must be a nonnegative integer, got {n!r}")
@@ -432,8 +430,8 @@ def check_eqone_eqthree(
     three = eqthree_terms(n, r, R)
     two = eqtwo_terms_rational(n, r, R)
     return LemmaVerdict(
-        identity_check(one, three, method=method, seed=seed),
-        identity_check(three, two, method=method, seed=seed),
+        identity_check(one, three),
+        identity_check(three, two),
     )
 
 

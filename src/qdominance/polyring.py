@@ -9,17 +9,13 @@ in two roles with different safety requirements:
   dense truncated series over (t, x, y); it refuses denominator factors
   that are not of the form 1 - c*monomial, because only those have
   well-defined power-series reciprocals here.
-* identity_check compares two sums of rational terms by clearing all
-  denominators (exact mode) or by evaluation at random points of a large
-  prime field (randomized mode); denominators there may be any nonzero
-  polynomial, including differences of monomials with removable
-  singularities.
+* identity_check compares two sums of rational terms exactly, by clearing
+  all denominators; denominators there may be any nonzero polynomial,
+  including differences of monomials with removable singularities.
 """
 
 from __future__ import annotations
 
-import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -29,9 +25,6 @@ from qdominance.series import _INT_ONLY, Coefficient, QSeries, _norm
 
 # axis order for TriSeries lattices
 TRI_VARIABLES = ("t", "x", "y")
-
-# Mersenne prime used by the randomized identity checker.
-FIELD_PRIME = 2**61 - 1
 
 
 class VariableMismatchError(ValueError):
@@ -90,16 +83,9 @@ class MultiPoly:
     def constant_term(self) -> Coefficient:
         return self.terms.get((0,) * len(self.variables), 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
 
 def mp_zero(variables) -> MultiPoly:
     return MultiPoly(variables, {})
-
-
-def mp_const(variables, c: Coefficient) -> MultiPoly:
-    return MultiPoly(variables, {(0,) * len(tuple(variables)): c})
 
 
 def mono(variables, coeff: Coefficient = 1, **exps) -> MultiPoly:
@@ -179,41 +165,6 @@ def to_text(p: MultiPoly) -> str:
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
     return out
-
-
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
-
-
-def from_text(text: str, variables) -> MultiPoly:
-    """Parse the canonical text form back into a polynomial."""
-    variables = tuple(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    body = text.strip()
-    if body == "0":
-        return mp_zero(variables)
-    for chunk in _TERM_SPLIT.split(body):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:].strip()
-        coeff: Coefficient = 1
-        exps = [0] * len(variables)
-        for factor in chunk.replace("*", " ").split():
-            if re.fullmatch(r"-?\d+(/\d+)?", factor):
-                coeff = coeff * Fraction(factor)
-                continue
-            m = _FACTOR.match(factor)
-            if m is None or m.group(1) not in index:
-                raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
-            exps[index[m.group(1)]] += int(m.group(2)) if m.group(2) else 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + sign * coeff
-    return MultiPoly(variables, terms)
 
 
 @dataclass(frozen=True)
@@ -407,11 +358,7 @@ def specialize(tri: TriSeries, et: int, ex: int, ey: int, order: int) -> QSeries
 @dataclass
 class IdentityVerdict:
     equal: bool
-    method: str
     witness: dict | None = None
-    points_used: int = 0
-    failure_bound: float | None = None
-    details: str = ""
 
 
 def _canonical_factor(factor: MultiPoly) -> tuple[MultiPoly, int]:
@@ -476,105 +423,29 @@ def _lcd(terms):
     return lcd_counts, factors_by_key
 
 
-def _eval_poly_mod(p: MultiPoly, point, prime) -> int:
-    acc = 0
-    for exps, c in p.terms.items():
-        f = Fraction(c)
-        v = f.numerator % prime
-        if f.denominator != 1:
-            v = v * pow(f.denominator, -1, prime) % prime
-        for base, e in zip(point, exps):
-            if e:
-                v = v * pow(base, e, prime) % prime
-        acc = (acc + v) % prime
-    return acc
+def identity_check(lhs, rhs) -> IdentityVerdict:
+    """Decide whether sum(lhs) equals sum(rhs) as rational functions.
 
-
-def _eval_side_mod(terms, point, prime):
-    """Sum of term values at the point, or None if a denominator vanishes."""
-    acc = 0
-    for term in terms:
-        den = 1
-        for f in term.denominator_factors:
-            v = _eval_poly_mod(f, point, prime)
-            if v == 0:
-                return None
-            den = den * v % prime
-        num = _eval_poly_mod(term.numerator, point, prime)
-        acc = (acc + num * pow(den, -1, prime)) % prime
-    return acc
-
-
-def identity_check(
-    lhs,
-    rhs,
-    method: str = "exact",
-    seed: int = 0,
-    points: int = 20,
-    max_retries: int = 200,
-) -> IdentityVerdict:
-    """Decide whether sum(lhs) equals sum(rhs) as rational functions."""
+    The difference of the two sides is brought over the least common
+    denominator; the sums agree exactly when the cleared numerator is 0,
+    and otherwise its smallest monomial is the witness.
+    """
     lhs = list(lhs)
     rhs = list(rhs)
     variables = _common_variables(lhs + rhs)
-
-    if method == "exact":
-        all_terms = lhs + [
-            RationalTerm(mp_neg(t.numerator), t.denominator_factors) for t in rhs
-        ]
-        lcd_counts, factors_by_key = _lcd(all_terms)
-        diff = _clear_denominators(all_terms, lcd_counts, factors_by_key)
-        if diff is None or diff.is_zero():
-            return IdentityVerdict(True, "exact", details="cleared difference is 0")
-        exps = min(diff.terms)
-        witness = {
-            "monomial": dict(zip(variables, exps)),
-            "coefficient": str(Fraction(diff.terms[exps])),
-        }
-        return IdentityVerdict(False, "exact", witness=witness)
-
-    if method == "randomized":
-        prime = FIELD_PRIME
-        rng = random.Random(seed)
-        lcd_counts, factors_by_key = _lcd(lhs + rhs)
-        lcd_degree = sum(
-            factors_by_key[key].total_degree() * c for key, c in lcd_counts.items()
-        )
-        num_degree = max(
-            (t.numerator.total_degree() for t in lhs + rhs), default=0
-        )
-        degree = num_degree + lcd_degree
-        used = 0
-        retries = 0
-        while used < points:
-            point = tuple(rng.randrange(1, prime) for _ in variables)
-            lv = _eval_side_mod(lhs, point, prime)
-            rv = _eval_side_mod(rhs, point, prime)
-            if lv is None or rv is None:
-                retries += 1
-                if retries > max_retries:
-                    raise ZeroDivisionError(
-                        "denominators kept vanishing at sampled points"
-                    )
-                continue
-            if lv != rv:
-                return IdentityVerdict(
-                    False,
-                    "randomized",
-                    witness={"point_index": used, "seed": seed},
-                    points_used=used + 1,
-                )
-            used += 1
-        bound = (degree / prime) ** points if degree else 0.0
-        return IdentityVerdict(
-            True,
-            "randomized",
-            points_used=used,
-            failure_bound=bound,
-            details=f"total degree <= {degree}",
-        )
-
-    raise ValueError(f"unknown method {method!r}")
+    all_terms = lhs + [
+        RationalTerm(mp_neg(t.numerator), t.denominator_factors) for t in rhs
+    ]
+    lcd_counts, factors_by_key = _lcd(all_terms)
+    diff = _clear_denominators(all_terms, lcd_counts, factors_by_key)
+    if diff is None or diff.is_zero():
+        return IdentityVerdict(True)
+    exps = min(diff.terms)
+    witness = {
+        "monomial": dict(zip(variables, exps)),
+        "coefficient": str(Fraction(diff.terms[exps])),
+    }
+    return IdentityVerdict(False, witness)
 
 
 def three_factor_identity_sides() -> tuple[MultiPoly, MultiPoly]:

@@ -23,7 +23,6 @@ from .dominance import NamedInequality, check_named, nbase_pair, report_dict
 from .series import (
     QSeries,
     divide_binomial,
-    first_negative,
     multiply_binomial,
     positive_ints,
     reciprocal_from_exponents,
@@ -265,17 +264,6 @@ def h_series(params, order: int) -> QSeries:
             term = series_mul(term, factor)
         total = series_add(total, series_scale(term, weight))
     return series_scale(total, SIXTH)
-
-
-def h_scan(params, order: int) -> dict:
-    """Positivity report for one h tuple."""
-    negative = first_negative(h_series(params, order))
-    return {
-        "params": tuple(params),
-        "order": order,
-        "first_negative": negative,
-        "nonnegative": negative is None,
-    }
 
 
 def fourvar_identity(params, order: int) -> dict:

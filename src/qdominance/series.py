@@ -9,7 +9,7 @@ holds a Fraction is normalized coefficient by coefficient.
 
 Products of binomial factors (1 - q^(a+jm)) are described by ProductSpec
 values rather than expanded eagerly, so reciprocals can be taken factor
-by factor.  An unbounded factor family (length INF) is materialized by
+by factor.  An unbounded product (length INF) is materialized by
 keeping only the factors whose exponent fits under the truncation order;
 the omitted factors are congruent to 1 modulo q^(N+1), so this is a
 semantic rule, not an approximation.
@@ -18,13 +18,12 @@ semantic rule, not an approximation.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 Coefficient = int | Fraction
 
-# Length marker for factor families with no last factor.
+# Length marker for products with no last factor.
 INF = math.inf
 
 
@@ -236,53 +235,35 @@ def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ..
 
 
 @dataclass(frozen=True)
-class FactorFamily:
-    """The factors (1 - q^(base + j*modulus)) for j = 0 .. length-1 (or unbounded)."""
+class ProductSpec:
+    """The product of (1 - q^(b + j*modulus)) over the bases b and j = 0 .. length-1.
 
-    base: int
+    A length of INF leaves every base's factors unbounded.  The constant
+    term of the product is always 1.
+    """
+
+    bases: tuple[int, ...]
     modulus: int
     length: int | float = INF
 
     def __post_init__(self) -> None:
-        sizes = (self.base, self.modulus) if self.length == INF else (self.base, self.modulus, self.length)
-        positive_ints(sizes, "factor base, modulus and length (or INF)")
+        sizes = (*self.bases, self.modulus)
+        if self.length != INF:
+            sizes += (self.length,)
+        positive_ints(sizes, "factor bases, modulus and length (or INF)")
 
     def exponents(self, order: int) -> list[int]:
-        """Factor exponents that fit under the truncation order."""
-        out = []
-        j = 0
-        while j != self.length:
-            e = self.base + j * self.modulus
-            if e > order:
-                break
-            out.append(e)
-            j += 1
-        return out
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    """An ordered product of factor families; constant term is always 1."""
-
-    families: tuple[FactorFamily, ...]
-
-    def exponents(self, order: int) -> list[int]:
+        """Factor exponents under the truncation order, base by base, j ascending."""
         out: list[int] = []
-        for fam in self.families:
-            out.extend(fam.exponents(order))
+        for b in self.bases:
+            top = order if self.length == INF else min(order, b + (self.length - 1) * self.modulus)
+            out.extend(range(b, top + 1, self.modulus))
         return out
-
-    @property
-    def bases(self) -> tuple[int, ...]:
-        return tuple(f.base for f in self.families)
-
-    def is_finite(self) -> bool:
-        return all(f.length != INF for f in self.families)
 
 
 def product_spec(bases, modulus: int, length: int | float = INF) -> ProductSpec:
     """Spec for the multi-argument product over the given base exponents."""
-    return ProductSpec(tuple(FactorFamily(b, modulus, length) for b in bases))
+    return ProductSpec(tuple(bases), modulus, length)
 
 
 def pochhammer(spec: ProductSpec, order: int) -> QSeries:
@@ -305,25 +286,3 @@ def serialize(a: QSeries) -> str:
         val = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
         lines.append(f"{n}: {val}")
     return "\n".join(lines)
-
-
-_LINE = re.compile(r"^\s*(\d+)\s*:\s*(-?\d+)(?:/(\d+))?\s*$")
-
-
-def deserialize(text: str) -> QSeries:
-    """Inverse of serialize; tolerates blank lines."""
-    entries: dict[int, Coefficient] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        m = _LINE.match(line)
-        if m is None:
-            raise ValueError(f"bad series line: {line!r}")
-        n = int(m.group(1))
-        num = int(m.group(2))
-        den = int(m.group(3)) if m.group(3) else 1
-        entries[n] = _norm(Fraction(num, den))
-    if not entries:
-        raise ValueError("empty series text")
-    order = max(entries)
-    return QSeries.from_coeffs([entries.get(n, 0) for n in range(order + 1)], order)

@@ -7,6 +7,8 @@ a time, and the half-weighted Thm2 groups are halved as rationals.  They
 share no state between indices or groups, so they pin the incremental
 engine in `qdominance.antitelescope` from outside.  P and Q are the
 length-L product specs; `layer_exponents` reads their factor layers off.
+`reference_exponents` is the per-family factor loop that `ProductSpec`
+replaced.
 """
 
 from __future__ import annotations
@@ -51,7 +53,26 @@ def thm_pair(values):
 
 def layer_exponents(spec, lo: int, hi: int) -> list[int]:
     """Factor exponents of the spec's layers lo .. hi-1."""
-    return [f.base + j * f.modulus for j in range(lo, hi) for f in spec.families]
+    return [b + j * spec.modulus for j in range(lo, hi) for b in spec.bases]
+
+
+def reference_exponents(bases, modulus: int, length, order: int) -> list[int]:
+    """The factor exponents of a product, one factor family per base.
+
+    Each base b contributes b + j*modulus for j = 0, 1, ... until the
+    family's length runs out (never, for INF) or the exponent passes the
+    order.
+    """
+    out = []
+    for base in bases:
+        j = 0
+        while j != length:
+            e = base + j * modulus
+            if e > order:
+                break
+            out.append(e)
+            j += 1
+    return out
 
 
 def denominator_exponents(P, Q, i: int, L: int) -> list[int]:

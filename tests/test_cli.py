@@ -95,6 +95,16 @@ class TestParamParsing:
         with pytest.raises(UsageError):
             parse_inequality_params("Thm1", "2,3,1")
 
+    def test_length_override(self):
+        assert parse_inequality_params("finiteRR", None, L=4) == {"L": 4}
+        params = parse_inequality_params("BGa", "7,2,1", L=3)
+        assert params == {"m": 7, "r": 2, "L": 3}
+        assert list(params) == ["m", "r", "L"]
+        with pytest.raises(UsageError):
+            parse_inequality_params("RR", None, L=2)
+        with pytest.raises(UsageError):
+            parse_inequality_params("Thm1", None, L=2)
+
 
 class TestCheck:
     def test_thm1_example_holds(self, capsys):

@@ -112,11 +112,6 @@ class TestIdentities:
     def test_documented_case(self):
         assert check_eqone_eqthree(3, 2, 2).equal
 
-    def test_randomized_agrees(self):
-        verdict = check_eqone_eqthree(5, 3, 2, method="randomized", seed=7)
-        assert verdict.equal
-        assert verdict.one_vs_three.method == "randomized"
-
     def test_small_sweep(self):
         for n in range(4):
             for r in (1, 2, 3):

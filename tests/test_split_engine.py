@@ -12,9 +12,10 @@ from qdominance.antitelescope import (
     decompositions,
     positivity_scan,
 )
-from qdominance.series import QSeries, product_spec, serialize
+from qdominance.series import INF, QSeries, product_spec, serialize
 from reference_split import (
     reference_addend,
+    reference_exponents,
     reference_thm1_split,
     reference_thm2_split,
     thm_pair,
@@ -22,6 +23,18 @@ from reference_split import (
 
 small = st.integers(1, 4)
 orders = st.integers(0, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), max_size=6),
+    st.integers(1, 30),
+    st.one_of(st.just(INF), st.integers(1, 12)),
+    st.integers(0, 200),
+)
+def test_product_exponents_match_per_family_loop(bases, modulus, length, order):
+    spec = product_spec(bases, modulus, length)
+    assert spec.exponents(order) == reference_exponents(bases, modulus, length, order)
 
 
 @settings(max_examples=80, deadline=None)
