@@ -7,45 +7,8 @@ cross-check the splittings against rational-function identities and
 colored-partition enumeration.
 """
 
-from qdominance.dominance import (
-    INEQUALITY_IDS,
-    DominanceReport,
-    NamedInequality,
-    check_named,
-    dominates,
-)
-from qdominance.series import (
-    INF,
-    Coefficient,
-    ProductSpec,
-    QSeries,
-    first_negative,
-    pochhammer,
-    product_spec,
-    series_mul,
-    series_reciprocal,
-    series_sub,
-    spec_reciprocal,
-)
+from qdominance.dominance import NamedInequality, check_named
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INEQUALITY_IDS",
-    "INF",
-    "Coefficient",
-    "DominanceReport",
-    "NamedInequality",
-    "ProductSpec",
-    "QSeries",
-    "check_named",
-    "dominates",
-    "first_negative",
-    "pochhammer",
-    "product_spec",
-    "series_mul",
-    "series_reciprocal",
-    "series_sub",
-    "spec_reciprocal",
-    "__version__",
-]
+__all__ = ["NamedInequality", "check_named", "__version__"]

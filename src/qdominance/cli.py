@@ -32,7 +32,6 @@ from .series import serialize
 ENV_ORDER = "QDOMINANCE_ORDER"
 DEFAULT_ORDER = 100
 DEFAULT_BOUNDS = (10, 40, 40)
-DEFAULT_CAP = 40
 # Largest interpret-check --max-n.  Counting is polynomial in n, but the X
 # and Y count tables can hold about (n/m)*min(max(r, R), n/x) lists of n+1
 # coefficients each; at this bound they stay near 30 MB even for
@@ -56,7 +55,7 @@ class RunConfig:
 
     order: int = DEFAULT_ORDER
     bounds: tuple[int, int, int] = DEFAULT_BOUNDS
-    cap: int = DEFAULT_CAP
+    cap: int = partitions.DEFAULT_ENUMERATION_CAP
     seed: int = 0
     jobs: int = 1
     format: str = "json"
@@ -115,7 +114,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         order=order,
         bounds=bounds,
-        cap=args.cap if args.cap is not None else DEFAULT_CAP,
+        cap=args.cap if args.cap is not None else partitions.DEFAULT_ENUMERATION_CAP,
         seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs if args.jobs is not None else 1,
         format=args.format if args.format is not None else "json",
@@ -299,7 +298,7 @@ def _cmd_enumerate(args, config) -> Outcome:
     params = _partition_params(args.params)
     items = partitions.enumerate_partitions(args.n, params, cap=config.cap)
     listed = [
-        [[base, index, mult] for (base, index), mult in p.counts] for p in items
+        [[base, index, mult] for (base, index), mult in counts] for counts in items
     ]
     result = {"n": args.n, "count": len(items), "partitions": listed}
     return Outcome(True, {"params": list(params.as_tuple()), "n": args.n}, None, result, None)
@@ -577,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--order", type=int, default=None, help=f"truncation order (default {DEFAULT_ORDER}, env {ENV_ORDER})")
         p.add_argument("--bounds", default=None, help="Nt,Nx,Ny kernel bounds (default 10,40,40)")
-        p.add_argument("--cap", type=int, default=None, help=f"enumeration weight cap (default {DEFAULT_CAP})")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized checks (default 0)")
+        p.add_argument("--cap", type=int, default=None, help=f"enumeration weight cap (default {partitions.DEFAULT_ENUMERATION_CAP})")
+        p.add_argument("--seed", type=int, default=None, help="seed for the identities tuples and sweep --sample points (default 0)")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweep (default 1)")
         p.add_argument("--format", choices=("json", "csv", "text"), default=None, help="output format (default json)")
         return p

@@ -86,15 +86,6 @@ def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport
     return DominanceReport(order, first_negative(diff), diff)
 
 
-def bga_expected(m: int, r: int) -> bool:
-    """Whether the {1, m-1} product should dominate the {r, m-r} one.
-
-    True exactly when neither of r and m-r divides the other.
-    """
-    other = m - r
-    return other % r != 0 and r % other != 0
-
-
 def bga_degenerate(m: int, r: int) -> bool:
     """True when the two sides use the same residues, so the check is vacuous."""
     return sorted((1, m - 1)) == sorted((r, m - r))
@@ -171,10 +162,6 @@ def check_named(ineq: NamedInequality, order: int) -> DominanceReport:
     return dominates(lhs, rhs, order)
 
 
-def _coeff_json(c: Coefficient) -> int | str:
-    return c if isinstance(c, int) else str(c)
-
-
 def report_dict(
     report: DominanceReport,
     inequality: str | None = None,
@@ -188,5 +175,5 @@ def report_dict(
         "order": report.holds_up_to,
         "holds": report.holds,
         "failure_exponent": report.failure[0] if failed else None,
-        "deficit": _coeff_json(report.failure[1]) if failed else None,
+        "deficit": report.failure[1] if failed else None,
     }

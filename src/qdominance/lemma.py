@@ -79,24 +79,6 @@ def check_lattice(bounds: tuple[int, int, int]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SliceSeries:
-    """One t-slice: coeffs[j][k] is the coefficient of x^j y^k."""
-
-    n: int
-    coeffs: tuple[tuple[Coefficient, ...], ...]
-
-    def cell(self, j: int, k: int) -> Coefficient:
-        return self.coeffs[j][k]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
-
-    def min_coefficient(self) -> Coefficient:
-        return min(min(row) for row in self.coeffs)
-
-
 def delta(n: int) -> int:
     """1 for odd n, 0 for even n."""
     return n % 2
@@ -268,12 +250,6 @@ def eqtwo_term_grids(n: int, params: LemmaParams):
         (name, _evaluate(monomials, powers, nx, ny))
         for name, monomials, powers in eqtwo_symbolic(n, params.r, params.R)
     ]
-
-
-def slice_eqtwo(n: int, params: LemmaParams) -> SliceSeries:
-    """The n-th t-slice of f via the displayed closed form."""
-    total = _row_sums(grid for _, grid in eqtwo_term_grids(n, params))
-    return SliceSeries(n, tuple(map(tuple, total)))
 
 
 def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
@@ -450,11 +426,15 @@ def t2_closed_form(n: int, r: int, R: int, nx: int, ny: int):
     return grid
 
 
-def _scan_slices(params: LemmaParams, tri: TriSeries | None = None):
-    """The `negativity_window` report, plus the first slice whose term sum
-    differs from the matching slice of `tri` (None when all match or no
-    `tri` is given).  Each slice's nine term grids are built once, and every
-    check reads them.
+def _scan_slices(params: LemmaParams, tri: TriSeries):
+    """The negativity-window report, plus the first slice whose term sum
+    differs from the matching slice of `tri` (None when all match).
+
+    The report checks, for every slice n within bounds: (a) the slice sum
+    without T2 is nonnegative; (b) T2 matches its product closed form when
+    r < n; (c) any negative per-term cell lies in the window
+    r <= j < n < k < (n+1)R; (d) the total slice is nonnegative.  Each
+    slice's nine term grids are built once, and every check reads them.
     """
     nt, nx, ny = params.bounds
     r, R = params.r, params.R
@@ -495,7 +475,7 @@ def _scan_slices(params: LemmaParams, tri: TriSeries | None = None):
         min_total = min(min_total, slice_min)
         if slice_min < 0:
             total_ok = False
-        if tri is not None and mismatch is None and total != tri.slice_at(n):
+        if mismatch is None and total != tri.slice_at(n):
             mismatch = n
     report = {
         "r": r,
@@ -512,17 +492,6 @@ def _scan_slices(params: LemmaParams, tri: TriSeries | None = None):
         "ok": sum_without_t2_ok and t2_ok and window_ok and total_ok,
     }
     return report, mismatch
-
-
-def negativity_window(params: LemmaParams) -> dict[str, Any]:
-    """Confine negative per-term coefficients to the displayed window.
-
-    Checks, for every slice n within bounds: (a) the slice sum without T2 is
-    nonnegative; (b) T2 matches its product closed form when r < n; (c) any
-    negative per-term cell lies in the window r <= j < n < k < (n+1)R; (d)
-    the total slice is nonnegative.
-    """
-    return _scan_slices(params)[0]
 
 
 def _transpose_match(lhs: TriSeries, rhs: TriSeries) -> dict[str, Any]:
@@ -543,16 +512,6 @@ def _mirror(tri: TriSeries, params: LemmaParams) -> TriSeries:
     if params.r == params.R:
         return tri
     return f_expand(LemmaParams(params.R, params.r, params.bounds))
-
-
-def symmetry_check(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
-    """c_(r,R)(n,j,k) == c_(R,r)(n,k,j) over square (j,k) bounds."""
-    _, nx, ny = bounds
-    if nx != ny:
-        raise ValueError(f"symmetry needs square x/y bounds, got {bounds}")
-    params = LemmaParams(r, R, bounds)
-    tri = f_expand(params)
-    return _transpose_match(tri, _mirror(tri, params))
 
 
 def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:

@@ -15,24 +15,22 @@ mismatch witness if one ever appears.
 `count_profile` counts without listing: each base gets a table from its
 statistic (the part of the rule record it determines) to a coefficient
 list, and each system is a sum of products of those tables, in time
-polynomial in the weight.  `enumerate_partitions` lists a single weight and
-prunes every branch that can no longer reach it.  The exhaustive walk both
-replaced lives on in `tests/reference_partitions.py` as their oracle.
+polynomial in the weight.  `enumerate_partitions` lists a single weight as
+plain count tuples and prunes every branch that can no longer reach it.
+The exhaustive walk both replaced lives on in `tests/reference_partitions.py`
+as their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .antitelescope import decompositions
 from .dominance import nbase_pair
-from .series import ProductSpec, QSeries, positive_ints, reciprocal_from_exponents, series_add
+from .series import ProductSpec, QSeries, positive_ints, series_add
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
-
-_BASE_RANK = {label: rank for rank, label in enumerate(BASE_LABELS)}
 
 SYSTEMS = ("V", "W")
 
@@ -84,105 +82,6 @@ class PartitionParams:
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.m, self.x, self.y, self.r, self.R, self.L)
-
-
-@dataclass(frozen=True)
-class ColoredPart:
-    """A single part: a colored base shifted into layer `index`."""
-
-    base: str
-    index: int
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.base not in _BASE_RANK:
-            raise ValueError(f"unknown base label {self.base!r}")
-        if type(self.index) is not int or self.index < 1:
-            raise ValueError(f"index must be a positive integer, got {self.index!r}")
-        if type(self.size) is not int or self.size < 1:
-            raise ValueError(f"size must be a positive integer, got {self.size!r}")
-
-
-def colored_part(params: PartitionParams, base: str, index: int) -> ColoredPart:
-    return ColoredPart(base, index, params.part_size(base, index))
-
-
-def _canonical_key(base: str, index: int) -> tuple[int, int]:
-    return (_BASE_RANK[base], index)
-
-
-@dataclass(frozen=True)
-class ColoredPartition:
-    """A multiset of colored parts, stored as ((base, index), multiplicity).
-
-    `counts` is kept in canonical order -- bases in declaration order
-    (X, Y, XY, RX, RY, S), then by layer index -- with strictly positive
-    multiplicities; build instances through `colored_partition`.
-    """
-
-    counts: tuple[tuple[tuple[str, int], int], ...]
-    params: PartitionParams
-
-    def __post_init__(self) -> None:
-        keys = []
-        for (base, index), multiplicity in self.counts:
-            self.params.part_size(base, index)  # validates base and index range
-            if type(multiplicity) is not int or multiplicity < 1:
-                raise ValueError(
-                    f"multiplicity must be a positive integer, got {multiplicity!r}"
-                )
-            keys.append(_canonical_key(base, index))
-        if keys != sorted(set(keys)):
-            raise ValueError("counts must be canonically ordered and duplicate-free")
-
-    @property
-    def weight(self) -> int:
-        return sum(
-            multiplicity * self.params.part_size(base, index)
-            for (base, index), multiplicity in self.counts
-        )
-
-    def multiplicity(self, base: str, index: int) -> int:
-        for (b, j), count in self.counts:
-            if b == base and j == index:
-                return count
-        return 0
-
-    def parts(self) -> tuple[tuple[ColoredPart, int], ...]:
-        return tuple(
-            (colored_part(self.params, base, index), multiplicity)
-            for (base, index), multiplicity in self.counts
-        )
-
-
-def colored_partition(params: PartitionParams, counts) -> ColoredPartition:
-    """Build a partition from a mapping or iterable of ((base, index), mult)."""
-    items: Iterable = counts.items() if isinstance(counts, Mapping) else counts
-    merged: dict[tuple[str, int], int] = {}
-    for (base, index), multiplicity in items:
-        params.part_size(base, index)
-        if type(multiplicity) is not int or multiplicity < 0:
-            raise ValueError(
-                f"multiplicity must be a nonnegative integer, got {multiplicity!r}"
-            )
-        if multiplicity:
-            merged[(base, index)] = merged.get((base, index), 0) + multiplicity
-    ordered = tuple(
-        (key, merged[key]) for key in sorted(merged, key=lambda k: _canonical_key(*k))
-    )
-    return ColoredPartition(ordered, params)
-
-
-def stats(partition: ColoredPartition, base: str) -> tuple[int, int]:
-    """Highest and lowest occupied layer index for a base: (Mmax, mmin).
-
-    An unoccupied base defaults to (0, L+1), so "max below" comparisons pass
-    vacuously and "min above" comparisons do too.
-    """
-    if base not in _BASE_RANK:
-        raise ValueError(f"unknown base label {base!r}")
-    indices = [j for (b, j), _ in partition.counts if b == base]
-    return (max(indices, default=0), min(indices, default=partition.params.L + 1))
 
 
 def _stat_record(counts, L: int) -> tuple[int, int, int, int, int, int, int, int]:
@@ -247,24 +146,6 @@ def _first_violation(system: str, params: PartitionParams, record) -> str | None
         if not ok:
             return rule
     return None
-
-
-@dataclass(frozen=True)
-class RestrictionVerdict:
-    """Outcome of checking one rule system against one partition."""
-
-    system: str
-    violated: str | None
-
-    @property
-    def satisfied(self) -> bool:
-        return self.violated is None
-
-
-def satisfies(partition: ColoredPartition, system: str) -> RestrictionVerdict:
-    """Evaluate one rule system, reporting the first violated rule id."""
-    record = _stat_record(partition.counts, partition.params.L)
-    return RestrictionVerdict(system, _first_violation(system, partition.params, record))
 
 
 def _part_kinds(params: PartitionParams) -> list[tuple[str, int, int]]:
@@ -408,20 +289,14 @@ def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
     return profile
 
 
-def count_restricted(n: int, system: str, params: PartitionParams) -> int:
-    """Number of weight-n partitions satisfying one rule system."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if system not in SYSTEMS:
-        raise ValueError(f"system must be one of {SYSTEMS}, got {system!r}")
-    return count_profile(params, n)[system][n]
-
-
 def enumerate_partitions(
     n: int, params: PartitionParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[ColoredPartition]:
+) -> list[tuple[tuple[tuple[str, int], int], ...]]:
     """All weight-n partitions, duplicate-free, in canonical order.
 
+    Each partition is its count tuple of ((base, index), multiplicity)
+    entries with positive multiplicities, bases in declaration order (X, Y,
+    XY, RX, RY, S) and then by layer index.
     Partitions are ordered lexicographically by their count tuples, comparing
     entries by (base, index, multiplicity) with bases in declaration order.
     The walk adds kinds in canonical order and multiplicities in increasing
@@ -441,12 +316,12 @@ def enumerate_partitions(
             row[w] = row[w] or row[w - size]
         reachable.append(row)
     reachable.reverse()
-    found: list[ColoredPartition] = []
+    found: list[tuple[tuple[tuple[str, int], int], ...]] = []
     entries: list[tuple[tuple[str, int], int]] = []
 
     def extend(start: int, remaining: int) -> None:
         if remaining == 0:
-            found.append(ColoredPartition(tuple(entries), params))
+            found.append(tuple(entries))
             return
         for k in range(start, len(kinds)):
             if not reachable[k][remaining]:
@@ -461,13 +336,6 @@ def enumerate_partitions(
 
     extend(0, n)
     return found
-
-
-def unrestricted_series(params: PartitionParams, order: int) -> QSeries:
-    """Generating series of all colored partitions: one factor per part kind."""
-    return reciprocal_from_exponents(
-        [size for _, _, size in _part_kinds(params)], order
-    )
 
 
 def split_series(params: PartitionParams, order: int) -> tuple[QSeries, QSeries]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from qdominance.series import _INT_ONLY, Coefficient, QSeries, _norm
+from qdominance.series import _INT_ONLY, Coefficient, _norm
 
 # axis order for TriSeries lattices
 TRI_VARIABLES = ("t", "x", "y")
@@ -33,10 +33,6 @@ class VariableMismatchError(ValueError):
 
 class SingularDenominatorError(ValueError):
     """Raised when a series expansion needs a non-unit denominator factor."""
-
-
-class CoverageError(ValueError):
-    """Raised when a lattice is too small to cover every requested exponent."""
 
 
 class MultiPoly:
@@ -79,9 +75,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_term(self) -> Coefficient:
-        return self.terms.get((0,) * len(self.variables), 0)
 
 
 def mp_zero(variables) -> MultiPoly:
@@ -193,9 +186,6 @@ class TriSeries:
             [[[0] * (ny + 1) for _ in range(nx + 1)] for _ in range(nt + 1)],
         )
 
-    def cell(self, n: int, j: int, k: int) -> Coefficient:
-        return self.coeffs[n][j][k]
-
     def slice_at(self, n: int) -> list:
         return self.coeffs[n]
 
@@ -303,52 +293,6 @@ def expand_rational(term: RationalTerm, bounds) -> TriSeries:
             for j, row in enumerate(plane):
                 plane[j] = [_norm(c) for c in row]
     return out
-
-
-def tri_multiply(tri: TriSeries, poly: MultiPoly) -> TriSeries:
-    """Product with a polynomial, truncated to the same bounds."""
-    nt, nx, ny = tri.bounds
-    out = TriSeries.zero(tri.bounds)
-    for (dn, dj, dk), c in _tri_exponents(poly).items():
-        for n in range(dn, nt + 1):
-            src_n = tri.coeffs[n - dn]
-            dst_n = out.coeffs[n]
-            for j in range(dj, nx + 1):
-                src_j = src_n[j - dj]
-                dst_j = dst_n[j]
-                for k in range(dk, ny + 1):
-                    v = src_j[k - dk]
-                    if v:
-                        dst_j[k] = _norm(dst_j[k] + c * v)
-    return out
-
-
-def tri_truncate_poly(p: MultiPoly, bounds) -> TriSeries:
-    return expand_rational(RationalTerm(p), bounds)
-
-
-def specialize(tri: TriSeries, et: int, ex: int, ey: int, order: int) -> QSeries:
-    """Substitute t -> q^et, x -> q^ex, y -> q^ey and collect up to q^order."""
-    if min(et, ex, ey) < 1:
-        raise ValueError("substitution exponents must be >= 1")
-    nt, nx, ny = tri.bounds
-    if nt < order // et or nx < order // ex or ny < order // ey:
-        raise CoverageError(
-            f"bounds {tri.bounds} cannot cover order {order} with steps "
-            f"({et}, {ex}, {ey})"
-        )
-    out: list[Coefficient] = [0] * (order + 1)
-    for n in range(min(nt, order // et) + 1):
-        base_n = n * et
-        plane = tri.coeffs[n]
-        for j in range(min(nx, (order - base_n) // ex) + 1):
-            base_j = base_n + j * ex
-            row = plane[j]
-            for k in range(min(ny, (order - base_j) // ey) + 1):
-                c = row[k]
-                if c:
-                    out[base_j + k * ey] += c
-    return QSeries.from_coeffs(out, order)
 
 
 # ---------------------------------------------------------------------------

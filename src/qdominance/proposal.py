@@ -4,10 +4,12 @@ For n part sizes x_(1..n) with multipliers r_(1..n), the dominant product runs
 over {x_(1), ..., x_(n), Sigma} and the subordinate one over
 {r_(1)x_(1), ..., r_(n)x_(n), sigma}, where Sigma is the multiplied sum and
 sigma the plain sum.  With a single layer (L = 1) the subordinate partitions
-inject weight-preservingly into the dominant ones -- `inject` and `invert`
-realize that map on multiplicity vectors.  For three and four sizes the
-difference of reciprocals also splits through the auxiliary series `h_series`,
-whose 19-addend transcription is checksummed by `fourvar_identity`.
+inject weight-preservingly into the dominant ones -- `_inject` and `_invert`
+realize that map and its inverse on multiplicity tuples, and
+`injection_evidence` exercises it exhaustively up to a weight.  For three and
+four sizes the difference of reciprocals also splits through the auxiliary
+series `h_series`, whose 19-addend transcription is checksummed by
+`fourvar_identity`.
 `check_proposal` runs the coefficientwise comparison for arbitrary n and
 labels how strong the supporting argument is.
 """
@@ -34,8 +36,6 @@ from .series import (
 )
 
 SIXTH = Fraction(1, 6)
-
-PROPOSAL_STATUSES = ("theorem", "proved-L1", "conjecture-evidence")
 
 DEFAULT_INJECTION_BOUND = 24
 
@@ -70,57 +70,9 @@ class ProposalParams:
         """Part sizes on the subordinate side: each r_(i)x_(i), then sigma."""
         return nbase_pair(self.x, self.r, 1, 1)[1].bases
 
-    @property
-    def weighted_sum(self) -> int:
-        return self.image_sizes[-1]
-
-    @property
-    def plain_sum(self) -> int:
-        return self.source_sizes[-1]
-
-    def source_weight(self, vector: "CountVector") -> int:
-        return _dot(vector, self.source_sizes)
-
-    def image_weight(self, vector: "CountVector") -> int:
-        return _dot(vector, self.image_sizes)
-
 
 def proposal_params(x, r) -> ProposalParams:
     return ProposalParams(tuple(x), tuple(r))
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Part multiplicities: one per variable, plus the composite part.
-
-    On the subordinate side `counts[i]` is the multiplicity of r_(i)x_(i) and
-    `joint` that of sigma; on the dominant side `counts[i]` belongs to x_(i)
-    and `joint` to Sigma.  Injection images carry the congruence witness A.
-    """
-
-    counts: tuple[int, ...]
-    joint: int
-    witness: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.counts or any(type(c) is not int or c < 0 for c in self.counts):
-            raise ValueError(
-                f"counts must be nonempty nonnegative integers, got {self.counts!r}"
-            )
-        if type(self.joint) is not int or self.joint < 0:
-            raise ValueError(f"joint count must be an integer >= 0, got {self.joint!r}")
-
-    @property
-    def minimum(self) -> int:
-        return min(self.counts)
-
-
-def _dot(vector: CountVector, sizes: tuple[int, ...]) -> int:
-    if len(vector.counts) + 1 != len(sizes):
-        raise ValueError(
-            f"vector has {len(vector.counts)} counts but {len(sizes) - 1} sizes"
-        )
-    return sum(c * s for c, s in zip(vector.counts, sizes)) + vector.joint * sizes[-1]
 
 
 def _inject(counts: tuple[int, ...], joint: int, rs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -153,28 +105,6 @@ def _invert(counts: tuple[int, ...], joint: int, rs: tuple[int, ...]) -> tuple[t
     return tuple(out), mu
 
 
-def _check_arity(vector: CountVector, params: ProposalParams) -> None:
-    if len(vector.counts) != params.n:
-        raise ValueError(f"expected {params.n} counts, got {len(vector.counts)}")
-
-
-def inject(pi_prime: CountVector, params: ProposalParams) -> CountVector:
-    """Map a subordinate-side vector to its dominant-side image.
-
-    Weight is preserved, and the image carries the source's composite count
-    as its congruence witness; see `_inject`.
-    """
-    _check_arity(pi_prime, params)
-    counts, joint = _inject(pi_prime.counts, pi_prime.joint, params.r)
-    return CountVector(counts, joint, witness=pi_prime.joint)
-
-
-def invert(pi: CountVector, params: ProposalParams) -> CountVector:
-    """Pull a dominant-side vector back; fails off the injection's image."""
-    _check_arity(pi, params)
-    return CountVector(*_invert(pi.counts, pi.joint, params.r))
-
-
 def _bounded_vectors(sizes: tuple[int, ...], budget: int):
     """(counts, joint, weight) for every vector of weight <= budget.
 
@@ -192,18 +122,6 @@ def _bounded_vectors(sizes: tuple[int, ...], budget: int):
     for counts, weight in prefixes:
         for joint in range((budget - weight) // last + 1):
             yield counts, joint, weight + joint * last
-
-
-def source_vectors(params: ProposalParams, max_weight: int):
-    """All subordinate-side vectors of weight <= max_weight."""
-    for counts, joint, _ in _bounded_vectors(params.source_sizes, max_weight):
-        yield CountVector(counts, joint)
-
-
-def image_vectors(params: ProposalParams, max_weight: int):
-    """All dominant-side vectors of weight <= max_weight."""
-    for counts, joint, _ in _bounded_vectors(params.image_sizes, max_weight):
-        yield CountVector(counts, joint)
 
 
 def _ratio_block(e: int, k: int, order: int) -> QSeries:
@@ -311,7 +229,7 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
     Verifies weight preservation, the congruence witness, the inverse
     round-trip (which implies that images are pairwise distinct), and that
     per-weight source counts stay below the unrestricted dominant-side
-    counts.  Sources run through the plain-tuple core of `inject`/`invert`.
+    counts.  A failure names the source's counts and joint count.
     """
     failure = None
     rs, image_sizes = params.r, params.image_sizes
@@ -322,13 +240,13 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
         per_weight[weight] += 1
         image_counts, image_joint = _inject(counts, joint, rs)
         if sum(map(mul, image_counts, image_sizes)) + image_joint * image_sizes[-1] != weight:
-            failure = f"weight changed on {CountVector(counts, joint)}"
+            failure = f"weight changed on counts={counts}, joint={joint}"
             break
         if any([(c - joint) % r for c, r in zip(image_counts, rs)]):
-            failure = f"congruence witness failed on {CountVector(counts, joint)}"
+            failure = f"congruence witness failed on counts={counts}, joint={joint}"
             break
         if _invert(image_counts, image_joint, rs) != (counts, joint):
-            failure = f"round-trip failed on {CountVector(counts, joint)}"
+            failure = f"round-trip failed on counts={counts}, joint={joint}"
             break
     if failure is None:
         unrestricted = reciprocal_from_exponents(image_sizes, max_weight)
@@ -349,13 +267,12 @@ def check_proposal(
     m: int,
     L: int,
     order: int,
-    injection_bound: int = DEFAULT_INJECTION_BOUND,
 ) -> dict:
     """Coefficientwise comparison for one generalized tuple, with provenance.
 
     Delegates the series check to the named-inequality machinery; when L == 1
     it additionally runs the exhaustive injection evidence up to
-    min(order, injection_bound).
+    min(order, DEFAULT_INJECTION_BOUND).
     """
     inequality = NamedInequality(
         "Proposal", {"L": L, "m": m, "xs": params.x, "rs": params.r}
@@ -372,5 +289,5 @@ def check_proposal(
         "injection": None,
     }
     if L == 1:
-        result["injection"] = injection_evidence(params, min(order, injection_bound))
+        result["injection"] = injection_evidence(params, min(order, DEFAULT_INJECTION_BOUND))
     return result

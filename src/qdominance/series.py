@@ -32,7 +32,7 @@ class OrderMismatchError(ValueError):
 
 
 class SingularSeriesError(ValueError):
-    """Raised when a reciprocal of a series with zero constant term is requested."""
+    """Raised when a division by 1 - q^0, the zero series, is requested."""
 
 
 _INT_ONLY = frozenset((int,))
@@ -129,26 +129,6 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     return QSeries.from_coeffs(out, n)
 
 
-def series_reciprocal(a: QSeries) -> QSeries:
-    """Multiplicative inverse up to the truncation order, by forward substitution."""
-    a0 = a.coeffs[0]
-    if a0 == 0:
-        raise SingularSeriesError("series has zero constant term")
-    n = a.order
-    inv0 = 1 if a0 == 1 else Fraction(1, 1) / a0
-    # b_k solves sum_{i=0..k} a_i b_{k-i} = 0 for every k >= 1
-    out: list[Coefficient] = [inv0] + [0] * n
-    ac = a.coeffs
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            ai = ac[i]
-            if ai:
-                acc += ai * out[k - i]
-        out[k] = -acc * inv0 if a0 == 1 else -acc / a0
-    return QSeries.from_coeffs(out, n)
-
-
 def multiply_binomial(a: QSeries, exponent: int) -> QSeries:
     """Product with (1 - q^exponent); exponent 0 gives the zero series."""
     if exponent == 0:
@@ -196,11 +176,6 @@ def series_shift(a: QSeries, exponent: int) -> QSeries:
     return QSeries(a.order, (0,) * exponent + a.coeffs[: a.order + 1 - exponent])
 
 
-def poly_from_exponents(exponents, order: int) -> QSeries:
-    """Expand the product of (1 - q^e) over the given exponents."""
-    return multiply_binomials(QSeries.one(order), exponents)
-
-
 def reciprocal_from_exponents(exponents, order: int) -> QSeries:
     """Expand the product of 1/(1 - q^e) over the given exponents."""
     return divide_binomials(QSeries.one(order), exponents)
@@ -230,7 +205,10 @@ def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ..
         and min(items, default=1) >= 1
     ):
         return items
-    wanted = "positive integers" if count is None else f"{count} positive integers"
+    if count == 1:
+        wanted = "a positive integer"
+    else:
+        wanted = "positive integers" if count is None else f"{count} positive integers"
     raise ValueError(f"{label} must be {wanted}, got {items!r}")
 
 
@@ -264,13 +242,6 @@ class ProductSpec:
 def product_spec(bases, modulus: int, length: int | float = INF) -> ProductSpec:
     """Spec for the multi-argument product over the given base exponents."""
     return ProductSpec(tuple(bases), modulus, length)
-
-
-def pochhammer(spec: ProductSpec, order: int) -> QSeries:
-    """Expand the spec's product of binomial factors, truncated."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return poly_from_exponents(spec.exponents(order), order)
 
 
 def spec_reciprocal(spec: ProductSpec, order: int) -> QSeries:

@@ -36,3 +36,12 @@ def residue_parts(residues: list[int], modulus: int, max_n: int) -> list[int]:
                 out.append(p)
             p += modulus
     return sorted(out)
+
+
+def bga_expected(m: int, r: int) -> bool:
+    """Whether the {1, m-1} product should dominate the {r, m-r} one.
+
+    True exactly when neither of r and m-r divides the other.
+    """
+    other = m - r
+    return other % r != 0 and r % other != 0

@@ -12,11 +12,11 @@ beyond the kernel term, the symbolic slice terms and the T2 closed form
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 from qdominance.lemma import (
     LemmaParams,
-    SliceSeries,
     eqtwo_symbolic,
     kernel_term,
     t2_closed_form,
@@ -30,6 +30,24 @@ from qdominance.polyring import (
     to_text,
 )
 from qdominance.series import Coefficient, _norm
+
+
+@dataclass(frozen=True)
+class SliceSeries:
+    """One t-slice: coeffs[j][k] is the coefficient of x^j y^k."""
+
+    n: int
+    coeffs: tuple[tuple[Coefficient, ...], ...]
+
+    def cell(self, j: int, k: int) -> Coefficient:
+        return self.coeffs[j][k]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
+
+    def min_coefficient(self) -> Coefficient:
+        return min(min(row) for row in self.coeffs)
 
 
 def expand_rational(term: RationalTerm, bounds) -> TriSeries:
@@ -174,8 +192,8 @@ def symmetry_check(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, An
     for n in range(nt + 1):
         for j in range(nx + 1):
             for k in range(ny + 1):
-                a = lhs.cell(n, j, k)
-                b = rhs.cell(n, k, j)
+                a = lhs.coeffs[n][j][k]
+                b = rhs.coeffs[n][k][j]
                 if a != b:
                     return {
                         "equal": False,

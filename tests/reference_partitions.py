@@ -13,10 +13,10 @@ core in the package.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 from qdominance.partitions import (
-    _BASE_RANK,
-    ColoredPartition,
+    BASE_LABELS,
     EnumerationCapError,
     PartitionParams,
     _first_violation,
@@ -24,12 +24,88 @@ from qdominance.partitions import (
     _stat_record,
 )
 from qdominance.proposal import (
-    CountVector,
     NotInImageError,
     ProposalParams,
-    source_vectors,
+    _bounded_vectors,
 )
 from qdominance.series import reciprocal_from_exponents
+
+_BASE_RANK = {label: rank for rank, label in enumerate(BASE_LABELS)}
+
+
+def _canonical_key(base: str, index: int) -> tuple[int, int]:
+    return (_BASE_RANK[base], index)
+
+
+@dataclass(frozen=True)
+class ColoredPartition:
+    """A multiset of colored parts, stored as ((base, index), multiplicity).
+
+    `counts` is kept in canonical order -- bases in declaration order
+    (X, Y, XY, RX, RY, S), then by layer index -- with strictly positive
+    multiplicities.
+    """
+
+    counts: tuple[tuple[tuple[str, int], int], ...]
+    params: PartitionParams
+
+    def __post_init__(self) -> None:
+        keys = []
+        for (base, index), multiplicity in self.counts:
+            self.params.part_size(base, index)  # validates base and index range
+            if type(multiplicity) is not int or multiplicity < 1:
+                raise ValueError(
+                    f"multiplicity must be a positive integer, got {multiplicity!r}"
+                )
+            keys.append(_canonical_key(base, index))
+        if keys != sorted(set(keys)):
+            raise ValueError("counts must be canonically ordered and duplicate-free")
+
+
+@dataclass(frozen=True)
+class CountVector:
+    """Part multiplicities: one per variable, plus the composite part.
+
+    On the subordinate side `counts[i]` is the multiplicity of r_(i)x_(i) and
+    `joint` that of sigma; on the dominant side `counts[i]` belongs to x_(i)
+    and `joint` to Sigma.  Injection images carry the congruence witness A.
+    """
+
+    counts: tuple[int, ...]
+    joint: int
+    witness: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.counts or any(type(c) is not int or c < 0 for c in self.counts):
+            raise ValueError(
+                f"counts must be nonempty nonnegative integers, got {self.counts!r}"
+            )
+        if type(self.joint) is not int or self.joint < 0:
+            raise ValueError(f"joint count must be an integer >= 0, got {self.joint!r}")
+
+    @property
+    def minimum(self) -> int:
+        return min(self.counts)
+
+
+def _dot(vector: CountVector, sizes: tuple[int, ...]) -> int:
+    if len(vector.counts) + 1 != len(sizes):
+        raise ValueError(
+            f"vector has {len(vector.counts)} counts but {len(sizes) - 1} sizes"
+        )
+    return sum(c * s for c, s in zip(vector.counts, sizes)) + vector.joint * sizes[-1]
+
+
+def source_vectors(params: ProposalParams, max_weight: int):
+    """All subordinate-side vectors of weight <= max_weight."""
+    for counts, joint, _ in _bounded_vectors(params.source_sizes, max_weight):
+        yield CountVector(counts, joint)
+
+
+def image_vectors(params: ProposalParams, max_weight: int):
+    """All dominant-side vectors of weight <= max_weight."""
+    for counts, joint, _ in _bounded_vectors(params.image_sizes, max_weight):
+        yield CountVector(counts, joint)
 
 
 def visit_partitions(params: PartitionParams, max_weight: int, visit) -> None:
@@ -133,9 +209,9 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
     for source in source_vectors(params, max_weight):
         source_count += 1
         image = inject(source, params)
-        weight = params.source_weight(source)
+        weight = _dot(source, params.source_sizes)
         per_weight[weight] += 1
-        if params.image_weight(image) != weight:
+        if _dot(image, params.image_sizes) != weight:
             failure = f"weight changed on {source}"
             break
         witness = image.witness

@@ -1,0 +1,112 @@
+"""Series and lattice helpers that only the tests use.
+
+`series_reciprocal` inverts a series by forward substitution and
+`poly_from_exponents`/`pochhammer` expand products of binomials; the
+package itself only ever divides by binomials, so these serve as
+independent oracles for `spec_reciprocal` and the split engine.
+`tri_multiply`, `tri_truncate_poly` and `specialize` multiply, truncate
+and specialize (t, x, y) lattices, which the tests use to check
+`expand_rational` and the kernel specializations.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from qdominance.polyring import (
+    MultiPoly,
+    RationalTerm,
+    TriSeries,
+    _tri_exponents,
+    expand_rational,
+)
+from qdominance.series import (
+    Coefficient,
+    ProductSpec,
+    QSeries,
+    SingularSeriesError,
+    _norm,
+    multiply_binomials,
+)
+
+
+class CoverageError(ValueError):
+    """Raised when a lattice is too small to cover every requested exponent."""
+
+
+def series_reciprocal(a: QSeries) -> QSeries:
+    """Multiplicative inverse up to the truncation order, by forward substitution."""
+    a0 = a.coeffs[0]
+    if a0 == 0:
+        raise SingularSeriesError("series has zero constant term")
+    n = a.order
+    inv0 = 1 if a0 == 1 else Fraction(1, 1) / a0
+    # b_k solves sum_{i=0..k} a_i b_{k-i} = 0 for every k >= 1
+    out: list[Coefficient] = [inv0] + [0] * n
+    ac = a.coeffs
+    for k in range(1, n + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            ai = ac[i]
+            if ai:
+                acc += ai * out[k - i]
+        out[k] = -acc * inv0 if a0 == 1 else -acc / a0
+    return QSeries.from_coeffs(out, n)
+
+
+def poly_from_exponents(exponents, order: int) -> QSeries:
+    """Expand the product of (1 - q^e) over the given exponents."""
+    return multiply_binomials(QSeries.one(order), exponents)
+
+
+def pochhammer(spec: ProductSpec, order: int) -> QSeries:
+    """Expand the spec's product of binomial factors, truncated."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return poly_from_exponents(spec.exponents(order), order)
+
+
+def tri_multiply(tri: TriSeries, poly: MultiPoly) -> TriSeries:
+    """Product with a polynomial, truncated to the same bounds."""
+    nt, nx, ny = tri.bounds
+    out = TriSeries.zero(tri.bounds)
+    for (dn, dj, dk), c in _tri_exponents(poly).items():
+        for n in range(dn, nt + 1):
+            src_n = tri.coeffs[n - dn]
+            dst_n = out.coeffs[n]
+            for j in range(dj, nx + 1):
+                src_j = src_n[j - dj]
+                dst_j = dst_n[j]
+                for k in range(dk, ny + 1):
+                    v = src_j[k - dk]
+                    if v:
+                        dst_j[k] = _norm(dst_j[k] + c * v)
+    return out
+
+
+def tri_truncate_poly(p: MultiPoly, bounds) -> TriSeries:
+    return expand_rational(RationalTerm(p), bounds)
+
+
+def specialize(tri: TriSeries, et: int, ex: int, ey: int, order: int) -> QSeries:
+    """Substitute t -> q^et, x -> q^ex, y -> q^ey and collect up to q^order."""
+    if min(et, ex, ey) < 1:
+        raise ValueError("substitution exponents must be >= 1")
+    nt, nx, ny = tri.bounds
+    if nt < order // et or nx < order // ex or ny < order // ey:
+        raise CoverageError(
+            f"bounds {tri.bounds} cannot cover order {order} with steps "
+            f"({et}, {ex}, {ey})"
+        )
+    out: list[Coefficient] = [0] * (order + 1)
+    for n in range(min(nt, order // et) + 1):
+        base_n = n * et
+        plane = tri.coeffs[n]
+        for j in range(min(nx, (order - base_n) // ex) + 1):
+            base_j = base_n + j * ex
+            row = plane[j]
+            for k in range(min(ny, (order - base_j) // ey) + 1):
+                c = row[k]
+                if c:
+                    out[base_j + k * ey] += c
+    return QSeries.from_coeffs(out, order)

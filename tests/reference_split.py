@@ -21,11 +21,11 @@ from qdominance.series import (
     QSeries,
     divide_binomial,
     multiply_binomial,
-    poly_from_exponents,
     series_add,
     series_scale,
     series_sub,
 )
+from reference_series import poly_from_exponents
 
 HALF = Fraction(1, 2)
 

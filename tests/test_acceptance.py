@@ -13,16 +13,14 @@ from qdominance.antitelescope import decompositions
 from qdominance.dominance import (
     NamedInequality,
     bga_degenerate,
-    bga_expected,
     build_specs,
     check_named,
 )
 from qdominance.lemma import (
     LemmaParams,
+    certify_lemma,
     check_eqone_eqthree,
     f_expand,
-    negativity_window,
-    slice_eqtwo,
 )
 from qdominance.partitions import PartitionParams, interpretation_check
 from qdominance.polyring import (
@@ -41,15 +39,15 @@ from qdominance.proposal import (
 from qdominance.series import (
     QSeries,
     first_negative,
-    poly_from_exponents,
     product_spec,
     reciprocal_from_exponents,
     series_add,
     series_mul,
-    series_reciprocal,
     series_sub,
     spec_reciprocal,
 )
+from oracles import bga_expected
+from reference_series import poly_from_exponents, series_reciprocal
 
 SEED = 20260819
 
@@ -150,18 +148,17 @@ class TestKernelGrid:
         expansions = {}
         for r in range(1, 6):
             for R in range(1, 6):
-                params = LemmaParams(r, R, bounds)
-                tri = f_expand(params)
-                expansions[(r, R)] = tri
-                assert tri.min_coefficient() >= 0, (r, R)
-                for n in range(bounds[0] + 1):
-                    got = slice_eqtwo(n, params)
-                    assert got.coeffs == tuple(
-                        tuple(row) for row in tri.slice_at(n)
-                    ), (r, R, n)
-                window = negativity_window(params)
+                report = certify_lemma(r, R, bounds)
+                assert report["checks"] == {
+                    "expansion_nonnegative": True,
+                    "slices_match": True,
+                    "window": True,
+                    "symmetry": True,
+                }, (r, R, report["witness"])
+                window = report["window"]
                 assert window["checks"]["window_contained"], (r, R)
                 assert window["ok"], (r, R, window)
+                expansions[(r, R)] = f_expand(LemmaParams(r, R, bounds))
         for (r, R), tri in expansions.items():
             other = expansions[(R, r)]
             for n in range(bounds[0] + 1):

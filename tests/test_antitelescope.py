@@ -13,21 +13,19 @@ from qdominance.polyring import (
     mp_add,
     mp_mul,
     mp_sub,
-    specialize,
 )
 from qdominance.series import (
     QSeries,
     divide_binomial,
     first_negative,
     multiply_binomial,
-    poly_from_exponents,
     product_spec,
     series_mul,
-    series_reciprocal,
     series_scale,
     series_sub,
     spec_reciprocal,
 )
+from reference_series import poly_from_exponents, series_reciprocal, specialize
 from reference_split import denominator_exponents, layer_exponents, thm_pair
 
 

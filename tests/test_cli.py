@@ -242,6 +242,10 @@ class TestLemma:
         code, _, err = run_cli(["lemma", "--r", "0", "--R", "2"], capsys)
         assert code == 2
         assert "positive" in err
+        # the same validator names a single value in the singular
+        code, _, err = run_cli(["antitelescope", "--ineq", "littleGollnitz", "--L", "0"], capsys)
+        assert code == 2
+        assert "littleGollnitz parameters (L) must be a positive integer, got (0,)" in err
 
     def test_dump_poly_prints_kernel(self, capsys):
         code, out, _ = run_cli(

@@ -6,7 +6,6 @@ from qdominance.dominance import (
     DominanceReport,
     NamedInequality,
     bga_degenerate,
-    bga_expected,
     build_specs,
     check_named,
     dominates,
@@ -16,7 +15,7 @@ from qdominance.dominance import (
 )
 from qdominance.series import product_spec, spec_reciprocal
 
-from oracles import partition_counts_upto, residue_parts
+from oracles import bga_expected, partition_counts_upto, residue_parts
 
 
 def named(ineq_id, **parameters):

@@ -4,39 +4,38 @@ import pytest
 
 from qdominance.lemma import (
     LemmaParams,
-    SliceSeries,
+    _row_sums,
+    certify_lemma,
     check_eqone_eqthree,
     delta,
     eqtwo_symbolic,
     eqtwo_term_grids,
     f_expand,
-    negativity_window,
-    slice_eqtwo,
-    symmetry_check,
     t2_closed_form,
 )
 
 
-def slice_of(tri, n):
-    return tuple(tuple(row) for row in tri.slice_at(n))
+def slice_eqtwo(n, params):
+    """The n-th t-slice of f as the sum of its closed-form term grids."""
+    return _row_sums(grid for _, grid in eqtwo_term_grids(n, params))
 
 
 class TestFExpand:
     def test_constant_coefficient(self):
         for r, R in [(1, 1), (2, 3), (4, 1)]:
             tri = f_expand(LemmaParams(r, R, (2, 4, 4)))
-            assert tri.cell(0, 0, 0) == 1
+            assert tri.coeffs[0][0][0] == 1
 
     def test_unit_parameters_closed_form(self):
         # r=R=1 collapses the kernel to (1-xy)/((1-x)(1-y)(1-tx)(1-ty));
         # its (0,j,k) slice is 1 on the axes and 0 elsewhere
         tri = f_expand(LemmaParams(1, 1, (3, 6, 6)))
-        assert tri.cell(0, 1, 1) == 0
-        assert tri.cell(0, 0, 5) == 1
-        assert tri.cell(0, 5, 0) == 1
+        assert tri.coeffs[0][1][1] == 0
+        assert tri.coeffs[0][0][5] == 1
+        assert tri.coeffs[0][5][0] == 1
         # higher t-slices: coefficient of t^n x^j y^k counts lattice paths;
         # spot value c(1,1,1) = [t x y] (1-xy)(1+tx)(1+ty)... = 2
-        assert tri.cell(1, 1, 1) == 2
+        assert tri.coeffs[1][1][1] == 2
 
     def test_lemma_claim_small_grid(self):
         for r, R in [(2, 2), (3, 2), (1, 4)]:
@@ -69,8 +68,7 @@ class TestSliceEqtwo:
             tri = f_expand(params)
             for n in range(7):
                 got = slice_eqtwo(n, params)
-                assert got.n == n
-                assert got.coeffs == slice_of(tri, n), (r, R, n)
+                assert got == tri.slice_at(n), (r, R, n)
 
     def test_n_zero_closed_form(self):
         # ((1-xy) + (x-x^r)(y-y^R)) / ((1-x)(1-y)): ones on the axes plus
@@ -81,7 +79,7 @@ class TestSliceEqtwo:
         for j in range(9):
             for k in range(9):
                 want = (min(j, k) == 0) + (1 <= j <= r - 1 and 1 <= k <= R - 1)
-                assert got.cell(j, k) == want, (j, k)
+                assert got[j][k] == want, (j, k)
 
     def test_delta_parity_toggles_last_term(self):
         assert delta(4) == 0 and delta(7) == 1
@@ -100,9 +98,8 @@ class TestSliceEqtwo:
     def test_shape_and_min(self):
         params = LemmaParams(2, 2, (3, 5, 7))
         s = slice_eqtwo(2, params)
-        assert s.shape == (5, 7)
-        assert isinstance(s, SliceSeries)
-        assert s.min_coefficient() >= 0
+        assert (len(s) - 1, len(s[0]) - 1) == (5, 7)
+        assert min(map(min, s)) >= 0
 
 
 class TestIdentities:
@@ -130,7 +127,7 @@ class TestIdentities:
 
 class TestNegativityWindow:
     def test_clean_grid_point(self):
-        report = negativity_window(LemmaParams(2, 2, (8, 20, 20)))
+        report = certify_lemma(2, 2, (8, 20, 20))["window"]
         assert report["ok"] is True
         assert report["min_total_coefficient"] >= 0
         assert report["checks"]["window_contained"] is True
@@ -153,16 +150,16 @@ class TestNegativityWindow:
         params = LemmaParams(2, 2, (4, 12, 12))
         tri = f_expand(params)
         for k in (4, 5, 6, 7):
-            assert tri.cell(3, 2, k) >= 0
+            assert tri.coeffs[3][2][k] >= 0
 
     def test_r_at_least_n_has_no_negative_terms(self):
         # slices n <= r carry no negative per-term cells at all
-        report = negativity_window(LemmaParams(5, 3, (5, 15, 15)))
+        report = certify_lemma(5, 3, (5, 15, 15))["window"]
         assert report["negative_term_cells"] == 0
         assert report["ok"] is True
 
     def test_unit_r_negatives_stay_in_window(self):
-        report = negativity_window(LemmaParams(1, 3, (6, 15, 15)))
+        report = certify_lemma(1, 3, (6, 15, 15))["window"]
         assert report["negative_term_cells"] > 0
         assert report["checks"]["window_contained"] is True
         assert report["ok"] is True
@@ -170,12 +167,14 @@ class TestNegativityWindow:
 
 class TestSymmetry:
     def test_equal_parameters_transpose(self):
-        assert symmetry_check(2, 2, (4, 10, 10))["equal"]
+        assert certify_lemma(2, 2, (4, 10, 10))["symmetry"]["equal"]
 
     def test_swapped_parameters(self):
-        assert symmetry_check(2, 3, (6, 25, 25))["equal"]
-        assert symmetry_check(1, 4, (6, 25, 25))["equal"]
+        assert certify_lemma(2, 3, (6, 25, 25))["symmetry"]["equal"]
+        assert certify_lemma(1, 4, (6, 25, 25))["symmetry"]["equal"]
 
     def test_requires_square_bounds(self):
-        with pytest.raises(ValueError):
-            symmetry_check(2, 3, (4, 10, 12))
+        # the x/y swap is only checked over square bounds
+        report = certify_lemma(2, 3, (4, 10, 12))
+        assert report["symmetry"] is None
+        assert report["checks"]["symmetry"] is None

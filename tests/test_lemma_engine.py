@@ -16,8 +16,6 @@ from qdominance.lemma import (
     LemmaParams,
     certify_lemma,
     check_lattice,
-    negativity_window,
-    symmetry_check,
 )
 from qdominance.polyring import MultiPoly, RationalTerm, expand_rational, mono, mp_sub
 
@@ -45,9 +43,10 @@ def test_certificate_matches_the_reference(r, R, bounds):
 @given(multiplier, multiplier, lemma_bounds())
 def test_views_match_the_reference(r, R, bounds):
     params = LemmaParams(r, R, bounds)
-    assert negativity_window(params) == reference.negativity_window(params)
+    got = certify_lemma(r, R, bounds)
+    assert got["window"] == reference.negativity_window(params)
     if bounds[1] == bounds[2]:
-        assert symmetry_check(r, R, bounds) == reference.symmetry_check(r, R, bounds)
+        assert got["symmetry"] == reference.symmetry_check(r, R, bounds)
 
 
 coefficient = st.one_of(

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_partitions as reference
+from oracles import partition_counts_upto
 from qdominance.partitions import (
+    BASE_LABELS,
     PartitionParams,
     count_profile,
     enumerate_partitions,
-    unrestricted_series,
 )
 from qdominance.proposal import injection_evidence, proposal_params
 
@@ -28,13 +29,20 @@ def test_counts_match_the_walk(params, max_n):
 @given(partition_params, st.integers(0, 60))
 def test_totals_are_the_product_series(params, max_n):
     totals = count_profile(params, max_n)["totals"]
-    assert totals == list(unrestricted_series(params, max_n).coeffs)
+    sizes = [
+        params.part_size(base, index)
+        for base in BASE_LABELS
+        for index in range(1, params.L + 1)
+    ]
+    assert totals == partition_counts_upto(max_n, sizes)
 
 
 @settings(max_examples=150, deadline=None)
 @given(partition_params, st.integers(0, 10))
 def test_listing_matches_the_sorted_walk(params, n):
-    assert enumerate_partitions(n, params) == reference.enumerate_partitions(n, params)
+    assert enumerate_partitions(n, params) == [
+        p.counts for p in reference.enumerate_partitions(n, params)
+    ]
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,23 +4,18 @@ import random
 
 import pytest
 
+from oracles import partition_counts_upto
 from qdominance.partitions import (
     BASE_LABELS,
-    ColoredPart,
-    ColoredPartition,
     EnumerationCapError,
     PartitionParams,
-    colored_part,
-    colored_partition,
+    _first_violation,
+    _stat_record,
     count_profile,
-    count_restricted,
     enumerate_partitions,
     interpretation_check,
     interpretation_rows,
-    satisfies,
     split_series,
-    stats,
-    unrestricted_series,
 )
 from qdominance.series import (
     QSeries,
@@ -29,8 +24,31 @@ from qdominance.series import (
     series_sub,
     spec_reciprocal,
 )
+from reference_partitions import ColoredPartition
 
 FLAGSHIP = PartitionParams(5, 1, 1, 2, 2, 2)
+
+
+def violated(counts, system, params=FLAGSHIP):
+    """The first rule of a system that the partition with these counts breaks."""
+    return _first_violation(system, params, _stat_record(counts, params.L))
+
+
+def weight(counts, params):
+    return sum(
+        multiplicity * params.part_size(base, index)
+        for (base, index), multiplicity in counts
+    )
+
+
+def totals(params, max_n):
+    """Unrestricted colored-partition counts: one part kind per base and layer."""
+    sizes = [
+        params.part_size(base, index)
+        for base in BASE_LABELS
+        for index in range(1, params.L + 1)
+    ]
+    return partition_counts_upto(max_n, sizes)
 
 
 class TestParams:
@@ -69,29 +87,19 @@ class TestParams:
 
 
 class TestColoredPartition:
-    def test_builder_merges_and_drops_zeros(self):
-        pi = colored_partition(
-            FLAGSHIP, [(("Y", 1), 1), (("Y", 1), 2), (("X", 2), 0)]
-        )
-        assert pi.counts == ((("Y", 1), 3),)
-
     def test_builder_rejects_negative(self):
         with pytest.raises(ValueError):
-            colored_partition(FLAGSHIP, {("Y", 1): -1})
+            ColoredPartition(((("Y", 1), -1),), FLAGSHIP)
         with pytest.raises(ValueError):
-            colored_partition(FLAGSHIP, {("Y", 1): True})
+            ColoredPartition(((("Y", 1), True),), FLAGSHIP)
         with pytest.raises(ValueError):
-            colored_partition(FLAGSHIP, {("X", True): 1})
+            ColoredPartition(((("X", True), 1),), FLAGSHIP)
 
     def test_bad_base_and_index(self):
         with pytest.raises(ValueError):
-            colored_partition(FLAGSHIP, {("Q", 1): 1})
+            ColoredPartition(((("Q", 1), 1),), FLAGSHIP)
         with pytest.raises(ValueError):
-            colored_partition(FLAGSHIP, {("Y", 3): 1})  # L == 2
-        with pytest.raises(ValueError):
-            ColoredPart("X", True, 1)
-        with pytest.raises(ValueError):
-            ColoredPart("X", 1, True)
+            ColoredPartition(((("Y", 3), 1),), FLAGSHIP)  # L == 2
 
     def test_direct_construction_demands_canonical_order(self):
         with pytest.raises(ValueError):
@@ -101,112 +109,83 @@ class TestColoredPartition:
         with pytest.raises(ValueError):
             ColoredPartition(((("Y", 1), True),), FLAGSHIP)
 
-    def test_weight_and_multiplicity(self):
-        pi = colored_partition(FLAGSHIP, {("Y", 2): 1, ("S", 1): 2, ("X", 1): 3})
-        # sizes: y_2 = 1 + 5 = 6, s_1 = 4, x_1 = 1
-        assert pi.weight == 6 + 8 + 3
-        assert pi.multiplicity("S", 1) == 2
-        assert pi.multiplicity("RX", 1) == 0
-
-    def test_parts_carry_sizes(self):
-        pi = colored_partition(FLAGSHIP, {("RY", 2): 2})
-        ((part, multiplicity),) = pi.parts()
-        assert part == ColoredPart("RY", 2, 7)
-        assert multiplicity == 2
-        assert colored_part(FLAGSHIP, "RY", 2) == part
-
 
 class TestStats:
+    # the rule record is (Mx, My, Ms, min_rx, min_Ry, min_xy, nu_x1, nu_y1)
     def test_empty_defaults(self):
-        params = PartitionParams(5, 1, 2, 2, 3, 4)
-        empty = colored_partition(params, {})
-        assert stats(empty, "Y") == (0, 5)
-        assert stats(empty, "RX") == (0, 5)
+        assert _stat_record((), 4) == (0, 0, 0, 5, 5, 5, 0, 0)
 
     def test_occupied_layers(self):
-        params = PartitionParams(5, 1, 2, 2, 3, 4)
-        pi = colored_partition(params, {("Y", 1): 1, ("Y", 3): 1})
-        assert stats(pi, "Y") == (3, 1)
+        record = _stat_record(((("Y", 1), 1), (("Y", 3), 1)), 4)
+        assert record == (0, 3, 0, 5, 5, 5, 0, 1)
 
     def test_other_bases_unaffected(self):
-        params = PartitionParams(5, 1, 2, 2, 3, 4)
-        pi = colored_partition(params, {("RX", 2): 1})
-        assert stats(pi, "RX") == (2, 2)
-        assert stats(pi, "X") == (0, 5)
+        record = _stat_record(((("RX", 2), 1),), 4)
+        assert record == (0, 0, 0, 2, 5, 5, 0, 0)
 
     def test_unknown_base(self):
         with pytest.raises(ValueError):
-            stats(colored_partition(FLAGSHIP, {}), "Z")
+            FLAGSHIP.base_size("Z")
 
 
 class TestSatisfies:
     def test_empty_fails_both_leading_rules(self):
-        empty = colored_partition(FLAGSHIP, {})
-        assert satisfies(empty, "V").violated == "V1"
-        assert satisfies(empty, "W").violated == "W1"
-        assert not satisfies(empty, "V").satisfied
+        assert violated((), "V") == "V1"
+        assert violated((), "W") == "W1"
 
     def test_first_violation_in_display_order(self):
         # passes V1/V2, fails V3 (an rx part sits below the top y layer) and
         # V7 as well; V3 is the one reported.
-        pi = colored_partition(FLAGSHIP, {("Y", 2): 1, ("Y", 1): 3, ("RX", 1): 1})
-        assert satisfies(pi, "V").violated == "V3"
+        counts = ((("Y", 1), 3), (("Y", 2), 1), (("RX", 1), 1))
+        assert violated(counts, "V") == "V3"
         # W side: passes W1-W3, fails W4 (an Ry part in layer 1).
-        pi = colored_partition(FLAGSHIP, {("X", 1): 1, ("RY", 1): 1})
-        assert satisfies(pi, "W").violated == "W4"
+        assert violated(((("X", 1), 1), (("RY", 1), 1)), "W") == "W4"
 
     def test_single_y_part_satisfies_v(self):
-        pi = colored_partition(FLAGSHIP, {("Y", 1): 1})
-        assert satisfies(pi, "V").satisfied
-        assert satisfies(pi, "W").violated == "W1"
+        single = ((("Y", 1), 1),)
+        assert violated(single, "V") is None
+        assert violated(single, "W") == "W1"
         # doubling the first-layer y part exhausts the window
-        doubled = colored_partition(FLAGSHIP, {("Y", 1): 2})
-        assert satisfies(doubled, "V").violated == "V7"
-        assert count_restricted(1, "V", FLAGSHIP) == 1
+        assert violated(((("Y", 1), 2),), "V") == "V7"
+        assert count_profile(FLAGSHIP, 1)["V"][1] == 1
         assert split_series(FLAGSHIP, 2)[0].coeff(1) == 1
 
     def test_systems_mutually_exclusive(self):
         for n in range(9):
-            for pi in enumerate_partitions(n, FLAGSHIP):
-                assert not (
-                    satisfies(pi, "V").satisfied and satisfies(pi, "W").satisfied
-                )
+            for counts in enumerate_partitions(n, FLAGSHIP):
+                assert violated(counts, "V") is not None or violated(counts, "W") is not None
 
     def test_unknown_system(self):
         with pytest.raises(ValueError):
-            satisfies(colored_partition(FLAGSHIP, {}), "U")
-        with pytest.raises(ValueError):
-            count_restricted(3, "U", FLAGSHIP)
+            violated((), "U")
 
     def test_r_one_empties_the_v_system(self):
         params = PartitionParams(5, 1, 2, 2, 1, 2)  # R == 1
         v_series, _ = split_series(params, 10)
         assert v_series.is_zero()
-        assert all(count_restricted(n, "V", params) == 0 for n in range(11))
+        assert not any(count_profile(params, 10)["V"])
 
     def test_r_one_empties_the_w_system(self):
         params = PartitionParams(5, 2, 1, 1, 3, 2)  # r == 1
         _, w_series = split_series(params, 10)
         assert w_series.is_zero()
-        assert all(count_restricted(n, "W", params) == 0 for n in range(11))
+        assert not any(count_profile(params, 10)["W"])
 
 
 class TestEnumerate:
     def test_weight_one_unique(self):
         params = PartitionParams(10, 1, 2, 3, 2, 1)
-        assert [pi.counts for pi in enumerate_partitions(1, params)] == [
-            ((("X", 1), 1),)
-        ]
+        assert enumerate_partitions(1, params) == [((("X", 1), 1),)]
 
     def test_weight_zero_is_empty_partition(self):
         (only,) = enumerate_partitions(0, FLAGSHIP)
-        assert only.counts == ()
-        assert only.weight == 0
+        assert only == ()
+        assert weight(only, FLAGSHIP) == 0
 
     def test_equal_bases_stay_colored(self):
         params = PartitionParams(50, 1, 1, 3, 3, 1)
         listed = enumerate_partitions(2, params)
-        assert [pi.counts for pi in listed] == [
+        assert listed == [
             ((("X", 1), 1), (("Y", 1), 1)),
             ((("X", 1), 2),),
             ((("Y", 1), 2),),
@@ -217,13 +196,13 @@ class TestEnumerate:
         for n in range(9):
             listed = enumerate_partitions(n, FLAGSHIP)
             assert len(set(listed)) == len(listed)
-            assert all(pi.weight == n for pi in listed)
+            assert all(weight(counts, FLAGSHIP) == n for counts in listed)
 
     def test_totals_match_product_series(self):
         params = PartitionParams(5, 1, 2, 2, 2, 2)
-        series = unrestricted_series(params, 12)
+        expected = totals(params, 12)
         for n in range(13):
-            assert len(enumerate_partitions(n, params)) == series.coeff(n)
+            assert len(enumerate_partitions(n, params)) == expected[n]
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -239,8 +218,8 @@ class TestEnumerate:
 
 class TestCounts:
     def test_weight_zero_counts_are_zero(self):
-        assert count_restricted(0, "V", FLAGSHIP) == 0
-        assert count_restricted(0, "W", FLAGSHIP) == 0
+        profile = count_profile(FLAGSHIP, 0)
+        assert (profile["V"][0], profile["W"][0]) == (0, 0)
 
     def test_profile_agrees_with_filtering(self):
         profile = count_profile(FLAGSHIP, 8)
@@ -248,15 +227,14 @@ class TestCounts:
             listed = enumerate_partitions(n, FLAGSHIP)
             assert profile["totals"][n] == len(listed)
             for system in ("V", "W"):
-                brute = sum(1 for pi in listed if satisfies(pi, system).satisfied)
+                brute = sum(1 for counts in listed if violated(counts, system) is None)
                 assert profile[system][n] == brute
-                assert count_restricted(n, system, FLAGSHIP) == brute
 
     def test_colors_matter_when_sizes_collide(self):
         params = PartitionParams(50, 2, 2, 2, 2, 1)
         # six part kinds of sizes 2, 2, 4, 4, 4, 8; at weight 4 the colored
         # count is 6, far from the 2 partitions of 4 into plain sizes {2, 4}.
-        assert unrestricted_series(params, 4).coeff(4) == 6
+        assert totals(params, 4)[4] == 6
         assert len(enumerate_partitions(4, params)) == 6
 
 

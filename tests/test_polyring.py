@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from qdominance.polyring import (
-    CoverageError,
     MultiPoly,
     RationalTerm,
     SingularDenominatorError,
@@ -20,13 +19,11 @@ from qdominance.polyring import (
     mp_mul,
     mp_sub,
     mp_zero,
-    specialize,
     three_factor_identity_sides,
     to_text,
-    tri_multiply,
-    tri_truncate_poly,
 )
 from qdominance.series import QSeries, reciprocal_from_exponents, series_mul
+from reference_series import CoverageError, specialize, tri_multiply, tri_truncate_poly
 
 XY = ("x", "y")
 
@@ -124,7 +121,7 @@ class TestExpandRational:
     def test_geometric_along_x(self):
         term = RationalTerm(mono(("x",), 1), (binomial(("x",), x=1),))
         tri = expand_rational(term, (0, 3, 0))
-        assert [tri.cell(0, j, 0) for j in range(4)] == [1, 1, 1, 1]
+        assert [tri.coeffs[0][j][0] for j in range(4)] == [1, 1, 1, 1]
 
     def test_two_variable_lattice(self):
         # (1 - xy) / ((1-x)(1-y)) has coefficient 1 exactly on the axes
@@ -134,7 +131,7 @@ class TestExpandRational:
         for j in range(4):
             for k in range(4):
                 expected = 1 if j == 0 or k == 0 else 0
-                assert tri.cell(0, j, k) == expected
+                assert tri.coeffs[0][j][k] == expected
 
     def test_multiply_back_recovers_numerator(self):
         v = ("t", "x", "y")
@@ -170,7 +167,7 @@ class TestSpecialize:
             a.bounds,
             [
                 [
-                    [a.cell(n, j, k) + b.cell(n, j, k) for k in range(4)]
+                    [a.coeffs[n][j][k] + b.coeffs[n][j][k] for k in range(4)]
                     for j in range(4)
                 ]
                 for n in range(4)

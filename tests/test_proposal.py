@@ -3,35 +3,38 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from qdominance.dominance import NamedInequality, build_specs
 from qdominance.proposal import (
-    CountVector,
     NotInImageError,
-    ProposalParams,
+    _inject,
+    _invert,
     check_proposal,
     fourvar_identity,
     h_series,
-    image_vectors,
-    inject,
     injection_evidence,
-    invert,
     proposal_params,
     proposal_status,
-    source_vectors,
 )
 from qdominance.series import first_negative
+from reference_partitions import CountVector, image_vectors, source_vectors
 
 EXAMPLE = proposal_params((1, 2), (2, 3))
+
+
+def weight(counts, joint, sizes):
+    """Weight of a multiplicity tuple and joint count; the joint takes the last size."""
+    return sum(map(mul, counts, sizes)) + joint * sizes[-1]
 
 
 class TestProposalParams:
     def test_sums_and_sizes(self):
         assert EXAMPLE.n == 2
-        assert EXAMPLE.weighted_sum == 8
-        assert EXAMPLE.plain_sum == 3
+        assert EXAMPLE.image_sizes[-1] == 8  # the weighted sum
+        assert EXAMPLE.source_sizes[-1] == 3  # the plain sum
         assert EXAMPLE.source_sizes == (2, 6, 3)
         assert EXAMPLE.image_sizes == (1, 2, 8)
 
@@ -72,83 +75,74 @@ class TestCountVector:
 
 class TestInject:
     def test_worked_example(self):
-        source = CountVector((3, 1), 2)
-        image = inject(source, EXAMPLE)
-        assert image.counts == (6, 2)
-        assert image.joint == 1
-        assert image.witness == 2
-        assert EXAMPLE.source_weight(source) == 18
-        assert EXAMPLE.image_weight(image) == 18
+        counts, joint = _inject((3, 1), 2, EXAMPLE.r)
+        assert counts == (6, 2)
+        assert joint == 1
+        # the source's joint count 2 is the congruence witness
+        assert all((c - 2) % r == 0 for c, r in zip(counts, EXAMPLE.r))
+        assert weight((3, 1), 2, EXAMPLE.source_sizes) == 18
+        assert weight(counts, joint, EXAMPLE.image_sizes) == 18
 
     def test_zero_maps_to_zero(self):
-        image = inject(CountVector((0, 0), 0), EXAMPLE)
-        assert (image.counts, image.joint) == ((0, 0), 0)
+        assert _inject((0, 0), 0, EXAMPLE.r) == ((0, 0), 0)
 
     def test_zero_minimum_formula(self):
         # with mu' = 0 the image counts are r_(i) * count + joint directly
-        source = CountVector((0, 4), 5)
-        image = inject(source, EXAMPLE)
-        assert image.counts == (2 * 0 + 5, 3 * 4 + 5)
-        assert image.joint == 0
-
-    def test_arity_checked(self):
-        with pytest.raises(ValueError):
-            inject(CountVector((1, 1, 1), 0), EXAMPLE)
+        counts, joint = _inject((0, 4), 5, EXAMPLE.r)
+        assert counts == (2 * 0 + 5, 3 * 4 + 5)
+        assert joint == 0
 
     def test_weight_preserved_and_witness_valid(self):
         for source in source_vectors(EXAMPLE, 20):
-            image = inject(source, EXAMPLE)
-            assert EXAMPLE.image_weight(image) == EXAMPLE.source_weight(source)
+            counts, joint = _inject(source.counts, source.joint, EXAMPLE.r)
+            assert weight(counts, joint, EXAMPLE.image_sizes) == weight(
+                source.counts, source.joint, EXAMPLE.source_sizes
+            )
             assert all(
-                (c - image.witness) % r == 0
-                for c, r in zip(image.counts, EXAMPLE.r)
+                (c - source.joint) % r == 0
+                for c, r in zip(counts, EXAMPLE.r)
             )
 
     def test_injective_on_enumeration(self):
         images = {
-            (img.counts, img.joint)
-            for img in (inject(s, EXAMPLE) for s in source_vectors(EXAMPLE, 20))
+            _inject(s.counts, s.joint, EXAMPLE.r) for s in source_vectors(EXAMPLE, 20)
         }
         assert len(images) == sum(1 for _ in source_vectors(EXAMPLE, 20))
 
 
 class TestInvert:
     def test_round_trip_of_worked_example(self):
-        image = CountVector((6, 2), 1)
-        source = invert(image, EXAMPLE)
-        assert source.counts == (3, 1)
-        assert source.joint == 2
+        counts, joint = _invert((6, 2), 1, EXAMPLE.r)
+        assert counts == (3, 1)
+        assert joint == 2
 
     def test_zero(self):
-        assert invert(CountVector((0, 0), 0), EXAMPLE).counts == (0, 0)
+        assert _invert((0, 0), 0, EXAMPLE.r)[0] == (0, 0)
 
     def test_not_in_image(self):
         with pytest.raises(NotInImageError):
-            invert(CountVector((1, 0), 0), EXAMPLE)
-
-    def test_arity_checked(self):
-        with pytest.raises(ValueError):
-            invert(CountVector((1,), 0), EXAMPLE)
+            _invert((1, 0), 0, EXAMPLE.r)
 
     def test_identity_on_all_sources(self):
         for source in source_vectors(EXAMPLE, 24):
-            assert invert(inject(source, EXAMPLE), EXAMPLE) == source
+            image = _inject(source.counts, source.joint, EXAMPLE.r)
+            assert _invert(*image, EXAMPLE.r) == (source.counts, source.joint)
 
     def test_image_characterization(self):
         # dominant-side vectors that invert cleanly biject with the sources,
         # weight by weight; the rest fail the divisibility precondition
         sources = Counter(
-            EXAMPLE.source_weight(s) for s in source_vectors(EXAMPLE, 16)
+            weight(s.counts, s.joint, EXAMPLE.source_sizes)
+            for s in source_vectors(EXAMPLE, 16)
         )
         in_image = Counter()
         for pi in image_vectors(EXAMPLE, 16):
             try:
-                back = invert(pi, EXAMPLE)
+                back = _invert(pi.counts, pi.joint, EXAMPLE.r)
             except NotInImageError:
                 continue
-            reinjected = inject(back, EXAMPLE)
-            assert (reinjected.counts, reinjected.joint) == (pi.counts, pi.joint)
-            in_image[EXAMPLE.image_weight(pi)] += 1
+            assert _inject(*back, EXAMPLE.r) == (pi.counts, pi.joint)
+            in_image[weight(pi.counts, pi.joint, EXAMPLE.image_sizes)] += 1
         assert in_image == sources
 
 

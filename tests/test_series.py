@@ -17,16 +17,14 @@ from qdominance.series import (
     first_negative,
     multiply_binomial,
     multiply_binomials,
-    pochhammer,
-    poly_from_exponents,
     product_spec,
     serialize,
     series_mul,
-    series_reciprocal,
     series_shift,
     series_sub,
     spec_reciprocal,
 )
+from reference_series import pochhammer, poly_from_exponents, series_reciprocal
 
 
 _LINE = re.compile(r"^\s*(\d+)\s*:\s*(-?\d+)(?:/(\d+))?\s*$")
