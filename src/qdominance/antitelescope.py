@@ -41,6 +41,7 @@ from .series import (
     divide_binomials,
     first_negative,
     multiply_binomials,
+    require_series_work,
     serialize,
     series_add,
     series_scale,
@@ -204,10 +205,12 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     Returns {"ok", "witness"}; the witness is the first failed check.
     The addends are differences of consecutive F_j, so the telescoping
     check compares the end of the walk, F_L, with a direct expansion of
-    1/P(L).
+    1/P(L).  A pair over the series work bound raises SeriesCapError
+    before any expansion.
     """
     if split not in _SPLITS:
         raise ValueError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
+    require_series_work((P, Q), order)
     reciprocal_q = spec_reciprocal(Q, order)
     diff = series_sub(spec_reciprocal(P, order), reciprocal_q)
     total = QSeries.zero(order)
@@ -247,8 +250,10 @@ def positivity_scan(
     """Per-index first-negative report for addends and their split groups.
 
     With ``dump_series`` the report also carries every scanned addend (and
-    group) series in serialized form under "series".
+    group) series in serialized form under "series".  A pair over the
+    series work bound raises SeriesCapError before any expansion.
     """
+    require_series_work((P, Q), order)
     rows = []
     dumps = []
     all_nonnegative = True

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import antitelescope, dominance, lemma, partitions, polyring, proposal
-from .series import serialize
+from .series import SeriesCapError, serialize
 
 ENV_ORDER = "QDOMINANCE_ORDER"
 DEFAULT_ORDER = 100
@@ -466,7 +467,11 @@ def expand_box(entries: list[tuple[str, str, str]]) -> list[dict]:
 
 
 def _sweep_job(job: tuple) -> dict:
-    """One box point; top-level so process pools can pickle it."""
+    """One box point; top-level so process pools can pickle it.
+
+    A point out of its family's domain is reported skipped; a point over
+    the series work bound raises SeriesCapError, which refuses the sweep.
+    """
     kind, ineq_id, parameters, order, bounds = job
     try:
         if kind == "lemma":
@@ -485,6 +490,8 @@ def _sweep_job(job: tuple) -> dict:
         if ineq_id == "BGa" and dominance.bga_degenerate(parameters["m"], parameters["r"]):
             row["degenerate"] = True
         return row
+    except SeriesCapError:
+        raise
     except ValueError as exc:
         return {"status": "skipped", "witness": None, "reason": str(exc)}
 
@@ -565,7 +572,9 @@ def _cmd_sweep(args, config) -> Outcome:
 # --- entry point ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="qdominance",
         description="Exact truncated-series checks for q-product dominance and its certificates.",
@@ -638,15 +647,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         config = config_from_args(args)
         if config.format == "csv" and args.command not in CSV_COMMANDS:
             raise UsageError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
         outcome = _HANDLERS[args.command](args, config)
-    except (partitions.EnumerationCapError, lemma.LatticeCapError) as exc:
+    except (partitions.EnumerationCapError, lemma.LatticeCapError, SeriesCapError) as exc:
         print(f"qdominance: resource: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

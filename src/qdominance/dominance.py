@@ -20,6 +20,7 @@ from .series import (
     first_negative,
     positive_ints,
     product_spec,
+    require_series_work,
     series_sub,
     spec_reciprocal,
 )
@@ -81,7 +82,11 @@ class NamedInequality:
 
 
 def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport:
-    """Check 1/lhs - 1/rhs for a negative coefficient up to the order."""
+    """Check 1/lhs - 1/rhs for a negative coefficient up to the order.
+
+    A pair over the series work bound raises SeriesCapError before any expansion.
+    """
+    require_series_work((lhs, rhs), order)
     diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
     return DominanceReport(order, first_negative(diff), diff)
 

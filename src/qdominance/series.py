@@ -13,6 +13,19 @@ by factor.  An unbounded product (length INF) is materialized by
 keeping only the factors whose exponent fits under the truncation order;
 the omitted factors are congruent to 1 modulo q^(N+1), so this is a
 semantic rule, not an approximation.
+
+The reciprocal of a product, prod 1/(1 - q^e), is expanded by a packed
+kernel (`reciprocal_from_exponents`): the series is one Python int with
+B-bit slots, and each factor is applied as prod_k (1 + q^(2^k e)), one
+shift-add per doubling.  B is the bit length of an integer bound on the
+coefficients that is proven before the expansion starts: the product of
+the per-factor multiplicity ranges, or the saddle bound F(x)/x^N at a
+fixed-point x = 1 - 1/t, whichever is smaller.  Every factor has
+nonnegative coefficients, so every intermediate value is coefficientwise
+at most the final series, and no slot can overflow into its neighbour.
+`divide_binomials` and `multiply_binomials` stay list kernels: they
+carry the signed series of the split engine, and they are the oracle
+the packed kernel is tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +46,17 @@ class OrderMismatchError(ValueError):
 
 class SingularSeriesError(ValueError):
     """Raised when a division by 1 - q^0, the zero series, is requested."""
+
+
+class SeriesCapError(ValueError):
+    """Raised when a request's series work exceeds MAX_SERIES_WORK."""
+
+
+# Largest (order + 1) * (1 + factor count) one request may expand.  The
+# deepest benchmark check (a BGa pair with 460 factors at order 1,500) costs
+# about 7e5, so this leaves a factor of about 14; at the bound a series of
+# one factor has at most 5e6 coefficients.
+MAX_SERIES_WORK = 10_000_000
 
 
 _INT_ONLY = frozenset((int,))
@@ -176,9 +200,186 @@ def series_shift(a: QSeries, exponent: int) -> QSeries:
     return QSeries(a.order, (0,) * exponent + a.coeffs[: a.order + 1 - exponent])
 
 
+# Fixed-point scale of the saddle bound: a value v in (0, 1] is the int v * 2^64.
+_FIX = 64
+_ONE = 1 << _FIX
+# The saddle search walks t = 1/(1 - x) inside [2, _MAX_T].
+_MAX_T = 1 << 32
+# Packed size, at the product bound's slot width, above which the saddle
+# search pays for itself; below it the wider slots cost less than the search.
+_SADDLE_MIN_BITS = 1 << 16
+
+
+def _product_bits(exponents: list[int], order: int) -> int:
+    """Bits that hold every coefficient through q^order of prod 1/(1 - q^e).
+
+    The coefficient of q^n counts the tuples (k_e) with sum k_e * e = n,
+    and each k_e lies in 0 .. order // e, so it is at most
+    prod (order // e + 1) < 2^(sum of their bit lengths).
+    """
+    return sum((order // e + 1).bit_length() for e in exponents)
+
+
+def _cut(m: int, s: int) -> tuple[int, int]:
+    """m / 2^s rounded down to a 64-bit mantissa: a lower bound."""
+    k = m.bit_length() - _FIX
+    return (m >> k, s - k) if k > 0 else (m, s)
+
+
+def _pow_down(X: int, n: int) -> tuple[int, int]:
+    """(m, s) with 0 < m / 2^s <= (X / 2^64)^n, by squaring with floors."""
+    m, s, base, bs = 1, 0, X, _FIX
+    while n:
+        if n & 1:
+            m, s = _cut(m * base, s + bs)
+        base, bs = _cut(base * base, 2 * bs)
+        n >>= 1
+    return m, s
+
+
+def _pow_up(X: int, n: int) -> int:
+    """An upper bound on (X / 2^64)^n * 2^64, n >= 1, by squaring with ceilings."""
+    r = _ONE
+    while n:
+        if n & 1:
+            r = (r * X + _ONE - 1) >> _FIX
+        X = (X * X + _ONE - 1) >> _FIX
+        n >>= 1
+    return r
+
+
+def _saddle_bound(exponents: list[int], order: int, t: int) -> int:
+    """An integer bound on every coefficient through q^order, at x = 1 - 1/t.
+
+    With F(x) = prod 1/(1 - x^e), every coefficient c_n is nonnegative, so
+    c_n x^n <= F(x) and c_n <= F(x) / x^order for n <= order and 0 < x < 1.
+    Here x is exactly X / 2^64 with X = 2^64 - 2^64 // t, so for
+    2 <= t <= 2^64 it lies in [1/2, 1 - 2^-64].  The denominator
+    x^order * prod (1 - x^e) is bounded from below in integers: x^order by
+    floors, each x^e by ceilings (which stay at most 2^64 - 1, so every
+    1 - x^e is at least 2^-64), and the running product is cut back to its
+    top bits by floors.  The exponents must be sorted and positive.
+    """
+    X = _ONE - _ONE // t
+    den, s = _pow_down(X, order)
+    s += _FIX * len(exponents)
+    powers: dict[int, int] = {}
+    xe, prev = _ONE, 0
+    for e in exponents:
+        if e != prev:
+            step = powers.get(e - prev)
+            if step is None:
+                step = powers[e - prev] = _pow_up(X, e - prev)
+            xe = (xe * step + _ONE - 1) >> _FIX
+            prev = e
+        den *= _ONE - xe
+        cut = den.bit_length() - 4 * _FIX
+        if cut > 0:
+            den >>= cut
+            s -= cut
+    return (1 << s) // den
+
+
+def _saddle_start(exponents: list[int], order: int) -> int:
+    """A first guess at the t that minimizes `_saddle_bound`.
+
+    The saddle point solves sum over e of e x^e / (1 - x^e) = order.  With
+    x = 1 - 1/t each term is about t * phi(e/t), phi(v) = v / (e^v - 1),
+    and phi is replaced by the triangle max(0, 1 - v/3.3) of the same area
+    (pi^2/6).  The sum is then linear in t over the exponents below 3.3 t,
+    and the first prefix of the sorted exponents whose root excludes the
+    next exponent gives the root.
+    """
+    total = 0
+    for c, e in enumerate(exponents, 1):
+        total += e
+        t = (33 * order + 10 * total) // (33 * c)
+        if c == len(exponents) or 10 * exponents[c] >= 33 * t:
+            break
+    return min(max(2, t), _MAX_T)
+
+
+def _saddle_bits(exponents: list[int], order: int) -> int:
+    """Bit length of the best saddle bound found by a quarter-octave walk over t.
+
+    Any t gives a sound bound, so the walk only has to find a good one.  It
+    starts at `_saddle_start`, steps up or down by 19/16 (about 2^(1/4))
+    while the bound falls, and stops at the first step that does not lower
+    it.  The exponents must be sorted, positive and not empty.
+    """
+    bounds: dict[int, int] = {}
+
+    def bound(t: int) -> int:
+        if t not in bounds:
+            bounds[t] = _saddle_bound(exponents, order, t)
+        return bounds[t]
+
+    def up(t: int) -> int:
+        return min(t * 19 // 16, _MAX_T)
+
+    def down(t: int) -> int:
+        return max(t * 16 // 19, 2)
+
+    t = _saddle_start(exponents, order)
+    step = up if bound(up(t)) < bound(t) else down
+    while step(t) != t and bound(step(t)) < bound(t):
+        t = step(t)
+    return bound(t).bit_length()
+
+
+def _slot_bits(exponents: list[int], order: int) -> int:
+    """Slot width B for the packed reciprocal, proven before anything is packed.
+
+    B is the smaller of the product and saddle bounds, rounded up to whole
+    bytes.  The saddle search runs only when the product bound is above a
+    machine word and the series packed at its width would be large.  The
+    exponents must be positive and at most the order.
+    """
+    bits = _product_bits(exponents, order)
+    if bits > 64 and (order + 1) * bits > _SADDLE_MIN_BITS:
+        bits = min(bits, _saddle_bits(sorted(exponents), order))
+    return -(-bits // 8) * 8
+
+
 def reciprocal_from_exponents(exponents, order: int) -> QSeries:
-    """Expand the product of 1/(1 - q^e) over the given exponents."""
-    return divide_binomials(QSeries.one(order), exponents)
+    """Expand the product of 1/(1 - q^e) over the given exponents.
+
+    The expansion is one Python int with B-bit slots, slot n holding the
+    coefficient of q^n.  Each factor is applied as
+    1/(1 - q^e) = prod_k (1 + q^(2^k e)), one shift-add per shift
+    s = e, 2e, 4e, ... <= order, with the slots above q^order masked off.
+    B is proven before anything is allocated (`_slot_bits`), never read off
+    the computed values, and that makes the kernel sound: every factor
+    (1 + q^s) has nonnegative coefficients, and every partial product of
+    doubling steps is coefficientwise at most the 1/(1 - q^e) it is part
+    of, so every intermediate value is coefficientwise at most the final
+    series.  No slot can exceed the bound, and no carry crosses a slot.
+    """
+    factors = [e for e in exponents if e <= order]
+    if not factors:
+        return QSeries.one(order)
+    if min(factors) <= 0:
+        if 0 in factors:
+            raise SingularSeriesError("cannot divide by 1 - q^0")
+        raise ValueError(f"exponents must be positive, got {min(factors)}")
+    width = _slot_bits(factors, order) // 8
+    bits = 8 * width
+    full = (1 << (order + 1) * bits) - 1
+    half = order // 2
+    x = 1
+    for e in factors:
+        s = e
+        while s <= half:
+            x += (x << s * bits) & full
+            s <<= 1
+        if s <= order:
+            shift = s * bits
+            x += (x & (full >> shift)) << shift
+    data = x.to_bytes((order + 1) * width, "little")
+    return QSeries(
+        order,
+        tuple([int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]),
+    )
 
 
 def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
@@ -230,18 +431,42 @@ class ProductSpec:
             sizes += (self.length,)
         positive_ints(sizes, "factor bases, modulus and length (or INF)")
 
-    def exponents(self, order: int) -> list[int]:
-        """Factor exponents under the truncation order, base by base, j ascending."""
-        out: list[int] = []
+    def _ranges(self, order: int) -> list[range]:
+        """Per base, the range of its factor exponents under the truncation order."""
+        out = []
         for b in self.bases:
             top = order if self.length == INF else min(order, b + (self.length - 1) * self.modulus)
-            out.extend(range(b, top + 1, self.modulus))
+            out.append(range(b, top + 1, self.modulus))
         return out
+
+    def exponents(self, order: int) -> list[int]:
+        """Factor exponents under the truncation order, base by base, j ascending."""
+        return [e for r in self._ranges(order) for e in r]
+
+    def factor_count(self, order: int) -> int:
+        """Number of factor exponents under the truncation order, without listing them."""
+        return sum(map(len, self._ranges(order)))
 
 
 def product_spec(bases, modulus: int, length: int | float = INF) -> ProductSpec:
     """Spec for the multi-argument product over the given base exponents."""
     return ProductSpec(tuple(bases), modulus, length)
+
+
+def require_series_work(specs, order: int) -> None:
+    """Refuse a request whose series work is above MAX_SERIES_WORK, before any expansion.
+
+    The work is (order + 1) * (1 + the factors of all the specs under the
+    order): every factor costs one pass over order + 1 coefficients, and
+    the series themselves hold order + 1 each even when no factor is under
+    the order.  The factors are counted, not listed, so the check
+    allocates nothing whatever the order.
+    """
+    work = (order + 1) * (1 + sum(spec.factor_count(order) for spec in specs))
+    if work > MAX_SERIES_WORK:
+        raise SeriesCapError(
+            f"series work (order + 1) x (1 + factors) = {work} exceeds the bound {MAX_SERIES_WORK}"
+        )
 
 
 def spec_reciprocal(spec: ProductSpec, order: int) -> QSeries:

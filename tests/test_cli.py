@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qdominance import cli, lemma, partitions
+from qdominance import cli, lemma, partitions, series
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     DEFAULT_BOUNDS,
@@ -21,7 +21,7 @@ from qdominance.cli import (
     pool_size,
 )
 from qdominance.lemma import MAX_LATTICE_CELLS
-from qdominance.series import product_spec
+from qdominance.series import MAX_SERIES_WORK, product_spec
 
 
 def run_cli(argv, capsys):
@@ -283,6 +283,33 @@ class TestLemma:
         assert code == 2
         assert out == ""
         assert err.startswith("qdominance: resource:")
+
+
+class TestSeriesWorkBound:
+    # Each request is over MAX_SERIES_WORK only through its --order.
+    OVER = str(MAX_SERIES_WORK)
+    REQUESTS = {
+        "check": ["check", "--ineq", "RR", "--order", OVER],
+        "antitelescope": ["antitelescope", "--ineq", "Thm1", "--params", "1,5,1,1,2,2", "--order", OVER],
+        "proposal": ["proposal", "--x", "1,2", "--r", "2,2", "--m", "5", "--L", "1", "--order", OVER],
+        "sweep": ["sweep", "--ineq", "BGa", "--box", "m=5:5,r=1:4,L=1:1", "--order", OVER],
+        "sweep-split": [
+            "sweep", "--kind", "split", "--ineq", "Thm1",
+            "--box", "L=1:1,m=2:2,x=1:1,y=1:1,r=1:2,R=1:2", "--order", OVER,
+        ],
+    }
+
+    @pytest.mark.parametrize("name", REQUESTS)
+    def test_order_above_the_bound_is_a_resource_error(self, name, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any expansion")
+
+        monkeypatch.setattr(series, "reciprocal_from_exponents", refuse)
+        code, out, err = run_cli(self.REQUESTS[name], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource:")
+        assert str(MAX_SERIES_WORK) in err
 
 
 class TestEnumerate:

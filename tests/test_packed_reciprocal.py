@@ -1,0 +1,123 @@
+"""The packed reciprocal kernel against the list kernel and forward substitution.
+
+`reciprocal_from_exponents` holds the expansion as one int with B-bit
+slots, B taken from a bound proven before the expansion.  These tests
+compare it with `divide_binomials` (the list kernel, kept for signed
+series) and with `series_reciprocal` of the expanded product, and check
+that every bound behind B holds the largest coefficient.
+"""
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from qdominance import series
+from qdominance.series import (
+    INF,
+    MAX_SERIES_WORK,
+    QSeries,
+    SeriesCapError,
+    SingularSeriesError,
+    divide_binomials,
+    product_spec,
+    reciprocal_from_exponents,
+    require_series_work,
+    spec_reciprocal,
+)
+from reference_series import poly_from_exponents, series_reciprocal
+
+orders = st.integers(0, 300)
+# Exponents up to 320 reach past every order; a pool of six forces repeats.
+exponent_lists = st.one_of(
+    st.lists(st.integers(1, 320), max_size=12),
+    st.lists(st.integers(1, 6), max_size=12),
+)
+
+
+def max_bits(a: QSeries) -> int:
+    return max(c.bit_length() for c in a.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_lists, orders)
+@example([], 0)
+@example([], 300)
+@example([1] * 12, 300)
+@example([301, 320], 300)
+@example([1, 1, 2], 0)
+def test_packed_kernel_matches_list_kernel(exponents, order):
+    got = reciprocal_from_exponents(exponents, order)
+    assert got == divide_binomials(QSeries.one(order), exponents)
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent_lists, orders)
+@example([], 300)
+@example([2, 2, 3, 300], 300)
+def test_packed_kernel_matches_forward_substitution(exponents, order):
+    want = series_reciprocal(poly_from_exponents(exponents, order))
+    assert reciprocal_from_exponents(exponents, order) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_lists, orders)
+@example([1] * 12, 300)
+@example([1, 2, 3, 4, 5, 6], 300)
+def test_every_bound_holds_the_largest_coefficient(exponents, order):
+    factors = [e for e in exponents if e <= order]
+    assume(factors)
+    largest = max_bits(divide_binomials(QSeries.one(order), factors))
+    assert series._product_bits(factors, order) >= largest
+    assert series._saddle_bits(sorted(factors), order) >= largest
+    slot = series._slot_bits(factors, order)
+    assert slot % 8 == 0 and slot >= largest
+
+
+def test_deep_expansion_takes_its_width_from_the_saddle_bound():
+    # BGa (m, r) = (8, 3) at L = 115: 230 factors, order 1356
+    spec = product_spec((1, 7), 8, 115)
+    order = 1356
+    factors = spec.exponents(order)
+    got = spec_reciprocal(spec, order)
+    assert got == divide_binomials(QSeries.one(order), factors)
+    slot = series._slot_bits(factors, order)
+    assert series._product_bits(factors, order) > 600
+    assert max_bits(got) <= slot <= max_bits(got) + 16
+
+
+@pytest.mark.parametrize("exponents, order", [([0], 5), ([3, 0], 0), ([9, 0], 4)])
+def test_exponent_zero_is_singular(exponents, order):
+    with pytest.raises(SingularSeriesError):
+        reciprocal_from_exponents(exponents, order)
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError):
+        reciprocal_from_exponents([2, -1], 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), max_size=6),
+    st.integers(1, 30),
+    st.one_of(st.just(INF), st.integers(1, 12)),
+    st.integers(0, 200),
+)
+def test_factor_count_counts_the_exponents(bases, modulus, length, order):
+    spec = product_spec(bases, modulus, length)
+    assert spec.factor_count(order) == len(spec.exponents(order))
+
+
+def test_series_work_guard_at_the_bound():
+    # A base above the order puts no factor under it: the work is order + 1.
+    far = product_spec((10 * MAX_SERIES_WORK,), 1, INF)
+    require_series_work((far,), MAX_SERIES_WORK - 1)
+    with pytest.raises(SeriesCapError):
+        require_series_work((far,), MAX_SERIES_WORK)
+    # Unbounded with modulus 1, `order` factors: the work is (order + 1)^2.
+    dense = product_spec((1,), 1, INF)
+    side = 3161  # 3162^2 <= MAX_SERIES_WORK < 3163^2
+    require_series_work((dense,), side)
+    with pytest.raises(SeriesCapError):
+        require_series_work((dense,), side + 1)
