@@ -48,6 +48,7 @@ from .series import (
     series_shift,
     series_sub,
     spec_reciprocal,
+    spec_reciprocal_pair,
 )
 
 SPLIT_MODES = ("none", "thm1", "thm2")
@@ -211,8 +212,8 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     if split not in _SPLITS:
         raise ValueError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
     require_series_work((P, Q), order)
-    reciprocal_q = spec_reciprocal(Q, order)
-    diff = series_sub(spec_reciprocal(P, order), reciprocal_q)
+    reciprocal_p, reciprocal_q = spec_reciprocal_pair(P, Q, order)
+    diff = series_sub(reciprocal_p, reciprocal_q)
     total = QSeries.zero(order)
     witness = None
 

@@ -22,7 +22,7 @@ from .series import (
     product_spec,
     require_series_work,
     series_sub,
-    spec_reciprocal,
+    spec_reciprocal_pair,
 )
 
 log = logging.getLogger(__name__)
@@ -87,7 +87,7 @@ def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport
     A pair over the series work bound raises SeriesCapError before any expansion.
     """
     require_series_work((lhs, rhs), order)
-    diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
+    diff = series_sub(*spec_reciprocal_pair(lhs, rhs, order))
     return DominanceReport(order, first_negative(diff), diff)
 
 

@@ -32,7 +32,7 @@ from .series import (
     series_mul,
     series_scale,
     series_sub,
-    spec_reciprocal,
+    spec_reciprocal_pair,
 )
 
 SIXTH = Fraction(1, 6)
@@ -193,7 +193,7 @@ def fourvar_identity(params, order: int) -> dict:
     """
     x, y, z, w, r, R, rho, P = positive_ints(params, "fourvar parameters", 8)
     dominant, subordinate = nbase_pair((x, y, z, w), (r, R, rho, P), 1, 1)
-    lhs = series_sub(spec_reciprocal(dominant, order), spec_reciprocal(subordinate, order))
+    lhs = series_sub(*spec_reciprocal_pair(dominant, subordinate, order))
     total = h_series((x, y, z, r, R, rho), order)
     total = series_add(total, h_series((x, y, w, r, R, P), order))
     total = series_add(total, h_series((x, z, w, r, rho, P), order))

@@ -23,6 +23,19 @@ the per-factor multiplicity ranges, or the saddle bound F(x)/x^N at a
 fixed-point x = 1 - 1/t, whichever is smaller.  Every factor has
 nonnegative coefficients, so every intermediate value is coefficientwise
 at most the final series, and no slot can overflow into its neighbour.
+
+The two sides of a compared pair, 1/P and 1/Q, are expanded together
+(`reciprocal_pair_from_exponents`): the multiset intersection of their
+exponent lists is applied once, starting from 1, and each side finishes
+that shared prefix with its own leftover factors.  The prefix is packed
+at the larger of the two proven widths.  That is sound because the
+shared partial product C satisfies C <= C * 1/P' = 1/P coefficientwise
+for each side (1/P' has nonnegative coefficients and constant term 1),
+so both the prefix and every later doubling step stay at most that
+side's final series.  When the lists share nothing each side keeps its
+own width.  `reciprocal_from_exponents` is the one-list case of the same
+body.
+
 `divide_binomials` and `multiply_binomials` stay list kernels: they
 carry the signed series of the split engine, and they are the oracle
 the packed kernel is tested against.
@@ -331,42 +344,52 @@ def _slot_bits(exponents: list[int], order: int) -> int:
     """Slot width B for the packed reciprocal, proven before anything is packed.
 
     B is the smaller of the product and saddle bounds, rounded up to whole
-    bytes.  The saddle search runs only when the product bound is above a
-    machine word and the series packed at its width would be large.  The
-    exponents must be positive and at most the order.
+    bytes, and at least one byte (the empty product is 1).  The saddle
+    search runs only when the product bound is above a machine word and the
+    series packed at its width would be large.  The exponents must be
+    positive and at most the order.
     """
     bits = _product_bits(exponents, order)
     if bits > 64 and (order + 1) * bits > _SADDLE_MIN_BITS:
         bits = min(bits, _saddle_bits(sorted(exponents), order))
-    return -(-bits // 8) * 8
+    return max(8, -(-bits // 8) * 8)
 
 
-def reciprocal_from_exponents(exponents, order: int) -> QSeries:
-    """Expand the product of 1/(1 - q^e) over the given exponents.
-
-    The expansion is one Python int with B-bit slots, slot n holding the
-    coefficient of q^n.  Each factor is applied as
-    1/(1 - q^e) = prod_k (1 + q^(2^k e)), one shift-add per shift
-    s = e, 2e, 4e, ... <= order, with the slots above q^order masked off.
-    B is proven before anything is allocated (`_slot_bits`), never read off
-    the computed values, and that makes the kernel sound: every factor
-    (1 + q^s) has nonnegative coefficients, and every partial product of
-    doubling steps is coefficientwise at most the 1/(1 - q^e) it is part
-    of, so every intermediate value is coefficientwise at most the final
-    series.  No slot can exceed the bound, and no carry crosses a slot.
-    """
+def _factors(exponents, order: int) -> list[int]:
+    """The exponents at most the order; exponent 0 is singular and a negative one is refused."""
     factors = [e for e in exponents if e <= order]
-    if not factors:
-        return QSeries.one(order)
-    if min(factors) <= 0:
+    if factors and min(factors) <= 0:
         if 0 in factors:
             raise SingularSeriesError("cannot divide by 1 - q^0")
         raise ValueError(f"exponents must be positive, got {min(factors)}")
-    width = _slot_bits(factors, order) // 8
-    bits = 8 * width
+    return factors
+
+
+def _split_shared(first: list[int], second: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The multiset intersection of two lists, in the first list's order, and each list's rest."""
+    unmatched: dict[int, int] = {}
+    for e in second:
+        unmatched[e] = unmatched.get(e, 0) + 1
+    shared, rest = [], []
+    for e in first:
+        if unmatched.get(e):
+            unmatched[e] -= 1
+            shared.append(e)
+        else:
+            rest.append(e)
+    return shared, [rest, [e for e, k in unmatched.items() for _ in range(k)]]
+
+
+def _widths(shared: list[int], rests: list[list[int]], order: int) -> list[int]:
+    """Each side's slot width: one, the largest of the sides' own, when they share a factor."""
+    widths = [_slot_bits(shared + rest, order) for rest in rests]
+    return [max(widths)] * len(rests) if shared else widths
+
+
+def _double(x: int, factors: list[int], order: int, bits: int) -> int:
+    """x times prod 1/(1 - q^e) over the factors, in B-bit slots through q^order."""
     full = (1 << (order + 1) * bits) - 1
     half = order // 2
-    x = 1
     for e in factors:
         s = e
         while s <= half:
@@ -375,11 +398,64 @@ def reciprocal_from_exponents(exponents, order: int) -> QSeries:
         if s <= order:
             shift = s * bits
             x += (x & (full >> shift)) << shift
+    return x
+
+
+def _unpack(x: int, order: int, bits: int) -> QSeries:
+    """The series held in the order + 1 B-bit slots of x."""
+    width = bits // 8
     data = x.to_bytes((order + 1) * width, "little")
     return QSeries(
         order,
         tuple([int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]),
     )
+
+
+def _expand(shared: list[int], rests: list[list[int]], order: int) -> list[QSeries]:
+    """Expand prod 1/(1 - q^e) over shared + rest for each rest, applying `shared` once.
+
+    Each expansion is one Python int with B-bit slots, slot n holding the
+    coefficient of q^n.  Each factor is applied as
+    1/(1 - q^e) = prod_k (1 + q^(2^k e)), one shift-add per shift
+    s = e, 2e, 4e, ... <= order, with the slots above q^order masked off.
+    The shared factors are applied once, starting from 1; each side then
+    takes up that int, applies its own rest and is unpacked on its own.
+
+    B is proven before anything is allocated (`_slot_bits`), never read off
+    the computed values, and that makes the kernel sound: every factor
+    (1 + q^s) has nonnegative coefficients, and every partial product of
+    doubling steps is coefficientwise at most the 1/(1 - q^e) it is part
+    of, so on each side every intermediate value is coefficientwise at
+    most that side's final series.  With a shared part C, side i is
+    C * 1/P_i' with 1/P_i' nonnegative and of constant term 1, so C and
+    every value on the way to it are at most every side's final series;
+    one width, the largest of the proven ones, holds all sides throughout.
+    When nothing is shared, each side keeps its own width.  No slot can
+    exceed its bound, and no carry crosses a slot.  The factors must be
+    positive and at most the order (`_factors`).
+    """
+    widths = _widths(shared, rests, order)
+    x = _double(1, shared, order, widths[0])
+    return [_unpack(_double(x, rest, order, bits), order, bits) for rest, bits in zip(rests, widths)]
+
+
+def reciprocal_from_exponents(exponents, order: int) -> QSeries:
+    """Expand the product of 1/(1 - q^e) over the given exponents (see `_expand`).
+
+    Exponent 0 raises SingularSeriesError and a negative exponent
+    ValueError, before anything is packed.
+    """
+    return _expand(_factors(exponents, order), [[]], order)[0]
+
+
+def reciprocal_pair_from_exponents(first, second, order: int) -> tuple[QSeries, QSeries]:
+    """Expand two products of 1/(1 - q^e), the factors they share only once (see `_expand`).
+
+    Both lists are checked as in `reciprocal_from_exponents` before
+    anything is packed.
+    """
+    a, b = _expand(*_split_shared(_factors(first, order), _factors(second, order)), order)
+    return a, b
 
 
 def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
@@ -472,6 +548,11 @@ def require_series_work(specs, order: int) -> None:
 def spec_reciprocal(spec: ProductSpec, order: int) -> QSeries:
     """Reciprocal of the spec's product, taken factor by factor."""
     return reciprocal_from_exponents(spec.exponents(order), order)
+
+
+def spec_reciprocal_pair(P: ProductSpec, Q: ProductSpec, order: int) -> tuple[QSeries, QSeries]:
+    """(1/P, 1/Q), with the factors the two products share expanded once."""
+    return reciprocal_pair_from_exponents(P.exponents(order), Q.exponents(order), order)
 
 
 def serialize(a: QSeries) -> str:

@@ -305,6 +305,7 @@ class TestSeriesWorkBound:
             raise AssertionError("the bound must be checked before any expansion")
 
         monkeypatch.setattr(series, "reciprocal_from_exponents", refuse)
+        monkeypatch.setattr(series, "reciprocal_pair_from_exponents", refuse)
         code, out, err = run_cli(self.REQUESTS[name], capsys)
         assert code == 2
         assert out == ""

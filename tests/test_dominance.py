@@ -2,6 +2,8 @@
 
 import pytest
 
+from qdominance import antitelescope, dominance, proposal
+from qdominance.antitelescope import certify_split
 from qdominance.dominance import (
     DominanceReport,
     NamedInequality,
@@ -13,7 +15,8 @@ from qdominance.dominance import (
     nbase_params,
     report_dict,
 )
-from qdominance.series import product_spec, spec_reciprocal
+from qdominance.proposal import fourvar_identity
+from qdominance.series import product_spec, spec_reciprocal, spec_reciprocal_pair
 
 from oracles import bga_expected, partition_counts_upto, residue_parts
 
@@ -55,6 +58,50 @@ class TestDominates:
         sub = spec_reciprocal(rhs, n).coeffs
         assert list(got) == want_lhs
         assert list(sub) == want_rhs
+
+
+def separate_reciprocals(P, Q, order):
+    return spec_reciprocal(P, order), spec_reciprocal(Q, order)
+
+
+class TestSharedFactorPair:
+    # Each caller expands 1/P and 1/Q in one pair call that applies the factors
+    # they share once; its results must be those of two separate expansions.
+
+    def test_identical_sides_give_a_zero_difference(self):
+        P = nbase_pair((1, 2, 3), (2, 1, 2), 1, 20)[0]
+        report = dominates(P, P, 300)
+        assert report.holds
+        assert report.failure is None
+        assert report.difference.is_zero()
+        assert spec_reciprocal_pair(P, P, 300) == separate_reciprocals(P, P, 300)
+
+    def test_dominates_matches_separate_expansions(self, monkeypatch):
+        P, Q = nbase_pair((1, 2, 3, 2), (2, 1, 2, 1), 1, 21)
+        assert spec_reciprocal_pair(P, Q, 400) == separate_reciprocals(P, Q, 400)
+        paired = dominates(P, Q, 400)
+        monkeypatch.setattr(dominance, "spec_reciprocal_pair", separate_reciprocals)
+        assert dominates(P, Q, 400) == paired
+
+    @pytest.mark.parametrize(
+        "split, sizes", [("thm1", ((1, 2), (2, 2))), ("thm2", ((1, 2, 1), (2, 3, 2)))]
+    )
+    def test_certify_split_matches_separate_expansions(self, split, sizes, monkeypatch):
+        P, Q = nbase_pair(*sizes, 1, 3)
+        assert spec_reciprocal_pair(P, Q, 40) == separate_reciprocals(P, Q, 40)
+        paired = certify_split(P, Q, 40, split)
+        assert paired == {"ok": True, "witness": None}
+        monkeypatch.setattr(antitelescope, "spec_reciprocal_pair", separate_reciprocals)
+        assert certify_split(P, Q, 40, split) == paired
+
+    def test_fourvar_identity_matches_separate_expansions(self, monkeypatch):
+        params = (1, 2, 1, 3, 2, 1, 2, 1)
+        P, Q = nbase_pair(params[:4], params[4:], 1, 1)
+        assert spec_reciprocal_pair(P, Q, 60) == separate_reciprocals(P, Q, 60)
+        paired = fourvar_identity(params, 60)
+        assert paired["equal"]
+        monkeypatch.setattr(proposal, "spec_reciprocal_pair", separate_reciprocals)
+        assert fourvar_identity(params, 60) == paired
 
 
 class TestNamed:

@@ -4,14 +4,17 @@
 slots, B taken from a bound proven before the expansion.  These tests
 compare it with `divide_binomials` (the list kernel, kept for signed
 series) and with `series_reciprocal` of the expanded product, and check
-that every bound behind B holds the largest coefficient.
+that every bound behind B holds the largest coefficient.  The pair form,
+`reciprocal_pair_from_exponents`, applies the factors two lists share
+once, at the larger of the two widths; it is checked side by side
+against the list kernel over every shape of overlap.
 """
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdominance import series
+from qdominance import dominance, series
 from qdominance.series import (
     INF,
     MAX_SERIES_WORK,
@@ -21,6 +24,7 @@ from qdominance.series import (
     divide_binomials,
     product_spec,
     reciprocal_from_exponents,
+    reciprocal_pair_from_exponents,
     require_series_work,
     spec_reciprocal,
 )
@@ -84,6 +88,108 @@ def test_deep_expansion_takes_its_width_from_the_saddle_bound():
     slot = series._slot_bits(factors, order)
     assert series._product_bits(factors, order) > 600
     assert max_bits(got) <= slot <= max_bits(got) + 16
+
+
+OVERLAPS = ("identical", "disjoint", "nested", "one side empty", "one side above the order", "mixed")
+
+
+@st.composite
+def exponent_pairs(draw):
+    """(first, second, order) with the two lists overlapping as the drawn shape says."""
+    order = draw(orders)
+    shape = draw(st.sampled_from(OVERLAPS))
+    shared, own, other = draw(exponent_lists), draw(exponent_lists), draw(exponent_lists)
+    if shape == "identical":
+        first, second = shared, list(shared)
+    elif shape == "disjoint":
+        first, second = own, [e for e in other if e not in own]
+    elif shape == "nested":
+        first, second = shared + own, shared
+    elif shape == "one side empty":
+        first, second = own, []
+    elif shape == "one side above the order":
+        first, second = shared + own, [order + e for e in shared + other]
+    else:
+        first, second = own + shared, shared + other
+    if draw(st.booleans()):
+        first, second = second, first
+    return first, second, order
+
+
+def pair_examples(test):
+    # The sides' widths differ by 96 bits, so the narrower one cannot hold
+    # the wider side; nesting leaves one side with no leftover factors.
+    test = example(([1] * 12, [1], 300))(test)
+    test = example(([1], [1] * 12, 300))(test)
+    test = example(([2, 3, 5], [2, 3, 5], 200))(test)
+    test = example(([1, 2, 3, 4], [1, 4], 250))(test)
+    test = example(([], [1, 1, 2], 100))(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_pairs())
+@pair_examples
+def test_pair_kernel_matches_list_kernel(pair):
+    first, second, order = pair
+    got = reciprocal_pair_from_exponents(first, second, order)
+    assert got == (
+        divide_binomials(QSeries.one(order), first),
+        divide_binomials(QSeries.one(order), second),
+    )
+    assert all(type(c) is int for side in got for c in side.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_pairs())
+@pair_examples
+def test_pair_widths_hold_both_sides(pair):
+    first, second, order = pair
+    sides = [[e for e in side if e <= order] for side in (first, second)]
+    shared, rests = series._split_shared(*sides)
+    widths = series._widths(shared, rests, order)
+    for side, rest, width in zip(sides, rests, widths):
+        assert sorted(shared + rest) == sorted(side)
+        assert width % 8 == 0
+        assert width >= max_bits(divide_binomials(QSeries.one(order), side))
+    assert not set(rests[0]) & set(rests[1])
+    if shared:
+        assert widths[0] == widths[1]
+    else:
+        assert list(widths) == [series._slot_bits(side, order) for side in sides]
+
+
+def test_pair_shares_the_common_factors_of_a_deep_proposal():
+    # Proposal n = 4 (L, m) = (21, 1): 97 of the 105 factors of each side are shared.
+    P, Q = dominance.nbase_pair((1, 2, 3, 2), (2, 1, 2, 1), 1, 21)
+    order = 1453
+    sides = [P.exponents(order), Q.exponents(order)]
+    shared, rests = series._split_shared(*sides)
+    widths = series._widths(shared, rests, order)
+    assert (len(shared), len(rests[0]), len(rests[1])) == (97, 8, 8)
+    got = reciprocal_pair_from_exponents(*sides, order)
+    assert got == tuple(divide_binomials(QSeries.one(order), side) for side in sides)
+    assert widths[0] >= max(max_bits(side) for side in got)
+
+
+@pytest.mark.parametrize(
+    "first, second, order, error",
+    [
+        ([0], [1, 2], 5, SingularSeriesError),
+        ([1, 2], [0], 5, SingularSeriesError),
+        ([3], [5, 0], 4, SingularSeriesError),
+        ([2], [-1], 6, ValueError),
+        ([-1, 2], [2], 6, ValueError),
+    ],
+)
+def test_pair_refuses_bad_exponents_before_packing(first, second, order, error, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exponents must be checked before anything is packed")
+
+    monkeypatch.setattr(series, "_double", refuse)
+    monkeypatch.setattr(series, "_slot_bits", refuse)
+    with pytest.raises(error):
+        reciprocal_pair_from_exponents(first, second, order)
 
 
 @pytest.mark.parametrize("exponents, order", [([0], 5), ([3, 0], 0), ([9, 0], 4)])
