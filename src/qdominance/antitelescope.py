@@ -17,12 +17,36 @@ splittings read their sizes and multipliers back off the pair through
 Every addend and split group at index i shares the denominator
 reciprocal D_i = 1/(P(i) * Q(L)/Q(i-1)).  With F_j = 1/(P(j) * Q(L)/Q(j)),
 so that F_0 = 1/Q(L) and F_L = 1/P(L), one has D_i = F_(i-1)/(P layer i-1),
-F_i = D_i * (Q layer i-1) and addend i = F_i - F_(i-1).  `decompositions`
-walks i = 1..L carrying these forward, one binomial pass per factor of a
-layer, and forms each group as D_i times its sparse numerator: a power of
-q times at most four binomials.  The arithmetic stays in integers; the
+F_i = D_i * (Q layer i-1) and addend i = F_i - F_(i-1).  `_Walk` goes
+over i = 1..L carrying these forward, and forms each group as D_i times
+its sparse numerator: a power of q times at most four binomials.  The
 half-weighted Thm2 groups are carried doubled and halved only where they
-are reported.
+are read.
+
+The walk is packed (`series._Signed`): every series is one int with
+B-bit slots, reduced modulo M = 2^(B(N+1)) at truncation order N.
+q -> 2^B is a ring homomorphism from Z[q]/(q^(N+1)) to Z/MZ, and every
+step of the walk is compatible with it: adding and subtracting, the
+q^lead shift, multiplying by (1 - q^e), which is x - (x << eB), and
+applying 1/(1 - q^e) = prod_k (1 + q^(2^k e)) by doubling.  So a value
+in between may wrap; only a series that is read must have every
+|coefficient| below 2^(B-1), and each side of a compared pair below
+2^(B-2).
+
+B is proven before anything is packed.  Every D_i and F_i, and 1/P and
+1/Q, is the reciprocal of a sub-multiset of P + Q (as multisets of
+factors), so each is coefficientwise at most C = 1/(P * Q), whose
+coefficients `series._coeff_bits` bounds.  Each addend or group is D_i
+times a polynomial of L1 norm at most K: for an addend
+2^|Q layer| + 2^|P layer|, for a group the sum over its pieces of
+2^(number of binomials), at the engine's scale.  A scaled addend, the
+sum of one index's groups and the running totals over i are then at most
+L * K * C, and B is the bit length of that bound plus 2, in whole
+bytes.  Reading needs no unpacking: the sign test and the first
+negative coefficient come from the biased top bit of each slot, and
+"groups sum to scale * addend" and the telescope check compare residues.
+`certify_split` decodes nothing else; `decompositions`, the scan's
+`--dump-series` and `group_totals` decode what they return.
 """
 
 from __future__ import annotations
@@ -38,17 +62,12 @@ from .series import (
     ProductSpec,
     QSeries,
     _norm,
-    divide_binomials,
+    _Signed,
     first_negative,
-    multiply_binomials,
     require_series_work,
     serialize,
     series_add,
     series_scale,
-    series_shift,
-    series_sub,
-    spec_reciprocal,
-    spec_reciprocal_pair,
 )
 
 SPLIT_MODES = ("none", "thm1", "thm2")
@@ -149,52 +168,92 @@ def _layers(P: ProductSpec, Q: ProductSpec) -> tuple[int, int]:
     return P.modulus, P.length
 
 
-def decompositions(
-    P: ProductSpec,
-    Q: ProductSpec,
-    order: int,
-    split: str = "none",
-    reciprocal_q: QSeries | None = None,
-):
+class _Walk:
+    """The packed walk over i = 1..L of one pair and split; see the module docstring."""
+
+    def __init__(self, P: ProductSpec, Q: ProductSpec, order: int, split: str) -> None:
+        if split not in SPLIT_MODES:
+            raise ValueError(f"split must be one of {SPLIT_MODES}, got {split!r}")
+        self.P, self.Q = P, Q
+        self.m, self.L = _layers(P, Q)
+        self.numerators, self.scale, self.values = None, 1, ()
+        if split != "none":
+            n, self.numerators, self.scale = _SPLITS[split]
+            xs, rs = nbase_params(P, Q)
+            if len(xs) != n:
+                raise ValueError(f"the {split} split needs {n} sizes, the pair has {len(xs)}")
+            self.values = xs + rs
+        weight = self.scale * (2 ** len(P.bases) + 2 ** len(Q.bases))
+        if self.numerators is not None:
+            for t in (0, self.m):
+                groups = self.numerators(self.values, t)
+                weight = max(weight, sum(2 ** len(exps) for _, pieces in groups for _, exps in pieces))
+        self.exponents = P.exponents(order), Q.exponents(order)
+        self.packing = _Signed.for_bound(sum(self.exponents, []), order, self.L * weight)
+
+    def reciprocals(self) -> tuple[int, int]:
+        """(1/P, 1/Q), packed; 1/Q is F_0."""
+        return self.packing.reciprocal_pair(*self.exponents)
+
+    def steps(self, f: int | None = None):
+        """Yield (i, t, addend, groups) for i = 1..L, every series packed.
+
+        The walk starts from F_0 = f, 1/Q as `reciprocals` gives it, or
+        expands 1/Q on its own when f is None.
+        """
+        P, Q, numerators, values = self.P, self.Q, self.numerators, self.values
+        packing = self.packing
+        if f is None:
+            f = packing.divide(1, self.exponents[1])
+        times, times_pieces = packing.times_binomials, packing.times_pieces
+        for i in range(1, self.L + 1):
+            t = (i - 1) * self.m
+            d = packing.divide(f, [b + t for b in P.bases])
+            f_next = times(d, [b + t for b in Q.bases])
+            groups = ()
+            if numerators is not None:
+                groups = tuple(
+                    (name, times_pieces(d, pieces)) for name, pieces in numerators(values, t)
+                )
+            yield i, t, f_next - f, groups
+            f = f_next
+
+    def group_negative(self, g: int) -> tuple[int, Coefficient] | None:
+        """The first negative coefficient of a group, at its true value."""
+        neg = self.packing.negative(g)
+        return neg if neg is None else (neg[0], _norm(Fraction(neg[1], self.scale)))
+
+    def decomposition(self, i: int, t: int, addend: int, groups) -> AddendDecomposition:
+        decode = self.packing.decode
+        named = tuple((name, decode(g)) for name, g in groups)
+        return AddendDecomposition(i, decode(addend), named, t, self.scale)
+
+
+def decompositions(P: ProductSpec, Q: ProductSpec, order: int, split: str = "none"):
     """Yield the decomposition of 1/P - 1/Q at every index i = 1..L, in order.
 
     P and Q must share one modulus and one finite length L; a split also
     needs them to be the `nbase_pair` with two (thm1) or three (thm2)
     sizes.  One denominator reciprocal D_i per index is shared by the
-    addend and all split groups; see the module docstring.
-    ``reciprocal_q`` may pass in 1/Q when the caller has it already.  Split
-    groups are yielded at the engine's integer scale (Thm2 doubled).
+    addend and all split groups; see the module docstring.  Split groups
+    are yielded at the engine's integer scale (Thm2 doubled).
     """
-    if split not in SPLIT_MODES:
-        raise ValueError(f"split must be one of {SPLIT_MODES}, got {split!r}")
-    m, L = _layers(P, Q)
-    numerators, scale, values = None, 1, ()
-    if split != "none":
-        n, numerators, scale = _SPLITS[split]
-        xs, rs = nbase_params(P, Q)
-        if len(xs) != n:
-            raise ValueError(f"the {split} split needs {n} sizes, the pair has {len(xs)}")
-        values = xs + rs
-    f = spec_reciprocal(Q, order) if reciprocal_q is None else reciprocal_q
-    for i in range(1, L + 1):
-        t = (i - 1) * m
-        d = divide_binomials(f, [b + t for b in P.bases])
-        f_next = multiply_binomials(d, [b + t for b in Q.bases])
-        groups = ()
-        if numerators is not None:
-            groups = tuple(
-                (name, _sum_pieces(d, pieces)) for name, pieces in numerators(values, t)
-            )
-        yield AddendDecomposition(i, series_sub(f_next, f), groups, t, scale)
-        f = f_next
+    walk = _Walk(P, Q, order, split)
+    for step in walk.steps():
+        yield walk.decomposition(*step)
 
 
-def _sum_pieces(d: QSeries, pieces) -> QSeries:
-    total = None
-    for lead, exponents in pieces:
-        piece = multiply_binomials(series_shift(d, lead), exponents)
-        total = piece if total is None else series_add(total, piece)
-    return total
+def group_totals(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dict[str, QSeries]:
+    """Each split group summed over i = 1..L, at the engine's integer scale.
+
+    The sums are carried packed and each is decoded once.
+    """
+    walk = _Walk(P, Q, order, split)
+    totals: dict[str, int] = {}
+    for _, _, _, groups in walk.steps():
+        for name, g in groups:
+            totals[name] = totals.get(name, 0) + g
+    return {name: walk.packing.decode(x) for name, x in totals.items()}
 
 
 def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dict[str, Any]:
@@ -212,33 +271,32 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     if split not in _SPLITS:
         raise ValueError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
     require_series_work((P, Q), order)
-    reciprocal_p, reciprocal_q = spec_reciprocal_pair(P, Q, order)
-    diff = series_sub(reciprocal_p, reciprocal_q)
-    total = QSeries.zero(order)
-    witness = None
-
-    def note(found):
-        nonlocal witness
-        if witness is None:
-            witness = found
-
-    for dec in decompositions(P, Q, order, split, reciprocal_q):
-        i = dec.index
-        for name, neg in dec.group_negatives().items():
+    walk = _Walk(P, Q, order, split)
+    negative, mask, scale = walk.packing.negative, walk.packing.mask, walk.scale
+    reciprocal_p, reciprocal_q = walk.reciprocals()
+    total = 0
+    for i, _, addend, groups in walk.steps(reciprocal_q):
+        for name, g in groups:
+            neg = walk.group_negative(g)
             if neg is not None:
-                note({"i": i, "location": name, "exponent": neg[0], "coefficient": neg[1]})
-        if not dec.groups_sum_to_addend():
-            note({"i": i, "location": "group-sum"})
-        neg = first_negative(dec.addend)
+                return _failed({"i": i, "location": name, "exponent": neg[0], "coefficient": neg[1]})
+        if (sum(g for _, g in groups) - scale * addend) & mask:
+            return _failed({"i": i, "location": "group-sum"})
+        neg = negative(addend)
         if neg is not None:
-            note({"i": i, "location": "addend", "exponent": neg[0], "coefficient": neg[1]})
-        total = series_add(total, dec.addend)
-    neg = first_negative(diff)
+            return _failed({"i": i, "location": "addend", "exponent": neg[0], "coefficient": neg[1]})
+        total += addend
+    diff = reciprocal_p - reciprocal_q
+    neg = negative(diff)
     if neg is not None:
-        note({"location": "difference", "exponent": neg[0], "coefficient": neg[1]})
-    if total != diff:
-        note({"location": "telescope"})
-    return {"ok": witness is None, "witness": witness}
+        return _failed({"location": "difference", "exponent": neg[0], "coefficient": neg[1]})
+    if (total - diff) & mask:
+        return _failed({"location": "telescope"})
+    return {"ok": True, "witness": None}
+
+
+def _failed(witness: dict[str, Any]) -> dict[str, Any]:
+    return {"ok": False, "witness": witness}
 
 
 def positivity_scan(
@@ -255,14 +313,16 @@ def positivity_scan(
     series work bound raises SeriesCapError before any expansion.
     """
     require_series_work((P, Q), order)
+    walk = _Walk(P, Q, order, split)
     rows = []
     dumps = []
     all_nonnegative = True
-    for dec in decompositions(P, Q, order, split):
+    for step in walk.steps():
+        i, _, addend, groups = step
         row = {
-            "i": dec.index,
-            "addend": first_negative(dec.addend),
-            "groups": dec.group_negatives(),
+            "i": i,
+            "addend": walk.packing.negative(addend),
+            "groups": {name: walk.group_negative(g) for name, g in groups},
         }
         if row["addend"] is not None or any(
             v is not None for v in row["groups"].values()
@@ -270,7 +330,8 @@ def positivity_scan(
             all_nonnegative = False
         rows.append(row)
         if dump_series:
-            entry = {"i": dec.index, "addend": serialize(dec.addend)}
+            dec = walk.decomposition(*step)
+            entry = {"i": i, "addend": serialize(dec.addend)}
             if split != "none":
                 entry["groups"] = {name: serialize(g) for name, g in dec.unscaled().groups}
             dumps.append(entry)

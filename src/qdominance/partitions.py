@@ -7,10 +7,10 @@ equal numeric size distinct (with x == y the bases x and y still count
 separately), which is exactly what makes the counts line up with the series.
 
 Two seven-rule restriction systems, V and W, filter the partitions.  The
-restricted counts reproduce, weight by weight, the coefficients of the summed
-V/W split groups that `antitelescope.decompositions` yields for the Thm1
-pair; `interpretation_check` performs that comparison and reports the minimal
-mismatch witness if one ever appears.
+restricted counts reproduce, weight by weight, the coefficients of the V/W
+split groups of the Thm1 pair summed over the indices
+(`antitelescope.group_totals`); `interpretation_check` performs that
+comparison and reports the minimal mismatch witness if one ever appears.
 
 `count_profile` counts without listing: each base gets a table from its
 statistic (the part of the rule record it determines) to a coefficient
@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .antitelescope import decompositions
+from .antitelescope import group_totals
 from .dominance import nbase_pair
-from .series import ProductSpec, QSeries, positive_ints, series_add
+from .series import ProductSpec, QSeries, positive_ints
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
 
@@ -340,13 +340,8 @@ def enumerate_partitions(
 
 def split_series(params: PartitionParams, order: int) -> tuple[QSeries, QSeries]:
     """(sum of V(i), sum of W(i)) over i = 1..L, truncated at `order`."""
-    v_total = QSeries.zero(order)
-    w_total = QSeries.zero(order)
-    for decomposition in decompositions(*params.pair, order, "thm1"):
-        groups = dict(decomposition.groups)
-        v_total = series_add(v_total, groups["V"])
-        w_total = series_add(w_total, groups["W"])
-    return v_total, w_total
+    totals = group_totals(*params.pair, order, "thm1")
+    return totals["V"], totals["W"]
 
 
 def interpretation_rows(

@@ -36,14 +36,23 @@ side's final series.  When the lists share nothing each side keeps its
 own width.  `reciprocal_from_exponents` is the one-list case of the same
 body.
 
-`divide_binomials` and `multiply_binomials` stay list kernels: they
-carry the signed series of the split engine, and they are the oracle
-the packed kernel is tested against.
+Signed series (the split engine's addends and groups) are packed the
+same way, in `_Signed`: one int with B-bit slots, reduced modulo
+M = 2^(B(N+1)).  q -> 2^B is a ring homomorphism from Z[q]/(q^(N+1)) to
+Z/MZ, so adding, subtracting, shifting by q^lead, multiplying by
+(1 - q^e) and applying 1/(1 - q^e) by doubling all compute the residue
+of the true series, and a value in between may wrap.  A residue is read
+back, by its signs or in full, through a bias of 2^(B-1) in every slot;
+that is exact for a series whose every |coefficient| is below 2^(B-1).
+B must be proven for every series that is read before anything is
+packed; `_Signed.for_bound` takes it from the reciprocal bound above.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,29 +199,6 @@ def divide_binomial(a: QSeries, exponent: int) -> QSeries:
     return QSeries.from_coeffs(out, a.order)
 
 
-def multiply_binomials(a: QSeries, exponents) -> QSeries:
-    """Product of a with (1 - q^e) over the given exponents."""
-    for e in exponents:
-        a = multiply_binomial(a, e)
-    return a
-
-
-def divide_binomials(a: QSeries, exponents) -> QSeries:
-    """Product of a with 1/(1 - q^e) over the given exponents."""
-    for e in exponents:
-        a = divide_binomial(a, e)
-    return a
-
-
-def series_shift(a: QSeries, exponent: int) -> QSeries:
-    """Product with q^exponent, exponent >= 0; the top coefficients drop out."""
-    if exponent < 0:
-        raise ValueError(f"shift must be nonnegative, got {exponent}")
-    if exponent > a.order:
-        return QSeries.zero(a.order)
-    return QSeries(a.order, (0,) * exponent + a.coeffs[: a.order + 1 - exponent])
-
-
 # Fixed-point scale of the saddle bound: a value v in (0, 1] is the int v * 2^64.
 _FIX = 64
 _ONE = 1 << _FIX
@@ -340,19 +326,31 @@ def _saddle_bits(exponents: list[int], order: int) -> int:
     return bound(t).bit_length()
 
 
-def _slot_bits(exponents: list[int], order: int) -> int:
-    """Slot width B for the packed reciprocal, proven before anything is packed.
+def _coeff_bits(exponents: list[int], order: int) -> int:
+    """c with every coefficient through q^order of prod 1/(1 - q^e) below 2^c.
 
-    B is the smaller of the product and saddle bounds, rounded up to whole
-    bytes, and at least one byte (the empty product is 1).  The saddle
-    search runs only when the product bound is above a machine word and the
-    series packed at its width would be large.  The exponents must be
-    positive and at most the order.
+    c is the smaller of the product and saddle bounds.  The saddle search
+    runs only when the product bound is above a machine word and the series
+    packed at its width would be large.  The exponents must be positive and
+    at most the order.
     """
     bits = _product_bits(exponents, order)
     if bits > 64 and (order + 1) * bits > _SADDLE_MIN_BITS:
         bits = min(bits, _saddle_bits(sorted(exponents), order))
+    return bits
+
+
+def _whole_bytes(bits: int) -> int:
     return max(8, -(-bits // 8) * 8)
+
+
+def _slot_bits(exponents: list[int], order: int) -> int:
+    """Slot width B for the packed reciprocal, proven before anything is packed.
+
+    B is `_coeff_bits` rounded up to whole bytes, and at least one byte
+    (the empty product is 1).
+    """
+    return _whole_bytes(_coeff_bits(exponents, order))
 
 
 def _factors(exponents, order: int) -> list[int]:
@@ -401,14 +399,24 @@ def _double(x: int, factors: list[int], order: int, bits: int) -> int:
     return x
 
 
-def _unpack(x: int, order: int, bits: int) -> QSeries:
-    """The series held in the order + 1 B-bit slots of x."""
+# memoryview.cast formats by item size: on a little-endian host, slots of
+# these byte widths are read in one call.
+_CAST_FORMATS = {struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _slots(x: int, order: int, bits: int) -> list[int]:
+    """The order + 1 B-bit slots of x, lowest first; 0 <= x < 2^(B(order+1))."""
     width = bits // 8
     data = x.to_bytes((order + 1) * width, "little")
-    return QSeries(
-        order,
-        tuple([int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]),
-    )
+    fmt = _CAST_FORMATS.get(width)
+    if fmt is not None:
+        return memoryview(data).cast(fmt).tolist()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+def _unpack(x: int, order: int, bits: int) -> QSeries:
+    """The series held in the order + 1 B-bit slots of x."""
+    return QSeries(order, tuple(_slots(x, order, bits)))
 
 
 def _expand(shared: list[int], rests: list[list[int]], order: int) -> list[QSeries]:
@@ -456,6 +464,88 @@ def reciprocal_pair_from_exponents(first, second, order: int) -> tuple[QSeries, 
     """
     a, b = _expand(*_split_shared(_factors(first, order), _factors(second, order)), order)
     return a, b
+
+
+class _Signed:
+    """Signed series through q^order as residues modulo M = 2^(B(order+1)), slot n for q^n.
+
+    Every method but the readers is a ring operation on residues, so its
+    result is the residue of the true series even where a value on the way
+    wraps.  `negative` and `decode` read a residue x back through
+    y = (x + H) & (M - 1), H holding 2^(B-1) in every slot: for a series
+    whose every |d_n| is below 2^(B-1), slot n of y is d_n + 2^(B-1)
+    exactly, so d_n < 0 iff the top bit of slot n is clear.  Two series
+    whose every |coefficient| is below 2^(B-2) are equal iff their
+    residues are, since their difference is then below 2^(B-1).
+    """
+
+    __slots__ = ("order", "bits", "mask", "bias")
+
+    def __init__(self, order: int, bits: int) -> None:
+        self.order = order
+        self.bits = bits
+        self.mask = (1 << (order + 1) * bits) - 1
+        self.bias = self.mask // ((1 << bits) - 1) << (bits - 1)
+
+    @classmethod
+    def for_bound(cls, exponents, order: int, weight: int) -> "_Signed":
+        """Slots for series whose |coefficients| are at most weight * prod 1/(1 - q^e).
+
+        The reciprocal's coefficients are below 2^c (`_coeff_bits`), so
+        every such series is below 2^(c + bit_length(weight)), and
+        B = c + bit_length(weight) + 2, rounded up to whole bytes, keeps it
+        below 2^(B-2).
+        """
+        bits = _coeff_bits(_factors(exponents, order), order) + weight.bit_length() + 2
+        return cls(order, _whole_bytes(bits))
+
+    def reciprocal_pair(self, first, second) -> tuple[int, int]:
+        """prod 1/(1 - q^e) over each list, the factors the two share applied once."""
+        order, bits = self.order, self.bits
+        shared, (a, b) = _split_shared(_factors(first, order), _factors(second, order))
+        x = _double(1, shared, order, bits)
+        return _double(x, a, order, bits), _double(x, b, order, bits)
+
+    def divide(self, x: int, exponents) -> int:
+        """x times prod 1/(1 - q^e) over positive exponents; those above the order change nothing."""
+        return _double(x, exponents, self.order, self.bits)
+
+    def times_binomials(self, x: int, exponents) -> int:
+        """x times prod (1 - q^e); e = 0 gives 0 and e above the order changes nothing."""
+        order, bits, mask = self.order, self.bits, self.mask
+        for e in exponents:
+            if e <= order:
+                x = (x - (x << e * bits)) & mask
+        return x
+
+    def times_pieces(self, x: int, pieces) -> int:
+        """x times the sum of q^lead * prod (1 - q^e) over the (lead, exponents) pieces."""
+        order, bits, mask = self.order, self.bits, self.mask
+        total = 0
+        for lead, exponents in pieces:
+            if lead <= order:
+                total += self.times_binomials((x << lead * bits) & mask, exponents)
+        return total & mask
+
+    def negative(self, x: int) -> tuple[int, int] | None:
+        """(n, d_n) for the first negative coefficient of the series x holds, or None.
+
+        Only the low B(order+1) bits of x + H are read, and they depend only
+        on x mod M, so x may be any representative of its residue.
+        """
+        y = x + self.bias
+        clear = self.bias & ~y
+        if not clear:
+            return None
+        bits = self.bits
+        n = ((clear & -clear).bit_length() - 1) // bits
+        return n, ((y >> n * bits) & ((1 << bits) - 1)) - (1 << bits - 1)
+
+    def decode(self, x: int) -> QSeries:
+        """The series x holds."""
+        half = 1 << self.bits - 1
+        slots = _slots((x + self.bias) & self.mask, self.order, self.bits)
+        return QSeries(self.order, tuple([c - half for c in slots]))
 
 
 def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
@@ -543,11 +633,6 @@ def require_series_work(specs, order: int) -> None:
         raise SeriesCapError(
             f"series work (order + 1) x (1 + factors) = {work} exceeds the bound {MAX_SERIES_WORK}"
         )
-
-
-def spec_reciprocal(spec: ProductSpec, order: int) -> QSeries:
-    """Reciprocal of the spec's product, taken factor by factor."""
-    return reciprocal_from_exponents(spec.exponents(order), order)
 
 
 def spec_reciprocal_pair(P: ProductSpec, Q: ProductSpec, order: int) -> tuple[QSeries, QSeries]:

@@ -4,6 +4,11 @@
 `poly_from_exponents`/`pochhammer` expand products of binomials; the
 package itself only ever divides by binomials, so these serve as
 independent oracles for `spec_reciprocal` and the split engine.
+`spec_reciprocal` expands one product on its own; the package expands
+the two sides of a pair together.
+`multiply_binomials`, `divide_binomials` and `series_shift` are the list
+kernels the split engine ran on before it was packed; they carry the
+list references of the packed kernels.
 `tri_multiply`, `tri_truncate_poly` and `specialize` multiply, truncate
 and specialize (t, x, y) lattices, which the tests use to check
 `expand_rational` and the kernel specializations.
@@ -26,8 +31,38 @@ from qdominance.series import (
     QSeries,
     SingularSeriesError,
     _norm,
-    multiply_binomials,
+    divide_binomial,
+    multiply_binomial,
+    reciprocal_from_exponents,
 )
+
+
+def spec_reciprocal(spec: ProductSpec, order: int) -> QSeries:
+    """Reciprocal of the spec's product, taken factor by factor."""
+    return reciprocal_from_exponents(spec.exponents(order), order)
+
+
+def multiply_binomials(a: QSeries, exponents) -> QSeries:
+    """Product of a with (1 - q^e) over the given exponents."""
+    for e in exponents:
+        a = multiply_binomial(a, e)
+    return a
+
+
+def divide_binomials(a: QSeries, exponents) -> QSeries:
+    """Product of a with 1/(1 - q^e) over the given exponents."""
+    for e in exponents:
+        a = divide_binomial(a, e)
+    return a
+
+
+def series_shift(a: QSeries, exponent: int) -> QSeries:
+    """Product with q^exponent, exponent >= 0; the top coefficients drop out."""
+    if exponent < 0:
+        raise ValueError(f"shift must be nonnegative, got {exponent}")
+    if exponent > a.order:
+        return QSeries.zero(a.order)
+    return QSeries(a.order, (0,) * exponent + a.coeffs[: a.order + 1 - exponent])
 
 
 class CoverageError(ValueError):

@@ -1,31 +1,50 @@
-"""Per-group-divide reference for the telescoping addends and their splits.
+"""Per-group-divide and list-kernel references for the addends and their splits.
 
-These are the original, deliberately direct per-index addend and Thm1/Thm2
-split bodies: every addend and every split group builds its own numerator
-and divides it by the full denominator P(i) * Q(L)/Q(i-1), one binomial at
-a time, and the half-weighted Thm2 groups are halved as rationals.  They
-share no state between indices or groups, so they pin the incremental
-engine in `qdominance.antitelescope` from outside.  P and Q are the
-length-L product specs; `layer_exponents` reads their factor layers off.
+`reference_addend` and `reference_thm{1,2}_split` are the original,
+deliberately direct per-index addend and Thm1/Thm2 split bodies: every
+addend and every split group builds its own numerator and divides it by
+the full denominator P(i) * Q(L)/Q(i-1), one binomial at a time, and the
+half-weighted Thm2 groups are halved as rationals.  They share no state
+between indices or groups, so they pin the incremental engine in
+`qdominance.antitelescope` from outside.  P and Q are the length-L product
+specs; `layer_exponents` reads their factor layers off.
 `reference_exponents` is the per-family factor loop that `ProductSpec`
 replaced.
+
+`list_decompositions`, `list_certify_split`, `list_positivity_scan` and
+`list_split_series` are the shared-denominator engine as it ran on the
+list kernels, one `QSeries` per addend, group and running total, before
+it was packed.  They read the pair's layers, split table and sizes
+through the `antitelescope` module at call time, so a test that patches
+those patches both engines alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from qdominance import antitelescope
 from qdominance.antitelescope import AddendDecomposition
 from qdominance.dominance import nbase_pair
 from qdominance.series import (
     QSeries,
     divide_binomial,
+    first_negative,
     multiply_binomial,
+    require_series_work,
+    serialize,
     series_add,
     series_scale,
     series_sub,
+    spec_reciprocal_pair,
 )
-from reference_series import poly_from_exponents
+from reference_series import (
+    divide_binomials,
+    multiply_binomials,
+    poly_from_exponents,
+    series_shift,
+    spec_reciprocal,
+)
 
 HALF = Fraction(1, 2)
 
@@ -150,3 +169,107 @@ def reference_thm2_split(params, i: int, order: int) -> AddendDecomposition:
     )
     base = reference_addend(P, Q, i, L, order)
     return AddendDecomposition(i, base, groups, t)
+
+
+def list_decompositions(P, Q, order: int, split: str = "none", reciprocal_q=None):
+    """The shared-denominator walk on the list kernels; see `antitelescope.decompositions`."""
+    if split not in antitelescope.SPLIT_MODES:
+        raise ValueError(f"split must be one of {antitelescope.SPLIT_MODES}, got {split!r}")
+    m, L = antitelescope._layers(P, Q)
+    numerators, scale, values = None, 1, ()
+    if split != "none":
+        n, numerators, scale = antitelescope._SPLITS[split]
+        xs, rs = antitelescope.nbase_params(P, Q)
+        if len(xs) != n:
+            raise ValueError(f"the {split} split needs {n} sizes, the pair has {len(xs)}")
+        values = xs + rs
+    f = spec_reciprocal(Q, order) if reciprocal_q is None else reciprocal_q
+    for i in range(1, L + 1):
+        t = (i - 1) * m
+        d = divide_binomials(f, [b + t for b in P.bases])
+        f_next = multiply_binomials(d, [b + t for b in Q.bases])
+        groups = ()
+        if numerators is not None:
+            groups = tuple(
+                (name, _sum_pieces(d, pieces)) for name, pieces in numerators(values, t)
+            )
+        yield AddendDecomposition(i, series_sub(f_next, f), groups, t, scale)
+        f = f_next
+
+
+def _sum_pieces(d: QSeries, pieces) -> QSeries:
+    total = QSeries.zero(d.order)
+    for lead, exponents in pieces:
+        total = series_add(total, multiply_binomials(series_shift(d, lead), exponents))
+    return total
+
+
+def list_certify_split(P, Q, order: int, split: str) -> dict:
+    """The split certificate on the list kernels; see `antitelescope.certify_split`."""
+    if split not in antitelescope._SPLITS:
+        raise ValueError(f"split must be one of {tuple(antitelescope._SPLITS)}, got {split!r}")
+    require_series_work((P, Q), order)
+    reciprocal_p, reciprocal_q = spec_reciprocal_pair(P, Q, order)
+    diff = series_sub(reciprocal_p, reciprocal_q)
+    total = QSeries.zero(order)
+    witness = None
+
+    def note(found):
+        nonlocal witness
+        if witness is None:
+            witness = found
+
+    for dec in list_decompositions(P, Q, order, split, reciprocal_q):
+        i = dec.index
+        for name, neg in dec.group_negatives().items():
+            if neg is not None:
+                note({"i": i, "location": name, "exponent": neg[0], "coefficient": neg[1]})
+        if not dec.groups_sum_to_addend():
+            note({"i": i, "location": "group-sum"})
+        neg = first_negative(dec.addend)
+        if neg is not None:
+            note({"i": i, "location": "addend", "exponent": neg[0], "coefficient": neg[1]})
+        total = series_add(total, dec.addend)
+    neg = first_negative(diff)
+    if neg is not None:
+        note({"location": "difference", "exponent": neg[0], "coefficient": neg[1]})
+    if total != diff:
+        note({"location": "telescope"})
+    return {"ok": witness is None, "witness": witness}
+
+
+def list_positivity_scan(P, Q, order: int, split: str = "none", dump_series: bool = False) -> dict:
+    """The per-index scan on the list kernels; see `antitelescope.positivity_scan`."""
+    require_series_work((P, Q), order)
+    rows = []
+    dumps = []
+    for dec in list_decompositions(P, Q, order, split):
+        rows.append({"i": dec.index, "addend": first_negative(dec.addend), "groups": dec.group_negatives()})
+        if dump_series:
+            entry = {"i": dec.index, "addend": serialize(dec.addend)}
+            if split != "none":
+                entry["groups"] = {name: serialize(g) for name, g in dec.unscaled().groups}
+            dumps.append(entry)
+    report = {
+        "L": len(rows),
+        "order": order,
+        "split": split,
+        "rows": rows,
+        "all_nonnegative": all(
+            row["addend"] is None and all(v is None for v in row["groups"].values()) for row in rows
+        ),
+    }
+    if dump_series:
+        report["series"] = dumps
+    return report
+
+
+def list_split_series(params, order: int) -> tuple[QSeries, QSeries]:
+    """(sum of V(i), sum of W(i)) on the list kernels; see `partitions.split_series`."""
+    v_total = QSeries.zero(order)
+    w_total = QSeries.zero(order)
+    for dec in list_decompositions(*params.pair, order, "thm1"):
+        groups = dict(dec.groups)
+        v_total = series_add(v_total, groups["V"])
+        w_total = series_add(w_total, groups["W"])
+    return v_total, w_total

@@ -44,10 +44,9 @@ from qdominance.series import (
     series_add,
     series_mul,
     series_sub,
-    spec_reciprocal,
 )
 from oracles import bga_expected
-from reference_series import poly_from_exponents, series_reciprocal
+from reference_series import poly_from_exponents, series_reciprocal, spec_reciprocal
 
 SEED = 20260819
 

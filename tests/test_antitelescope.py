@@ -23,9 +23,8 @@ from qdominance.series import (
     series_mul,
     series_scale,
     series_sub,
-    spec_reciprocal,
 )
-from reference_series import poly_from_exponents, series_reciprocal, specialize
+from reference_series import poly_from_exponents, series_reciprocal, spec_reciprocal, specialize
 from reference_split import denominator_exponents, layer_exponents, thm_pair
 
 

@@ -30,6 +30,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def strip_timings(out):
+    """The envelope text without its wall-clock member."""
+    envelope = json.loads(out)
+    assert isinstance(envelope.pop("timings"), dict)
+    return json.dumps(envelope)
+
+
 def report(out):
     """Parse the JSON envelope and drop the wall-clock field."""
     envelope = json.loads(out)
@@ -602,3 +609,30 @@ class TestDeterminism:
         _, first, _ = run_cli(argv, capsys)
         _, second, _ = run_cli(argv, capsys)
         assert report(first) == report(second)
+
+    @pytest.mark.parametrize(
+        "ineq, box",
+        [
+            ("thm1", "L=1:3,m=1:2,x=1:2,y=1:1,r=1:2,R=1:2"),
+            ("thm2", "L=1:2,m=1:2,x=1:1,y=1:2,z=1:1,r=1:2,R=2:2,rho=1:2"),
+        ],
+    )
+    def test_split_sweep_envelope_is_reproducible(self, ineq, box, capsys):
+        argv = ["sweep", "--kind", "split", "--ineq", ineq, "--box", box, "--order", "30"]
+        runs = [run_cli(argv, capsys)[1] for _ in range(2)]
+        first, second = (strip_timings(out) for out in runs)
+        assert first == second
+        serial = report(runs[0])
+        parallel = report(run_cli(argv + ["--jobs", "2"], capsys)[1])
+        assert parallel["config"].pop("jobs") == 2
+        serial["config"].pop("jobs")
+        assert serial == parallel
+
+    def test_antitelescope_dump_is_reproducible(self, capsys):
+        argv = [
+            "antitelescope", "--ineq", "Thm2", "--params", "2,1,1,2,2,2,1,3",
+            "--split", "thm2", "--order", "40", "--dump-series",
+        ]
+        first, second = (strip_timings(run_cli(argv, capsys)[1]) for _ in range(2))
+        assert '"series"' in first
+        assert first == second

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdominance import antitelescope, dominance, proposal
+from qdominance import dominance, proposal, series
 from qdominance.antitelescope import certify_split
 from qdominance.dominance import (
     DominanceReport,
@@ -16,9 +16,10 @@ from qdominance.dominance import (
     report_dict,
 )
 from qdominance.proposal import fourvar_identity
-from qdominance.series import product_spec, spec_reciprocal, spec_reciprocal_pair
+from qdominance.series import product_spec, spec_reciprocal_pair
 
 from oracles import bga_expected, partition_counts_upto, residue_parts
+from reference_series import spec_reciprocal
 
 
 def named(ineq_id, **parameters):
@@ -64,6 +65,10 @@ def separate_reciprocals(P, Q, order):
     return spec_reciprocal(P, order), spec_reciprocal(Q, order)
 
 
+def separate_packed_reciprocals(packing, first, second):
+    return packing.divide(1, first), packing.divide(1, second)
+
+
 class TestSharedFactorPair:
     # Each caller expands 1/P and 1/Q in one pair call that applies the factors
     # they share once; its results must be those of two separate expansions.
@@ -91,7 +96,7 @@ class TestSharedFactorPair:
         assert spec_reciprocal_pair(P, Q, 40) == separate_reciprocals(P, Q, 40)
         paired = certify_split(P, Q, 40, split)
         assert paired == {"ok": True, "witness": None}
-        monkeypatch.setattr(antitelescope, "spec_reciprocal_pair", separate_reciprocals)
+        monkeypatch.setattr(series._Signed, "reciprocal_pair", separate_packed_reciprocals)
         assert certify_split(P, Q, 40, split) == paired
 
     def test_fourvar_identity_matches_separate_expansions(self, monkeypatch):

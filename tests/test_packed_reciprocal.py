@@ -2,13 +2,15 @@
 
 `reciprocal_from_exponents` holds the expansion as one int with B-bit
 slots, B taken from a bound proven before the expansion.  These tests
-compare it with `divide_binomials` (the list kernel, kept for signed
-series) and with `series_reciprocal` of the expanded product, and check
+compare it with `divide_binomials` (the list kernel, kept in the tests
+as its oracle) and with `series_reciprocal` of the expanded product, and check
 that every bound behind B holds the largest coefficient.  The pair form,
 `reciprocal_pair_from_exponents`, applies the factors two lists share
 once, at the larger of the two widths; it is checked side by side
 against the list kernel over every shape of overlap.
 """
+
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,14 +23,12 @@ from qdominance.series import (
     QSeries,
     SeriesCapError,
     SingularSeriesError,
-    divide_binomials,
     product_spec,
     reciprocal_from_exponents,
     reciprocal_pair_from_exponents,
     require_series_work,
-    spec_reciprocal,
 )
-from reference_series import poly_from_exponents, series_reciprocal
+from reference_series import divide_binomials, poly_from_exponents, series_reciprocal, spec_reciprocal
 
 orders = st.integers(0, 300)
 # Exponents up to 320 reach past every order; a pool of six forces repeats.
@@ -227,3 +227,18 @@ def test_series_work_guard_at_the_bound():
     require_series_work((dense,), side)
     with pytest.raises(SeriesCapError):
         require_series_work((dense,), side + 1)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_slot_reads_match_the_byte_loop(width, monkeypatch):
+    # Widths of 1, 2, 4 and 8 bytes are read by one memoryview cast on a
+    # little-endian host; every width must read what the per-slot loop reads.
+    rng = random.Random(width)
+    bits = 8 * width
+    cases = [(order, rng.getrandbits((order + 1) * bits)) for order in (0, 1, 7, 60, 300)]
+    cases.append((5, (1 << 6 * bits) - 1))
+    fast = [series._slots(x, order, bits) for order, x in cases]
+    monkeypatch.setattr(series, "_CAST_FORMATS", {})
+    assert fast == [series._slots(x, order, bits) for order, x in cases]
+    for (order, x), slots in zip(cases, fast):
+        assert sum(c << n * bits for n, c in enumerate(slots)) == x

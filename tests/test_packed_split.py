@@ -1,0 +1,303 @@
+"""The packed split engine against the list-kernel engine it replaced.
+
+`antitelescope` walks the addends and split groups as packed residues
+(`series._Signed`); `reference_split.list_*` is the same walk on the list
+kernels.  Certificates, scans (with and without dumps), the public
+decompositions and the summed V/W series must agree on Thm1/Thm2 pairs,
+on pairs whose split is patched to fail in each of the certificate's
+ways, and on the non-n-base pairs that are only scanned.  The width
+tests check that every series the engine reads fits its proven slots.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdominance import antitelescope, dominance, series
+from qdominance.antitelescope import certify_split, decompositions, positivity_scan
+from qdominance.partitions import PartitionParams, split_series
+from qdominance.series import QSeries, product_spec, series_add, series_scale, series_sub
+from reference_split import (
+    list_certify_split,
+    list_decompositions,
+    list_positivity_scan,
+    list_split_series,
+    thm_pair,
+)
+from reference_series import spec_reciprocal
+
+sizes = st.integers(1, 5)
+orders = st.integers(1, 150)
+thm1_values = st.tuples(*[sizes] * 6)
+thm2_values = st.tuples(*[sizes] * 8)
+thm_values = st.one_of(thm1_values, thm2_values)
+
+
+def split_of(values) -> str:
+    return "thm1" if len(values) == 6 else "thm2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(thm_values, orders)
+def test_certificate_matches_list_engine(values, order):
+    P, Q = thm_pair(values)
+    split = split_of(values)
+    assert certify_split(P, Q, order, split) == list_certify_split(P, Q, order, split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thm_values, st.integers(1, 60), st.booleans())
+def test_scan_matches_list_engine(values, order, dump):
+    P, Q = thm_pair(values)
+    split = split_of(values)
+    for mode in ("none", split):
+        want = list_positivity_scan(P, Q, order, mode, dump)
+        assert positivity_scan(P, Q, order, mode, dump) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(thm_values, st.integers(0, 60))
+def test_decompositions_match_list_engine(values, order):
+    P, Q = thm_pair(values)
+    split = split_of(values)
+    assert list(decompositions(P, Q, order, split)) == list(list_decompositions(P, Q, order, split))
+
+
+@settings(max_examples=40, deadline=None)
+@given(thm1_values, st.integers(0, 80))
+def test_split_series_matches_list_engine(values, order):
+    L, m, x, y, r, R = values
+    params = PartitionParams(m, x, y, r, R, L)
+    assert split_series(params, order) == list_split_series(params, order)
+
+
+def unsplit_pairs():
+    """Pairs that are not n-base: finiteRR, BGa, BGr, Proposal with n = 4, 5, random bases."""
+    L = st.integers(1, 5)
+    finite_rr = L.map(lambda n: (product_spec((1, 4), 5, n), product_spec((2, 3), 5, n)))
+    bga = st.tuples(st.integers(3, 12), st.integers(1, 11), L).filter(lambda v: v[1] < v[0]).map(
+        lambda v: (product_spec((1, v[0] - 1), v[0], v[2]), product_spec((v[1], v[0] - v[1]), v[0], v[2]))
+    )
+    bgr = st.tuples(st.sampled_from((3, 5, 7)), L).map(
+        lambda v: (
+            product_spec((1, v[0] + 2, 2 * v[0]), 2 * v[0] + 2, v[1]),
+            product_spec((2, v[0], 2 * v[0] + 1), 2 * v[0] + 2, v[1]),
+        )
+    )
+    proposal = st.integers(4, 5).flatmap(
+        lambda n: st.tuples(st.lists(sizes, min_size=n, max_size=n), st.lists(sizes, min_size=n, max_size=n), sizes, L)
+    ).map(lambda v: dominance.nbase_pair(*v))
+    bases = st.lists(st.integers(1, 12), min_size=1, max_size=5)
+    loose = st.tuples(bases, bases, st.integers(1, 12), L).map(
+        lambda v: (product_spec(v[0], v[2], v[3]), product_spec(v[1], v[2], v[3]))
+    )
+    return st.one_of(finite_rr, bga, bgr, proposal, loose)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unsplit_pairs(), st.integers(0, 120), st.booleans())
+def test_unsplit_scan_matches_list_engine(pair, order, dump):
+    assert positivity_scan(*pair, order, "none", dump) == list_positivity_scan(*pair, order, "none", dump)
+
+
+# --- forced witnesses --------------------------------------------------------
+#
+# Every Thm1/Thm2 point certifies, so each way the certificate can fail is
+# forced by a patch that both engines see: a group numerator made negative
+# or made not to sum to its addend, the pair reversed with no groups (a
+# negative addend, or with no layers a negative difference), or a walk that
+# stops one layer short (the telescope).
+
+
+def _negative_group(numerators):
+    def patched(values, t):
+        (name, _), *rest = numerators(values, t)
+        return ((name, [(t + 1, (1, 1, 1, 1, 1, 1))]), *rest)
+
+    return patched
+
+
+def _extra_piece(numerators):
+    def patched(values, t):
+        *rest, (name, pieces) = numerators(values, t)
+        return (*rest, (name, [*pieces, (t, ())]))
+
+    return patched
+
+
+def _no_groups(values, t):
+    return ()
+
+
+def patch(mp, kind: str, split: str) -> bool:
+    """Apply the patch for one witness kind; True when the pair must be reversed."""
+    n, numerators, scale = antitelescope._SPLITS[split]
+    if kind == "group":
+        mp.setitem(antitelescope._SPLITS, split, (n, _negative_group(numerators), scale))
+    elif kind == "group-sum":
+        mp.setitem(antitelescope._SPLITS, split, (n, _extra_piece(numerators), scale))
+    elif kind == "telescope":
+        layers = antitelescope._layers
+        mp.setattr(antitelescope, "_layers", lambda P, Q: (layers(P, Q)[0], layers(P, Q)[1] - 1))
+    else:  # "addend" and "difference": the reversed pair with scale 0 and no groups
+        mp.setitem(antitelescope._SPLITS, split, (n, _no_groups, 0))
+        mp.setattr(antitelescope, "nbase_params", lambda P, Q: dominance.nbase_params(Q, P))
+        if kind == "difference":
+            mp.setattr(antitelescope, "_layers", lambda P, Q: (P.modulus, 0))
+        return True
+    return False
+
+
+KINDS = ("group", "group-sum", "addend", "difference", "telescope")
+
+
+@pytest.mark.parametrize(
+    "kind, values, location",
+    [
+        ("group", (2, 2, 1, 2, 2, 2), "V"),
+        ("group", (2, 2, 1, 2, 1, 2, 2, 2), "G1"),
+        ("group-sum", (2, 2, 1, 2, 2, 2), "group-sum"),
+        ("group-sum", (2, 2, 1, 2, 1, 2, 2, 2), "group-sum"),
+        ("addend", (2, 2, 1, 2, 2, 2), "addend"),
+        ("addend", (2, 2, 1, 2, 1, 2, 2, 2), "addend"),
+        ("difference", (2, 2, 1, 2, 2, 2), "difference"),
+        ("difference", (2, 2, 1, 2, 1, 2, 2, 2), "difference"),
+        ("telescope", (2, 2, 1, 2, 2, 2), "telescope"),
+        ("telescope", (2, 2, 1, 2, 1, 2, 2, 2), "telescope"),
+    ],
+)
+def test_each_witness_kind_is_forced(kind, values, location, monkeypatch):
+    split = split_of(values)
+    P, Q = thm_pair(values)
+    if patch(monkeypatch, kind, split):
+        P, Q = Q, P
+    got = certify_split(P, Q, 40, split)
+    assert not got["ok"] and got["witness"]["location"] == location
+    assert got == list_certify_split(P, Q, 40, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KINDS), thm_values, st.integers(1, 50))
+def test_forced_witnesses_match_list_engine(kind, values, order):
+    split = split_of(values)
+    P, Q = thm_pair(values)
+    with pytest.MonkeyPatch.context() as mp:
+        reversed_pair = patch(mp, kind, split)
+        if reversed_pair:
+            P, Q = Q, P
+        assert certify_split(P, Q, order, split) == list_certify_split(P, Q, order, split)
+        if not reversed_pair:  # the reversed pair's groups have scale 0
+            want = list_positivity_scan(P, Q, order, split, True)
+            assert positivity_scan(P, Q, order, split, True) == want
+
+
+# --- widths ------------------------------------------------------------------
+
+
+def read_series(P, Q, order: int, split: str) -> list[QSeries]:
+    """Every series the engine reads or compares, from the list engine."""
+    reciprocal_p, reciprocal_q = spec_reciprocal(P, order), spec_reciprocal(Q, order)
+    out = [reciprocal_p, reciprocal_q, series_sub(reciprocal_p, reciprocal_q)]
+    total = QSeries.zero(order)
+    group_totals: dict[str, QSeries] = {}
+    for dec in list_decompositions(P, Q, order, split):
+        total = series_add(total, dec.addend)
+        group_sum = QSeries.zero(order)
+        for name, g in dec.groups:
+            group_sum = series_add(group_sum, g)
+            group_totals[name] = series_add(group_totals.get(name, QSeries.zero(order)), g)
+        out += [dec.addend, series_scale(dec.addend, dec.scale), total, group_sum]
+        out += [g for _, g in dec.groups]
+    return out + list(group_totals.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(thm_values, st.integers(0, 120), st.booleans())
+def test_every_read_series_fits_a_quarter_of_its_slot(values, order, split_groups):
+    P, Q = thm_pair(values)
+    split = split_of(values) if split_groups else "none"
+    bits = antitelescope._Walk(P, Q, order, split).packing.bits
+    largest = max(abs(c) for s in read_series(P, Q, order, split) for c in s.coeffs)
+    assert largest < 1 << bits - 2
+
+
+@pytest.mark.parametrize(
+    "values, order", [((4, 2, 1, 2, 3, 2, 2, 3), 400), ((6, 1, 1, 1, 1, 2, 2, 2), 300), ((5, 1, 1, 1, 5, 5), 500)]
+)
+def test_deep_read_series_fit_a_quarter_of_their_slot(values, order):
+    P, Q = thm_pair(values)
+    split = split_of(values)
+    bits = antitelescope._Walk(P, Q, order, split).packing.bits
+    largest = max(abs(c) for s in read_series(P, Q, order, split) for c in s.coeffs)
+    assert largest < 1 << bits - 2
+
+
+def test_width_is_the_proven_bound():
+    # B = c + bit_length(L * K) + 2 in whole bytes, c bounding 1/(P * Q), K
+    # the largest L1 norm of a read numerator at the engine's scale.
+    rng = random.Random(7)
+    for _ in range(600):
+        n = rng.choice((2, 3))
+        values = (rng.randrange(1, 7), *(rng.randrange(1, 6) for _ in range(2 * n + 1)))
+        order = rng.randrange(0, 400)
+        split = rng.choice(("none", split_of(values)))
+        P, Q = thm_pair(values)
+        scale, pieces = {"none": (1, 0), "thm1": (1, 2 * 2**3), "thm2": (2, 7 * 2**4)}[split]
+        K = max(scale * 2 * 2 ** (n + 1), pieces)
+        factors = [e for e in P.exponents(order) + Q.exponents(order) if e <= order]
+        c = series._coeff_bits(factors, order)
+        want = max(8, -(-(c + (values[0] * K).bit_length() + 2) // 8) * 8)
+        assert antitelescope._Walk(P, Q, order, split).packing.bits == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(thm_values, st.integers(0, 100), st.booleans())
+def test_walk_values_stay_below_the_modulus(values, order, split_groups):
+    # Every series the walk hands on is below M in absolute value, so none
+    # grows past its slots.
+    P, Q = thm_pair(values)
+    walk = antitelescope._Walk(P, Q, order, split_of(values) if split_groups else "none")
+    M = walk.packing.mask + 1
+    reciprocals = walk.reciprocals()
+    assert all(0 <= x < M for x in reciprocals)
+    for _, _, addend, groups in walk.steps(reciprocals[1]):
+        assert all(-M < x < M for x in (addend, *(g for _, g in groups)))
+
+
+# --- signed packing ----------------------------------------------------------
+
+
+def pack(coeffs, bits: int, mask: int) -> int:
+    return sum(c << n * bits for n, c in enumerate(coeffs)) & mask
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 32, 40, 64, 72])
+def test_signed_residues_read_back(bits):
+    rng = random.Random(bits)
+    for _ in range(200):
+        order = rng.randrange(0, 40)
+        packing = series._Signed(order, bits)
+        top = 1 << bits - 1
+        coeffs = [rng.choice((-top, top - 1, -1, 0, 1, rng.randrange(-top, top))) for _ in range(order + 1)]
+        x = pack(coeffs, bits, packing.mask)
+        assert packing.decode(x) == QSeries(order, tuple(coeffs))
+        first = next(((n, c) for n, c in enumerate(coeffs) if c < 0), None)
+        assert packing.negative(x) == first
+        assert packing.negative(x + 5 * packing.mask + 5) == first  # any representative
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24])
+def test_signed_ring_operations(bits):
+    rng = random.Random(bits)
+    for _ in range(100):
+        order = rng.randrange(0, 30)
+        packing = series._Signed(order, bits)
+        coeffs = [rng.randrange(-3, 4) for _ in range(order + 1)]
+        exps = [rng.randrange(0, order + 3) for _ in range(rng.randrange(0, 3))]
+        want = QSeries(order, tuple(coeffs))
+        for e in exps:
+            want = series.multiply_binomial(want, e)
+        got = packing.times_binomials(pack(coeffs, bits, packing.mask), exps)
+        assert packing.decode(got) == want

@@ -22,9 +22,9 @@ from qdominance.series import (
     product_spec,
     series_add,
     series_sub,
-    spec_reciprocal,
 )
 from reference_partitions import ColoredPartition
+from reference_series import spec_reciprocal
 
 FLAGSHIP = PartitionParams(5, 1, 1, 2, 2, 2)
 

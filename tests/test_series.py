@@ -13,18 +13,22 @@ from qdominance.series import (
     QSeries,
     SingularSeriesError,
     divide_binomial,
-    divide_binomials,
     first_negative,
     multiply_binomial,
-    multiply_binomials,
     product_spec,
     serialize,
     series_mul,
-    series_shift,
     series_sub,
+)
+from reference_series import (
+    divide_binomials,
+    multiply_binomials,
+    pochhammer,
+    poly_from_exponents,
+    series_reciprocal,
+    series_shift,
     spec_reciprocal,
 )
-from reference_series import pochhammer, poly_from_exponents, series_reciprocal
 
 
 _LINE = re.compile(r"^\s*(\d+)\s*:\s*(-?\d+)(?:/(\d+))?\s*$")
