@@ -63,10 +63,8 @@ from .series import (
     QSeries,
     _norm,
     _Signed,
-    first_negative,
     require_series_work,
     serialize,
-    series_add,
     series_scale,
 )
 
@@ -95,24 +93,6 @@ class AddendDecomposition:
         factor = Fraction(1, self.scale)
         groups = tuple((name, series_scale(g, factor)) for name, g in self.groups)
         return AddendDecomposition(self.index, self.addend, groups, self.t_exponent)
-
-    def group_negatives(self) -> dict[str, tuple[int, Coefficient] | None]:
-        """Each group's first negative coefficient, at its true value."""
-        out = {}
-        for name, g in self.groups:
-            neg = first_negative(g)
-            if neg is not None and self.scale != 1:
-                neg = (neg[0], _norm(Fraction(neg[1], self.scale)))
-            out[name] = neg
-        return out
-
-    def groups_sum_to_addend(self) -> bool:
-        total = QSeries.zero(self.addend.order)
-        for _, g in self.groups:
-            total = series_add(total, g)
-        if self.scale != 1:
-            return total == series_scale(self.addend, self.scale)
-        return total == self.addend
 
 
 def _thm1_numerators(values, t: int):

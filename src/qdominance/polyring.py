@@ -11,7 +11,15 @@ in two roles with different safety requirements:
   well-defined power-series reciprocals here.
 * identity_check compares two sums of rational terms exactly, by clearing
   all denominators; denominators there may be any nonzero polynomial,
-  including differences of monomials with removable singularities.
+  including differences of monomials with removable singularities.  The
+  cleared numerator is never built term by term: the check substitutes
+  x_j -> 2^(B * S_j) in every piece and adds the packed terms as Python
+  ints.  The substitution is a ring homomorphism Z[x] -> Z, and it is
+  injective on the exponent box [lo, hi] of the cleared numerator when
+  the strides S_j are mixed-radix over the box and every coefficient has
+  |c| < 2^(B - 1), since balanced base-2^B digits are unique.  B and the
+  box are proven from the pieces before anything is packed, so the
+  rational functions agree exactly when one int is 0.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul
+from math import lcm
+from operator import add, mul, sub
 
 from qdominance.series import _INT_ONLY, Coefficient, _norm
 
@@ -33,6 +42,16 @@ class VariableMismatchError(ValueError):
 
 class SingularDenominatorError(ValueError):
     """Raised when a series expansion needs a non-unit denominator factor."""
+
+
+class IdentityCapError(ValueError):
+    """Raised when an identity check would pack more than MAX_IDENTITY_BITS."""
+
+
+# Largest packed integer, slots x B bits, that one identity check may
+# build: 16 MiB.  The largest check of an `identities` request packs
+# 7,488 bits, so this leaves a factor of about 18,000.
+MAX_IDENTITY_BITS = 1 << 27
 
 
 class MultiPoly:
@@ -75,10 +94,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-def mp_zero(variables) -> MultiPoly:
-    return MultiPoly(variables, {})
 
 
 def mono(variables, coeff: Coefficient = 1, **exps) -> MultiPoly:
@@ -125,10 +140,6 @@ def mp_mul(*polys: MultiPoly) -> MultiPoly:
                 terms[key] = terms.get(key, 0) + ca * cb
         out = MultiPoly(out.variables, terms)
     return out
-
-
-def mp_neg(a: MultiPoly) -> MultiPoly:
-    return MultiPoly(a.variables, {e: -c for e, c in a.terms.items()})
 
 
 def to_text(p: MultiPoly) -> str:
@@ -305,18 +316,15 @@ class IdentityVerdict:
     witness: dict | None = None
 
 
-def _canonical_factor(factor: MultiPoly) -> tuple[MultiPoly, int]:
-    """Normalize sign so the lexicographically largest exponent has coeff > 0."""
+def _canonical_key(factor: MultiPoly) -> tuple[tuple, int]:
+    """The factor's sorted terms, signed so that the largest exponent tuple
+    has a positive coefficient, and that sign."""
     if factor.is_zero():
         raise ZeroDivisionError("zero denominator factor")
-    lead = max(factor.terms)
-    if factor.terms[lead] < 0:
-        return mp_neg(factor), -1
-    return factor, 1
-
-
-def _factor_key(factor: MultiPoly) -> tuple:
-    return tuple(sorted(factor.terms.items()))
+    key = tuple(sorted(factor.terms.items()))
+    if key[-1][1] < 0:
+        return tuple((e, -c) for e, c in key), -1
+    return key, 1
 
 
 def _common_variables(terms) -> tuple[str, ...]:
@@ -328,68 +336,169 @@ def _common_variables(terms) -> tuple[str, ...]:
     return next(iter(vars_seen))
 
 
-def _clear_denominators(terms, lcd_counts, factors_by_key):
-    """Sum of numerators scaled by the complement of each term's denominator."""
-    if not terms:
-        return None
-    variables = terms[0].numerator.variables
-    total = mp_zero(variables)
-    for term in terms:
-        scaled = term.numerator
-        own_counts: dict[tuple, int] = {}
-        sign = 1
-        for f in term.denominator_factors:
-            canon, s = _canonical_factor(f)
-            sign *= s
-            own_counts[_factor_key(canon)] = own_counts.get(_factor_key(canon), 0) + 1
-        if sign < 0:
-            scaled = mp_neg(scaled)
-        for key, count in lcd_counts.items():
-            missing = count - own_counts.get(key, 0)
-            for _ in range(missing):
-                scaled = mp_mul(scaled, factors_by_key[key])
-        total = mp_add(total, scaled)
-    return total
+class _ScaledPoly:
+    """A nonzero polynomial times `scale`, the lcm of its coefficient
+    denominators, with its lowest and highest exponent in each variable
+    and the L1 norm of its now-integer coefficients."""
+
+    __slots__ = ("terms", "scale", "lo", "hi", "l1")
+
+    def __init__(self, terms: dict[tuple[int, ...], Coefficient]):
+        values = terms.values()
+        self.scale = 1 if _INT_ONLY.issuperset(map(type, values)) else lcm(*(c.denominator for c in values))
+        if self.scale != 1:
+            terms = {e: int(c * self.scale) for e, c in terms.items()}
+        self.terms = terms
+        columns = list(zip(*terms))
+        self.lo = tuple(map(min, columns))
+        self.hi = tuple(map(max, columns))
+        self.l1 = sum(map(abs, terms.values()))
+
+    def pack(self, multiplier: int, origin, strides, slot_bits: int) -> int:
+        """multiplier * self / x^origin at x_j = 2^(slot_bits * strides_j)."""
+        base = sum(map(mul, origin, strides))
+        return sum(
+            (multiplier * c) << slot_bits * (sum(map(mul, exps, strides)) - base)
+            for exps, c in self.terms.items()
+        )
 
 
-def _lcd(terms):
-    lcd_counts: dict[tuple, int] = {}
-    factors_by_key: dict[tuple, MultiPoly] = {}
-    for term in terms:
-        counts: dict[tuple, int] = {}
-        for f in term.denominator_factors:
-            canon, _ = _canonical_factor(f)
-            key = _factor_key(canon)
-            factors_by_key[key] = canon
-            counts[key] = counts.get(key, 0) + 1
-        for key, c in counts.items():
-            lcd_counts[key] = max(lcd_counts.get(key, 0), c)
-    return lcd_counts, factors_by_key
+@dataclass(frozen=True)
+class _PackedDifference:
+    """scale * (the cleared numerator of lhs - rhs) at x_j = 2^(slot_bits * strides_j),
+    divided by x^lo: slot sum((e_j - lo_j) * strides_j) of `total` holds the
+    coefficient of x^e as a balanced digit."""
+
+    variables: tuple[str, ...]
+    lo: tuple[int, ...]
+    spans: list[int]
+    strides: list[int]
+    slot_bits: int
+    scale: int
+    total: int
+
+    def lowest_term(self) -> dict:
+        """The lowest nonzero slot as a monomial and its true coefficient."""
+        slot = ((self.total & -self.total).bit_length() - 1) // self.slot_bits
+        digit = (self.total >> slot * self.slot_bits) & ((1 << self.slot_bits) - 1)
+        if digit >> (self.slot_bits - 1):
+            digit -= 1 << self.slot_bits
+        exps = (l + slot // stride % span for l, stride, span in zip(self.lo, self.strides, self.spans))
+        return {
+            "monomial": dict(zip(self.variables, exps)),
+            "coefficient": str(Fraction(digit, self.scale)),
+        }
 
 
 def identity_check(lhs, rhs) -> IdentityVerdict:
     """Decide whether sum(lhs) equals sum(rhs) as rational functions.
 
-    The difference of the two sides is brought over the least common
-    denominator; the sums agree exactly when the cleared numerator is 0,
-    and otherwise its smallest monomial is the witness.
+    The difference is brought over the least common denominator of its
+    factors, taken up to sign; the sums agree exactly when the cleared
+    numerator D is 0, and otherwise the witness is the lexicographically
+    smallest monomial of D with its coefficient.
+
+    D is never built.  Every piece is scaled to integer coefficients, so
+    that each cleared term sign * numerator * prod f^missing is K times
+    its true value for one K, and shifted by its own lowest exponents.
+    x_j -> 2^(B * S_j) is a ring homomorphism Z[x] -> Z; with mixed-radix
+    strides S_j over the exponent box of D, the first variable the most
+    significant, and B = bound.bit_length() + 1, where bound = sum over
+    terms of L1(numerator) * prod L1(f)^missing is at least every
+    coefficient of K * D, it is injective on K * D: slots are distinct
+    and balanced base-2^B digits are unique.  So D = 0 exactly when the
+    packed terms sum to 0, and the lowest nonzero slot is the witness,
+    its digit over K the coefficient.  Each factor is packed once, and
+    terms that miss the same factors share one product of powers.  A box
+    above MAX_IDENTITY_BITS (slots x B) raises IdentityCapError before
+    anything is packed.
+    """
+    packed = _pack_difference(lhs, rhs)
+    if packed is None or not packed.total:
+        return IdentityVerdict(True)
+    return IdentityVerdict(False, packed.lowest_term())
+
+
+def _pack_difference(lhs, rhs) -> _PackedDifference | None:
+    """The packed cleared numerator of sum(lhs) - sum(rhs); see `identity_check`.
+
+    None when no term has a nonzero numerator.
     """
     lhs = list(lhs)
     rhs = list(rhs)
     variables = _common_variables(lhs + rhs)
-    all_terms = lhs + [
-        RationalTerm(mp_neg(t.numerator), t.denominator_factors) for t in rhs
-    ]
-    lcd_counts, factors_by_key = _lcd(all_terms)
-    diff = _clear_denominators(all_terms, lcd_counts, factors_by_key)
-    if diff is None or diff.is_zero():
-        return IdentityVerdict(True)
-    exps = min(diff.terms)
-    witness = {
-        "monomial": dict(zip(variables, exps)),
-        "coefficient": str(Fraction(diff.terms[exps])),
-    }
-    return IdentityVerdict(False, witness)
+    width = len(variables)
+    lcd: dict[tuple, int] = {}
+    canonical: dict[int, tuple[tuple, int]] = {}
+    terms = []
+    for side, side_terms in ((1, lhs), (-1, rhs)):
+        for term in side_terms:
+            sign = side
+            own: dict[tuple, int] = {}
+            for f in term.denominator_factors:
+                if id(f) not in canonical:
+                    canonical[id(f)] = _canonical_key(f)
+                key, s = canonical[id(f)]
+                sign *= s
+                own[key] = own.get(key, 0) + 1
+            for key, count in own.items():
+                if count > lcd.get(key, 0):
+                    lcd[key] = count
+            terms.append((sign, term.numerator, own))
+    keys = tuple(lcd)
+    groups: dict[tuple[int, ...], list] = {}
+    for sign, numerator, own in terms:
+        if numerator.terms:
+            missing = tuple(lcd[key] - own.get(key, 0) for key in keys)
+            groups.setdefault(missing, []).append((sign, _ScaledPoly(numerator.terms)))
+    if not groups:
+        return None
+    factors = [_ScaledPoly(dict(key)) for key in keys]
+    scale = lcm(*(num.scale for members in groups.values() for _, num in members))
+    for key, f in zip(keys, factors):
+        scale *= f.scale ** lcd[key]
+    bound = 0
+    lows, highs, placed = [], [], []
+    for missing, members in groups.items():
+        offset = reach = (0,) * width
+        weight = group_scale = 1
+        for f, count in zip(factors, missing):
+            if count:
+                offset = [o + count * e for o, e in zip(offset, f.lo)]
+                reach = [h + count * e for h, e in zip(reach, f.hi)]
+                weight *= f.l1**count
+                group_scale *= f.scale**count
+        scaled = [(sign * (scale // (num.scale * group_scale)), num) for sign, num in members]
+        for multiplier, num in scaled:
+            bound += abs(multiplier) * num.l1 * weight
+            lows.append(tuple(map(add, num.lo, offset)))
+            highs.append(tuple(map(add, num.hi, reach)))
+        placed.append((missing, offset, scaled))
+    lo = tuple(map(min, zip(*lows)))
+    hi = tuple(map(max, zip(*highs)))
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    strides = [1] * width
+    for j in range(width - 1, 0, -1):
+        strides[j - 1] = strides[j] * spans[j]
+    slots = strides[0] * spans[0] if width else 1
+    slot_bits = bound.bit_length() + 1
+    if slots * slot_bits > MAX_IDENTITY_BITS:
+        raise IdentityCapError(
+            f"packed identity of {slots} slots x {slot_bits} bits exceeds the bound {MAX_IDENTITY_BITS}"
+        )
+    packed = [f.pack(1, f.lo, strides, slot_bits) for f in factors]
+    powers: dict[tuple[int, int], int] = {}
+    total = 0
+    for missing, offset, scaled in placed:
+        origin = tuple(map(sub, lo, offset))
+        share = sum(num.pack(multiplier, origin, strides, slot_bits) for multiplier, num in scaled)
+        for index, count in enumerate(missing):
+            if count:
+                if (index, count) not in powers:
+                    powers[index, count] = packed[index] ** count
+                share *= powers[index, count]
+        total += share
+    return _PackedDifference(variables, lo, spans, strides, slot_bits, scale, total)
 
 
 def three_factor_identity_sides() -> tuple[MultiPoly, MultiPoly]:

@@ -16,7 +16,8 @@ replaced.
 list kernels, one `QSeries` per addend, group and running total, before
 it was packed.  They read the pair's layers, split table and sizes
 through the `antitelescope` module at call time, so a test that patches
-those patches both engines alike.
+those patches both engines alike.  `group_negatives` and
+`groups_sum_to_addend` read one decomposition the way that engine did.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from qdominance.antitelescope import AddendDecomposition
 from qdominance.dominance import nbase_pair
 from qdominance.series import (
     QSeries,
+    _norm,
     divide_binomial,
     first_negative,
     multiply_binomial,
@@ -197,6 +199,26 @@ def list_decompositions(P, Q, order: int, split: str = "none", reciprocal_q=None
         f = f_next
 
 
+def group_negatives(dec: AddendDecomposition) -> dict:
+    """Each group's first negative coefficient, at its true value."""
+    out = {}
+    for name, g in dec.groups:
+        neg = first_negative(g)
+        if neg is not None and dec.scale != 1:
+            neg = (neg[0], _norm(Fraction(neg[1], dec.scale)))
+        out[name] = neg
+    return out
+
+
+def groups_sum_to_addend(dec: AddendDecomposition) -> bool:
+    total = QSeries.zero(dec.addend.order)
+    for _, g in dec.groups:
+        total = series_add(total, g)
+    if dec.scale != 1:
+        return total == series_scale(dec.addend, dec.scale)
+    return total == dec.addend
+
+
 def _sum_pieces(d: QSeries, pieces) -> QSeries:
     total = QSeries.zero(d.order)
     for lead, exponents in pieces:
@@ -221,10 +243,10 @@ def list_certify_split(P, Q, order: int, split: str) -> dict:
 
     for dec in list_decompositions(P, Q, order, split, reciprocal_q):
         i = dec.index
-        for name, neg in dec.group_negatives().items():
+        for name, neg in group_negatives(dec).items():
             if neg is not None:
                 note({"i": i, "location": name, "exponent": neg[0], "coefficient": neg[1]})
-        if not dec.groups_sum_to_addend():
+        if not groups_sum_to_addend(dec):
             note({"i": i, "location": "group-sum"})
         neg = first_negative(dec.addend)
         if neg is not None:
@@ -244,7 +266,7 @@ def list_positivity_scan(P, Q, order: int, split: str = "none", dump_series: boo
     rows = []
     dumps = []
     for dec in list_decompositions(P, Q, order, split):
-        rows.append({"i": dec.index, "addend": first_negative(dec.addend), "groups": dec.group_negatives()})
+        rows.append({"i": dec.index, "addend": first_negative(dec.addend), "groups": group_negatives(dec)})
         if dump_series:
             entry = {"i": dec.index, "addend": serialize(dec.addend)}
             if split != "none":

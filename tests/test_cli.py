@@ -636,3 +636,19 @@ class TestDeterminism:
         first, second = (strip_timings(run_cli(argv, capsys)[1]) for _ in range(2))
         assert '"series"' in first
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--seed", "7", "--order", "16"],
+            ["lemma", "--r", "2", "--R", "3", "--bounds", "3,10,10", "--dump-poly"],
+            ["interpret-check", "--params", "3,1,2,2,3,2", "--max-n", "10"],
+            ["proposal", "--x", "1,2", "--r", "2,2", "--m", "5", "--L", "2", "--order", "12"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_envelope_is_reproducible(self, argv, capsys):
+        runs = [run_cli(argv, capsys) for _ in range(2)]
+        assert [code for code, _, _ in runs] == [0, 0]
+        first, second = (strip_timings(out) for _, out, _ in runs)
+        assert first == second

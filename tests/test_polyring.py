@@ -18,11 +18,11 @@ from qdominance.polyring import (
     mp_add,
     mp_mul,
     mp_sub,
-    mp_zero,
     three_factor_identity_sides,
     to_text,
 )
 from qdominance.series import QSeries, reciprocal_from_exponents, series_mul
+from reference_polyring import mp_zero
 from reference_series import CoverageError, specialize, tri_multiply, tri_truncate_poly
 
 XY = ("x", "y")

@@ -1,8 +1,11 @@
-"""Every public function and class in the package has a caller.
+"""Every public function, class, method and constant in the package has a caller.
 
 A top-level `def` or `class` whose name does not start with `_` must be
 read, as a name or an attribute, by some other top-level statement of the
-package, or be imported by the README's library quick start.  Code that
+package, or be imported by the README's library quick start.  So must an
+UPPER_CASE module constant.  A method of a top-level class whose name does
+not start with `_` must be read by some other statement of the package,
+another method of its class included, or by the quick start.  Code that
 only the tests call belongs in the tests.
 """
 
@@ -14,11 +17,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qdominance"
 
 
-def quick_start_imports() -> set[str]:
+def quick_start() -> ast.Module:
     (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    return ast.parse(block)
+
+
+def quick_start_imports() -> set[str]:
     return {
         alias.asname or alias.name
-        for node in ast.walk(ast.parse(block))
+        for node in ast.walk(quick_start())
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
@@ -34,27 +41,65 @@ def names_read(statement: ast.stmt) -> set[str]:
     return read
 
 
-def uncalled_names() -> list[str]:
-    statements = [
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The public def or class, or the UPPER_CASE constants, a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [] if statement.name.startswith("_") else [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else []
+    if isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    return [t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+
+
+def package_statements() -> list[tuple[str, ast.stmt]]:
+    return [
         (path.stem, statement)
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
         for statement in ast.parse(path.read_text()).body
     ]
+
+
+def uncalled_names() -> list[str]:
+    statements = package_statements()
     reads = [names_read(statement) for _, statement in statements]
     imported = quick_start_imports()
     uncalled = []
     for i, (module, statement) in enumerate(statements):
-        if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        for name in defined_names(statement):
+            if name in imported:
+                continue
+            if not any(name in read for j, read in enumerate(reads) if j != i):
+                uncalled.append(f"{module}.{name}")
+    return uncalled
+
+
+def uncalled_methods() -> list[str]:
+    """Public methods of top-level classes that no other statement reads."""
+    units = []
+    for module, statement in package_statements():
+        if isinstance(statement, ast.ClassDef):
+            units += [(module, statement.name, member) for member in statement.body]
+        else:
+            units.append((module, None, statement))
+    reads = [names_read(member) for _, _, member in units]
+    in_quick_start = names_read(quick_start())
+    uncalled = []
+    for i, (module, cls, member) in enumerate(units):
+        if cls is None or not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
             continue
-        name = statement.name
-        if name.startswith("_") or name in imported:
+        if member.name in in_quick_start:
             continue
-        if not any(name in read for j, read in enumerate(reads) if j != i):
-            uncalled.append(f"{module}.{name}")
+        if not any(member.name in read for j, read in enumerate(reads) if j != i):
+            uncalled.append(f"{module}.{cls}.{member.name}")
     return uncalled
 
 
 def test_every_public_name_has_a_caller():
     uncalled = uncalled_names()
     assert not uncalled, "public names without a caller: " + ", ".join(uncalled)
+
+
+def test_every_public_method_has_a_caller():
+    uncalled = uncalled_methods()
+    assert not uncalled, "public methods without a caller: " + ", ".join(uncalled)
