@@ -310,8 +310,6 @@ _INTERPRET_COLUMNS = ["n", "V_count", "W_count", "series_V", "series_W", "match"
 
 def _cmd_interpret_check(args, config) -> Outcome:
     params = _partition_params(args.params)
-    if args.max_n < 0:
-        raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
     if args.max_n > MAX_INTERPRET_N:
         raise partitions.EnumerationCapError(
             f"--max-n {args.max_n} exceeds the interpret-check bound {MAX_INTERPRET_N}"
@@ -339,8 +337,6 @@ def _cmd_proposal(args, config) -> Outcome:
     if args.n is not None and args.n != len(sizes):
         raise UsageError(f"--n {args.n} disagrees with the {len(sizes)} sizes in --x")
     params = proposal.proposal_params(sizes, multipliers)
-    if args.m < 1 or args.L < 1:
-        raise UsageError(f"m and L must be positive, got m={args.m}, L={args.L}")
     outcome = proposal.check_proposal(params, args.m, args.L, config.order)
     witness = None
     if not outcome["holds"]:
@@ -654,7 +650,12 @@ def main(argv=None) -> int:
         if config.format == "csv" and args.command not in CSV_COMMANDS:
             raise UsageError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
         outcome = _HANDLERS[args.command](args, config)
-    except (partitions.EnumerationCapError, lemma.LatticeCapError, SeriesCapError) as exc:
+    except (
+        partitions.EnumerationCapError,
+        lemma.LatticeCapError,
+        SeriesCapError,
+        proposal.InjectionCapError,
+    ) as exc:
         print(f"qdominance: resource: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -12,6 +12,17 @@ series `h_series`, whose 19-addend transcription is checksummed by
 `fourvar_identity`.
 `check_proposal` runs the coefficientwise comparison for arbitrary n and
 labels how strong the supporting argument is.
+
+The h split is packed like the antitelescoping groups (`series._Signed`).
+Each addend multiplies, per size, a block A(e, k), a tail G(ke) or
+nothing, and each of these is q^lead times binomials over the size's two
+denominators (1 - q^e)(1 - q^(ke)).  So 6h is one numerator, a weighted
+list of pieces q^lead * prod (1 - q^b), over the six denominators of
+x, y and z, and it is bounded coefficientwise by the numerator's L1 norm
+times their reciprocal, which fixes the slot width before anything is
+packed.  `fourvar_identity` takes 6(1/P - 1/Q) and the four 6h over the
+two composite binomials in one packing over the factors of P and Q,
+which hold every denominator, and compares the two residues.
 """
 
 from __future__ import annotations
@@ -24,24 +35,27 @@ from operator import mul
 from .dominance import NamedInequality, check_named, nbase_pair, report_dict
 from .series import (
     QSeries,
-    divide_binomial,
-    multiply_binomial,
+    _norm,
+    _Signed,
     positive_ints,
     reciprocal_from_exponents,
-    series_add,
-    series_mul,
-    series_scale,
-    series_sub,
-    spec_reciprocal_pair,
+    require_series_work,
 )
 
-SIXTH = Fraction(1, 6)
-
 DEFAULT_INJECTION_BOUND = 24
+
+# Most sources one injection walk may visit.  The largest walk the tests and
+# benchmarks make has about 1.8e5 sources; eight unit sizes up to weight 24
+# would have about 1.1e7.
+MAX_INJECTION_SOURCES = 10**6
 
 
 class NotInImageError(ValueError):
     """Raised when a count vector cannot be pulled back through the injection."""
+
+
+class InjectionCapError(ValueError):
+    """Raised when an injection walk would visit more than MAX_INJECTION_SOURCES sources."""
 
 
 @dataclass(frozen=True)
@@ -124,17 +138,62 @@ def _bounded_vectors(sizes: tuple[int, ...], budget: int):
             yield counts, joint, weight + joint * last
 
 
-def _ratio_block(e: int, k: int, order: int) -> QSeries:
-    """q^e (1 - q^((k-1)e)) / ((1 - q^e)(1 - q^(ke))); zero when k == 1."""
-    out = QSeries.monomial(e, order)
-    out = multiply_binomial(out, (k - 1) * e)
-    out = divide_binomial(out, e)
-    return divide_binomial(out, k * e)
+# The nineteen addends of h, each a product of at most one factor per size:
+# "A" its block, "G" its tail and "-" an absent size, in (x, y, z) order, with
+# the addend's weight times 6.
+_H_ADDENDS = (
+    (6, "AAA"),
+    (3, "AA-"),
+    (3, "-AA"),
+    (3, "A-A"),
+    (3, "AG-"),
+    (3, "A-G"),
+    (3, "-AG"),
+    (3, "GA-"),
+    (3, "-GA"),
+    (3, "G-A"),
+    (2, "A--"),
+    (2, "-A-"),
+    (2, "--A"),
+    (6, "AAG"),
+    (6, "AGA"),
+    (6, "GAA"),
+    (6, "AGG"),
+    (6, "GAG"),
+    (6, "GGA"),
+)
 
 
-def _geometric(e: int, order: int) -> QSeries:
-    """q^e / (1 - q^e)."""
-    return divide_binomial(QSeries.monomial(e, order), e)
+def _h_numerator(params) -> tuple[list, tuple[int, ...]]:
+    """6h as ([(weight, (lead, binomials)), ...], the six denominator exponents).
+
+    Over the size's two denominators (1 - q^e)(1 - q^(ke)), its block is
+    q^e (1 - q^((k-1)e)), its tail q^(ke) (1 - q^e) and its absence
+    (1 - q^e)(1 - q^(ke)); an addend multiplies one of each per size.
+    """
+    x, y, z, r, R, rho = positive_ints(params, "h parameters", 6)
+    factors = [
+        {"A": (e, ((k - 1) * e,)), "G": (k * e, (e,)), "-": (0, (e, k * e))}
+        for e, k in ((x, r), (y, R), (z, rho))
+    ]
+    addends = []
+    for weight, code in _H_ADDENDS:
+        chosen = [size[c] for size, c in zip(factors, code)]
+        lead = sum(lead for lead, _ in chosen)
+        binomials = tuple(b for _, bs in chosen for b in bs)
+        addends.append((weight, (lead, binomials)))
+    return addends, (x, r * x, y, R * y, z, rho * z)
+
+
+def _l1(addends) -> int:
+    """The L1 norm of the numerator: each binomial product has norm at most 2^(its length)."""
+    return sum(weight * 2 ** len(binomials) for weight, (_, binomials) in addends)
+
+
+def _six_h(packing: _Signed, addends, denominators) -> int:
+    """6h, packed: the weighted pieces times the reciprocal of the six denominators."""
+    d = packing.divide(1, denominators)
+    return sum(weight * packing.times_pieces(d, [piece]) for weight, piece in addends)
 
 
 def h_series(params, order: int) -> QSeries:
@@ -144,44 +203,13 @@ def h_series(params, order: int) -> QSeries:
     A(e, k) = q^e(1-q^((k-1)e)) / ((1-q^e)(1-q^(ke))) and geometric tails
     G(e) = q^e/(1-q^e): the top block A(x,r)A(y,R)A(z,rho); the three pair
     products and six block-times-tail products at weight 1/2; the three lone
-    blocks at weight 1/3; and the six triple products at weight 1.  Everything
-    is accumulated six-fold in integers and divided once at the end.
+    blocks at weight 1/3; and the six triple products at weight 1.  6h is
+    one packed numerator over the six denominators, divided by 6 once read.
     """
-    x, y, z, r, R, rho = positive_ints(params, "h parameters", 6)
-    ax = _ratio_block(x, r, order)
-    ay = _ratio_block(y, R, order)
-    az = _ratio_block(z, rho, order)
-    gx = _geometric(r * x, order)
-    gy = _geometric(R * y, order)
-    gz = _geometric(rho * z, order)
-    weighted = (
-        (6, (ax, ay, az)),
-        (3, (ax, ay)),
-        (3, (ay, az)),
-        (3, (ax, az)),
-        (3, (ax, gy)),
-        (3, (ax, gz)),
-        (3, (ay, gz)),
-        (3, (ay, gx)),
-        (3, (az, gy)),
-        (3, (az, gx)),
-        (2, (ax,)),
-        (2, (ay,)),
-        (2, (az,)),
-        (6, (ax, ay, gz)),
-        (6, (ax, az, gy)),
-        (6, (ay, az, gx)),
-        (6, (ax, gy, gz)),
-        (6, (ay, gx, gz)),
-        (6, (az, gy, gx)),
-    )
-    total = QSeries.zero(order)
-    for weight, factors in weighted:
-        term = factors[0]
-        for factor in factors[1:]:
-            term = series_mul(term, factor)
-        total = series_add(total, series_scale(term, weight))
-    return series_scale(total, SIXTH)
+    addends, denominators = _h_numerator(params)
+    packing = _Signed.for_bound(denominators, order, _l1(addends))
+    six_h = packing.decode(_six_h(packing, addends, denominators))
+    return QSeries.from_coeffs([Fraction(c, 6) for c in six_h.coeffs], order)
 
 
 def fourvar_identity(params, order: int) -> dict:
@@ -189,28 +217,38 @@ def fourvar_identity(params, order: int) -> dict:
 
     The difference of the two five-factor reciprocals must equal the sum of
     the four h series (one per omitted size) divided by the two composite
-    binomials.
+    binomials.  Both sides are taken six-fold in one packing over the
+    factors of both products, which hold every denominator, and compared
+    as residues; a mismatch is read at the lowest differing slot.
     """
     x, y, z, w, r, R, rho, P = positive_ints(params, "fourvar parameters", 8)
     dominant, subordinate = nbase_pair((x, y, z, w), (r, R, rho, P), 1, 1)
-    lhs = series_sub(*spec_reciprocal_pair(dominant, subordinate, order))
-    total = h_series((x, y, z, r, R, rho), order)
-    total = series_add(total, h_series((x, y, w, r, R, P), order))
-    total = series_add(total, h_series((x, z, w, r, rho, P), order))
-    total = series_add(total, h_series((y, z, w, R, rho, P), order))
-    rhs = divide_binomial(
-        divide_binomial(total, subordinate.bases[-1]), dominant.bases[-1]
-    )
-    mismatch = next(
-        (n for n, c in enumerate(series_sub(lhs, rhs).coeffs) if c != 0), None
-    )
+    hs = [
+        _h_numerator(h)
+        for h in ((x, y, z, r, R, rho), (x, y, w, r, R, P), (x, z, w, r, rho, P), (y, z, w, R, rho, P))
+    ]
+    exponents = dominant.exponents(order), subordinate.exponents(order)
+    # coefficientwise |6/P - 6/Q| <= 12/(PQ), and |6h/composites| <= L1(6h)/(PQ)
+    weight = max(12, sum(_l1(addends) for addends, _ in hs))
+    packing = _Signed.for_bound(sum(exponents, []), order, weight)
+    reciprocal_p, reciprocal_q = packing.reciprocal_pair(*exponents)
+    lhs = 6 * (reciprocal_p - reciprocal_q)
+    total = sum(_six_h(packing, *h) for h in hs)
+    rhs = packing.divide(total, (subordinate.bases[-1], dominant.bases[-1]))
+    diff = (lhs - rhs) & packing.mask
+    witness = None
+    if diff:
+        n = ((diff & -diff).bit_length() - 1) // packing.bits
+        witness = {
+            "exponent": n,
+            "lhs": packing.decode(lhs).coeff(n) // 6,
+            "rhs": _norm(Fraction(packing.decode(rhs).coeff(n), 6)),
+        }
     return {
         "params": (x, y, z, w, r, R, rho, P),
         "order": order,
-        "equal": mismatch is None,
-        "witness": None
-        if mismatch is None
-        else {"exponent": mismatch, "lhs": lhs.coeff(mismatch), "rhs": rhs.coeff(mismatch)},
+        "equal": witness is None,
+        "witness": witness,
     }
 
 
@@ -229,10 +267,20 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
     Verifies weight preservation, the congruence witness, the inverse
     round-trip (which implies that images are pairwise distinct), and that
     per-weight source counts stay below the unrestricted dominant-side
-    counts.  A failure names the source's counts and joint count.
+    counts.  A failure names the source's counts and joint count.  The
+    sources are counted first, as the coefficients of the source-side
+    reciprocal, and more than MAX_INJECTION_SOURCES raise
+    InjectionCapError before any vector is built.  A weight over the
+    series work bound raises SeriesCapError before the count.
     """
-    failure = None
+    require_series_work(nbase_pair(params.x, params.r, 1, 1), max_weight)
     rs, image_sizes = params.r, params.image_sizes
+    planned = sum(reciprocal_from_exponents(params.source_sizes, max_weight).coeffs)
+    if planned > MAX_INJECTION_SOURCES:
+        raise InjectionCapError(
+            f"{planned} injection sources up to weight {max_weight} exceed the bound {MAX_INJECTION_SOURCES}"
+        )
+    failure = None
     per_weight = [0] * (max_weight + 1)
     source_count = 0
     for counts, joint, weight in _bounded_vectors(params.source_sizes, max_weight):

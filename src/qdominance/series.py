@@ -36,12 +36,12 @@ side's final series.  When the lists share nothing each side keeps its
 own width.  `reciprocal_from_exponents` is the one-list case of the same
 body.
 
-Signed series (the split engine's addends and groups) are packed the
-same way, in `_Signed`: one int with B-bit slots, reduced modulo
-M = 2^(B(N+1)).  q -> 2^B is a ring homomorphism from Z[q]/(q^(N+1)) to
-Z/MZ, so adding, subtracting, shifting by q^lead, multiplying by
-(1 - q^e) and applying 1/(1 - q^e) by doubling all compute the residue
-of the true series, and a value in between may wrap.  A residue is read
+Signed series (the split engine's addends and groups, and the h series)
+are packed the same way, in `_Signed`: one int with B-bit slots, reduced
+modulo M = 2^(B(N+1)).  q -> 2^B is a ring homomorphism from
+Z[q]/(q^(N+1)) to Z/MZ, so adding, subtracting, shifting by q^lead,
+multiplying by (1 - q^e) and applying 1/(1 - q^e) by doubling all
+compute the residue of the true series, and a value in between may wrap.  A residue is read
 back, by its signs or in full, through a bias of 2^(B-1) in every slot;
 that is exact for a series whose every |coefficient| is below 2^(B-1).
 B must be proven for every series that is read before anything is
@@ -117,21 +117,6 @@ class QSeries:
             cs.extend([0] * (order + 1 - len(cs)))
         return QSeries(order, tuple(cs[: order + 1]))
 
-    @staticmethod
-    def zero(order: int) -> "QSeries":
-        return QSeries(order, (0,) * (order + 1))
-
-    @staticmethod
-    def one(order: int) -> "QSeries":
-        return QSeries.monomial(0, order)
-
-    @staticmethod
-    def monomial(exponent: int, order: int, coeff: Coefficient = 1) -> "QSeries":
-        cs = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            cs[exponent] = _norm(coeff)
-        return QSeries(order, tuple(cs))
-
     def coeff(self, n: int) -> Coefficient:
         if not 0 <= n <= self.order:
             raise IndexError(f"exponent {n} outside tracked range 0..{self.order}")
@@ -146,11 +131,6 @@ def _require_same_order(a: QSeries, b: QSeries) -> None:
         raise OrderMismatchError(f"orders differ: {a.order} != {b.order}")
 
 
-def series_add(a: QSeries, b: QSeries) -> QSeries:
-    _require_same_order(a, b)
-    return QSeries.from_coeffs([x + y for x, y in zip(a.coeffs, b.coeffs)], a.order)
-
-
 def series_sub(a: QSeries, b: QSeries) -> QSeries:
     _require_same_order(a, b)
     return QSeries.from_coeffs([x - y for x, y in zip(a.coeffs, b.coeffs)], a.order)
@@ -158,45 +138,6 @@ def series_sub(a: QSeries, b: QSeries) -> QSeries:
 
 def series_scale(a: QSeries, c: Coefficient) -> QSeries:
     return QSeries.from_coeffs([c * x for x in a.coeffs], a.order)
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product truncated at the common order."""
-    _require_same_order(a, b)
-    n = a.order
-    out = [0] * (n + 1)
-    bc = b.coeffs
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j in range(n + 1 - i):
-                bj = bc[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return QSeries.from_coeffs(out, n)
-
-
-def multiply_binomial(a: QSeries, exponent: int) -> QSeries:
-    """Product with (1 - q^exponent); exponent 0 gives the zero series."""
-    if exponent == 0:
-        return QSeries.zero(a.order)
-    if exponent > a.order:
-        return a
-    out = list(a.coeffs)
-    for n in range(a.order, exponent - 1, -1):
-        out[n] -= out[n - exponent]
-    return QSeries.from_coeffs(out, a.order)
-
-
-def divide_binomial(a: QSeries, exponent: int) -> QSeries:
-    """Product with the geometric series 1/(1 - q^exponent)."""
-    if exponent == 0:
-        raise SingularSeriesError("cannot divide by 1 - q^0")
-    if exponent > a.order:
-        return a
-    out = list(a.coeffs)
-    for n in range(exponent, a.order + 1):
-        out[n] += out[n - exponent]
-    return QSeries.from_coeffs(out, a.order)
 
 
 # Fixed-point scale of the saddle bound: a value v in (0, 1] is the int v * 2^64.

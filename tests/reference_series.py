@@ -6,9 +6,11 @@ package itself only ever divides by binomials, so these serve as
 independent oracles for `spec_reciprocal` and the split engine.
 `spec_reciprocal` expands one product on its own; the package expands
 the two sides of a pair together.
-`multiply_binomials`, `divide_binomials` and `series_shift` are the list
-kernels the split engine ran on before it was packed; they carry the
-list references of the packed kernels.
+`multiply_binomial`, `divide_binomial`, `series_add`, `series_mul` and
+the `zero_series`, `one_series` and `monomial` constructors are the list
+kernels the package ran on before every series was packed, and
+`multiply_binomials`, `divide_binomials` and `series_shift` build on
+them; they carry the list references of the packed kernels.
 `tri_multiply`, `tri_truncate_poly` and `specialize` multiply, truncate
 and specialize (t, x, y) lattices, which the tests use to check
 `expand_rational` and the kernel specializations.
@@ -31,10 +33,68 @@ from qdominance.series import (
     QSeries,
     SingularSeriesError,
     _norm,
-    divide_binomial,
-    multiply_binomial,
+    _require_same_order,
     reciprocal_from_exponents,
 )
+
+
+def zero_series(order: int) -> QSeries:
+    return QSeries(order, (0,) * (order + 1))
+
+
+def one_series(order: int) -> QSeries:
+    return monomial(0, order)
+
+
+def monomial(exponent: int, order: int, coeff: Coefficient = 1) -> QSeries:
+    cs = [0] * (order + 1)
+    if 0 <= exponent <= order:
+        cs[exponent] = _norm(coeff)
+    return QSeries(order, tuple(cs))
+
+
+def series_add(a: QSeries, b: QSeries) -> QSeries:
+    _require_same_order(a, b)
+    return QSeries.from_coeffs([x + y for x, y in zip(a.coeffs, b.coeffs)], a.order)
+
+
+def series_mul(a: QSeries, b: QSeries) -> QSeries:
+    """Cauchy product truncated at the common order."""
+    _require_same_order(a, b)
+    n = a.order
+    out = [0] * (n + 1)
+    bc = b.coeffs
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            for j in range(n + 1 - i):
+                bj = bc[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return QSeries.from_coeffs(out, n)
+
+
+def multiply_binomial(a: QSeries, exponent: int) -> QSeries:
+    """Product with (1 - q^exponent); exponent 0 gives the zero series."""
+    if exponent == 0:
+        return zero_series(a.order)
+    if exponent > a.order:
+        return a
+    out = list(a.coeffs)
+    for n in range(a.order, exponent - 1, -1):
+        out[n] -= out[n - exponent]
+    return QSeries.from_coeffs(out, a.order)
+
+
+def divide_binomial(a: QSeries, exponent: int) -> QSeries:
+    """Product with the geometric series 1/(1 - q^exponent)."""
+    if exponent == 0:
+        raise SingularSeriesError("cannot divide by 1 - q^0")
+    if exponent > a.order:
+        return a
+    out = list(a.coeffs)
+    for n in range(exponent, a.order + 1):
+        out[n] += out[n - exponent]
+    return QSeries.from_coeffs(out, a.order)
 
 
 def spec_reciprocal(spec: ProductSpec, order: int) -> QSeries:
@@ -61,7 +121,7 @@ def series_shift(a: QSeries, exponent: int) -> QSeries:
     if exponent < 0:
         raise ValueError(f"shift must be nonnegative, got {exponent}")
     if exponent > a.order:
-        return QSeries.zero(a.order)
+        return zero_series(a.order)
     return QSeries(a.order, (0,) * exponent + a.coeffs[: a.order + 1 - exponent])
 
 
@@ -91,7 +151,7 @@ def series_reciprocal(a: QSeries) -> QSeries:
 
 def poly_from_exponents(exponents, order: int) -> QSeries:
     """Expand the product of (1 - q^e) over the given exponents."""
-    return multiply_binomials(QSeries.one(order), exponents)
+    return multiply_binomials(one_series(order), exponents)
 
 
 def pochhammer(spec: ProductSpec, order: int) -> QSeries:

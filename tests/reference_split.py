@@ -30,22 +30,24 @@ from qdominance.dominance import nbase_pair
 from qdominance.series import (
     QSeries,
     _norm,
-    divide_binomial,
     first_negative,
-    multiply_binomial,
     require_series_work,
     serialize,
-    series_add,
     series_scale,
     series_sub,
     spec_reciprocal_pair,
 )
 from reference_series import (
+    divide_binomial,
     divide_binomials,
+    monomial,
+    multiply_binomial,
     multiply_binomials,
     poly_from_exponents,
+    series_add,
     series_shift,
     spec_reciprocal,
+    zero_series,
 )
 
 HALF = Fraction(1, 2)
@@ -59,7 +61,7 @@ def _divide_all(series: QSeries, exponents) -> QSeries:
 
 def _product_term(order: int, lead: int, binomial_exponents) -> QSeries:
     """q^lead times the product of (1 - q^e) over the given exponents."""
-    out = QSeries.monomial(lead, order)
+    out = monomial(lead, order)
     for e in binomial_exponents:
         out = multiply_binomial(out, e)
     return out
@@ -211,7 +213,7 @@ def group_negatives(dec: AddendDecomposition) -> dict:
 
 
 def groups_sum_to_addend(dec: AddendDecomposition) -> bool:
-    total = QSeries.zero(dec.addend.order)
+    total = zero_series(dec.addend.order)
     for _, g in dec.groups:
         total = series_add(total, g)
     if dec.scale != 1:
@@ -220,7 +222,7 @@ def groups_sum_to_addend(dec: AddendDecomposition) -> bool:
 
 
 def _sum_pieces(d: QSeries, pieces) -> QSeries:
-    total = QSeries.zero(d.order)
+    total = zero_series(d.order)
     for lead, exponents in pieces:
         total = series_add(total, multiply_binomials(series_shift(d, lead), exponents))
     return total
@@ -233,7 +235,7 @@ def list_certify_split(P, Q, order: int, split: str) -> dict:
     require_series_work((P, Q), order)
     reciprocal_p, reciprocal_q = spec_reciprocal_pair(P, Q, order)
     diff = series_sub(reciprocal_p, reciprocal_q)
-    total = QSeries.zero(order)
+    total = zero_series(order)
     witness = None
 
     def note(found):
@@ -288,8 +290,8 @@ def list_positivity_scan(P, Q, order: int, split: str = "none", dump_series: boo
 
 def list_split_series(params, order: int) -> tuple[QSeries, QSeries]:
     """(sum of V(i), sum of W(i)) on the list kernels; see `partitions.split_series`."""
-    v_total = QSeries.zero(order)
-    w_total = QSeries.zero(order)
+    v_total = zero_series(order)
+    w_total = zero_series(order)
     for dec in list_decompositions(*params.pair, order, "thm1"):
         groups = dict(dec.groups)
         v_total = series_add(v_total, groups["V"])

@@ -41,12 +41,18 @@ from qdominance.series import (
     first_negative,
     product_spec,
     reciprocal_from_exponents,
-    series_add,
-    series_mul,
     series_sub,
 )
 from oracles import bga_expected
-from reference_series import poly_from_exponents, series_reciprocal, spec_reciprocal
+from reference_series import (
+    one_series,
+    poly_from_exponents,
+    series_add,
+    series_mul,
+    series_reciprocal,
+    spec_reciprocal,
+    zero_series,
+)
 
 SEED = 20260819
 
@@ -96,10 +102,10 @@ class TestTwoBaseSplitBox:
             lhs, rhs = build_specs(ineq)
             diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
             assert first_negative(diff) is None, values
-            total = QSeries.zero(order)
+            total = zero_series(order)
             for decomposition in decompositions(lhs, rhs, order, "thm1"):
                 i = decomposition.index
-                group_total = QSeries.zero(order)
+                group_total = zero_series(order)
                 for name, group in decomposition.groups:
                     assert first_negative(group) is None, (values, i, name)
                     group_total = series_add(group_total, group)
@@ -125,11 +131,11 @@ class TestThreeBaseSplitSample:
             lhs, rhs = build_specs(ineq)
             diff = series_sub(spec_reciprocal(lhs, order), spec_reciprocal(rhs, order))
             assert first_negative(diff) is None, values
-            total = QSeries.zero(order)
+            total = zero_series(order)
             for decomposition in decompositions(lhs, rhs, order, "thm2"):
                 i = decomposition.index
                 decomposition = decomposition.unscaled()
-                group_total = QSeries.zero(order)
+                group_total = zero_series(order)
                 for name, group in decomposition.groups:
                     assert first_negative(group) is None, (values, i, name)
                     group_total = series_add(group_total, group)
@@ -304,7 +310,7 @@ class TestInfrastructureProperties:
                 a = QSeries.from_coeffs(
                     [1] + [rng.randint(-3, 3) for _ in range(order)], order
                 )
-                assert series_mul(a, series_reciprocal(a)) == QSeries.one(order), check
+                assert series_mul(a, series_reciprocal(a)) == one_series(order), check
             elif kind == 1:
                 # truncating before or after a product gives the same series
                 a = QSeries.from_coeffs(
@@ -323,4 +329,4 @@ class TestInfrastructureProperties:
                 rec = reciprocal_from_exponents(exponents, order)
                 assert all(isinstance(c, int) and c >= 0 for c in rec.coeffs), check
                 poly = poly_from_exponents(exponents, order)
-                assert series_mul(rec, poly) == QSeries.one(order), check
+                assert series_mul(rec, poly) == one_series(order), check

@@ -14,17 +14,17 @@ from qdominance.polyring import (
     mp_mul,
     mp_sub,
 )
-from qdominance.series import (
-    QSeries,
+from qdominance.series import QSeries, first_negative, product_spec, series_scale, series_sub
+from reference_series import (
     divide_binomial,
-    first_negative,
+    monomial,
     multiply_binomial,
-    product_spec,
+    poly_from_exponents,
     series_mul,
-    series_scale,
-    series_sub,
+    series_reciprocal,
+    spec_reciprocal,
+    specialize,
 )
-from reference_series import poly_from_exponents, series_reciprocal, spec_reciprocal, specialize
 from reference_split import denominator_exponents, layer_exponents, thm_pair
 
 
@@ -243,7 +243,7 @@ class TestThm2Split:
         denominator = denominator_exponents(P, Q, i, L)
         for used in (x, y, t + x, t + y, t + r * x, t + R * y):
             denominator.remove(used)
-        lead = multiply_binomial(QSeries.monomial(t + z, n), (rho - 1) * z)
+        lead = multiply_binomial(monomial(t + z, n), (rho - 1) * z)
         rebuilt = series_mul(lead, kernel)
         # what is left in the denominator includes (1-t q^rho.z)(1-q^z)(1-t q^z)
         for e in denominator:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qdominance import cli, lemma, partitions, series
+from qdominance import cli, lemma, partitions, proposal, series
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     DEFAULT_BOUNDS,
@@ -380,6 +380,17 @@ class TestInterpretCheck:
         assert err.startswith("qdominance: resource:")
         assert str(MAX_INTERPRET_N) in err
 
+    def test_negative_max_n_is_refused_before_any_counting(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("max_n must be checked before any counting")
+
+        monkeypatch.setattr(partitions, "_base_table", refuse)
+        monkeypatch.setattr(partitions, "split_series", refuse)
+        code, out, err = run_cli(["interpret-check", "--params", "5,1,1,2,2,2", "--max-n", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: error:")
+
 
 class TestProposal:
     def test_theorem_case_with_injection(self, capsys):
@@ -415,6 +426,30 @@ class TestProposal:
         )
         assert code == 2
         assert "--n" in err
+
+    @pytest.mark.parametrize("m, L", [("0", "1"), ("1", "0")])
+    def test_nonpositive_m_or_L_is_refused_before_any_expansion(self, m, L, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the parameters must be checked before any expansion")
+
+        monkeypatch.setattr(series, "reciprocal_pair_from_exponents", refuse)
+        monkeypatch.setattr(proposal, "injection_evidence", refuse)
+        code, out, err = run_cli(["proposal", "--x", "1,2", "--r", "2,3", "--m", m, "--L", L], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: error:")
+
+    def test_eight_unit_sizes_are_a_resource_error(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any vector is built")
+
+        monkeypatch.setattr(proposal, "_bounded_vectors", refuse)
+        units = ",".join(["1"] * 8)
+        code, out, err = run_cli(["proposal", "--x", units, "--r", units, "--m", "1", "--L", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource:")
+        assert str(proposal.MAX_INJECTION_SOURCES) in err
 
 
 class TestIdentities:

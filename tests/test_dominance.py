@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdominance import dominance, proposal, series
+from qdominance import dominance, series
 from qdominance.antitelescope import certify_split
 from qdominance.dominance import (
     DominanceReport,
@@ -105,7 +105,7 @@ class TestSharedFactorPair:
         assert spec_reciprocal_pair(P, Q, 60) == separate_reciprocals(P, Q, 60)
         paired = fourvar_identity(params, 60)
         assert paired["equal"]
-        monkeypatch.setattr(proposal, "spec_reciprocal_pair", separate_reciprocals)
+        monkeypatch.setattr(series._Signed, "reciprocal_pair", separate_packed_reciprocals)
         assert fourvar_identity(params, 60) == paired
 
 

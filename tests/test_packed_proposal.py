@@ -1,0 +1,138 @@
+"""The packed h series and four-variable identity against the list oracles.
+
+`proposal.h_series` and `proposal.fourvar_identity` write every h addend
+as q^lead times binomials over six fixed denominators and sum 6h in one
+`series._Signed`; `reference_proposal` builds the same addends as list
+series with the Cauchy product.  Values, verdicts and witnesses must
+agree, also when one addend's weight or lead is patched on both sides,
+and every series that is read must fit its proven slots.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_proposal as reference
+from qdominance import proposal, series
+from qdominance.proposal import InjectionCapError, fourvar_identity, h_series, injection_evidence, proposal_params
+from qdominance.series import MAX_SERIES_WORK, SeriesCapError, reciprocal_from_exponents
+from reference_series import series_shift
+
+sizes = st.integers(1, 5)
+h_params = st.tuples(*[sizes] * 6)
+fourvar_params = st.tuples(*[sizes] * 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h_params, st.integers(0, 80))
+def test_h_series_matches_the_list_oracle(params, order):
+    got = h_series(params, order)
+    want = reference.h_series(params, order)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fourvar_params, st.integers(0, 40))
+def test_fourvar_identity_matches_the_list_oracle(params, order):
+    assert fourvar_identity(params, order) == reference.fourvar_identity(params, order)
+
+
+def largest_bits(*sides) -> int:
+    return max(abs(c).bit_length() for side in sides for c in side.coeffs)
+
+
+def proven_packings(mp) -> list:
+    """Record every packing that `_Signed.for_bound` proves while the patch is in place."""
+    made = []
+    for_bound = series._Signed.for_bound.__func__
+
+    def recording(cls, *args):
+        made.append(for_bound(cls, *args))
+        return made[-1]
+
+    mp.setattr(series._Signed, "for_bound", classmethod(recording))
+    return made
+
+
+@settings(max_examples=30, deadline=None)
+@given(h_params, st.integers(0, 80))
+def test_h_width_holds_six_h(params, order):
+    with pytest.MonkeyPatch.context() as mp:
+        made = proven_packings(mp)
+        h_series(params, order)
+    six_h = series.series_scale(reference.h_series(params, order), 6)
+    (packing,) = made
+    assert packing.bits >= 2 + largest_bits(six_h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fourvar_params, st.integers(0, 40))
+def test_fourvar_width_holds_both_sides(params, order):
+    with pytest.MonkeyPatch.context() as mp:
+        made = proven_packings(mp)
+        fourvar_identity(params, order)
+    lhs, rhs = reference.fourvar_sides(params, order)
+    (packing,) = made
+    assert packing.bits >= 2 + largest_bits(series.series_scale(lhs, 6), series.series_scale(rhs, 6))
+
+
+# (addend index, patched six-fold weight, extra lead): each changes one of the
+# nineteen addends, in every h of the identity alike.
+PATCHES = [(0, 7, 0), (4, 3, 1), (10, 1, 0), (12, 2, 3), (18, 5, 2)]
+
+
+@pytest.mark.parametrize("index, weight, shift", PATCHES)
+def test_a_patched_addend_fails_with_the_oracles_witness(index, weight, shift, monkeypatch):
+    numerator = proposal._h_numerator
+
+    def patched(params):
+        addends, denominators = numerator(params)
+        lead, binomials = addends[index][1]
+        addends[index] = (weight, (lead + shift, binomials))
+        return addends, denominators
+
+    def patched_terms(params, order):
+        terms = reference.h_terms(params, order)
+        terms[index] = (weight, series_shift(terms[index][1], shift))
+        return terms
+
+    monkeypatch.setattr(proposal, "_h_numerator", patched)
+    params = (1, 2, 1, 3, 2, 3, 2, 2)
+    got = fourvar_identity(params, 30)
+    assert not got["equal"]
+    assert got == reference.fourvar_identity(params, 30, patched_terms)
+    assert h_series(params[:3] + params[4:7], 30) == reference.h_series(
+        params[:3] + params[4:7], 30, patched_terms
+    )
+
+
+class TestInjectionBound:
+    EIGHT_UNITS = proposal_params((1,) * 8, (1,) * 8)
+
+    def test_the_count_is_the_walk(self):
+        params = proposal_params((1, 2, 1), (2, 3, 2))
+        counted = sum(reciprocal_from_exponents(params.source_sizes, 20).coeffs)
+        assert injection_evidence(params, 20)["source_count"] == counted
+
+    def test_eight_unit_sizes_are_refused_before_any_vector(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any vector is built")
+
+        monkeypatch.setattr(proposal, "_bounded_vectors", refuse)
+        with pytest.raises(InjectionCapError, match=str(proposal.MAX_INJECTION_SOURCES)):
+            injection_evidence(self.EIGHT_UNITS, 24)
+        assert sum(reciprocal_from_exponents(self.EIGHT_UNITS.source_sizes, 24).coeffs) > 10**7
+
+    def test_a_weight_over_the_series_work_bound_is_refused_before_the_count(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the weight must be checked before any expansion")
+
+        monkeypatch.setattr(proposal, "reciprocal_from_exponents", refuse)
+        with pytest.raises(SeriesCapError):
+            injection_evidence(proposal_params((1, 2), (2, 3)), MAX_SERIES_WORK)
+
+    def test_five_unit_sizes_stay_under_the_bound(self):
+        five = proposal_params((1,) * 5, (1,) * 5)
+        planned = sum(reciprocal_from_exponents(five.source_sizes, 24).coeffs)
+        assert planned == 175_015 < proposal.MAX_INJECTION_SOURCES

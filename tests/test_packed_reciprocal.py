@@ -28,7 +28,13 @@ from qdominance.series import (
     reciprocal_pair_from_exponents,
     require_series_work,
 )
-from reference_series import divide_binomials, poly_from_exponents, series_reciprocal, spec_reciprocal
+from reference_series import (
+    divide_binomials,
+    one_series,
+    poly_from_exponents,
+    series_reciprocal,
+    spec_reciprocal,
+)
 
 orders = st.integers(0, 300)
 # Exponents up to 320 reach past every order; a pool of six forces repeats.
@@ -51,7 +57,7 @@ def max_bits(a: QSeries) -> int:
 @example([1, 1, 2], 0)
 def test_packed_kernel_matches_list_kernel(exponents, order):
     got = reciprocal_from_exponents(exponents, order)
-    assert got == divide_binomials(QSeries.one(order), exponents)
+    assert got == divide_binomials(one_series(order), exponents)
     assert all(type(c) is int for c in got.coeffs)
 
 
@@ -71,7 +77,7 @@ def test_packed_kernel_matches_forward_substitution(exponents, order):
 def test_every_bound_holds_the_largest_coefficient(exponents, order):
     factors = [e for e in exponents if e <= order]
     assume(factors)
-    largest = max_bits(divide_binomials(QSeries.one(order), factors))
+    largest = max_bits(divide_binomials(one_series(order), factors))
     assert series._product_bits(factors, order) >= largest
     assert series._saddle_bits(sorted(factors), order) >= largest
     slot = series._slot_bits(factors, order)
@@ -84,7 +90,7 @@ def test_deep_expansion_takes_its_width_from_the_saddle_bound():
     order = 1356
     factors = spec.exponents(order)
     got = spec_reciprocal(spec, order)
-    assert got == divide_binomials(QSeries.one(order), factors)
+    assert got == divide_binomials(one_series(order), factors)
     slot = series._slot_bits(factors, order)
     assert series._product_bits(factors, order) > 600
     assert max_bits(got) <= slot <= max_bits(got) + 16
@@ -134,8 +140,8 @@ def test_pair_kernel_matches_list_kernel(pair):
     first, second, order = pair
     got = reciprocal_pair_from_exponents(first, second, order)
     assert got == (
-        divide_binomials(QSeries.one(order), first),
-        divide_binomials(QSeries.one(order), second),
+        divide_binomials(one_series(order), first),
+        divide_binomials(one_series(order), second),
     )
     assert all(type(c) is int for side in got for c in side.coeffs)
 
@@ -151,7 +157,7 @@ def test_pair_widths_hold_both_sides(pair):
     for side, rest, width in zip(sides, rests, widths):
         assert sorted(shared + rest) == sorted(side)
         assert width % 8 == 0
-        assert width >= max_bits(divide_binomials(QSeries.one(order), side))
+        assert width >= max_bits(divide_binomials(one_series(order), side))
     assert not set(rests[0]) & set(rests[1])
     if shared:
         assert widths[0] == widths[1]
@@ -168,7 +174,7 @@ def test_pair_shares_the_common_factors_of_a_deep_proposal():
     widths = series._widths(shared, rests, order)
     assert (len(shared), len(rests[0]), len(rests[1])) == (97, 8, 8)
     got = reciprocal_pair_from_exponents(*sides, order)
-    assert got == tuple(divide_binomials(QSeries.one(order), side) for side in sides)
+    assert got == tuple(divide_binomials(one_series(order), side) for side in sides)
     assert widths[0] >= max(max_bits(side) for side in got)
 
 

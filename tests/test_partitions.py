@@ -17,14 +17,9 @@ from qdominance.partitions import (
     interpretation_rows,
     split_series,
 )
-from qdominance.series import (
-    QSeries,
-    product_spec,
-    series_add,
-    series_sub,
-)
+from qdominance.series import product_spec, series_sub
 from reference_partitions import ColoredPartition
-from reference_series import spec_reciprocal
+from reference_series import monomial, series_add, spec_reciprocal
 
 FLAGSHIP = PartitionParams(5, 1, 1, 2, 2, 2)
 
@@ -266,7 +261,7 @@ class TestInterpretation:
 
     def test_tampered_series_yields_minimal_witness(self):
         v_series, w_series = split_series(FLAGSHIP, 12)
-        bumps = series_add(QSeries.monomial(9, 12), QSeries.monomial(11, 12))
+        bumps = series_add(monomial(9, 12), monomial(11, 12))
         tampered = (series_add(v_series, bumps), w_series)
         result = interpretation_check(FLAGSHIP, 12, series_pair=tampered)
         assert not result["ok"]

@@ -13,6 +13,7 @@ from qdominance.antitelescope import (
     positivity_scan,
 )
 from qdominance.series import INF, QSeries, product_spec, serialize
+from reference_series import zero_series
 from reference_split import (
     group_negatives,
     groups_sum_to_addend,
@@ -91,9 +92,9 @@ class TestReportBoundary:
 
     def test_group_negatives_report_true_values(self):
         doubled = QSeries.from_coeffs([0, 4, -3, -2])
-        dec = AddendDecomposition(1, QSeries.zero(3), (("G1", doubled),), 0, scale=2)
+        dec = AddendDecomposition(1, zero_series(3), (("G1", doubled),), 0, scale=2)
         assert group_negatives(dec) == {"G1": (2, Fraction(-3, 2))}
-        even = AddendDecomposition(1, QSeries.zero(3), (("G1", QSeries.from_coeffs([0, -2, 0, 0])),), 0, 2)
+        even = AddendDecomposition(1, zero_series(3), (("G1", QSeries.from_coeffs([0, -2, 0, 0])),), 0, 2)
         negative = group_negatives(even)["G1"]
         assert negative == (1, -1) and type(negative[1]) is int
 

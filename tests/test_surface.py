@@ -1,9 +1,11 @@
-"""Every public function, class, method and constant in the package has a caller.
+"""Every function, class, public method and public constant in the package has a caller.
 
 A top-level `def` or `class` whose name does not start with `_` must be
 read, as a name or an attribute, by some other top-level statement of the
 package, or be imported by the README's library quick start.  So must an
-UPPER_CASE module constant.  A method of a top-level class whose name does
+UPPER_CASE module constant.  A top-level `def` or `class` whose name
+starts with `_` must be read by some other top-level statement of the
+package; the quick start does not count for it.  A method of a top-level class whose name does
 not start with `_` must be read by some other statement of the package,
 another method of its class included, or by the quick start.  Code that
 only the tests call belongs in the tests.
@@ -41,6 +43,13 @@ def names_read(statement: ast.stmt) -> set[str]:
     return read
 
 
+def private_names(statement: ast.stmt) -> list[str]:
+    """The private def or class a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and statement.name.startswith("_"):
+        return [statement.name]
+    return []
+
+
 def defined_names(statement: ast.stmt) -> list[str]:
     """The public def or class, or the UPPER_CASE constants, a top-level statement defines."""
     if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
@@ -60,13 +69,13 @@ def package_statements() -> list[tuple[str, ast.stmt]]:
     ]
 
 
-def uncalled_names() -> list[str]:
+def uncalled_names(defined=defined_names, imported=None) -> list[str]:
     statements = package_statements()
     reads = [names_read(statement) for _, statement in statements]
-    imported = quick_start_imports()
+    imported = quick_start_imports() if imported is None else imported
     uncalled = []
     for i, (module, statement) in enumerate(statements):
-        for name in defined_names(statement):
+        for name in defined(statement):
             if name in imported:
                 continue
             if not any(name in read for j, read in enumerate(reads) if j != i):
@@ -98,6 +107,11 @@ def uncalled_methods() -> list[str]:
 def test_every_public_name_has_a_caller():
     uncalled = uncalled_names()
     assert not uncalled, "public names without a caller: " + ", ".join(uncalled)
+
+
+def test_every_private_name_has_a_caller():
+    uncalled = uncalled_names(private_names, imported=set())
+    assert not uncalled, "private names without a caller in the package: " + ", ".join(uncalled)
 
 
 def test_every_public_method_has_a_caller():
