@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import antitelescope, dominance, lemma, partitions, polyring, proposal
-from .series import SeriesCapError, serialize
+from .series import ResourceError, serialize
 
 ENV_ORDER = "QDOMINANCE_ORDER"
 DEFAULT_ORDER = 100
@@ -466,7 +466,7 @@ def _sweep_job(job: tuple) -> dict:
     """One box point; top-level so process pools can pickle it.
 
     A point out of its family's domain is reported skipped; a point over
-    the series work bound raises SeriesCapError, which refuses the sweep.
+    a work bound raises its ResourceError, which refuses the sweep.
     """
     kind, ineq_id, parameters, order, bounds = job
     try:
@@ -486,7 +486,7 @@ def _sweep_job(job: tuple) -> dict:
         if ineq_id == "BGa" and dominance.bga_degenerate(parameters["m"], parameters["r"]):
             row["degenerate"] = True
         return row
-    except SeriesCapError:
+    except ResourceError:
         raise
     except ValueError as exc:
         return {"status": "skipped", "witness": None, "reason": str(exc)}
@@ -650,12 +650,7 @@ def main(argv=None) -> int:
         if config.format == "csv" and args.command not in CSV_COMMANDS:
             raise UsageError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
         outcome = _HANDLERS[args.command](args, config)
-    except (
-        partitions.EnumerationCapError,
-        lemma.LatticeCapError,
-        SeriesCapError,
-        proposal.InjectionCapError,
-    ) as exc:
+    except ResourceError as exc:
         print(f"qdominance: resource: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

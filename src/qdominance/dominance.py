@@ -3,7 +3,9 @@
 A product spec Pi1 dominates Pi2 up to order N when every coefficient of
 1/Pi1 - 1/Pi2 is nonnegative through q^N.  This module decides that, reports
 the first failure when there is one, and knows how to build the named
-families of product pairs that the command line exposes.
+families of product pairs that the command line exposes.  The difference
+is one packed residue (`series._Signed`), in slots proven to hold it; its
+first negative coefficient is read off the packed value.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from .series import (
     Coefficient,
     ProductSpec,
     QSeries,
-    first_negative,
+    _Signed,
     positive_ints,
     product_spec,
     require_series_work,
-    series_sub,
-    spec_reciprocal_pair,
 )
 
 log = logging.getLogger(__name__)
@@ -87,8 +87,11 @@ def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport
     A pair over the series work bound raises SeriesCapError before any expansion.
     """
     require_series_work((lhs, rhs), order)
-    diff = series_sub(*spec_reciprocal_pair(lhs, rhs, order))
-    return DominanceReport(order, first_negative(diff), diff)
+    first, second = lhs.exponents(order), rhs.exponents(order)
+    packing = _Signed.for_reciprocals(order, first, second)
+    reciprocal_lhs, reciprocal_rhs = packing.reciprocal_pair(first, second)
+    diff = reciprocal_lhs - reciprocal_rhs
+    return DominanceReport(order, packing.negative(diff), packing.decode(diff))
 
 
 def bga_degenerate(m: int, r: int) -> bool:

@@ -32,7 +32,7 @@ from .polyring import (
     mp_mul,
     mp_sub,
 )
-from .series import _INT_ONLY, Coefficient, positive_ints
+from .series import _INT_ONLY, Coefficient, ResourceError, positive_ints
 
 XY = ("x", "y")
 TXY = ("t", "x", "y")
@@ -46,7 +46,7 @@ Monomials = list[tuple[int, int, int]]
 MAX_LATTICE_CELLS = 10**6
 
 
-class LatticeCapError(RuntimeError):
+class LatticeCapError(ResourceError, RuntimeError):
     """Raised when requested bounds exceed MAX_LATTICE_CELLS."""
 
 

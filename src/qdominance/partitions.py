@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .antitelescope import group_totals
 from .dominance import nbase_pair
-from .series import ProductSpec, QSeries, positive_ints
+from .series import ProductSpec, QSeries, ResourceError, positive_ints
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
 
@@ -37,7 +37,7 @@ SYSTEMS = ("V", "W")
 DEFAULT_ENUMERATION_CAP = 40
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ResourceError, RuntimeError):
     """Raised when an enumeration request exceeds the configured weight cap."""
 
 

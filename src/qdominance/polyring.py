@@ -30,7 +30,7 @@ from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul, sub
 
-from qdominance.series import _INT_ONLY, Coefficient, _norm
+from qdominance.series import _INT_ONLY, Coefficient, ResourceError, _norm
 
 # axis order for TriSeries lattices
 TRI_VARIABLES = ("t", "x", "y")
@@ -44,7 +44,7 @@ class SingularDenominatorError(ValueError):
     """Raised when a series expansion needs a non-unit denominator factor."""
 
 
-class IdentityCapError(ValueError):
+class IdentityCapError(ResourceError, ValueError):
     """Raised when an identity check would pack more than MAX_IDENTITY_BITS."""
 
 

@@ -35,6 +35,7 @@ from operator import mul
 from .dominance import NamedInequality, check_named, nbase_pair, report_dict
 from .series import (
     QSeries,
+    ResourceError,
     _norm,
     _Signed,
     positive_ints,
@@ -54,7 +55,7 @@ class NotInImageError(ValueError):
     """Raised when a count vector cannot be pulled back through the injection."""
 
 
-class InjectionCapError(ValueError):
+class InjectionCapError(ResourceError, ValueError):
     """Raised when an injection walk would visit more than MAX_INJECTION_SOURCES sources."""
 
 

@@ -14,38 +14,21 @@ keeping only the factors whose exponent fits under the truncation order;
 the omitted factors are congruent to 1 modulo q^(N+1), so this is a
 semantic rule, not an approximation.
 
-The reciprocal of a product, prod 1/(1 - q^e), is expanded by a packed
-kernel (`reciprocal_from_exponents`): the series is one Python int with
-B-bit slots, and each factor is applied as prod_k (1 + q^(2^k e)), one
-shift-add per doubling.  B is the bit length of an integer bound on the
-coefficients that is proven before the expansion starts: the product of
-the per-factor multiplicity ranges, or the saddle bound F(x)/x^N at a
-fixed-point x = 1 - 1/t, whichever is smaller.  Every factor has
-nonnegative coefficients, so every intermediate value is coefficientwise
-at most the final series, and no slot can overflow into its neighbour.
+Every series is packed the same way, in `_Signed`: one Python int with
+B-bit slots, slot n holding the coefficient of q^n, reduced modulo
+M = 2^(B(N+1)).  q -> 2^B is a ring homomorphism from Z[q]/(q^(N+1)) to
+Z/MZ, so adding, subtracting, shifting by q^lead, multiplying by
+(1 - q^e) and applying 1/(1 - q^e) by doubling, as prod_k (1 + q^(2^k e))
+with one shift-add per doubling, all compute the residue of the true
+series, and a value in between may wrap.  A residue is read back, by its
+signs or in full, through a bias of 2^(B-1) in every slot; that is exact
+for a series whose every |coefficient| is below 2^(B-1).  So only a
+series that is read must fit, and B is proven for it before anything is
+packed, never read off the computed values.
 
-The two sides of a compared pair, 1/P and 1/Q, are expanded together
-(`reciprocal_pair_from_exponents`): the multiset intersection of their
-exponent lists is applied once, starting from 1, and each side finishes
-that shared prefix with its own leftover factors.  The prefix is packed
-at the larger of the two proven widths.  That is sound because the
-shared partial product C satisfies C <= C * 1/P' = 1/P coefficientwise
-for each side (1/P' has nonnegative coefficients and constant term 1),
-so both the prefix and every later doubling step stay at most that
-side's final series.  When the lists share nothing each side keeps its
-own width.  `reciprocal_from_exponents` is the one-list case of the same
-body.
-
-Signed series (the split engine's addends and groups, and the h series)
-are packed the same way, in `_Signed`: one int with B-bit slots, reduced
-modulo M = 2^(B(N+1)).  q -> 2^B is a ring homomorphism from
-Z[q]/(q^(N+1)) to Z/MZ, so adding, subtracting, shifting by q^lead,
-multiplying by (1 - q^e) and applying 1/(1 - q^e) by doubling all
-compute the residue of the true series, and a value in between may wrap.  A residue is read
-back, by its signs or in full, through a bias of 2^(B-1) in every slot;
-that is exact for a series whose every |coefficient| is below 2^(B-1).
-B must be proven for every series that is read before anything is
-packed; `_Signed.for_bound` takes it from the reciprocal bound above.
+Every proof starts from one bound on the coefficients of prod 1/(1 - q^e)
+(`_coeff_bits`): the product of the per-factor multiplicity ranges or the
+saddle bound F(x)/x^N at a fixed-point x = 1 - 1/t, whichever is smaller.
 """
 
 from __future__ import annotations
@@ -62,15 +45,15 @@ Coefficient = int | Fraction
 INF = math.inf
 
 
-class OrderMismatchError(ValueError):
-    """Raised when two series of different truncation orders are combined."""
-
-
 class SingularSeriesError(ValueError):
     """Raised when a division by 1 - q^0, the zero series, is requested."""
 
 
-class SeriesCapError(ValueError):
+class ResourceError(Exception):
+    """Base of the errors that refuse a request above one of the package's work bounds."""
+
+
+class SeriesCapError(ResourceError, ValueError):
     """Raised when a request's series work exceeds MAX_SERIES_WORK."""
 
 
@@ -124,16 +107,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-
-def _require_same_order(a: QSeries, b: QSeries) -> None:
-    if a.order != b.order:
-        raise OrderMismatchError(f"orders differ: {a.order} != {b.order}")
-
-
-def series_sub(a: QSeries, b: QSeries) -> QSeries:
-    _require_same_order(a, b)
-    return QSeries.from_coeffs([x - y for x, y in zip(a.coeffs, b.coeffs)], a.order)
 
 
 def series_scale(a: QSeries, c: Coefficient) -> QSeries:
@@ -281,19 +254,6 @@ def _coeff_bits(exponents: list[int], order: int) -> int:
     return bits
 
 
-def _whole_bytes(bits: int) -> int:
-    return max(8, -(-bits // 8) * 8)
-
-
-def _slot_bits(exponents: list[int], order: int) -> int:
-    """Slot width B for the packed reciprocal, proven before anything is packed.
-
-    B is `_coeff_bits` rounded up to whole bytes, and at least one byte
-    (the empty product is 1).
-    """
-    return _whole_bytes(_coeff_bits(exponents, order))
-
-
 def _factors(exponents, order: int) -> list[int]:
     """The exponents at most the order; exponent 0 is singular and a negative one is refused."""
     factors = [e for e in exponents if e <= order]
@@ -317,12 +277,6 @@ def _split_shared(first: list[int], second: list[int]) -> tuple[list[int], list[
         else:
             rest.append(e)
     return shared, [rest, [e for e, k in unmatched.items() for _ in range(k)]]
-
-
-def _widths(shared: list[int], rests: list[list[int]], order: int) -> list[int]:
-    """Each side's slot width: one, the largest of the sides' own, when they share a factor."""
-    widths = [_slot_bits(shared + rest, order) for rest in rests]
-    return [max(widths)] * len(rests) if shared else widths
 
 
 def _double(x: int, factors: list[int], order: int, bits: int) -> int:
@@ -355,58 +309,6 @@ def _slots(x: int, order: int, bits: int) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
-def _unpack(x: int, order: int, bits: int) -> QSeries:
-    """The series held in the order + 1 B-bit slots of x."""
-    return QSeries(order, tuple(_slots(x, order, bits)))
-
-
-def _expand(shared: list[int], rests: list[list[int]], order: int) -> list[QSeries]:
-    """Expand prod 1/(1 - q^e) over shared + rest for each rest, applying `shared` once.
-
-    Each expansion is one Python int with B-bit slots, slot n holding the
-    coefficient of q^n.  Each factor is applied as
-    1/(1 - q^e) = prod_k (1 + q^(2^k e)), one shift-add per shift
-    s = e, 2e, 4e, ... <= order, with the slots above q^order masked off.
-    The shared factors are applied once, starting from 1; each side then
-    takes up that int, applies its own rest and is unpacked on its own.
-
-    B is proven before anything is allocated (`_slot_bits`), never read off
-    the computed values, and that makes the kernel sound: every factor
-    (1 + q^s) has nonnegative coefficients, and every partial product of
-    doubling steps is coefficientwise at most the 1/(1 - q^e) it is part
-    of, so on each side every intermediate value is coefficientwise at
-    most that side's final series.  With a shared part C, side i is
-    C * 1/P_i' with 1/P_i' nonnegative and of constant term 1, so C and
-    every value on the way to it are at most every side's final series;
-    one width, the largest of the proven ones, holds all sides throughout.
-    When nothing is shared, each side keeps its own width.  No slot can
-    exceed its bound, and no carry crosses a slot.  The factors must be
-    positive and at most the order (`_factors`).
-    """
-    widths = _widths(shared, rests, order)
-    x = _double(1, shared, order, widths[0])
-    return [_unpack(_double(x, rest, order, bits), order, bits) for rest, bits in zip(rests, widths)]
-
-
-def reciprocal_from_exponents(exponents, order: int) -> QSeries:
-    """Expand the product of 1/(1 - q^e) over the given exponents (see `_expand`).
-
-    Exponent 0 raises SingularSeriesError and a negative exponent
-    ValueError, before anything is packed.
-    """
-    return _expand(_factors(exponents, order), [[]], order)[0]
-
-
-def reciprocal_pair_from_exponents(first, second, order: int) -> tuple[QSeries, QSeries]:
-    """Expand two products of 1/(1 - q^e), the factors they share only once (see `_expand`).
-
-    Both lists are checked as in `reciprocal_from_exponents` before
-    anything is packed.
-    """
-    a, b = _expand(*_split_shared(_factors(first, order), _factors(second, order)), order)
-    return a, b
-
-
 class _Signed:
     """Signed series through q^order as residues modulo M = 2^(B(order+1)), slot n for q^n.
 
@@ -417,14 +319,15 @@ class _Signed:
     whose every |d_n| is below 2^(B-1), slot n of y is d_n + 2^(B-1)
     exactly, so d_n < 0 iff the top bit of slot n is clear.  Two series
     whose every |coefficient| is below 2^(B-2) are equal iff their
-    residues are, since their difference is then below 2^(B-1).
+    residues are, since their difference is then below 2^(B-1).  B is the
+    requested width rounded up to whole bytes.
     """
 
     __slots__ = ("order", "bits", "mask", "bias")
 
     def __init__(self, order: int, bits: int) -> None:
         self.order = order
-        self.bits = bits
+        self.bits = bits = -(-bits // 8) * 8
         self.mask = (1 << (order + 1) * bits) - 1
         self.bias = self.mask // ((1 << bits) - 1) << (bits - 1)
 
@@ -438,7 +341,21 @@ class _Signed:
         below 2^(B-2).
         """
         bits = _coeff_bits(_factors(exponents, order), order) + weight.bit_length() + 2
-        return cls(order, _whole_bytes(bits))
+        return cls(order, bits)
+
+    @classmethod
+    def for_reciprocals(cls, order: int, *exponent_lists) -> "_Signed":
+        """Slots for prod 1/(1 - q^e) over each list and the difference of any two.
+
+        Each reciprocal is nonnegative and below 2^c_i (`_coeff_bits`), so
+        it and every difference of two are below 2^c, c = max c_i, in
+        absolute value; B = c + 1, rounded up to whole bytes, keeps them
+        below 2^(B-1), where `negative` and `decode` are exact.  Every list
+        is checked as in `_factors` first.
+        """
+        factors = [_factors(exponents, order) for exponents in exponent_lists]
+        bits = max(_coeff_bits(f, order) for f in factors) + 1
+        return cls(order, bits)
 
     def reciprocal_pair(self, first, second) -> tuple[int, int]:
         """prod 1/(1 - q^e) over each list, the factors the two share applied once."""
@@ -487,6 +404,16 @@ class _Signed:
         half = 1 << self.bits - 1
         slots = _slots((x + self.bias) & self.mask, self.order, self.bits)
         return QSeries(self.order, tuple([c - half for c in slots]))
+
+
+def reciprocal_from_exponents(exponents, order: int) -> QSeries:
+    """prod 1/(1 - q^e) over the given exponents, through q^order.
+
+    Exponent 0 raises SingularSeriesError and a negative exponent
+    ValueError, before anything is packed.
+    """
+    packing = _Signed.for_reciprocals(order, exponents)
+    return packing.decode(packing.divide(1, exponents))
 
 
 def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
@@ -574,11 +501,6 @@ def require_series_work(specs, order: int) -> None:
         raise SeriesCapError(
             f"series work (order + 1) x (1 + factors) = {work} exceeds the bound {MAX_SERIES_WORK}"
         )
-
-
-def spec_reciprocal_pair(P: ProductSpec, Q: ProductSpec, order: int) -> tuple[QSeries, QSeries]:
-    """(1/P, 1/Q), with the factors the two products share expanded once."""
-    return reciprocal_pair_from_exponents(P.exponents(order), Q.exponents(order), order)
 
 
 def serialize(a: QSeries) -> str:

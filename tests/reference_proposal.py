@@ -13,13 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qdominance.dominance import nbase_pair
-from qdominance.series import QSeries, positive_ints, series_scale, series_sub, spec_reciprocal_pair
+from qdominance.series import QSeries, positive_ints, series_scale
 from reference_series import (
     divide_binomial,
     monomial,
     multiply_binomial,
     series_add,
     series_mul,
+    series_sub,
+    spec_reciprocal,
     zero_series,
 )
 
@@ -88,7 +90,7 @@ def fourvar_sides(params, order: int, terms=h_terms) -> tuple[QSeries, QSeries]:
     """(1/P - 1/Q, the four h series over the two composite binomials)."""
     x, y, z, w, r, R, rho, P = positive_ints(params, "fourvar parameters", 8)
     dominant, subordinate = nbase_pair((x, y, z, w), (r, R, rho, P), 1, 1)
-    lhs = series_sub(*spec_reciprocal_pair(dominant, subordinate, order))
+    lhs = series_sub(spec_reciprocal(dominant, order), spec_reciprocal(subordinate, order))
     total = zero_series(order)
     for h in ((x, y, z, r, R, rho), (x, y, w, r, R, P), (x, z, w, r, rho, P), (y, z, w, R, rho, P)):
         total = series_add(total, h_series(h, order, terms))

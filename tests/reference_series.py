@@ -11,6 +11,8 @@ the `zero_series`, `one_series` and `monomial` constructors are the list
 kernels the package ran on before every series was packed, and
 `multiply_binomials`, `divide_binomials` and `series_shift` build on
 them; they carry the list references of the packed kernels.
+`series_sub` subtracts two series as lists, and `dominates_by_lists`
+is the list reference of `dominance.dominates`.
 `tri_multiply`, `tri_truncate_poly` and `specialize` multiply, truncate
 and specialize (t, x, y) lattices, which the tests use to check
 `expand_rational` and the kernel specializations.
@@ -33,9 +35,23 @@ from qdominance.series import (
     QSeries,
     SingularSeriesError,
     _norm,
-    _require_same_order,
+    first_negative,
     reciprocal_from_exponents,
 )
+
+
+class OrderMismatchError(ValueError):
+    """Raised when two series of different truncation orders are combined."""
+
+
+def _require_same_order(a: QSeries, b: QSeries) -> None:
+    if a.order != b.order:
+        raise OrderMismatchError(f"orders differ: {a.order} != {b.order}")
+
+
+def series_sub(a: QSeries, b: QSeries) -> QSeries:
+    _require_same_order(a, b)
+    return QSeries.from_coeffs([x - y for x, y in zip(a.coeffs, b.coeffs)], a.order)
 
 
 def zero_series(order: int) -> QSeries:
@@ -114,6 +130,13 @@ def divide_binomials(a: QSeries, exponents) -> QSeries:
     for e in exponents:
         a = divide_binomial(a, e)
     return a
+
+
+def dominates_by_lists(P: ProductSpec, Q: ProductSpec, order: int):
+    """(first negative, difference) of 1/P - 1/Q, each side by the list kernel."""
+    sides = [divide_binomials(one_series(order), spec.exponents(order)) for spec in (P, Q)]
+    diff = series_sub(*sides)
+    return first_negative(diff), diff
 
 
 def series_shift(a: QSeries, exponent: int) -> QSeries:

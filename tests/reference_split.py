@@ -34,8 +34,6 @@ from qdominance.series import (
     require_series_work,
     serialize,
     series_scale,
-    series_sub,
-    spec_reciprocal_pair,
 )
 from reference_series import (
     divide_binomial,
@@ -46,6 +44,7 @@ from reference_series import (
     poly_from_exponents,
     series_add,
     series_shift,
+    series_sub,
     spec_reciprocal,
     zero_series,
 )
@@ -233,7 +232,7 @@ def list_certify_split(P, Q, order: int, split: str) -> dict:
     if split not in antitelescope._SPLITS:
         raise ValueError(f"split must be one of {tuple(antitelescope._SPLITS)}, got {split!r}")
     require_series_work((P, Q), order)
-    reciprocal_p, reciprocal_q = spec_reciprocal_pair(P, Q, order)
+    reciprocal_p, reciprocal_q = spec_reciprocal(P, order), spec_reciprocal(Q, order)
     diff = series_sub(reciprocal_p, reciprocal_q)
     total = zero_series(order)
     witness = None

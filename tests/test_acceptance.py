@@ -41,7 +41,6 @@ from qdominance.series import (
     first_negative,
     product_spec,
     reciprocal_from_exponents,
-    series_sub,
 )
 from oracles import bga_expected
 from reference_series import (
@@ -50,6 +49,7 @@ from reference_series import (
     series_add,
     series_mul,
     series_reciprocal,
+    series_sub,
     spec_reciprocal,
     zero_series,
 )

@@ -14,7 +14,7 @@ from qdominance.polyring import (
     mp_mul,
     mp_sub,
 )
-from qdominance.series import QSeries, first_negative, product_spec, series_scale, series_sub
+from qdominance.series import QSeries, first_negative, product_spec, series_scale
 from reference_series import (
     divide_binomial,
     monomial,
@@ -22,6 +22,7 @@ from reference_series import (
     poly_from_exponents,
     series_mul,
     series_reciprocal,
+    series_sub,
     spec_reciprocal,
     specialize,
 )

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qdominance import cli, lemma, partitions, proposal, series
+from qdominance import cli, lemma, partitions, polyring, proposal, series
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     DEFAULT_BOUNDS,
@@ -311,13 +311,28 @@ class TestSeriesWorkBound:
         def refuse(*args):
             raise AssertionError("the bound must be checked before any expansion")
 
-        monkeypatch.setattr(series, "reciprocal_from_exponents", refuse)
-        monkeypatch.setattr(series, "reciprocal_pair_from_exponents", refuse)
+        monkeypatch.setattr(series, "_double", refuse)
         code, out, err = run_cli(self.REQUESTS[name], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("qdominance: resource:")
         assert str(MAX_SERIES_WORK) in err
+
+
+@pytest.mark.parametrize(
+    "error, base",
+    [
+        (series.SeriesCapError, ValueError),
+        (polyring.IdentityCapError, ValueError),
+        (proposal.InjectionCapError, ValueError),
+        (lemma.LatticeCapError, RuntimeError),
+        (partitions.EnumerationCapError, RuntimeError),
+    ],
+)
+def test_every_cap_error_is_a_resource_error(error, base):
+    # main and the sweep workers catch the base alone; each cap keeps its old base too
+    assert issubclass(error, series.ResourceError)
+    assert issubclass(error, base)
 
 
 class TestEnumerate:
@@ -432,7 +447,7 @@ class TestProposal:
         def refuse(*args):
             raise AssertionError("the parameters must be checked before any expansion")
 
-        monkeypatch.setattr(series, "reciprocal_pair_from_exponents", refuse)
+        monkeypatch.setattr(series, "_double", refuse)
         monkeypatch.setattr(proposal, "injection_evidence", refuse)
         code, out, err = run_cli(["proposal", "--x", "1,2", "--r", "2,3", "--m", m, "--L", L], capsys)
         assert code == 2
@@ -468,6 +483,13 @@ class TestIdentities:
         _, first, _ = run_cli(["identities", "--order", "20", "--seed", "7"], capsys)
         _, second, _ = run_cli(["identities", "--order", "20", "--seed", "7"], capsys)
         assert report(first) == report(second)
+
+    def test_identity_bound_is_a_resource_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(polyring, "MAX_IDENTITY_BITS", 1)
+        code, out, err = run_cli(["identities"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource: packed identity of")
 
 
 class TestBoxParsing:

@@ -1,8 +1,10 @@
 """Dominance checks against independent partition-counting oracles."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qdominance import dominance, series
+from qdominance import series
 from qdominance.antitelescope import certify_split
 from qdominance.dominance import (
     DominanceReport,
@@ -16,10 +18,10 @@ from qdominance.dominance import (
     report_dict,
 )
 from qdominance.proposal import fourvar_identity
-from qdominance.series import product_spec, spec_reciprocal_pair
+from qdominance.series import INF, product_spec
 
 from oracles import bga_expected, partition_counts_upto, residue_parts
-from reference_series import spec_reciprocal
+from reference_series import dominates_by_lists, spec_reciprocal
 
 
 def named(ineq_id, **parameters):
@@ -69,6 +71,12 @@ def separate_packed_reciprocals(packing, first, second):
     return packing.divide(1, first), packing.divide(1, second)
 
 
+def paired_reciprocals(P, Q, order):
+    first, second = P.exponents(order), Q.exponents(order)
+    packing = series._Signed.for_reciprocals(order, first, second)
+    return tuple(map(packing.decode, packing.reciprocal_pair(first, second)))
+
+
 class TestSharedFactorPair:
     # Each caller expands 1/P and 1/Q in one pair call that applies the factors
     # they share once; its results must be those of two separate expansions.
@@ -79,13 +87,13 @@ class TestSharedFactorPair:
         assert report.holds
         assert report.failure is None
         assert report.difference.is_zero()
-        assert spec_reciprocal_pair(P, P, 300) == separate_reciprocals(P, P, 300)
+        assert paired_reciprocals(P, P, 300) == separate_reciprocals(P, P, 300)
 
     def test_dominates_matches_separate_expansions(self, monkeypatch):
         P, Q = nbase_pair((1, 2, 3, 2), (2, 1, 2, 1), 1, 21)
-        assert spec_reciprocal_pair(P, Q, 400) == separate_reciprocals(P, Q, 400)
+        assert paired_reciprocals(P, Q, 400) == separate_reciprocals(P, Q, 400)
         paired = dominates(P, Q, 400)
-        monkeypatch.setattr(dominance, "spec_reciprocal_pair", separate_reciprocals)
+        monkeypatch.setattr(series._Signed, "reciprocal_pair", separate_packed_reciprocals)
         assert dominates(P, Q, 400) == paired
 
     @pytest.mark.parametrize(
@@ -93,7 +101,7 @@ class TestSharedFactorPair:
     )
     def test_certify_split_matches_separate_expansions(self, split, sizes, monkeypatch):
         P, Q = nbase_pair(*sizes, 1, 3)
-        assert spec_reciprocal_pair(P, Q, 40) == separate_reciprocals(P, Q, 40)
+        assert paired_reciprocals(P, Q, 40) == separate_reciprocals(P, Q, 40)
         paired = certify_split(P, Q, 40, split)
         assert paired == {"ok": True, "witness": None}
         monkeypatch.setattr(series._Signed, "reciprocal_pair", separate_packed_reciprocals)
@@ -102,11 +110,64 @@ class TestSharedFactorPair:
     def test_fourvar_identity_matches_separate_expansions(self, monkeypatch):
         params = (1, 2, 1, 3, 2, 1, 2, 1)
         P, Q = nbase_pair(params[:4], params[4:], 1, 1)
-        assert spec_reciprocal_pair(P, Q, 60) == separate_reciprocals(P, Q, 60)
+        assert paired_reciprocals(P, Q, 60) == separate_reciprocals(P, Q, 60)
         paired = fourvar_identity(params, 60)
         assert paired["equal"]
         monkeypatch.setattr(series._Signed, "reciprocal_pair", separate_packed_reciprocals)
         assert fourvar_identity(params, 60) == paired
+
+
+lengths = st.one_of(st.just(INF), st.integers(1, 8))
+small_bases = st.lists(st.integers(1, 12), min_size=1, max_size=4)
+PAIR_SHAPES = ("disjoint", "shared", "identical", "free")
+
+
+@st.composite
+def dominance_pairs(draw):
+    """(P, Q, order), the two products related as the drawn shape says.
+
+    "disjoint" draws two residue pairs {r, m - r} of one modulus, as RR and
+    BGa are; "shared" an n-base pair, whose sides share most factors;
+    "identical" one product twice; "free" two unrelated products, which
+    mostly fail.
+    """
+    order = draw(st.integers(0, 150))
+    shape = draw(st.sampled_from(PAIR_SHAPES))
+    L = draw(lengths)
+    if shape == "disjoint":
+        m = draw(st.integers(2, 12))
+        r, s = draw(st.integers(1, m - 1)), draw(st.integers(1, m - 1))
+        P, Q = product_spec((r, m - r), m, L), product_spec((s, m - s), m, L)
+    elif shape == "shared":
+        n = draw(st.integers(2, 4))
+        sizes = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+        P, Q = nbase_pair(draw(sizes), draw(sizes), draw(st.integers(1, 4)), L)
+    elif shape == "identical":
+        P = Q = product_spec(draw(small_bases), draw(st.integers(1, 8)), L)
+    else:
+        m = draw(st.integers(1, 10))
+        P, Q = product_spec(draw(small_bases), m, L), product_spec(draw(small_bases), m, draw(lengths))
+    if draw(st.booleans()):
+        P, Q = Q, P
+    return P, Q, order
+
+
+@settings(max_examples=120, deadline=None)
+@given(dominance_pairs())
+@example((product_spec((1, 4), 5), product_spec((2, 3), 5), 150))  # RR
+@example((product_spec((1, 5), 6, 1), product_spec((2, 4), 6, 1), 30))  # BGa (6, 2): fails at q^4
+@example((product_spec((1, 7), 8, 12), product_spec((6, 2), 8, 12), 150))  # BGa (8, 6): fails
+@example((*nbase_pair((1, 2, 3, 2), (2, 1, 2, 1), 1, 21), 400))
+@example((product_spec((1, 2, 3), 1, 20), product_spec((1, 2, 3), 1, 20), 300))
+@example((product_spec((1,), 1), product_spec((1,), 1, 1), 0))
+def test_dominates_matches_the_list_kernel(pair):
+    # The oracle expands each side on its own by the list kernel and
+    # subtracts the two lists.
+    P, Q, order = pair
+    report = dominates(P, Q, order)
+    failure, difference = dominates_by_lists(P, Q, order)
+    assert (report.holds, report.failure, report.difference) == (failure is None, failure, difference)
+    assert all(type(c) is int for c in report.difference.coeffs)
 
 
 class TestNamed:

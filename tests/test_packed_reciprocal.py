@@ -1,13 +1,14 @@
 """The packed reciprocal kernel against the list kernel and forward substitution.
 
 `reciprocal_from_exponents` holds the expansion as one int with B-bit
-slots, B taken from a bound proven before the expansion.  These tests
-compare it with `divide_binomials` (the list kernel, kept in the tests
-as its oracle) and with `series_reciprocal` of the expanded product, and check
-that every bound behind B holds the largest coefficient.  The pair form,
-`reciprocal_pair_from_exponents`, applies the factors two lists share
-once, at the larger of the two widths; it is checked side by side
-against the list kernel over every shape of overlap.
+slots (`series._Signed`), B taken from a bound proven before the
+expansion.  These tests compare it with `divide_binomials` (the list
+kernel, kept in the tests as its oracle) and with `series_reciprocal` of
+the expanded product, and check that every bound behind B holds the
+largest coefficient.  The pair form, `_Signed.reciprocal_pair` in the
+slots of `_Signed.for_reciprocals`, applies the factors two lists share
+once, at the width of the wider side; both sides and their difference
+are checked against the list kernel over every shape of overlap.
 """
 
 import random
@@ -25,7 +26,6 @@ from qdominance.series import (
     SingularSeriesError,
     product_spec,
     reciprocal_from_exponents,
-    reciprocal_pair_from_exponents,
     require_series_work,
 )
 from reference_series import (
@@ -33,6 +33,7 @@ from reference_series import (
     one_series,
     poly_from_exponents,
     series_reciprocal,
+    series_sub,
     spec_reciprocal,
 )
 
@@ -46,6 +47,10 @@ exponent_lists = st.one_of(
 
 def max_bits(a: QSeries) -> int:
     return max(c.bit_length() for c in a.coeffs)
+
+
+def width(order: int, *exponent_lists) -> int:
+    return series._Signed.for_reciprocals(order, *exponent_lists).bits
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,8 +85,8 @@ def test_every_bound_holds_the_largest_coefficient(exponents, order):
     largest = max_bits(divide_binomials(one_series(order), factors))
     assert series._product_bits(factors, order) >= largest
     assert series._saddle_bits(sorted(factors), order) >= largest
-    slot = series._slot_bits(factors, order)
-    assert slot % 8 == 0 and slot >= largest
+    slot = width(order, factors)
+    assert slot % 8 == 0 and slot > largest
 
 
 def test_deep_expansion_takes_its_width_from_the_saddle_bound():
@@ -91,9 +96,9 @@ def test_deep_expansion_takes_its_width_from_the_saddle_bound():
     factors = spec.exponents(order)
     got = spec_reciprocal(spec, order)
     assert got == divide_binomials(one_series(order), factors)
-    slot = series._slot_bits(factors, order)
+    slot = width(order, factors)
     assert series._product_bits(factors, order) > 600
-    assert max_bits(got) <= slot <= max_bits(got) + 16
+    assert max_bits(got) < slot <= max_bits(got) + 16
 
 
 OVERLAPS = ("identical", "disjoint", "nested", "one side empty", "one side above the order", "mixed")
@@ -133,16 +138,21 @@ def pair_examples(test):
     return test
 
 
+def list_pair(first, second, order):
+    """(1/first, 1/second, their difference), each side by the list kernel."""
+    sides = [divide_binomials(one_series(order), side) for side in (first, second)]
+    return (*sides, series_sub(*sides))
+
+
 @settings(max_examples=150, deadline=None)
 @given(exponent_pairs())
 @pair_examples
 def test_pair_kernel_matches_list_kernel(pair):
     first, second, order = pair
-    got = reciprocal_pair_from_exponents(first, second, order)
-    assert got == (
-        divide_binomials(one_series(order), first),
-        divide_binomials(one_series(order), second),
-    )
+    packing = series._Signed.for_reciprocals(order, first, second)
+    a, b = packing.reciprocal_pair(first, second)
+    got = packing.decode(a), packing.decode(b), packing.decode(a - b)
+    assert got == list_pair(first, second, order)
     assert all(type(c) is int for side in got for c in side.coeffs)
 
 
@@ -153,16 +163,21 @@ def test_pair_widths_hold_both_sides(pair):
     first, second, order = pair
     sides = [[e for e in side if e <= order] for side in (first, second)]
     shared, rests = series._split_shared(*sides)
-    widths = series._widths(shared, rests, order)
-    for side, rest, width in zip(sides, rests, widths):
+    for side, rest in zip(sides, rests):
         assert sorted(shared + rest) == sorted(side)
-        assert width % 8 == 0
-        assert width >= max_bits(divide_binomials(one_series(order), side))
     assert not set(rests[0]) & set(rests[1])
-    if shared:
-        assert widths[0] == widths[1]
-    else:
-        assert list(widths) == [series._slot_bits(side, order) for side in sides]
+    bits = width(order, first, second)
+    assert bits % 8 == 0
+    # read through a bias of 2^(B-1), so every |coefficient| must be below it
+    assert bits > max(map(max_bits, list_pair(first, second, order)))
+    assert bits == max(width(order, side) for side in sides)
+
+
+def test_pair_width_is_the_wider_sides_own():
+    # The sides need widths 96 bits apart; the pair takes the wider one.
+    narrow, wide = width(300, [1]), width(300, [1] * 12)
+    assert wide - narrow == 96
+    assert width(300, [1] * 12, [1]) == width(300, [1], [1] * 12) == wide
 
 
 def test_pair_shares_the_common_factors_of_a_deep_proposal():
@@ -171,11 +186,12 @@ def test_pair_shares_the_common_factors_of_a_deep_proposal():
     order = 1453
     sides = [P.exponents(order), Q.exponents(order)]
     shared, rests = series._split_shared(*sides)
-    widths = series._widths(shared, rests, order)
     assert (len(shared), len(rests[0]), len(rests[1])) == (97, 8, 8)
-    got = reciprocal_pair_from_exponents(*sides, order)
-    assert got == tuple(divide_binomials(one_series(order), side) for side in sides)
-    assert widths[0] >= max(max_bits(side) for side in got)
+    packing = series._Signed.for_reciprocals(order, *sides)
+    a, b = packing.reciprocal_pair(*sides)
+    got = packing.decode(a), packing.decode(b), packing.decode(a - b)
+    assert got == list_pair(*sides, order)
+    assert packing.bits > max(map(max_bits, got))
 
 
 @pytest.mark.parametrize(
@@ -193,9 +209,10 @@ def test_pair_refuses_bad_exponents_before_packing(first, second, order, error, 
         raise AssertionError("the exponents must be checked before anything is packed")
 
     monkeypatch.setattr(series, "_double", refuse)
-    monkeypatch.setattr(series, "_slot_bits", refuse)
     with pytest.raises(error):
-        reciprocal_pair_from_exponents(first, second, order)
+        series._Signed.for_reciprocals(order, first, second)
+    with pytest.raises(error):
+        series._Signed(order, 8).reciprocal_pair(first, second)
 
 
 @pytest.mark.parametrize("exponents, order", [([0], 5), ([3, 0], 0), ([9, 0], 4)])

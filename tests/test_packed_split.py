@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qdominance import antitelescope, dominance, series
 from qdominance.antitelescope import certify_split, decompositions, positivity_scan
 from qdominance.partitions import PartitionParams, split_series
-from qdominance.series import QSeries, product_spec, series_scale, series_sub
+from qdominance.series import QSeries, product_spec, series_scale
 from reference_split import (
     list_certify_split,
     list_decompositions,
@@ -26,7 +26,16 @@ from reference_split import (
     list_split_series,
     thm_pair,
 )
-from reference_series import multiply_binomial, series_add, spec_reciprocal, zero_series
+from reference_series import (
+    divide_binomials,
+    multiply_binomial,
+    multiply_binomials,
+    series_add,
+    series_shift,
+    series_sub,
+    spec_reciprocal,
+    zero_series,
+)
 
 sizes = st.integers(1, 5)
 orders = st.integers(1, 150)
@@ -301,3 +310,45 @@ def test_signed_ring_operations(bits):
             want = multiply_binomial(want, e)
         got = packing.times_binomials(pack(coeffs, bits, packing.mask), exps)
         assert packing.decode(got) == want
+
+
+@st.composite
+def packed_inputs(draw):
+    """(packing, a, x): x is a packed + k * M, any representative of a's residue.
+
+    The coefficients of a may be far wider than the slots, so only the
+    residue of a is held, and the operations must still map it to the
+    residue of their result.
+    """
+    order = draw(st.integers(0, 40))
+    packing = series._Signed(order, draw(st.sampled_from((8, 16, 24, 64))))
+    coeffs = draw(st.lists(st.integers(-(2**80), 2**80), min_size=order + 1, max_size=order + 1))
+    k = draw(st.integers(-(2**70), 2**70))
+    x = pack(coeffs, packing.bits, packing.mask) + k * (packing.mask + 1)
+    return packing, QSeries(order, tuple(coeffs)), x
+
+
+def residue(packing, a: QSeries) -> int:
+    return pack(a.coeffs, packing.bits, packing.mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_inputs(), st.lists(st.integers(1, 45), max_size=4))
+def test_signed_divide_is_a_ring_homomorphism(packed, exps):
+    packing, a, x = packed
+    got = packing.divide(x, exps) & packing.mask
+    assert got == residue(packing, divide_binomials(a, exps))
+
+
+pieces = st.lists(st.tuples(st.integers(0, 45), st.lists(st.integers(0, 45), max_size=3)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_inputs(), st.integers(0, 45), pieces)
+def test_signed_shift_and_pieces_are_ring_homomorphisms(packed, lead, more):
+    packing, a, x = packed
+    assert packing.times_pieces(x, [(lead, [])]) == residue(packing, series_shift(a, lead))
+    want = zero_series(a.order)
+    for piece_lead, exps in more:
+        want = series_add(want, series_shift(multiply_binomials(a, exps), piece_lead))
+    assert packing.times_pieces(x, more) == residue(packing, want)

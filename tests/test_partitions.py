@@ -17,9 +17,9 @@ from qdominance.partitions import (
     interpretation_rows,
     split_series,
 )
-from qdominance.series import product_spec, series_sub
+from qdominance.series import product_spec
 from reference_partitions import ColoredPartition
-from reference_series import monomial, series_add, spec_reciprocal
+from reference_series import monomial, series_add, series_sub, spec_reciprocal
 
 FLAGSHIP = PartitionParams(5, 1, 1, 2, 2, 2)
 

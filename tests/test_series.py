@@ -9,15 +9,14 @@ import pytest
 from oracles import partition_counts_upto, residue_parts
 from qdominance.series import (
     INF,
-    OrderMismatchError,
     QSeries,
     SingularSeriesError,
     first_negative,
     product_spec,
     serialize,
-    series_sub,
 )
 from reference_series import (
+    OrderMismatchError,
     divide_binomial,
     divide_binomials,
     monomial,
@@ -29,6 +28,7 @@ from reference_series import (
     series_mul,
     series_reciprocal,
     series_shift,
+    series_sub,
     spec_reciprocal,
 )
 
