@@ -38,6 +38,9 @@ DEFAULT_BOUNDS = (10, 40, 40)
 # coefficients each; at this bound they stay near 30 MB even for
 # m = x = y = 1 and r = R = L = n.
 MAX_INTERPRET_N = 100
+# Most assignments, partial ones included, that one sweep box walk may make.
+# The [1, 4]^8 Thm2 box makes 87,380 of them for its 65,536 points.
+MAX_BOX_ASSIGNMENTS = 10**5
 CSV_COMMANDS = ("interpret-check", "sweep")
 SWEEP_KINDS = ("dominance", "split", "lemma")
 
@@ -48,6 +51,10 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     """Bad flags or an out-of-contract request; maps to exit code 2."""
+
+
+class BoxCapError(ResourceError, ValueError):
+    """Raised when a sweep box walk would make more than MAX_BOX_ASSIGNMENTS assignments."""
 
 
 @dataclass(frozen=True)
@@ -442,17 +449,29 @@ def _resolve_bound(expr: str, assignment: dict) -> int:
 
 
 def expand_box(entries: list[tuple[str, str, str]]) -> list[dict]:
-    """All assignments, nested in declaration order with the last variable fastest."""
+    """All assignments, nested in declaration order with the last variable fastest.
+
+    Every value the walk assigns, to a partial assignment too, counts; a walk
+    above MAX_BOX_ASSIGNMENTS raises BoxCapError before the range that
+    crosses the bound is entered.
+    """
     tuples: list[dict] = []
     assignment: dict = {}
+    assigned = 0
 
     def descend(k: int) -> None:
+        nonlocal assigned
         if k == len(entries):
             tuples.append(dict(assignment))
             return
         name, low, high = entries[k]
         lo = _resolve_bound(low, assignment)
         hi = _resolve_bound(high, assignment)
+        assigned += max(0, hi + 1 - lo)
+        if assigned > MAX_BOX_ASSIGNMENTS:
+            raise BoxCapError(
+                f"the box walk makes more than {MAX_BOX_ASSIGNMENTS} assignments, partial ones included"
+            )
         for value in range(lo, hi + 1):
             assignment[name] = value
             descend(k + 1)

@@ -24,8 +24,6 @@ from .polyring import (
     IdentityVerdict,
     MultiPoly,
     RationalTerm,
-    TriSeries,
-    expand_rational,
     identity_check,
     mono,
     mp_add,
@@ -39,6 +37,9 @@ TXY = ("t", "x", "y")
 
 #: Monomials of one closed-form addend: (coefficient, x exponent, y exponent).
 Monomials = list[tuple[int, int, int]]
+
+#: A truncated (t, x, y) series: cells[n][j][k] is the coefficient of t^n x^j y^k.
+Lattice = list[list[list[int]]]
 
 # Largest (t, x, y) lattice, in cells (nt+1)(nx+1)(ny+1).  A certificate holds
 # at most two lattices plus one slice's nine term grids and their sums; at
@@ -117,9 +118,40 @@ def kernel_term(r: int, R: int) -> RationalTerm:
     return RationalTerm(numerator, factors)
 
 
-def f_expand(params: LemmaParams) -> TriSeries:
-    """Exact lattice expansion of f within the given bounds."""
-    return expand_rational(kernel_term(params.r, params.R), params.bounds)
+def f_expand(params: LemmaParams) -> Lattice:
+    """Exact lattice expansion of f within the given bounds.
+
+    Every factor of `kernel_term` is 1 - t^a x^b y^d, and dividing by it is
+    the recurrence s[i] += s[i - delta], run one (t, x) row at a time: with a
+    or b nonzero each row adds its source row, already divided, shifted by d;
+    a factor in y alone is a running sum along the row in steps of d.  Zero
+    source rows are skipped, so the factors in y alone go first and those
+    with t next, which leave most rows zero; a factor in x alone fills every
+    row of its plane, so it goes last.
+    """
+    nt, nx, ny = params.bounds
+    term = kernel_term(params.r, params.R)
+    cells = [[[0] * (ny + 1) for _ in range(nx + 1)] for _ in range(nt + 1)]
+    for (n, j, k), c in term.numerator.terms.items():
+        if n <= nt and j <= nx and k <= ny:
+            cells[n][j][k] = c
+    deltas = [next(filter(any, factor.terms)) for factor in term.denominator_factors]
+    deltas.sort(key=lambda d: 1 if d[0] else 2 if d[1] else 0)
+    for dn, dj, dk in deltas:
+        if dn or dj:
+            for n in range(dn, nt + 1):
+                pn, qn = cells[n - dn], cells[n]
+                for j in range(dj, nx + 1):
+                    src = pn[j - dj]
+                    if any(src):
+                        row = qn[j]
+                        row[dk:] = map(add, row[dk:], src)
+        else:
+            for plane in cells:
+                for row in filter(any, plane):
+                    for start in range(min(dk, ny + 1)):
+                        row[start::dk] = accumulate(row[start::dk])
+    return cells
 
 
 def eqtwo_symbolic(
@@ -426,7 +458,7 @@ def t2_closed_form(n: int, r: int, R: int, nx: int, ny: int):
     return grid
 
 
-def _scan_slices(params: LemmaParams, tri: TriSeries):
+def _scan_slices(params: LemmaParams, tri: Lattice):
     """The negativity-window report, plus the first slice whose term sum
     differs from the matching slice of `tri` (None when all match).
 
@@ -475,7 +507,7 @@ def _scan_slices(params: LemmaParams, tri: TriSeries):
         min_total = min(min_total, slice_min)
         if slice_min < 0:
             total_ok = False
-        if mismatch is None and total != tri.slice_at(n):
+        if mismatch is None and total != tri[n]:
             mismatch = n
     report = {
         "r": r,
@@ -494,9 +526,9 @@ def _scan_slices(params: LemmaParams, tri: TriSeries):
     return report, mismatch
 
 
-def _transpose_match(lhs: TriSeries, rhs: TriSeries) -> dict[str, Any]:
+def _transpose_match(lhs: Lattice, rhs: Lattice) -> dict[str, Any]:
     """lhs(n, j, k) == rhs(n, k, j) everywhere, or the first (n, j, k) that differs."""
-    for n, (plane, other) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+    for n, (plane, other) in enumerate(zip(lhs, rhs)):
         for j, (row, column) in enumerate(zip(plane, zip(*other))):
             if tuple(row) != column:
                 k = next(k for k, (a, b) in enumerate(zip(row, column)) if a != b)
@@ -507,7 +539,7 @@ def _transpose_match(lhs: TriSeries, rhs: TriSeries) -> dict[str, Any]:
     return {"equal": True, "first_mismatch": None}
 
 
-def _mirror(tri: TriSeries, params: LemmaParams) -> TriSeries:
+def _mirror(tri: Lattice, params: LemmaParams) -> Lattice:
     """The expansion of f with r and R swapped; f itself when r == R."""
     if params.r == params.R:
         return tri
@@ -523,7 +555,7 @@ def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any
     """
     params = LemmaParams(r, R, bounds)
     tri = f_expand(params)
-    minimum = tri.min_coefficient()
+    minimum = min(min(map(min, plane)) for plane in tri)
     window, slice_mismatch = _scan_slices(params, tri)
     symmetry = None
     if bounds[1] == bounds[2]:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .antitelescope import group_totals
 from .dominance import nbase_pair
-from .series import ProductSpec, QSeries, ResourceError, positive_ints
+from .series import ProductSpec, QSeries, ResourceError, positive_ints, reciprocal_from_exponents
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
 
@@ -36,9 +36,14 @@ SYSTEMS = ("V", "W")
 
 DEFAULT_ENUMERATION_CAP = 40
 
+# Most partitions that one `enumerate_partitions` call may list.  Inside the
+# weight cap a weight can still have billions of partitions (240,400,798,987
+# for (1, 1, 1, 1, 1, 10) at weight 40), so they are counted before the walk.
+MAX_ENUMERATED_PARTITIONS = 10**5
+
 
 class EnumerationCapError(ResourceError, RuntimeError):
-    """Raised when an enumeration request exceeds the configured weight cap."""
+    """Raised when an enumeration request exceeds the weight cap or the count bound."""
 
 
 @dataclass(frozen=True)
@@ -148,13 +153,18 @@ def _first_violation(system: str, params: PartitionParams, record) -> str | None
     return None
 
 
-def _part_kinds(params: PartitionParams) -> list[tuple[str, int, int]]:
-    """All (base, index, size) kinds in canonical order."""
-    return [
-        (base, index, params.base_size(base) + (index - 1) * params.m)
-        for base in BASE_LABELS
-        for index in range(1, params.L + 1)
-    ]
+def _part_kinds(params: PartitionParams, max_size: int) -> list[tuple[str, int, int]]:
+    """The (base, index, size) kinds of size <= max_size, in canonical order.
+
+    No larger kind fits a weight <= max_size, and skipping them keeps a huge
+    L from allocating anything.
+    """
+    kinds = []
+    for base in BASE_LABELS:
+        size = params.base_size(base)
+        top = min(params.L, (max_size - size) // params.m + 1)
+        kinds += [(base, index, size + (index - 1) * params.m) for index in range(1, top + 1)]
+    return kinds
 
 
 # The rule-record slots (see `_stat_record`) that each base's statistic fills.
@@ -257,7 +267,7 @@ def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     L = params.L
     totals = [1] + [0] * max_n
-    for _, _, size in _part_kinds(params):
+    for _, _, size in _part_kinds(params, max_n):
         _geometric(totals, size)
     tables = {base: _base_table(params, base, max_n) for base in BASE_LABELS}
     empty = _stat_record((), L)
@@ -289,6 +299,18 @@ def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
     return profile
 
 
+def _reachable(kinds, n: int) -> list[list[bool]]:
+    """Row k, entry w: whether weight w <= n is a sum of parts of kinds k onwards."""
+    reachable = [[True] + [False] * n]
+    for _, _, size in reversed(kinds):
+        row = reachable[-1][:]
+        for w in range(size, n + 1):
+            row[w] = row[w] or row[w - size]
+        reachable.append(row)
+    reachable.reverse()
+    return reachable
+
+
 def enumerate_partitions(
     n: int, params: PartitionParams, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[tuple[tuple[tuple[str, int], int], ...]]:
@@ -302,20 +324,22 @@ def enumerate_partitions(
     The walk adds kinds in canonical order and multiplicities in increasing
     order, so its preorder is already that order.  It enters only branches
     that can still reach weight n exactly: `reachable[k][w]` says whether
-    weight w is a sum of parts of kinds k onwards.
+    weight w is a sum of parts of kinds k onwards.  The partitions are
+    counted first, as coefficient n of prod 1/(1 - q^size) over the kinds,
+    and more than MAX_ENUMERATED_PARTITIONS raise EnumerationCapError
+    before the walk.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > cap:
         raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {cap}")
-    kinds = _part_kinds(params)
-    reachable = [[True] + [False] * n]
-    for _, _, size in reversed(kinds):
-        row = reachable[-1][:]
-        for w in range(size, n + 1):
-            row[w] = row[w] or row[w - size]
-        reachable.append(row)
-    reachable.reverse()
+    kinds = _part_kinds(params, n)
+    count = reciprocal_from_exponents([size for _, _, size in kinds], n).coeff(n)
+    if count > MAX_ENUMERATED_PARTITIONS:
+        raise EnumerationCapError(
+            f"{count} partitions of weight {n} exceed the bound {MAX_ENUMERATED_PARTITIONS}"
+        )
+    reachable = _reachable(kinds, n)
     found: list[tuple[tuple[tuple[str, int], int], ...]] = []
     entries: list[tuple[tuple[str, int], int]] = []
 

@@ -1,47 +1,34 @@
-"""Sparse multivariate polynomials and dense truncated trivariate series.
+"""Sparse multivariate polynomials and exact identity checking.
 
 MultiPoly stores terms as a map from exponent tuples to exact rational
 coefficients; the variable list is part of the value and two polynomials
-combine only when their variable lists agree.  Rational functions appear
-in two roles with different safety requirements:
+combine only when their variable lists agree.
 
-* expand_rational turns numerator / product-of-unit-binomials into a
-  dense truncated series over (t, x, y); it refuses denominator factors
-  that are not of the form 1 - c*monomial, because only those have
-  well-defined power-series reciprocals here.
-* identity_check compares two sums of rational terms exactly, by clearing
-  all denominators; denominators there may be any nonzero polynomial,
-  including differences of monomials with removable singularities.  The
-  cleared numerator is never built term by term: the check substitutes
-  x_j -> 2^(B * S_j) in every piece and adds the packed terms as Python
-  ints.  The substitution is a ring homomorphism Z[x] -> Z, and it is
-  injective on the exponent box [lo, hi] of the cleared numerator when
-  the strides S_j are mixed-radix over the box and every coefficient has
-  |c| < 2^(B - 1), since balanced base-2^B digits are unique.  B and the
-  box are proven from the pieces before anything is packed, so the
-  rational functions agree exactly when one int is 0.
+identity_check compares two sums of rational terms exactly, by clearing
+all denominators; denominators there may be any nonzero polynomial,
+including differences of monomials with removable singularities.  The
+cleared numerator is never built term by term: the check substitutes
+x_j -> 2^(B * S_j) in every piece and adds the packed terms as Python
+ints.  The substitution is a ring homomorphism Z[x] -> Z, and it is
+injective on the exponent box [lo, hi] of the cleared numerator when the
+strides S_j are mixed-radix over the box and every coefficient has
+|c| < 2^(B - 1), since balanced base-2^B digits are unique.  B and the box
+are proven from the pieces before anything is packed, so the rational
+functions agree exactly when one int is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul, sub
 
 from qdominance.series import _INT_ONLY, Coefficient, ResourceError, _norm
 
-# axis order for TriSeries lattices
-TRI_VARIABLES = ("t", "x", "y")
-
 
 class VariableMismatchError(ValueError):
     """Raised when polynomials over different variable lists are combined."""
-
-
-class SingularDenominatorError(ValueError):
-    """Raised when a series expansion needs a non-unit denominator factor."""
 
 
 class IdentityCapError(ResourceError, ValueError):
@@ -177,133 +164,6 @@ class RationalTerm:
 
     numerator: MultiPoly
     denominator_factors: tuple[MultiPoly, ...] = ()
-
-    def variables(self):
-        return self.numerator.variables
-
-
-@dataclass
-class TriSeries:
-    """Dense truncated series over (t, x, y): coeffs[n][j][k]."""
-
-    bounds: tuple[int, int, int]
-    coeffs: list
-
-    @staticmethod
-    def zero(bounds) -> "TriSeries":
-        nt, nx, ny = bounds
-        return TriSeries(
-            (nt, nx, ny),
-            [[[0] * (ny + 1) for _ in range(nx + 1)] for _ in range(nt + 1)],
-        )
-
-    def slice_at(self, n: int) -> list:
-        return self.coeffs[n]
-
-    def min_coefficient(self) -> Coefficient:
-        return min(min(min(row) for row in plane) for plane in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TriSeries)
-            and self.bounds == other.bounds
-            and self.coeffs == other.coeffs
-        )
-
-
-def _tri_exponents(p: MultiPoly) -> dict[tuple[int, int, int], Coefficient]:
-    """Map a polynomial in a subset of (t, x, y) onto lattice exponents."""
-    axis = []
-    for v in p.variables:
-        if v not in TRI_VARIABLES:
-            raise ValueError(f"variable {v!r} not one of {TRI_VARIABLES}")
-        axis.append(TRI_VARIABLES.index(v))
-    out: dict[tuple[int, int, int], Coefficient] = {}
-    for exps, c in p.terms.items():
-        key = [0, 0, 0]
-        for pos, e in zip(axis, exps):
-            key[pos] += e
-        out[tuple(key)] = out.get(tuple(key), 0) + c
-    return out
-
-
-def _unit_binomial_delta(factor: MultiPoly):
-    """For a factor 1 - c*monomial, return (delta exponents, c); else None."""
-    cells = _tri_exponents(factor)
-    if cells.get((0, 0, 0)) != 1:
-        return None
-    rest = {e: c for e, c in cells.items() if e != (0, 0, 0)}
-    if len(rest) != 1:
-        return None
-    (delta, neg_c), = rest.items()
-    if delta == (0, 0, 0):
-        return None
-    return delta, -neg_c
-
-
-def _division_rank(hit) -> int:
-    """Order of division by one unit binomial in `expand_rational`.
-
-    The quotient does not depend on the order, but the work does: a zero
-    source row is skipped.  Factors in y alone, then those with t, leave most
-    (t, x) rows zero; a factor in x without t fills every row of its plane,
-    so it goes last.
-    """
-    (dn, dj, _), _ = hit
-    if dn:
-        return 1
-    return 2 if dj else 0
-
-
-def expand_rational(term: RationalTerm, bounds) -> TriSeries:
-    """Truncated expansion of the term over the (t, x, y) lattice.
-
-    Dividing by (1 - c*t^a x^b y^d) is the recurrence s[i] += c*s[i - delta],
-    run one (t, x) row at a time: with a or b nonzero each row adds its source
-    row, already divided, shifted by d; a factor in y alone is a running sum
-    along each residue class of the row mod d.  All-int lattices stay ints;
-    a lattice that holds a Fraction is normalized once, at the end.
-    """
-    nt, nx, ny = bounds
-    out = TriSeries.zero((nt, nx, ny))
-    cs = out.coeffs
-    exact = True
-    for (n, j, k), c in _tri_exponents(term.numerator).items():
-        if n <= nt and j <= nx and k <= ny:
-            cs[n][j][k] += c
-            exact = exact and type(c) is int
-    deltas = []
-    for factor in term.denominator_factors:
-        hit = _unit_binomial_delta(factor)
-        if hit is None:
-            raise SingularDenominatorError(
-                f"denominator factor is not 1 - c*monomial: {to_text(factor)}"
-            )
-        deltas.append(hit)
-        exact = exact and type(hit[1]) is int
-    deltas.sort(key=_division_rank)
-    for (dn, dj, dk), c in deltas:
-        if dn or dj:
-            for n in range(dn, nt + 1):
-                pn, qn = cs[n - dn], cs[n]
-                for j in range(dj, nx + 1):
-                    src = pn[j - dj]
-                    if any(src):
-                        if c != 1:
-                            src = map(mul, repeat(c), src)
-                        row = qn[j]
-                        row[dk:] = map(add, row[dk:], src)
-        else:
-            step = None if c == 1 else (lambda acc, v: v + c * acc)
-            for plane in cs:
-                for row in filter(any, plane):
-                    for start in range(min(dk, ny + 1)):
-                        row[start::dk] = accumulate(row[start::dk], step)
-    if not exact:
-        for plane in cs:
-            for j, row in enumerate(plane):
-                plane[j] = [_norm(c) for c in row]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Cell-by-cell reference for the kernel expansion and the lemma certificate.
 
 These are the original, deliberately direct bodies: `expand_rational`
-divides by each unit binomial one lattice cell at a time and normalizes
-every cell it touches, `_evaluate` takes its prefix sums cell by cell,
-`negativity_window` rebuilds every slice's term grids, `symmetry_check`
-expands f for both (r, R) and (R, r), and `lemma_report` expands f a third
-time.  They share no state with `qdominance.lemma`'s one-pass certifier
-beyond the kernel term, the symbolic slice terms and the T2 closed form
-(the definitions being certified), so they pin the fast paths from outside.
+expands any numerator over unit binomials 1 - c*t^a x^b y^d in a subset of
+(t, x, y) into a `TriSeries`, dividing by each binomial one lattice cell at
+a time and normalizing every cell it touches; `_evaluate` takes its prefix
+sums cell by cell, `negativity_window` rebuilds every slice's term grids,
+`symmetry_check` expands f for both (r, R) and (R, r), and `lemma_report`
+expands f a third time.  They share no state with `qdominance.lemma`'s
+one-pass certifier beyond the kernel term, the symbolic slice terms and the
+T2 closed form (the definitions being certified), so they pin the fast
+paths from outside.  `TriSeries` and `expand_rational` also serve
+`reference_series` and the polyring tests as a generic lattice tool.
 """
 
 from __future__ import annotations
@@ -21,15 +24,61 @@ from qdominance.lemma import (
     kernel_term,
     t2_closed_form,
 )
-from qdominance.polyring import (
-    RationalTerm,
-    SingularDenominatorError,
-    TriSeries,
-    _tri_exponents,
-    _unit_binomial_delta,
-    to_text,
-)
+from qdominance.polyring import MultiPoly, RationalTerm, to_text
 from qdominance.series import Coefficient, _norm
+
+# axis order for TriSeries lattices
+TRI_VARIABLES = ("t", "x", "y")
+
+
+class SingularDenominatorError(ValueError):
+    """Raised when a series expansion needs a non-unit denominator factor."""
+
+
+@dataclass
+class TriSeries:
+    """Dense truncated series over (t, x, y): coeffs[n][j][k]."""
+
+    bounds: tuple[int, int, int]
+    coeffs: list
+
+    @staticmethod
+    def zero(bounds) -> "TriSeries":
+        nt, nx, ny = bounds
+        return TriSeries(
+            (nt, nx, ny),
+            [[[0] * (ny + 1) for _ in range(nx + 1)] for _ in range(nt + 1)],
+        )
+
+
+def _tri_exponents(p: MultiPoly) -> dict[tuple[int, int, int], Coefficient]:
+    """Map a polynomial in a subset of (t, x, y) onto lattice exponents."""
+    axis = []
+    for v in p.variables:
+        if v not in TRI_VARIABLES:
+            raise ValueError(f"variable {v!r} not one of {TRI_VARIABLES}")
+        axis.append(TRI_VARIABLES.index(v))
+    out: dict[tuple[int, int, int], Coefficient] = {}
+    for exps, c in p.terms.items():
+        key = [0, 0, 0]
+        for pos, e in zip(axis, exps):
+            key[pos] += e
+        out[tuple(key)] = out.get(tuple(key), 0) + c
+    return out
+
+
+def _unit_binomial_delta(factor: MultiPoly):
+    """For a factor 1 - c*monomial, return (delta exponents, c); else None."""
+    cells = _tri_exponents(factor)
+    if cells.get((0, 0, 0)) != 1:
+        return None
+    rest = {e: c for e, c in cells.items() if e != (0, 0, 0)}
+    if len(rest) != 1:
+        return None
+    (delta, neg_c), = rest.items()
+    if delta == (0, 0, 0):
+        return None
+    return delta, -neg_c
 
 
 @dataclass(frozen=True)
@@ -82,8 +131,9 @@ def expand_rational(term: RationalTerm, bounds) -> TriSeries:
     return out
 
 
-def f_expand(params: LemmaParams) -> TriSeries:
-    return expand_rational(kernel_term(params.r, params.R), params.bounds)
+def f_expand(params: LemmaParams) -> list:
+    """The kernel's lattice as nested lists, cells[n][j][k]."""
+    return expand_rational(kernel_term(params.r, params.R), params.bounds).coeffs
 
 
 def _grid(nx: int, ny: int) -> list[list[int]]:
@@ -192,8 +242,8 @@ def symmetry_check(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, An
     for n in range(nt + 1):
         for j in range(nx + 1):
             for k in range(ny + 1):
-                a = lhs.coeffs[n][j][k]
-                b = rhs.coeffs[n][k][j]
+                a = lhs[n][j][k]
+                b = rhs[n][k][j]
                 if a != b:
                     return {
                         "equal": False,
@@ -206,11 +256,11 @@ def lemma_report(r: int, R: int, bounds: tuple[int, int, int]) -> dict:
     """Composite kernel-expansion check: signs, slices, window, symmetry."""
     params = LemmaParams(r, R, bounds)
     tri = f_expand(params)
-    minimum = tri.min_coefficient()
+    minimum = min(c for plane in tri for row in plane for c in row)
     slice_mismatch = None
     for n in range(bounds[0] + 1):
         got = slice_eqtwo(n, params)
-        if got.coeffs != tuple(tuple(row) for row in tri.slice_at(n)):
+        if got.coeffs != tuple(tuple(row) for row in tri[n]):
             slice_mismatch = n
             break
     window = negativity_window(params)

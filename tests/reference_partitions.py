@@ -114,7 +114,7 @@ def visit_partitions(params: PartitionParams, max_weight: int, visit) -> None:
     `entries` is the live list of ((base, index), multiplicity) items in
     canonical order; visitors must copy it if they keep it.
     """
-    kinds = _part_kinds(params)
+    kinds = _part_kinds(params, max_weight)
     entries: list[tuple[tuple[str, int], int]] = []
 
     def extend(start: int, remaining: int) -> None:

@@ -14,21 +14,15 @@ them; they carry the list references of the packed kernels.
 `series_sub` subtracts two series as lists, and `dominates_by_lists`
 is the list reference of `dominance.dominates`.
 `tri_multiply`, `tri_truncate_poly` and `specialize` multiply, truncate
-and specialize (t, x, y) lattices, which the tests use to check
-`expand_rational` and the kernel specializations.
+and specialize (t, x, y) lattices, which the tests use to check the
+reference `expand_rational` and the kernel specializations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qdominance.polyring import (
-    MultiPoly,
-    RationalTerm,
-    TriSeries,
-    _tri_exponents,
-    expand_rational,
-)
+from qdominance.polyring import MultiPoly, RationalTerm
 from qdominance.series import (
     Coefficient,
     ProductSpec,
@@ -38,6 +32,7 @@ from qdominance.series import (
     first_negative,
     reciprocal_from_exponents,
 )
+from reference_lemma import TriSeries, _tri_exponents, expand_rational
 
 
 class OrderMismatchError(ValueError):

@@ -167,8 +167,8 @@ class TestKernelGrid:
         for (r, R), tri in expansions.items():
             other = expansions[(R, r)]
             for n in range(bounds[0] + 1):
-                rows = tri.slice_at(n)
-                transposed = [list(col) for col in zip(*other.slice_at(n))]
+                rows = tri[n]
+                transposed = [list(col) for col in zip(*other[n])]
                 assert rows == transposed, (r, R, n)
 
 

@@ -6,15 +6,9 @@ import pytest
 
 from qdominance.antitelescope import decompositions, positivity_scan
 from qdominance.dominance import nbase_pair
-from qdominance.polyring import (
-    RationalTerm,
-    expand_rational,
-    mono,
-    mp_add,
-    mp_mul,
-    mp_sub,
-)
+from qdominance.polyring import RationalTerm, mono, mp_add, mp_mul, mp_sub
 from qdominance.series import QSeries, first_negative, product_spec, series_scale
+from reference_lemma import expand_rational
 from reference_series import (
     divide_binomial,
     monomial,

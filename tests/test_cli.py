@@ -11,7 +11,9 @@ from qdominance.cli import (
     DEFAULT_BOUNDS,
     DEFAULT_ORDER,
     ENV_ORDER,
+    MAX_BOX_ASSIGNMENTS,
     MAX_INTERPRET_N,
+    BoxCapError,
     RunConfig,
     UsageError,
     expand_box,
@@ -327,6 +329,7 @@ class TestSeriesWorkBound:
         (proposal.InjectionCapError, ValueError),
         (lemma.LatticeCapError, RuntimeError),
         (partitions.EnumerationCapError, RuntimeError),
+        (BoxCapError, ValueError),
     ],
 )
 def test_every_cap_error_is_a_resource_error(error, base):
@@ -353,6 +356,13 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
         assert "cap" in err
+
+    def test_count_above_the_bound_is_a_resource_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(partitions, "MAX_ENUMERATED_PARTITIONS", 3)
+        code, out, err = run_cli(["enumerate", "--params", "50,1,1,3,3,1", "--n", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource: 4 partitions of weight 2")
 
     def test_raised_cap_allows_the_run(self, capsys):
         code, out, _ = run_cli(
@@ -517,7 +527,35 @@ class TestBoxParsing:
             parse_box("m=3")
 
 
+    def test_box_walk_is_bounded(self, monkeypatch):
+        # the [1, 4]^8 Thm2 box fits the real bound; 10^8 partial assignments do not
+        box = ",".join(f"{name}=1:4" for name in ("L", "m", "x", "y", "z", "r", "R", "rho"))
+        assert len(expand_box(parse_box(box))) == 4**8
+        with pytest.raises(BoxCapError, match=str(MAX_BOX_ASSIGNMENTS)):
+            expand_box(parse_box("m=1:100000000,r=2:1"))
+        monkeypatch.setattr(cli, "MAX_BOX_ASSIGNMENTS", 6)
+        # 2 + 2 * 2 assignments
+        assert len(expand_box(parse_box("m=1:2,r=1:2"))) == 4
+        with pytest.raises(BoxCapError, match="more than 6 assignments"):
+            expand_box(parse_box("m=1:2,r=1:3"))
+        # partial assignments count: no point, but seven values of m
+        with pytest.raises(BoxCapError):
+            expand_box(parse_box("m=1:7,r=2:1"))
+
+
 class TestSweep:
+    def test_box_walk_above_the_bound_is_a_resource_error(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the box bound must be checked before any point")
+
+        monkeypatch.setattr(cli, "MAX_BOX_ASSIGNMENTS", 3)
+        monkeypatch.setattr(lemma, "certify_lemma", refuse)
+        argv = ["sweep", "--kind", "lemma", "--box", "r=1:2,R=1:2", "--sample", "1", "--bounds", "1,1,1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qdominance: resource: the box walk makes more than 3 assignments")
+
     def test_divisibility_box_counts(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--ineq", "BGa", "--box", "m=3:6,r=1:m-1,L=1:1", "--order", "40"], capsys

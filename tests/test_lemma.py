@@ -24,23 +24,23 @@ class TestFExpand:
     def test_constant_coefficient(self):
         for r, R in [(1, 1), (2, 3), (4, 1)]:
             tri = f_expand(LemmaParams(r, R, (2, 4, 4)))
-            assert tri.coeffs[0][0][0] == 1
+            assert tri[0][0][0] == 1
 
     def test_unit_parameters_closed_form(self):
         # r=R=1 collapses the kernel to (1-xy)/((1-x)(1-y)(1-tx)(1-ty));
         # its (0,j,k) slice is 1 on the axes and 0 elsewhere
         tri = f_expand(LemmaParams(1, 1, (3, 6, 6)))
-        assert tri.coeffs[0][1][1] == 0
-        assert tri.coeffs[0][0][5] == 1
-        assert tri.coeffs[0][5][0] == 1
+        assert tri[0][1][1] == 0
+        assert tri[0][0][5] == 1
+        assert tri[0][5][0] == 1
         # higher t-slices: coefficient of t^n x^j y^k counts lattice paths;
         # spot value c(1,1,1) = [t x y] (1-xy)(1+tx)(1+ty)... = 2
-        assert tri.coeffs[1][1][1] == 2
+        assert tri[1][1][1] == 2
 
     def test_lemma_claim_small_grid(self):
         for r, R in [(2, 2), (3, 2), (1, 4)]:
             tri = f_expand(LemmaParams(r, R, (6, 15, 15)))
-            assert tri.min_coefficient() >= 0
+            assert min(min(map(min, plane)) for plane in tri) >= 0
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ class TestSliceEqtwo:
             tri = f_expand(params)
             for n in range(7):
                 got = slice_eqtwo(n, params)
-                assert got == tri.slice_at(n), (r, R, n)
+                assert got == tri[n], (r, R, n)
 
     def test_n_zero_closed_form(self):
         # ((1-xy) + (x-x^r)(y-y^R)) / ((1-x)(1-y)): ones on the axes plus
@@ -150,7 +150,7 @@ class TestNegativityWindow:
         params = LemmaParams(2, 2, (4, 12, 12))
         tri = f_expand(params)
         for k in (4, 5, 6, 7):
-            assert tri.coeffs[3][2][k] >= 0
+            assert tri[3][2][k] >= 0
 
     def test_r_at_least_n_has_no_negative_terms(self):
         # slices n <= r carry no negative per-term cells at all

@@ -1,8 +1,7 @@
-"""The one-pass lemma certificate and the row-wise expansion against the
-cell-by-cell reference."""
+"""The one-pass lemma certificate and the kernel's row-wise expansion
+against the cell-by-cell reference."""
 
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +15,9 @@ from qdominance.lemma import (
     LemmaParams,
     certify_lemma,
     check_lattice,
+    kernel_term,
 )
-from qdominance.polyring import MultiPoly, RationalTerm, expand_rational, mono, mp_sub
 
-TXY = ("t", "x", "y")
 multiplier = st.integers(1, 6)
 
 
@@ -49,49 +47,15 @@ def test_views_match_the_reference(r, R, bounds):
         assert got["symmetry"] == reference.symmetry_check(r, R, bounds)
 
 
-coefficient = st.one_of(
-    st.integers(-3, 3),
-    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
-)
-unit = st.sampled_from((1, -1, 2, Fraction(1, 2)))
-
-
-def txy(coeff, t, x, y):
-    return mono(TXY, coeff, t=t, x=x, y=y)
-
-
-@st.composite
-def unit_binomial(draw):
-    """1 - c*t^a x^b y^d: either in y alone with stride 1..5, or with t or x."""
-    if draw(st.booleans()):
-        exps = (0, 0, draw(st.integers(1, 5)))
-    else:
-        a, b = draw(
-            st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
-        )
-        exps = (a, b, draw(st.integers(0, 3)))
-    return mp_sub(txy(1, 0, 0, 0), txy(draw(unit), *exps))
-
-
-@st.composite
-def rational_terms(draw):
-    exps = st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 5))
-    numerator = MultiPoly(TXY, draw(st.dictionaries(exps, coefficient, max_size=6)))
-    factors = tuple(draw(st.lists(unit_binomial(), max_size=4)))
-    return RationalTerm(numerator, factors)
-
-
-def cell_types(tri):
-    return [[[type(c) for c in row] for row in plane] for plane in tri.coeffs]
-
-
-@settings(max_examples=300, deadline=None)
-@given(rational_terms(), st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(0, 8)))
-def test_expansion_matches_the_reference_in_value_and_type(term, bounds):
-    got = expand_rational(term, bounds)
-    want = reference.expand_rational(term, bounds)
-    assert got == want
-    assert cell_types(got) == cell_types(want)
+def test_kernel_expansion_matches_the_reference():
+    # zero sides, non-square and square x/y bounds
+    for bounds in [(0, 0, 0), (3, 6, 7), (2, 0, 5), (5, 3, 0), (6, 13, 9), (4, 16, 16)]:
+        for r in range(1, 7):
+            for R in range(1, 7):
+                got = lemma.f_expand(LemmaParams(r, R, bounds))
+                want = reference.expand_rational(kernel_term(r, R), bounds)
+                assert got == want.coeffs, (r, R, bounds)
+                assert all(type(c) is int for plane in got for row in plane for c in row)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +82,7 @@ def test_kernel_is_expanded_at_most_twice(monkeypatch, r, R, bounds, expansions)
 
 
 def _shift_cell(tri, n, j, k, by):
-    tri.coeffs[n][j][k] += by
+    tri[n][j][k] += by
     return tri
 
 

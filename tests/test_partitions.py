@@ -5,11 +5,13 @@ import random
 import pytest
 
 from oracles import partition_counts_upto
+from qdominance import partitions
 from qdominance.partitions import (
     BASE_LABELS,
     EnumerationCapError,
     PartitionParams,
     _first_violation,
+    _part_kinds,
     _stat_record,
     count_profile,
     enumerate_partitions,
@@ -205,6 +207,29 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapError):
             enumerate_partitions(6, FLAGSHIP, cap=5)
         assert enumerate_partitions(5, FLAGSHIP, cap=5)
+
+    def test_count_bound_is_checked_before_the_walk(self, monkeypatch):
+        params = PartitionParams(5, 1, 2, 2, 2, 2)
+        count = totals(params, 12)[12]
+        monkeypatch.setattr(partitions, "MAX_ENUMERATED_PARTITIONS", count)
+        assert len(enumerate_partitions(12, params)) == count
+        monkeypatch.setattr(partitions, "MAX_ENUMERATED_PARTITIONS", count - 1)
+
+        def refuse(*args):
+            raise AssertionError("the count bound must be checked before the walk")
+
+        monkeypatch.setattr(partitions, "_reachable", refuse)
+        with pytest.raises(EnumerationCapError, match=f"{count} partitions of weight 12"):
+            enumerate_partitions(12, params)
+
+    def test_kinds_above_the_weight_are_never_built(self):
+        # layers 4 onwards of m = 5 are all heavier than 14
+        small = PartitionParams(5, 1, 2, 2, 2, 3)
+        large = PartitionParams(5, 1, 2, 2, 2, 10**4)
+        for n in (0, 7, 14):
+            assert _part_kinds(large, n) == _part_kinds(small, n)
+            assert all(size <= n for _, _, size in _part_kinds(large, n))
+            assert enumerate_partitions(n, large) == enumerate_partitions(n, small)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
