@@ -226,11 +226,16 @@ def decompositions(P: ProductSpec, Q: ProductSpec, order: int, split: str = "non
 def group_totals(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dict[str, QSeries]:
     """Each split group summed over i = 1..L, at the engine's integer scale.
 
-    The sums are carried packed and each is decoded once.
+    The sums are carried packed and each is decoded once.  The walk stops
+    at the first index with t = (i-1)m above the order: every group lead
+    from there on is t plus a positive size, so every later group is 0
+    through q^order, and the cost does not grow with L.
     """
     walk = _Walk(P, Q, order, split)
     totals: dict[str, int] = {}
-    for _, _, _, groups in walk.steps():
+    for _, t, _, groups in walk.steps():
+        if t > order:
+            break
         for name, g in groups:
             totals[name] = totals.get(name, 0) + g
     return {name: walk.packing.decode(x) for name, x in totals.items()}

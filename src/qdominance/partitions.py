@@ -13,9 +13,10 @@ split groups of the Thm1 pair summed over the indices
 comparison and reports the minimal mismatch witness if one ever appears.
 
 `count_profile` counts without listing: each base gets a table from its
-statistic (the part of the rule record it determines) to a coefficient
-list, and each system is a sum of products of those tables, in time
-polynomial in the weight.  `enumerate_partitions` lists a single weight as
+statistic (the part of the rule record it determines) to a packed series,
+and each system is a sum of products of those tables.  Only the layers
+that fit the weight are built, so the time is polynomial in the weight
+and independent of L.  `enumerate_partitions` lists a single weight as
 plain count tuples and prunes every branch that can no longer reach it.
 The exhaustive walk both replaced lives on in `tests/reference_partitions.py`
 as their oracle.
@@ -28,7 +29,7 @@ from functools import cached_property
 
 from .antitelescope import group_totals
 from .dominance import nbase_pair
-from .series import ProductSpec, QSeries, ResourceError, positive_ints, reciprocal_from_exponents
+from .series import ProductSpec, QSeries, ResourceError, _Signed, positive_ints, reciprocal_from_exponents
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
 
@@ -79,11 +80,6 @@ class PartitionParams:
         if base not in self._sizes:
             raise ValueError(f"unknown base label {base!r}")
         return self._sizes[base]
-
-    def part_size(self, base: str, index: int) -> int:
-        if type(index) is not int or not 1 <= index <= self.L:
-            raise ValueError(f"index must satisfy 1 <= index <= {self.L}, got {index!r}")
-        return self.base_size(base) + (index - 1) * self.m
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.m, self.x, self.y, self.r, self.R, self.L)
@@ -174,68 +170,49 @@ _STAT_SLOTS = {X: (0, 6), Y: (1, 7), S: (2,), RX: (3,), RY: (4,), XY: (5,)}
 _PIVOTS = {"V": Y, "W": X}
 
 
-def _geometric(coeffs: list[int], size: int) -> list[int]:
-    """Multiply a truncated coefficient list by 1/(1 - q^size), in place."""
-    for k in range(size, len(coeffs)):
-        coeffs[k] += coeffs[k - size]
-    return coeffs
-
-
-def _truncated_product(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * len(a)
-    for i, coefficient in enumerate(a):
-        if coefficient:
-            tail = out[i:]
-            out[i:] = [t + coefficient * c for t, c in zip(tail, b)]
-    return out
-
-
-def _by_highest_layer(sizes: list[int], one: list[int]) -> list[list[int]]:
+def _by_highest_layer(packing: _Signed, sizes: list[int]) -> list[int]:
     """Entry j: the partitions into sizes[:j] that use sizes[j-1]; entry 0: the empty one."""
-    out = [one]
-    below = one
+    out = [1]
+    below = 1
     for size in sizes:
-        current = _geometric(below[:], size)
-        out.append([u - v for u, v in zip(current, below)])
+        current = packing.divide(below, [size]) & packing.mask
+        out.append(current - below)
         below = current
     return out
 
 
-def _nonzero(table: dict[tuple, list[int]]) -> dict[tuple, list[int]]:
-    """Drop the statistics that no partition of weight <= max_n attains."""
-    return {stat: coeffs for stat, coeffs in table.items() if any(coeffs)}
+def _base_table(params: PartitionParams, base: str, sizes: list[int], packing: _Signed) -> dict[tuple, int]:
+    """Partitions into one base's parts, keyed by the base's statistic.
 
-
-def _base_table(params: PartitionParams, base: str, max_n: int) -> dict[tuple, list[int]]:
-    """Partitions into one base's L parts, keyed by the base's statistic.
-
-    The statistic is the base's share of the rule record (`_STAT_SLOTS`):
-    the lowest occupied layer for XY, RX and RY (L+1 when empty); the
-    highest for S (0 when empty); and for X and Y the highest layer together
-    with the first-layer multiplicity clamped at max(r, R), beyond which the
-    rules cannot tell multiplicities apart.  Each value is the coefficient
-    list, through q^max_n, of the partitions with that statistic.
+    `sizes` are the base's layers that fit the weight (`_part_kinds`); the
+    layers above them hold no partition of weight <= the order.  The
+    statistic is the base's share of the rule record (`_STAT_SLOTS`): the
+    lowest occupied layer for XY, RX and RY (L+1 when empty); the highest
+    for S (0 when empty); and for X and Y the highest layer together with
+    the first-layer multiplicity clamped at max(r, R), beyond which the
+    rules cannot tell multiplicities apart.  Each value is the packed
+    series of the partitions with that statistic; statistics that no
+    partition of weight <= the order attains are left out.
     """
-    L = params.L
-    sizes = [params.part_size(base, index) for index in range(1, L + 1)]
-    one = [1] + [0] * max_n
+    mask = packing.mask
     if base in (XY, RX, RY):
-        lowest = _by_highest_layer(sizes[::-1], one)
-        return _nonzero({(L + 1 - k,): coeffs for k, coeffs in enumerate(lowest)})
-    if base == S:
-        return _nonzero({(j,): coeffs for j, coeffs in enumerate(_by_highest_layer(sizes, one))})
-    clamp = max(params.r, params.R)
-    first = sizes[0]
-    table = {(0, 0): one}
-    # layer `index` is the highest: layers 2..index hold `upper`, layer 1 holds nu parts
-    for index, upper in enumerate(_by_highest_layer(sizes[1:], one), 1):
-        for nu in range(1 if index == 1 else 0, clamp + 1):
-            shift = nu * first
-            if shift > max_n:
-                break
-            entry = [0] * shift + upper[: max_n + 1 - shift]
-            table[(index, nu)] = _geometric(entry, first) if nu == clamp else entry
-    return _nonzero(table)
+        lowest = _by_highest_layer(packing, sizes[::-1])
+        table = {(params.L + 1 if k == 0 else len(sizes) + 1 - k,): x for k, x in enumerate(lowest)}
+    elif base == S:
+        table = {(j,): x for j, x in enumerate(_by_highest_layer(packing, sizes))}
+    else:
+        clamp = max(params.r, params.R)
+        first = params.base_size(base)
+        table = {(0, 0): 1}
+        # layer `index` is the highest: layers 2..index hold `upper`, layer 1 holds nu parts
+        for index, upper in enumerate(_by_highest_layer(packing, sizes[1:]), 1):
+            for nu in range(1 if index == 1 else 0, clamp + 1):
+                shift = nu * first
+                if shift > packing.order:
+                    break
+                entry = (upper << shift * packing.bits) & mask
+                table[(index, nu)] = packing.divide(entry, [first]) & mask if nu == clamp else entry
+    return {stat: x for stat, x in table.items() if x}
 
 
 def _filled(record: tuple, base: str, stat: tuple) -> tuple:
@@ -250,33 +227,47 @@ def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
     """Unfiltered and per-system partition counts for every weight <= max_n.
 
     A colored partition splits into six independent base partitions, so the
-    totals are one geometric pass per part kind.  The restricted counts
-    factor too.  Every one of the fourteen rules reads the system's pivot
-    base (Y for V, X for W) and at most one other base, and an empty base
-    is the loosest filling for every rule that reads it (highest layer 0,
-    lowest layer L+1, no first-layer parts).  So for a fixed pivot
-    statistic a partition passes exactly when each other base, judged on a
-    record in which every third base is empty, passes.  Each system is then
-    a sum over pivot statistics of the pivot's table times, per other base,
-    the sum of that base's tables whose statistic passes.  Pivot statistics
-    with the same passing sets share one product.  `_first_violation`
-    remains the only statement of the rules.  The cost is polynomial in
-    max_n; `tests/reference_partitions.py` keeps the exhaustive walk.
+    totals are prod 1/(1 - q^size) over the part kinds that fit.  The
+    restricted counts factor too.  Every one of the fourteen rules reads
+    the system's pivot base (Y for V, X for W) and at most one other base,
+    and an empty base is the loosest filling for every rule that reads it
+    (highest layer 0, lowest layer L+1, no first-layer parts).  So for a
+    fixed pivot statistic a partition passes exactly when each other base,
+    judged on a record in which every third base is empty, passes.  Each
+    system is then a sum over pivot statistics of the pivot's table times,
+    per other base, the sum of that base's tables whose statistic passes.
+    Pivot statistics with the same passing sets share one product.
+    `_first_violation` remains the only statement of the rules.  The cost
+    is polynomial in max_n and independent of L;
+    `tests/reference_partitions.py` keeps the exhaustive walk.
+
+    The totals are expanded exactly, in the width that
+    `reciprocal_from_exponents` proves, and every other series is packed in
+    one `series._Signed` modulo M = 2^(B(max_n+1)) with B = c + 1, c the bit
+    length of the largest total.  A table entry, a per-base sum over passing
+    statistics, a pivot group and any product of these each count a subset
+    of the colored partitions of each weight, so each is coefficientwise
+    between 0 and the totals, below 2^c, and the biased decode of its
+    residue is exact.  Products are taken modulo M, `a * b & mask`, which
+    the ring homomorphism q -> 2^B allows for any representatives.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    L = params.L
-    totals = [1] + [0] * max_n
-    for _, _, size in _part_kinds(params, max_n):
-        _geometric(totals, size)
-    tables = {base: _base_table(params, base, max_n) for base in BASE_LABELS}
-    empty = _stat_record((), L)
-    profile = {"totals": totals}
+    kinds = _part_kinds(params, max_n)
+    totals = reciprocal_from_exponents([size for _, _, size in kinds], max_n).coeffs
+    packing = _Signed(max_n, max(totals).bit_length() + 1)
+    mask = packing.mask
+    tables = {
+        base: _base_table(params, base, [size for b, _, size in kinds if b == base], packing)
+        for base in BASE_LABELS
+    }
+    empty = _stat_record((), params.L)
+    profile = {"totals": list(totals)}
     for system in SYSTEMS:
         pivot = _PIVOTS[system]
         others = [base for base in BASE_LABELS if base != pivot]
-        grouped: dict[tuple, list[int]] = {}
-        for stat, coeffs in tables[pivot].items():
+        grouped: dict[tuple, int] = {}
+        for stat, x in tables[pivot].items():
             record = _filled(empty, pivot, stat)
             passing = tuple(
                 tuple(
@@ -287,15 +278,13 @@ def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
                 for base in others
             )
             if all(passing):
-                summed = grouped.get(passing)
-                grouped[passing] = coeffs if summed is None else [a + b for a, b in zip(summed, coeffs)]
-        counts = [0] * (max_n + 1)
+                grouped[passing] = grouped.get(passing, 0) + x
+        counts = 0
         for passing, term in grouped.items():
             for base, stats in zip(others, passing):
-                factor = [sum(column) for column in zip(*(tables[base][s] for s in stats))]
-                term = _truncated_product(term, factor)
-            counts = [a + b for a, b in zip(counts, term)]
-        profile[system] = counts
+                term = term * sum(tables[base][s] for s in stats) & mask
+            counts += term
+        profile[system] = list(packing.decode(counts).coeffs)
     return profile
 
 
@@ -368,23 +357,20 @@ def split_series(params: PartitionParams, order: int) -> tuple[QSeries, QSeries]
     return totals["V"], totals["W"]
 
 
-def interpretation_rows(
-    params: PartitionParams, max_n: int, series_pair=None
-) -> list[dict]:
-    """Per-weight comparison rows between counts and series coefficients.
+def interpretation_check(params: PartitionParams, max_n: int) -> dict:
+    """Compare restricted counts against the split series up to max_n.
 
-    Row keys match the CSV columns: n, V_count, W_count, series_V, series_W,
-    match.  `series_pair` overrides the computed (V, W) series; tests use it
-    to exercise the mismatch reporting.
+    Returns {"params", "max_n", "rows", "ok", "witness"}.  Row keys match
+    the CSV columns: n, V_count, W_count, series_V, series_W, match.  The
+    witness, when present, is the minimal mismatching weight with both
+    numbers, V before W.
     """
     profile = count_profile(params, max_n)
-    v_series, w_series = (
-        split_series(params, max_n) if series_pair is None else series_pair
-    )
-    rows = []
+    series = dict(zip(SYSTEMS, split_series(params, max_n)))
+    rows, witness = [], None
     for n in range(max_n + 1):
-        v_count, w_count = profile["V"][n], profile["W"][n]
-        series_v, series_w = v_series.coeff(n), w_series.coeff(n)
+        pairs = [(profile[system][n], series[system].coeff(n)) for system in SYSTEMS]
+        (v_count, series_v), (w_count, series_w) = pairs
         rows.append(
             {
                 "n": n,
@@ -395,33 +381,9 @@ def interpretation_rows(
                 "match": v_count == series_v and w_count == series_w,
             }
         )
-    return rows
-
-
-def interpretation_check(
-    params: PartitionParams, max_n: int, series_pair=None
-) -> dict:
-    """Compare restricted counts against the split series up to max_n.
-
-    Returns {"params", "max_n", "rows", "ok", "witness"}; the witness, when
-    present, is the minimal mismatching weight with both numbers, V before W.
-    """
-    rows = interpretation_rows(params, max_n, series_pair)
-    witness = None
-    for row in rows:
-        if row["match"]:
-            continue
-        for system in SYSTEMS:
-            count, coefficient = row[f"{system}_count"], row[f"series_{system}"]
-            if count != coefficient:
-                witness = {
-                    "n": row["n"],
-                    "system": system,
-                    "count": count,
-                    "coefficient": coefficient,
-                }
-                break
-        break
+        for system, (count, coefficient) in zip(SYSTEMS, pairs):
+            if witness is None and count != coefficient:
+                witness = {"n": n, "system": system, "count": count, "coefficient": coefficient}
     return {
         "params": params.as_tuple(),
         "max_n": max_n,

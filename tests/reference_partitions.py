@@ -33,6 +33,13 @@ from qdominance.series import reciprocal_from_exponents
 _BASE_RANK = {label: rank for rank, label in enumerate(BASE_LABELS)}
 
 
+def part_size(params: PartitionParams, base: str, index: int) -> int:
+    """The size of the part with a base and a layer index 1..L."""
+    if type(index) is not int or not 1 <= index <= params.L:
+        raise ValueError(f"index must satisfy 1 <= index <= {params.L}, got {index!r}")
+    return params.base_size(base) + (index - 1) * params.m
+
+
 def _canonical_key(base: str, index: int) -> tuple[int, int]:
     return (_BASE_RANK[base], index)
 
@@ -52,7 +59,7 @@ class ColoredPartition:
     def __post_init__(self) -> None:
         keys = []
         for (base, index), multiplicity in self.counts:
-            self.params.part_size(base, index)  # validates base and index range
+            part_size(self.params, base, index)  # validates base and index range
             if type(multiplicity) is not int or multiplicity < 1:
                 raise ValueError(
                     f"multiplicity must be a positive integer, got {multiplicity!r}"

@@ -31,6 +31,7 @@ from reference_series import (
     multiply_binomial,
     multiply_binomials,
     series_add,
+    series_mul,
     series_shift,
     series_sub,
     spec_reciprocal,
@@ -338,6 +339,17 @@ def test_signed_divide_is_a_ring_homomorphism(packed, exps):
     packing, a, x = packed
     got = packing.divide(x, exps) & packing.mask
     assert got == residue(packing, divide_binomials(a, exps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_inputs(), st.data())
+def test_signed_product_is_a_ring_homomorphism(packed, data):
+    packing, a, x = packed
+    width = a.order + 1
+    coeffs = data.draw(st.lists(st.integers(-(2**80), 2**80), min_size=width, max_size=width))
+    b = QSeries(a.order, tuple(coeffs))
+    y = residue(packing, b) + data.draw(st.integers(-(2**70), 2**70)) * (packing.mask + 1)
+    assert (x * y) & packing.mask == residue(packing, series_mul(a, b))
 
 
 pieces = st.lists(st.tuples(st.integers(0, 45), st.lists(st.integers(0, 45), max_size=3)), max_size=4)
