@@ -28,7 +28,9 @@ packed, never read off the computed values.
 
 Every proof starts from one bound on the coefficients of prod 1/(1 - q^e)
 (`_coeff_bits`): the product of the per-factor multiplicity ranges or the
-saddle bound F(x)/x^N at a fixed-point x = 1 - 1/t, whichever is smaller.
+saddle bound F(x)/x^N, whichever is smaller.  The saddle bound is sound at
+every fixed-point x = 1 - 1/t, so it is evaluated once, at a t that
+approximates the saddle point, with no search.
 """
 
 from __future__ import annotations
@@ -116,11 +118,8 @@ def series_scale(a: QSeries, c: Coefficient) -> QSeries:
 # Fixed-point scale of the saddle bound: a value v in (0, 1] is the int v * 2^64.
 _FIX = 64
 _ONE = 1 << _FIX
-# The saddle search walks t = 1/(1 - x) inside [2, _MAX_T].
+# The saddle bound is evaluated at t = 1/(1 - x) inside [2, _MAX_T].
 _MAX_T = 1 << 32
-# Packed size, at the product bound's slot width, above which the saddle
-# search pays for itself; below it the wider slots cost less than the search.
-_SADDLE_MIN_BITS = 1 << 16
 
 
 def _product_bits(exponents: list[int], order: int) -> int:
@@ -194,63 +193,40 @@ def _saddle_bound(exponents: list[int], order: int, t: int) -> int:
 
 
 def _saddle_start(exponents: list[int], order: int) -> int:
-    """A first guess at the t that minimizes `_saddle_bound`.
+    """The t at which `_coeff_bits` evaluates `_saddle_bound`, near its minimum.
 
     The saddle point solves sum over e of e x^e / (1 - x^e) = order.  With
-    x = 1 - 1/t each term is about t * phi(e/t), phi(v) = v / (e^v - 1),
-    and phi is replaced by the triangle max(0, 1 - v/3.3) of the same area
-    (pi^2/6).  The sum is then linear in t over the exponents below 3.3 t,
+    x = e^(-1/T) each term is T * phi(e/T), phi(v) = v / (e^v - 1), and phi
+    is replaced by the triangle max(0, 1 - v/3.3) of the same area
+    (pi^2/6).  The sum is then linear in T over the exponents below 3.3 T,
     and the first prefix of the sorted exponents whose root excludes the
-    next exponent gives the root.
+    next exponent gives the root.  The same x is 1 - 1/t at
+    t = 1/(1 - e^(-1/T)), which is T + 1/2 to within 1/(12 T).  Every t in
+    [2, 2^64] gives a sound bound, so the approximation only costs width,
+    never soundness.  The exponents must be sorted, positive and not empty.
     """
     total = 0
     for c, e in enumerate(exponents, 1):
         total += e
-        t = (33 * order + 10 * total) // (33 * c)
-        if c == len(exponents) or 10 * exponents[c] >= 33 * t:
+        T = (33 * order + 10 * total) // (33 * c)
+        if c == len(exponents) or 10 * exponents[c] >= 33 * T:
             break
+    t = (66 * order + 20 * total + 33 * c) // (66 * c)
     return min(max(2, t), _MAX_T)
-
-
-def _saddle_bits(exponents: list[int], order: int) -> int:
-    """Bit length of the best saddle bound found by a quarter-octave walk over t.
-
-    Any t gives a sound bound, so the walk only has to find a good one.  It
-    starts at `_saddle_start`, steps up or down by 19/16 (about 2^(1/4))
-    while the bound falls, and stops at the first step that does not lower
-    it.  The exponents must be sorted, positive and not empty.
-    """
-    bounds: dict[int, int] = {}
-
-    def bound(t: int) -> int:
-        if t not in bounds:
-            bounds[t] = _saddle_bound(exponents, order, t)
-        return bounds[t]
-
-    def up(t: int) -> int:
-        return min(t * 19 // 16, _MAX_T)
-
-    def down(t: int) -> int:
-        return max(t * 16 // 19, 2)
-
-    t = _saddle_start(exponents, order)
-    step = up if bound(up(t)) < bound(t) else down
-    while step(t) != t and bound(step(t)) < bound(t):
-        t = step(t)
-    return bound(t).bit_length()
 
 
 def _coeff_bits(exponents: list[int], order: int) -> int:
     """c with every coefficient through q^order of prod 1/(1 - q^e) below 2^c.
 
-    c is the smaller of the product and saddle bounds.  The saddle search
-    runs only when the product bound is above a machine word and the series
-    packed at its width would be large.  The exponents must be positive and
-    at most the order.
+    c is the smaller of the product bound and the saddle bound, the latter
+    evaluated once at `_saddle_start`, in O(factors + log order), whenever
+    the product bound is above a machine word.  The exponents must be
+    positive and at most the order.
     """
     bits = _product_bits(exponents, order)
-    if bits > 64 and (order + 1) * bits > _SADDLE_MIN_BITS:
-        bits = min(bits, _saddle_bits(sorted(exponents), order))
+    if bits > 64:
+        exponents = sorted(exponents)
+        bits = min(bits, _saddle_bound(exponents, order, _saddle_start(exponents, order)).bit_length())
     return bits
 
 

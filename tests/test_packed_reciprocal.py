@@ -76,15 +76,21 @@ def test_packed_kernel_matches_forward_substitution(exponents, order):
 
 
 @settings(max_examples=150, deadline=None)
-@given(exponent_lists, orders)
-@example([1] * 12, 300)
-@example([1, 2, 3, 4, 5, 6], 300)
-def test_every_bound_holds_the_largest_coefficient(exponents, order):
+@given(exponent_lists, orders, st.integers(2, 2**32))
+@example([1] * 12, 300, 2)
+@example([1, 2, 3, 4, 5, 6], 300, 2**32)
+def test_every_bound_holds_the_largest_coefficient(exponents, order, t):
+    # The saddle bound is sound at every t, which is what lets `_coeff_bits`
+    # evaluate it once instead of searching for the best t.
     factors = [e for e in exponents if e <= order]
     assume(factors)
     largest = max_bits(divide_binomials(one_series(order), factors))
     assert series._product_bits(factors, order) >= largest
-    assert series._saddle_bits(sorted(factors), order) >= largest
+    assert series._coeff_bits(factors, order) >= largest
+    ordered = sorted(factors)
+    start = series._saddle_start(ordered, order)
+    assert series._saddle_bound(ordered, order, start).bit_length() >= largest
+    assert series._saddle_bound(ordered, order, t).bit_length() >= largest
     slot = width(order, factors)
     assert slot % 8 == 0 and slot > largest
 
@@ -128,7 +134,7 @@ def exponent_pairs(draw):
 
 
 def pair_examples(test):
-    # The sides' widths differ by 96 bits, so the narrower one cannot hold
+    # The sides' widths differ by 64 bits, so the narrower one cannot hold
     # the wider side; nesting leaves one side with no leftover factors.
     test = example(([1] * 12, [1], 300))(test)
     test = example(([1], [1] * 12, 300))(test)
@@ -174,9 +180,10 @@ def test_pair_widths_hold_both_sides(pair):
 
 
 def test_pair_width_is_the_wider_sides_own():
-    # The sides need widths 96 bits apart; the pair takes the wider one.
+    # The sides need widths 64 bits apart (80 and 16, the wider from the
+    # saddle bound); the pair takes the wider one.
     narrow, wide = width(300, [1]), width(300, [1] * 12)
-    assert wide - narrow == 96
+    assert wide - narrow == 64
     assert width(300, [1] * 12, [1]) == width(300, [1], [1] * 12) == wide
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qdominance import antitelescope, dominance, series
 from qdominance.antitelescope import certify_split, decompositions, positivity_scan
 from qdominance.partitions import PartitionParams, split_series
-from qdominance.series import QSeries, product_spec, series_scale
+from qdominance.series import QSeries, product_spec, reciprocal_from_exponents, series_scale
 from reference_split import (
     list_certify_split,
     list_decompositions,
@@ -260,6 +260,31 @@ def test_width_is_the_proven_bound():
         c = series._coeff_bits(factors, order)
         want = max(8, -(-(c + (values[0] * K).bit_length() + 2) // 8) * 8)
         assert antitelescope._Walk(P, Q, order, split).packing.bits == want
+
+
+def test_split_walk_widths_follow_the_saddle_bound():
+    # At order 60 the product bound alone gave these walks 104 and 152 bits.
+    assert antitelescope._Walk(*thm_pair((4, 3, 1, 2, 2, 3)), 60, "thm1").packing.bits == 40
+    assert antitelescope._Walk(*thm_pair((4, 2, 1, 1, 2, 2, 2, 3)), 60, "thm2").packing.bits == 56
+
+
+def test_coefficient_bound_is_near_the_largest_coefficient():
+    # Where the product bound is above a machine word, `_coeff_bits` takes
+    # the saddle bound, which stays within 16 bits of the largest
+    # coefficient of 1/(P * Q); the product bound's slack there has a
+    # median of about 64 bits.
+    rng = random.Random(60)
+    order, checked = 60, 0
+    for _ in range(200):
+        n = rng.choice((2, 3))
+        P, Q = thm_pair(tuple(rng.randrange(1, 5) for _ in range(2 * n + 2)))
+        factors = [e for e in P.exponents(order) + Q.exponents(order) if e <= order]
+        if series._product_bits(factors, order) <= 64:
+            continue
+        largest = max(reciprocal_from_exponents(factors, order).coeffs).bit_length()
+        assert largest <= series._coeff_bits(factors, order) <= largest + 16
+        checked += 1
+    assert checked >= 80
 
 
 @settings(max_examples=40, deadline=None)
