@@ -23,6 +23,17 @@ its sparse numerator: a power of q times at most four binomials.  The
 half-weighted Thm2 groups are carried doubled and halved only where they
 are read.
 
+The numerators are written once, over t = (i-1)m, the sizes x, y[, z] and
+the scaled sizes a = rx, b = Ry[, c = rho z]; every exponent is a sum,
+difference or double of these.  They are read two ways: the walk calls
+them with ints, and `split_identity` with unit linear forms (`_Form`),
+which turns them into polynomials in T = q^t and the q-powers of the
+sizes.  It checks exactly that they sum to scale * (prod over the Q layer
+of (1 - q^(b+t)) - prod over the P layer), at t = 0 (index 1) and at a
+generic t.  Substituting q-powers is a ring homomorphism, so that one
+identity says that the groups sum to scale * addend at every size,
+multiplier and index.
+
 The walk is packed (`series._Signed`): every series is one int with
 B-bit slots, reduced modulo M = 2^(B(N+1)) at truncation order N.
 q -> 2^B is a ring homomorphism from Z[q]/(q^(N+1)) to Z/MZ, and every
@@ -53,12 +64,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Any
 
 from .dominance import nbase_params
+from .polyring import IdentityVerdict, MultiPoly, RationalTerm, identity_check
 from .series import (
     INF,
     Coefficient,
+    ParameterError,
     ProductSpec,
     QSeries,
     _norm,
@@ -95,47 +109,83 @@ class AddendDecomposition:
         return AddendDecomposition(self.index, self.addend, groups, self.t_exponent)
 
 
-def _thm1_numerators(values, t: int):
-    """(name, [(lead, binomial exponents), ...]) for V and W at t = (i-1)m."""
-    x, y, r, R = values
-    return (
-        ("V", [(t + y, ((R - 1) * y, x, t + r * x))]),
-        ("W", [(t + x, ((r - 1) * x, R * y, t + y))]),
-    )
+def _thm1_numerators(values, t):
+    """(name, [(lead, binomial exponents), ...]) for V and W at t; values = (x, y, rx, Ry)."""
+    x, y, a, b = values
+    return (("V", [(t + y, (b - y, x, t + a))]), ("W", [(t + x, (a - x, b, t + y))]))
 
 
-def _thm2_numerators(values, t: int):
-    """Doubled G1..G4 numerators as sums of q^lead times four binomials.
-
-    Index 1 (t = 0) has three groups and no G4.
-    """
-    x, y, z, r, R, rho = values
-    a, b, c = r * x, R * y, rho * z
-    if t == 0:
+def _thm2_numerators(values, t):
+    """Doubled G1..G4 numerators at t; values = (x, y, z, rx, Ry, rho z).  Index 1 (t = 0) has no G4."""
+    x, y, z, a, b, c = values
+    if not t:
         return (
-            ("G1", [(x, ((r - 1) * x, b, c, y + z)), (x, ((r - 1) * x, y, z, b + c))]),
-            ("G2", [(y, ((R - 1) * y, c, a, z + x)), (y, ((R - 1) * y, z, x, c + a))]),
-            ("G3", [(z, ((rho - 1) * z, x, y, a + b)), (z, ((rho - 1) * z, a, b, x + y))]),
+            ("G1", [(x, (a - x, b, c, y + z)), (x, (a - x, y, z, b + c))]),
+            ("G2", [(y, (b - y, c, a, z + x)), (y, (b - y, z, x, c + a))]),
+            ("G3", [(z, (c - z, x, y, a + b)), (z, (c - z, a, b, x + y))]),
         )
     return (
-        ("G1", [
-            (t + x, ((r - 1) * x, t + b, t + c, y + z)),
-            (t + x, ((r - 1) * x, t + y, t + z, b + c)),
-        ]),
-        ("G2", [
-            (t + y, ((R - 1) * y, t + c, t + a, z + x)),
-            (t + y, ((R - 1) * y, t + z, t + x, c + a)),
-        ]),
-        ("G3", [(t + z, ((rho - 1) * z, t + x, t + y, a + b))]),
-        ("G4", [
-            (t + z, ((rho - 1) * z, t + a, t + b, x + y)),
-            (t + z + x + y, ((rho - 1) * z, 2 * t, (r - 1) * x, (R - 1) * y)),
-        ]),
+        ("G1", [(t + x, (a - x, t + b, t + c, y + z)), (t + x, (a - x, t + y, t + z, b + c))]),
+        ("G2", [(t + y, (b - y, t + c, t + a, z + x)), (t + y, (b - y, t + z, t + x, c + a))]),
+        ("G3", [(t + z, (c - z, t + x, t + y, a + b))]),
+        ("G4", [(t + z, (c - z, t + a, t + b, x + y)), (t + z + x + y, (c - z, t + t, a - x, b - y))]),
     )
 
 
 # split -> (number of sizes n, numerators, integer scale of the groups)
 _SPLITS = {"thm1": (2, _thm1_numerators, 1), "thm2": (3, _thm2_numerators, 2)}
+
+
+class _Form(tuple):
+    """An exponent as its coefficients over (t, sizes, scaled sizes); the zero form is false, like 0."""
+
+    def __add__(self, other):
+        return _Form(map(add, self, other))
+
+    def __sub__(self, other):
+        return _Form(map(sub, self, other))
+
+    def __bool__(self):
+        return any(self)
+
+
+def _expand(pieces, weight: int, terms: dict) -> None:
+    """Add weight * q^lead * prod (1 - q^e) over the pieces to terms; a zero e cancels its piece."""
+    for lead, exponents in pieces:
+        piece = {lead: weight}
+        for e in exponents:
+            for k, v in list(piece.items()):
+                piece[k + e] = piece.get(k + e, 0) - v
+        for k, v in piece.items():
+            terms[k] = terms.get(k, 0) + v
+
+
+def split_identity_sides(split: str, t_zero: bool) -> tuple[MultiPoly, MultiPoly]:
+    """scale * (prod Q layer - prod P layer) and the sum of the groups, over (t, x, y[, z], a, b[, c]).
+
+    The numerators are read at unit forms, with t the zero form when ``t_zero``.
+    """
+    n, numerators, scale = _SPLITS[split]
+    variables = ("t", *"xyz"[:n], *"abc"[:n])
+    zero = _Form((0,) * len(variables))
+    units = [_Form(int(j == k) for k in range(len(variables))) for j in range(len(variables))]
+    t, sizes, scaled = zero if t_zero else units[0], units[1 : n + 1], units[n + 1 :]
+    lhs: dict = {}
+    rhs: dict = {}
+    _expand([(zero, [t + e for e in (*scaled, sum(sizes, zero))])], scale, lhs)
+    _expand([(zero, [t + e for e in (*sizes, sum(scaled, zero))])], -scale, lhs)
+    for _, pieces in numerators((*sizes, *scaled), t):
+        _expand(pieces, 1, rhs)
+    return MultiPoly(variables, lhs), MultiPoly(variables, rhs)
+
+
+def split_identity(split: str) -> IdentityVerdict:
+    """The split's numerator identity at t = 0, then at a generic t: the first that fails, or the last."""
+    for t_zero in (True, False):
+        verdict = identity_check(*([RationalTerm(side)] for side in split_identity_sides(split, t_zero)))
+        if not verdict.equal:
+            break
+    return verdict
 
 
 def _layers(P: ProductSpec, Q: ProductSpec) -> tuple[int, int]:
@@ -153,7 +203,7 @@ class _Walk:
 
     def __init__(self, P: ProductSpec, Q: ProductSpec, order: int, split: str) -> None:
         if split not in SPLIT_MODES:
-            raise ValueError(f"split must be one of {SPLIT_MODES}, got {split!r}")
+            raise ParameterError(f"split must be one of {SPLIT_MODES}, got {split!r}")
         self.P, self.Q = P, Q
         self.m, self.L = _layers(P, Q)
         self.numerators, self.scale, self.values = None, 1, ()
@@ -161,8 +211,8 @@ class _Walk:
             n, self.numerators, self.scale = _SPLITS[split]
             xs, rs = nbase_params(P, Q)
             if len(xs) != n:
-                raise ValueError(f"the {split} split needs {n} sizes, the pair has {len(xs)}")
-            self.values = xs + rs
+                raise ParameterError(f"the {split} split needs {n} sizes, the pair has {len(xs)}")
+            self.values = xs + tuple(r * x for r, x in zip(rs, xs))
         weight = self.scale * (2 ** len(P.bases) + 2 ** len(Q.bases))
         if self.numerators is not None:
             for t in (0, self.m):
@@ -254,7 +304,7 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     before any expansion.
     """
     if split not in _SPLITS:
-        raise ValueError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
+        raise ParameterError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
     require_series_work((P, Q), order)
     walk = _Walk(P, Q, order, split)
     negative, mask, scale = walk.packing.negative, walk.packing.mask, walk.scale

@@ -28,15 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import antitelescope, dominance, lemma, partitions, polyring, proposal
-from .series import ResourceError, serialize
+from .series import ParameterError, ResourceError, serialize
 
 ENV_ORDER = "QDOMINANCE_ORDER"
 DEFAULT_ORDER = 100
 DEFAULT_BOUNDS = (10, 40, 40)
-# Largest interpret-check --max-n.  Counting is polynomial in n, but the X
-# and Y count tables can hold about (n/m)*min(max(r, R), n/x) lists of n+1
-# coefficients each; at this bound they stay near 30 MB even for
-# m = x = y = 1 and r = R = L = n.
+# Largest interpret-check --max-n.  The count tables are packed ints, so
+# memory stays small; time is the cost.  count_profile((1, 1, 1, n, n, n), n)
+# takes 2.6 s at n = 40 (17 MB peak) and 11.5 s at n = 60 (18 MB peak) on
+# a 2-vCPU VM, about n^3.7, so this bound admits requests of over a minute.
+# The time bound is open in ROADMAP item 4 (run contract).
 MAX_INTERPRET_N = 100
 # Most assignments, partial ones included, that one sweep box walk may make.
 # The [1, 4]^8 Thm2 box makes 87,380 of them for its 65,536 points.
@@ -49,7 +50,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-class UsageError(ValueError):
+class UsageError(ParameterError):
     """Bad flags or an out-of-contract request; maps to exit code 2."""
 
 
@@ -356,18 +357,10 @@ def _cmd_proposal(args, config) -> Outcome:
 # --- identities -------------------------------------------------------------
 
 
-def _polynomial_identity_entry(name: str, sides) -> dict:
-    lhs, rhs = sides
-    verdict = polyring.identity_check(
-        [polyring.RationalTerm(lhs)], [polyring.RationalTerm(rhs)]
-    )
-    return {"name": name, "equal": verdict.equal}
-
-
 def _cmd_identities(args, config) -> Outcome:
     entries = [
-        _polynomial_identity_entry("three-factor-difference", polyring.three_factor_identity_sides()),
-        _polynomial_identity_entry("four-factor-difference", polyring.four_factor_identity_sides()),
+        {"name": name, "equal": antitelescope.split_identity(split).equal}
+        for name, split in (("three-factor-difference", "thm1"), ("four-factor-difference", "thm2"))
     ]
     checked = 0
     first_failure = None
@@ -484,8 +477,9 @@ def expand_box(entries: list[tuple[str, str, str]]) -> list[dict]:
 def _sweep_job(job: tuple) -> dict:
     """One box point; top-level so process pools can pickle it.
 
-    A point out of its family's domain is reported skipped; a point over
-    a work bound raises its ResourceError, which refuses the sweep.
+    A point out of its family's domain (ParameterError) is reported
+    skipped; a point over a work bound raises its ResourceError, which
+    refuses the sweep, and any other error propagates.
     """
     kind, ineq_id, parameters, order, bounds = job
     try:
@@ -505,9 +499,7 @@ def _sweep_job(job: tuple) -> dict:
         if ineq_id == "BGa" and dominance.bga_degenerate(parameters["m"], parameters["r"]):
             row["degenerate"] = True
         return row
-    except ResourceError:
-        raise
-    except ValueError as exc:
+    except ParameterError as exc:
         return {"status": "skipped", "witness": None, "reason": str(exc)}
 
 
@@ -672,7 +664,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"qdominance: resource: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except ParameterError as exc:
         print(f"qdominance: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _write(sys.stdout, args.command, config, outcome, started)

@@ -17,6 +17,7 @@ from typing import Any, Mapping
 from .series import (
     INF,
     Coefficient,
+    ParameterError,
     ProductSpec,
     QSeries,
     _Signed,
@@ -139,14 +140,14 @@ def build_specs(ineq: NamedInequality) -> tuple[ProductSpec, ProductSpec]:
     if ineq.id == "BGa":
         m, r = v["m"], v["r"]
         if not 0 < r < m:
-            raise ValueError(f"BGa needs 0 < r < m, got r={r}, m={m}")
+            raise ParameterError(f"BGa needs 0 < r < m, got r={r}, m={m}")
         return product_spec((1, m - 1), m, L), product_spec((r, m - r), m, L)
     if ineq.id == "littleGollnitz":
         return product_spec((1, 5, 6), 8, L), product_spec((2, 3, 7), 8, L)
     if ineq.id == "BGr":
         y = v["y"]
         if y % 2 == 0 or y < 3:
-            raise ValueError(f"BGr needs odd y > 1, got {y}")
+            raise ParameterError(f"BGr needs odd y > 1, got {y}")
         m = 2 * y + 2
         return product_spec((1, y + 2, 2 * y), m, L), product_spec((2, y, 2 * y + 1), m, L)
     if ineq.id == "Proposal":

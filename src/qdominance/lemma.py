@@ -30,7 +30,7 @@ from .polyring import (
     mp_mul,
     mp_sub,
 )
-from .series import _INT_ONLY, Coefficient, ResourceError, positive_ints
+from .series import _INT_ONLY, Coefficient, ParameterError, ResourceError, positive_ints
 
 XY = ("x", "y")
 TXY = ("t", "x", "y")
@@ -65,7 +65,7 @@ class LemmaParams:
             and _INT_ONLY.issuperset(map(type, bounds))
             and min(bounds) >= 0
         ):
-            raise ValueError(f"bounds must be three nonnegative integers: {self.bounds}")
+            raise ParameterError(f"bounds must be three nonnegative integers: {self.bounds}")
         check_lattice(bounds)
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 from .antitelescope import group_totals
 from .dominance import nbase_pair
-from .series import ProductSpec, QSeries, ResourceError, _Signed, positive_ints, reciprocal_from_exponents
+from .series import ParameterError, ProductSpec, QSeries, ResourceError, _Signed, positive_ints, reciprocal_from_exponents
 
 X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
 
@@ -252,7 +252,7 @@ def count_profile(params: PartitionParams, max_n: int) -> dict[str, list[int]]:
     the ring homomorphism q -> 2^B allows for any representatives.
     """
     if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+        raise ParameterError(f"max_n must be >= 0, got {max_n}")
     kinds = _part_kinds(params, max_n)
     totals = reciprocal_from_exponents([size for _, _, size in kinds], max_n).coeffs
     packing = _Signed(max_n, max(totals).bit_length() + 1)
@@ -319,7 +319,7 @@ def enumerate_partitions(
     before the walk.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ParameterError(f"n must be >= 0, got {n}")
     if n > cap:
         raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {cap}")
     kinds = _part_kinds(params, n)

@@ -359,81 +359,3 @@ def _pack_difference(lhs, rhs) -> _PackedDifference | None:
                 share *= powers[index, count]
         total += share
     return _PackedDifference(variables, lo, spans, strides, slot_bits, scale, total)
-
-
-def three_factor_identity_sides() -> tuple[MultiPoly, MultiPoly]:
-    """Both sides of the three-factor product-difference split.
-
-    The difference (1-ta)(1-tb)(1-txy) - (1-tx)(1-ty)(1-tab) regroups into
-    two addends, each carrying a factor t(x-a) or t(y-b); the regrouped form
-    is what makes the two-piece addend split nonnegative.
-    """
-    v = ("t", "x", "y", "a", "b")
-
-    def m(coeff: Coefficient = 1, **exps: int) -> MultiPoly:
-        return mono(v, coeff, **exps)
-
-    def b1(**exps: int) -> MultiPoly:
-        return mp_sub(m(), m(**exps))
-
-    lhs = mp_sub(
-        mp_mul(b1(t=1, a=1), b1(t=1, b=1), b1(t=1, x=1, y=1)),
-        mp_mul(b1(t=1, x=1), b1(t=1, y=1), b1(t=1, a=1, b=1)),
-    )
-    rhs = mp_add(
-        mp_mul(m(t=1), mp_sub(m(x=1), m(a=1)), b1(b=1), b1(t=1, y=1)),
-        mp_mul(m(t=1), mp_sub(m(y=1), m(b=1)), b1(t=1, a=1), b1(x=1)),
-    )
-    return lhs, rhs
-
-
-def four_factor_identity_sides() -> tuple[MultiPoly, MultiPoly]:
-    """Both sides of the four-factor split with half-weight groups.
-
-    The seven-variable analogue of `three_factor_identity_sides`: the
-    difference of the two four-factor products regroups into four
-    half-weighted groups, one per extracted factor, the last folding the
-    doubled t^2 correction into the z-line.
-    """
-    v = ("t", "x", "y", "z", "a", "b", "c")
-
-    def m(coeff: Coefficient = 1, **exps: int) -> MultiPoly:
-        return mono(v, coeff, **exps)
-
-    def b1(**exps: int) -> MultiPoly:
-        return mp_sub(m(), m(**exps))
-
-    lhs = mp_sub(
-        mp_mul(b1(t=1, a=1), b1(t=1, b=1), b1(t=1, c=1), b1(t=1, x=1, y=1, z=1)),
-        mp_mul(b1(t=1, x=1), b1(t=1, y=1), b1(t=1, z=1), b1(t=1, a=1, b=1, c=1)),
-    )
-    half = Fraction(1, 2)
-    g1 = mp_mul(
-        m(half, t=1),
-        mp_sub(m(x=1), m(a=1)),
-        mp_add(
-            mp_mul(b1(t=1, b=1), b1(t=1, c=1), b1(y=1, z=1)),
-            mp_mul(b1(t=1, y=1), b1(t=1, z=1), b1(b=1, c=1)),
-        ),
-    )
-    g2 = mp_mul(
-        m(half, t=1),
-        mp_sub(m(y=1), m(b=1)),
-        mp_add(
-            mp_mul(b1(t=1, c=1), b1(t=1, a=1), b1(z=1, x=1)),
-            mp_mul(b1(t=1, z=1), b1(t=1, x=1), b1(c=1, a=1)),
-        ),
-    )
-    g3 = mp_mul(
-        m(half, t=1), mp_sub(m(z=1), m(c=1)), b1(t=1, x=1), b1(t=1, y=1), b1(a=1, b=1)
-    )
-    g4 = mp_mul(
-        m(half, t=1),
-        mp_sub(m(z=1), m(c=1)),
-        mp_add(
-            mp_mul(b1(t=1, a=1), b1(t=1, b=1), b1(x=1, y=1)),
-            mp_mul(b1(t=2), mp_sub(m(x=1), m(a=1)), mp_sub(m(y=1), m(b=1))),
-        ),
-    )
-    rhs = mp_add(mp_add(g1, g2), mp_add(g3, g4))
-    return lhs, rhs

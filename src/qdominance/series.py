@@ -55,6 +55,10 @@ class ResourceError(Exception):
     """Base of the errors that refuse a request above one of the package's work bounds."""
 
 
+class ParameterError(ValueError):
+    """A request outside its domain; the only ValueError that means exit 2 or a skipped sweep point."""
+
+
 class SeriesCapError(ResourceError, ValueError):
     """Raised when a request's series work exceeds MAX_SERIES_WORK."""
 
@@ -401,7 +405,7 @@ def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
 
 
 def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ...]:
-    """The values as a tuple of positive ints, or ValueError naming the label.
+    """The values as a tuple of positive ints, or ParameterError naming the label.
 
     Only exact ints pass: bools, floats and Fractions are refused.  With
     ``count`` the tuple must have that length; without, it must not be empty.
@@ -409,7 +413,7 @@ def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ..
     try:
         items = tuple(values)
     except TypeError:
-        raise ValueError(f"{label} must be positive integers, got {values!r}") from None
+        raise ParameterError(f"{label} must be positive integers, got {values!r}") from None
     if (
         (len(items) == count if count is not None else items)
         and _INT_ONLY.issuperset(map(type, items))
@@ -420,7 +424,7 @@ def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ..
         wanted = "a positive integer"
     else:
         wanted = "positive integers" if count is None else f"{count} positive integers"
-    raise ValueError(f"{label} must be {wanted}, got {items!r}")
+    raise ParameterError(f"{label} must be {wanted}, got {items!r}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 It brings the difference of the two sides over the least common
 denominator with one `mp_mul` per missing factor, and reads the verdict
 and witness off the cleared numerator as a `MultiPoly`.
+
+`three_factor_identity_sides` and `four_factor_identity_sides` are the
+Thm1 and Thm2 split identities transcribed by hand, at a generic t, the
+oracle of `antitelescope.split_identity_sides`, which reads them off the
+numerators the split walk uses.
 """
 
 from fractions import Fraction
@@ -12,9 +17,12 @@ from qdominance.polyring import (
     MultiPoly,
     RationalTerm,
     _common_variables,
+    mono,
     mp_add,
     mp_mul,
+    mp_sub,
 )
+from qdominance.series import Coefficient
 
 
 def mp_zero(variables) -> MultiPoly:
@@ -109,3 +117,81 @@ def reference_identity_check(lhs, rhs) -> IdentityVerdict:
         "coefficient": str(Fraction(diff.terms[exps])),
     }
     return IdentityVerdict(False, witness)
+
+
+def three_factor_identity_sides() -> tuple[MultiPoly, MultiPoly]:
+    """Both sides of the three-factor product-difference split.
+
+    The difference (1-ta)(1-tb)(1-txy) - (1-tx)(1-ty)(1-tab) regroups into
+    two addends, each carrying a factor t(x-a) or t(y-b); the regrouped form
+    is what makes the two-piece addend split nonnegative.
+    """
+    v = ("t", "x", "y", "a", "b")
+
+    def m(coeff: Coefficient = 1, **exps: int) -> MultiPoly:
+        return mono(v, coeff, **exps)
+
+    def b1(**exps: int) -> MultiPoly:
+        return mp_sub(m(), m(**exps))
+
+    lhs = mp_sub(
+        mp_mul(b1(t=1, a=1), b1(t=1, b=1), b1(t=1, x=1, y=1)),
+        mp_mul(b1(t=1, x=1), b1(t=1, y=1), b1(t=1, a=1, b=1)),
+    )
+    rhs = mp_add(
+        mp_mul(m(t=1), mp_sub(m(x=1), m(a=1)), b1(b=1), b1(t=1, y=1)),
+        mp_mul(m(t=1), mp_sub(m(y=1), m(b=1)), b1(t=1, a=1), b1(x=1)),
+    )
+    return lhs, rhs
+
+
+def four_factor_identity_sides() -> tuple[MultiPoly, MultiPoly]:
+    """Both sides of the four-factor split with half-weight groups.
+
+    The seven-variable analogue of `three_factor_identity_sides`: the
+    difference of the two four-factor products regroups into four
+    half-weighted groups, one per extracted factor, the last folding the
+    doubled t^2 correction into the z-line.
+    """
+    v = ("t", "x", "y", "z", "a", "b", "c")
+
+    def m(coeff: Coefficient = 1, **exps: int) -> MultiPoly:
+        return mono(v, coeff, **exps)
+
+    def b1(**exps: int) -> MultiPoly:
+        return mp_sub(m(), m(**exps))
+
+    lhs = mp_sub(
+        mp_mul(b1(t=1, a=1), b1(t=1, b=1), b1(t=1, c=1), b1(t=1, x=1, y=1, z=1)),
+        mp_mul(b1(t=1, x=1), b1(t=1, y=1), b1(t=1, z=1), b1(t=1, a=1, b=1, c=1)),
+    )
+    half = Fraction(1, 2)
+    g1 = mp_mul(
+        m(half, t=1),
+        mp_sub(m(x=1), m(a=1)),
+        mp_add(
+            mp_mul(b1(t=1, b=1), b1(t=1, c=1), b1(y=1, z=1)),
+            mp_mul(b1(t=1, y=1), b1(t=1, z=1), b1(b=1, c=1)),
+        ),
+    )
+    g2 = mp_mul(
+        m(half, t=1),
+        mp_sub(m(y=1), m(b=1)),
+        mp_add(
+            mp_mul(b1(t=1, c=1), b1(t=1, a=1), b1(z=1, x=1)),
+            mp_mul(b1(t=1, z=1), b1(t=1, x=1), b1(c=1, a=1)),
+        ),
+    )
+    g3 = mp_mul(
+        m(half, t=1), mp_sub(m(z=1), m(c=1)), b1(t=1, x=1), b1(t=1, y=1), b1(a=1, b=1)
+    )
+    g4 = mp_mul(
+        m(half, t=1),
+        mp_sub(m(z=1), m(c=1)),
+        mp_add(
+            mp_mul(b1(t=1, a=1), b1(t=1, b=1), b1(x=1, y=1)),
+            mp_mul(b1(t=2), mp_sub(m(x=1), m(a=1)), mp_sub(m(y=1), m(b=1))),
+        ),
+    )
+    rhs = mp_add(mp_add(g1, g2), mp_add(g3, g4))
+    return lhs, rhs

@@ -185,7 +185,7 @@ def list_decompositions(P, Q, order: int, split: str = "none", reciprocal_q=None
         xs, rs = antitelescope.nbase_params(P, Q)
         if len(xs) != n:
             raise ValueError(f"the {split} split needs {n} sizes, the pair has {len(xs)}")
-        values = xs + rs
+        values = xs + tuple(r * x for r, x in zip(rs, xs))
     f = spec_reciprocal(Q, order) if reciprocal_q is None else reciprocal_q
     for i in range(1, L + 1):
         t = (i - 1) * m

@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from qdominance.antitelescope import decompositions
+from qdominance.antitelescope import decompositions, split_identity
 from qdominance.dominance import (
     NamedInequality,
     bga_degenerate,
@@ -23,12 +23,7 @@ from qdominance.lemma import (
     f_expand,
 )
 from qdominance.partitions import PartitionParams, interpretation_check
-from qdominance.polyring import (
-    RationalTerm,
-    four_factor_identity_sides,
-    identity_check,
-    three_factor_identity_sides,
-)
+from qdominance.polyring import RationalTerm, identity_check
 from qdominance.proposal import (
     check_proposal,
     fourvar_identity,
@@ -43,6 +38,7 @@ from qdominance.series import (
     reciprocal_from_exponents,
 )
 from oracles import bga_expected
+from reference_polyring import four_factor_identity_sides, three_factor_identity_sides
 from reference_series import (
     one_series,
     poly_from_exponents,
@@ -184,10 +180,12 @@ class TestIdentityCertification:
     def test_five_variable_polynomial_identity(self):
         lhs, rhs = three_factor_identity_sides()
         assert identity_check([RationalTerm(lhs)], [RationalTerm(rhs)]).equal
+        assert split_identity("thm1").equal
 
     def test_seven_variable_polynomial_identity(self):
         lhs, rhs = four_factor_identity_sides()
         assert identity_check([RationalTerm(lhs)], [RationalTerm(rhs)]).equal
+        assert split_identity("thm2").equal
 
 
 class TestPartitionInterpretation:

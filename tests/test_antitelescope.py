@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from qdominance.antitelescope import decompositions, positivity_scan
+from qdominance import antitelescope
+from qdominance.antitelescope import decompositions, positivity_scan, split_identity, split_identity_sides
 from qdominance.dominance import nbase_pair
-from qdominance.polyring import RationalTerm, mono, mp_add, mp_mul, mp_sub
+from qdominance.polyring import MultiPoly, RationalTerm, identity_check, mono, mp_add, mp_mul, mp_sub
 from qdominance.series import QSeries, first_negative, product_spec, series_scale
 from reference_lemma import expand_rational
+from reference_polyring import four_factor_identity_sides, three_factor_identity_sides
 from reference_series import (
     divide_binomial,
     monomial,
@@ -288,3 +290,80 @@ class TestPositivityScan:
             p_list = layer_exponents(P, 0, i)
             for e in (1, 1, 1, t + 1, t + 1, t + 1):
                 assert e in p_list
+
+
+# --- the numerator identity ----------------------------------------------------
+
+
+def times(p: MultiPoly, k: int, t_zero: bool = False) -> MultiPoly:
+    """k * p, with T = q^t set to q^0 = 1 when t_zero."""
+    terms = {}
+    for exps, c in p.terms.items():
+        if t_zero:
+            exps = (0, *exps[1:])
+        terms[exps] = terms.get(exps, 0) + k * c
+    return MultiPoly(p.variables, terms)
+
+
+def drop_first_binomial(numerators):
+    def patched(values, t):
+        (name, [(lead, exps), *more]), *rest = numerators(values, t)
+        return ((name, [(lead, exps[1:]), *more]), *rest)
+
+    return patched
+
+
+def move_first_lead(numerators):
+    def patched(values, t):
+        (name, [(lead, exps), *more]), *rest = numerators(values, t)
+        return ((name, [(lead + values[0], exps), *more]), *rest)
+
+    return patched
+
+
+class TestSplitIdentity:
+    """The split numerators the walk uses, read as polynomials, against the
+    hand transcriptions in `reference_polyring`."""
+
+    @pytest.mark.parametrize(
+        "split, hand, scale", [("thm1", three_factor_identity_sides, 1), ("thm2", four_factor_identity_sides, 2)]
+    )
+    def test_sides_equal_the_hand_transcription(self, split, hand, scale):
+        hand_lhs, hand_rhs = hand()
+        assert split_identity_sides(split, False) == (times(hand_lhs, scale), times(hand_rhs, scale))
+        # t = 0: the hand form at T = 1; the index-1 groups regroup the same sum
+        lhs, rhs = split_identity_sides(split, True)
+        assert lhs == rhs == times(hand_lhs, scale, t_zero=True)
+
+    @pytest.mark.parametrize("split", ["thm1", "thm2"])
+    def test_identity_holds(self, split):
+        assert split_identity(split).equal
+
+    @pytest.mark.parametrize(
+        "split, perturb", [("thm2", drop_first_binomial), ("thm1", move_first_lead), ("thm1", drop_first_binomial)]
+    )
+    def test_a_perturbed_numerator_is_refused_at_both_t(self, split, perturb, monkeypatch):
+        n, numerators, scale = antitelescope._SPLITS[split]
+        monkeypatch.setitem(antitelescope._SPLITS, split, (n, perturb(numerators), scale))
+        for t_zero in (True, False):
+            lhs, rhs = split_identity_sides(split, t_zero)
+            assert not identity_check([RationalTerm(lhs)], [RationalTerm(rhs)]).equal, t_zero
+        verdict = split_identity(split)
+        assert not verdict.equal
+        assert verdict.witness["monomial"]["t"] == 0
+
+    def test_int_and_form_readings_agree(self):
+        """The walk's int exponents are the forms evaluated at (t, sizes, scaled sizes)."""
+        values, t = (2, 3, 5, 4, 9, 10), 7
+        point = (t, *values)
+        _, numerators, _ = antitelescope._SPLITS["thm2"]
+        forms = [antitelescope._Form(int(j == k) for k in range(7)) for j in range(7)]
+
+        def at(form):
+            return sum(c * v for c, v in zip(form, point))
+
+        by_form = numerators(forms[1:], forms[0])
+        by_int = numerators(values, t)
+        assert [
+            (name, [(at(lead), tuple(map(at, exps))) for lead, exps in pieces]) for name, pieces in by_form
+        ] == [(name, pieces) for name, pieces in by_int]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qdominance import cli, lemma, partitions, polyring, proposal, series
+from qdominance import antitelescope, cli, lemma, partitions, polyring, proposal, series
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     DEFAULT_BOUNDS,
@@ -489,6 +489,18 @@ class TestIdentities:
             "four-variable-splitting": True,
         }
 
+    def test_a_perturbed_split_numerator_fails_the_command(self, capsys, monkeypatch):
+        n, numerators, scale = antitelescope._SPLITS["thm2"]
+
+        def dropped(values, t):
+            (name, [(lead, exps), *more]), *rest = numerators(values, t)
+            return ((name, [(lead, exps[1:]), *more]), *rest)
+
+        monkeypatch.setitem(antitelescope._SPLITS, "thm2", (n, dropped, scale))
+        code, out, _ = run_cli(["identities", "--order", "20"], capsys)
+        assert code == 1
+        assert report(out)["witness"] == {"name": "four-factor-difference"}
+
     def test_seed_fixes_the_sampled_tuples(self, capsys):
         _, first, _ = run_cli(["identities", "--order", "20", "--seed", "7"], capsys)
         _, second, _ = run_cli(["identities", "--order", "20", "--seed", "7"], capsys)
@@ -674,6 +686,37 @@ class TestSweep:
         )
         assert code == 2
         assert "box must bind" in err
+
+
+class TestInternalFaults:
+    """Only ParameterError and ResourceError mean exit 2 or a skipped point;
+    a plain ValueError from inside a kernel is a fault and propagates."""
+
+    @pytest.fixture(autouse=True)
+    def faulty_kernel(self, monkeypatch):
+        def fault(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(series._Signed, "negative", fault)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--ineq", "RR", "--order", "20"],
+            ["sweep", "--ineq", "BGa", "--box", "m=4:4,r=1:3,L=1:1", "--order", "20"],
+            ["sweep", "--kind", "split", "--ineq", "Thm1", "--box", "L=1:1,m=2:2,x=1:1,y=1:1,r=1:2,R=1:1"],
+        ],
+        ids=["check", "sweep", "split-sweep"],
+    )
+    def test_fault_propagates(self, argv, capsys):
+        with pytest.raises(ValueError, match="internal fault") as raised:
+            main(argv)
+        assert not isinstance(raised.value, series.ParameterError)
+        assert capsys.readouterr().out == ""
+
+    def test_usage_errors_are_parameter_errors(self):
+        assert issubclass(UsageError, series.ParameterError)
+        assert not issubclass(series.ParameterError, series.ResourceError)
 
 
 class TestFormats:

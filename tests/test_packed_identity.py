@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdominance import lemma, polyring
+from qdominance.antitelescope import split_identity_sides
 from qdominance.polyring import (
     IdentityCapError,
     MultiPoly,
@@ -121,15 +122,18 @@ def test_equal_sides_and_their_perturbations_match_reference(problem, data):
 
 
 def command_checks():
-    """The 92 (lhs, rhs) pairs of `identities`: 90 slice closed forms, two polynomial splits."""
+    """The 94 (lhs, rhs) pairs of `identities`: 90 slice closed forms, and the
+    Thm1 and Thm2 split numerators at t = 0 and at a generic t."""
     pairs = []
     for n in range(5):
         for r in range(1, 4):
             for R in range(1, 4):
                 one, three = lemma.eqone_terms(n, r, R), lemma.eqthree_terms(n, r, R)
                 pairs += [(one, three), (three, lemma.eqtwo_terms_rational(n, r, R))]
-    for sides_ in (polyring.three_factor_identity_sides(), polyring.four_factor_identity_sides()):
-        pairs.append(([RationalTerm(sides_[0])], [RationalTerm(sides_[1])]))
+    for split in ("thm1", "thm2"):
+        for t_zero in (True, False):
+            lhs, rhs = split_identity_sides(split, t_zero)
+            pairs.append(([RationalTerm(lhs)], [RationalTerm(rhs)]))
     return pairs
 
 
@@ -158,6 +162,7 @@ def perturb(side, kind: int, rng: random.Random):
 
 
 def test_command_checks_hold_and_match_reference():
+    assert len(COMMAND_CHECKS) == 94
     for lhs, rhs in COMMAND_CHECKS:
         assert identity_check(lhs, rhs) == reference_identity_check(lhs, rhs) == polyring.IdentityVerdict(True)
 

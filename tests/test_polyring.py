@@ -9,18 +9,16 @@ from qdominance.polyring import (
     MultiPoly,
     RationalTerm,
     VariableMismatchError,
-    four_factor_identity_sides,
     identity_check,
     mono,
     mp_add,
     mp_mul,
     mp_sub,
-    three_factor_identity_sides,
     to_text,
 )
 from qdominance.series import reciprocal_from_exponents
 from reference_lemma import SingularDenominatorError, TriSeries, expand_rational
-from reference_polyring import mp_zero
+from reference_polyring import four_factor_identity_sides, mp_zero, three_factor_identity_sides
 from reference_series import (
     CoverageError,
     monomial,
