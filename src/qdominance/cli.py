@@ -6,10 +6,11 @@ Every subcommand prints a single JSON envelope
 
 to stdout and exits 0 when every check passed, 1 when a mathematical
 check failed (the envelope carries a witness), and 2 on usage or
-resource errors.  ``interpret-check`` and ``sweep`` can emit CSV
-instead; a terse text rendering is available everywhere.  All defaults
-live in RunConfig and print into every report header, so a published
-number can be reproduced from the report alone.
+resource errors; the console script (`console`) exits 3 on an internal
+fault, with its traceback on stderr.  ``interpret-check`` and ``sweep``
+can emit CSV instead; a terse text rendering is available everywhere.
+All defaults live in RunConfig and print into every report header, so a
+published number can be reproduced from the report alone.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 import re
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +50,7 @@ SWEEP_KINDS = ("dominance", "split", "lemma")
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(ParameterError):
@@ -671,5 +674,14 @@ def main(argv=None) -> int:
     return EXIT_PASS if outcome.ok else EXIT_FAIL
 
 
+def console(argv=None) -> int:
+    """The console script: `main`, with an internal fault printed as a traceback and exit code 3."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -11,13 +11,36 @@ negative per-term coefficient to a window that the x/y swap symmetry then
 rules out.  `certify_lemma` runs all of it in one pass: one expansion of f
 (two when the symmetry check needs the swapped (R, r) kernel), and one set
 of term grids per slice.
+
+Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
+x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
+is packed.  A cell of 1/prod(factors) counts the multiplicities
+(m1, ..., m6) of t x^r, t y^R, x, y, t x, t y that reach t^n x^j y^k;
+m1, m2 and m5 fix the other three (m6 = n - m1 - m2 - m5, then m3 and m4)
+and m1 + m2 + m5 <= n, so the cell is at most C(nt+3, 3).  f is carried
+as two halves P - N, the numerator's positive and negative monomials each
+over the factors, since a y shift must drop what spills into the next row
+and a mask would cut a signed plane's borrows.  A cell of a half is at
+most C(nt+3, 3) times the half's L1 norm, and dividing by only some of the
+factors gives less, each 1/(1 - m) = 1 + m + ... being at least 1.  The
+swapped (R, r) kernel has the same factors and numerator coefficients.
+Each monomial of a slice's nine terms is +-1 (T9's d is 0 or 1) over
+(1-x)^px (1-y), px <= 1, whose cells are 0 or 1, and slice n has at most
+4n + 6 of each sign, so any sum of its term grids is within 4nt + 6.  B
+is the bit length of the larger bound plus one, rounded up to 1, 2, 4 or
+8 bytes (the widths `series._slots` reads in one call; more only past 63
+bits), so every cell read is below 2^(B-1) in absolute value.  A signed
+plane, the exact sum of c_jk 2^(B(j(ny+1)+k)), then has a unique digit
+per cell: two planes are equal iff their cells are, and v + H, with
+2^(B-1) in every slot, holds c_jk + 2^(B-1) in each slot with no carry,
+so the negative cells are the slots whose top bit it leaves clear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add
+from functools import lru_cache
+from math import comb
 from typing import Any
 
 from .polyring import (
@@ -30,7 +53,7 @@ from .polyring import (
     mp_mul,
     mp_sub,
 )
-from .series import _INT_ONLY, Coefficient, ParameterError, ResourceError, positive_ints
+from .series import _INT_ONLY, ParameterError, ResourceError, _slots, positive_ints
 
 XY = ("x", "y")
 TXY = ("t", "x", "y")
@@ -38,12 +61,11 @@ TXY = ("t", "x", "y")
 #: Monomials of one closed-form addend: (coefficient, x exponent, y exponent).
 Monomials = list[tuple[int, int, int]]
 
-#: A truncated (t, x, y) series: cells[n][j][k] is the coefficient of t^n x^j y^k.
-Lattice = list[list[list[int]]]
-
 # Largest (t, x, y) lattice, in cells (nt+1)(nx+1)(ny+1).  A certificate holds
-# at most two lattices plus one slice's nine term grids and their sums; at
-# this bound that peaks near 100 MB, when one slice is the whole lattice.
+# f's planes, the swapped kernel's, two halves while expanding and one
+# slice's term planes.  At this bound a `lemma` run peaks at 36 MB RSS at
+# (99, 99, 99) (0.6 s), 31 MB at (9, 315, 315) (0.4 s) and 28 MB at
+# (249999, 1, 1) (10 s), against 20 MB for the bare interpreter.
 MAX_LATTICE_CELLS = 10**6
 
 
@@ -97,8 +119,9 @@ def _txy_binomial(**exps: int) -> MultiPoly:
     return mp_sub(_txy_mono(), _txy_mono(**exps))
 
 
+@lru_cache(maxsize=64)
 def kernel_term(r: int, R: int) -> RationalTerm:
-    """f as a single rational term over the (t, x, y) variables."""
+    """f as a single rational term over the (t, x, y) variables; shared, not to be mutated."""
     numerator = mp_add(
         mp_mul(_txy_binomial(x=1, y=1), _txy_binomial(t=1, x=r), _txy_binomial(t=1, y=R)),
         mp_mul(
@@ -118,170 +141,166 @@ def kernel_term(r: int, R: int) -> RationalTerm:
     return RationalTerm(numerator, factors)
 
 
-def f_expand(params: LemmaParams) -> Lattice:
-    """Exact lattice expansion of f within the given bounds.
+class Planes:
+    """The packing of one certificate's (x, y) box; see the module docstring."""
 
-    Every factor of `kernel_term` is 1 - t^a x^b y^d, and dividing by it is
-    the recurrence s[i] += s[i - delta], run one (t, x) row at a time: with a
-    or b nonzero each row adds its source row, already divided, shifted by d;
-    a factor in y alone is a running sum along the row in steps of d.  Zero
-    source rows are skipped, so the factors in y alone go first and those
-    with t next, which leave most rows zero; a factor in x alone fills every
-    row of its plane, so it goes last.
+    def __init__(self, params: LemmaParams) -> None:
+        nt, self.nx, self.ny = params.bounds
+        coefficients = kernel_term(params.r, params.R).numerator.terms.values()
+        weight = max(sum(c for c in coefficients if c > 0), -sum(c for c in coefficients if c < 0))
+        bound = max(comb(nt + 3, 3) * weight, 4 * nt + 6)
+        self.bits = bits = 8 << (-(-(bound.bit_length() + 1) // 8) - 1).bit_length()
+        self.width = self.ny + 1
+        self.cells = (self.nx + 1) * self.width
+        self.row_bytes = self.width * bits // 8
+        self.row_ones = int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * self.width, "little")
+        self.row_bias = self.row_ones << bits - 1
+        self.ones = int.from_bytes(self.row_ones.to_bytes(self.row_bytes, "little") * (self.nx + 1), "little")
+        self.bias = self.ones << bits - 1
+        self._masks: dict[int, int] = {}
+
+    def expand(self, monomials: Monomials, px: int) -> int:
+        """The monomials over (1-x)^px (1-y), as a signed plane, assembled row by row.
+
+        A monomial x^a y^b adds its coefficient to the cells k >= b of row a
+        (a small int of one row); with px = 1 row j is the sum of those rows
+        a <= j.  Each row is written biased, as bytes, so the plane is one
+        `int.from_bytes` minus H whatever the number of monomials.
+        """
+        nx, bits = self.nx, self.bits
+        rows: dict[int, int] = {}
+        for c, a, b in monomials:
+            if c and a <= nx and b <= self.ny:
+                rows[a] = rows.get(a, 0) + c * (self.row_ones >> b * bits << b * bits)
+        parts, row, start = [], 0, 0
+        for a in sorted(rows):
+            parts.append(self._biased(row if px else 0) * (a - start))
+            row = (row if px else 0) + rows[a]
+            parts.append(self._biased(row))
+            start = a + 1
+        parts.append(self._biased(row if px else 0) * (nx + 1 - start))
+        return int.from_bytes(b"".join(parts), "little") - self.bias
+
+    def _biased(self, row: int) -> bytes:
+        return (row + self.row_bias).to_bytes(self.row_bytes, "little")
+
+    def shifted(self, plane: int, dj: int, dk: int) -> int:
+        """x^dj y^dk times a plane of nonnegative cells, cut to the box."""
+        mask = self._masks.get(dk)
+        if mask is None:
+            mask = self._masks[dk] = self.expand([(1, 0, dk)], 1) * ((1 << self.bits) - 1)
+        return (plane << (dj * self.width + dk) * self.bits) & mask
+
+    def negatives(self, plane: int) -> int:
+        """The top bit of every negative cell's slot."""
+        return self.bias & ~(plane + self.bias)
+
+    def decode(self, plane: int) -> list[int]:
+        """The cells of a signed plane, row by row."""
+        half = 1 << self.bits - 1
+        return [c - half for c in _slots(plane + self.bias, self.cells - 1, self.bits)]
+
+    def minimum(self, planes: list[int]) -> int:
+        """The least cell of the planes; only a plane that may hold a lower one is decoded."""
+        lowest = min(self.decode(planes[0]))
+        for plane in planes[1:]:
+            if self.negatives(plane) or lowest > 0 and self.negatives(plane - lowest * self.ones):
+                lowest = min(lowest, *self.decode(plane))
+        return lowest
+
+
+def f_expand(params: LemmaParams, planes: Planes, swap: bool = False) -> list[int]:
+    """The t-planes of f within the bounds: plane n holds t^n x^j y^k in cell (j, k).
+
+    With swap, x^j y^k goes to cell (k, j), which needs nx == ny.  Each half
+    expands its numerator monomials over 1 - x and 1 - y, the kernel's two
+    factors without t, with `Planes.expand`.  Each factor 1 - t^a x^b y^d
+    with a > 0 is then the recurrence s[n] += x^b y^d s[n - a], one
+    shift-add per plane in increasing n.
     """
-    nt, nx, ny = params.bounds
+    nt = params.bounds[0]
     term = kernel_term(params.r, params.R)
-    cells = [[[0] * (ny + 1) for _ in range(nx + 1)] for _ in range(nt + 1)]
-    for (n, j, k), c in term.numerator.terms.items():
-        if n <= nt and j <= nx and k <= ny:
-            cells[n][j][k] = c
-    deltas = [next(filter(any, factor.terms)) for factor in term.denominator_factors]
-    deltas.sort(key=lambda d: 1 if d[0] else 2 if d[1] else 0)
-    for dn, dj, dk in deltas:
-        if dn or dj:
-            for n in range(dn, nt + 1):
-                pn, qn = cells[n - dn], cells[n]
-                for j in range(dj, nx + 1):
-                    src = pn[j - dj]
-                    if any(src):
-                        row = qn[j]
-                        row[dk:] = map(add, row[dk:], src)
-        else:
-            for plane in cells:
-                for row in filter(any, plane):
-                    for start in range(min(dk, ny + 1)):
-                        row[start::dk] = accumulate(row[start::dk])
-    return cells
+    monomials: tuple[dict[int, Monomials], ...] = ({}, {})
+    for (n, a, b), c in term.numerator.terms.items():
+        if swap:
+            a, b = b, a
+        if n <= nt:
+            monomials[c < 0].setdefault(n, []).append((abs(c), a, b))
+    halves = [[planes.expand(half[n], 1) if n in half else 0 for n in range(nt + 1)] for half in monomials]
+    for factor in term.denominator_factors:
+        dn, dj, dk = next(filter(any, factor.terms))
+        if swap:
+            dj, dk = dk, dj
+        if dn:
+            for half in halves:
+                for n in range(dn, nt + 1):
+                    half[n] += planes.shifted(half[n - dn], dj, dk)
+    return [p - q for p, q in zip(*halves)]
 
 
 def eqtwo_symbolic(
-    n: int, r: int, R: int
+    n: int, r: int, R: int, box: tuple[int, int] | None = None
 ) -> list[tuple[str, Monomials, tuple[int, int]]]:
     """The nine t-slice addends: name, numerator monomials, (1-x)/(1-y) powers.
 
     The two finite sums are materialized for the concrete n, so each entry is
-    a polynomial numerator over a denominator (1-x)^px (1-y)^py.
+    a polynomial numerator over a denominator (1-x)^px (1-y)^py.  With a
+    box (nx, ny), the T5, T6 and T7 sums skip every index whose monomials
+    all lie outside it: a monomial x^a y^b reaches only cells j >= a,
+    k >= b, so the slice is unchanged within the box, and it holds
+    O(nx + ny) monomials whatever n is.
 
     The n = 0 slice is a boundary case: the generic formula overshoots the
     true slice by (1+x)(1-y^R)/(1-y), so T4 is dropped and T8 starts at y^R
     instead of y^0 there; with that adjustment the terms sum to the slice for
-    every n, each term still expanding with no negative coefficient at n = 0.
+    every n, each term still expanding with no negative coefficient at n = 0
+    (T3's four monomials cancel there).
     """
     if n < 0:
         raise ValueError(f"slice index must be nonnegative, got {n}")
-    if n == 0:
-        return [
-            ("T1", [(1, 0, 0), (-1, 0, 1)], (1, 1)),
-            ("T2", [(1, 0, 1), (-1, r, 1), (-1, 0, R), (1, r, R)], (1, 1)),
-            ("T3", [], (1, 1)),
-            ("T4", [], (0, 1)),
-            ("T5", [], (1, 1)),
-            ("T6", [], (0, 1)),
-            ("T7", [], (0, 1)),
-            ("T8", [(1, 0, R)], (0, 1)),
-            ("T9", [], (0, 1)),
-        ]
     d = delta(n)
-    terms: list[tuple[str, Monomials, tuple[int, int]]] = []
-    terms.append(("T1", [(1, n, 0), (-1, n, n + 1)], (1, 1)))
-    terms.append(
-        (
-            "T2",
-            [
-                (1, n, n + 1),
-                (-1, r, n + 1),
-                (-1, n, (n + 1) * R),
-                (1, r, (n + 1) * R),
-            ],
-            (1, 1),
-        )
-    )
-    terms.append(
-        (
-            "T3",
-            [(1, 2, n), (-1, 2 * r, n), (-1, 2, n * R), (1, 2 * r, n * R)],
-            (1, 1),
-        )
-    )
-    terms.append(("T4", [(1, 1, n), (-1, 1, (n + 1) * R)], (0, 1)))
+    t5_range = range(1, n)
+    t6_range = range(0, (n - 2 - d) // 2 + 1)
+    t7_range = range(1, (n - 2 + d) // 2 + 1)
+    if box is not None:
+        nx, ny = box
+        # the least x and y exponents of each index's monomials must fit
+        t5_range = _clip(t5_range, n - nx // r, ny)  # (n-j)r and j
+        t6_range = _clip(t6_range, -((nx + 1 - n) // 2), (ny // R - 1) // 2)  # n-2j-1, R(2j+1)
+        t7_range = _clip(t7_range, -((nx - n) // 2), ny // (2 * R))  # n-2j and 2jR
+    terms: list[tuple[str, Monomials, tuple[int, int]]] = [
+        ("T1", [(1, n, 0), (-1, n, n + 1)], (1, 1)),
+        ("T2", [(1, n, n + 1), (-1, r, n + 1), (-1, n, (n + 1) * R), (1, r, (n + 1) * R)], (1, 1)),
+        ("T3", [(1, 2, n), (-1, 2 * r, n), (-1, 2, n * R), (1, 2 * r, n * R)], (1, 1)),
+        ("T4", [(1, 1, n), (-1, 1, (n + 1) * R)] if n else [], (0, 1)),
+    ]
     t5: Monomials = []
-    for j in range(1, n):
+    for j in t5_range:
         a = (n - j) * r
         t5 += [(1, a, j), (-1, a, j * R), (-1, a + 2 * r, j), (1, a + 2 * r, j * R)]
     terms.append(("T5", t5, (1, 1)))
     t6: Monomials = []
-    for j in range(0, (n - 2 - d) // 2 + 1):
+    for j in t6_range:
         t6 += [(1, n - 2 * j - 1, R * (2 * j + 1)), (1, n - 2 * j, R * (2 * j + 1))]
     terms.append(("T6", t6, (0, 1)))
     t7: Monomials = []
-    for j in range(1, (n - 2 + d) // 2 + 1):
+    for j in t7_range:
         for dx in (0, 1):
             t7 += [(1, n - 2 * j + dx, 2 * j * R), (-1, n - 2 * j + dx, (n + 1) * R)]
     terms.append(("T7", t7, (0, 1)))
-    terms.append(("T8", [(1, 0, n)], (0, 1)))
+    terms.append(("T8", [(1, 0, n or R)], (0, 1)))
     terms.append(("T9", [(d, 1, (n + 1) * R)], (0, 1)))
     return terms
 
 
-def _grid(nx: int, ny: int) -> list[list[int]]:
-    return [[0] * (ny + 1) for _ in range(nx + 1)]
+def _clip(indices: range, low: int, high: int) -> range:
+    return range(max(indices.start, low), min(indices.stop, high + 1))
 
 
-def _evaluate(monomials: Monomials, powers: tuple[int, int], nx: int, ny: int):
-    """Expand a monomial list over (1-x)^px (1-y)^py as a dense grid.
-
-    Only rows that hold a monomial take running sums along y; the first
-    division by (1-x) then adds each such row into every row below it, and
-    a row that holds no monomial repeats the row above it (px >= 1) or is
-    zero (px = 0).
-    """
-    px, py = powers
-    hits: dict[int, list[int]] = {}
-    for c, a, b in monomials:
-        if c and a <= nx and b <= ny:
-            if a not in hits:
-                hits[a] = [0] * (ny + 1)
-            hits[a][b] += c
-    zero = [0] * (ny + 1)
-    grid: list[list[int]] = []
-    above = zero
-    for a in sorted(hits):
-        row = hits[a]
-        for _ in range(py):
-            row = list(accumulate(row))
-        grid.extend(map(list, repeat(above, a - len(grid))))
-        grid.append(list(map(add, above, row)) if px else row)
-        above = grid[-1] if px else zero
-    grid.extend(map(list, repeat(above, nx + 1 - len(grid))))
-    for _ in range(px - 1):
-        for j in range(1, nx + 1):
-            grid[j] = list(map(add, grid[j], grid[j - 1]))
-    return grid
-
-
-def _row_sums(grids) -> list[list[int]]:
-    """Cellwise sum of equally shaped grids.
-
-    All-zero rows are skipped, and where every grid repeats its row above,
-    so does the sum.
-    """
-    out = []
-    previous = None
-    for rows in zip(*grids):
-        if rows != previous:
-            previous = rows
-            total = list(map(sum, zip(*filter(any, rows)))) or [0] * len(rows[0])
-        out.append(total[:])
-    return out
-
-
-def eqtwo_term_grids(n: int, params: LemmaParams):
-    """Each closed-form addend of the n-th slice as a dense (j,k) grid."""
-    _, nx, ny = params.bounds
-    return [
-        (name, _evaluate(monomials, powers, nx, ny))
-        for name, monomials, powers in eqtwo_symbolic(n, params.r, params.R)
-    ]
+def eqtwo_term_grids(n: int, params: LemmaParams, planes: Planes) -> list[tuple[str, int]]:
+    """Each closed-form addend of the n-th slice (all are over 1 - y) as a signed plane."""
+    terms = eqtwo_symbolic(n, params.r, params.R, params.bounds[1:])
+    return [(name, planes.expand(monomials, px)) for name, monomials, (px, _) in terms]
 
 
 def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
@@ -443,24 +462,18 @@ def check_eqone_eqthree(n: int, r: int, R: int) -> LemmaVerdict:
     )
 
 
-def t2_closed_form(n: int, r: int, R: int, nx: int, ny: int):
-    """-(y^(n+1)+...+y^((n+1)R-1)) (x^r+...+x^(n-1)) as a grid; needs r < n."""
+def t2_closed_form(n: int, params: LemmaParams, planes: Planes) -> int:
+    """-(y^(n+1)+...+y^((n+1)R-1)) (x^r+...+x^(n-1)) as a signed plane; needs r < n."""
+    r, R = params.r, params.R
     if r >= n:
         raise ValueError(f"closed form applies only for r < n, got r={r}, n={n}")
-    grid = _grid(nx, ny)
-    for j in range(r, n):
-        if j > nx:
-            break
-        for k in range(n + 1, (n + 1) * R):
-            if k > ny:
-                break
-            grid[j][k] = -1
-    return grid
+    k = (n + 1) * R
+    return -planes.expand([(1, r, n + 1), (-1, r, k), (-1, n, n + 1), (1, n, k)], 1)
 
 
-def _scan_slices(params: LemmaParams, tri: Lattice):
+def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
     """The negativity-window report, plus the first slice whose term sum
-    differs from the matching slice of `tri` (None when all match).
+    differs from the matching plane of `tri` (None when all match).
 
     The report checks, for every slice n within bounds: (a) the slice sum
     without T2 is nonnegative; (b) T2 matches its product closed form when
@@ -468,82 +481,69 @@ def _scan_slices(params: LemmaParams, tri: Lattice):
     r <= j < n < k < (n+1)R; (d) the total slice is nonnegative.  Each
     slice's nine term grids are built once, and every check reads them.
     """
-    nt, nx, ny = params.bounds
+    nt = params.bounds[0]
     r, R = params.r, params.R
-    sum_without_t2_ok = True
-    t2_ok = True
-    window_ok = True
-    total_ok = True
+    names = ("sum_without_t2_nonnegative", "t2_matches_closed_form", "window_contained", "total_nonnegative")
+    checks = dict.fromkeys(names, True)
     negative_cells = 0
-    min_total: Coefficient = 0
+    min_total = 0
     mismatch = None
     for n in range(nt + 1):
-        grids = eqtwo_term_grids(n, params)
-        for _, grid in grids:
-            previous = None
-            for j, row in enumerate(grid):
-                # most rows repeat the row above; count a row's negatives once
-                if row != previous:
-                    previous = row
-                    negatives = sum(c < 0 for c in row) if min(row) < 0 else 0
-                if not negatives:
-                    continue
-                negative_cells += negatives
-                # a negative cell outside the window r <= j < n < k < (n+1)R
-                if not (
-                    r <= j < n
-                    and min(row[: n + 1], default=0) >= 0
-                    and min(row[(n + 1) * R :], default=0) >= 0
-                ):
-                    window_ok = False
-        t2 = dict(grids)["T2"]
-        if r < n and t2 != t2_closed_form(n, r, R, nx, ny):
-            t2_ok = False
-        without_t2 = _row_sums(grid for name, grid in grids if name != "T2")
-        if min(map(min, without_t2)) < 0:
-            sum_without_t2_ok = False
-        total = [list(map(add, a, b)) for a, b in zip(without_t2, t2)]
-        slice_min = min(map(min, total))
-        min_total = min(min_total, slice_min)
-        if slice_min < 0:
-            total_ok = False
+        # the window is where T2's closed form is -1: empty unless r < n
+        closed = t2_closed_form(n, params, planes) if r < n else 0
+        window = -closed << planes.bits - 1
+        without_t2 = 0
+        for name, grid in eqtwo_term_grids(n, params, planes):
+            negatives = planes.negatives(grid)
+            if negatives:
+                negative_cells += negatives.bit_count()
+                if negatives & ~window:
+                    checks["window_contained"] = False
+            if name == "T2":
+                t2 = grid
+            else:
+                without_t2 += grid
+        if r < n and t2 != closed:
+            checks["t2_matches_closed_form"] = False
+        if planes.negatives(without_t2):
+            checks["sum_without_t2_nonnegative"] = False
+        total = without_t2 + t2
+        if planes.negatives(total):
+            checks["total_nonnegative"] = False
+            min_total = min(min_total, *planes.decode(total))
         if mismatch is None and total != tri[n]:
             mismatch = n
     report = {
         "r": r,
         "R": R,
         "bounds": list(params.bounds),
-        "checks": {
-            "sum_without_t2_nonnegative": sum_without_t2_ok,
-            "t2_matches_closed_form": t2_ok,
-            "window_contained": window_ok,
-            "total_nonnegative": total_ok,
-        },
+        "checks": checks,
         "min_total_coefficient": min_total,
         "negative_term_cells": negative_cells,
-        "ok": sum_without_t2_ok and t2_ok and window_ok and total_ok,
+        "ok": all(checks.values()),
     }
     return report, mismatch
 
 
-def _transpose_match(lhs: Lattice, rhs: Lattice) -> dict[str, Any]:
-    """lhs(n, j, k) == rhs(n, k, j) everywhere, or the first (n, j, k) that differs."""
-    for n, (plane, other) in enumerate(zip(lhs, rhs)):
-        for j, (row, column) in enumerate(zip(plane, zip(*other))):
-            if tuple(row) != column:
-                k = next(k for k, (a, b) in enumerate(zip(row, column)) if a != b)
-                return {
-                    "equal": False,
-                    "first_mismatch": {"n": n, "j": j, "k": k, "lhs": row[k], "rhs": column[k]},
-                }
+def _symmetry(planes: Planes, tri: list[int], mirror: list[int] | None) -> dict[str, Any]:
+    """f(n, j, k) == f_(R,r)(n, k, j) everywhere, or the first (n, j, k) that differs.
+
+    `mirror` holds the swapped kernel already in swapped cells, so its planes
+    compare with f's as ints; None means r == R, where f is compared with its
+    own transpose, row j of each decoded plane against column j.
+    """
+    width = planes.width
+    for n, plane in enumerate(tri):
+        if mirror is not None and plane == mirror[n]:
+            continue
+        lhs = planes.decode(plane)
+        rhs = planes.decode(mirror[n]) if mirror is not None else [c for k in range(width) for c in lhs[k::width]]
+        cell = next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+        if cell is not None:
+            j, k = divmod(cell, width)
+            details = {"n": n, "j": j, "k": k, "lhs": lhs[cell], "rhs": rhs[cell]}
+            return {"equal": False, "first_mismatch": details}
     return {"equal": True, "first_mismatch": None}
-
-
-def _mirror(tri: Lattice, params: LemmaParams) -> Lattice:
-    """The expansion of f with r and R swapped; f itself when r == R."""
-    if params.r == params.R:
-        return tri
-    return f_expand(LemmaParams(params.R, params.r, params.bounds))
 
 
 def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
@@ -554,12 +554,14 @@ def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any
     checked).  The first failed check, in that order, is the witness.
     """
     params = LemmaParams(r, R, bounds)
-    tri = f_expand(params)
-    minimum = min(min(map(min, plane)) for plane in tri)
-    window, slice_mismatch = _scan_slices(params, tri)
+    planes = Planes(params)
+    tri = f_expand(params, planes)
+    minimum = planes.minimum(tri)
+    window, slice_mismatch = _scan_slices(params, planes, tri)
     symmetry = None
     if bounds[1] == bounds[2]:
-        symmetry = _transpose_match(tri, _mirror(tri, params))
+        mirror = None if r == R else f_expand(LemmaParams(R, r, bounds), planes, swap=True)
+        symmetry = _symmetry(planes, tri, mirror)
     checks = {
         "expansion_nonnegative": minimum >= 0,
         "slices_match": slice_mismatch is None,

@@ -1,4 +1,4 @@
-"""Cell-by-cell reference for the kernel expansion and the lemma certificate.
+"""Cell-by-cell and row-wise references for the kernel expansion and the lemma certificate.
 
 These are the original, deliberately direct bodies: `expand_rational`
 expands any numerator over unit binomials 1 - c*t^a x^b y^d in a subset of
@@ -7,23 +7,26 @@ a time and normalizing every cell it touches; `_evaluate` takes its prefix
 sums cell by cell, `negativity_window` rebuilds every slice's term grids,
 `symmetry_check` expands f for both (r, R) and (R, r), and `lemma_report`
 expands f a third time.  They share no state with `qdominance.lemma`'s
-one-pass certifier beyond the kernel term, the symbolic slice terms and the
-T2 closed form (the definitions being certified), so they pin the fast
-paths from outside.  `TriSeries` and `expand_rational` also serve
-`reference_series` and the polyring tests as a generic lattice tool.
+packed certifier beyond the kernel term and the unclipped symbolic slice
+terms (the definitions being certified), so they pin the fast paths from
+outside.  `TriSeries` and `expand_rational` also serve `reference_series`
+and the polyring tests as a generic lattice tool.
+
+The row-wise kernels below (`rowwise_f_expand`, `rowwise_evaluate`,
+`row_sums`, `transpose_match`) are the nested-list certificate that the
+packed planes replaced; `unpack` and `lattice` read packed planes back as
+nested lists for comparing with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add
 from typing import Any
 
-from qdominance.lemma import (
-    LemmaParams,
-    eqtwo_symbolic,
-    kernel_term,
-    t2_closed_form,
-)
+from qdominance import lemma
+from qdominance.lemma import LemmaParams, Planes, eqtwo_symbolic, kernel_term
 from qdominance.polyring import MultiPoly, RationalTerm, to_text
 from qdominance.series import Coefficient, _norm
 
@@ -138,6 +141,21 @@ def f_expand(params: LemmaParams) -> list:
 
 def _grid(nx: int, ny: int) -> list[list[int]]:
     return [[0] * (ny + 1) for _ in range(nx + 1)]
+
+
+def t2_closed_form(n: int, r: int, R: int, nx: int, ny: int):
+    """-(y^(n+1)+...+y^((n+1)R-1)) (x^r+...+x^(n-1)) as a grid; needs r < n."""
+    if r >= n:
+        raise ValueError(f"closed form applies only for r < n, got r={r}, n={n}")
+    grid = _grid(nx, ny)
+    for j in range(r, n):
+        if j > nx:
+            break
+        for k in range(n + 1, (n + 1) * R):
+            if k > ny:
+                break
+            grid[j][k] = -1
+    return grid
 
 
 def _evaluate(monomials, powers: tuple[int, int], nx: int, ny: int):
@@ -291,3 +309,112 @@ def lemma_report(r: int, R: int, bounds: tuple[int, int, int]) -> dict:
         "ok": witness is None,
         "witness": witness,
     }
+
+
+# --- the row-wise certificate the packed planes replaced --------------------
+
+
+def rowwise_f_expand(params: LemmaParams) -> list:
+    """Exact lattice expansion of f within the given bounds, cells[n][j][k].
+
+    Every factor of `kernel_term` is 1 - t^a x^b y^d, and dividing by it is
+    the recurrence s[i] += s[i - delta], run one (t, x) row at a time: with a
+    or b nonzero each row adds its source row, already divided, shifted by d;
+    a factor in y alone is a running sum along the row in steps of d.
+    """
+    nt, nx, ny = params.bounds
+    term = kernel_term(params.r, params.R)
+    cells = [[[0] * (ny + 1) for _ in range(nx + 1)] for _ in range(nt + 1)]
+    for (n, j, k), c in term.numerator.terms.items():
+        if n <= nt and j <= nx and k <= ny:
+            cells[n][j][k] = c
+    deltas = [next(filter(any, factor.terms)) for factor in term.denominator_factors]
+    deltas.sort(key=lambda d: 1 if d[0] else 2 if d[1] else 0)
+    for dn, dj, dk in deltas:
+        if dn or dj:
+            for n in range(dn, nt + 1):
+                pn, qn = cells[n - dn], cells[n]
+                for j in range(dj, nx + 1):
+                    src = pn[j - dj]
+                    if any(src):
+                        row = qn[j]
+                        row[dk:] = map(add, row[dk:], src)
+        else:
+            for plane in cells:
+                for row in filter(any, plane):
+                    for start in range(min(dk, ny + 1)):
+                        row[start::dk] = accumulate(row[start::dk])
+    return cells
+
+
+def rowwise_evaluate(monomials, powers: tuple[int, int], nx: int, ny: int):
+    """Expand a monomial list over (1-x)^px (1-y)^py as a dense grid, a row at a time.
+
+    Only rows that hold a monomial take running sums along y; the first
+    division by (1-x) then adds each such row into every row below it, and
+    a row that holds no monomial repeats the row above it (px >= 1) or is
+    zero (px = 0).
+    """
+    px, py = powers
+    hits: dict[int, list[int]] = {}
+    for c, a, b in monomials:
+        if c and a <= nx and b <= ny:
+            if a not in hits:
+                hits[a] = [0] * (ny + 1)
+            hits[a][b] += c
+    zero = [0] * (ny + 1)
+    grid: list[list[int]] = []
+    above = zero
+    for a in sorted(hits):
+        row = hits[a]
+        for _ in range(py):
+            row = list(accumulate(row))
+        grid.extend(map(list, repeat(above, a - len(grid))))
+        grid.append(list(map(add, above, row)) if px else row)
+        above = grid[-1] if px else zero
+    grid.extend(map(list, repeat(above, nx + 1 - len(grid))))
+    for _ in range(px - 1):
+        for j in range(1, nx + 1):
+            grid[j] = list(map(add, grid[j], grid[j - 1]))
+    return grid
+
+
+def row_sums(grids) -> list[list[int]]:
+    """Cellwise sum of equally shaped grids.
+
+    All-zero rows are skipped, and where every grid repeats its row above,
+    so does the sum.
+    """
+    out = []
+    previous = None
+    for rows in zip(*grids):
+        if rows != previous:
+            previous = rows
+            total = list(map(sum, zip(*filter(any, rows)))) or [0] * len(rows[0])
+        out.append(total[:])
+    return out
+
+
+def transpose_match(lhs, rhs) -> dict[str, Any]:
+    """lhs(n, j, k) == rhs(n, k, j) everywhere, or the first (n, j, k) that differs."""
+    for n, (plane, other) in enumerate(zip(lhs, rhs)):
+        for j, (row, column) in enumerate(zip(plane, zip(*other))):
+            if tuple(row) != column:
+                k = next(k for k, (a, b) in enumerate(zip(row, column)) if a != b)
+                return {
+                    "equal": False,
+                    "first_mismatch": {"n": n, "j": j, "k": k, "lhs": row[k], "rhs": column[k]},
+                }
+    return {"equal": True, "first_mismatch": None}
+
+
+def unpack(planes: Planes, plane: int) -> list[list[int]]:
+    """A signed plane as its grid of rows."""
+    cells = planes.decode(plane)
+    return [cells[i : i + planes.width] for i in range(0, planes.cells, planes.width)]
+
+
+def lattice(params: LemmaParams) -> list:
+    """The packed expansion of f as nested lists, cells[n][j][k]."""
+    planes = Planes(params)
+    return [unpack(planes, plane) for plane in lemma.f_expand(params, planes)]

@@ -16,12 +16,7 @@ from qdominance.dominance import (
     build_specs,
     check_named,
 )
-from qdominance.lemma import (
-    LemmaParams,
-    certify_lemma,
-    check_eqone_eqthree,
-    f_expand,
-)
+from qdominance.lemma import LemmaParams, certify_lemma, check_eqone_eqthree
 from qdominance.partitions import PartitionParams, interpretation_check
 from qdominance.polyring import RationalTerm, identity_check
 from qdominance.proposal import (
@@ -38,6 +33,7 @@ from qdominance.series import (
     reciprocal_from_exponents,
 )
 from oracles import bga_expected
+from reference_lemma import lattice
 from reference_polyring import four_factor_identity_sides, three_factor_identity_sides
 from reference_series import (
     one_series,
@@ -159,7 +155,7 @@ class TestKernelGrid:
                 window = report["window"]
                 assert window["checks"]["window_contained"], (r, R)
                 assert window["ok"], (r, R, window)
-                expansions[(r, R)] = f_expand(LemmaParams(r, R, bounds))
+                expansions[(r, R)] = lattice(LemmaParams(r, R, bounds))
         for (r, R), tri in expansions.items():
             other = expansions[(R, r)]
             for n in range(bounds[0] + 1):

@@ -2,6 +2,10 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +15,13 @@ from qdominance.cli import (
     DEFAULT_BOUNDS,
     DEFAULT_ORDER,
     ENV_ORDER,
+    EXIT_INTERNAL,
     MAX_BOX_ASSIGNMENTS,
     MAX_INTERPRET_N,
     BoxCapError,
     RunConfig,
     UsageError,
+    console,
     expand_box,
     main,
     parse_box,
@@ -269,9 +275,11 @@ class TestLemma:
     CAPPED_BOUNDS = "1,2,166666"
 
     def test_bounds_above_the_lattice_bound_are_a_resource_error(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the bound must be checked before any expansion")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bound must be checked before any packing")
 
+        # the packed planes, the kernel's expansion and the slices' term planes
+        monkeypatch.setattr(lemma, "Planes", refuse)
         monkeypatch.setattr(lemma, "f_expand", refuse)
         monkeypatch.setattr(lemma, "eqtwo_term_grids", refuse)
         argv = ["lemma", "--r", "2", "--R", "3", "--bounds", self.CAPPED_BOUNDS]
@@ -282,10 +290,11 @@ class TestLemma:
         assert str(MAX_LATTICE_CELLS) in err
 
     def test_lemma_sweep_bounds_are_checked_before_any_point(self, capsys, monkeypatch):
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("the bound must be checked before any point runs")
 
         monkeypatch.setattr(cli, "_sweep_job", refuse)
+        monkeypatch.setattr(lemma, "Planes", refuse)
         monkeypatch.setattr(lemma, "f_expand", refuse)
         argv = ["sweep", "--kind", "lemma", "--box", "r=1:2,R=1:2", "--bounds", self.CAPPED_BOUNDS]
         code, out, err = run_cli(argv, capsys)
@@ -717,6 +726,43 @@ class TestInternalFaults:
     def test_usage_errors_are_parameter_errors(self):
         assert issubclass(UsageError, series.ParameterError)
         assert not issubclass(series.ParameterError, series.ResourceError)
+
+
+class TestConsoleScript:
+    """The console script maps an internal fault to exit 3, not to exit 1 or 2."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    FAULTY_RUN = (
+        "import sys\n"
+        "from qdominance import cli, series\n"
+        "def fault(*args):\n"
+        "    raise ValueError('internal fault')\n"
+        "series._Signed.negative = fault\n"
+        "sys.exit(cli.console(['check', '--ineq', 'RR', '--order', '20']))\n"
+    )
+
+    def test_entry_point_is_the_console_wrapper(self):
+        text = (self.ROOT / "pyproject.toml").read_text()
+        assert re.search(r'^qdominance = "qdominance\.cli:console"$', text, re.MULTILINE)
+
+    def test_internal_fault_exits_3_in_a_fresh_interpreter(self):
+        path = os.pathsep.join(filter(None, [str(self.ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.FAULTY_RUN],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert done.returncode == EXIT_INTERNAL == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("Traceback")
+        assert "ValueError: internal fault" in done.stderr
+
+    def test_other_exit_codes_pass_through(self, capsys):
+        assert console(["check", "--ineq", "RR", "--order", "20"]) == 0
+        assert console(["lemma", "--r", "0", "--R", "2"]) == 2
+        capsys.readouterr()
 
 
 class TestFormats:

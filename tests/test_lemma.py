@@ -4,32 +4,34 @@ import pytest
 
 from qdominance.lemma import (
     LemmaParams,
-    _row_sums,
+    Planes,
     certify_lemma,
     check_eqone_eqthree,
     delta,
     eqtwo_symbolic,
     eqtwo_term_grids,
-    f_expand,
     t2_closed_form,
 )
+from reference_lemma import lattice
+from reference_lemma import unpack
 
 
 def slice_eqtwo(n, params):
-    """The n-th t-slice of f as the sum of its closed-form term grids."""
-    return _row_sums(grid for _, grid in eqtwo_term_grids(n, params))
+    """The n-th t-slice of f as the sum of its closed-form term planes, as rows."""
+    planes = Planes(params)
+    return unpack(planes, sum(grid for _, grid in eqtwo_term_grids(n, params, planes)))
 
 
 class TestFExpand:
     def test_constant_coefficient(self):
         for r, R in [(1, 1), (2, 3), (4, 1)]:
-            tri = f_expand(LemmaParams(r, R, (2, 4, 4)))
+            tri = lattice(LemmaParams(r, R, (2, 4, 4)))
             assert tri[0][0][0] == 1
 
     def test_unit_parameters_closed_form(self):
         # r=R=1 collapses the kernel to (1-xy)/((1-x)(1-y)(1-tx)(1-ty));
         # its (0,j,k) slice is 1 on the axes and 0 elsewhere
-        tri = f_expand(LemmaParams(1, 1, (3, 6, 6)))
+        tri = lattice(LemmaParams(1, 1, (3, 6, 6)))
         assert tri[0][1][1] == 0
         assert tri[0][0][5] == 1
         assert tri[0][5][0] == 1
@@ -39,7 +41,7 @@ class TestFExpand:
 
     def test_lemma_claim_small_grid(self):
         for r, R in [(2, 2), (3, 2), (1, 4)]:
-            tri = f_expand(LemmaParams(r, R, (6, 15, 15)))
+            tri = lattice(LemmaParams(r, R, (6, 15, 15)))
             assert min(min(map(min, plane)) for plane in tri) >= 0
 
     def test_params_validation(self):
@@ -65,7 +67,7 @@ class TestSliceEqtwo:
     def test_matches_f_expand(self):
         for r, R in [(1, 1), (2, 2), (3, 2), (2, 4), (5, 1)]:
             params = LemmaParams(r, R, (6, 18, 18))
-            tri = f_expand(params)
+            tri = lattice(params)
             for n in range(7):
                 got = slice_eqtwo(n, params)
                 assert got == tri[n], (r, R, n)
@@ -134,7 +136,10 @@ class TestNegativityWindow:
 
     def test_documented_t2_instance(self):
         # n=3, r=2, R=2: term two = -x^2 (y^4+y^5+y^6+y^7)
-        grid = t2_closed_form(3, 2, 2, 10, 10)
+        params = LemmaParams(2, 2, (4, 10, 10))
+        planes = Planes(params)
+        plane = t2_closed_form(3, params, planes)
+        grid = unpack(planes, plane)
         cells = {
             (j, k): c
             for j in range(11)
@@ -142,13 +147,12 @@ class TestNegativityWindow:
             if (c := grid[j][k])
         }
         assert cells == {(2, k): -1 for k in (4, 5, 6, 7)}
-        params = LemmaParams(2, 2, (4, 10, 10))
-        grids = dict(eqtwo_term_grids(3, params))
-        assert grids["T2"] == grid
+        grids = dict(eqtwo_term_grids(3, params, planes))
+        assert grids["T2"] == plane
 
     def test_totals_stay_nonnegative_in_window(self):
         params = LemmaParams(2, 2, (4, 12, 12))
-        tri = f_expand(params)
+        tri = lattice(params)
         for k in (4, 5, 6, 7):
             assert tri[3][2][k] >= 0
 

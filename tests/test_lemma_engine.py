@@ -1,5 +1,4 @@
-"""The one-pass lemma certificate and the kernel's row-wise expansion
-against the cell-by-cell reference."""
+"""The packed lemma certificate against the cell-by-cell and row-wise references."""
 
 import json
 
@@ -13,20 +12,32 @@ from qdominance.lemma import (
     MAX_LATTICE_CELLS,
     LatticeCapError,
     LemmaParams,
+    Planes,
     certify_lemma,
     check_lattice,
+    eqtwo_symbolic,
+    eqtwo_term_grids,
     kernel_term,
 )
+from qdominance.polyring import MultiPoly, RationalTerm
 
 multiplier = st.integers(1, 6)
 
 
 @st.composite
 def lemma_bounds(draw):
-    """(nt, nx, ny) up to (6, 20, 24): square about half the time, zero sides included."""
-    nt = draw(st.integers(0, 6))
-    nx = draw(st.integers(0, 20))
-    ny = draw(st.one_of(st.just(nx), st.integers(0, 24)))
+    """(nt, nx, ny): up to (6, 20, 24), square about half the time, zero sides
+    included; or a deep lattice, nt in [12, 40] over a box of at most 4 x 4,
+    whose slots are wider than 16 bits from nt = 31 (nt = 35 when r or R
+    is 1) on."""
+    if draw(st.booleans()):
+        nt = draw(st.integers(12, 40))
+        nx = draw(st.integers(0, 4))
+        ny = draw(st.one_of(st.just(nx), st.integers(0, 4)))
+    else:
+        nt = draw(st.integers(0, 6))
+        nx = draw(st.integers(0, 20))
+        ny = draw(st.one_of(st.just(nx), st.integers(0, 24)))
     return (nt, nx, ny)
 
 
@@ -35,6 +46,14 @@ def lemma_bounds(draw):
 def test_certificate_matches_the_reference(r, R, bounds):
     got = certify_lemma(r, R, bounds)
     assert json.dumps(got) == json.dumps(reference.lemma_report(r, R, bounds))
+
+
+def test_deep_lattices_need_wide_slots():
+    # the strategy above reaches slots wider than 16 bits, and the reference agrees there
+    assert Planes(LemmaParams(2, 3, (40, 2, 2))).bits > 16
+    for bounds in [(40, 2, 2), (35, 0, 3), (31, 4, 4)]:
+        got = certify_lemma(2, 3, bounds)
+        assert json.dumps(got) == json.dumps(reference.lemma_report(2, 3, bounds))
 
 
 @settings(max_examples=40, deadline=None)
@@ -47,15 +66,99 @@ def test_views_match_the_reference(r, R, bounds):
         assert got["symmetry"] == reference.symmetry_check(r, R, bounds)
 
 
+def _halves(term: RationalTerm):
+    """The numerator's positive and negative monomials, each over the term's factors."""
+    items = term.numerator.terms.items()
+    positive = MultiPoly(term.numerator.variables, {e: c for e, c in items if c > 0})
+    negative = MultiPoly(term.numerator.variables, {e: -c for e, c in items if c < 0})
+    return [RationalTerm(half, term.denominator_factors) for half in (positive, negative)]
+
+
+@pytest.mark.parametrize(
+    "r, R, bounds",
+    [(1, 1, (40, 3, 3)), (2, 3, (30, 6, 6)), (5, 1, (31, 2, 9)), (4, 4, (12, 12, 12)), (3, 2, (0, 5, 5))],
+)
+def test_slot_width_holds_every_half_and_slice_sum(r, R, bounds):
+    params = LemmaParams(r, R, bounds)
+    top = 1 << Planes(params).bits - 1
+    for half in _halves(kernel_term(r, R)):
+        cells = reference.expand_rational(half, bounds).coeffs
+        assert max(c for plane in cells for row in plane for c in row) < top
+    for n in range(bounds[0] + 1):
+        grids = dict(reference.eqtwo_term_grids(n, params))
+        sums = [grid for grid in grids.values()]
+        sums.append([list(map(sum, zip(*rows))) for rows in zip(*grids.values())])
+        others = [grid for name, grid in grids.items() if name != "T2"]
+        sums.append([list(map(sum, zip(*rows))) for rows in zip(*others)])
+        assert max(abs(c) for grid in sums for row in grid for c in row) < top
+
+
 def test_kernel_expansion_matches_the_reference():
     # zero sides, non-square and square x/y bounds
     for bounds in [(0, 0, 0), (3, 6, 7), (2, 0, 5), (5, 3, 0), (6, 13, 9), (4, 16, 16)]:
         for r in range(1, 7):
             for R in range(1, 7):
-                got = lemma.f_expand(LemmaParams(r, R, bounds))
+                params = LemmaParams(r, R, bounds)
+                got = reference.lattice(params)
                 want = reference.expand_rational(kernel_term(r, R), bounds)
                 assert got == want.coeffs, (r, R, bounds)
-                assert all(type(c) is int for plane in got for row in plane for c in row)
+                assert got == reference.rowwise_f_expand(params), (r, R, bounds)
+
+
+def test_swapped_expansion_is_the_transposed_reference():
+    for bounds in [(0, 0, 0), (3, 5, 5), (6, 11, 11)]:
+        for r in range(1, 6):
+            for R in range(1, 6):
+                planes = Planes(LemmaParams(r, R, bounds))
+                swapped = lemma.f_expand(LemmaParams(R, r, bounds), planes, swap=True)
+                want = reference.rowwise_f_expand(LemmaParams(R, r, bounds))
+                for plane, cells in zip(swapped, want):
+                    assert reference.unpack(planes, plane) == [list(col) for col in zip(*cells)]
+
+
+@pytest.mark.parametrize("bounds", [(7, 9, 12), (5, 0, 4), (9, 21, 3), (12, 30, 30)])
+def test_term_planes_match_the_rowwise_grids(bounds):
+    _, nx, ny = bounds
+    for r in range(1, 5):
+        for R in range(1, 5):
+            params = LemmaParams(r, R, bounds)
+            planes = Planes(params)
+            for n in range(bounds[0] + 1):
+                packed = eqtwo_term_grids(n, params, planes)
+                unclipped = eqtwo_symbolic(n, r, R)
+                rowwise = [reference.rowwise_evaluate(m, powers, nx, ny) for _, m, powers in unclipped]
+                assert [name for name, _ in packed] == [name for name, _, _ in unclipped]
+                assert [reference.unpack(planes, grid) for _, grid in packed] == rowwise, (r, R, n)
+                total = reference.unpack(planes, sum(grid for _, grid in packed))
+                assert total == reference.row_sums(rowwise), (r, R, n)
+
+
+def test_clipped_slice_size_does_not_grow_with_n():
+    n = 10**6
+    for r in range(1, 4):
+        for R in range(1, 4):
+            for box in [(0, 0), (1, 1), (4, 3), (2, 5)]:
+                terms = eqtwo_symbolic(n, r, R, box)
+                assert sum(len(monomials) for _, monomials, _ in terms) <= 16, (r, R, box)
+    # a box as deep as the slice: every index of the three sums is kept
+    assert eqtwo_symbolic(9, 2, 3, (200, 200)) == eqtwo_symbolic(9, 2, 3)
+
+
+@pytest.mark.parametrize("r, R", [(2, 2), (2, 3), (1, 4)])
+@pytest.mark.parametrize("cell", [None, (0, 0, 0), (2, 1, 4), (3, 5, 5)])
+def test_symmetry_matches_the_transpose_reference(r, R, cell):
+    bounds = (3, 5, 5)
+    params = LemmaParams(r, R, bounds)
+    planes = Planes(params)
+    tri = lemma.f_expand(params, planes)
+    mirror = None if r == R else lemma.f_expand(LemmaParams(R, r, bounds), planes, swap=True)
+    lhs = reference.rowwise_f_expand(params)
+    if cell is not None:
+        n, j, k = cell
+        tri[n] += 7 << (j * planes.width + k) * planes.bits
+        lhs[n][j][k] += 7
+    rhs = lhs if r == R else reference.rowwise_f_expand(LemmaParams(R, r, bounds))
+    assert lemma._symmetry(planes, tri, mirror) == reference.transpose_match(lhs, rhs)
 
 
 @pytest.mark.parametrize(
@@ -71,9 +174,9 @@ def test_kernel_is_expanded_at_most_twice(monkeypatch, r, R, bounds, expansions)
     calls = []
     real = lemma.f_expand
 
-    def counting(params):
+    def counting(params, planes, swap=False):
         calls.append((params.r, params.R))
-        return real(params)
+        return real(params, planes, swap)
 
     monkeypatch.setattr(lemma, "f_expand", counting)
     certify_lemma(r, R, bounds)
@@ -81,23 +184,24 @@ def test_kernel_is_expanded_at_most_twice(monkeypatch, r, R, bounds, expansions)
     assert calls[0] == (r, R)
 
 
-def _shift_cell(tri, n, j, k, by):
-    tri[n][j][k] += by
-    return tri
-
-
 def _grids_edit(n, edits):
-    """A wrapper for eqtwo_term_grids that adds `by` to cell (j, k) of the
-    named term grids of slice n."""
+    """A wrapper for eqtwo_term_grids, packed or the reference's, that adds
+    `by` to cell (j, k) of the named term grids of slice n."""
 
     def wrap(real):
-        def patched(m, params):
-            grids = real(m, params)
-            if m == n:
-                named = dict(grids)
-                for name, j, k, by in edits:
-                    named[name][j][k] += by
-            return grids
+        def patched(m, params, planes=None):
+            grids = real(m, params) if planes is None else real(m, params, planes)
+            if m != n:
+                return grids
+            edited = []
+            for name, grid in grids:
+                for j, k, by in (edit[1:] for edit in edits if edit[0] == name):
+                    if planes is None:
+                        grid[j][k] += by
+                    else:
+                        grid += by << (j * planes.width + k) * planes.bits
+                edited.append((name, grid))
+            return edited
 
         return patched
 
@@ -105,13 +209,21 @@ def _grids_edit(n, edits):
 
 
 def _expansion_edit(target, n, j, k, by):
-    """A wrapper for f_expand that moves one cell of the (r, R) = target lattice."""
+    """A wrapper for f_expand, packed or the reference's, that moves one cell
+    of the (r, R) = target lattice; a swapped expansion holds (j, k) at (k, j)."""
 
     def wrap(real):
-        def patched(params):
-            tri = real(params)
-            if (params.r, params.R) == target:
-                _shift_cell(tri, n, j, k, by)
+        def patched(params, planes=None, swap=False):
+            hit = (params.r, params.R) == target
+            if planes is None:
+                tri = real(params)
+                if hit:
+                    tri[n][j][k] += by
+                return tri
+            tri = real(params, planes, swap)
+            if hit:
+                row, column = (k, j) if swap else (j, k)
+                tri[n] += by << (row * planes.width + column) * planes.bits
             return tri
 
         return patched
@@ -148,6 +260,7 @@ def test_lattice_bound_is_checked_before_expanding(monkeypatch):
     def refuse(*args):
         raise AssertionError("the lattice bound must be checked before any expansion")
 
+    monkeypatch.setattr(lemma, "Planes", refuse)
     monkeypatch.setattr(lemma, "f_expand", refuse)
     monkeypatch.setattr(lemma, "eqtwo_term_grids", refuse)
     # (0+1)(0+1)(MAX+1) cells: one above the bound
