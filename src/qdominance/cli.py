@@ -9,8 +9,9 @@ check failed (the envelope carries a witness), and 2 on usage or
 resource errors; the console script (`console`) exits 3 on an internal
 fault, with its traceback on stderr.  ``interpret-check`` and ``sweep``
 can emit CSV instead; a terse text rendering is available everywhere.
-All defaults live in RunConfig and print into every report header, so a
-published number can be reproduced from the report alone.
+Each run-wide default is a RunConfig field default and prints into every
+report header, and each command echoes its own options into ``params``, so
+a published number can be reproduced from the report alone.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import antitelescope, dominance, lemma, partitions, polyring, proposal
-from .series import ParameterError, ResourceError, serialize
+from .series import ParameterError, ResourceError, positive_ints, serialize
 
 ENV_ORDER = "QDOMINANCE_ORDER"
-DEFAULT_ORDER = 100
-DEFAULT_BOUNDS = (10, 40, 40)
 # Largest interpret-check --max-n.  The count tables are packed ints, so
 # memory stays small; time is the cost.  count_profile((1, 1, 1, n, n, n), n)
 # takes 2.6 s at n = 40 (17 MB peak) and 11.5 s at n = 60 (18 MB peak) on
@@ -44,6 +43,7 @@ MAX_INTERPRET_N = 100
 # Most assignments, partial ones included, that one sweep box walk may make.
 # The [1, 4]^8 Thm2 box makes 87,380 of them for its 65,536 points.
 MAX_BOX_ASSIGNMENTS = 10**5
+FORMATS = ("json", "csv", "text")
 CSV_COMMANDS = ("interpret-check", "sweep")
 SWEEP_KINDS = ("dominance", "split", "lemma")
 
@@ -53,84 +53,53 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-class UsageError(ParameterError):
-    """Bad flags or an out-of-contract request; maps to exit code 2."""
-
-
 class BoxCapError(ResourceError, ValueError):
     """Raised when a sweep box walk would make more than MAX_BOX_ASSIGNMENTS assignments."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide defaults echoed into every report header."""
+    """Run-wide settings echoed into every report header; each field's default is the CLI's."""
 
-    order: int = DEFAULT_ORDER
-    bounds: tuple[int, int, int] = DEFAULT_BOUNDS
+    order: int = 100
+    bounds: tuple[int, int, int] = (10, 40, 40)
     cap: int = partitions.DEFAULT_ENUMERATION_CAP
     seed: int = 0
     jobs: int = 1
     format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise UsageError(f"order must be a positive integer, got {self.order}")
-        if len(self.bounds) != 3 or any(b < 1 for b in self.bounds):
-            raise UsageError(f"bounds must be three positive integers, got {self.bounds}")
-        if self.cap < 1:
-            raise UsageError(f"cap must be a positive integer, got {self.cap}")
-        if self.jobs < 1:
-            raise UsageError(f"jobs must be a positive integer, got {self.jobs}")
-        if self.format not in ("json", "csv", "text"):
-            raise UsageError(f"format must be json, csv or text, got {self.format!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "bounds": list(self.bounds),
-            "cap": self.cap,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "format": self.format,
-        }
-
-
-def _default_order() -> int:
-    raw = os.environ.get(ENV_ORDER)
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_ORDER} must be an integer, got {raw!r}") from None
+        for name in ("order", "cap", "jobs"):
+            positive_ints((getattr(self, name),), name, 1)
+        positive_ints(self.bounds, "bounds")
+        if self.format not in FORMATS:
+            raise ParameterError(f"format must be one of {', '.join(FORMATS)}, got {self.format!r}")
 
 
 def _csv_ints(text: str, label: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise UsageError(f"{label} must be comma-separated integers, got {text!r}") from None
+        raise ParameterError(f"{label} must be comma-separated integers, got {text!r}") from None
     if not values:
-        raise UsageError(f"{label} must not be empty")
+        raise ParameterError(f"{label} must not be empty")
     return values
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    order = args.order if args.order is not None else _default_order()
-    bounds = DEFAULT_BOUNDS
-    if args.bounds is not None:
-        parsed = _csv_ints(args.bounds, "--bounds")
-        if len(parsed) != 3:
-            raise UsageError(f"--bounds needs exactly three integers, got {args.bounds!r}")
-        bounds = parsed
-    return RunConfig(
-        order=order,
-        bounds=bounds,
-        cap=args.cap if args.cap is not None else partitions.DEFAULT_ENUMERATION_CAP,
-        seed=args.seed if args.seed is not None else 0,
-        jobs=args.jobs if args.jobs is not None else 1,
-        format=args.format if args.format is not None else "json",
-    )
+    """The run flags that were given, and --order from ENV_ORDER when absent; RunConfig fills the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name) is not None}
+    if "order" not in given and ENV_ORDER in os.environ:
+        raw = os.environ[ENV_ORDER]
+        try:
+            given["order"] = int(raw)
+        except ValueError:
+            raise ParameterError(f"{ENV_ORDER} must be an integer, got {raw!r}") from None
+    if "bounds" in given:
+        given["bounds"] = _csv_ints(args.bounds, "--bounds")
+        if len(given["bounds"]) != 3:
+            raise ParameterError(f"--bounds needs exactly three integers, got {args.bounds!r}")
+    return RunConfig(**given)
 
 
 # --- report plumbing --------------------------------------------------------
@@ -174,7 +143,7 @@ def _write(stream, command: str, config: RunConfig, outcome: Outcome, started: f
         if outcome.witness is not None:
             stream.write(f"witness: {_to_json(outcome.witness)}\n")
         return
-    env = {"command": command, "config": config.as_dict(), "params": outcome.params, "status": status}
+    env = {"command": command, "config": asdict(config), "params": outcome.params, "status": status}
     if outcome.witness is not None:
         env["witness"] = outcome.witness
     if outcome.result is not None:
@@ -193,7 +162,7 @@ def inequality_id(text: str) -> str:
         return _ID_BY_LOWER[text.lower()]
     except KeyError:
         known = ", ".join(dominance.INEQUALITY_IDS)
-        raise UsageError(f"unknown inequality {text!r}; known: {known}") from None
+        raise ParameterError(f"unknown inequality {text!r}; known: {known}") from None
 
 
 def parse_inequality_params(ineq_id: str, text: str | None, L: int | None = None) -> dict:
@@ -206,13 +175,13 @@ def parse_inequality_params(ineq_id: str, text: str | None, L: int | None = None
     """
     required = dominance.REQUIRED_PARAMETERS[ineq_id]
     if L is not None and "L" not in required:
-        raise UsageError(f"{ineq_id} has no length parameter")
+        raise ParameterError(f"{ineq_id} has no length parameter")
     values = _csv_ints(text, "--params") if text else ()
     if L is not None and not values and required == ("L",):
         return {"L": L}
     if ineq_id == "Proposal":
         if len(values) < 4 or (len(values) - 2) % 2 != 0:
-            raise UsageError(
+            raise ParameterError(
                 "Proposal takes L,m,x1..xn,r1..rn with equally many sizes and multipliers"
             )
         half = (len(values) - 2) // 2
@@ -224,7 +193,7 @@ def parse_inequality_params(ineq_id: str, text: str | None, L: int | None = None
         }
     elif len(values) != len(required):
         names = ",".join(required) if required else "(none)"
-        raise UsageError(f"{ineq_id} takes parameters {names}; got {len(values)} values")
+        raise ParameterError(f"{ineq_id} takes parameters {names}; got {len(values)} values")
     else:
         parameters = dict(zip(required, values))
     if L is not None:
@@ -269,11 +238,11 @@ def _scan_witness(rows):
 def _cmd_antitelescope(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq)
     if ineq_id == "RR":
-        raise UsageError("RR is an infinite-product statement; antitelescope its finite cousin finiteRR")
+        raise ParameterError("RR is an infinite-product statement; antitelescope its finite cousin finiteRR")
     parameters = parse_inequality_params(ineq_id, args.params, args.L)
     split = args.split
     if split != "none" and ineq_id not in ("Thm1", "Thm2"):
-        raise UsageError(f"--split {split} is only available for Thm1/Thm2 products")
+        raise ParameterError(f"--split {split} is only available for Thm1/Thm2 products")
     P, Q = dominance.build_specs(dominance.NamedInequality(ineq_id, parameters))
     scan = antitelescope.positivity_scan(P, Q, config.order, split, args.dump_series)
     params = {"ineq": ineq_id, "params": parameters, "split": split}
@@ -302,7 +271,7 @@ def _cmd_lemma(args, config) -> Outcome:
 def _partition_params(text: str) -> partitions.PartitionParams:
     values = _csv_ints(text, "--params")
     if len(values) != 6:
-        raise UsageError(f"--params takes m,x,y,r,R,L (six integers), got {len(values)}")
+        raise ParameterError(f"--params takes m,x,y,r,R,L (six integers), got {len(values)}")
     return partitions.PartitionParams.from_values(values)
 
 
@@ -346,7 +315,7 @@ def _cmd_proposal(args, config) -> Outcome:
     sizes = _csv_ints(args.x, "--x")
     multipliers = _csv_ints(args.r, "--r")
     if args.n is not None and args.n != len(sizes):
-        raise UsageError(f"--n {args.n} disagrees with the {len(sizes)} sizes in --x")
+        raise ParameterError(f"--n {args.n} disagrees with the {len(sizes)} sizes in --x")
     params = proposal.proposal_params(sizes, multipliers)
     outcome = proposal.check_proposal(params, args.m, args.L, config.order)
     witness = None
@@ -419,12 +388,12 @@ def parse_box(text: str) -> list[tuple[str, str, str]]:
         low, colon, high = span.partition(":")
         name, low, high = name.strip(), low.strip(), high.strip()
         if not name or not eq or not colon or not low or not high:
-            raise UsageError(f"box entries look like name=low:high, got {piece!r}")
+            raise ParameterError(f"box entries look like name=low:high, got {piece!r}")
         if any(name == seen for seen, _, _ in entries):
-            raise UsageError(f"box repeats variable {name!r}")
+            raise ParameterError(f"box repeats variable {name!r}")
         entries.append((name, low, high))
     if not entries:
-        raise UsageError("box must bind at least one variable")
+        raise ParameterError("box must bind at least one variable")
     return entries
 
 
@@ -436,7 +405,7 @@ def _resolve_bound(expr: str, assignment: dict) -> int:
     match = _BOUND.match(expr)
     if match is None or match.group(1) not in assignment:
         known = ", ".join(assignment) or "(none)"
-        raise UsageError(f"bound {expr!r} must be an integer or refer to an earlier variable ({known})")
+        raise ParameterError(f"bound {expr!r} must be an integer or refer to an earlier variable ({known})")
     value = assignment[match.group(1)]
     if match.group(2):
         shift = int(match.group(3))
@@ -495,10 +464,7 @@ def _sweep_job(job: tuple) -> dict:
             outcome = antitelescope.certify_split(P, Q, order, ineq_id.lower())
             return {"status": "pass" if outcome["ok"] else "fail", "witness": outcome["witness"]}
         report = dominance.check_named(ineq, order)
-        row = {
-            "status": "pass" if report.holds else "fail",
-            "witness": _dominance_witness(report),
-        }
+        row = {"status": "pass" if report.holds else "fail", "witness": _dominance_witness(report)}
         if ineq_id == "BGa" and dominance.bga_degenerate(parameters["m"], parameters["r"]):
             row["degenerate"] = True
         return row
@@ -510,24 +476,25 @@ def _sweep_points(args, config, ineq_id: str | None) -> tuple[list[tuple[str, st
     entries = parse_box(args.box)
     names = [name for name, _, _ in entries]
     if args.kind == "lemma":
+        if args.ineq is not None:
+            raise ParameterError("--kind lemma takes no --ineq")
         lemma.check_lattice(config.bounds)
         expected = {"r", "R"}
     else:
         if ineq_id is None:
-            raise UsageError(f"--kind {args.kind} needs --ineq")
+            raise ParameterError(f"--kind {args.kind} needs --ineq")
         if ineq_id == "Proposal":
-            raise UsageError("sweep cannot express the variable-arity Proposal box; use check/proposal")
+            raise ParameterError("sweep cannot express the variable-arity Proposal box; use check/proposal")
         if args.kind == "split" and ineq_id not in ("Thm1", "Thm2"):
-            raise UsageError("--kind split is only available for Thm1/Thm2")
+            raise ParameterError("--kind split is only available for Thm1/Thm2")
         expected = set(dominance.REQUIRED_PARAMETERS[ineq_id])
     if set(names) != expected:
-        raise UsageError(f"box must bind exactly {sorted(expected)}, got {sorted(names)}")
+        raise ParameterError(f"box must bind exactly {sorted(expected)}, got {sorted(names)}")
     points = expand_box(entries)
     if args.sample is not None:
-        if args.sample < 1:
-            raise UsageError(f"--sample must be positive, got {args.sample}")
+        positive_ints((args.sample,), "--sample", 1)
         if args.sample > len(points):
-            raise UsageError(f"--sample {args.sample} exceeds the box size {len(points)}")
+            raise ParameterError(f"--sample {args.sample} exceeds the box size {len(points)}")
         rng = random.Random(config.seed)
         points = rng.sample(points, args.sample)
         points.sort(key=lambda p: tuple(p[name] for name in names))
@@ -555,7 +522,7 @@ def _cmd_sweep(args, config) -> Outcome:
     skipped = sum(1 for row in rows if row["status"] == "skipped")
     if passed + failed == 0:
         reason = next((row["reason"] for row in rows), "the box is empty")
-        raise UsageError(f"no point of the box could be checked ({reason})")
+        raise ParameterError(f"no point of the box could be checked ({reason})")
     degenerate = sum(1 for row in rows if row.get("degenerate"))
     failures = [
         {"params": point, "witness": row["witness"]}
@@ -591,69 +558,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--order", type=int, default=None, help=f"truncation order (default {DEFAULT_ORDER}, env {ENV_ORDER})")
-        p.add_argument("--bounds", default=None, help="Nt,Nx,Ny kernel bounds (default 10,40,40)")
-        p.add_argument("--cap", type=int, default=None, help=f"enumeration weight cap (default {partitions.DEFAULT_ENUMERATION_CAP})")
-        p.add_argument("--seed", type=int, default=None, help="seed for the identities tuples and sweep --sample points (default 0)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweep (default 1)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default=None, help="output format (default json)")
+        p.set_defaults(handler=handler)
+        p.add_argument("--order", type=int, help=f"truncation order (default {RunConfig.order}, env {ENV_ORDER})")
+        p.add_argument("--bounds", help=f"Nt,Nx,Ny kernel bounds (default {','.join(map(str, RunConfig.bounds))})")
+        p.add_argument("--cap", type=int, help=f"enumeration weight cap (default {RunConfig.cap})")
+        p.add_argument("--seed", type=int, help=f"seed for the identities tuples and sweep --sample points (default {RunConfig.seed})")
+        p.add_argument("--jobs", type=int, help=f"parallel workers for sweep (default {RunConfig.jobs})")
+        p.add_argument("--format", choices=FORMATS, help=f"output format (default {RunConfig.format})")
         return p
 
-    p = add("check", "coefficientwise dominance for one named inequality")
+    p = add("check", "coefficientwise dominance for one named inequality", _cmd_check)
     p.add_argument("--ineq", required=True, help="inequality id (case-insensitive)")
-    p.add_argument("--params", default=None, help="comma-separated parameters in declared order")
+    p.add_argument("--params", help="comma-separated parameters in declared order")
     p.add_argument("--dump-series", action="store_true", help="include the difference series")
 
-    p = add("antitelescope", "per-index addend positivity scan")
+    p = add("antitelescope", "per-index addend positivity scan", _cmd_antitelescope)
     p.add_argument("--ineq", required=True)
-    p.add_argument("--params", default=None)
-    p.add_argument("--L", type=int, default=None, help="number of layers (shorthand for the L slot)")
+    p.add_argument("--params")
+    p.add_argument("--L", type=int, help="number of layers (shorthand for the L slot)")
     p.add_argument("--split", choices=antitelescope.SPLIT_MODES, default="none")
     p.add_argument("--dump-series", action="store_true", help="include every addend (and group) series")
 
-    p = add("lemma", "kernel expansion: signs, slices, window, symmetry")
+    p = add("lemma", "kernel expansion: signs, slices, window, symmetry", _cmd_lemma)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--dump-poly", action="store_true", help="include the kernel rational term")
 
-    p = add("enumerate", "list colored partitions of one weight")
+    p = add("enumerate", "list colored partitions of one weight", _cmd_enumerate)
     p.add_argument("--params", required=True, help="m,x,y,r,R,L")
     p.add_argument("--n", type=int, required=True, help="weight to enumerate")
 
-    p = add("interpret-check", "counts vs series coefficients, row by row")
+    p = add("interpret-check", "counts vs series coefficients, row by row", _cmd_interpret_check)
     p.add_argument("--params", required=True, help="m,x,y,r,R,L")
     p.add_argument("--max-n", type=int, default=30)
 
-    p = add("proposal", "generalized-tuple dominance with provenance status")
+    p = add("proposal", "generalized-tuple dominance with provenance status", _cmd_proposal)
     p.add_argument("--x", required=True, help="comma-separated sizes")
     p.add_argument("--r", required=True, help="comma-separated multipliers")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="arity; checked against --x when given")
+    p.add_argument("--n", type=int, help="arity; checked against --x when given")
 
-    add("identities", "exact polynomial and closed-form identity certification")
+    add("identities", "exact polynomial and closed-form identity certification", _cmd_identities)
 
-    p = add("sweep", "run one check over a parameter box and aggregate")
+    p = add("sweep", "run one check over a parameter box and aggregate", _cmd_sweep)
     p.add_argument("--kind", choices=SWEEP_KINDS, default="dominance")
-    p.add_argument("--ineq", default=None)
+    p.add_argument("--ineq")
     p.add_argument("--box", required=True, help="e.g. m=3:8,r=1:m-1,L=1:3")
-    p.add_argument("--sample", type=int, default=None, help="check a seeded sample instead of the whole box")
+    p.add_argument("--sample", type=int, help="check a seeded sample instead of the whole box")
 
     return parser
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "antitelescope": _cmd_antitelescope,
-    "lemma": _cmd_lemma,
-    "enumerate": _cmd_enumerate,
-    "interpret-check": _cmd_interpret_check,
-    "proposal": _cmd_proposal,
-    "identities": _cmd_identities,
-    "sweep": _cmd_sweep,
-}
 
 
 def main(argv=None) -> int:
@@ -662,8 +618,8 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         if config.format == "csv" and args.command not in CSV_COMMANDS:
-            raise UsageError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
-        outcome = _HANDLERS[args.command](args, config)
+            raise ParameterError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
+        outcome = args.handler(args, config)
     except ResourceError as exc:
         print(f"qdominance: resource: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,15 +12,12 @@ import pytest
 from qdominance import antitelescope, cli, lemma, partitions, polyring, proposal, series
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
-    DEFAULT_BOUNDS,
-    DEFAULT_ORDER,
     ENV_ORDER,
     EXIT_INTERNAL,
     MAX_BOX_ASSIGNMENTS,
     MAX_INTERPRET_N,
     BoxCapError,
     RunConfig,
-    UsageError,
     console,
     expand_box,
     main,
@@ -29,7 +26,7 @@ from qdominance.cli import (
     pool_size,
 )
 from qdominance.lemma import MAX_LATTICE_CELLS
-from qdominance.series import MAX_SERIES_WORK, product_spec
+from qdominance.series import MAX_SERIES_WORK, ParameterError, product_spec
 
 
 def run_cli(argv, capsys):
@@ -55,13 +52,17 @@ def report(out):
 class TestConfig:
     def test_defaults(self):
         config = RunConfig()
-        assert config.order == DEFAULT_ORDER
-        assert config.bounds == DEFAULT_BOUNDS
+        assert (config.order, config.bounds) == (100, (10, 40, 40))
         assert (config.cap, config.seed, config.jobs, config.format) == (40, 0, 1, "json")
 
     def test_rejects_nonpositive_order(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             RunConfig(order=0)
+
+    @pytest.mark.parametrize("field", [{"cap": 0}, {"jobs": -1}, {"bounds": (4, 0, 8)}, {"order": True}])
+    def test_rejects_each_nonpositive_run_value(self, field):
+        with pytest.raises(ParameterError, match=f"^{next(iter(field))} must be"):
+            RunConfig(**field)
 
     def test_env_overrides_default_order(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_ORDER, "25")
@@ -103,11 +104,11 @@ class TestParamParsing:
         assert params == {"L": 1, "m": 3, "xs": (1, 2), "rs": (2, 3)}
 
     def test_proposal_odd_tail_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             parse_inequality_params("Proposal", "1,3,1,2,2")
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             parse_inequality_params("Thm1", "2,3,1")
 
     def test_length_override(self):
@@ -115,9 +116,9 @@ class TestParamParsing:
         params = parse_inequality_params("BGa", "7,2,1", L=3)
         assert params == {"m": 7, "r": 2, "L": 3}
         assert list(params) == ["m", "r", "L"]
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             parse_inequality_params("RR", None, L=2)
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             parse_inequality_params("Thm1", None, L=2)
 
 
@@ -536,15 +537,15 @@ class TestBoxParsing:
         ]
 
     def test_duplicate_variable_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             parse_box("m=1:2,m=3:4")
 
     def test_forward_reference_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             expand_box(parse_box("r=1:m-1,m=3:4"))
 
     def test_malformed_entry_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             parse_box("m=3")
 
 
@@ -724,7 +725,6 @@ class TestInternalFaults:
         assert capsys.readouterr().out == ""
 
     def test_usage_errors_are_parameter_errors(self):
-        assert issubclass(UsageError, series.ParameterError)
         assert not issubclass(series.ParameterError, series.ResourceError)
 
 
