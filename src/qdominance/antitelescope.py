@@ -27,12 +27,12 @@ The numerators are written once, over t = (i-1)m, the sizes x, y[, z] and
 the scaled sizes a = rx, b = Ry[, c = rho z]; every exponent is a sum,
 difference or double of these.  They are read two ways: the walk calls
 them with ints, and `split_identity` with unit linear forms (`_Form`),
-which turns them into polynomials in T = q^t and the q-powers of the
-sizes.  It checks exactly that they sum to scale * (prod over the Q layer
-of (1 - q^(b+t)) - prod over the P layer), at t = 0 (index 1) and at a
-generic t.  Substituting q-powers is a ring homomorphism, so that one
-identity says that the groups sum to scale * addend at every size,
-multiplier and index.
+which `polyring.from_pieces` turns into polynomials in T = q^t and the
+q-powers of the sizes.  It checks exactly that they sum to
+scale * (prod over the Q layer of (1 - q^(b+t)) - prod over the P layer),
+at t = 0 (index 1) and at a generic t.  Substituting q-powers is a ring
+homomorphism, so that one identity says that the groups sum to
+scale * addend at every size, multiplier and index.
 
 The walk is packed (`series._Signed`): every series is one int with
 B-bit slots, reduced modulo M = 2^(B(N+1)) at truncation order N.
@@ -68,7 +68,7 @@ from operator import add, sub
 from typing import Any
 
 from .dominance import nbase_params
-from .polyring import IdentityVerdict, MultiPoly, RationalTerm, identity_check
+from .polyring import IdentityVerdict, MultiPoly, RationalTerm, from_pieces, identity_check
 from .series import (
     INF,
     Coefficient,
@@ -149,17 +149,6 @@ class _Form(tuple):
         return any(self)
 
 
-def _expand(pieces, weight: int, terms: dict) -> None:
-    """Add weight * q^lead * prod (1 - q^e) over the pieces to terms; a zero e cancels its piece."""
-    for lead, exponents in pieces:
-        piece = {lead: weight}
-        for e in exponents:
-            for k, v in list(piece.items()):
-                piece[k + e] = piece.get(k + e, 0) - v
-        for k, v in piece.items():
-            terms[k] = terms.get(k, 0) + v
-
-
 def split_identity_sides(split: str, t_zero: bool) -> tuple[MultiPoly, MultiPoly]:
     """scale * (prod Q layer - prod P layer) and the sum of the groups, over (t, x, y[, z], a, b[, c]).
 
@@ -170,13 +159,16 @@ def split_identity_sides(split: str, t_zero: bool) -> tuple[MultiPoly, MultiPoly
     zero = _Form((0,) * len(variables))
     units = [_Form(int(j == k) for k in range(len(variables))) for j in range(len(variables))]
     t, sizes, scaled = zero if t_zero else units[0], units[1 : n + 1], units[n + 1 :]
-    lhs: dict = {}
-    rhs: dict = {}
-    _expand([(zero, [t + e for e in (*scaled, sum(sizes, zero))])], scale, lhs)
-    _expand([(zero, [t + e for e in (*sizes, sum(scaled, zero))])], -scale, lhs)
-    for _, pieces in numerators((*sizes, *scaled), t):
-        _expand(pieces, 1, rhs)
-    return MultiPoly(variables, lhs), MultiPoly(variables, rhs)
+    lhs = from_pieces(
+        variables,
+        [
+            (scale, zero, [t + e for e in (*scaled, sum(sizes, zero))]),
+            (-scale, zero, [t + e for e in (*sizes, sum(scaled, zero))]),
+        ],
+    )
+    groups = numerators((*sizes, *scaled), t)
+    rhs = from_pieces(variables, [(1, lead, exps) for _, pieces in groups for lead, exps in pieces])
+    return lhs, rhs
 
 
 def split_identity(split: str) -> IdentityVerdict:

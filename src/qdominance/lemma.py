@@ -12,6 +12,12 @@ rules out.  `certify_lemma` runs all of it in one pass: one expansion of f
 (two when the symmetry check needs the swapped (R, r) kernel), and one set
 of term grids per slice.
 
+f and the slice closed forms are stated as weighted binomial pieces,
+weight * x^a y^b * prod (1 - x^c y^d) (t too in f), which
+`polyring.from_pieces` expands; f's numerator is the bracket of the split
+group G4 (`antitelescope._thm2_numerators`), with T = q^t, q^x and q^y
+read as t, x and y.
+
 Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
 x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
 is packed.  A cell of 1/prod(factors) counts the multiplicities
@@ -43,16 +49,7 @@ from functools import lru_cache
 from math import comb
 from typing import Any
 
-from .polyring import (
-    IdentityVerdict,
-    MultiPoly,
-    RationalTerm,
-    identity_check,
-    mono,
-    mp_add,
-    mp_mul,
-    mp_sub,
-)
+from .polyring import IdentityVerdict, MultiPoly, RationalTerm, from_pieces, identity_check
 from .series import _INT_ONLY, ParameterError, ResourceError, _slots, positive_ints
 
 XY = ("x", "y")
@@ -107,36 +104,23 @@ def delta(n: int) -> int:
     return n % 2
 
 
-def _xy_mono(coeff: int = 1, **exps: int) -> MultiPoly:
-    return mono(XY, coeff, **exps)
-
-
-def _txy_mono(coeff: int = 1, **exps: int) -> MultiPoly:
-    return mono(TXY, coeff, **exps)
-
-
-def _txy_binomial(**exps: int) -> MultiPoly:
-    return mp_sub(_txy_mono(), _txy_mono(**exps))
-
-
 @lru_cache(maxsize=64)
 def kernel_term(r: int, R: int) -> RationalTerm:
-    """f as a single rational term over the (t, x, y) variables; shared, not to be mutated."""
-    numerator = mp_add(
-        mp_mul(_txy_binomial(x=1, y=1), _txy_binomial(t=1, x=r), _txy_binomial(t=1, y=R)),
-        mp_mul(
-            _txy_binomial(t=2),
-            mp_sub(_txy_mono(x=1), _txy_mono(x=r)),
-            mp_sub(_txy_mono(y=1), _txy_mono(y=R)),
-        ),
+    """f as a single rational term over the (t, x, y) variables; shared, not to be mutated.
+
+    The numerator is G4's bracket, with (x - x^r)(y - y^R) written as
+    xy (1 - x^(r-1)) (1 - y^(R-1)); each factor is one binomial.
+    """
+    numerator = from_pieces(
+        TXY,
+        [
+            (1, (0, 0, 0), [(0, 1, 1), (1, r, 0), (1, 0, R)]),
+            (1, (0, 1, 1), [(2, 0, 0), (0, r - 1, 0), (0, 0, R - 1)]),
+        ],
     )
-    factors = (
-        _txy_binomial(t=1, x=r),
-        _txy_binomial(t=1, y=R),
-        _txy_binomial(x=1),
-        _txy_binomial(y=1),
-        _txy_binomial(t=1, x=1),
-        _txy_binomial(t=1, y=1),
+    factors = tuple(
+        from_pieces(TXY, [(1, (0, 0, 0), [e])])
+        for e in ((1, r, 0), (1, 0, R), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
     )
     return RationalTerm(numerator, factors)
 
@@ -303,137 +287,93 @@ def eqtwo_term_grids(n: int, params: LemmaParams, planes: Planes) -> list[tuple[
     return [(name, planes.expand(monomials, px)) for name, monomials, (px, _) in terms]
 
 
+def _xy(*pieces) -> MultiPoly:
+    """The pieces (weight, (a, b), binomials) as a polynomial in x, y; see `polyring.from_pieces`."""
+    return from_pieces(XY, pieces)
+
+
 def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
     """The five-addend closed form of the n-th slice, as rational terms."""
-    one = _xy_mono()
-
-    def m(coeff=1, **exps):
-        return _xy_mono(coeff, **exps)
-
-    x_minus_y = mp_sub(m(x=1), m(y=1))
-    xr_minus_yR = mp_sub(m(x=r), m(y=R))
-    xr_minus_y = mp_sub(m(x=r), m(y=1))
-    yR_minus_x = mp_sub(m(y=R), m(x=1))
-    one_minus_x = mp_sub(one, m(x=1))
-    one_minus_y = mp_sub(one, m(y=1))
-    x_minus_xr = mp_sub(m(x=1), m(x=r))
-    y_minus_yR = mp_sub(m(y=1), m(y=R))
-    base = (one_minus_x, one_minus_y, x_minus_y)
-
-    a1 = RationalTerm(
-        mp_mul(mp_sub(one, m(x=1, y=1)), mp_sub(m(x=n + 1), m(y=n + 1))), base
-    )
-    a2 = RationalTerm(
-        mp_mul(
-            mp_add(
-                mp_mul(m(-1, x=n + r), mp_sub(one, m(x=2))),
-                mp_mul(m(x=n * r + 1), mp_sub(one, m(x=2 * r))),
-            ),
-            y_minus_yR,
+    base = (_xy((1, (0, 0), [(1, 0)])), _xy((1, (0, 0), [(0, 1)])), _xy((1, (1, 0), [(-1, 1)])))
+    xr_minus_yR = _xy((1, (r, 0), [(-r, R)]))
+    # (x - x^r)(y - y^R) = xy (1 - x^(r-1)) (1 - y^(R-1)): the binomials
+    # x_side and y_side, and xy folded into the leads
+    x_side, y_side = (r - 1, 0), (0, R - 1)
+    return [
+        # (1 - xy)(x^(n+1) - y^(n+1)) / ((1-x)(1-y)(x-y))
+        RationalTerm(_xy((1, (n + 1, 0), [(1, 1), (-n - 1, n + 1)])), base),
+        # (x^(nr+1)(1 - x^(2r)) - x^(n+r)(1 - x^2))(y - y^R) / (... (x^r - y^R))
+        RationalTerm(
+            _xy((-1, (n + r, 1), [(2, 0), y_side]), (1, (n * r + 1, 1), [(2 * r, 0), y_side])),
+            (*base, xr_minus_yR),
         ),
-        (*base, xr_minus_yR),
-    )
-    a3 = RationalTerm(
-        mp_mul(
-            mp_add(
-                mp_mul(m(-1, y=n + R), mp_sub(one, m(y=2))),
-                mp_mul(m(y=n * R + 1), mp_sub(one, m(y=2 * R))),
-            ),
-            x_minus_xr,
+        # (y^(nR+1)(1 - y^(2R)) - y^(n+R)(1 - y^2))(x - x^r) / (... (x^r - y^R))
+        RationalTerm(
+            _xy((-1, (1, n + R), [(0, 2), x_side]), (1, (1, n * R + 1), [(0, 2 * R), x_side])),
+            (*base, xr_minus_yR),
         ),
-        (*base, xr_minus_yR),
-    )
-    # the leading monomials y x^r and x y^R are folded into the brackets so
-    # every exponent stays nonnegative down to n = 0
-    a4 = RationalTerm(
-        mp_mul(
-            mp_sub(
-                mp_mul(m(y=1), mp_sub(m(x=n * r), m(x=(n + 2) * r))),
-                mp_mul(m(x=r), mp_sub(m(y=n), m(y=n + 2))),
-            ),
-            x_minus_xr,
-            y_minus_yR,
+        # (y x^(nr)(1 - x^(2r)) - x^r y^n (1 - y^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(x^r - y))
+        RationalTerm(
+            _xy((1, (n * r + 1, 2), [(2 * r, 0), x_side, y_side]), (-1, (r + 1, n + 1), [(0, 2), x_side, y_side])),
+            (*base, xr_minus_yR, _xy((1, (r, 0), [(-r, 1)]))),
         ),
-        (*base, xr_minus_yR, xr_minus_y),
-    )
-    a5 = RationalTerm(
-        mp_mul(
-            mp_sub(
-                mp_mul(m(x=1), mp_sub(m(y=n * R), m(y=(n + 2) * R))),
-                mp_mul(m(y=R), mp_sub(m(x=n), m(x=n + 2))),
-            ),
-            x_minus_xr,
-            y_minus_yR,
+        # (x y^(nR)(1 - y^(2R)) - y^R x^n (1 - x^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(y^R - x))
+        RationalTerm(
+            _xy((1, (2, n * R + 1), [(0, 2 * R), x_side, y_side]), (-1, (n + 1, R + 1), [(2, 0), x_side, y_side])),
+            (*base, xr_minus_yR, _xy((1, (0, R), [(1, -R)]))),
         ),
-        (*base, xr_minus_yR, yR_minus_x),
-    )
-    return [a1, a2, a3, a4, a5]
+    ]
 
 
 def eqthree_terms(n: int, r: int, R: int) -> list[RationalTerm]:
     """The sum-free nine-addend closed form, as rational terms."""
-    one = _xy_mono()
-
-    def m(coeff=1, **exps):
-        return _xy_mono(coeff, **exps)
-
-    one_minus_x = mp_sub(one, m(x=1))
-    one_minus_y = mp_sub(one, m(y=1))
-    one_plus_x = mp_add(one, m(x=1))
-    xr_minus_y = mp_sub(m(x=r), m(y=1))
-    xr_minus_yR = mp_sub(m(x=r), m(y=R))
-    x_minus_yR = mp_sub(m(x=1), m(y=R))
-
-    h1 = RationalTerm(
-        mp_mul(m(x=n), mp_sub(one, m(y=n + 1))), (one_minus_y, one_minus_x)
-    )
-    h2 = RationalTerm(
-        mp_mul(mp_sub(m(y=n + 1), m(y=(n + 1) * R)), mp_sub(m(x=n), m(x=r))),
-        (one_minus_y, one_minus_x),
-    )
-    h3 = RationalTerm(
-        mp_mul(mp_sub(m(y=n), m(y=n * R)), mp_sub(m(x=2), m(x=2 * r))),
-        (one_minus_y, one_minus_x),
-    )
-    h4 = RationalTerm(
-        mp_mul(m(x=1), mp_sub(m(y=n), m(y=(n + 1) * R))), (one_minus_y,)
-    )
-    h5 = RationalTerm(m(y=n), (one_minus_y,))
-    h6 = RationalTerm(
-        mp_mul(one_plus_x, mp_sub(m(x=n, y=R), m(x=1, y=n * R))),
-        (one_minus_y, x_minus_yR),
-    )
-    h7 = RationalTerm(
-        mp_mul(
-            mp_sub(m(x=n * r, y=1), m(x=r, y=n)), mp_sub(one, m(x=2 * r))
+    one_minus_y = _xy((1, (0, 0), [(0, 1)]))
+    base = (one_minus_y, _xy((1, (0, 0), [(1, 0)])))
+    # each term's numerator over its denominator
+    return [
+        # x^n (1 - y^(n+1)) / ((1-y)(1-x))
+        RationalTerm(_xy((1, (n, 0), [(0, n + 1)])), base),
+        # (y^(n+1) - y^((n+1)R))(x^n - x^r) / ((1-y)(1-x))
+        RationalTerm(_xy((1, (n, n + 1), [(0, (n + 1) * (R - 1)), (r - n, 0)])), base),
+        # (y^n - y^(nR))(x^2 - x^(2r)) / ((1-y)(1-x))
+        RationalTerm(_xy((1, (2, n), [(0, n * (R - 1)), (2 * r - 2, 0)])), base),
+        # x (y^n - y^((n+1)R)) / (1-y)
+        RationalTerm(_xy((1, (1, n), [(0, (n + 1) * R - n)])), (one_minus_y,)),
+        # y^n / (1-y)
+        RationalTerm(_xy((1, (0, n), [])), (one_minus_y,)),
+        # (1 + x)(x^n y^R - x y^(nR)) / ((1-y)(x - y^R)), 1 + x as two leads
+        RationalTerm(
+            _xy((1, (n, R), [(1 - n, (n - 1) * R)]), (1, (n + 1, R), [(1 - n, (n - 1) * R)])),
+            (one_minus_y, _xy((1, (1, 0), [(-1, R)]))),
         ),
-        (one_minus_y, one_minus_x, xr_minus_y),
-    )
-    h8 = RationalTerm(
-        mp_mul(m(-1, y=R * (n + 1)), one_plus_x, mp_sub(m(x=2), m(x=n))),
-        (one_minus_y, mp_sub(one, m(x=2))),
-    )
-    h9 = RationalTerm(
-        mp_mul(
-            mp_sub(m(x=r, y=n * R), m(x=n * r, y=R)), mp_sub(one, m(x=2 * r))
+        # (x^(nr) y - x^r y^n)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y))
+        RationalTerm(
+            _xy((1, (n * r, 1), [(r - n * r, n - 1), (2 * r, 0)])),
+            (*base, _xy((1, (r, 0), [(-r, 1)]))),
         ),
-        (one_minus_y, one_minus_x, xr_minus_yR),
-    )
-    return [h1, h2, h3, h4, h5, h6, h7, h8, h9]
+        # -y^((n+1)R) (1 + x)(x^2 - x^n) / ((1-y)(1-x^2))
+        RationalTerm(
+            _xy((-1, (2, (n + 1) * R), [(n - 2, 0)]), (-1, (3, (n + 1) * R), [(n - 2, 0)])),
+            (one_minus_y, _xy((1, (0, 0), [(2, 0)]))),
+        ),
+        # (x^r y^(nR) - x^(nr) y^R)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y^R))
+        RationalTerm(
+            _xy((1, (r, n * R), [(n * r - r, R - n * R), (2 * r, 0)])),
+            (*base, _xy((1, (r, 0), [(-r, R)]))),
+        ),
+    ]
 
 
 def eqtwo_terms_rational(n: int, r: int, R: int) -> list[RationalTerm]:
     """The slice closed form with its finite sums materialized, term by term."""
-    out = []
-    for _, monomials, (px, py) in eqtwo_symbolic(n, r, R):
-        accumulated: dict[tuple[int, int], int] = {}
-        for c, a, b in monomials:
-            accumulated[(a, b)] = accumulated.get((a, b), 0) + c
-        numerator = MultiPoly(XY, accumulated)
-        factors = (mp_sub(_xy_mono(), _xy_mono(x=1)),) * px
-        factors += (mp_sub(_xy_mono(), _xy_mono(y=1)),) * py
-        out.append(RationalTerm(numerator, factors))
-    return out
+    one_minus = _xy((1, (0, 0), [(1, 0)])), _xy((1, (0, 0), [(0, 1)]))
+    return [
+        RationalTerm(
+            _xy(*((c, (a, b), ()) for c, a, b in monomials)),
+            (one_minus[0],) * px + (one_minus[1],) * py,
+        )
+        for _, monomials, (px, py) in eqtwo_symbolic(n, r, R)
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials and exact identity checking.
 
 MultiPoly stores terms as a map from exponent tuples to exact rational
-coefficients; the variable list is part of the value and two polynomials
-combine only when their variable lists agree.
+coefficients; the variable list is part of the value.  Every polynomial
+the package states is written as weighted binomial pieces,
+weight * v^lead * prod (1 - v^e), and expanded by `from_pieces`; nothing
+else in the package builds a polynomial from a formula.
 
 identity_check compares two sums of rational terms exactly, by clearing
 all denominators; denominators there may be any nonzero polynomial,
@@ -28,7 +30,7 @@ from qdominance.series import _INT_ONLY, Coefficient, ResourceError, _norm
 
 
 class VariableMismatchError(ValueError):
-    """Raised when polynomials over different variable lists are combined."""
+    """Raised when an identity mixes polynomials over different variable lists."""
 
 
 class IdentityCapError(ResourceError, ValueError):
@@ -83,50 +85,24 @@ class MultiPoly:
         return not self.terms
 
 
-def mono(variables, coeff: Coefficient = 1, **exps) -> MultiPoly:
-    """Single term with exponents given by variable name."""
-    variables = tuple(variables)
-    unknown = set(exps) - set(variables)
-    if unknown:
-        raise ValueError(f"unknown variables {sorted(unknown)}; have {variables}")
-    key = tuple(exps.get(v, 0) for v in variables)
-    return MultiPoly(variables, {key: coeff})
+def from_pieces(variables, pieces) -> MultiPoly:
+    """The sum over pieces (weight, lead, binomials) of weight * v^lead * prod (1 - v^e).
 
-
-def _same_variables(a: MultiPoly, b: MultiPoly) -> None:
-    if a.variables != b.variables:
-        raise VariableMismatchError(f"{a.variables} != {b.variables}")
-
-
-def mp_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    _same_variables(a, b)
-    terms = dict(a.terms)
-    for exps, c in b.terms.items():
-        terms[exps] = terms.get(exps, 0) + c
-    return MultiPoly(a.variables, terms)
-
-
-def mp_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    _same_variables(a, b)
-    terms = dict(a.terms)
-    for exps, c in b.terms.items():
-        terms[exps] = terms.get(exps, 0) - c
-    return MultiPoly(a.variables, terms)
-
-
-def mp_mul(*polys: MultiPoly) -> MultiPoly:
-    if not polys:
-        raise ValueError("need at least one factor")
-    out = polys[0]
-    for p in polys[1:]:
-        _same_variables(out, p)
-        terms: dict[tuple[int, ...], Coefficient] = {}
-        for ea, ca in out.terms.items():
-            for eb, cb in p.terms.items():
-                key = tuple(map(add, ea, eb))
-                terms[key] = terms.get(key, 0) + ca * cb
-        out = MultiPoly(out.variables, terms)
-    return out
+    Exponents are tuples over `variables`, added componentwise, so any
+    tuple type works; a component may be negative (x - y is
+    (1, (1, 0), [(-1, 1)])), and a zero e cancels its piece.  This is the
+    package's one way to state a polynomial.
+    """
+    terms: dict[tuple[int, ...], Coefficient] = {}
+    for weight, lead, binomials in pieces:
+        piece = {tuple(lead): weight}
+        for e in binomials:
+            for k, c in list(piece.items()):
+                shifted = tuple(map(add, k, e))
+                piece[shifted] = piece.get(shifted, 0) - c
+        for k, c in piece.items():
+            terms[k] = terms.get(k, 0) + c
+    return MultiPoly(variables, terms)
 
 
 def to_text(p: MultiPoly) -> str:

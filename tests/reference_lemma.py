@@ -7,10 +7,15 @@ a time and normalizing every cell it touches; `_evaluate` takes its prefix
 sums cell by cell, `negativity_window` rebuilds every slice's term grids,
 `symmetry_check` expands f for both (r, R) and (R, r), and `lemma_report`
 expands f a third time.  They share no state with `qdominance.lemma`'s
-packed certifier beyond the kernel term and the unclipped symbolic slice
-terms (the definitions being certified), so they pin the fast paths from
-outside.  `TriSeries` and `expand_rational` also serve `reference_series`
-and the polyring tests as a generic lattice tool.
+packed certifier beyond the unclipped symbolic slice terms (the
+definitions being certified), so they pin the fast paths from outside.
+
+`kernel_term`, `eqone_terms`, `eqthree_terms` and `eqtwo_terms_rational`
+are the kernel and the slice closed forms transcribed with the dict
+polynomial arithmetic of `reference_polyring`, the oracle of the weighted
+binomial pieces `qdominance.lemma` writes them as; the expansions here
+read the transcribed kernel.  `TriSeries` and `expand_rational` also
+serve `reference_series` and the polyring tests as a generic lattice tool.
 
 The row-wise kernels below (`rowwise_f_expand`, `rowwise_evaluate`,
 `row_sums`, `transpose_match`) are the nested-list certificate that the
@@ -21,14 +26,16 @@ nested lists for comparing with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add
 from typing import Any
 
 from qdominance import lemma
-from qdominance.lemma import LemmaParams, Planes, eqtwo_symbolic, kernel_term
+from qdominance.lemma import TXY, XY, LemmaParams, Planes, eqtwo_symbolic
 from qdominance.polyring import MultiPoly, RationalTerm, to_text
 from qdominance.series import Coefficient, _norm
+from reference_polyring import mono, mp_add, mp_mul, mp_sub
 
 # axis order for TriSeries lattices
 TRI_VARIABLES = ("t", "x", "y")
@@ -100,6 +107,176 @@ class SliceSeries:
 
     def min_coefficient(self) -> Coefficient:
         return min(min(row) for row in self.coeffs)
+
+
+# --- the MultiPoly transcriptions the weighted binomial pieces replaced -----
+
+
+def _xy_mono(coeff: int = 1, **exps: int) -> MultiPoly:
+    return mono(XY, coeff, **exps)
+
+
+def _txy_mono(coeff: int = 1, **exps: int) -> MultiPoly:
+    return mono(TXY, coeff, **exps)
+
+
+def _txy_binomial(**exps: int) -> MultiPoly:
+    return mp_sub(_txy_mono(), _txy_mono(**exps))
+
+
+@lru_cache(maxsize=64)
+def kernel_term(r: int, R: int) -> RationalTerm:
+    """f as a single rational term over the (t, x, y) variables; shared, not to be mutated."""
+    numerator = mp_add(
+        mp_mul(_txy_binomial(x=1, y=1), _txy_binomial(t=1, x=r), _txy_binomial(t=1, y=R)),
+        mp_mul(
+            _txy_binomial(t=2),
+            mp_sub(_txy_mono(x=1), _txy_mono(x=r)),
+            mp_sub(_txy_mono(y=1), _txy_mono(y=R)),
+        ),
+    )
+    factors = (
+        _txy_binomial(t=1, x=r),
+        _txy_binomial(t=1, y=R),
+        _txy_binomial(x=1),
+        _txy_binomial(y=1),
+        _txy_binomial(t=1, x=1),
+        _txy_binomial(t=1, y=1),
+    )
+    return RationalTerm(numerator, factors)
+
+
+def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
+    """The five-addend closed form of the n-th slice, as rational terms."""
+    one = _xy_mono()
+
+    def m(coeff=1, **exps):
+        return _xy_mono(coeff, **exps)
+
+    x_minus_y = mp_sub(m(x=1), m(y=1))
+    xr_minus_yR = mp_sub(m(x=r), m(y=R))
+    xr_minus_y = mp_sub(m(x=r), m(y=1))
+    yR_minus_x = mp_sub(m(y=R), m(x=1))
+    one_minus_x = mp_sub(one, m(x=1))
+    one_minus_y = mp_sub(one, m(y=1))
+    x_minus_xr = mp_sub(m(x=1), m(x=r))
+    y_minus_yR = mp_sub(m(y=1), m(y=R))
+    base = (one_minus_x, one_minus_y, x_minus_y)
+
+    a1 = RationalTerm(
+        mp_mul(mp_sub(one, m(x=1, y=1)), mp_sub(m(x=n + 1), m(y=n + 1))), base
+    )
+    a2 = RationalTerm(
+        mp_mul(
+            mp_add(
+                mp_mul(m(-1, x=n + r), mp_sub(one, m(x=2))),
+                mp_mul(m(x=n * r + 1), mp_sub(one, m(x=2 * r))),
+            ),
+            y_minus_yR,
+        ),
+        (*base, xr_minus_yR),
+    )
+    a3 = RationalTerm(
+        mp_mul(
+            mp_add(
+                mp_mul(m(-1, y=n + R), mp_sub(one, m(y=2))),
+                mp_mul(m(y=n * R + 1), mp_sub(one, m(y=2 * R))),
+            ),
+            x_minus_xr,
+        ),
+        (*base, xr_minus_yR),
+    )
+    # the leading monomials y x^r and x y^R are folded into the brackets so
+    # every exponent stays nonnegative down to n = 0
+    a4 = RationalTerm(
+        mp_mul(
+            mp_sub(
+                mp_mul(m(y=1), mp_sub(m(x=n * r), m(x=(n + 2) * r))),
+                mp_mul(m(x=r), mp_sub(m(y=n), m(y=n + 2))),
+            ),
+            x_minus_xr,
+            y_minus_yR,
+        ),
+        (*base, xr_minus_yR, xr_minus_y),
+    )
+    a5 = RationalTerm(
+        mp_mul(
+            mp_sub(
+                mp_mul(m(x=1), mp_sub(m(y=n * R), m(y=(n + 2) * R))),
+                mp_mul(m(y=R), mp_sub(m(x=n), m(x=n + 2))),
+            ),
+            x_minus_xr,
+            y_minus_yR,
+        ),
+        (*base, xr_minus_yR, yR_minus_x),
+    )
+    return [a1, a2, a3, a4, a5]
+
+
+def eqthree_terms(n: int, r: int, R: int) -> list[RationalTerm]:
+    """The sum-free nine-addend closed form, as rational terms."""
+    one = _xy_mono()
+
+    def m(coeff=1, **exps):
+        return _xy_mono(coeff, **exps)
+
+    one_minus_x = mp_sub(one, m(x=1))
+    one_minus_y = mp_sub(one, m(y=1))
+    one_plus_x = mp_add(one, m(x=1))
+    xr_minus_y = mp_sub(m(x=r), m(y=1))
+    xr_minus_yR = mp_sub(m(x=r), m(y=R))
+    x_minus_yR = mp_sub(m(x=1), m(y=R))
+
+    h1 = RationalTerm(
+        mp_mul(m(x=n), mp_sub(one, m(y=n + 1))), (one_minus_y, one_minus_x)
+    )
+    h2 = RationalTerm(
+        mp_mul(mp_sub(m(y=n + 1), m(y=(n + 1) * R)), mp_sub(m(x=n), m(x=r))),
+        (one_minus_y, one_minus_x),
+    )
+    h3 = RationalTerm(
+        mp_mul(mp_sub(m(y=n), m(y=n * R)), mp_sub(m(x=2), m(x=2 * r))),
+        (one_minus_y, one_minus_x),
+    )
+    h4 = RationalTerm(
+        mp_mul(m(x=1), mp_sub(m(y=n), m(y=(n + 1) * R))), (one_minus_y,)
+    )
+    h5 = RationalTerm(m(y=n), (one_minus_y,))
+    h6 = RationalTerm(
+        mp_mul(one_plus_x, mp_sub(m(x=n, y=R), m(x=1, y=n * R))),
+        (one_minus_y, x_minus_yR),
+    )
+    h7 = RationalTerm(
+        mp_mul(
+            mp_sub(m(x=n * r, y=1), m(x=r, y=n)), mp_sub(one, m(x=2 * r))
+        ),
+        (one_minus_y, one_minus_x, xr_minus_y),
+    )
+    h8 = RationalTerm(
+        mp_mul(m(-1, y=R * (n + 1)), one_plus_x, mp_sub(m(x=2), m(x=n))),
+        (one_minus_y, mp_sub(one, m(x=2))),
+    )
+    h9 = RationalTerm(
+        mp_mul(
+            mp_sub(m(x=r, y=n * R), m(x=n * r, y=R)), mp_sub(one, m(x=2 * r))
+        ),
+        (one_minus_y, one_minus_x, xr_minus_yR),
+    )
+    return [h1, h2, h3, h4, h5, h6, h7, h8, h9]
+
+
+def eqtwo_terms_rational(n: int, r: int, R: int) -> list[RationalTerm]:
+    """The slice closed form with its finite sums materialized, term by term."""
+    out = []
+    for _, monomials, (px, py) in eqtwo_symbolic(n, r, R):
+        accumulated: dict[tuple[int, int], int] = {}
+        for c, a, b in monomials:
+            accumulated[(a, b)] = accumulated.get((a, b), 0) + c
+        numerator = MultiPoly(XY, accumulated)
+        factors = (mp_sub(_xy_mono(), _xy_mono(x=1)),) * px
+        factors += (mp_sub(_xy_mono(), _xy_mono(y=1)),) * py
+        out.append(RationalTerm(numerator, factors))
+    return out
 
 
 def expand_rational(term: RationalTerm, bounds) -> TriSeries:

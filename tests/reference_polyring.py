@@ -1,6 +1,10 @@
-"""The dict-polynomial identity check: the oracle of `polyring.identity_check`.
+"""Dict-polynomial arithmetic and identity check: the oracles of `polyring`.
 
-It brings the difference of the two sides over the least common
+`mono`, `mp_add`, `mp_sub` and `mp_mul` are the sparse polynomial
+arithmetic that `polyring.from_pieces` replaced in the package; they
+build every hand transcription below and in `reference_lemma`.
+
+The identity check brings the difference of the two sides over the least common
 denominator with one `mp_mul` per missing factor, and reads the verdict
 and witness off the cleared numerator as a `MultiPoly`.
 
@@ -11,18 +15,62 @@ numerators the split walk uses.
 """
 
 from fractions import Fraction
+from operator import add
 
 from qdominance.polyring import (
     IdentityVerdict,
     MultiPoly,
     RationalTerm,
+    VariableMismatchError,
     _common_variables,
-    mono,
-    mp_add,
-    mp_mul,
-    mp_sub,
 )
 from qdominance.series import Coefficient
+
+
+def mono(variables, coeff: Coefficient = 1, **exps) -> MultiPoly:
+    """Single term with exponents given by variable name."""
+    variables = tuple(variables)
+    unknown = set(exps) - set(variables)
+    if unknown:
+        raise ValueError(f"unknown variables {sorted(unknown)}; have {variables}")
+    key = tuple(exps.get(v, 0) for v in variables)
+    return MultiPoly(variables, {key: coeff})
+
+
+def _same_variables(a: MultiPoly, b: MultiPoly) -> None:
+    if a.variables != b.variables:
+        raise VariableMismatchError(f"{a.variables} != {b.variables}")
+
+
+def mp_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    _same_variables(a, b)
+    terms = dict(a.terms)
+    for exps, c in b.terms.items():
+        terms[exps] = terms.get(exps, 0) + c
+    return MultiPoly(a.variables, terms)
+
+
+def mp_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    _same_variables(a, b)
+    terms = dict(a.terms)
+    for exps, c in b.terms.items():
+        terms[exps] = terms.get(exps, 0) - c
+    return MultiPoly(a.variables, terms)
+
+
+def mp_mul(*polys: MultiPoly) -> MultiPoly:
+    if not polys:
+        raise ValueError("need at least one factor")
+    out = polys[0]
+    for p in polys[1:]:
+        _same_variables(out, p)
+        terms: dict[tuple[int, ...], Coefficient] = {}
+        for ea, ca in out.terms.items():
+            for eb, cb in p.terms.items():
+                key = tuple(map(add, ea, eb))
+                terms[key] = terms.get(key, 0) + ca * cb
+        out = MultiPoly(out.variables, terms)
+    return out
 
 
 def mp_zero(variables) -> MultiPoly:

@@ -7,10 +7,10 @@ import pytest
 from qdominance import antitelescope
 from qdominance.antitelescope import decompositions, positivity_scan, split_identity, split_identity_sides
 from qdominance.dominance import nbase_pair
-from qdominance.polyring import MultiPoly, RationalTerm, identity_check, mono, mp_add, mp_mul, mp_sub
+from qdominance.polyring import MultiPoly, RationalTerm, identity_check
 from qdominance.series import QSeries, first_negative, product_spec, series_scale
 from reference_lemma import expand_rational
-from reference_polyring import four_factor_identity_sides, three_factor_identity_sides
+from reference_polyring import four_factor_identity_sides, mono, mp_add, mp_mul, mp_sub, three_factor_identity_sides
 from reference_series import (
     divide_binomial,
     monomial,

@@ -2,6 +2,8 @@
 
 import pytest
 
+import reference_lemma as transcribed
+from qdominance import lemma
 from qdominance.lemma import (
     LemmaParams,
     Planes,
@@ -125,6 +127,31 @@ class TestIdentities:
         for n, r, R in [(True, True, 2), (1, True, 2), (1, 2, True), (1.0, 2, 2), (1, 1.5, 2)]:
             with pytest.raises(ValueError):
                 check_eqone_eqthree(n, r, R)
+
+
+def assert_same_terms(got, want, where):
+    """Equal as MultiPoly values: each numerator, and every factor in order."""
+    assert len(got) == len(want), where
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.numerator == b.numerator, (where, i)
+        assert a.denominator_factors == b.denominator_factors, (where, i)
+
+
+class TestTermsMatchTheTranscription:
+    """The weighted binomial pieces against the MultiPoly transcriptions they replaced."""
+
+    def test_kernel_term(self):
+        for r in range(1, 7):
+            for R in range(1, 7):
+                assert_same_terms([lemma.kernel_term(r, R)], [transcribed.kernel_term(r, R)], (r, R))
+
+    @pytest.mark.parametrize("name", ["eqone_terms", "eqthree_terms", "eqtwo_terms_rational"])
+    def test_closed_forms(self, name):
+        for n in range(9):
+            for r in range(1, 5):
+                for R in range(1, 5):
+                    got = getattr(lemma, name)(n, r, R)
+                    assert_same_terms(got, getattr(transcribed, name)(n, r, R), (n, r, R))
 
 
 class TestNegativityWindow:

@@ -29,11 +29,8 @@ from qdominance.polyring import (
     VariableMismatchError,
     _pack_difference,
     identity_check,
-    mp_mul,
-    mp_sub,
-    mono,
 )
-from reference_polyring import cleared_numerator, mp_neg, reference_identity_check
+from reference_polyring import cleared_numerator, mono, mp_mul, mp_neg, mp_sub, reference_identity_check
 
 VARIABLES = ("t", "x", "y", "z", "a", "b", "c")
 coefficients = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=6))

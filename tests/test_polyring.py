@@ -4,21 +4,28 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdominance.polyring import (
     MultiPoly,
     RationalTerm,
     VariableMismatchError,
+    from_pieces,
     identity_check,
-    mono,
-    mp_add,
-    mp_mul,
-    mp_sub,
     to_text,
 )
 from qdominance.series import reciprocal_from_exponents
 from reference_lemma import SingularDenominatorError, TriSeries, expand_rational
-from reference_polyring import four_factor_identity_sides, mp_zero, three_factor_identity_sides
+from reference_polyring import (
+    four_factor_identity_sides,
+    mono,
+    mp_add,
+    mp_mul,
+    mp_sub,
+    mp_zero,
+    three_factor_identity_sides,
+)
 from reference_series import (
     CoverageError,
     monomial,
@@ -105,6 +112,43 @@ class TestArith:
     def test_zero_terms_pruned(self):
         p = mp_add(xy(1, x=1), xy(-1, x=1))
         assert p.terms == {}
+
+
+def piece_product(variables, weight, lead, binomials) -> MultiPoly:
+    """weight * v^lead * prod (1 - v^e), multiplied out with the reference arithmetic."""
+    out = mono(variables, weight, **dict(zip(variables, lead)))
+    for e in binomials:
+        out = mp_mul(out, mp_sub(mono(variables, 1), mono(variables, 1, **dict(zip(variables, e)))))
+    return out
+
+
+@st.composite
+def piece_lists(draw):
+    """2-3 variables and up to four pieces: weights beyond +-1, negative and zero exponents."""
+    variables = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    vectors = st.tuples(*[st.integers(-3, 3)] * len(variables))
+    weights = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+    pieces = draw(st.lists(st.tuples(weights, vectors, st.lists(vectors, max_size=3)), max_size=4))
+    return variables, pieces
+
+
+class TestFromPieces:
+    @settings(max_examples=200)
+    @given(piece_lists())
+    @example((XY, [(1, (1, 0), [(-1, 1)])]))  # x - y
+    @example((XY, [(-3, (2, 1), [(0, 2)]), (Fraction(1, 2), (0, 0), [])]))
+    @example((XY, [(5, (1, 2), [(1, 0), (0, 0)])]))  # a zero binomial
+    @example((("x", "y", "z"), []))
+    def test_matches_the_reference_product(self, drawn):
+        variables, pieces = drawn
+        want = mp_zero(variables)
+        for piece in pieces:
+            want = mp_add(want, piece_product(variables, *piece))
+        assert from_pieces(variables, pieces) == want
+
+    def test_zero_binomial_and_no_pieces_give_zero(self):
+        assert from_pieces(XY, [(5, (1, 2), [(1, 0), (0, 0)])]).is_zero()
+        assert from_pieces(XY, []).is_zero()
 
 
 class TestText:

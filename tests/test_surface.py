@@ -8,7 +8,9 @@ starts with `_` must be read by some other top-level statement of the
 package; the quick start does not count for it.  A method of a top-level class whose name does
 not start with `_` must be read by some other statement of the package,
 another method of its class included, or by the quick start.  Code that
-only the tests call belongs in the tests.
+only the tests call belongs in the tests.  The dict polynomial arithmetic
+that the tests keep as an oracle (`mono`, `mp_*`) is neither defined nor
+called in the package.
 """
 
 import ast
@@ -117,3 +119,32 @@ def test_every_private_name_has_a_caller():
 def test_every_public_method_has_a_caller():
     uncalled = uncalled_methods()
     assert not uncalled, "public methods without a caller: " + ", ".join(uncalled)
+
+
+# The dict polynomial arithmetic, and the private builders that used it, are
+# the tests' oracle now: `polyring.from_pieces` is the package's one polynomial
+# builder.
+ORACLE_ONLY = {
+    "mono",
+    "mp_add",
+    "mp_sub",
+    "mp_mul",
+    "_same_variables",
+    "_expand",
+    "_xy_mono",
+    "_txy_mono",
+    "_txy_binomial",
+}
+
+
+def test_polynomial_arithmetic_lives_in_the_tests():
+    used = []
+    for module, statement in package_statements():
+        names = names_read(statement)
+        for node in ast.walk(statement):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        used += [f"{module}.{name}" for name in sorted(names & ORACLE_ONLY)]
+    assert not used, "oracle-only polynomial names in the package: " + ", ".join(used)
