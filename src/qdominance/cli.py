@@ -113,7 +113,8 @@ def _json_default(value):
 
 
 def _to_json(value) -> str:
-    return json.dumps(value, default=_json_default)
+    # every envelope is a tree built for one request, so no value can hold itself
+    return json.dumps(value, default=_json_default, check_circular=False)
 
 
 @dataclass(frozen=True)
@@ -277,11 +278,8 @@ def _partition_params(text: str) -> partitions.PartitionParams:
 
 def _cmd_enumerate(args, config) -> Outcome:
     params = _partition_params(args.params)
-    items = partitions.enumerate_partitions(args.n, params, cap=config.cap)
-    listed = [
-        [[base, index, mult] for (base, index), mult in counts] for counts in items
-    ]
-    result = {"n": args.n, "count": len(items), "partitions": listed}
+    listed = partitions.enumerate_partitions(args.n, params, cap=config.cap)
+    result = {"n": args.n, "count": len(listed), "partitions": listed}
     return Outcome(True, {"params": list(params.as_tuple()), "n": args.n}, None, result, None)
 
 

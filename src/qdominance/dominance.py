@@ -5,13 +5,15 @@ A product spec Pi1 dominates Pi2 up to order N when every coefficient of
 the first failure when there is one, and knows how to build the named
 families of product pairs that the command line exposes.  The difference
 is one packed residue (`series._Signed`), in slots proven to hold it; its
-first negative coefficient is read off the packed value.
+first negative coefficient is read off the packed value, and the residue
+is decoded into a series only when a reader asks for it.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 from .series import (
@@ -52,17 +54,37 @@ REQUIRED_PARAMETERS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominanceReport:
-    """Outcome of a truncated dominance check."""
+    """Outcome of a truncated dominance check.
+
+    The difference stays a packed residue until `difference` is first
+    read, since only `check --dump-series` reads it.  Reports compare by
+    order, failure and decoded difference.
+    """
 
     holds_up_to: int
     failure: tuple[int, Coefficient] | None
-    difference: QSeries
+    packing: _Signed = field(repr=False)
+    residue: int = field(repr=False)
 
     @property
     def holds(self) -> bool:
         return self.failure is None
+
+    @cached_property
+    def difference(self) -> QSeries:
+        """1/lhs - 1/rhs through the order."""
+        return self.packing.decode(self.residue)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DominanceReport):
+            return NotImplemented
+        return (self.holds_up_to, self.failure, self.difference) == (
+            other.holds_up_to,
+            other.failure,
+            other.difference,
+        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +114,7 @@ def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport
     packing = _Signed.for_reciprocals(order, first, second)
     reciprocal_lhs, reciprocal_rhs = packing.reciprocal_pair(first, second)
     diff = reciprocal_lhs - reciprocal_rhs
-    return DominanceReport(order, packing.negative(diff), packing.decode(diff))
+    return DominanceReport(order, packing.negative(diff), packing, diff)
 
 
 def bga_degenerate(m: int, r: int) -> bool:

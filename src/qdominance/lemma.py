@@ -175,6 +175,20 @@ class Planes:
             mask = self._masks[dk] = self.expand([(1, 0, dk)], 1) * ((1 << self.bits) - 1)
         return (plane << (dj * self.width + dk) * self.bits) & mask
 
+    def transposed(self, plane: int) -> int:
+        """The signed plane with cell (j, k) moved to (k, j); the box must be square.
+
+        Row k of the biased plane's bytes becomes its column k, one strided
+        slice copy per byte of a slot, so no cell is decoded.
+        """
+        step, row = self.bits // 8, self.row_bytes
+        data = (plane + self.bias).to_bytes(self.cells * step, "little")
+        out = bytearray(len(data))
+        for k in range(self.width):
+            for b in range(step):
+                out[k * step + b :: row] = data[k * row + b : (k + 1) * row : step]
+        return int.from_bytes(out, "little") - self.bias
+
     def negatives(self, plane: int) -> int:
         """The top bit of every negative cell's slot."""
         return self.bias & ~(plane + self.bias)
@@ -469,12 +483,13 @@ def _symmetry(planes: Planes, tri: list[int], mirror: list[int] | None) -> dict[
     """f(n, j, k) == f_(R,r)(n, k, j) everywhere, or the first (n, j, k) that differs.
 
     `mirror` holds the swapped kernel already in swapped cells, so its planes
-    compare with f's as ints; None means r == R, where f is compared with its
-    own transpose, row j of each decoded plane against column j.
+    compare with f's as ints; None means r == R, where each plane of f is
+    compared, as an int, with its own transpose (`Planes.transposed`).  Only
+    a plane that differs is decoded, to name its first mismatching cell.
     """
     width = planes.width
     for n, plane in enumerate(tri):
-        if mirror is not None and plane == mirror[n]:
+        if plane == (planes.transposed(plane) if mirror is None else mirror[n]):
             continue
         lhs = planes.decode(plane)
         rhs = planes.decode(mirror[n]) if mirror is not None else [c for k in range(width) for c in lhs[k::width]]

@@ -16,8 +16,12 @@ comparison and reports the minimal mismatch witness if one ever appears.
 statistic (the part of the rule record it determines) to a packed series,
 and each system is a sum of products of those tables.  Only the layers
 that fit the weight are built, so the time is polynomial in the weight
-and independent of L.  `enumerate_partitions` lists a single weight as
-plain count tuples and prunes every branch that can no longer reach it.
+and independent of L.  `enumerate_partitions` lists a single weight and
+prunes every branch that can no longer reach it.  A listed partition is a
+tuple of (base, index, multiplicity) triples, the same shape the rules
+read (`_stat_record`) and the `enumerate` envelope prints, and each
+triple is built once per part kind and multiplicity and shared by every
+partition that holds it.
 The exhaustive walk both replaced lives on in `tests/reference_partitions.py`
 as their oracle.
 """
@@ -86,11 +90,11 @@ class PartitionParams:
 
 
 def _stat_record(counts, L: int) -> tuple[int, int, int, int, int, int, int, int]:
-    """(Mx, My, Ms, min_rx, min_Ry, min_xy, nu_x1, nu_y1) for rule evaluation."""
+    """(Mx, My, Ms, min_rx, min_Ry, min_xy, nu_x1, nu_y1) of (base, index, multiplicity) triples."""
     max_x = max_y = max_s = 0
     min_rx = min_ry = min_xy = L + 1
     nu_x1 = nu_y1 = 0
-    for (base, index), multiplicity in counts:
+    for base, index, multiplicity in counts:
         if base == X:
             max_x = max(max_x, index)
             if index == 1:
@@ -302,18 +306,23 @@ def _reachable(kinds, n: int) -> list[list[bool]]:
 
 def enumerate_partitions(
     n: int, params: PartitionParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[tuple[tuple[str, int], int], ...]]:
+) -> list[tuple[tuple[str, int, int], ...]]:
     """All weight-n partitions, duplicate-free, in canonical order.
 
-    Each partition is its count tuple of ((base, index), multiplicity)
-    entries with positive multiplicities, bases in declaration order (X, Y,
-    XY, RX, RY, S) and then by layer index.
-    Partitions are ordered lexicographically by their count tuples, comparing
-    entries by (base, index, multiplicity) with bases in declaration order.
+    Each partition is a tuple of (base, index, multiplicity) triples with
+    positive multiplicities, bases in declaration order (X, Y, XY, RX, RY,
+    S) and then by layer index; this is also the shape the `enumerate`
+    envelope lists.  Each triple is built once per (kind, multiplicity)
+    and shared by every partition that holds it.
+    Partitions are ordered lexicographically by their triples, with bases
+    in declaration order.
     The walk adds kinds in canonical order and multiplicities in increasing
     order, so its preorder is already that order.  It enters only branches
     that can still reach weight n exactly: `reachable[k][w]` says whether
-    weight w is a sum of parts of kinds k onwards.  The partitions are
+    weight w is a sum of parts of kinds k onwards.  The moves out of a
+    state (first free kind, weight left) depend on nothing else, so each
+    state's list is found once and replayed under every prefix that
+    reaches it.  The partitions are
     counted first, as coefficient n of prod 1/(1 - q^size) over the kinds,
     and more than MAX_ENUMERATED_PARTITIONS raise EnumerationCapError
     before the walk.
@@ -329,23 +338,34 @@ def enumerate_partitions(
             f"{count} partitions of weight {n} exceed the bound {MAX_ENUMERATED_PARTITIONS}"
         )
     reachable = _reachable(kinds, n)
-    found: list[tuple[tuple[tuple[str, int], int], ...]] = []
-    entries: list[tuple[tuple[str, int], int]] = []
+    # kind k's triples, multiplicity 1 up to the most that fit n
+    triples = [[(base, index, m) for m in range(1, n // size + 1)] for base, index, size in kinds]
+    # (start, remaining) -> the moves (triple, next start, rest) that can still reach n
+    moves: dict[tuple[int, int], list[tuple[tuple[str, int, int], int, int]]] = {}
+    found: list[tuple[tuple[str, int, int], ...]] = []
+    entries: list[tuple[str, int, int]] = []
 
     def extend(start: int, remaining: int) -> None:
         if remaining == 0:
             found.append(tuple(entries))
             return
-        for k in range(start, len(kinds)):
-            if not reachable[k][remaining]:
-                break  # no later kind can finish either
-            base, index, size = kinds[k]
-            for multiplicity in range(1, remaining // size + 1):
-                rest = remaining - multiplicity * size
-                if reachable[k + 1][rest]:
-                    entries.append(((base, index), multiplicity))
-                    extend(k + 1, rest)
-                    entries.pop()
+        key = (start, remaining)
+        if key not in moves:
+            moves[key] = out = []
+            for k in range(start, len(kinds)):
+                if not reachable[k][remaining]:
+                    break  # no later kind can finish either
+                size, after, rest = kinds[k][2], reachable[k + 1], remaining
+                for triple in triples[k]:
+                    rest -= size
+                    if rest < 0:
+                        break
+                    if after[rest]:
+                        out.append((triple, k + 1, rest))
+        for triple, k, rest in moves[key]:
+            entries.append(triple)
+            extend(k, rest)
+            entries.pop()
 
     extend(0, n)
     return found

@@ -6,7 +6,13 @@ over {x_(1), ..., x_(n), Sigma} and the subordinate one over
 sigma the plain sum.  With a single layer (L = 1) the subordinate partitions
 inject weight-preservingly into the dominant ones -- `_inject` and `_invert`
 realize that map and its inverse on multiplicity tuples, and
-`injection_evidence` exercises it exhaustively up to a weight.  For three and
+`injection_evidence` exercises it exhaustively up to a weight.  Its walk
+takes the sources as prefix runs: each prefix of counts that fits the
+weight (`_count_prefixes`), then that prefix's joint counts 0, 1, ... as
+a range, which is lexicographic order of (counts, joint).  Every source
+of a run still goes through `_inject`, the weight check, the congruence
+check and `_invert` on its own, so the first failure names the same
+source as a source-by-source walk.  For three and
 four sizes the difference of reciprocals also splits through the auxiliary
 series `h_series`, whose 19-addend transcription is checksummed by
 `fourvar_identity`.
@@ -98,7 +104,10 @@ def _inject(counts: tuple[int, ...], joint: int, rs: tuple[int, ...]) -> tuple[t
     count, which also serves as the congruence witness A.
     """
     mu_prime = min(counts)
-    return tuple([r * (c - mu_prime) + joint for r, c in zip(rs, counts)]), mu_prime
+    out = []  # a plain loop: once per source and at n <= 3 it is cheaper than a comprehension
+    for r, c in zip(rs, counts):
+        out.append(r * (c - mu_prime) + joint)
+    return tuple(out), mu_prime
 
 
 def _invert(counts: tuple[int, ...], joint: int, rs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -120,23 +129,59 @@ def _invert(counts: tuple[int, ...], joint: int, rs: tuple[int, ...]) -> tuple[t
     return tuple(out), mu
 
 
-def _bounded_vectors(sizes: tuple[int, ...], budget: int):
-    """(counts, joint, weight) for every vector of weight <= budget.
+def _count_prefixes(sizes: tuple[int, ...], budget: int) -> list[tuple[tuple[int, ...], int]]:
+    """(counts, weight) for every count vector over `sizes` of weight <= budget.
 
-    The last size weighs the joint count, the others the counts.  Vectors
-    come in lexicographic order of (counts, joint).
+    The prefixes come in lexicographic order of counts.
     """
-    *head, last = sizes
     prefixes = [((), 0)]
-    for size in head:
+    for size in sizes:
         prefixes = [
             (counts + (c,), weight + c * size)
             for counts, weight in prefixes
             for c in range((budget - weight) // size + 1)
         ]
-    for counts, weight in prefixes:
-        for joint in range((budget - weight) // last + 1):
-            yield counts, joint, weight + joint * last
+    return prefixes
+
+
+def _source_failure(counts, joint: int, weight: int, rs, image_sizes) -> str | None:
+    """The first check the source (counts, joint) of this weight fails, or None.
+
+    Its image must keep the weight and carry the congruence witness (the
+    source's joint count), and `_invert` must bring it back to the source.
+    """
+    image_counts, image_joint = _inject(counts, joint, rs)
+    if sum(map(mul, image_counts, image_sizes)) + image_joint * image_sizes[-1] != weight:
+        return "weight changed"
+    for c, r in zip(image_counts, rs):
+        if (c - joint) % r:
+            return "congruence witness failed"
+    if _invert(image_counts, image_joint, rs) != (counts, joint):
+        return "round-trip failed"
+    return None
+
+
+def _walk_sources(params: ProposalParams, max_weight: int) -> tuple[int, list[int], str | None]:
+    """(sources visited, sources per weight, first failure) of the injection walk.
+
+    The sources come as prefix runs: each count prefix, then its joint
+    counts 0, 1, ... while the weight fits, which is lexicographic order of
+    (counts, joint).  Every source is checked on its own, and the walk stops
+    at the first failure.
+    """
+    rs, image_sizes, sizes = params.r, params.image_sizes, params.source_sizes
+    last = sizes[-1]
+    per_weight = [0] * (max_weight + 1)
+    source_count = 0
+    for counts, prefix_weight in _count_prefixes(sizes[:-1], max_weight):
+        for joint in range((max_weight - prefix_weight) // last + 1):
+            source_count += 1
+            weight = prefix_weight + joint * last
+            per_weight[weight] += 1
+            failed = _source_failure(counts, joint, weight, rs, image_sizes)
+            if failed is not None:
+                return source_count, per_weight, f"{failed} on counts={counts}, joint={joint}"
+    return source_count, per_weight, None
 
 
 # The nineteen addends of h, each a product of at most one factor per size:
@@ -275,30 +320,14 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
     series work bound raises SeriesCapError before the count.
     """
     require_series_work(nbase_pair(params.x, params.r, 1, 1), max_weight)
-    rs, image_sizes = params.r, params.image_sizes
     planned = sum(reciprocal_from_exponents(params.source_sizes, max_weight).coeffs)
     if planned > MAX_INJECTION_SOURCES:
         raise InjectionCapError(
             f"{planned} injection sources up to weight {max_weight} exceed the bound {MAX_INJECTION_SOURCES}"
         )
-    failure = None
-    per_weight = [0] * (max_weight + 1)
-    source_count = 0
-    for counts, joint, weight in _bounded_vectors(params.source_sizes, max_weight):
-        source_count += 1
-        per_weight[weight] += 1
-        image_counts, image_joint = _inject(counts, joint, rs)
-        if sum(map(mul, image_counts, image_sizes)) + image_joint * image_sizes[-1] != weight:
-            failure = f"weight changed on counts={counts}, joint={joint}"
-            break
-        if any([(c - joint) % r for c, r in zip(image_counts, rs)]):
-            failure = f"congruence witness failed on counts={counts}, joint={joint}"
-            break
-        if _invert(image_counts, image_joint, rs) != (counts, joint):
-            failure = f"round-trip failed on counts={counts}, joint={joint}"
-            break
+    source_count, per_weight, failure = _walk_sources(params, max_weight)
     if failure is None:
-        unrestricted = reciprocal_from_exponents(image_sizes, max_weight)
+        unrestricted = reciprocal_from_exponents(params.image_sizes, max_weight)
         for weight in range(max_weight + 1):
             if per_weight[weight] > unrestricted.coeff(weight):
                 failure = f"source count exceeds dominant count at weight {weight}"

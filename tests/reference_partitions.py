@@ -4,7 +4,9 @@ These are the original, deliberately direct bodies: `count_profile` walks
 every colored partition of weight <= max_n and filters each one through
 the rule systems; `enumerate_partitions` keeps the weight-n leaves of the
 same walk and sorts them; `injection_evidence` maps every source vector
-through validated `CountVector`s and records each image in a `seen` set.
+through validated `CountVector`s and records each image in a `seen` set;
+`walk_injection_evidence` is the plain-tuple walk one vector at a time,
+as the package ran it before it took the sources in prefix runs.
 Their cost is exponential in the weight, so they serve only as oracles for
 the factorized counts, the pruned listing and the plain-tuple injection
 core in the package.
@@ -23,14 +25,30 @@ from qdominance.partitions import (
     _part_kinds,
     _stat_record,
 )
-from qdominance.proposal import (
-    NotInImageError,
-    ProposalParams,
-    _bounded_vectors,
-)
+from qdominance import proposal
+from qdominance.proposal import NotInImageError, ProposalParams
 from qdominance.series import reciprocal_from_exponents
 
 _BASE_RANK = {label: rank for rank, label in enumerate(BASE_LABELS)}
+
+
+def _bounded_vectors(sizes: tuple[int, ...], budget: int):
+    """(counts, joint, weight) for every vector of weight <= budget.
+
+    The last size weighs the joint count, the others the counts.  Vectors
+    come in lexicographic order of (counts, joint).
+    """
+    *head, last = sizes
+    prefixes = [((), 0)]
+    for size in head:
+        prefixes = [
+            (counts + (c,), weight + c * size)
+            for counts, weight in prefixes
+            for c in range((budget - weight) // size + 1)
+        ]
+    for counts, weight in prefixes:
+        for joint in range((budget - weight) // last + 1):
+            yield counts, joint, weight + joint * last
 
 
 def part_size(params: PartitionParams, base: str, index: int) -> int:
@@ -46,19 +64,19 @@ def _canonical_key(base: str, index: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ColoredPartition:
-    """A multiset of colored parts, stored as ((base, index), multiplicity).
+    """A multiset of colored parts, stored as (base, index, multiplicity) triples.
 
     `counts` is kept in canonical order -- bases in declaration order
     (X, Y, XY, RX, RY, S), then by layer index -- with strictly positive
     multiplicities.
     """
 
-    counts: tuple[tuple[tuple[str, int], int], ...]
+    counts: tuple[tuple[str, int, int], ...]
     params: PartitionParams
 
     def __post_init__(self) -> None:
         keys = []
-        for (base, index), multiplicity in self.counts:
+        for base, index, multiplicity in self.counts:
             part_size(self.params, base, index)  # validates base and index range
             if type(multiplicity) is not int or multiplicity < 1:
                 raise ValueError(
@@ -118,17 +136,17 @@ def image_vectors(params: ProposalParams, max_weight: int):
 def visit_partitions(params: PartitionParams, max_weight: int, visit) -> None:
     """Call visit(entries, weight) once per partition of weight <= max_weight.
 
-    `entries` is the live list of ((base, index), multiplicity) items in
+    `entries` is the live list of (base, index, multiplicity) triples in
     canonical order; visitors must copy it if they keep it.
     """
     kinds = _part_kinds(params, max_weight)
-    entries: list[tuple[tuple[str, int], int]] = []
+    entries: list[tuple[str, int, int]] = []
 
     def extend(start: int, remaining: int) -> None:
         for k in range(start, len(kinds)):
             base, index, size = kinds[k]
             for multiplicity in range(1, remaining // size + 1):
-                entries.append(((base, index), multiplicity))
+                entries.append((base, index, multiplicity))
                 visit(entries, max_weight - (remaining - multiplicity * size))
                 extend(k + 1, remaining - multiplicity * size)
                 entries.pop()
@@ -173,7 +191,7 @@ def enumerate_partitions(n: int, params: PartitionParams, cap: int = 40) -> list
     found.sort(
         key=lambda p: tuple(
             (_BASE_RANK[base], index, multiplicity)
-            for (base, index), multiplicity in p.counts
+            for base, index, multiplicity in p.counts
         )
     )
     return found
@@ -235,6 +253,45 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
             break
     if failure is None:
         unrestricted = reciprocal_from_exponents(params.image_sizes, max_weight)
+        for weight in range(max_weight + 1):
+            if per_weight[weight] > unrestricted.coeff(weight):
+                failure = f"source count exceeds dominant count at weight {weight}"
+                break
+    return {
+        "max_weight": max_weight,
+        "source_count": source_count,
+        "ok": failure is None,
+        "failure": failure,
+    }
+
+
+def walk_injection_evidence(params: ProposalParams, max_weight: int) -> dict:
+    """The package's injection walk as it was before prefix runs: one vector at a time.
+
+    Every (counts, joint, weight) comes from `_bounded_vectors` and goes
+    through `proposal._inject`, the weight check, the congruence check and
+    `proposal._invert`, looked up when called, so a test that patches one
+    of them patches both walks.  The failure strings are the package's.
+    """
+    rs, image_sizes = params.r, params.image_sizes
+    failure = None
+    per_weight = [0] * (max_weight + 1)
+    source_count = 0
+    for counts, joint, weight in _bounded_vectors(params.source_sizes, max_weight):
+        source_count += 1
+        per_weight[weight] += 1
+        image_counts, image_joint = proposal._inject(counts, joint, rs)
+        if sum(c * s for c, s in zip(image_counts, image_sizes)) + image_joint * image_sizes[-1] != weight:
+            failure = f"weight changed on counts={counts}, joint={joint}"
+            break
+        if any((c - joint) % r for c, r in zip(image_counts, rs)):
+            failure = f"congruence witness failed on counts={counts}, joint={joint}"
+            break
+        if proposal._invert(image_counts, image_joint, rs) != (counts, joint):
+            failure = f"round-trip failed on counts={counts}, joint={joint}"
+            break
+    if failure is None:
+        unrestricted = reciprocal_from_exponents(image_sizes, max_weight)
         for weight in range(max_weight + 1):
             if per_weight[weight] > unrestricted.coeff(weight):
                 failure = f"source count exceeds dominant count at weight {weight}"

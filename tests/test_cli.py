@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line surface."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_partitions
 
 from qdominance import antitelescope, cli, lemma, partitions, polyring, proposal, series
 from qdominance.antitelescope import positivity_scan
@@ -374,6 +380,28 @@ class TestEnumerate:
         assert out == ""
         assert err.startswith("qdominance: resource: 4 partitions of weight 2")
 
+    def test_large_listing_is_the_reference_walk(self, capsys):
+        code, out, _ = run_cli(["enumerate", "--params", "4,1,1,4,4,2", "--n", "25"], capsys)
+        assert code == 0
+        result = report(out)["result"]
+        walked = reference_partitions.enumerate_partitions(25, partitions.PartitionParams(4, 1, 1, 4, 4, 2))
+        assert result["count"] == len(result["partitions"]) == 8488
+        assert json.dumps(result["partitions"]) == json.dumps([p.counts for p in walked])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 6), *[st.integers(1, 4)] * 4, st.integers(1, 3)),
+        st.integers(0, 10),
+    )
+    def test_listing_envelope_matches_the_reference_walk(self, values, n):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["enumerate", "--params", ",".join(map(str, values)), "--n", str(n)])
+        assert code == 0
+        walked = [p.counts for p in reference_partitions.enumerate_partitions(n, partitions.PartitionParams(*values))]
+        result = report(stdout.getvalue())["result"]
+        assert json.dumps(result) == json.dumps({"n": n, "count": len(walked), "partitions": walked})
+
     def test_raised_cap_allows_the_run(self, capsys):
         code, out, _ = run_cli(
             ["enumerate", "--params", "50,20,30,1,1,1", "--n", "50", "--cap", "60"], capsys
@@ -478,7 +506,7 @@ class TestProposal:
         def refuse(*args):
             raise AssertionError("the bound must be checked before any vector is built")
 
-        monkeypatch.setattr(proposal, "_bounded_vectors", refuse)
+        monkeypatch.setattr(proposal, "_count_prefixes", refuse)
         units = ",".join(["1"] * 8)
         code, out, err = run_cli(["proposal", "--x", units, "--r", units, "--m", "1", "--L", "1"], capsys)
         assert code == 2

@@ -35,6 +35,24 @@ class TestDominates:
         assert report.holds
         assert report.failure is None
 
+    def test_the_difference_is_decoded_once_and_only_when_read(self, monkeypatch):
+        decoded = []
+        decode = series._Signed.decode
+
+        def counting(packing, residue):
+            decoded.append(residue)
+            return decode(packing, residue)
+
+        monkeypatch.setattr(series._Signed, "decode", counting)
+        P, Q = product_spec((1, 7), 8, 12), product_spec((6, 2), 8, 12)
+        report = dominates(P, Q, 150)
+        report_dict(report, "BGa")
+        assert not report.holds and decoded == []
+        difference = report.difference
+        assert report.difference is difference and len(decoded) == 1
+        assert isinstance(difference, series.QSeries)
+        assert (report.failure, difference) == dominates_by_lists(P, Q, 150)
+
     def test_transitive_chain(self):
         # all parts >= parts {1,3,5,...} >= parts {1,5,9,...}
         every = product_spec((1,), 1)

@@ -144,21 +144,36 @@ def test_clipped_slice_size_does_not_grow_with_n():
     assert eqtwo_symbolic(9, 2, 3, (200, 200)) == eqtwo_symbolic(9, 2, 3)
 
 
-@pytest.mark.parametrize("r, R", [(2, 2), (2, 3), (1, 4)])
-@pytest.mark.parametrize("cell", [None, (0, 0, 0), (2, 1, 4), (3, 5, 5)])
-def test_symmetry_matches_the_transpose_reference(r, R, cell):
-    bounds = (3, 5, 5)
+def check_symmetry(r, R, cell, bounds, slot_bytes, by):
+    """`_symmetry` and `Planes.transposed` against the reference, with `by` added to one cell of f."""
     params = LemmaParams(r, R, bounds)
     planes = Planes(params)
+    assert planes.bits == 8 * slot_bytes
     tri = lemma.f_expand(params, planes)
     mirror = None if r == R else lemma.f_expand(LemmaParams(R, r, bounds), planes, swap=True)
     lhs = reference.rowwise_f_expand(params)
     if cell is not None:
         n, j, k = cell
-        tri[n] += 7 << (j * planes.width + k) * planes.bits
-        lhs[n][j][k] += 7
+        tri[n] += by << (j * planes.width + k) * planes.bits
+        lhs[n][j][k] += by
     rhs = lhs if r == R else reference.rowwise_f_expand(LemmaParams(R, r, bounds))
     assert lemma._symmetry(planes, tri, mirror) == reference.transpose_match(lhs, rhs)
+    for plane in tri:
+        grid = reference.unpack(planes, plane)
+        assert reference.unpack(planes, planes.transposed(plane)) == [list(column) for column in zip(*grid)]
+
+
+@pytest.mark.parametrize("r, R", [(2, 2), (2, 3), (1, 4)])
+@pytest.mark.parametrize("cell", [None, (0, 0, 0), (2, 1, 4), (3, 5, 5)])
+def test_symmetry_matches_the_transpose_reference(r, R, cell):
+    check_symmetry(r, R, cell, (3, 5, 5), 1, 7)
+
+
+@pytest.mark.parametrize("r, R", [(2, 2), (2, 3), (1, 4)])
+@pytest.mark.parametrize("cell", [None, (0, 0, 0), (2, 1, 4), (3, 4, 2), (6, 7, 7)])
+def test_symmetry_matches_the_transpose_reference_on_two_byte_slots(r, R, cell):
+    # 263 = 0x107 changes both bytes of the edited slot
+    check_symmetry(r, R, cell, (6, 7, 7), 2, 263)
 
 
 @pytest.mark.parametrize(

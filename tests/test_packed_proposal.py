@@ -119,7 +119,7 @@ class TestInjectionBound:
         def refuse(*args):
             raise AssertionError("the bound must be checked before any vector is built")
 
-        monkeypatch.setattr(proposal, "_bounded_vectors", refuse)
+        monkeypatch.setattr(proposal, "_count_prefixes", refuse)
         with pytest.raises(InjectionCapError, match=str(proposal.MAX_INJECTION_SOURCES)):
             injection_evidence(self.EIGHT_UNITS, 24)
         assert sum(reciprocal_from_exponents(self.EIGHT_UNITS.source_sizes, 24).coeffs) > 10**7

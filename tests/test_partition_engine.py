@@ -1,4 +1,10 @@
-"""Factorized counts, pruned listing and lean injection against the walks."""
+"""Factorized counts, pruned listing and lean injection against the walks.
+
+The injection walk takes its sources in prefix runs; the vector-at-a-time
+walk in `reference_partitions` must agree with it on every report,
+failure string and source count included, also when `_invert` is wrong on
+a single source.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +19,7 @@ from qdominance.partitions import (
     enumerate_partitions,
     interpretation_check,
 )
+from qdominance import proposal
 from qdominance.proposal import injection_evidence, proposal_params
 
 small = st.integers(1, 4)
@@ -80,6 +87,71 @@ def test_injection_matches_the_validated_walk(sizes_and_multipliers, max_weight)
     assert injection_evidence(params, max_weight) == reference.injection_evidence(
         params, max_weight
     )
+
+
+short_tuples = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.tuples(*[st.integers(1, 3)] * n), st.tuples(*[st.integers(1, 3)] * n))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_tuples, st.integers(0, 24))
+def test_injection_matches_the_vector_walk(sizes_and_multipliers, max_weight):
+    params = proposal_params(*sizes_and_multipliers)
+    assert injection_evidence(params, max_weight) == reference.walk_injection_evidence(
+        params, max_weight
+    )
+
+
+def wrong_on(source):
+    """An `_invert` that pulls back the image of `source` wrongly and every other image right."""
+    invert = proposal._invert
+
+    def patched(counts, joint, rs):
+        out = invert(counts, joint, rs)
+        return (out[0], out[1] + 1) if out == source else out
+
+    return patched
+
+
+# (sizes, multipliers, source): each source has joint > 0 and a prefix other
+# than the first, so it sits inside a run
+INSIDE_A_RUN = [
+    ((1, 2), (2, 3), ((2, 1), 1)),
+    ((1, 2, 1), (1, 1, 3), ((1, 0, 2), 3)),
+    ((2, 1, 1), (3, 3, 2), ((0, 2, 1), 2)),
+    ((3, 1, 2), (2, 1, 3), ((1, 1, 0), 1)),
+]
+
+
+@pytest.mark.parametrize("sizes, multipliers, source", INSIDE_A_RUN)
+def test_one_wrong_pull_back_inside_a_run_fails_as_in_the_vector_walk(
+    sizes, multipliers, source, monkeypatch
+):
+    counts, joint = source
+    params = proposal_params(sizes, multipliers)
+    sources = [(c, j) for c, j, _ in reference._bounded_vectors(params.source_sizes, 20)]
+    assert source in sources and joint > 0 and any(counts)
+    monkeypatch.setattr(proposal, "_invert", wrong_on(source))
+    got = injection_evidence(params, 20)
+    assert got == reference.walk_injection_evidence(params, 20)
+    assert got["failure"] == f"round-trip failed on counts={counts}, joint={joint}"
+    assert got["source_count"] == sources.index(source) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_tuples, st.integers(0, 16), st.data())
+def test_any_one_wrong_pull_back_fails_as_in_the_vector_walk(sizes_and_multipliers, max_weight, data):
+    params = proposal_params(*sizes_and_multipliers)
+    sources = [(c, j) for c, j, _ in reference._bounded_vectors(params.source_sizes, max_weight)]
+    source = data.draw(st.sampled_from(sources))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proposal, "_invert", wrong_on(source))
+        got = injection_evidence(params, max_weight)
+        want = reference.walk_injection_evidence(params, max_weight)
+    assert got == want
+    assert got["failure"] == f"round-trip failed on counts={source[0]}, joint={source[1]}"
+    assert got["source_count"] == sources.index(source) + 1
 
 
 def test_large_multipliers_clamp_the_first_layer():

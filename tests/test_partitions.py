@@ -33,7 +33,7 @@ def violated(counts, system, params=FLAGSHIP):
 def weight(counts, params):
     return sum(
         multiplicity * part_size(params, base, index)
-        for (base, index), multiplicity in counts
+        for base, index, multiplicity in counts
     )
 
 
@@ -85,25 +85,25 @@ class TestParams:
 class TestColoredPartition:
     def test_builder_rejects_negative(self):
         with pytest.raises(ValueError):
-            ColoredPartition(((("Y", 1), -1),), FLAGSHIP)
+            ColoredPartition((("Y", 1, -1),), FLAGSHIP)
         with pytest.raises(ValueError):
-            ColoredPartition(((("Y", 1), True),), FLAGSHIP)
+            ColoredPartition((("Y", 1, True),), FLAGSHIP)
         with pytest.raises(ValueError):
-            ColoredPartition(((("X", True), 1),), FLAGSHIP)
+            ColoredPartition((("X", True, 1),), FLAGSHIP)
 
     def test_bad_base_and_index(self):
         with pytest.raises(ValueError):
-            ColoredPartition(((("Q", 1), 1),), FLAGSHIP)
+            ColoredPartition((("Q", 1, 1),), FLAGSHIP)
         with pytest.raises(ValueError):
-            ColoredPartition(((("Y", 3), 1),), FLAGSHIP)  # L == 2
+            ColoredPartition((("Y", 3, 1),), FLAGSHIP)  # L == 2
 
     def test_direct_construction_demands_canonical_order(self):
         with pytest.raises(ValueError):
-            ColoredPartition(((("Y", 1), 1), (("X", 1), 1)), FLAGSHIP)
+            ColoredPartition((("Y", 1, 1), ("X", 1, 1)), FLAGSHIP)
         with pytest.raises(ValueError):
-            ColoredPartition(((("Y", 1), 1), (("Y", 1), 2)), FLAGSHIP)
+            ColoredPartition((("Y", 1, 1), ("Y", 1, 2)), FLAGSHIP)
         with pytest.raises(ValueError):
-            ColoredPartition(((("Y", 1), True),), FLAGSHIP)
+            ColoredPartition((("Y", 1, True),), FLAGSHIP)
 
 
 class TestStats:
@@ -112,11 +112,11 @@ class TestStats:
         assert _stat_record((), 4) == (0, 0, 0, 5, 5, 5, 0, 0)
 
     def test_occupied_layers(self):
-        record = _stat_record(((("Y", 1), 1), (("Y", 3), 1)), 4)
+        record = _stat_record((("Y", 1, 1), ("Y", 3, 1)), 4)
         assert record == (0, 3, 0, 5, 5, 5, 0, 1)
 
     def test_other_bases_unaffected(self):
-        record = _stat_record(((("RX", 2), 1),), 4)
+        record = _stat_record((("RX", 2, 1),), 4)
         assert record == (0, 0, 0, 2, 5, 5, 0, 0)
 
     def test_unknown_base(self):
@@ -132,17 +132,17 @@ class TestSatisfies:
     def test_first_violation_in_display_order(self):
         # passes V1/V2, fails V3 (an rx part sits below the top y layer) and
         # V7 as well; V3 is the one reported.
-        counts = ((("Y", 1), 3), (("Y", 2), 1), (("RX", 1), 1))
+        counts = (("Y", 1, 3), ("Y", 2, 1), ("RX", 1, 1))
         assert violated(counts, "V") == "V3"
         # W side: passes W1-W3, fails W4 (an Ry part in layer 1).
-        assert violated(((("X", 1), 1), (("RY", 1), 1)), "W") == "W4"
+        assert violated((("X", 1, 1), ("RY", 1, 1)), "W") == "W4"
 
     def test_single_y_part_satisfies_v(self):
-        single = ((("Y", 1), 1),)
+        single = (("Y", 1, 1),)
         assert violated(single, "V") is None
         assert violated(single, "W") == "W1"
         # doubling the first-layer y part exhausts the window
-        assert violated(((("Y", 1), 2),), "V") == "V7"
+        assert violated((("Y", 1, 2),), "V") == "V7"
         assert count_profile(FLAGSHIP, 1)["V"][1] == 1
         assert split_series(FLAGSHIP, 2)[0].coeff(1) == 1
 
@@ -171,7 +171,7 @@ class TestSatisfies:
 class TestEnumerate:
     def test_weight_one_unique(self):
         params = PartitionParams(10, 1, 2, 3, 2, 1)
-        assert enumerate_partitions(1, params) == [((("X", 1), 1),)]
+        assert enumerate_partitions(1, params) == [(("X", 1, 1),)]
 
     def test_weight_zero_is_empty_partition(self):
         (only,) = enumerate_partitions(0, FLAGSHIP)
@@ -182,10 +182,10 @@ class TestEnumerate:
         params = PartitionParams(50, 1, 1, 3, 3, 1)
         listed = enumerate_partitions(2, params)
         assert listed == [
-            ((("X", 1), 1), (("Y", 1), 1)),
-            ((("X", 1), 2),),
-            ((("Y", 1), 2),),
-            ((("XY", 1), 1),),
+            (("X", 1, 1), ("Y", 1, 1)),
+            (("X", 1, 2),),
+            (("Y", 1, 2),),
+            (("XY", 1, 1),),
         ]
 
     def test_duplicate_free_and_correct_weights(self):
