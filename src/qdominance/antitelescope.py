@@ -64,11 +64,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Any
 
 from .dominance import nbase_params
-from .polyring import IdentityVerdict, MultiPoly, RationalTerm, from_pieces, identity_check
+from .polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check
 from .series import (
     INF,
     Coefficient,
@@ -136,19 +135,6 @@ def _thm2_numerators(values, t):
 _SPLITS = {"thm1": (2, _thm1_numerators, 1), "thm2": (3, _thm2_numerators, 2)}
 
 
-class _Form(tuple):
-    """An exponent as its coefficients over (t, sizes, scaled sizes); the zero form is false, like 0."""
-
-    def __add__(self, other):
-        return _Form(map(add, self, other))
-
-    def __sub__(self, other):
-        return _Form(map(sub, self, other))
-
-    def __bool__(self):
-        return any(self)
-
-
 def split_identity_sides(split: str, t_zero: bool) -> tuple[MultiPoly, MultiPoly]:
     """scale * (prod Q layer - prod P layer) and the sum of the groups, over (t, x, y[, z], a, b[, c]).
 
@@ -157,7 +143,7 @@ def split_identity_sides(split: str, t_zero: bool) -> tuple[MultiPoly, MultiPoly
     n, numerators, scale = _SPLITS[split]
     variables = ("t", *"xyz"[:n], *"abc"[:n])
     zero = _Form((0,) * len(variables))
-    units = [_Form(int(j == k) for k in range(len(variables))) for j in range(len(variables))]
+    units = _Form.units(len(variables))
     t, sizes, scaled = zero if t_zero else units[0], units[1 : n + 1], units[n + 1 :]
     lhs = from_pieces(
         variables,

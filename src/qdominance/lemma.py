@@ -99,11 +99,6 @@ def check_lattice(bounds: tuple[int, int, int]) -> None:
         )
 
 
-def delta(n: int) -> int:
-    """1 for odd n, 0 for even n."""
-    return n % 2
-
-
 @lru_cache(maxsize=64)
 def kernel_term(r: int, R: int) -> RationalTerm:
     """f as a single rational term over the (t, x, y) variables; shared, not to be mutated.
@@ -256,7 +251,7 @@ def eqtwo_symbolic(
     """
     if n < 0:
         raise ValueError(f"slice index must be nonnegative, got {n}")
-    d = delta(n)
+    d = n % 2
     t5_range = range(1, n)
     t6_range = range(0, (n - 2 - d) // 2 + 1)
     t7_range = range(1, (n - 2 + d) // 2 + 1)

@@ -65,11 +65,6 @@ class PartitionParams:
     def __post_init__(self) -> None:
         positive_ints(self.as_tuple(), "m, x, y, r, R and L", 6)
 
-    @classmethod
-    def from_values(cls, values) -> "PartitionParams":
-        m, x, y, r, R, L = values
-        return cls(m, x, y, r, R, L)
-
     @cached_property
     def pair(self) -> tuple[ProductSpec, ProductSpec]:
         """The Thm1 pair: bases x, y, r*x+R*y over r*x, R*y, x+y."""

@@ -4,7 +4,11 @@ MultiPoly stores terms as a map from exponent tuples to exact rational
 coefficients; the variable list is part of the value.  Every polynomial
 the package states is written as weighted binomial pieces,
 weight * v^lead * prod (1 - v^e), and expanded by `from_pieces`; nothing
-else in the package builds a polynomial from a formula.
+else in the package builds a polynomial from a formula.  The split
+numerators and the h numerator are written once over sizes: read with
+ints they are exponents, and read with the unit linear forms of `_Form`
+they are exponent vectors over free variables, one per size, so that
+one identity over those variables holds at every size.
 
 identity_check compares two sums of rational terms exactly, by clearing
 all denominators; denominators there may be any nonzero polynomial,
@@ -83,6 +87,24 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+class _Form(tuple):
+    """An exponent as its coefficients over the variables; the zero form is false, like 0."""
+
+    @classmethod
+    def units(cls, count: int) -> list["_Form"]:
+        """The `count` unit forms over `count` variables."""
+        return [cls(int(j == k) for k in range(count)) for j in range(count)]
+
+    def __add__(self, other):
+        return _Form(map(add, self, other))
+
+    def __sub__(self, other):
+        return _Form(map(sub, self, other))
+
+    def __bool__(self):
+        return any(self)
 
 
 def from_pieces(variables, pieces) -> MultiPoly:

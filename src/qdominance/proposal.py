@@ -14,21 +14,26 @@ of a run still goes through `_inject`, the weight check, the congruence
 check and `_invert` on its own, so the first failure names the same
 source as a source-by-source walk.  For three and
 four sizes the difference of reciprocals also splits through the auxiliary
-series `h_series`, whose 19-addend transcription is checksummed by
-`fourvar_identity`.
+series `h_series`, and `fourvar_identity` certifies that splitting for four
+sizes once for every tuple.
 `check_proposal` runs the coefficientwise comparison for arbitrary n and
 labels how strong the supporting argument is.
 
-The h split is packed like the antitelescoping groups (`series._Signed`).
-Each addend multiplies, per size, a block A(e, k), a tail G(ke) or
-nothing, and each of these is q^lead times binomials over the size's two
-denominators (1 - q^e)(1 - q^(ke)).  So 6h is one numerator, a weighted
-list of pieces q^lead * prod (1 - q^b), over the six denominators of
-x, y and z, and it is bounded coefficientwise by the numerator's L1 norm
-times their reciprocal, which fixes the slot width before anything is
-packed.  `fourvar_identity` takes 6(1/P - 1/Q) and the four 6h over the
-two composite binomials in one packing over the factors of P and Q,
-which hold every denominator, and compares the two residues.
+Each of the nineteen addends of h multiplies, per size, a block A(e, k), a
+tail G(ke) or nothing, and each of these is q^lead times binomials over the
+size's two denominators (1 - q^e)(1 - q^(ke)).  So 6h is one numerator, a
+weighted list of pieces q^lead * prod (1 - q^b) over the six denominators,
+and `_h_numerator` writes it once over the sizes e and the scaled sizes ke,
+every exponent a sum or difference of them.  It is read two ways, like the
+split numerators in `antitelescope`.  `h_series` reads it with ints and
+packs it (`series._Signed`); the series is bounded coefficientwise by the
+numerator's L1 norm times the reciprocal of the six denominators, which
+fixes the slot width before anything is packed.  `fourvar_identity` reads
+it with unit forms (`polyring._Form`), so each size and scaled size is a
+free variable, and checks with `polyring.identity_check` that
+6/P - 6/Q is the sum of the four 6h, one per omitted size, over their six
+denominators and the two composite binomials.  Substituting q-powers is a
+ring homomorphism, so that one identity holds for every tuple and order.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from operator import mul
 
 from .dominance import NamedInequality, check_named, nbase_pair, report_dict
+from .polyring import IdentityVerdict, RationalTerm, _Form, from_pieces, identity_check
 from .series import (
     QSeries,
     ResourceError,
-    _norm,
     _Signed,
     positive_ints,
     reciprocal_from_exponents,
@@ -210,36 +216,19 @@ _H_ADDENDS = (
 )
 
 
-def _h_numerator(params) -> tuple[list, tuple[int, ...]]:
-    """6h as ([(weight, (lead, binomials)), ...], the six denominator exponents).
+def _h_numerator(sizes, scaled) -> list:
+    """6h as pieces (weight, lead, binomials) over three sizes e and their scaled sizes s = ke.
 
-    Over the size's two denominators (1 - q^e)(1 - q^(ke)), its block is
-    q^e (1 - q^((k-1)e)), its tail q^(ke) (1 - q^e) and its absence
-    (1 - q^e)(1 - q^(ke)); an addend multiplies one of each per size.
+    Over the size's two denominators (1 - q^e)(1 - q^s), its block is
+    q^e (1 - q^(s - e)), its tail q^s (1 - q^e) and its absence
+    (1 - q^e)(1 - q^s); an addend multiplies one of each per size.
     """
-    x, y, z, r, R, rho = positive_ints(params, "h parameters", 6)
-    factors = [
-        {"A": (e, ((k - 1) * e,)), "G": (k * e, (e,)), "-": (0, (e, k * e))}
-        for e, k in ((x, r), (y, R), (z, rho))
-    ]
-    addends = []
+    factors = [{"A": (e, (s - e,)), "G": (s, (e,)), "-": (e - e, (e, s))} for e, s in zip(sizes, scaled)]
+    pieces = []
     for weight, code in _H_ADDENDS:
-        chosen = [size[c] for size, c in zip(factors, code)]
-        lead = sum(lead for lead, _ in chosen)
-        binomials = tuple(b for _, bs in chosen for b in bs)
-        addends.append((weight, (lead, binomials)))
-    return addends, (x, r * x, y, R * y, z, rho * z)
-
-
-def _l1(addends) -> int:
-    """The L1 norm of the numerator: each binomial product has norm at most 2^(its length)."""
-    return sum(weight * 2 ** len(binomials) for weight, (_, binomials) in addends)
-
-
-def _six_h(packing: _Signed, addends, denominators) -> int:
-    """6h, packed: the weighted pieces times the reciprocal of the six denominators."""
-    d = packing.divide(1, denominators)
-    return sum(weight * packing.times_pieces(d, [piece]) for weight, piece in addends)
+        leads, binomials = zip(*(size[c] for size, c in zip(factors, code)))
+        pieces.append((weight, sum(leads[1:], leads[0]), sum(binomials, ())))
+    return pieces
 
 
 def h_series(params, order: int) -> QSeries:
@@ -252,50 +241,51 @@ def h_series(params, order: int) -> QSeries:
     blocks at weight 1/3; and the six triple products at weight 1.  6h is
     one packed numerator over the six denominators, divided by 6 once read.
     """
-    addends, denominators = _h_numerator(params)
-    packing = _Signed.for_bound(denominators, order, _l1(addends))
-    six_h = packing.decode(_six_h(packing, addends, denominators))
-    return QSeries.from_coeffs([Fraction(c, 6) for c in six_h.coeffs], order)
+    x, y, z, r, R, rho = positive_ints(params, "h parameters", 6)
+    sizes, scaled = (x, y, z), (r * x, R * y, rho * z)
+    pieces = _h_numerator(sizes, scaled)
+    denominators = sizes + scaled
+    # each binomial product has L1 norm at most 2^(its length)
+    packing = _Signed.for_bound(denominators, order, sum(w * 2 ** len(b) for w, _, b in pieces))
+    d = packing.divide(1, denominators)
+    six_h = sum(weight * packing.times_pieces(d, [(lead, binomials)]) for weight, lead, binomials in pieces)
+    return QSeries.from_coeffs([Fraction(c, 6) for c in packing.decode(six_h).coeffs], order)
 
 
-def fourvar_identity(params, order: int) -> dict:
-    """Check the four-size single-layer splitting; the transcription checksum.
+def fourvar_identity_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
+    """(6/P - 6/Q, the four 6h over their denominators) over (x, y, z, w, a, b, c, d).
 
-    The difference of the two five-factor reciprocals must equal the sum of
-    the four h series (one per omitted size) divided by the two composite
-    binomials.  Both sides are taken six-fold in one packing over the
-    factors of both products, which hold every denominator, and compared
-    as residues; a mismatch is read at the lowest differing slot.
+    x..w are the q-powers of the sizes and a..d those of the scaled sizes;
+    P runs over x..w and Sigma = abcd, Q over a..d and sigma = xyzw.  Each
+    6h is `_h_numerator` at unit forms, over its three sizes' six
+    denominators and the two composite binomials (1 - sigma)(1 - Sigma).
     """
-    x, y, z, w, r, R, rho, P = positive_ints(params, "fourvar parameters", 8)
-    dominant, subordinate = nbase_pair((x, y, z, w), (r, R, rho, P), 1, 1)
-    hs = [
-        _h_numerator(h)
-        for h in ((x, y, z, r, R, rho), (x, y, w, r, R, P), (x, z, w, r, rho, P), (y, z, w, R, rho, P))
-    ]
-    exponents = dominant.exponents(order), subordinate.exponents(order)
-    # coefficientwise |6/P - 6/Q| <= 12/(PQ), and |6h/composites| <= L1(6h)/(PQ)
-    weight = max(12, sum(_l1(addends) for addends, _ in hs))
-    packing = _Signed.for_bound(sum(exponents, []), order, weight)
-    reciprocal_p, reciprocal_q = packing.reciprocal_pair(*exponents)
-    lhs = 6 * (reciprocal_p - reciprocal_q)
-    total = sum(_six_h(packing, *h) for h in hs)
-    rhs = packing.divide(total, (subordinate.bases[-1], dominant.bases[-1]))
-    diff = (lhs - rhs) & packing.mask
-    witness = None
-    if diff:
-        n = ((diff & -diff).bit_length() - 1) // packing.bits
-        witness = {
-            "exponent": n,
-            "lhs": packing.decode(lhs).coeff(n) // 6,
-            "rhs": _norm(Fraction(packing.decode(rhs).coeff(n), 6)),
-        }
-    return {
-        "params": (x, y, z, w, r, R, rho, P),
-        "order": order,
-        "equal": witness is None,
-        "witness": witness,
-    }
+    variables = (*"xyzw", *"abcd")
+    zero = _Form((0,) * len(variables))
+    units = _Form.units(len(variables))
+    sizes, scaled = units[:4], units[4:]
+    sigma, Sigma = sum(sizes, zero), sum(scaled, zero)
+    factor = {e: from_pieces(variables, [(1, zero, [e])]) for e in (*units, sigma, Sigma)}
+
+    def over(numerator, exponents) -> RationalTerm:
+        return RationalTerm(from_pieces(variables, numerator), tuple(factor[e] for e in exponents))
+
+    lhs = [over([(6, zero, [])], (*sizes, Sigma)), over([(-6, zero, [])], (*scaled, sigma))]
+    rhs = []
+    for kept in combinations(zip(sizes, scaled), 3):
+        own, own_scaled = zip(*kept)
+        rhs.append(over(_h_numerator(own, own_scaled), (*own, *own_scaled, sigma, Sigma)))
+    return lhs, rhs
+
+
+def fourvar_identity() -> IdentityVerdict:
+    """The four-size single-layer splitting, exactly, for every tuple and every order.
+
+    The difference of the two five-factor reciprocals equals the sum of
+    the four h series (one per omitted size) divided by the two composite
+    binomials; see `fourvar_identity_sides`.
+    """
+    return identity_check(*fourvar_identity_sides())
 
 
 def proposal_status(n: int, L: int) -> str:

@@ -32,6 +32,7 @@ from qdominance.series import (
     product_spec,
     reciprocal_from_exponents,
 )
+import reference_proposal
 from oracles import bga_expected
 from reference_lemma import lattice
 from reference_polyring import four_factor_identity_sides, three_factor_identity_sides
@@ -191,7 +192,7 @@ class TestPartitionInterpretation:
         assert len(INTERPRETATION_TUPLES) >= 10
         assert sum(1 for m, x, y, *_ in INTERPRETATION_TUPLES if x == y) >= 3
         for values in INTERPRETATION_TUPLES:
-            params = PartitionParams.from_values(values)
+            params = PartitionParams(*values)
             check = interpretation_check(params, 30)
             assert check["ok"], {"params": values, "witness": check["witness"]}
 
@@ -199,7 +200,7 @@ class TestPartitionInterpretation:
         """The same comparison at n <= 100, reachable since counting is a
         polynomial-time product of per-base tables."""
         for values in INTERPRETATION_TUPLES:
-            params = PartitionParams.from_values(values)
+            params = PartitionParams(*values)
             check = interpretation_check(params, 100)
             assert check["ok"], {"params": values, "witness": check["witness"]}
 
@@ -239,10 +240,13 @@ class TestGeneralizedSuite:
             assert first_negative(h_series(values, 60)) is None, values
 
     def test_four_variable_identity_on_sampled_tuples(self):
+        """The identity for every tuple, and the list oracle on sampled tuples."""
+        verdict = fourvar_identity()
+        assert verdict.equal, verdict.witness
         rng = random.Random(SEED)
         for _ in range(50):
             values = tuple(rng.randint(1, 3) for _ in range(8))
-            outcome = fourvar_identity(values, 40)
+            outcome = reference_proposal.fourvar_identity(values, 40)
             assert outcome["equal"], (values, outcome["witness"])
 
     def test_injection_exhaustive_on_small_parameters(self):

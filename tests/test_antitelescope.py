@@ -7,7 +7,7 @@ import pytest
 from qdominance import antitelescope
 from qdominance.antitelescope import decompositions, positivity_scan, split_identity, split_identity_sides
 from qdominance.dominance import nbase_pair
-from qdominance.polyring import MultiPoly, RationalTerm, identity_check
+from qdominance.polyring import MultiPoly, RationalTerm, _Form, identity_check
 from qdominance.series import QSeries, first_negative, product_spec, series_scale
 from reference_lemma import expand_rational
 from reference_polyring import four_factor_identity_sides, mono, mp_add, mp_mul, mp_sub, three_factor_identity_sides
@@ -357,7 +357,7 @@ class TestSplitIdentity:
         values, t = (2, 3, 5, 4, 9, 10), 7
         point = (t, *values)
         _, numerators, _ = antitelescope._SPLITS["thm2"]
-        forms = [antitelescope._Form(int(j == k) for k in range(7)) for j in range(7)]
+        forms = _Form.units(7)
 
         def at(form):
             return sum(c * v for c, v in zip(form, point))

@@ -539,10 +539,23 @@ class TestIdentities:
         assert code == 1
         assert report(out)["witness"] == {"name": "four-factor-difference"}
 
-    def test_seed_fixes_the_sampled_tuples(self, capsys):
-        _, first, _ = run_cli(["identities", "--order", "20", "--seed", "7"], capsys)
-        _, second, _ = run_cli(["identities", "--order", "20", "--seed", "7"], capsys)
-        assert report(first) == report(second)
+    def test_a_patched_h_addend_fails_the_command(self, capsys, monkeypatch):
+        table = list(proposal._H_ADDENDS)
+        table[4] = (3, "AA-")
+        monkeypatch.setattr(proposal, "_H_ADDENDS", tuple(table))
+        code, out, _ = run_cli(["identities"], capsys)
+        assert code == 1
+        assert report(out)["witness"] == {"name": "four-variable-splitting"}
+
+    def test_seed_and_order_leave_the_result_alone(self, capsys):
+        """Every check holds for all parameters, so the run flags change only the config echo."""
+        results = [
+            report(run_cli(["identities", "--seed", seed, "--order", order], capsys)[1])["result"]
+            for seed in ("1", "7")
+            for order in ("16", "100")
+        ]
+        assert all(result == results[0] for result in results)
+        assert {"name": "four-variable-splitting", "equal": True} in results[0]["checks"]
 
     def test_identity_bound_is_a_resource_error(self, capsys, monkeypatch):
         monkeypatch.setattr(polyring, "MAX_IDENTITY_BITS", 1)

@@ -17,7 +17,6 @@ from qdominance.dominance import (
     nbase_params,
     report_dict,
 )
-from qdominance.proposal import fourvar_identity
 from qdominance.series import INF, product_spec
 
 from oracles import bga_expected, partition_counts_upto, residue_parts
@@ -124,15 +123,6 @@ class TestSharedFactorPair:
         assert paired == {"ok": True, "witness": None}
         monkeypatch.setattr(series._Signed, "reciprocal_pair", separate_packed_reciprocals)
         assert certify_split(P, Q, 40, split) == paired
-
-    def test_fourvar_identity_matches_separate_expansions(self, monkeypatch):
-        params = (1, 2, 1, 3, 2, 1, 2, 1)
-        P, Q = nbase_pair(params[:4], params[4:], 1, 1)
-        assert paired_reciprocals(P, Q, 60) == separate_reciprocals(P, Q, 60)
-        paired = fourvar_identity(params, 60)
-        assert paired["equal"]
-        monkeypatch.setattr(series._Signed, "reciprocal_pair", separate_packed_reciprocals)
-        assert fourvar_identity(params, 60) == paired
 
 
 lengths = st.one_of(st.just(INF), st.integers(1, 8))

@@ -9,7 +9,6 @@ from qdominance.lemma import (
     Planes,
     certify_lemma,
     check_eqone_eqthree,
-    delta,
     eqtwo_symbolic,
     eqtwo_term_grids,
     t2_closed_form,
@@ -86,7 +85,6 @@ class TestSliceEqtwo:
                 assert got[j][k] == want, (j, k)
 
     def test_delta_parity_toggles_last_term(self):
-        assert delta(4) == 0 and delta(7) == 1
         r, R = 2, 3
         for n in (2, 3, 4, 5):
             terms = dict(

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from qdominance import lemma, polyring
 from qdominance.antitelescope import split_identity_sides
+from qdominance.proposal import fourvar_identity_sides
 from qdominance.polyring import (
     IdentityCapError,
     MultiPoly,
@@ -119,8 +120,9 @@ def test_equal_sides_and_their_perturbations_match_reference(problem, data):
 
 
 def command_checks():
-    """The 94 (lhs, rhs) pairs of `identities`: 90 slice closed forms, and the
-    Thm1 and Thm2 split numerators at t = 0 and at a generic t."""
+    """The 95 (lhs, rhs) pairs of `identities`: 90 slice closed forms, the
+    Thm1 and Thm2 split numerators at t = 0 and at a generic t, and the
+    four-size splitting."""
     pairs = []
     for n in range(5):
         for r in range(1, 4):
@@ -131,6 +133,7 @@ def command_checks():
         for t_zero in (True, False):
             lhs, rhs = split_identity_sides(split, t_zero)
             pairs.append(([RationalTerm(lhs)], [RationalTerm(rhs)]))
+    pairs.append(fourvar_identity_sides())
     return pairs
 
 
@@ -159,7 +162,7 @@ def perturb(side, kind: int, rng: random.Random):
 
 
 def test_command_checks_hold_and_match_reference():
-    assert len(COMMAND_CHECKS) == 94
+    assert len(COMMAND_CHECKS) == 95
     for lhs, rhs in COMMAND_CHECKS:
         assert identity_check(lhs, rhs) == reference_identity_check(lhs, rhs) == polyring.IdentityVerdict(True)
 

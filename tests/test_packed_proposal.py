@@ -1,11 +1,13 @@
-"""The packed h series and four-variable identity against the list oracles.
+"""The packed h series against the list oracle, and the four-size identity's gate.
 
-`proposal.h_series` and `proposal.fourvar_identity` write every h addend
-as q^lead times binomials over six fixed denominators and sum 6h in one
+`proposal.h_series` reads `_h_numerator` with ints, writes every h addend
+as q^lead times binomials over six fixed denominators and sums 6h in one
 `series._Signed`; `reference_proposal` builds the same addends as list
-series with the Cauchy product.  Values, verdicts and witnesses must
-agree, also when one addend's weight or lead is patched on both sides,
-and every series that is read must fit its proven slots.
+series with the Cauchy product.  Values must agree, also when one
+addend's weight or lead is patched on both sides, and 6h must fit its
+proven slots.  `proposal.fourvar_identity` reads the same numerator with
+unit forms: the two readings must agree at every point, and the identity
+must refuse every change of one addend's weight or of one of its letters.
 """
 
 import pytest
@@ -14,13 +16,13 @@ from hypothesis import strategies as st
 
 import reference_proposal as reference
 from qdominance import proposal, series
+from qdominance.polyring import _Form
 from qdominance.proposal import InjectionCapError, fourvar_identity, h_series, injection_evidence, proposal_params
 from qdominance.series import MAX_SERIES_WORK, SeriesCapError, reciprocal_from_exponents
 from reference_series import series_shift
 
 sizes = st.integers(1, 5)
 h_params = st.tuples(*[sizes] * 6)
-fourvar_params = st.tuples(*[sizes] * 8)
 
 
 @settings(max_examples=80, deadline=None)
@@ -30,12 +32,6 @@ def test_h_series_matches_the_list_oracle(params, order):
     want = reference.h_series(params, order)
     assert got == want
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
-
-
-@settings(max_examples=60, deadline=None)
-@given(fourvar_params, st.integers(0, 40))
-def test_fourvar_identity_matches_the_list_oracle(params, order):
-    assert fourvar_identity(params, order) == reference.fourvar_identity(params, order)
 
 
 def largest_bits(*sides) -> int:
@@ -66,45 +62,71 @@ def test_h_width_holds_six_h(params, order):
     assert packing.bits >= 2 + largest_bits(six_h)
 
 
-@settings(max_examples=30, deadline=None)
-@given(fourvar_params, st.integers(0, 40))
-def test_fourvar_width_holds_both_sides(params, order):
-    with pytest.MonkeyPatch.context() as mp:
-        made = proven_packings(mp)
-        fourvar_identity(params, order)
-    lhs, rhs = reference.fourvar_sides(params, order)
-    (packing,) = made
-    assert packing.bits >= 2 + largest_bits(series.series_scale(lhs, 6), series.series_scale(rhs, 6))
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-50, 50)] * 6))
+def test_int_and_form_readings_agree(point):
+    """`_h_numerator` at unit forms, evaluated at (sizes, scaled sizes), is its int reading."""
+    forms = _Form.units(6)
+
+    def at(form):
+        return sum(c * v for c, v in zip(form, point))
+
+    by_form = proposal._h_numerator(forms[:3], forms[3:])
+    assert [(w, at(lead), tuple(map(at, exps))) for w, lead, exps in by_form] == proposal._h_numerator(
+        point[:3], point[3:]
+    )
 
 
-# (addend index, patched six-fold weight, extra lead): each changes one of the
-# nineteen addends, in every h of the identity alike.
+def changed_addends():
+    """Every table with one addend's weight moved by +-1 (38) or one of its letters changed (114)."""
+    for i, (weight, code) in enumerate(proposal._H_ADDENDS):
+        changes = [(weight + 1, code), (weight - 1, code)]
+        changes += [(weight, code[:j] + c + code[j + 1 :]) for j in range(3) for c in "AG-" if c != code[j]]
+        for change in changes:
+            table = list(proposal._H_ADDENDS)
+            table[i] = change
+            yield tuple(table)
+
+
+def test_every_weight_and_letter_change_is_refused(monkeypatch):
+    tables = list(changed_addends())
+    assert len(tables) == 38 + 114
+    for table in tables:
+        monkeypatch.setattr(proposal, "_H_ADDENDS", table)
+        assert not fourvar_identity().equal, table
+
+
+# (addend index, patched six-fold weight, extra lead in units of the first
+# size): each changes one of the nineteen addends, in every h alike.
 PATCHES = [(0, 7, 0), (4, 3, 1), (10, 1, 0), (12, 2, 3), (18, 5, 2)]
 
 
 @pytest.mark.parametrize("index, weight, shift", PATCHES)
 def test_a_patched_addend_fails_with_the_oracles_witness(index, weight, shift, monkeypatch):
+    """The identity and the patched list oracle both refuse, and the packed h reads the patch like the oracle."""
     numerator = proposal._h_numerator
 
-    def patched(params):
-        addends, denominators = numerator(params)
-        lead, binomials = addends[index][1]
-        addends[index] = (weight, (lead + shift, binomials))
-        return addends, denominators
+    def patched(sizes, scaled):
+        pieces = numerator(sizes, scaled)
+        _, lead, binomials = pieces[index]
+        for _ in range(shift):
+            lead = lead + sizes[0]
+        pieces[index] = (weight, lead, binomials)
+        return pieces
 
     def patched_terms(params, order):
         terms = reference.h_terms(params, order)
-        terms[index] = (weight, series_shift(terms[index][1], shift))
+        terms[index] = (weight, series_shift(terms[index][1], shift * params[0]))
         return terms
 
     monkeypatch.setattr(proposal, "_h_numerator", patched)
     params = (1, 2, 1, 3, 2, 3, 2, 2)
-    got = fourvar_identity(params, 30)
-    assert not got["equal"]
-    assert got == reference.fourvar_identity(params, 30, patched_terms)
-    assert h_series(params[:3] + params[4:7], 30) == reference.h_series(
-        params[:3] + params[4:7], 30, patched_terms
-    )
+    verdict = fourvar_identity()
+    assert not verdict.equal and verdict.witness is not None
+    oracle = reference.fourvar_identity(params, 30, patched_terms)
+    assert not oracle["equal"], oracle
+    h = params[:3] + params[4:7]
+    assert h_series(h, 30) == reference.h_series(h, 30, patched_terms)
 
 
 class TestInjectionBound:

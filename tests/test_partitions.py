@@ -79,7 +79,7 @@ class TestParams:
 
     def test_tuple_round_trip(self):
         values = (5, 1, 2, 2, 3, 4)
-        assert PartitionParams.from_values(values).as_tuple() == values
+        assert PartitionParams(*values).as_tuple() == values
 
 
 class TestColoredPartition:
