@@ -16,7 +16,10 @@ f and the slice closed forms are stated as weighted binomial pieces,
 weight * x^a y^b * prod (1 - x^c y^d) (t too in f), which
 `polyring.from_pieces` expands; f's numerator is the bracket of the split
 group G4 (`antitelescope._thm2_numerators`), with T = q^t, q^x and q^y
-read as t, x and y.
+read as t, x and y.  The three closed forms of slice n are written once
+over the x and y units and r, R: the lattice scan reads them with ints,
+and `slice_identity(n)` with the forms of free X = x^r and Y = y^R, so
+one identity per slice proves them for every r, R >= 1.
 
 Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
 x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
@@ -49,11 +52,15 @@ from functools import lru_cache
 from math import comb
 from typing import Any
 
-from .polyring import IdentityVerdict, MultiPoly, RationalTerm, from_pieces, identity_check
+from .polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check
 from .series import _INT_ONLY, ParameterError, ResourceError, _slots, positive_ints
 
 XY = ("x", "y")
 TXY = ("t", "x", "y")
+# the slice forms read with X = x^r and Y = y^R free, and the unit forms of x, y, X and Y
+SLICE_VARIABLES = ("x", "y", "X", "Y")
+SLICE_FORMS = _Form.units(4)
+_ZERO = _Form((0,) * 4)
 
 #: Monomials of one closed-form addend: (coefficient, x exponent, y exponent).
 Monomials = list[tuple[int, int, int]]
@@ -231,13 +238,35 @@ def f_expand(params: LemmaParams, planes: Planes, swap: bool = False) -> list[in
     return [p - q for p, q in zip(*halves)]
 
 
+def _xy(*pieces) -> MultiPoly:
+    """The pieces (weight, (a, b), binomials) as a polynomial in x, y; see `polyring.from_pieces`."""
+    return from_pieces(XY, pieces)
+
+
+def _xyXY(*pieces) -> MultiPoly:
+    """The same over (x, y, X, Y), each pair (a, b) of forms (or 0) read as the exponent a + b."""
+    return from_pieces(SLICE_VARIABLES, [(w, _at(lead), list(map(_at, e))) for w, lead, e in pieces])
+
+
+def _at(pair) -> _Form:
+    return (pair[0] or _ZERO) + (pair[1] or _ZERO)
+
+
+def _reading(r) -> tuple:
+    """The x and y units and the builder of the slice forms: 1, 1 and `_xy` when r
+    is an int; the forms of x and y and `_xyXY` when r and R are the X and Y forms."""
+    return (*SLICE_FORMS[:2], _xyXY) if isinstance(r, _Form) else (1, 1, _xy)
+
+
 def eqtwo_symbolic(
     n: int, r: int, R: int, box: tuple[int, int] | None = None
 ) -> list[tuple[str, Monomials, tuple[int, int]]]:
     """The nine t-slice addends: name, numerator monomials, (1-x)/(1-y) powers.
 
     The two finite sums are materialized for the concrete n, so each entry is
-    a polynomial numerator over a denominator (1-x)^px (1-y)^py.  With a
+    a polynomial numerator over a denominator (1-x)^px (1-y)^py.  r and R
+    are ints, or the X and Y forms (see `_reading`), and each monomial is
+    (coefficient, x exponent, y exponent).  With ints and a
     box (nx, ny), the T5, T6 and T7 sums skip every index whose monomials
     all lie outside it: a monomial x^a y^b reaches only cells j >= a,
     k >= b, so the slice is unchanged within the box, and it holds
@@ -251,6 +280,7 @@ def eqtwo_symbolic(
     """
     if n < 0:
         raise ValueError(f"slice index must be nonnegative, got {n}")
+    x, y, _ = _reading(r)
     d = n % 2
     t5_range = range(1, n)
     t6_range = range(0, (n - 2 - d) // 2 + 1)
@@ -261,28 +291,29 @@ def eqtwo_symbolic(
         t5_range = _clip(t5_range, n - nx // r, ny)  # (n-j)r and j
         t6_range = _clip(t6_range, -((nx + 1 - n) // 2), (ny // R - 1) // 2)  # n-2j-1, R(2j+1)
         t7_range = _clip(t7_range, -((nx - n) // 2), ny // (2 * R))  # n-2j and 2jR
+    xn, yn, yn1, top = n * x, n * y, (n + 1) * y, (n + 1) * R
     terms: list[tuple[str, Monomials, tuple[int, int]]] = [
-        ("T1", [(1, n, 0), (-1, n, n + 1)], (1, 1)),
-        ("T2", [(1, n, n + 1), (-1, r, n + 1), (-1, n, (n + 1) * R), (1, r, (n + 1) * R)], (1, 1)),
-        ("T3", [(1, 2, n), (-1, 2 * r, n), (-1, 2, n * R), (1, 2 * r, n * R)], (1, 1)),
-        ("T4", [(1, 1, n), (-1, 1, (n + 1) * R)] if n else [], (0, 1)),
+        ("T1", [(1, xn, 0), (-1, xn, yn1)], (1, 1)),
+        ("T2", [(1, xn, yn1), (-1, r, yn1), (-1, xn, top), (1, r, top)], (1, 1)),
+        ("T3", [(1, 2 * x, yn), (-1, 2 * r, yn), (-1, 2 * x, n * R), (1, 2 * r, n * R)], (1, 1)),
+        ("T4", [(1, x, yn), (-1, x, top)] if n else [], (0, 1)),
     ]
     t5: Monomials = []
     for j in t5_range:
         a = (n - j) * r
-        t5 += [(1, a, j), (-1, a, j * R), (-1, a + 2 * r, j), (1, a + 2 * r, j * R)]
+        t5 += [(1, a, j * y), (-1, a, j * R), (-1, a + 2 * r, j * y), (1, a + 2 * r, j * R)]
     terms.append(("T5", t5, (1, 1)))
     t6: Monomials = []
     for j in t6_range:
-        t6 += [(1, n - 2 * j - 1, R * (2 * j + 1)), (1, n - 2 * j, R * (2 * j + 1))]
+        t6 += [(1, (n - 2 * j - 1) * x, R * (2 * j + 1)), (1, (n - 2 * j) * x, R * (2 * j + 1))]
     terms.append(("T6", t6, (0, 1)))
     t7: Monomials = []
     for j in t7_range:
         for dx in (0, 1):
-            t7 += [(1, n - 2 * j + dx, 2 * j * R), (-1, n - 2 * j + dx, (n + 1) * R)]
+            t7 += [(1, (n - 2 * j + dx) * x, 2 * j * R), (-1, (n - 2 * j + dx) * x, top)]
     terms.append(("T7", t7, (0, 1)))
-    terms.append(("T8", [(1, 0, n or R)], (0, 1)))
-    terms.append(("T9", [(d, 1, (n + 1) * R)], (0, 1)))
+    terms.append(("T8", [(1, 0, yn or R)], (0, 1)))
+    terms.append(("T9", [(d, x, top)], (0, 1)))
     return terms
 
 
@@ -296,89 +327,93 @@ def eqtwo_term_grids(n: int, params: LemmaParams, planes: Planes) -> list[tuple[
     return [(name, planes.expand(monomials, px)) for name, monomials, (px, _) in terms]
 
 
-def _xy(*pieces) -> MultiPoly:
-    """The pieces (weight, (a, b), binomials) as a polynomial in x, y; see `polyring.from_pieces`."""
-    return from_pieces(XY, pieces)
-
-
-def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
-    """The five-addend closed form of the n-th slice, as rational terms."""
-    base = (_xy((1, (0, 0), [(1, 0)])), _xy((1, (0, 0), [(0, 1)])), _xy((1, (1, 0), [(-1, 1)])))
-    xr_minus_yR = _xy((1, (r, 0), [(-r, R)]))
+def eqone_terms(n: int, r, R) -> list[RationalTerm]:
+    """The five-addend closed form of the n-th slice, as rational terms; r and R as in `_reading`."""
+    x, y, xy = _reading(r)
+    base = (xy((1, (0, 0), [(x, 0)])), xy((1, (0, 0), [(0, y)])), xy((1, (x, 0), [(-x, y)])))
+    xr_minus_yR = xy((1, (r, 0), [(-r, R)]))
     # (x - x^r)(y - y^R) = xy (1 - x^(r-1)) (1 - y^(R-1)): the binomials
     # x_side and y_side, and xy folded into the leads
-    x_side, y_side = (r - 1, 0), (0, R - 1)
+    x_side, y_side = (r - x, 0), (0, R - y)
     return [
         # (1 - xy)(x^(n+1) - y^(n+1)) / ((1-x)(1-y)(x-y))
-        RationalTerm(_xy((1, (n + 1, 0), [(1, 1), (-n - 1, n + 1)])), base),
+        RationalTerm(xy((1, ((n + 1) * x, 0), [(x, y), (-(n + 1) * x, (n + 1) * y)])), base),
         # (x^(nr+1)(1 - x^(2r)) - x^(n+r)(1 - x^2))(y - y^R) / (... (x^r - y^R))
         RationalTerm(
-            _xy((-1, (n + r, 1), [(2, 0), y_side]), (1, (n * r + 1, 1), [(2 * r, 0), y_side])),
+            xy((-1, (n * x + r, y), [(2 * x, 0), y_side]), (1, (n * r + x, y), [(2 * r, 0), y_side])),
             (*base, xr_minus_yR),
         ),
         # (y^(nR+1)(1 - y^(2R)) - y^(n+R)(1 - y^2))(x - x^r) / (... (x^r - y^R))
         RationalTerm(
-            _xy((-1, (1, n + R), [(0, 2), x_side]), (1, (1, n * R + 1), [(0, 2 * R), x_side])),
+            xy((-1, (x, n * y + R), [(0, 2 * y), x_side]), (1, (x, n * R + y), [(0, 2 * R), x_side])),
             (*base, xr_minus_yR),
         ),
         # (y x^(nr)(1 - x^(2r)) - x^r y^n (1 - y^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(x^r - y))
         RationalTerm(
-            _xy((1, (n * r + 1, 2), [(2 * r, 0), x_side, y_side]), (-1, (r + 1, n + 1), [(0, 2), x_side, y_side])),
-            (*base, xr_minus_yR, _xy((1, (r, 0), [(-r, 1)]))),
+            xy(
+                (1, (n * r + x, 2 * y), [(2 * r, 0), x_side, y_side]),
+                (-1, (r + x, (n + 1) * y), [(0, 2 * y), x_side, y_side]),
+            ),
+            (*base, xr_minus_yR, xy((1, (r, 0), [(-r, y)]))),
         ),
         # (x y^(nR)(1 - y^(2R)) - y^R x^n (1 - x^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(y^R - x))
         RationalTerm(
-            _xy((1, (2, n * R + 1), [(0, 2 * R), x_side, y_side]), (-1, (n + 1, R + 1), [(2, 0), x_side, y_side])),
-            (*base, xr_minus_yR, _xy((1, (0, R), [(1, -R)]))),
+            xy(
+                (1, (2 * x, n * R + y), [(0, 2 * R), x_side, y_side]),
+                (-1, ((n + 1) * x, R + y), [(2 * x, 0), x_side, y_side]),
+            ),
+            (*base, xr_minus_yR, xy((1, (0, R), [(x, -R)]))),
         ),
     ]
 
 
-def eqthree_terms(n: int, r: int, R: int) -> list[RationalTerm]:
-    """The sum-free nine-addend closed form, as rational terms."""
-    one_minus_y = _xy((1, (0, 0), [(0, 1)]))
-    base = (one_minus_y, _xy((1, (0, 0), [(1, 0)])))
+def eqthree_terms(n: int, r, R) -> list[RationalTerm]:
+    """The sum-free nine-addend closed form, as rational terms; r and R as in `_reading`."""
+    x, y, xy = _reading(r)
+    one_minus_y = xy((1, (0, 0), [(0, y)]))
+    base = (one_minus_y, xy((1, (0, 0), [(x, 0)])))
     # each term's numerator over its denominator
     return [
         # x^n (1 - y^(n+1)) / ((1-y)(1-x))
-        RationalTerm(_xy((1, (n, 0), [(0, n + 1)])), base),
+        RationalTerm(xy((1, (n * x, 0), [(0, (n + 1) * y)])), base),
         # (y^(n+1) - y^((n+1)R))(x^n - x^r) / ((1-y)(1-x))
-        RationalTerm(_xy((1, (n, n + 1), [(0, (n + 1) * (R - 1)), (r - n, 0)])), base),
+        RationalTerm(xy((1, (n * x, (n + 1) * y), [(0, (n + 1) * (R - y)), (r - n * x, 0)])), base),
         # (y^n - y^(nR))(x^2 - x^(2r)) / ((1-y)(1-x))
-        RationalTerm(_xy((1, (2, n), [(0, n * (R - 1)), (2 * r - 2, 0)])), base),
+        RationalTerm(xy((1, (2 * x, n * y), [(0, n * (R - y)), (2 * (r - x), 0)])), base),
         # x (y^n - y^((n+1)R)) / (1-y)
-        RationalTerm(_xy((1, (1, n), [(0, (n + 1) * R - n)])), (one_minus_y,)),
+        RationalTerm(xy((1, (x, n * y), [(0, (n + 1) * R - n * y)])), (one_minus_y,)),
         # y^n / (1-y)
-        RationalTerm(_xy((1, (0, n), [])), (one_minus_y,)),
+        RationalTerm(xy((1, (0, n * y), [])), (one_minus_y,)),
         # (1 + x)(x^n y^R - x y^(nR)) / ((1-y)(x - y^R)), 1 + x as two leads
         RationalTerm(
-            _xy((1, (n, R), [(1 - n, (n - 1) * R)]), (1, (n + 1, R), [(1 - n, (n - 1) * R)])),
-            (one_minus_y, _xy((1, (1, 0), [(-1, R)]))),
+            xy((1, (n * x, R), [((1 - n) * x, (n - 1) * R)]), (1, ((n + 1) * x, R), [((1 - n) * x, (n - 1) * R)])),
+            (one_minus_y, xy((1, (x, 0), [(-x, R)]))),
         ),
         # (x^(nr) y - x^r y^n)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y))
         RationalTerm(
-            _xy((1, (n * r, 1), [(r - n * r, n - 1), (2 * r, 0)])),
-            (*base, _xy((1, (r, 0), [(-r, 1)]))),
+            xy((1, (n * r, y), [(r - n * r, (n - 1) * y), (2 * r, 0)])),
+            (*base, xy((1, (r, 0), [(-r, y)]))),
         ),
         # -y^((n+1)R) (1 + x)(x^2 - x^n) / ((1-y)(1-x^2))
         RationalTerm(
-            _xy((-1, (2, (n + 1) * R), [(n - 2, 0)]), (-1, (3, (n + 1) * R), [(n - 2, 0)])),
-            (one_minus_y, _xy((1, (0, 0), [(2, 0)]))),
+            xy((-1, (2 * x, (n + 1) * R), [((n - 2) * x, 0)]), (-1, (3 * x, (n + 1) * R), [((n - 2) * x, 0)])),
+            (one_minus_y, xy((1, (0, 0), [(2 * x, 0)]))),
         ),
         # (x^r y^(nR) - x^(nr) y^R)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y^R))
         RationalTerm(
-            _xy((1, (r, n * R), [(n * r - r, R - n * R), (2 * r, 0)])),
-            (*base, _xy((1, (r, 0), [(-r, R)]))),
+            xy((1, (r, n * R), [(n * r - r, R - n * R), (2 * r, 0)])),
+            (*base, xy((1, (r, 0), [(-r, R)]))),
         ),
     ]
 
 
-def eqtwo_terms_rational(n: int, r: int, R: int) -> list[RationalTerm]:
-    """The slice closed form with its finite sums materialized, term by term."""
-    one_minus = _xy((1, (0, 0), [(1, 0)])), _xy((1, (0, 0), [(0, 1)]))
+def eqtwo_terms_rational(n: int, r, R) -> list[RationalTerm]:
+    """The slice closed form with its finite sums materialized, term by term; r and R as in `_reading`."""
+    x, y, xy = _reading(r)
+    one_minus = xy((1, (0, 0), [(x, 0)])), xy((1, (0, 0), [(0, y)]))
     return [
         RationalTerm(
-            _xy(*((c, (a, b), ()) for c, a, b in monomials)),
+            xy(*((c, (a, b), ()) for c, a, b in monomials)),
             (one_minus[0],) * px + (one_minus[1],) * py,
         )
         for _, monomials, (px, py) in eqtwo_symbolic(n, r, R)
@@ -387,7 +422,7 @@ def eqtwo_terms_rational(n: int, r: int, R: int) -> list[RationalTerm]:
 
 @dataclass(frozen=True)
 class LemmaVerdict:
-    """Joint result of the two closed-form equivalences at one (n, r, R)."""
+    """Joint result of the two closed-form equivalences at one (n, r, R), or one n for all."""
 
     one_vs_three: IdentityVerdict
     three_vs_two: IdentityVerdict
@@ -397,18 +432,28 @@ class LemmaVerdict:
         return self.one_vs_three.equal and self.three_vs_two.equal
 
 
+def _closed_forms_agree(n: int, r, R) -> LemmaVerdict:
+    one, three = eqone_terms(n, r, R), eqthree_terms(n, r, R)
+    return LemmaVerdict(identity_check(one, three), identity_check(three, eqtwo_terms_rational(n, r, R)))
+
+
 def check_eqone_eqthree(n: int, r: int, R: int) -> LemmaVerdict:
-    """Verify the three closed forms agree as rational functions."""
+    """Verify the three closed forms agree as rational functions at one (n, r, R)."""
     if type(n) is not int or n < 0:
         raise ValueError(f"slice index must be a nonnegative integer, got {n!r}")
     positive_ints((r, R), "r and R", 2)
-    one = eqone_terms(n, r, R)
-    three = eqthree_terms(n, r, R)
-    two = eqtwo_terms_rational(n, r, R)
-    return LemmaVerdict(
-        identity_check(one, three),
-        identity_check(three, two),
-    )
+    return _closed_forms_agree(n, r, R)
+
+
+def slice_identity(n: int) -> LemmaVerdict:
+    """The three closed forms of slice n agree for every r, R >= 1.
+
+    They are read over (x, y, X, Y) with X and Y free.  Substituting
+    X = x^r and Y = y^R is a ring homomorphism that sends no denominator
+    (X - Y, X - y, Y - x, 1 - x, 1 - x^2, 1 - y) to 0, so two equal sides
+    stay equal at every r and R.
+    """
+    return _closed_forms_agree(n, *SLICE_FORMS[2:])
 
 
 def t2_closed_form(n: int, params: LemmaParams, planes: Planes) -> int:

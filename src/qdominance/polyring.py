@@ -5,10 +5,11 @@ coefficients; the variable list is part of the value.  Every polynomial
 the package states is written as weighted binomial pieces,
 weight * v^lead * prod (1 - v^e), and expanded by `from_pieces`; nothing
 else in the package builds a polynomial from a formula.  The split
-numerators and the h numerator are written once over sizes: read with
-ints they are exponents, and read with the unit linear forms of `_Form`
-they are exponent vectors over free variables, one per size, so that
-one identity over those variables holds at every size.
+numerators, the h numerator and the lemma's slice closed forms are
+written once over sizes: read with ints they are exponents, and read
+with the unit linear forms of `_Form` they are exponent vectors over
+free variables, one per size, so that one identity over those
+variables holds at every size.
 
 identity_check compares two sums of rational terms exactly, by clearing
 all denominators; denominators there may be any nonzero polynomial,
@@ -42,8 +43,9 @@ class IdentityCapError(ResourceError, ValueError):
 
 
 # Largest packed integer, slots x B bits, that one identity check may
-# build: 16 MiB.  The largest check of an `identities` request packs
-# 7,488 bits, so this leaves a factor of about 18,000.
+# build: 16 MiB.  The largest check of an `identities` request, slice 4's
+# closed forms over (x, y, X, Y), packs 5,120 slots x 12 bits = 61,440
+# bits, so this leaves a factor of about 2,000.
 MAX_IDENTITY_BITS = 1 << 27
 
 
@@ -90,7 +92,11 @@ class MultiPoly:
 
 
 class _Form(tuple):
-    """An exponent as its coefficients over the variables; the zero form is false, like 0."""
+    """An exponent as its coefficients over the variables; the zero form is false, like 0.
+
+    Forms add, subtract, negate and scale by ints, so a formula in sizes
+    reads the same with ints and with forms.
+    """
 
     @classmethod
     def units(cls, count: int) -> list["_Form"]:
@@ -102,6 +108,16 @@ class _Form(tuple):
 
     def __sub__(self, other):
         return _Form(map(sub, self, other))
+
+    def __mul__(self, k: int):
+        if type(k) is not int:
+            return NotImplemented
+        return _Form(c * k for c in self)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
 
     def __bool__(self):
         return any(self)

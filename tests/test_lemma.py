@@ -1,6 +1,8 @@
 """Kernel expansion, slice closed forms, and the negativity-window argument."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_lemma as transcribed
 from qdominance import lemma
@@ -11,8 +13,10 @@ from qdominance.lemma import (
     check_eqone_eqthree,
     eqtwo_symbolic,
     eqtwo_term_grids,
+    slice_identity,
     t2_closed_form,
 )
+from qdominance.polyring import MultiPoly, RationalTerm, identity_check
 from reference_lemma import lattice
 from reference_lemma import unpack
 
@@ -150,6 +154,77 @@ class TestTermsMatchTheTranscription:
                 for R in range(1, 5):
                     got = getattr(lemma, name)(n, r, R)
                     assert_same_terms(got, getattr(transcribed, name)(n, r, R), (n, r, R))
+
+
+READINGS = ("eqone_terms", "eqthree_terms", "eqtwo_terms_rational")
+# the two comparisons of a slice, as pairs of readings
+COMPARED = ((0, 1), (1, 2))
+x_FORM, y_FORM, X_FORM, Y_FORM = lemma.SLICE_FORMS
+
+
+def form_readings(n, r=X_FORM):
+    """The three closed forms of slice n over (x, y, X, Y), with r read as the form `r`."""
+    return [getattr(lemma, name)(n, r, Y_FORM) for name in READINGS]
+
+
+def refused(forms, changed):
+    """Whether both comparisons that read the changed form fail."""
+    return all(not identity_check(forms[a], forms[b]).equal for a, b in COMPARED if changed in (a, b))
+
+
+def with_term(terms, i, term):
+    return terms[:i] + [term] + terms[i + 1 :]
+
+
+def specialised(poly, r, R):
+    """A polynomial over (x, y, X, Y) at X = x^r and Y = y^R, as a polynomial in x, y."""
+    terms = {}
+    for (a, b, c, d), k in poly.terms.items():
+        key = (a + r * c, b + R * d)
+        terms[key] = terms.get(key, 0) + k
+    return MultiPoly(lemma.XY, terms)
+
+
+class TestSliceFormIdentities:
+    """One identity per slice over (x, y, X, Y), with X = x^r and Y = y^R free."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_each_slice_holds_for_every_r_and_R(self, n):
+        verdict = slice_identity(n)
+        assert verdict.one_vs_three.equal and verdict.three_vs_two.equal
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_monomial_doubled_or_dropped_is_refused(self, n):
+        forms = form_readings(n)
+        for f, terms in enumerate(forms):
+            for i, term in enumerate(terms):
+                numerator = term.numerator
+                for exps, c in numerator.terms.items():
+                    for edit in (2 * c, 0):
+                        edited = MultiPoly(lemma.SLICE_VARIABLES, {**numerator.terms, exps: edit})
+                        changed = with_term(terms, i, RationalTerm(edited, term.denominator_factors))
+                        assert refused(with_term(forms, f, changed), f), (n, READINGS[f], i, exps, edit)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_x_to_the_r_written_as_x_to_the_r_plus_one_is_refused(self, n):
+        """Each term whose value reads r, rebuilt at X -> X + x alone, breaks the identity."""
+        forms, shifted = form_readings(n), form_readings(n, X_FORM + x_FORM)
+        edits = 0
+        for f, (terms, moved) in enumerate(zip(forms, shifted)):
+            for i, (term, other) in enumerate(zip(terms, moved)):
+                if not identity_check([term], [other]).equal:
+                    edits += 1
+                    assert refused(with_term(forms, f, with_term(terms, i, other)), f), (n, READINGS[f], i)
+        assert edits >= 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 6), st.integers(1, 6), st.sampled_from(READINGS))
+    def test_the_form_reading_specialises_to_the_int_reading(self, n, r, R, name):
+        got = [
+            RationalTerm(specialised(t.numerator, r, R), tuple(specialised(f, r, R) for f in t.denominator_factors))
+            for t in getattr(lemma, name)(n, X_FORM, Y_FORM)
+        ]
+        assert_same_terms(got, getattr(lemma, name)(n, r, R), (n, r, R))
 
 
 class TestNegativityWindow:

@@ -7,7 +7,8 @@ agree on random sides over 1 to 7 variables (with `Fraction`
 coefficients, negative exponents, factors equal up to sign, repeated
 factors, zero numerators and empty sides), on sides equal by
 construction and then perturbed, and on every check of the `identities`
-command, true and perturbed.  The width tests decode the whole packed
+command (the slice closed forms over free X = x^r and Y = y^R among them)
+and its 90 slice point checks, true and perturbed.  The width tests decode the whole packed
 int and compare it with the reference's cleared numerator.
 """
 
@@ -119,16 +120,26 @@ def test_equal_sides_and_their_perturbations_match_reference(problem, data):
     assert identity_check(perturbed, lhs) == reference_identity_check(perturbed, lhs)
 
 
+def slice_pairs(n, r, R):
+    """The two comparisons of slice n's closed forms, eqone with eqthree and eqthree with eqtwo."""
+    one, three = lemma.eqone_terms(n, r, R), lemma.eqthree_terms(n, r, R)
+    return [(one, three), (three, lemma.eqtwo_terms_rational(n, r, R))]
+
+
 def command_checks():
-    """The 95 (lhs, rhs) pairs of `identities`: 90 slice closed forms, the
-    Thm1 and Thm2 split numerators at t = 0 and at a generic t, and the
-    four-size splitting."""
+    """The 15 (lhs, rhs) pairs that `identities` runs, and the 90 point checks
+    it runs only to name a failing slice.
+
+    The 15 are the slice closed forms over (x, y, X, Y) for n <= 4 (10
+    pairs), the Thm1 and Thm2 split numerators at t = 0 and at a generic t,
+    and the four-size splitting; the 90 are the slice closed forms at every
+    n <= 4 and r, R <= 3."""
     pairs = []
     for n in range(5):
+        pairs += slice_pairs(n, *lemma.SLICE_FORMS[2:])
         for r in range(1, 4):
             for R in range(1, 4):
-                one, three = lemma.eqone_terms(n, r, R), lemma.eqthree_terms(n, r, R)
-                pairs += [(one, three), (three, lemma.eqtwo_terms_rational(n, r, R))]
+                pairs += slice_pairs(n, r, R)
     for split in ("thm1", "thm2"):
         for t_zero in (True, False):
             lhs, rhs = split_identity_sides(split, t_zero)
@@ -162,7 +173,7 @@ def perturb(side, kind: int, rng: random.Random):
 
 
 def test_command_checks_hold_and_match_reference():
-    assert len(COMMAND_CHECKS) == 95
+    assert len(COMMAND_CHECKS) == 105
     for lhs, rhs in COMMAND_CHECKS:
         assert identity_check(lhs, rhs) == reference_identity_check(lhs, rhs) == polyring.IdentityVerdict(True)
 

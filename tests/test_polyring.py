@@ -11,6 +11,7 @@ from qdominance.polyring import (
     MultiPoly,
     RationalTerm,
     VariableMismatchError,
+    _Form,
     from_pieces,
     identity_check,
     to_text,
@@ -149,6 +150,29 @@ class TestFromPieces:
     def test_zero_binomial_and_no_pieces_give_zero(self):
         assert from_pieces(XY, [(5, (1, 2), [(1, 0), (0, 0)])]).is_zero()
         assert from_pieces(XY, []).is_zero()
+
+
+class TestForms:
+    def test_int_scaling_scales_every_coefficient(self):
+        x, y, X = _Form.units(3)
+        assert 3 * X == X * 3 == X + X + X == _Form((0, 0, 3))
+        assert 2 * (X - x) + y == _Form((-2, 1, 2))
+        assert -X == 0 * X - X == _Form((0, 0, -1))
+        assert not 0 * X and type(3 * X) is _Form
+
+    def test_a_form_times_a_form_is_refused(self):
+        x, y = _Form.units(2)
+        with pytest.raises(TypeError):
+            x * y
+
+    def test_k_times_r_reads_the_same_with_ints_and_forms(self):
+        """The exponent k r + 1 of x^(kr+1), as an int and at the form of X = x^r."""
+        x, X = _Form.units(2)
+        for k in range(-2, 4):
+            for r in range(1, 5):
+                form = k * X + x
+                assert form == _Form((1, k))
+                assert form[0] + r * form[1] == k * r + 1
 
 
 class TestText:
