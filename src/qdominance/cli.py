@@ -9,9 +9,10 @@ check failed (the envelope carries a witness), and 2 on usage or
 resource errors; the console script (`console`) exits 3 on an internal
 fault, with its traceback on stderr.  ``interpret-check`` and ``sweep``
 can emit CSV instead; a terse text rendering is available everywhere.
-Each run-wide default is a RunConfig field default and prints into every
-report header, and each command echoes its own options into ``params``, so
-a published number can be reproduced from the report alone.
+Each subcommand registers only the run flags (RUN_FLAGS) it reads, and
+``config`` echoes exactly those, defaults included; each command echoes
+its own options into ``params``, so a published number can be reproduced
+from the report alone.
 """
 
 from __future__ import annotations
@@ -27,18 +28,17 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import antitelescope, dominance, lemma, partitions, polyring, proposal
 from .series import ParameterError, ResourceError, positive_ints, serialize
 
-ENV_ORDER = "QDOMINANCE_ORDER"
 # Largest interpret-check --max-n.  The count tables are packed ints, so
 # memory stays small; time is the cost.  count_profile((1, 1, 1, n, n, n), n)
 # takes 2.6 s at n = 40 (17 MB peak) and 11.5 s at n = 60 (18 MB peak) on
 # a 2-vCPU VM, about n^3.7, so this bound admits requests of over a minute.
-# The time bound is open in ROADMAP item 4 (run contract).
+# The time bound is open in ROADMAP item 5 (run contract).
 MAX_INTERPRET_N = 100
 # Most assignments, partial ones included, that one sweep box walk may make.
 # The [1, 4]^8 Thm2 box makes 87,380 of them for its 65,536 points.
@@ -57,23 +57,15 @@ class BoxCapError(ResourceError, ValueError):
     """Raised when a sweep box walk would make more than MAX_BOX_ASSIGNMENTS assignments."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide settings echoed into every report header; each field's default is the CLI's."""
-
-    order: int = 100
-    bounds: tuple[int, int, int] = (10, 40, 40)
-    cap: int = partitions.DEFAULT_ENUMERATION_CAP
-    seed: int = 0
-    jobs: int = 1
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        for name in ("order", "cap", "jobs"):
-            positive_ints((getattr(self, name),), name, 1)
-        positive_ints(self.bounds, "bounds")
-        if self.format not in FORMATS:
-            raise ParameterError(f"format must be one of {', '.join(FORMATS)}, got {self.format!r}")
+# The run flags, in the order `config` echoes them; each subcommand registers
+# only those it reads (see `build_parser`), and each default is stated here once.
+RUN_FLAGS = {
+    "order": {"type": int, "default": 100, "help": "truncation order"},
+    "bounds": {"default": "10,40,40", "help": "Nt,Nx,Ny kernel bounds"},
+    "seed": {"type": int, "default": 0, "help": "seed for sweep --sample points"},
+    "jobs": {"type": int, "default": 1, "help": "parallel workers for sweep"},
+    "format": {"choices": FORMATS, "default": "json", "help": "output format"},
+}
 
 
 def _csv_ints(text: str, label: str) -> tuple[int, ...]:
@@ -86,20 +78,21 @@ def _csv_ints(text: str, label: str) -> tuple[int, ...]:
     return values
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run flags that were given, and --order from ENV_ORDER when absent; RunConfig fills the rest."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name) is not None}
-    if "order" not in given and ENV_ORDER in os.environ:
-        raw = os.environ[ENV_ORDER]
-        try:
-            given["order"] = int(raw)
-        except ValueError:
-            raise ParameterError(f"{ENV_ORDER} must be an integer, got {raw!r}") from None
-    if "bounds" in given:
-        given["bounds"] = _csv_ints(args.bounds, "--bounds")
-        if len(given["bounds"]) != 3:
+def config_from_args(args: argparse.Namespace) -> dict:
+    """The command's own run flags, in RUN_FLAGS order, with --bounds read as three ints.
+
+    Only the form of --bounds is checked here; its range and lattice size
+    are `lemma`'s to check.
+    """
+    config = {name: getattr(args, name) for name in RUN_FLAGS if hasattr(args, name)}
+    for name in ("order", "jobs"):
+        if name in config:
+            positive_ints((config[name],), name, 1)
+    if "bounds" in config:
+        config["bounds"] = _csv_ints(args.bounds, "--bounds")
+        if len(config["bounds"]) != 3:
             raise ParameterError(f"--bounds needs exactly three integers, got {args.bounds!r}")
-    return RunConfig(**given)
+    return config
 
 
 # --- report plumbing --------------------------------------------------------
@@ -134,17 +127,17 @@ class Outcome:
     table: list | None
 
 
-def _write(stream, command: str, config: RunConfig, outcome: Outcome, started: float) -> None:
+def _write(stream, command: str, config: dict, outcome: Outcome, started: float) -> None:
     status = "pass" if outcome.ok else "fail"
-    if config.format == "csv":
+    if config["format"] == "csv":
         csv.writer(stream).writerows(outcome.table)
         return
-    if config.format == "text":
+    if config["format"] == "text":
         stream.write(f"{command}: {status}\n")
         if outcome.witness is not None:
             stream.write(f"witness: {_to_json(outcome.witness)}\n")
         return
-    env = {"command": command, "config": asdict(config), "params": outcome.params, "status": status}
+    env = {"command": command, "config": config, "params": outcome.params, "status": status}
     if outcome.witness is not None:
         env["witness"] = outcome.witness
     if outcome.result is not None:
@@ -168,40 +161,30 @@ def inequality_id(text: str) -> str:
         raise ParameterError(f"unknown inequality {text!r}; known: {known}") from None
 
 
-def parse_inequality_params(ineq_id: str, text: str | None, L: int | None = None) -> dict:
+def parse_inequality_params(ineq_id: str, text: str | None) -> dict:
     """Comma-separated integers in the declared parameter order.
 
     The generalized family takes ``L,m,x1..xn,r1..rn`` with the two
-    groups of equal length.  ``L``, when given, overrides the length slot
-    of the parsed values; a family whose only parameter is the length
-    needs no text then.
+    groups of equal length.
     """
     required = dominance.REQUIRED_PARAMETERS[ineq_id]
-    if L is not None and "L" not in required:
-        raise ParameterError(f"{ineq_id} has no length parameter")
     values = _csv_ints(text, "--params") if text else ()
-    if L is not None and not values and required == ("L",):
-        return {"L": L}
     if ineq_id == "Proposal":
         if len(values) < 4 or (len(values) - 2) % 2 != 0:
             raise ParameterError(
                 "Proposal takes L,m,x1..xn,r1..rn with equally many sizes and multipliers"
             )
         half = (len(values) - 2) // 2
-        parameters = {
+        return {
             "L": values[0],
             "m": values[1],
             "xs": values[2 : 2 + half],
             "rs": values[2 + half :],
         }
-    elif len(values) != len(required):
+    if len(values) != len(required):
         names = ",".join(required) if required else "(none)"
         raise ParameterError(f"{ineq_id} takes parameters {names}; got {len(values)} values")
-    else:
-        parameters = dict(zip(required, values))
-    if L is not None:
-        parameters["L"] = L
-    return parameters
+    return dict(zip(required, values))
 
 
 # --- check ------------------------------------------------------------------
@@ -216,7 +199,7 @@ def _dominance_witness(report: dominance.DominanceReport):
 def _cmd_check(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq)
     parameters = parse_inequality_params(ineq_id, args.params)
-    report = dominance.check_named(dominance.NamedInequality(ineq_id, parameters), config.order)
+    report = dominance.check_named(dominance.NamedInequality(ineq_id, parameters), config["order"])
     result = dominance.report_dict(report, inequality=ineq_id, parameters=parameters)
     if args.dump_series:
         result["difference"] = serialize(report.difference)
@@ -242,12 +225,12 @@ def _cmd_antitelescope(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq)
     if ineq_id == "RR":
         raise ParameterError("RR is an infinite-product statement; antitelescope its finite cousin finiteRR")
-    parameters = parse_inequality_params(ineq_id, args.params, args.L)
+    parameters = parse_inequality_params(ineq_id, args.params)
     split = args.split
     if split != "none" and ineq_id not in ("Thm1", "Thm2"):
         raise ParameterError(f"--split {split} is only available for Thm1/Thm2 products")
     P, Q = dominance.build_specs(dominance.NamedInequality(ineq_id, parameters))
-    scan = antitelescope.positivity_scan(P, Q, config.order, split, args.dump_series)
+    scan = antitelescope.positivity_scan(P, Q, config["order"], split, args.dump_series)
     params = {"ineq": ineq_id, "params": parameters, "split": split}
     return Outcome(scan["all_nonnegative"], params, _scan_witness(scan["rows"]), scan, None)
 
@@ -256,7 +239,7 @@ def _cmd_antitelescope(args, config) -> Outcome:
 
 
 def _cmd_lemma(args, config) -> Outcome:
-    report = lemma.certify_lemma(args.r, args.R, config.bounds)
+    report = lemma.certify_lemma(args.r, args.R, config["bounds"])
     result = {k: v for k, v in report.items() if k != "witness"}
     if args.dump_poly:
         term = lemma.kernel_term(args.r, args.R)
@@ -264,7 +247,7 @@ def _cmd_lemma(args, config) -> Outcome:
             "numerator": polyring.to_text(term.numerator),
             "denominator": [polyring.to_text(f) for f in term.denominator_factors],
         }
-    params = {"r": args.r, "R": args.R, "bounds": list(config.bounds)}
+    params = {"r": args.r, "R": args.R, "bounds": list(config["bounds"])}
     return Outcome(report["ok"], params, report["witness"], result, None)
 
 
@@ -280,7 +263,7 @@ def _partition_params(text: str) -> partitions.PartitionParams:
 
 def _cmd_enumerate(args, config) -> Outcome:
     params = _partition_params(args.params)
-    listed = partitions.enumerate_partitions(args.n, params, cap=config.cap)
+    listed = partitions.enumerate_partitions(args.n, params)
     result = {"n": args.n, "count": len(listed), "partitions": listed}
     return Outcome(True, {"params": list(params.as_tuple()), "n": args.n}, None, result, None)
 
@@ -314,10 +297,8 @@ def _cmd_interpret_check(args, config) -> Outcome:
 def _cmd_proposal(args, config) -> Outcome:
     sizes = _csv_ints(args.x, "--x")
     multipliers = _csv_ints(args.r, "--r")
-    if args.n is not None and args.n != len(sizes):
-        raise ParameterError(f"--n {args.n} disagrees with the {len(sizes)} sizes in --x")
     params = proposal.proposal_params(sizes, multipliers)
-    outcome = proposal.check_proposal(params, args.m, args.L, config.order)
+    outcome = proposal.check_proposal(params, args.m, args.L, config["order"])
     witness = None
     if not outcome["holds"]:
         report = outcome["report"]
@@ -462,7 +443,7 @@ def _sweep_points(args, config, ineq_id: str | None) -> tuple[list[tuple[str, st
     if args.kind == "lemma":
         if args.ineq is not None:
             raise ParameterError("--kind lemma takes no --ineq")
-        lemma.check_lattice(config.bounds)
+        lemma.check_lattice(config["bounds"])
         expected = {"r", "R"}
     else:
         if ineq_id is None:
@@ -479,7 +460,7 @@ def _sweep_points(args, config, ineq_id: str | None) -> tuple[list[tuple[str, st
         positive_ints((args.sample,), "--sample", 1)
         if args.sample > len(points):
             raise ParameterError(f"--sample {args.sample} exceeds the box size {len(points)}")
-        rng = random.Random(config.seed)
+        rng = random.Random(config["seed"])
         points = rng.sample(points, args.sample)
         points.sort(key=lambda p: tuple(p[name] for name in names))
     return entries, points
@@ -494,8 +475,8 @@ def _cmd_sweep(args, config) -> Outcome:
     ineq_id = inequality_id(args.ineq) if args.ineq else None
     entries, points = _sweep_points(args, config, ineq_id)
     names = [name for name, _, _ in entries]
-    jobs = [(args.kind, ineq_id, point, config.order, config.bounds) for point in points]
-    workers = pool_size(config.jobs, len(jobs))
+    jobs = [(args.kind, ineq_id, point, config["order"], config["bounds"]) for point in points]
+    workers = pool_size(config["jobs"], len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_job, jobs, chunksize=16))
@@ -542,52 +523,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler, flags) -> argparse.ArgumentParser:
+        """A subcommand that registers the run flags it reads."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--order", type=int, help=f"truncation order (default {RunConfig.order}, env {ENV_ORDER})")
-        p.add_argument("--bounds", help=f"Nt,Nx,Ny kernel bounds (default {','.join(map(str, RunConfig.bounds))})")
-        p.add_argument("--cap", type=int, help=f"enumeration weight cap (default {RunConfig.cap})")
-        p.add_argument("--seed", type=int, help=f"seed for sweep --sample points (default {RunConfig.seed})")
-        p.add_argument("--jobs", type=int, help=f"parallel workers for sweep (default {RunConfig.jobs})")
-        p.add_argument("--format", choices=FORMATS, help=f"output format (default {RunConfig.format})")
+        for flag in flags:
+            spec = RUN_FLAGS[flag]
+            p.add_argument(f"--{flag}", **{**spec, "help": f"{spec['help']} (default {spec['default']})"})
         return p
 
-    p = add("check", "coefficientwise dominance for one named inequality", _cmd_check)
+    p = add("check", "coefficientwise dominance for one named inequality", _cmd_check, ("order", "format"))
     p.add_argument("--ineq", required=True, help="inequality id (case-insensitive)")
     p.add_argument("--params", help="comma-separated parameters in declared order")
     p.add_argument("--dump-series", action="store_true", help="include the difference series")
 
-    p = add("antitelescope", "per-index addend positivity scan", _cmd_antitelescope)
+    p = add("antitelescope", "per-index addend positivity scan", _cmd_antitelescope, ("order", "format"))
     p.add_argument("--ineq", required=True)
     p.add_argument("--params")
-    p.add_argument("--L", type=int, help="number of layers (shorthand for the L slot)")
     p.add_argument("--split", choices=antitelescope.SPLIT_MODES, default="none")
     p.add_argument("--dump-series", action="store_true", help="include every addend (and group) series")
 
-    p = add("lemma", "kernel expansion: signs, slices, window, symmetry", _cmd_lemma)
+    p = add("lemma", "kernel expansion: signs, slices, window, symmetry", _cmd_lemma, ("bounds", "format"))
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--dump-poly", action="store_true", help="include the kernel rational term")
 
-    p = add("enumerate", "list colored partitions of one weight", _cmd_enumerate)
+    p = add("enumerate", "list colored partitions of one weight", _cmd_enumerate, ("format",))
     p.add_argument("--params", required=True, help="m,x,y,r,R,L")
     p.add_argument("--n", type=int, required=True, help="weight to enumerate")
 
-    p = add("interpret-check", "counts vs series coefficients, row by row", _cmd_interpret_check)
+    p = add("interpret-check", "counts vs series coefficients, row by row", _cmd_interpret_check, ("format",))
     p.add_argument("--params", required=True, help="m,x,y,r,R,L")
     p.add_argument("--max-n", type=int, default=30)
 
-    p = add("proposal", "generalized-tuple dominance with provenance status", _cmd_proposal)
+    p = add(
+        "proposal", "generalized-tuple dominance with provenance status", _cmd_proposal, ("order", "format")
+    )
     p.add_argument("--x", required=True, help="comma-separated sizes")
     p.add_argument("--r", required=True, help="comma-separated multipliers")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--n", type=int, help="arity; checked against --x when given")
 
-    add("identities", "exact polynomial and closed-form identity certification", _cmd_identities)
+    p = add(
+        "identities", "exact polynomial and closed-form identity certification", _cmd_identities, ("format",)
+    )
+    # every identity holds for all parameters, so these are never read; the
+    # benchmark's kernel-lemma requests still send them
+    for flag in ("order", "seed"):
+        spec = {**RUN_FLAGS[flag], "help": "ignored: the identities hold for all values"}
+        p.add_argument(f"--{flag}", **spec)
 
-    p = add("sweep", "run one check over a parameter box and aggregate", _cmd_sweep)
+    p = add("sweep", "run one check over a parameter box and aggregate", _cmd_sweep, tuple(RUN_FLAGS))
     p.add_argument("--kind", choices=SWEEP_KINDS, default="dominance")
     p.add_argument("--ineq")
     p.add_argument("--box", required=True, help="e.g. m=3:8,r=1:m-1,L=1:3")
@@ -601,7 +587,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config = config_from_args(args)
-        if config.format == "csv" and args.command not in CSV_COMMANDS:
+        if config["format"] == "csv" and args.command not in CSV_COMMANDS:
             raise ParameterError(f"csv output is only available for {' and '.join(CSV_COMMANDS)}")
         outcome = args.handler(args, config)
     except ResourceError as exc:

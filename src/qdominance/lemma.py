@@ -85,18 +85,13 @@ class LemmaParams:
 
     def __post_init__(self) -> None:
         positive_ints((self.r, self.R), "r and R", 2)
-        bounds = tuple(self.bounds)
-        if not (
-            len(bounds) == 3
-            and _INT_ONLY.issuperset(map(type, bounds))
-            and min(bounds) >= 0
-        ):
-            raise ParameterError(f"bounds must be three nonnegative integers: {self.bounds}")
-        check_lattice(bounds)
+        check_lattice(self.bounds)
 
 
 def check_lattice(bounds: tuple[int, int, int]) -> None:
-    """Refuse bounds whose lattice exceeds MAX_LATTICE_CELLS, before allocating."""
+    """Refuse bounds that are not three ints >= 0, or whose lattice is over MAX_LATTICE_CELLS."""
+    if not (len(bounds) == 3 and _INT_ONLY.issuperset(map(type, bounds)) and min(bounds) >= 0):
+        raise ParameterError(f"bounds must be three nonnegative integers: {bounds}")
     nt, nx, ny = bounds
     cells = (nt + 1) * (nx + 1) * (ny + 1)
     if cells > MAX_LATTICE_CELLS:

@@ -39,7 +39,7 @@ X, Y, XY, RX, RY, S = BASE_LABELS = ("X", "Y", "XY", "RX", "RY", "S")
 
 SYSTEMS = ("V", "W")
 
-DEFAULT_ENUMERATION_CAP = 40
+MAX_ENUMERATED_WEIGHT = 40
 
 # Most partitions that one `enumerate_partitions` call may list.  Inside the
 # weight cap a weight can still have billions of partitions (240,400,798,987
@@ -299,9 +299,7 @@ def _reachable(kinds, n: int) -> list[list[bool]]:
     return reachable
 
 
-def enumerate_partitions(
-    n: int, params: PartitionParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[tuple[str, int, int], ...]]:
+def enumerate_partitions(n: int, params: PartitionParams) -> list[tuple[tuple[str, int, int], ...]]:
     """All weight-n partitions, duplicate-free, in canonical order.
 
     Each partition is a tuple of (base, index, multiplicity) triples with
@@ -324,8 +322,8 @@ def enumerate_partitions(
     """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {cap}")
+    if n > MAX_ENUMERATED_WEIGHT:
+        raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {MAX_ENUMERATED_WEIGHT}")
     kinds = _part_kinds(params, n)
     count = reciprocal_from_exponents([size for _, _, size in kinds], n).coeff(n)
     if count > MAX_ENUMERATED_PARTITIONS:

@@ -18,12 +18,13 @@ import reference_partitions
 from qdominance import antitelescope, cli, lemma, partitions, polyring, proposal, series
 from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
-    ENV_ORDER,
     EXIT_INTERNAL,
     MAX_BOX_ASSIGNMENTS,
     MAX_INTERPRET_N,
+    RUN_FLAGS,
     BoxCapError,
-    RunConfig,
+    build_parser,
+    config_from_args,
     console,
     expand_box,
     main,
@@ -55,39 +56,30 @@ def report(out):
     return envelope
 
 
+def parsed_config(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
 class TestConfig:
+    LEMMA_SWEEP = ["sweep", "--kind", "lemma", "--box", "r=1:1,R=1:1"]
+
     def test_defaults(self):
-        config = RunConfig()
-        assert (config.order, config.bounds) == (100, (10, 40, 40))
-        assert (config.cap, config.seed, config.jobs, config.format) == (40, 0, 1, "json")
+        config = parsed_config(self.LEMMA_SWEEP)
+        assert config == {"order": 100, "bounds": (10, 40, 40), "seed": 0, "jobs": 1, "format": "json"}
+        assert parsed_config(["check", "--ineq", "RR"]) == {"order": 100, "format": "json"}
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ParameterError):
-            RunConfig(order=0)
+            parsed_config(["check", "--ineq", "RR", "--order", "0"])
 
-    @pytest.mark.parametrize("field", [{"cap": 0}, {"jobs": -1}, {"bounds": (4, 0, 8)}, {"order": True}])
-    def test_rejects_each_nonpositive_run_value(self, field):
-        with pytest.raises(ParameterError, match=f"^{next(iter(field))} must be"):
-            RunConfig(**field)
-
-    def test_env_overrides_default_order(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_ORDER, "25")
-        code, out, _ = run_cli(["check", "--ineq", "RR"], capsys)
-        assert code == 0
-        assert report(out)["config"]["order"] == 25
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_ORDER, "25")
-        code, out, _ = run_cli(["check", "--ineq", "RR", "--order", "12"], capsys)
-        assert code == 0
-        assert report(out)["config"]["order"] == 12
-
-    def test_garbage_env_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_ORDER, "soon")
-        code, out, err = run_cli(["check", "--ineq", "RR"], capsys)
+    # the range of --bounds is lemma's to check, for `lemma` and `sweep --kind lemma` alike
+    @pytest.mark.parametrize("field", [{"jobs": "0"}, {"jobs": "-1"}, {"bounds": "4,-1,8"}, {"order": "-3"}])
+    def test_rejects_each_nonpositive_run_value(self, field, capsys):
+        ((name, value),) = field.items()
+        code, out, err = run_cli(self.LEMMA_SWEEP + [f"--{name}", value], capsys)
         assert code == 2
         assert out == ""
-        assert ENV_ORDER in err
+        assert err.startswith(f"qdominance: error: {name} must be")
 
     def test_bad_bounds_rejected(self, capsys):
         code, _, err = run_cli(["lemma", "--r", "1", "--R", "1", "--bounds", "4,8"], capsys)
@@ -98,6 +90,58 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestRunFlags:
+    # the run flags each command registers, in the order its config echoes them
+    REGISTERED = {
+        "check": ["order", "format"],
+        "antitelescope": ["order", "format"],
+        "lemma": ["bounds", "format"],
+        "enumerate": ["format"],
+        "interpret-check": ["format"],
+        "proposal": ["order", "format"],
+        "identities": ["order", "seed", "format"],
+        "sweep": ["order", "bounds", "seed", "jobs", "format"],
+    }
+    # a request each command runs, then one run flag it does not read; sweep reads
+    # every run flag, so it gets the removed --cap
+    UNREAD = {
+        "check": (["check", "--ineq", "RR", "--order", "10"], ["--bounds", "0,1,1"]),
+        "antitelescope": (["antitelescope", "--ineq", "finiteRR", "--params", "2"], ["--seed", "3"]),
+        "lemma": (["lemma", "--r", "2", "--R", "3", "--bounds", "2,5,5"], ["--order", "7"]),
+        "enumerate": (["enumerate", "--params", "5,1,1,2,2,2", "--n", "6"], ["--jobs", "2"]),
+        "interpret-check": (["interpret-check", "--params", "5,1,1,2,2,2", "--max-n", "6"], ["--seed", "9"]),
+        "proposal": (["proposal", "--x", "1,2", "--r", "2,2", "--m", "5", "--L", "1"], ["--bounds", "1,1,1"]),
+        "identities": (["identities"], ["--jobs", "2"]),
+        "sweep": (["sweep", "--ineq", "BGa", "--box", "m=5:5,r=1:4,L=1:1", "--order", "12"], ["--cap", "60"]),
+    }
+
+    @pytest.mark.parametrize("command", UNREAD)
+    def test_a_run_flag_the_command_does_not_read_is_refused(self, command, capsys):
+        argv, flag = self.UNREAD[command]
+        code, out, _ = run_cli(argv, capsys)
+        assert code in (0, 1)
+        assert list(report(out)["config"]) == self.REGISTERED[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--params", "5,1,1,2,2,2", "--n", "6", "--cap", "60"],
+            ["antitelescope", "--ineq", "finiteRR", "--L", "2"],
+            ["proposal", "--x", "1,2", "--r", "2,2", "--m", "5", "--L", "1", "--n", "2"],
+        ],
+        ids=["enumerate-cap", "antitelescope-L", "proposal-n"],
+    )
+    def test_removed_knobs_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestParamParsing:
@@ -118,14 +162,13 @@ class TestParamParsing:
             parse_inequality_params("Thm1", "2,3,1")
 
     def test_length_override(self):
-        assert parse_inequality_params("finiteRR", None, L=4) == {"L": 4}
-        params = parse_inequality_params("BGa", "7,2,1", L=3)
+        # the L slot of --params is the only way to set the length
+        assert parse_inequality_params("finiteRR", "4") == {"L": 4}
+        params = parse_inequality_params("BGa", "7,2,3")
         assert params == {"m": 7, "r": 2, "L": 3}
         assert list(params) == ["m", "r", "L"]
-        with pytest.raises(ParameterError):
-            parse_inequality_params("RR", None, L=2)
-        with pytest.raises(ParameterError):
-            parse_inequality_params("Thm1", None, L=2)
+        with pytest.raises(ParameterError, match="takes parameters L,m,x,y,r,R; got 1 values"):
+            parse_inequality_params("Thm1", "2")
 
 
 class TestCheck:
@@ -183,7 +226,7 @@ class TestAntitelescope:
 
     def test_naive_failure_witness(self, capsys):
         code, out, _ = run_cli(
-            ["antitelescope", "--ineq", "finiteRR", "--L", "2", "--split", "none"], capsys
+            ["antitelescope", "--ineq", "finiteRR", "--params", "2", "--split", "none"], capsys
         )
         assert code == 1
         envelope = report(out)
@@ -265,9 +308,22 @@ class TestLemma:
         assert code == 2
         assert "positive" in err
         # the same validator names a single value in the singular
-        code, _, err = run_cli(["antitelescope", "--ineq", "littleGollnitz", "--L", "0"], capsys)
+        code, _, err = run_cli(["antitelescope", "--ineq", "littleGollnitz", "--params", "0"], capsys)
         assert code == 2
         assert "littleGollnitz parameters (L) must be a positive integer, got (0,)" in err
+
+    def test_bounds_are_lemmas_to_range_check(self, capsys):
+        # LemmaParams admits Nt = 0, so the command does too, and so does a lemma sweep
+        code, out, _ = run_cli(["lemma", "--r", "2", "--R", "3", "--bounds", "0,5,5"], capsys)
+        assert code == 0
+        certified = {k: v for k, v in lemma.certify_lemma(2, 3, (0, 5, 5)).items() if k != "witness"}
+        assert report(out)["result"] == json.loads(json.dumps(certified))
+        code, out, _ = run_cli(["sweep", "--kind", "lemma", "--box", "r=2:2,R=3:3", "--bounds", "0,5,5"], capsys)
+        assert code == 0
+        assert report(out)["result"]["passed"] == 1
+        code, _, err = run_cli(["lemma", "--r", "2", "--R", "3", "--bounds", "0,-1,5"], capsys)
+        assert code == 2
+        assert err == "qdominance: error: bounds must be three nonnegative integers: (0, -1, 5)\n"
 
     def test_dump_poly_prints_kernel(self, capsys):
         code, out, _ = run_cli(
@@ -278,7 +334,7 @@ class TestLemma:
         assert "numerator" in kernel and len(kernel["denominator"]) > 0
 
     # (1+1)(2+1)(166666+1) = MAX_LATTICE_CELLS + 2 cells: the smallest lattice
-    # above the bound with every side positive, as --bounds requires
+    # above the bound with every side positive
     CAPPED_BOUNDS = "1,2,166666"
 
     def test_bounds_above_the_lattice_bound_are_a_resource_error(self, capsys, monkeypatch):
@@ -402,12 +458,17 @@ class TestEnumerate:
         result = report(stdout.getvalue())["result"]
         assert json.dumps(result) == json.dumps({"n": n, "count": len(walked), "partitions": walked})
 
-    def test_raised_cap_allows_the_run(self, capsys):
-        code, out, _ = run_cli(
-            ["enumerate", "--params", "50,20,30,1,1,1", "--n", "50", "--cap", "60"], capsys
-        )
-        assert code == 0
-        assert report(out)["result"]["count"] == 6
+    def test_weight_above_the_bound_is_refused_before_any_expansion(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the weight must be checked before any expansion")
+
+        monkeypatch.setattr(partitions, "_part_kinds", refuse)
+        monkeypatch.setattr(partitions, "reciprocal_from_exponents", refuse)
+        argv = ["enumerate", "--params", "1,1,1,1,1,1000000", "--n", "4000"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"qdominance: resource: weight 4000 exceeds the enumeration cap {partitions.MAX_ENUMERATED_WEIGHT}\n"
 
 
 class TestInterpretCheck:
@@ -482,13 +543,6 @@ class TestProposal:
         result = report(out)["result"]
         assert result["status"] == "conjecture-evidence"
         assert result["injection"] is None
-
-    def test_arity_flag_must_agree(self, capsys):
-        code, _, err = run_cli(
-            ["proposal", "--x", "1,2", "--r", "2,3", "--m", "3", "--L", "1", "--n", "3"], capsys
-        )
-        assert code == 2
-        assert "--n" in err
 
     @pytest.mark.parametrize("m, L", [("0", "1"), ("1", "0")])
     def test_nonpositive_m_or_L_is_refused_before_any_expansion(self, m, L, capsys, monkeypatch):
@@ -856,7 +910,7 @@ class TestFormats:
 
     def test_text_format_carries_the_witness(self, capsys):
         code, out, _ = run_cli(
-            ["antitelescope", "--ineq", "finiteRR", "--L", "2", "--format", "text"], capsys
+            ["antitelescope", "--ineq", "finiteRR", "--params", "2", "--format", "text"], capsys
         )
         assert code == 1
         assert out.splitlines()[0] == "antitelescope: fail"

@@ -15,14 +15,13 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from qdominance.cli import ENV_ORDER, EXIT_USAGE, build_parser, main
+from qdominance.cli import EXIT_USAGE, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -66,8 +65,7 @@ def parser_surface() -> str:
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_envelope(case, monkeypatch):
-    monkeypatch.delenv(ENV_ORDER, raising=False)
+def test_golden_envelope(case):
     code, out, err = run_case(case["argv"])
     assert code == case.get("exit", 0)
     replayed = err if code == EXIT_USAGE else out
@@ -79,7 +77,6 @@ def test_parser_surface():
 
 
 def record() -> None:
-    os.environ.pop(ENV_ORDER, None)
     for case in CASES:
         code, out, err = run_case(case["argv"])
         if code != case.get("exit", 0):

@@ -8,6 +8,7 @@ from oracles import partition_counts_upto
 from qdominance import partitions
 from qdominance.partitions import (
     BASE_LABELS,
+    MAX_ENUMERATED_WEIGHT,
     EnumerationCapError,
     PartitionParams,
     _first_violation,
@@ -203,9 +204,10 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_partitions(41, FLAGSHIP)
-        with pytest.raises(EnumerationCapError):
-            enumerate_partitions(6, FLAGSHIP, cap=5)
-        assert enumerate_partitions(5, FLAGSHIP, cap=5)
+        sparse = PartitionParams(50, 20, 30, 1, 1, 1)
+        with pytest.raises(EnumerationCapError, match=f"enumeration cap {MAX_ENUMERATED_WEIGHT}$"):
+            enumerate_partitions(MAX_ENUMERATED_WEIGHT + 1, sparse)
+        assert len(enumerate_partitions(MAX_ENUMERATED_WEIGHT, sparse)) == 3
 
     def test_count_bound_is_checked_before_the_walk(self, monkeypatch):
         params = PartitionParams(5, 1, 2, 2, 2, 2)
