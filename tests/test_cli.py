@@ -318,7 +318,8 @@ class TestLemma:
         assert code == 0
         certified = {k: v for k, v in lemma.certify_lemma(2, 3, (0, 5, 5)).items() if k != "witness"}
         assert report(out)["result"] == json.loads(json.dumps(certified))
-        code, out, _ = run_cli(["sweep", "--kind", "lemma", "--box", "r=2:2,R=3:3", "--bounds", "0,5,5"], capsys)
+        argv = ["sweep", "--kind", "lemma", "--box", "r=2:2,R=3:3", "--bounds", "0,5,5"]
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert report(out)["result"]["passed"] == 1
         code, _, err = run_cli(["lemma", "--r", "2", "--R", "3", "--bounds", "0,-1,5"], capsys)
@@ -468,7 +469,8 @@ class TestEnumerate:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err == f"qdominance: resource: weight 4000 exceeds the enumeration cap {partitions.MAX_ENUMERATED_WEIGHT}\n"
+        cap = partitions.MAX_ENUMERATED_WEIGHT
+        assert err == f"qdominance: resource: weight 4000 exceeds the enumeration cap {cap}\n"
 
 
 class TestInterpretCheck:
