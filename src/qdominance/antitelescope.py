@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .dominance import nbase_params
+from .dominance import SPLIT_MODES, nbase_params
 from .polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check
 from .series import (
     INF,
@@ -80,8 +80,6 @@ from .series import (
     serialize,
     series_scale,
 )
-
-SPLIT_MODES = ("none", "thm1", "thm2")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ can emit CSV instead; a terse text rendering is available everywhere.
 Each subcommand registers only the run flags (RUN_FLAGS) it reads, and
 ``config`` echoes exactly those, defaults included; each command echoes
 its own options into ``params``, so a published number can be reproduced
-from the report alone.
+from the report alone.  Importing this module runs only `series` and
+`dominance`; the other compute layers, and the process pool, load on a
+command's first use of them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib.util
 import json
 import os
 import random
@@ -27,12 +30,37 @@ import re
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import antitelescope, dominance, lemma, partitions, polyring, proposal
+from . import dominance
 from .series import ParameterError, ResourceError, positive_ints, serialize
+
+
+def _deferred(name: str):
+    """The package's module `name`, whose body runs on its first attribute access.
+
+    The stdlib LazyLoader recipe: the module is put in sys.modules and bound
+    on the package as an import would, so `import qdominance.<name>` and
+    anything that reads sys.modules (`perfbench/tracing.py`) see it.  A
+    module already imported is kept as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# The compute layers that only some commands run are compiled on first use.
+antitelescope, lemma, partitions, polyring, proposal = map(
+    _deferred, ("antitelescope", "lemma", "partitions", "polyring", "proposal")
+)
 
 # Largest interpret-check --max-n.  The count tables are packed ints, so
 # memory stays small; time is the cost.  count_profile((1, 1, 1, n, n, n), n)
@@ -81,14 +109,15 @@ def _csv_ints(text: str, label: str) -> tuple[int, ...]:
 def config_from_args(args: argparse.Namespace) -> dict:
     """The command's own run flags, in RUN_FLAGS order, with --bounds read as three ints.
 
-    Only the form of --bounds is checked here; its range and lattice size
-    are `lemma`'s to check.
+    Only the run flags the command reads (``args.reads``) are checked.  Of
+    --bounds only the form is checked here; its range and lattice size are
+    `lemma`'s to check.
     """
     config = {name: getattr(args, name) for name in RUN_FLAGS if hasattr(args, name)}
     for name in ("order", "jobs"):
-        if name in config:
+        if name in args.reads:
             positive_ints((config[name],), name, 1)
-    if "bounds" in config:
+    if "bounds" in args.reads:
         config["bounds"] = _csv_ints(args.bounds, "--bounds")
         if len(config["bounds"]) != 3:
             raise ParameterError(f"--bounds needs exactly three integers, got {args.bounds!r}")
@@ -478,6 +507,8 @@ def _cmd_sweep(args, config) -> Outcome:
     jobs = [(args.kind, ineq_id, point, config["order"], config["bounds"]) for point in points]
     workers = pool_size(config["jobs"], len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_job, jobs, chunksize=16))
     else:
@@ -526,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str, handler, flags) -> argparse.ArgumentParser:
         """A subcommand that registers the run flags it reads."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, reads=flags)
         for flag in flags:
             spec = RUN_FLAGS[flag]
             p.add_argument(f"--{flag}", **{**spec, "help": f"{spec['help']} (default {spec['default']})"})
@@ -540,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("antitelescope", "per-index addend positivity scan", _cmd_antitelescope, ("order", "format"))
     p.add_argument("--ineq", required=True)
     p.add_argument("--params")
-    p.add_argument("--split", choices=antitelescope.SPLIT_MODES, default="none")
+    p.add_argument("--split", choices=dominance.SPLIT_MODES, default="none")
     p.add_argument("--dump-series", action="store_true", help="include every addend (and group) series")
 
     p = add("lemma", "kernel expansion: signs, slices, window, symmetry", _cmd_lemma, ("bounds", "format"))

@@ -11,7 +11,6 @@ is decoded into a series only when a reader asks for it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
@@ -27,8 +26,6 @@ from .series import (
     product_spec,
     require_series_work,
 )
-
-log = logging.getLogger(__name__)
 
 INEQUALITY_IDS = (
     "RR",
@@ -52,6 +49,9 @@ REQUIRED_PARAMETERS: dict[str, tuple[str, ...]] = {
     "Thm2": ("L", "m", "x", "y", "z", "r", "R", "rho"),
     "Proposal": ("L", "m", "xs", "rs"),
 }
+
+#: The addend splits `antitelescope` certifies; "none" scans the bare addends.
+SPLIT_MODES = ("none", "thm1", "thm2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +189,11 @@ def check_named(ineq: NamedInequality, order: int) -> DominanceReport:
         m = ineq.parameters["m"]
         r = ineq.parameters["r"]
         if bga_degenerate(m, r):
-            log.info("BGa m=%d r=%d is degenerate: both sides identical", m, r)
+            # imported here: this is the package's one log line, and most
+            # processes never reach it
+            import logging
+
+            logging.getLogger(__name__).info("BGa m=%d r=%d is degenerate: both sides identical", m, r)
     return dominates(lhs, rhs, order)
 
 

@@ -648,6 +648,12 @@ class TestIdentities:
         assert all(result == results[0] for result in results)
         assert {"name": "four-variable-splitting", "equal": True} in results[0]["checks"]
 
+    def test_unread_run_flags_are_not_range_checked(self, capsys):
+        """identities never reads --order or --seed, so values other commands refuse run."""
+        code, out, err = run_cli(["identities", "--order", "0", "--seed", "-4"], capsys)
+        assert (code, err) == (0, "")
+        assert report(out)["config"] == {"order": 0, "seed": -4, "format": "json"}
+
     def test_identity_bound_is_a_resource_error(self, capsys, monkeypatch):
         monkeypatch.setattr(polyring, "MAX_IDENTITY_BITS", 1)
         code, out, err = run_cli(["identities"], capsys)

@@ -1,5 +1,7 @@
 """Dominance checks against independent partition-counting oracles."""
 
+import logging
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -215,6 +217,18 @@ class TestNamed:
         assert not bga_degenerate(6, 2)
         report = check_named(named("BGa", m=6, r=1, L=2), 20)
         assert report.holds
+
+    def test_a_degenerate_bga_pair_is_logged(self, caplog):
+        """`dominance` imports logging only to emit this line; it still reaches its logger."""
+        with caplog.at_level(logging.INFO, logger="qdominance.dominance"):
+            assert check_named(named("BGa", m=4, r=1, L=2), 20).holds
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("qdominance.dominance", logging.INFO, "BGa m=4 r=1 is degenerate: both sides identical")
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="qdominance.dominance"):
+            check_named(named("BGa", m=7, r=2, L=2), 20)
+        assert caplog.records == []
 
     def test_little_gollnitz_holds_and_matches_oracle(self):
         ineq = named("littleGollnitz", L=4)
