@@ -63,7 +63,6 @@ negative coefficient come from the biased top bit of each slot, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 from .dominance import SPLIT_MODES, nbase_params
@@ -74,11 +73,10 @@ from .series import (
     ParameterError,
     ProductSpec,
     QSeries,
-    _norm,
     _Signed,
+    ratio,
     require_series_work,
     serialize,
-    series_scale,
 )
 
 
@@ -101,8 +99,7 @@ class AddendDecomposition:
         """The same decomposition with the groups at their true value."""
         if self.scale == 1:
             return self
-        factor = Fraction(1, self.scale)
-        groups = tuple((name, series_scale(g, factor)) for name, g in self.groups)
+        groups = tuple((name, QSeries.from_coeffs([ratio(c, self.scale) for c in g.coeffs])) for name, g in self.groups)
         return AddendDecomposition(self.index, self.addend, groups, self.t_exponent)
 
 
@@ -227,7 +224,7 @@ class _Walk:
     def group_negative(self, g: int) -> tuple[int, Coefficient] | None:
         """The first negative coefficient of a group, at its true value."""
         neg = self.packing.negative(g)
-        return neg if neg is None else (neg[0], _norm(Fraction(neg[1], self.scale)))
+        return neg if neg is None else (neg[0], ratio(neg[1], self.scale))
 
     def decomposition(self, i: int, t: int, addend: int, groups) -> AddendDecomposition:
         decode = self.packing.decode
@@ -276,8 +273,10 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     Returns {"ok", "witness"}; the witness is the first failed check.
     The addends are differences of consecutive F_j, so the telescoping
     check compares the end of the walk, F_L, with a direct expansion of
-    1/P(L).  A pair over the series work bound raises SeriesCapError
-    before any expansion.
+    1/P(L).  The walk stops at the first index with t = (i-1)m above the
+    order, as in `group_totals`: from there on every addend and group is 0
+    through q^order, so the cost does not grow with L.  A pair over the
+    series work bound raises SeriesCapError before any expansion.
     """
     if split not in _SPLITS:
         raise ParameterError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
@@ -286,7 +285,9 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     negative, mask, scale = walk.packing.negative, walk.packing.mask, walk.scale
     reciprocal_p, reciprocal_q = walk.reciprocals()
     total = 0
-    for i, _, addend, groups in walk.steps(reciprocal_q):
+    for i, t, addend, groups in walk.steps(reciprocal_q):
+        if t > order:
+            break
         for name, g in groups:
             neg = walk.group_negative(g)
             if neg is not None:
@@ -320,10 +321,12 @@ def positivity_scan(
     """Per-index first-negative report for addends and their split groups.
 
     With ``dump_series`` the report also carries every scanned addend (and
-    group) series in serialized form under "series".  A pair over the
-    series work bound raises SeriesCapError before any expansion.
+    group) series in serialized form under "series".  Every index is one
+    row, so the L rows count in the series work as one pass over order + 1
+    coefficients each, and a pair over the bound raises SeriesCapError
+    before any expansion.
     """
-    require_series_work((P, Q), order)
+    require_series_work((P, Q), order, _layers(P, Q)[1])
     walk = _Walk(P, Q, order, split)
     rows = []
     dumps = []

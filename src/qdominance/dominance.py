@@ -27,17 +27,6 @@ from .series import (
     require_series_work,
 )
 
-INEQUALITY_IDS = (
-    "RR",
-    "BGa",
-    "finiteRR",
-    "littleGollnitz",
-    "BGr",
-    "Thm1",
-    "Thm2",
-    "Proposal",
-)
-
 #: Parameter names each named inequality requires, in display order.
 REQUIRED_PARAMETERS: dict[str, tuple[str, ...]] = {
     "RR": (),
@@ -49,6 +38,8 @@ REQUIRED_PARAMETERS: dict[str, tuple[str, ...]] = {
     "Thm2": ("L", "m", "x", "y", "z", "r", "R", "rho"),
     "Proposal": ("L", "m", "xs", "rs"),
 }
+
+INEQUALITY_IDS = tuple(REQUIRED_PARAMETERS)
 
 #: The addend splits `antitelescope` certifies; "none" scans the bare addends.
 SPLIT_MODES = ("none", "thm1", "thm2")

@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials and exact identity checking.
 
-MultiPoly stores terms as a map from exponent tuples to exact rational
+MultiPoly stores terms as a map from exponent tuples to int
 coefficients; the variable list is part of the value.  Every polynomial
 the package states is written as weighted binomial pieces,
 weight * v^lead * prod (1 - v^e), and expanded by `from_pieces`; nothing
@@ -11,9 +11,10 @@ with the unit linear forms of `_Form` they are exponent vectors over
 free variables, one per size, so that one identity over those
 variables holds at every size.
 
-identity_check compares two sums of rational terms exactly, by clearing
-all denominators; denominators there may be any nonzero polynomial,
-including differences of monomials with removable singularities.  The
+identity_check compares two sums of rational terms over Z[x] exactly, by
+clearing all denominators; denominators there may be any nonzero
+polynomial, including differences of monomials with removable
+singularities.  The
 cleared numerator is never built term by term: the check substitutes
 x_j -> 2^(B * S_j) in every piece and adds the packed terms as Python
 ints.  The substitution is a ring homomorphism Z[x] -> Z, and it is
@@ -27,11 +28,9 @@ functions agree exactly when one int is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import add, mul, sub
 
-from qdominance.series import _INT_ONLY, Coefficient, ResourceError, _norm
+from qdominance.series import ResourceError
 
 
 class VariableMismatchError(ValueError):
@@ -50,7 +49,7 @@ MAX_IDENTITY_BITS = 1 << 27
 
 
 class MultiPoly:
-    """Sparse polynomial: terms maps exponent tuples to nonzero coefficients."""
+    """Sparse polynomial: terms maps exponent tuples to nonzero int coefficients."""
 
     __slots__ = ("variables", "terms")
 
@@ -62,17 +61,8 @@ class MultiPoly:
             raise ValueError(
                 f"exponent tuple {exps} does not match variables {self.variables}"
             )
-        values = terms.values()
-        if _INT_ONLY.issuperset(map(type, values)):
-            # all-int maps are kept as given, less their zero terms
-            self.terms = {e: c for e, c in terms.items() if c} if 0 in values else dict(terms)
-            return
-        clean: dict[tuple[int, ...], Coefficient] = {}
-        for exps, c in terms.items():
-            c = _norm(c)
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
+        # maps are kept as given, less their zero terms
+        self.terms = {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
 
     def __eq__(self, other):
         return (
@@ -131,7 +121,7 @@ def from_pieces(variables, pieces) -> MultiPoly:
     (1, (1, 0), [(-1, 1)])), and a zero e cancels its piece.  This is the
     package's one way to state a polynomial.
     """
-    terms: dict[tuple[int, ...], Coefficient] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for weight, lead, binomials in pieces:
         piece = {tuple(lead): weight}
         for e in binomials:
@@ -149,9 +139,8 @@ def to_text(p: MultiPoly) -> str:
         return "0"
     pieces = []
     for exps in sorted(p.terms, reverse=True):
-        c = Fraction(p.terms[exps])
+        c = p.terms[exps]
         mag = abs(c)
-        mag_txt = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
         vars_txt = " ".join(
             v if e == 1 else f"{v}^{e}"
             for v, e in zip(p.variables, exps)
@@ -160,9 +149,9 @@ def to_text(p: MultiPoly) -> str:
         if vars_txt and mag == 1:
             body = vars_txt
         elif vars_txt:
-            body = f"{mag_txt} * {vars_txt}"
+            body = f"{mag} * {vars_txt}"
         else:
-            body = mag_txt
+            body = str(mag)
         sign = "-" if c < 0 else "+"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
@@ -211,35 +200,30 @@ def _common_variables(terms) -> tuple[str, ...]:
 
 
 class _ScaledPoly:
-    """A nonzero polynomial times `scale`, the lcm of its coefficient
-    denominators, with its lowest and highest exponent in each variable
-    and the L1 norm of its now-integer coefficients."""
+    """A nonzero polynomial with its lowest and highest exponent in each
+    variable and the L1 norm of its coefficients."""
 
-    __slots__ = ("terms", "scale", "lo", "hi", "l1")
+    __slots__ = ("terms", "lo", "hi", "l1")
 
-    def __init__(self, terms: dict[tuple[int, ...], Coefficient]):
-        values = terms.values()
-        self.scale = 1 if _INT_ONLY.issuperset(map(type, values)) else lcm(*(c.denominator for c in values))
-        if self.scale != 1:
-            terms = {e: int(c * self.scale) for e, c in terms.items()}
+    def __init__(self, terms: dict[tuple[int, ...], int]):
         self.terms = terms
         columns = list(zip(*terms))
         self.lo = tuple(map(min, columns))
         self.hi = tuple(map(max, columns))
         self.l1 = sum(map(abs, terms.values()))
 
-    def pack(self, multiplier: int, origin, strides, slot_bits: int) -> int:
-        """multiplier * self / x^origin at x_j = 2^(slot_bits * strides_j)."""
+    def pack(self, sign: int, origin, strides, slot_bits: int) -> int:
+        """sign * self / x^origin at x_j = 2^(slot_bits * strides_j)."""
         base = sum(map(mul, origin, strides))
         return sum(
-            (multiplier * c) << slot_bits * (sum(map(mul, exps, strides)) - base)
+            (sign * c) << slot_bits * (sum(map(mul, exps, strides)) - base)
             for exps, c in self.terms.items()
         )
 
 
 @dataclass(frozen=True)
 class _PackedDifference:
-    """scale * (the cleared numerator of lhs - rhs) at x_j = 2^(slot_bits * strides_j),
+    """The cleared numerator of lhs - rhs at x_j = 2^(slot_bits * strides_j),
     divided by x^lo: slot sum((e_j - lo_j) * strides_j) of `total` holds the
     coefficient of x^e as a balanced digit."""
 
@@ -248,11 +232,10 @@ class _PackedDifference:
     spans: list[int]
     strides: list[int]
     slot_bits: int
-    scale: int
     total: int
 
     def lowest_term(self) -> dict:
-        """The lowest nonzero slot as a monomial and its true coefficient."""
+        """The lowest nonzero slot as a monomial and its coefficient."""
         slot = ((self.total & -self.total).bit_length() - 1) // self.slot_bits
         digit = (self.total >> slot * self.slot_bits) & ((1 << self.slot_bits) - 1)
         if digit >> (self.slot_bits - 1):
@@ -260,7 +243,7 @@ class _PackedDifference:
         exps = (l + slot // stride % span for l, stride, span in zip(self.lo, self.strides, self.spans))
         return {
             "monomial": dict(zip(self.variables, exps)),
-            "coefficient": str(Fraction(digit, self.scale)),
+            "coefficient": str(digit),
         }
 
 
@@ -272,17 +255,16 @@ def identity_check(lhs, rhs) -> IdentityVerdict:
     numerator D is 0, and otherwise the witness is the lexicographically
     smallest monomial of D with its coefficient.
 
-    D is never built.  Every piece is scaled to integer coefficients, so
-    that each cleared term sign * numerator * prod f^missing is K times
-    its true value for one K, and shifted by its own lowest exponents.
-    x_j -> 2^(B * S_j) is a ring homomorphism Z[x] -> Z; with mixed-radix
-    strides S_j over the exponent box of D, the first variable the most
-    significant, and B = bound.bit_length() + 1, where bound = sum over
-    terms of L1(numerator) * prod L1(f)^missing is at least every
-    coefficient of K * D, it is injective on K * D: slots are distinct
-    and balanced base-2^B digits are unique.  So D = 0 exactly when the
-    packed terms sum to 0, and the lowest nonzero slot is the witness,
-    its digit over K the coefficient.  Each factor is packed once, and
+    D is never built.  Every coefficient is an int, and each cleared term
+    sign * numerator * prod f^missing is shifted by its own lowest
+    exponents.  x_j -> 2^(B * S_j) is a ring homomorphism Z[x] -> Z; with
+    mixed-radix strides S_j over the exponent box of D, the first
+    variable the most significant, and B = bound.bit_length() + 1, where
+    bound = sum over terms of L1(numerator) * prod L1(f)^missing is at
+    least every coefficient of D, it is injective on D: slots are
+    distinct and balanced base-2^B digits are unique.  So D = 0 exactly
+    when the packed terms sum to 0, and the lowest nonzero slot is the
+    witness, its digit the coefficient.  Each factor is packed once, and
     terms that miss the same factors share one product of powers.  A box
     above MAX_IDENTITY_BITS (slots x B) raises IdentityCapError before
     anything is packed.
@@ -328,26 +310,21 @@ def _pack_difference(lhs, rhs) -> _PackedDifference | None:
     if not groups:
         return None
     factors = [_ScaledPoly(dict(key)) for key in keys]
-    scale = lcm(*(num.scale for members in groups.values() for _, num in members))
-    for key, f in zip(keys, factors):
-        scale *= f.scale ** lcd[key]
     bound = 0
     lows, highs, placed = [], [], []
     for missing, members in groups.items():
         offset = reach = (0,) * width
-        weight = group_scale = 1
+        weight = 1
         for f, count in zip(factors, missing):
             if count:
                 offset = [o + count * e for o, e in zip(offset, f.lo)]
                 reach = [h + count * e for h, e in zip(reach, f.hi)]
                 weight *= f.l1**count
-                group_scale *= f.scale**count
-        scaled = [(sign * (scale // (num.scale * group_scale)), num) for sign, num in members]
-        for multiplier, num in scaled:
-            bound += abs(multiplier) * num.l1 * weight
+        for _, num in members:
+            bound += num.l1 * weight
             lows.append(tuple(map(add, num.lo, offset)))
             highs.append(tuple(map(add, num.hi, reach)))
-        placed.append((missing, offset, scaled))
+        placed.append((missing, offset, members))
     lo = tuple(map(min, zip(*lows)))
     hi = tuple(map(max, zip(*highs)))
     spans = [h - l + 1 for l, h in zip(lo, hi)]
@@ -363,13 +340,13 @@ def _pack_difference(lhs, rhs) -> _PackedDifference | None:
     packed = [f.pack(1, f.lo, strides, slot_bits) for f in factors]
     powers: dict[tuple[int, int], int] = {}
     total = 0
-    for missing, offset, scaled in placed:
+    for missing, offset, members in placed:
         origin = tuple(map(sub, lo, offset))
-        share = sum(num.pack(multiplier, origin, strides, slot_bits) for multiplier, num in scaled)
+        share = sum(num.pack(sign, origin, strides, slot_bits) for sign, num in members)
         for index, count in enumerate(missing):
             if count:
                 if (index, count) not in powers:
                     powers[index, count] = packed[index] ** count
                 share *= powers[index, count]
         total += share
-    return _PackedDifference(variables, lo, spans, strides, slot_bits, scale, total)
+    return _PackedDifference(variables, lo, spans, strides, slot_bits, total)

@@ -39,7 +39,6 @@ ring homomorphism, so that one identity holds for every tuple and order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
@@ -51,6 +50,7 @@ from .series import (
     ResourceError,
     _Signed,
     positive_ints,
+    ratio,
     reciprocal_from_exponents,
     require_series_work,
 )
@@ -249,7 +249,7 @@ def h_series(params, order: int) -> QSeries:
     packing = _Signed.for_bound(denominators, order, sum(w * 2 ** len(b) for w, _, b in pieces))
     d = packing.divide(1, denominators)
     six_h = sum(weight * packing.times_pieces(d, [(lead, binomials)]) for weight, lead, binomials in pieces)
-    return QSeries.from_coeffs([Fraction(c, 6) for c in packing.decode(six_h).coeffs], order)
+    return QSeries.from_coeffs([ratio(c, 6) for c in packing.decode(six_h).coeffs], order)
 
 
 def fourvar_identity_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:

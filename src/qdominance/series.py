@@ -1,11 +1,12 @@
-"""Exact truncated power series in q over the rationals.
+"""Exact truncated power series in q over the integers.
 
 A QSeries holds the coefficients of q^0 through q^N densely, where N is
-the truncation order.  Coefficients are plain ints wherever the value is
-integral and fractions.Fraction otherwise; all arithmetic is exact, and
-every operation stays strictly inside the truncation window.  A result
-whose coefficients are all ints is stored as computed; only a list that
-holds a Fraction is normalized coefficient by coefficient.
+the truncation order.  Every engine computes over ints, and all
+arithmetic is exact and stays strictly inside the truncation window.  A
+scaled value is brought back to its true value only where it is
+reported, by `ratio`: the one place the package forms a rational, so the
+half-weighted Thm2 groups and the h series may read as
+fractions.Fraction there.
 
 Products of binomial factors (1 - q^(a+jm)) are described by ProductSpec
 values rather than expanded eagerly, so reciprocals can be taken factor
@@ -73,10 +74,9 @@ MAX_SERIES_WORK = 10_000_000
 _INT_ONLY = frozenset((int,))
 
 
-def _norm(c: Coefficient) -> Coefficient:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def ratio(c: int, scale: int) -> Coefficient:
+    """c / scale: an int when scale divides c, a Fraction otherwise."""
+    return c // scale if c % scale == 0 else Fraction(c, scale)
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,6 @@ class QSeries:
     @staticmethod
     def from_coeffs(coeffs, order: int | None = None) -> "QSeries":
         cs = list(coeffs)
-        if not _INT_ONLY.issuperset(map(type, cs)):
-            cs = [_norm(c) for c in cs]
         if order is None:
             order = len(cs) - 1
         if len(cs) < order + 1:
@@ -113,10 +111,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-
-def series_scale(a: QSeries, c: Coefficient) -> QSeries:
-    return QSeries.from_coeffs([c * x for x in a.coeffs], a.order)
 
 
 # Fixed-point scale of the saddle bound: a value v in (0, 1] is the int v * 2^64.
@@ -467,27 +461,24 @@ def product_spec(bases, modulus: int, length: int | float = INF) -> ProductSpec:
     return ProductSpec(tuple(bases), modulus, length)
 
 
-def require_series_work(specs, order: int) -> None:
+def require_series_work(specs, order: int, rows: int = 0) -> None:
     """Refuse a request whose series work is above MAX_SERIES_WORK, before any expansion.
 
-    The work is (order + 1) * (1 + the factors of all the specs under the
-    order): every factor costs one pass over order + 1 coefficients, and
-    the series themselves hold order + 1 each even when no factor is under
-    the order.  The factors are counted, not listed, so the check
-    allocates nothing whatever the order.
+    The work is (order + 1) * (1 + rows + the factors of all the specs
+    under the order): every factor, and every row of a per-index report,
+    costs one pass over order + 1 coefficients, and the series themselves
+    hold order + 1 each even when no factor is under the order.  The
+    factors are counted, not listed, so the check allocates nothing
+    whatever the order.
     """
-    work = (order + 1) * (1 + sum(spec.factor_count(order) for spec in specs))
+    work = (order + 1) * (1 + rows + sum(spec.factor_count(order) for spec in specs))
     if work > MAX_SERIES_WORK:
+        terms = "1 + rows + factors" if rows else "1 + factors"
         raise SeriesCapError(
-            f"series work (order + 1) x (1 + factors) = {work} exceeds the bound {MAX_SERIES_WORK}"
+            f"series work (order + 1) x ({terms}) = {work} exceeds the bound {MAX_SERIES_WORK}"
         )
 
 
 def serialize(a: QSeries) -> str:
-    """One 'index: value' line per coefficient; '/1' is elided."""
-    lines = []
-    for n, c in enumerate(a.coeffs):
-        f = Fraction(c)
-        val = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-        lines.append(f"{n}: {val}")
-    return "\n".join(lines)
+    """One 'index: value' line per coefficient."""
+    return "\n".join(f"{n}: {c}" for n, c in enumerate(a.coeffs))

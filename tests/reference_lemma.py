@@ -34,7 +34,7 @@ from typing import Any
 from qdominance import lemma
 from qdominance.lemma import TXY, XY, LemmaParams, Planes, eqtwo_symbolic
 from qdominance.polyring import MultiPoly, RationalTerm, to_text
-from qdominance.series import Coefficient, _norm
+from qdominance.series import Coefficient
 from reference_polyring import mono, mp_add, mp_mul, mp_sub
 
 # axis order for TriSeries lattices
@@ -307,7 +307,7 @@ def expand_rational(term: RationalTerm, bounds) -> TriSeries:
                 for k in range(dk, ny + 1) if dk else range(ny + 1):
                     prev = pj[k - dk]
                     if prev:
-                        qj[k] = _norm(qj[k] + c * prev)
+                        qj[k] += c * prev
     return out
 
 

@@ -11,7 +11,9 @@ and witness off the cleared numerator as a `MultiPoly`.
 `three_factor_identity_sides` and `four_factor_identity_sides` are the
 Thm1 and Thm2 split identities transcribed by hand, at a generic t, the
 oracle of `antitelescope.split_identity_sides`, which reads them off the
-numerators the split walk uses.
+numerators the split walk uses.  The Thm2 transcription keeps its
+half-weighted groups; `mp_times_int` doubles both sides into the int
+polynomials that `polyring.identity_check` takes.
 """
 
 from fractions import Fraction
@@ -71,6 +73,14 @@ def mp_mul(*polys: MultiPoly) -> MultiPoly:
                 terms[key] = terms.get(key, 0) + ca * cb
         out = MultiPoly(out.variables, terms)
     return out
+
+
+def mp_times_int(a: MultiPoly, k: int) -> MultiPoly:
+    """k * a with int coefficients; ValueError unless k clears every denominator of a."""
+    terms = {e: k * c for e, c in a.terms.items()}
+    if any(c.denominator != 1 for c in terms.values()):
+        raise ValueError(f"{k} does not clear the denominators of {a}")
+    return MultiPoly(a.variables, {e: int(c) for e, c in terms.items()})
 
 
 def mp_zero(variables) -> MultiPoly:

@@ -13,13 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qdominance.dominance import nbase_pair
-from qdominance.series import QSeries, positive_ints, series_scale
+from qdominance.series import QSeries, positive_ints
 from reference_series import (
     divide_binomial,
     monomial,
     multiply_binomial,
     series_add,
     series_mul,
+    series_scale,
     series_sub,
     spec_reciprocal,
     zero_series,

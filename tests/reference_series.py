@@ -12,7 +12,9 @@ kernels the package ran on before every series was packed, and
 `multiply_binomials`, `divide_binomials` and `series_shift` build on
 them; they carry the list references of the packed kernels.
 `series_sub` subtracts two series as lists, and `dominates_by_lists`
-is the list reference of `dominance.dominates`.
+is the list reference of `dominance.dominates`.  The list kernels
+compute over rationals: `series_scale` multiplies a series by a
+rational and, like `_norm`, keeps an integral value an int.
 `tri_multiply`, `tri_truncate_poly` and `specialize` multiply, truncate
 and specialize (t, x, y) lattices, which the tests use to check the
 reference `expand_rational` and the kernel specializations.
@@ -28,7 +30,6 @@ from qdominance.series import (
     ProductSpec,
     QSeries,
     SingularSeriesError,
-    _norm,
     first_negative,
     reciprocal_from_exponents,
 )
@@ -37,6 +38,16 @@ from reference_lemma import TriSeries, _tri_exponents, expand_rational
 
 class OrderMismatchError(ValueError):
     """Raised when two series of different truncation orders are combined."""
+
+
+def _norm(c: Coefficient) -> Coefficient:
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    return c
+
+
+def series_scale(a: QSeries, c: Coefficient) -> QSeries:
+    return QSeries.from_coeffs([_norm(c * x) for x in a.coeffs], a.order)
 
 
 def _require_same_order(a: QSeries, b: QSeries) -> None:

@@ -29,13 +29,12 @@ from qdominance.antitelescope import AddendDecomposition
 from qdominance.dominance import nbase_pair
 from qdominance.series import (
     QSeries,
-    _norm,
     first_negative,
     require_series_work,
     serialize,
-    series_scale,
 )
 from reference_series import (
+    _norm,
     divide_binomial,
     divide_binomials,
     monomial,
@@ -43,6 +42,7 @@ from reference_series import (
     multiply_binomials,
     poly_from_exponents,
     series_add,
+    series_scale,
     series_shift,
     series_sub,
     spec_reciprocal,

@@ -35,7 +35,7 @@ from qdominance.series import (
 import reference_proposal
 from oracles import bga_expected
 from reference_lemma import lattice
-from reference_polyring import four_factor_identity_sides, three_factor_identity_sides
+from reference_polyring import four_factor_identity_sides, mp_times_int, three_factor_identity_sides
 from reference_series import (
     one_series,
     poly_from_exponents,
@@ -180,7 +180,8 @@ class TestIdentityCertification:
         assert split_identity("thm1").equal
 
     def test_seven_variable_polynomial_identity(self):
-        lhs, rhs = four_factor_identity_sides()
+        # doubled, so that the half-weighted groups have int coefficients
+        lhs, rhs = (mp_times_int(side, 2) for side in four_factor_identity_sides())
         assert identity_check([RationalTerm(lhs)], [RationalTerm(rhs)]).equal
         assert split_identity("thm2").equal
 

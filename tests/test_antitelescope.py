@@ -8,7 +8,7 @@ from qdominance import antitelescope
 from qdominance.antitelescope import decompositions, positivity_scan, split_identity, split_identity_sides
 from qdominance.dominance import nbase_pair
 from qdominance.polyring import MultiPoly, RationalTerm, _Form, identity_check
-from qdominance.series import QSeries, first_negative, product_spec, series_scale
+from qdominance.series import QSeries, first_negative, product_spec
 from reference_lemma import expand_rational
 from reference_polyring import four_factor_identity_sides, mono, mp_add, mp_mul, mp_sub, three_factor_identity_sides
 from reference_series import (
@@ -18,6 +18,7 @@ from reference_series import (
     poly_from_exponents,
     series_mul,
     series_reciprocal,
+    series_scale,
     series_sub,
     spec_reciprocal,
     specialize,

@@ -393,6 +393,38 @@ class TestSeriesWorkBound:
         assert err.startswith("qdominance: resource:")
         assert str(MAX_SERIES_WORK) in err
 
+    def test_scan_rows_count_in_the_bound(self, capsys, monkeypatch):
+        # one row per index: 10^6 rows of 11 coefficients are over the bound at order 10
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any expansion")
+
+        monkeypatch.setattr(series, "_double", refuse)
+        argv = ["antitelescope", "--ineq", "finiteRR", "--params", "1000000", "--order", "10"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "qdominance: resource: series work (order + 1) x (1 + rows + factors) = 11000099"
+            f" exceeds the bound {MAX_SERIES_WORK}\n"
+        )
+
+    def test_split_sweep_cost_stops_at_the_order(self, capsys, monkeypatch):
+        # the split walk stops at the first index with t = (i-1)m above the order
+        divide, calls = series._Signed.divide, []
+
+        def counted(packing, x, exponents):
+            calls.append(exponents)
+            return divide(packing, x, exponents)
+
+        monkeypatch.setattr(series._Signed, "divide", counted)
+        box = "L=1000000:1000000,m=1:1,x=1:1,y=1:1,r=1:1,R=1:1"
+        code, out, _ = run_cli(["sweep", "--kind", "split", "--ineq", "Thm1", "--box", box, "--order", "10"], capsys)
+        assert code == 0
+        assert report(out)["result"] == {
+            "total": 1, "passed": 1, "failed": 0, "skipped": 0, "degenerate": 0, "failures": []
+        }
+        assert len(calls) <= 12
+
 
 @pytest.mark.parametrize(
     "error, base",

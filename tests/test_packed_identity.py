@@ -3,7 +3,7 @@
 `polyring.identity_check` packs the cleared numerator of lhs - rhs into
 one int; `reference_polyring.reference_identity_check` builds it as a
 `MultiPoly`, one `mp_mul` per missing factor.  Verdicts and witnesses must
-agree on random sides over 1 to 7 variables (with `Fraction`
+agree on random sides over 1 to 7 variables (with int
 coefficients, negative exponents, factors equal up to sign, repeated
 factors, zero numerators and empty sides), on sides equal by
 construction and then perturbed, and on every check of the `identities`
@@ -14,7 +14,6 @@ int and compare it with the reference's cleared numerator.
 
 import random
 import tracemalloc
-from fractions import Fraction
 from math import prod
 
 import pytest
@@ -35,7 +34,7 @@ from qdominance.polyring import (
 from reference_polyring import cleared_numerator, mono, mp_mul, mp_neg, mp_sub, reference_identity_check
 
 VARIABLES = ("t", "x", "y", "z", "a", "b", "c")
-coefficients = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=6))
+coefficients = st.integers(-3, 3)
 
 
 @st.composite
@@ -152,7 +151,7 @@ COMMAND_CHECKS = command_checks()
 
 
 def perturb(side, kind: int, rng: random.Random):
-    """One side with one numerator changed: +-1, a moved monomial, doubled, or +1/3."""
+    """One side with one numerator changed: +-1, a moved monomial, or doubled."""
     side = list(side)
     i = rng.choice([k for k, term in enumerate(side) if term.numerator.terms])
     term = side[i]
@@ -164,10 +163,8 @@ def perturb(side, kind: int, rng: random.Random):
         j = rng.randrange(len(exps))
         moved = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
         terms[moved] = terms.get(moved, 0) + terms.pop(exps)
-    elif kind == 2:
-        terms = {e: 2 * c for e, c in terms.items()}
     else:
-        terms[exps] += Fraction(1, 3)
+        terms = {e: 2 * c for e, c in terms.items()}
     side[i] = RationalTerm(MultiPoly(term.numerator.variables, terms), term.denominator_factors)
     return side
 
@@ -178,7 +175,7 @@ def test_command_checks_hold_and_match_reference():
         assert identity_check(lhs, rhs) == reference_identity_check(lhs, rhs) == polyring.IdentityVerdict(True)
 
 
-@pytest.mark.parametrize("kind", range(4), ids=["plus-minus-one", "moved-monomial", "doubled", "plus-third"])
+@pytest.mark.parametrize("kind", range(3), ids=["plus-minus-one", "moved-monomial", "doubled"])
 def test_perturbed_command_checks_fail_like_reference(kind):
     rng = random.Random(kind)
     for lhs, rhs in COMMAND_CHECKS:
@@ -212,17 +209,16 @@ def assert_width_covers_reference(lhs, rhs):
     if packed is None:
         assert diff is None or diff.is_zero()
         return
-    scaled = {e: c * packed.scale for e, c in diff.terms.items()}
-    assert all(Fraction(c).denominator == 1 for c in scaled.values())
-    assert max((abs(c) for c in scaled.values()), default=0) < 1 << (packed.slot_bits - 1)
+    terms = diff.terms
+    assert max((abs(c) for c in terms.values()), default=0) < 1 << (packed.slot_bits - 1)
     width = len(packed.lo)
     for j in range(width):
-        true_span = max((e[j] for e in scaled), default=packed.lo[j]) - packed.lo[j] + 1
-        assert min((e[j] for e in scaled), default=packed.lo[j]) >= packed.lo[j]
+        true_span = max((e[j] for e in terms), default=packed.lo[j]) - packed.lo[j] + 1
+        assert min((e[j] for e in terms), default=packed.lo[j]) >= packed.lo[j]
         assert packed.spans[j] >= true_span
         if j:
             assert packed.strides[j - 1] >= packed.strides[j] * true_span
-    assert decode(packed) == scaled
+    assert decode(packed) == terms
 
 
 def test_width_covers_the_command_checks():
@@ -261,14 +257,6 @@ class TestEdges:
         assert identity_check(lhs, [RationalTerm(mono(v, -1), (one_minus_x,))]).equal
         verdict = identity_check(lhs, [RationalTerm(mono(v, 1), (one_minus_x,))])
         assert verdict.witness == {"monomial": {"x": 0}, "coefficient": "2"}
-
-    def test_fraction_witness_is_unscaled(self):
-        v = ("x", "y")
-        half_factor = mp_sub(mono(v, Fraction(1, 2)), mono(v, 1, y=1))
-        lhs = [RationalTerm(mono(v, Fraction(1, 3), x=-1), (half_factor,))]
-        verdict = identity_check(lhs, [])
-        assert verdict.witness == {"monomial": {"x": -1, "y": 0}, "coefficient": "-1/3"}
-        assert verdict == reference_identity_check(lhs, [])
 
     def test_errors_are_unchanged(self):
         v = ("x",)

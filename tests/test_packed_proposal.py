@@ -19,7 +19,7 @@ from qdominance import proposal, series
 from qdominance.polyring import _Form
 from qdominance.proposal import InjectionCapError, fourvar_identity, h_series, injection_evidence, proposal_params
 from qdominance.series import MAX_SERIES_WORK, SeriesCapError, reciprocal_from_exponents
-from reference_series import series_shift
+from reference_series import series_scale, series_shift
 
 sizes = st.integers(1, 5)
 h_params = st.tuples(*[sizes] * 6)
@@ -57,7 +57,7 @@ def test_h_width_holds_six_h(params, order):
     with pytest.MonkeyPatch.context() as mp:
         made = proven_packings(mp)
         h_series(params, order)
-    six_h = series.series_scale(reference.h_series(params, order), 6)
+    six_h = series_scale(reference.h_series(params, order), 6)
     (packing,) = made
     assert packing.bits >= 2 + largest_bits(six_h)
 

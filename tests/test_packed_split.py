@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qdominance import antitelescope, dominance, series
 from qdominance.antitelescope import certify_split, decompositions, positivity_scan
 from qdominance.partitions import PartitionParams, split_series
-from qdominance.series import QSeries, product_spec, reciprocal_from_exponents, series_scale
+from qdominance.series import QSeries, product_spec, reciprocal_from_exponents
 from reference_split import (
     list_certify_split,
     list_decompositions,
@@ -32,6 +32,7 @@ from reference_series import (
     multiply_binomials,
     series_add,
     series_mul,
+    series_scale,
     series_shift,
     series_sub,
     spec_reciprocal,

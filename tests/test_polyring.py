@@ -24,6 +24,7 @@ from reference_polyring import (
     mp_add,
     mp_mul,
     mp_sub,
+    mp_times_int,
     mp_zero,
     three_factor_identity_sides,
 )
@@ -288,7 +289,8 @@ class TestIdentityCheck:
         assert verdict.equal
 
     def test_four_factor_split_identity(self):
-        lhs, rhs = four_factor_identity_sides()
+        # doubled, so that the half-weighted groups have int coefficients
+        lhs, rhs = (mp_times_int(side, 2) for side in four_factor_identity_sides())
         verdict = identity_check([RationalTerm(lhs)], [RationalTerm(rhs)])
         assert verdict.equal
 

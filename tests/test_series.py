@@ -13,6 +13,7 @@ from qdominance.series import (
     SingularSeriesError,
     first_negative,
     product_spec,
+    ratio,
     serialize,
 )
 from reference_series import (
@@ -67,16 +68,6 @@ def rand_series(rng, order, unit=False):
 
 
 class TestFromCoeffs:
-    def test_integral_fraction_becomes_int(self):
-        a = QSeries.from_coeffs([Fraction(4, 2), 1])
-        assert a.coeffs == (2, 1)
-        assert type(a.coeffs[0]) is int
-
-    def test_mixed_list_is_normalized(self):
-        a = QSeries.from_coeffs([1, Fraction(3, 1), Fraction(1, 2), 0])
-        assert [type(c) for c in a.coeffs] == [int, int, Fraction, int]
-        assert a.coeffs == (1, 3, Fraction(1, 2), 0)
-
     def test_all_int_list_is_kept_as_given(self):
         given = [10**30, -7, 0, 5]
         a = QSeries.from_coeffs(given)
@@ -85,6 +76,18 @@ class TestFromCoeffs:
     def test_padding_and_truncation(self):
         assert QSeries.from_coeffs([1, 2], 3).coeffs == (1, 2, 0, 0)
         assert QSeries.from_coeffs([1, Fraction(2), 3], 1).coeffs == (1, 2)
+
+
+class TestRatio:
+    def test_an_integral_value_is_an_int(self):
+        for c, scale, want in ((4, 2, 2), (-6, 6, -1), (0, 6, 0), (10**30, 1, 10**30)):
+            got = ratio(c, scale)
+            assert type(got) is int and got == want
+
+    def test_any_other_value_is_a_fraction(self):
+        assert ratio(-3, 2) == Fraction(-3, 2)
+        assert ratio(4, 6) == Fraction(2, 3)
+        assert str(ratio(-3, 2)) == "-3/2"
 
 
 class TestShiftAndBinomials:

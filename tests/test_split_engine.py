@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdominance import antitelescope
 from qdominance.antitelescope import (
     AddendDecomposition,
     certify_split,
     decompositions,
     positivity_scan,
 )
-from qdominance.series import INF, QSeries, product_spec, serialize
+from qdominance.series import INF, QSeries, SeriesCapError, _Signed, product_spec, serialize
 from reference_series import zero_series
 from reference_split import (
     group_negatives,
@@ -146,3 +147,48 @@ class TestCertifySplit:
         P, Q = product_spec((1, 4), 5, 2), product_spec((2, 3), 5, 2)
         with pytest.raises(ValueError, match="n-base"):
             certify_split(P, Q, 20, "thm1")
+
+    @pytest.mark.parametrize(
+        "split, params, perturbed",
+        [
+            ("thm1", (1, 1, 1, 1, 1), False),
+            ("thm1", (3, 1, 2, 3, 2), False),
+            ("thm2", (2, 1, 2, 1, 2, 3, 2), False),
+            ("thm2", (1, 2, 1, 1, 2, 2, 2), True),
+        ],
+    )
+    def test_a_huge_L_certifies_like_L_order_plus_one(self, split, params, perturbed, monkeypatch):
+        """From the first index with t = (i-1)m above the order every addend
+        and group is 0, so the walk stops there: L = 10^6 costs what L =
+        order + 1 costs and gives the same verdict and witness."""
+        order = 10
+        if perturbed:
+            n, numerators, scale = antitelescope._SPLITS[split]
+
+            def without_last_group(values, t):
+                return numerators(values, t)[:-1]
+
+            monkeypatch.setitem(antitelescope._SPLITS, split, (n, without_last_group, scale))
+        short = certify_split(*thm_pair((order + 1, *params)), order, split)
+        assert short["ok"] is not perturbed
+        divide, calls = _Signed.divide, []
+
+        def counted(packing, x, exponents):
+            calls.append(exponents)
+            return divide(packing, x, exponents)
+
+        monkeypatch.setattr(_Signed, "divide", counted)
+        assert certify_split(*thm_pair((10**6, *params)), order, split) == short
+        assert len(calls) <= order + 2
+
+
+class TestScanWorkBound:
+    def test_every_row_is_one_pass_in_the_bound(self, monkeypatch):
+        """finiteRR at L = 5 and order 10: 8 factors under the order, 5 rows."""
+        P, Q = product_spec((1, 4), 5, 5), product_spec((2, 3), 5, 5)
+        work = 11 * (1 + 5 + 8)
+        monkeypatch.setattr("qdominance.series.MAX_SERIES_WORK", work)
+        assert positivity_scan(P, Q, 10)["L"] == 5
+        monkeypatch.setattr("qdominance.series.MAX_SERIES_WORK", work - 1)
+        with pytest.raises(SeriesCapError, match=rf"\(1 \+ rows \+ factors\) = {work} "):
+            positivity_scan(P, Q, 10)

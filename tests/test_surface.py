@@ -148,3 +148,28 @@ def test_polynomial_arithmetic_lives_in_the_tests():
                 names.add(node.name)
         used += [f"{module}.{name}" for name in sorted(names & ORACLE_ONLY)]
     assert not used, "oracle-only polynomial names in the package: " + ", ".join(used)
+
+
+def test_only_series_and_cli_import_fractions():
+    """The engines compute over Z: `series.ratio` forms the package's rationals and `cli` prints them."""
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "fractions" for module in modules):
+                importers.add(path.stem)
+    assert not importers - {"series", "cli"}, "modules that import fractions: " + ", ".join(sorted(importers))
+
+
+def test_series_forms_a_fraction_only_in_ratio():
+    builders = []
+    for statement in ast.parse((PACKAGE / "series.py").read_text()).body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
+                builders.append(getattr(statement, "name", type(statement).__name__))
+    assert builders == ["ratio"]
