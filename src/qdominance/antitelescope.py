@@ -50,14 +50,16 @@ factors), so each is coefficientwise at most C = 1/(P * Q), whose
 coefficients `series._coeff_bits` bounds.  Each addend or group is D_i
 times a polynomial of L1 norm at most K: for an addend
 2^|Q layer| + 2^|P layer|, for a group the sum over its pieces of
-2^(number of binomials), at the engine's scale.  A scaled addend, the
-sum of one index's groups and the running totals over i are then at most
-L * K * C, and B is the bit length of that bound plus 2, in whole
-bytes.  Reading needs no unpacking: the sign test and the first
-negative coefficient come from the biased top bit of each slot, and
-"groups sum to scale * addend" and the telescope check compare residues.
-`certify_split` decodes nothing else; `decompositions`, the scan's
-`--dump-series` and `group_totals` decode what they return.
+2^(number of binomials), at the engine's scale.  A scaled addend and
+the sum of one index's groups are then at most K * C.  Only
+`certify_split` and `group_totals` sum over i, and both stop at the
+first t = (i-1)m above N, so a running total is at most
+min(L, N // m + 1) * K * C.  B is the bit length of that bound plus 2,
+in whole bytes.  Reading needs no unpacking: the sign test and the
+first negative coefficient come from the biased top bit of each slot,
+and "groups sum to scale * addend" and the telescope check compare
+residues.  `certify_split` decodes nothing else; `decompositions`, the
+scan's `--dump-series` and `group_totals` decode what they return.
 """
 
 from __future__ import annotations
@@ -192,7 +194,8 @@ class _Walk:
                 groups = self.numerators(self.values, t)
                 weight = max(weight, sum(2 ** len(exps) for _, pieces in groups for _, exps in pieces))
         self.exponents = P.exponents(order), Q.exponents(order)
-        self.packing = _Signed.for_bound(sum(self.exponents, []), order, self.L * weight)
+        indices = min(self.L, order // self.m + 1)
+        self.packing = _Signed.for_bound(sum(self.exponents, []), order, indices * weight)
 
     def reciprocals(self) -> tuple[int, int]:
         """(1/P, 1/Q), packed; 1/Q is F_0."""

@@ -7,10 +7,11 @@ The kernel is
 
 This module expands f exactly on a bounded (t, x, y) lattice, evaluates the
 closed forms for its t-slices, and checks the argument that confines any
-negative per-term coefficient to a window that the x/y swap symmetry then
-rules out.  `certify_lemma` runs all of it in one pass: one expansion of f
-(two when the symmetry check needs the swapped (R, r) kernel), and one set
-of term grids per slice.
+negative per-term coefficient to a window, the negative cells of the
+slice's term T2, that the x/y swap symmetry then rules out.
+`certify_lemma` runs all of it in one pass: one expansion of f (two when
+the symmetry check needs the swapped (R, r) kernel), and one set of term
+grids per slice.
 
 f and the slice closed forms are stated as weighted binomial pieces,
 weight * x^a y^b * prod (1 - x^c y^d) (t too in f), which
@@ -417,7 +418,7 @@ def eqtwo_terms_rational(n: int, r, R) -> list[RationalTerm]:
 
 @dataclass(frozen=True)
 class LemmaVerdict:
-    """Joint result of the two closed-form equivalences at one (n, r, R), or one n for all."""
+    """Joint result of the two closed-form equivalences of one slice, for every r and R."""
 
     one_vs_three: IdentityVerdict
     three_vs_two: IdentityVerdict
@@ -425,19 +426,6 @@ class LemmaVerdict:
     @property
     def equal(self) -> bool:
         return self.one_vs_three.equal and self.three_vs_two.equal
-
-
-def _closed_forms_agree(n: int, r, R) -> LemmaVerdict:
-    one, three = eqone_terms(n, r, R), eqthree_terms(n, r, R)
-    return LemmaVerdict(identity_check(one, three), identity_check(three, eqtwo_terms_rational(n, r, R)))
-
-
-def check_eqone_eqthree(n: int, r: int, R: int) -> LemmaVerdict:
-    """Verify the three closed forms agree as rational functions at one (n, r, R)."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"slice index must be a nonnegative integer, got {n!r}")
-    positive_ints((r, R), "r and R", 2)
-    return _closed_forms_agree(n, r, R)
 
 
 def slice_identity(n: int) -> LemmaVerdict:
@@ -448,16 +436,9 @@ def slice_identity(n: int) -> LemmaVerdict:
     (X - Y, X - y, Y - x, 1 - x, 1 - x^2, 1 - y) to 0, so two equal sides
     stay equal at every r and R.
     """
-    return _closed_forms_agree(n, *SLICE_FORMS[2:])
-
-
-def t2_closed_form(n: int, params: LemmaParams, planes: Planes) -> int:
-    """-(y^(n+1)+...+y^((n+1)R-1)) (x^r+...+x^(n-1)) as a signed plane; needs r < n."""
-    r, R = params.r, params.R
-    if r >= n:
-        raise ValueError(f"closed form applies only for r < n, got r={r}, n={n}")
-    k = (n + 1) * R
-    return -planes.expand([(1, r, n + 1), (-1, r, k), (-1, n, n + 1), (1, n, k)], 1)
+    X, Y = SLICE_FORMS[2:]
+    one, three = eqone_terms(n, X, Y), eqthree_terms(n, X, Y)
+    return LemmaVerdict(identity_check(one, three), identity_check(three, eqtwo_terms_rational(n, X, Y)))
 
 
 def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
@@ -465,53 +446,36 @@ def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
     differs from the matching plane of `tri` (None when all match).
 
     The report checks, for every slice n within bounds: (a) the slice sum
-    without T2 is nonnegative; (b) T2 matches its product closed form when
-    r < n; (c) any negative per-term cell lies in the window
-    r <= j < n < k < (n+1)R; (d) the total slice is nonnegative.  Each
-    slice's nine term grids are built once, and every check reads them.
+    without T2 is nonnegative; (b) every negative per-term cell lies in
+    the window, T2's own negative cells.  T2's four monomials over
+    (1-x)(1-y) are -(x^r+...+x^(n-1)) (y^(n+1)+...+y^((n+1)R-1)), so the
+    window is r <= j < n < k < (n+1)R, empty unless r < n.  Each slice's
+    nine term grids are built once, and both checks and the slice
+    comparison read them.  Where every slice matches, the slice totals
+    are f's planes, so their signs are `certify_lemma`'s
+    expansion_nonnegative and are not checked again here.
     """
-    nt = params.bounds[0]
-    r, R = params.r, params.R
-    names = ("sum_without_t2_nonnegative", "t2_matches_closed_form", "window_contained", "total_nonnegative")
-    checks = dict.fromkeys(names, True)
+    checks = dict.fromkeys(("sum_without_t2_nonnegative", "window_contained"), True)
     negative_cells = 0
-    min_total = 0
     mismatch = None
-    for n in range(nt + 1):
-        # the window is where T2's closed form is -1: empty unless r < n
-        closed = t2_closed_form(n, params, planes) if r < n else 0
-        window = -closed << planes.bits - 1
+    for n in range(params.bounds[0] + 1):
+        grids = dict(eqtwo_term_grids(n, params, planes))
+        t2 = grids.pop("T2")
+        window = planes.negatives(t2)
+        negative_cells += window.bit_count()
         without_t2 = 0
-        for name, grid in eqtwo_term_grids(n, params, planes):
+        for grid in grids.values():
             negatives = planes.negatives(grid)
             if negatives:
                 negative_cells += negatives.bit_count()
                 if negatives & ~window:
                     checks["window_contained"] = False
-            if name == "T2":
-                t2 = grid
-            else:
-                without_t2 += grid
-        if r < n and t2 != closed:
-            checks["t2_matches_closed_form"] = False
+            without_t2 += grid
         if planes.negatives(without_t2):
             checks["sum_without_t2_nonnegative"] = False
-        total = without_t2 + t2
-        if planes.negatives(total):
-            checks["total_nonnegative"] = False
-            min_total = min(min_total, *planes.decode(total))
-        if mismatch is None and total != tri[n]:
+        if mismatch is None and without_t2 + t2 != tri[n]:
             mismatch = n
-    report = {
-        "r": r,
-        "R": R,
-        "bounds": list(params.bounds),
-        "checks": checks,
-        "min_total_coefficient": min_total,
-        "negative_term_cells": negative_cells,
-        "ok": all(checks.values()),
-    }
-    return report, mismatch
+    return {"checks": checks, "negative_term_cells": negative_cells}, mismatch
 
 
 def _symmetry(planes: Planes, tri: list[int], mirror: list[int] | None) -> dict[str, Any]:
@@ -555,7 +519,7 @@ def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any
     checks = {
         "expansion_nonnegative": minimum >= 0,
         "slices_match": slice_mismatch is None,
-        "window": window["ok"],
+        "window": all(window["checks"].values()),
         "symmetry": None if symmetry is None else symmetry["equal"],
     }
     witness = None

@@ -10,11 +10,9 @@ from qdominance.lemma import (
     LemmaParams,
     Planes,
     certify_lemma,
-    check_eqone_eqthree,
     eqtwo_symbolic,
     eqtwo_term_grids,
     slice_identity,
-    t2_closed_form,
 )
 from qdominance.polyring import MultiPoly, RationalTerm, identity_check
 from reference_lemma import lattice
@@ -110,25 +108,15 @@ class TestSliceEqtwo:
 
 class TestIdentities:
     def test_trivial_unit_case(self):
-        assert check_eqone_eqthree(0, 1, 1).equal
+        assert slice_identity(0).equal
 
     def test_documented_case(self):
-        assert check_eqone_eqthree(3, 2, 2).equal
+        assert slice_identity(3).equal
 
     def test_small_sweep(self):
         for n in range(4):
-            for r in (1, 2, 3):
-                for R in (1, 2):
-                    assert check_eqone_eqthree(n, r, R).equal, (n, r, R)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            check_eqone_eqthree(-1, 1, 1)
-        with pytest.raises(ValueError):
-            check_eqone_eqthree(0, 0, 1)
-        for n, r, R in [(True, True, 2), (1, True, 2), (1, 2, True), (1.0, 2, 2), (1, 1.5, 2)]:
-            with pytest.raises(ValueError):
-                check_eqone_eqthree(n, r, R)
+            verdict = slice_identity(n)
+            assert verdict.one_vs_three.equal and verdict.three_vs_two.equal, n
 
 
 def assert_same_terms(got, want, where):
@@ -229,17 +217,16 @@ class TestSliceFormIdentities:
 
 class TestNegativityWindow:
     def test_clean_grid_point(self):
-        report = certify_lemma(2, 2, (8, 20, 20))["window"]
-        assert report["ok"] is True
-        assert report["min_total_coefficient"] >= 0
-        assert report["checks"]["window_contained"] is True
+        # with the expansion nonnegative and every slice matching, each slice total is >= 0
+        report = certify_lemma(2, 2, (8, 20, 20))
+        assert report["checks"] == dict.fromkeys(("expansion_nonnegative", "slices_match", "window", "symmetry"), True)
+        assert report["window"]["checks"]["window_contained"] is True
 
     def test_documented_t2_instance(self):
         # n=3, r=2, R=2: term two = -x^2 (y^4+y^5+y^6+y^7)
         params = LemmaParams(2, 2, (4, 10, 10))
         planes = Planes(params)
-        plane = t2_closed_form(3, params, planes)
-        grid = unpack(planes, plane)
+        grid = transcribed.t2_closed_form(3, 2, 2, 10, 10)
         cells = {
             (j, k): c
             for j in range(11)
@@ -248,7 +235,7 @@ class TestNegativityWindow:
         }
         assert cells == {(2, k): -1 for k in (4, 5, 6, 7)}
         grids = dict(eqtwo_term_grids(3, params, planes))
-        assert grids["T2"] == plane
+        assert unpack(planes, grids["T2"]) == grid
 
     def test_totals_stay_nonnegative_in_window(self):
         params = LemmaParams(2, 2, (4, 12, 12))
@@ -258,15 +245,15 @@ class TestNegativityWindow:
 
     def test_r_at_least_n_has_no_negative_terms(self):
         # slices n <= r carry no negative per-term cells at all
-        report = certify_lemma(5, 3, (5, 15, 15))["window"]
-        assert report["negative_term_cells"] == 0
-        assert report["ok"] is True
+        report = certify_lemma(5, 3, (5, 15, 15))
+        assert report["window"]["negative_term_cells"] == 0
+        assert report["checks"]["window"] is True
 
     def test_unit_r_negatives_stay_in_window(self):
-        report = certify_lemma(1, 3, (6, 15, 15))["window"]
-        assert report["negative_term_cells"] > 0
-        assert report["checks"]["window_contained"] is True
-        assert report["ok"] is True
+        report = certify_lemma(1, 3, (6, 15, 15))
+        assert report["window"]["negative_term_cells"] > 0
+        assert report["window"]["checks"]["window_contained"] is True
+        assert report["checks"]["window"] is True
 
 
 class TestSymmetry:

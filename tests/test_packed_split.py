@@ -246,8 +246,9 @@ def test_deep_read_series_fit_a_quarter_of_their_slot(values, order):
 
 
 def test_width_is_the_proven_bound():
-    # B = c + bit_length(L * K) + 2 in whole bytes, c bounding 1/(P * Q), K
-    # the largest L1 norm of a read numerator at the engine's scale.
+    # B = c + bit_length(min(L, order // m + 1) * K) + 2 in whole bytes, c
+    # bounding 1/(P * Q), K the largest L1 norm of a read numerator at the
+    # engine's scale.
     rng = random.Random(7)
     for _ in range(600):
         n = rng.choice((2, 3))
@@ -259,8 +260,25 @@ def test_width_is_the_proven_bound():
         K = max(scale * 2 * 2 ** (n + 1), pieces)
         factors = [e for e in P.exponents(order) + Q.exponents(order) if e <= order]
         c = series._coeff_bits(factors, order)
-        want = max(8, -(-(c + (values[0] * K).bit_length() + 2) // 8) * 8)
+        indices = min(values[0], order // values[1] + 1)
+        want = max(8, -(-(c + (indices * K).bit_length() + 2) // 8) * 8)
         assert antitelescope._Walk(P, Q, order, split).packing.bits == want
+
+
+@pytest.mark.parametrize(
+    "values, order",
+    [((1, 1, 1, 1), 10), ((2, 3, 1, 2), 40), ((3, 1, 1, 2, 2, 1), 60), ((1, 2, 3, 1, 1, 1), 7)],
+)
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_width_counts_only_the_summed_indices(values, order, m):
+    # the walks that sum over i stop at the first t = (i-1)m above the
+    # order, so a huge L needs no wider slots than L = order // m + 1
+    split = split_of((1, m, *values))
+    widths = [
+        antitelescope._Walk(*thm_pair((L, m, *values)), order, split).packing.bits
+        for L in (10**9, order // m + 1)
+    ]
+    assert widths[0] == widths[1]
 
 
 def test_split_walk_widths_follow_the_saddle_bound():

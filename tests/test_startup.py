@@ -2,7 +2,8 @@
 
 The CLI imports `series` and `dominance`; the other compute layers are
 registered with the stdlib LazyLoader and run on first attribute access,
-and the process pool is imported by the one sweep branch that uses it.
+the process pool is imported by the one sweep branch that uses it, and
+`csv` and `traceback` by the output and fault paths that use them.
 Each check runs in its own interpreter, so no earlier test's imports leak
 into it.
 """
@@ -47,6 +48,7 @@ def test_the_parser_runs_no_deferred_layer_and_no_process_pool():
         "qdominance.cli.build_parser()\n"
         f"assert all(not_run(name) for name in {DEFERRED!r})\n"
         "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'csv' not in sys.modules and 'traceback' not in sys.modules\n"
     )
 
 
