@@ -279,7 +279,7 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     1/P(L).  The walk stops at the first index with t = (i-1)m above the
     order, as in `group_totals`: from there on every addend and group is 0
     through q^order, so the cost does not grow with L.  A pair over the
-    series work bound raises SeriesCapError before any expansion.
+    series work bound raises ResourceError before any expansion.
     """
     if split not in _SPLITS:
         raise ParameterError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
@@ -326,7 +326,7 @@ def positivity_scan(
     With ``dump_series`` the report also carries every scanned addend (and
     group) series in serialized form under "series".  Every index is one
     row, so the L rows count in the series work as one pass over order + 1
-    coefficients each, and a pair over the bound raises SeriesCapError
+    coefficients each, and a pair over the bound raises ResourceError
     before any expansion.
     """
     require_series_work((P, Q), order, _layers(P, Q)[1])

@@ -60,12 +60,6 @@ antitelescope, lemma, partitions, polyring, proposal = map(
     _deferred, ("antitelescope", "lemma", "partitions", "polyring", "proposal")
 )
 
-# Largest interpret-check --max-n.  The count tables are packed ints, so
-# memory stays small; time is the cost.  count_profile((1, 1, 1, n, n, n), n)
-# takes 2.6 s at n = 40 (17 MB peak) and 11.5 s at n = 60 (18 MB peak) on
-# a 2-vCPU VM, about n^3.7, so this bound admits requests of over a minute.
-# The time bound is open in ROADMAP item 5 (run contract).
-MAX_INTERPRET_N = 100
 # Most assignments, partial ones included, that one sweep box walk may make.
 # The [1, 4]^8 Thm2 box makes 87,380 of them for its 65,536 points.
 MAX_BOX_ASSIGNMENTS = 10**5
@@ -77,10 +71,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-class BoxCapError(ResourceError, ValueError):
-    """Raised when a sweep box walk would make more than MAX_BOX_ASSIGNMENTS assignments."""
 
 
 # The run flags, in the order `config` echoes them; each subcommand registers
@@ -302,10 +292,6 @@ _INTERPRET_COLUMNS = ["n", "V_count", "W_count", "series_V", "series_W", "match"
 
 def _cmd_interpret_check(args, config) -> Outcome:
     params = _partition_params(args.params)
-    if args.max_n > MAX_INTERPRET_N:
-        raise partitions.EnumerationCapError(
-            f"--max-n {args.max_n} exceeds the interpret-check bound {MAX_INTERPRET_N}"
-        )
     check = partitions.interpretation_check(params, args.max_n)
     table = [_INTERPRET_COLUMNS] + [
         [row[c] for c in _INTERPRET_COLUMNS[:-1]] + ["true" if row["match"] else "false"]
@@ -398,7 +384,7 @@ def expand_box(entries: list[tuple[str, str, str]]) -> list[dict]:
     """All assignments, nested in declaration order with the last variable fastest.
 
     Every value the walk assigns, to a partial assignment too, counts; a walk
-    above MAX_BOX_ASSIGNMENTS raises BoxCapError before the range that
+    above MAX_BOX_ASSIGNMENTS raises ResourceError before the range that
     crosses the bound is entered.
     """
     tuples: list[dict] = []
@@ -415,7 +401,7 @@ def expand_box(entries: list[tuple[str, str, str]]) -> list[dict]:
         hi = _resolve_bound(high, assignment)
         assigned += max(0, hi + 1 - lo)
         if assigned > MAX_BOX_ASSIGNMENTS:
-            raise BoxCapError(
+            raise ResourceError(
                 f"the box walk makes more than {MAX_BOX_ASSIGNMENTS} assignments, partial ones included"
             )
         for value in range(lo, hi + 1):
@@ -431,7 +417,7 @@ def _sweep_job(job: tuple) -> dict:
     """One box point; top-level so process pools can pickle it.
 
     A point out of its family's domain (ParameterError) is reported
-    skipped; a point over a work bound raises its ResourceError, which
+    skipped; a point over a work bound raises ResourceError, which
     refuses the sweep, and any other error propagates.
     """
     kind, ineq_id, parameters, order, bounds = job

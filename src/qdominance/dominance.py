@@ -50,8 +50,7 @@ class DominanceReport:
     """Outcome of a truncated dominance check.
 
     The difference stays a packed residue until `difference` is first
-    read, since only `check --dump-series` reads it.  Reports compare by
-    order, failure and decoded difference.
+    read, since only `check --dump-series` reads it.
     """
 
     holds_up_to: int
@@ -67,15 +66,6 @@ class DominanceReport:
     def difference(self) -> QSeries:
         """1/lhs - 1/rhs through the order."""
         return self.packing.decode(self.residue)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DominanceReport):
-            return NotImplemented
-        return (self.holds_up_to, self.failure, self.difference) == (
-            other.holds_up_to,
-            other.failure,
-            other.difference,
-        )
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ class NamedInequality:
 def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport:
     """Check 1/lhs - 1/rhs for a negative coefficient up to the order.
 
-    A pair over the series work bound raises SeriesCapError before any expansion.
+    A pair over the series work bound raises ResourceError before any expansion.
     """
     require_series_work((lhs, rhs), order)
     first, second = lhs.exponents(order), rhs.exponents(order)

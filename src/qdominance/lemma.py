@@ -74,10 +74,6 @@ Monomials = list[tuple[int, int, int]]
 MAX_LATTICE_CELLS = 10**6
 
 
-class LatticeCapError(ResourceError, RuntimeError):
-    """Raised when requested bounds exceed MAX_LATTICE_CELLS."""
-
-
 @dataclass(frozen=True)
 class LemmaParams:
     r: int
@@ -96,7 +92,7 @@ def check_lattice(bounds: tuple[int, int, int]) -> None:
     nt, nx, ny = bounds
     cells = (nt + 1) * (nx + 1) * (ny + 1)
     if cells > MAX_LATTICE_CELLS:
-        raise LatticeCapError(
+        raise ResourceError(
             f"bounds {list(bounds)} make a lattice of {cells} cells, above the "
             f"lemma bound {MAX_LATTICE_CELLS}"
         )

@@ -46,9 +46,13 @@ MAX_ENUMERATED_WEIGHT = 40
 # for (1, 1, 1, 1, 1, 10) at weight 40), so they are counted before the walk.
 MAX_ENUMERATED_PARTITIONS = 10**5
 
-
-class EnumerationCapError(ResourceError, RuntimeError):
-    """Raised when an enumeration request exceeds the weight cap or the count bound."""
+# Largest `interpretation_check` max_n.  The count tables are packed ints, so
+# memory stays small; time is the cost.  count_profile((1, 1, 1, n, n, n), n)
+# takes 2.6 s at n = 40 (17 MB peak) and 13.4 s at n = 60 (19 MB), best of 3,
+# and 106 s at n = 100 (29 MB, one run) on a 2-vCPU shared Xeon VM with
+# Python 3.11.7: about n^4, so this bound admits requests of almost two
+# minutes.  The time bound is open in ROADMAP item 5.
+MAX_INTERPRET_N = 100
 
 
 @dataclass(frozen=True)
@@ -317,17 +321,17 @@ def enumerate_partitions(n: int, params: PartitionParams) -> list[tuple[tuple[st
     state's list is found once and replayed under every prefix that
     reaches it.  The partitions are
     counted first, as coefficient n of prod 1/(1 - q^size) over the kinds,
-    and more than MAX_ENUMERATED_PARTITIONS raise EnumerationCapError
-    before the walk.
+    and more than MAX_ENUMERATED_PARTITIONS raise ResourceError before the
+    walk, as does a weight above MAX_ENUMERATED_WEIGHT.
     """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     if n > MAX_ENUMERATED_WEIGHT:
-        raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {MAX_ENUMERATED_WEIGHT}")
+        raise ResourceError(f"weight {n} exceeds the enumeration cap {MAX_ENUMERATED_WEIGHT}")
     kinds = _part_kinds(params, n)
     count = reciprocal_from_exponents([size for _, _, size in kinds], n).coeff(n)
     if count > MAX_ENUMERATED_PARTITIONS:
-        raise EnumerationCapError(
+        raise ResourceError(
             f"{count} partitions of weight {n} exceed the bound {MAX_ENUMERATED_PARTITIONS}"
         )
     reachable = _reachable(kinds, n)
@@ -376,8 +380,11 @@ def interpretation_check(params: PartitionParams, max_n: int) -> dict:
     Returns {"params", "max_n", "rows", "ok", "witness"}.  Row keys match
     the CSV columns: n, V_count, W_count, series_V, series_W, match.  The
     witness, when present, is the minimal mismatching weight with both
-    numbers, V before W.
+    numbers, V before W.  A max_n above MAX_INTERPRET_N raises
+    ResourceError before anything is counted.
     """
+    if max_n > MAX_INTERPRET_N:
+        raise ResourceError(f"--max-n {max_n} exceeds the interpret-check bound {MAX_INTERPRET_N}")
     profile = count_profile(params, max_n)
     series = dict(zip(SYSTEMS, split_series(params, max_n)))
     rows, witness = [], None

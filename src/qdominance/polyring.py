@@ -37,10 +37,6 @@ class VariableMismatchError(ValueError):
     """Raised when an identity mixes polynomials over different variable lists."""
 
 
-class IdentityCapError(ResourceError, ValueError):
-    """Raised when an identity check would pack more than MAX_IDENTITY_BITS."""
-
-
 # Largest packed integer, slots x B bits, that one identity check may
 # build: 16 MiB.  The largest check of an `identities` request, slice 4's
 # closed forms over (x, y, X, Y), packs 5,120 slots x 12 bits = 61,440
@@ -266,7 +262,7 @@ def identity_check(lhs, rhs) -> IdentityVerdict:
     when the packed terms sum to 0, and the lowest nonzero slot is the
     witness, its digit the coefficient.  Each factor is packed once, and
     terms that miss the same factors share one product of powers.  A box
-    above MAX_IDENTITY_BITS (slots x B) raises IdentityCapError before
+    above MAX_IDENTITY_BITS (slots x B) raises ResourceError before
     anything is packed.
     """
     packed = _pack_difference(lhs, rhs)
@@ -334,7 +330,7 @@ def _pack_difference(lhs, rhs) -> _PackedDifference | None:
     slots = strides[0] * spans[0] if width else 1
     slot_bits = bound.bit_length() + 1
     if slots * slot_bits > MAX_IDENTITY_BITS:
-        raise IdentityCapError(
+        raise ResourceError(
             f"packed identity of {slots} slots x {slot_bits} bits exceeds the bound {MAX_IDENTITY_BITS}"
         )
     packed = [f.pack(1, f.lo, strides, slot_bits) for f in factors]

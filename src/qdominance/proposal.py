@@ -67,10 +67,6 @@ class NotInImageError(ValueError):
     """Raised when a count vector cannot be pulled back through the injection."""
 
 
-class InjectionCapError(ResourceError, ValueError):
-    """Raised when an injection walk would visit more than MAX_INJECTION_SOURCES sources."""
-
-
 @dataclass(frozen=True)
 class ProposalParams:
     """Part sizes x and multipliers r, one of each per variable."""
@@ -305,14 +301,14 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
     per-weight source counts stay below the unrestricted dominant-side
     counts.  A failure names the source's counts and joint count.  The
     sources are counted first, as the coefficients of the source-side
-    reciprocal, and more than MAX_INJECTION_SOURCES raise
-    InjectionCapError before any vector is built.  A weight over the
-    series work bound raises SeriesCapError before the count.
+    reciprocal, and more than MAX_INJECTION_SOURCES raise ResourceError
+    before any vector is built, as does a weight over the series work
+    bound, before the count.
     """
     require_series_work(nbase_pair(params.x, params.r, 1, 1), max_weight)
     planned = sum(reciprocal_from_exponents(params.source_sizes, max_weight).coeffs)
     if planned > MAX_INJECTION_SOURCES:
-        raise InjectionCapError(
+        raise ResourceError(
             f"{planned} injection sources up to weight {max_weight} exceed the bound {MAX_INJECTION_SOURCES}"
         )
     source_count, per_weight, failure = _walk_sources(params, max_weight)

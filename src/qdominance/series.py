@@ -53,15 +53,11 @@ class SingularSeriesError(ValueError):
 
 
 class ResourceError(Exception):
-    """Base of the errors that refuse a request above one of the package's work bounds."""
+    """Refuses a request above one of the package's work bounds, before the work starts."""
 
 
 class ParameterError(ValueError):
     """A request outside its domain; the only ValueError that means exit 2 or a skipped sweep point."""
-
-
-class SeriesCapError(ResourceError, ValueError):
-    """Raised when a request's series work exceeds MAX_SERIES_WORK."""
 
 
 # Largest (order + 1) * (1 + factor count) one request may expand.  The
@@ -474,7 +470,7 @@ def require_series_work(specs, order: int, rows: int = 0) -> None:
     work = (order + 1) * (1 + rows + sum(spec.factor_count(order) for spec in specs))
     if work > MAX_SERIES_WORK:
         terms = "1 + rows + factors" if rows else "1 + factors"
-        raise SeriesCapError(
+        raise ResourceError(
             f"series work (order + 1) x ({terms}) = {work} exceeds the bound {MAX_SERIES_WORK}"
         )
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from qdominance.partitions import (
     BASE_LABELS,
-    EnumerationCapError,
     PartitionParams,
     _first_violation,
     _part_kinds,
@@ -27,7 +26,7 @@ from qdominance.partitions import (
 )
 from qdominance import proposal
 from qdominance.proposal import NotInImageError, ProposalParams
-from qdominance.series import reciprocal_from_exponents
+from qdominance.series import ResourceError, reciprocal_from_exponents
 
 _BASE_RANK = {label: rank for rank, label in enumerate(BASE_LABELS)}
 
@@ -180,7 +179,7 @@ def enumerate_partitions(n: int, params: PartitionParams, cap: int = 40) -> list
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > cap:
-        raise EnumerationCapError(f"weight {n} exceeds the enumeration cap {cap}")
+        raise ResourceError(f"weight {n} exceeds the enumeration cap {cap}")
     found: list[ColoredPartition] = []
 
     def visit(entries, weight):

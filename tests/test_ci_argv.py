@@ -5,8 +5,11 @@ flag the parser no longer registers makes such a step exit 2, which only
 the remote CI run would show.  Each step's `run:` script is split into
 simple commands at the shell's control operators; every command that
 runs `qdominance` must parse, except in a step that asserts exit 2
-(`test "$code" -eq 2`), whose command must not.  The `"$cmd" --help` loop
-names no subcommand and is skipped.  This test only reads the workflow.
+(`test "$code" -eq 2`) for a bad request, whose command must not.  A step
+that asserts exit 2 with a `qdominance: resource:` line is refused by a
+work bound after parsing, so its command must parse.  The `"$cmd" --help`
+loop names no subcommand and is skipped.  This test only reads the
+workflow.
 """
 
 import shlex
@@ -64,7 +67,7 @@ def qdominance_lines() -> list[tuple[tuple[str, ...], bool]]:
     """(argv after `qdominance`, whether it must parse) for every CI command line."""
     lines = []
     for script in run_scripts():
-        must_parse = '"$code" -eq 2' not in script
+        must_parse = '"$code" -eq 2' not in script or "qdominance: resource:" in script
         for command in simple_commands(script):
             if "qdominance" not in command:
                 continue

@@ -20,9 +20,7 @@ from qdominance.antitelescope import positivity_scan
 from qdominance.cli import (
     EXIT_INTERNAL,
     MAX_BOX_ASSIGNMENTS,
-    MAX_INTERPRET_N,
     RUN_FLAGS,
-    BoxCapError,
     build_parser,
     config_from_args,
     console,
@@ -33,7 +31,8 @@ from qdominance.cli import (
     pool_size,
 )
 from qdominance.lemma import MAX_LATTICE_CELLS
-from qdominance.series import MAX_SERIES_WORK, ParameterError, product_spec
+from qdominance.partitions import MAX_INTERPRET_N
+from qdominance.series import MAX_SERIES_WORK, ParameterError, ResourceError, product_spec
 
 
 def run_cli(argv, capsys):
@@ -426,23 +425,6 @@ class TestSeriesWorkBound:
         assert len(calls) <= 12
 
 
-@pytest.mark.parametrize(
-    "error, base",
-    [
-        (series.SeriesCapError, ValueError),
-        (polyring.IdentityCapError, ValueError),
-        (proposal.InjectionCapError, ValueError),
-        (lemma.LatticeCapError, RuntimeError),
-        (partitions.EnumerationCapError, RuntimeError),
-        (BoxCapError, ValueError),
-    ],
-)
-def test_every_cap_error_is_a_resource_error(error, base):
-    # main and the sweep workers catch the base alone; each cap keeps its old base too
-    assert issubclass(error, series.ResourceError)
-    assert issubclass(error, base)
-
-
 class TestEnumerate:
     def test_lists_colored_partitions(self, capsys):
         code, out, _ = run_cli(["enumerate", "--params", "50,1,1,3,3,1", "--n", "2"], capsys)
@@ -530,7 +512,8 @@ class TestInterpretCheck:
         def refuse(*args):
             raise AssertionError("the bound must be checked before any counting")
 
-        monkeypatch.setattr(partitions, "interpretation_check", refuse)
+        monkeypatch.setattr(partitions, "count_profile", refuse)
+        monkeypatch.setattr(partitions, "split_series", refuse)
         argv = ["interpret-check", "--params", "5,1,1,2,2,2", "--max-n", str(MAX_INTERPRET_N + 1)]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -712,15 +695,15 @@ class TestBoxParsing:
         # the [1, 4]^8 Thm2 box fits the real bound; 10^8 partial assignments do not
         box = ",".join(f"{name}=1:4" for name in ("L", "m", "x", "y", "z", "r", "R", "rho"))
         assert len(expand_box(parse_box(box))) == 4**8
-        with pytest.raises(BoxCapError, match=str(MAX_BOX_ASSIGNMENTS)):
+        with pytest.raises(ResourceError, match=f"more than {MAX_BOX_ASSIGNMENTS} assignments"):
             expand_box(parse_box("m=1:100000000,r=2:1"))
         monkeypatch.setattr(cli, "MAX_BOX_ASSIGNMENTS", 6)
         # 2 + 2 * 2 assignments
         assert len(expand_box(parse_box("m=1:2,r=1:2"))) == 4
-        with pytest.raises(BoxCapError, match="more than 6 assignments"):
+        with pytest.raises(ResourceError, match="more than 6 assignments"):
             expand_box(parse_box("m=1:2,r=1:3"))
         # partial assignments count: no point, but seven values of m
-        with pytest.raises(BoxCapError):
+        with pytest.raises(ResourceError, match="more than 6 assignments"):
             expand_box(parse_box("m=1:7,r=2:1"))
 
 

@@ -10,7 +10,6 @@ import reference_lemma as reference
 from qdominance import lemma
 from qdominance.lemma import (
     MAX_LATTICE_CELLS,
-    LatticeCapError,
     LemmaParams,
     Planes,
     certify_lemma,
@@ -20,6 +19,7 @@ from qdominance.lemma import (
     kernel_term,
 )
 from qdominance.polyring import MultiPoly, RationalTerm
+from qdominance.series import ResourceError
 
 multiplier = st.integers(1, 6)
 
@@ -340,9 +340,9 @@ def test_lattice_bound_is_checked_before_expanding(monkeypatch):
     monkeypatch.setattr(lemma, "f_expand", refuse)
     monkeypatch.setattr(lemma, "eqtwo_term_grids", refuse)
     # (0+1)(0+1)(MAX+1) cells: one above the bound
-    with pytest.raises(LatticeCapError, match=str(MAX_LATTICE_CELLS)):
+    with pytest.raises(ResourceError, match=f"lattice of {MAX_LATTICE_CELLS + 1} cells, above the lemma bound"):
         certify_lemma(1, 1, (0, 0, MAX_LATTICE_CELLS))
-    with pytest.raises(LatticeCapError):
+    with pytest.raises(ResourceError, match=f"above the lemma bound {MAX_LATTICE_CELLS}$"):
         check_lattice((100, 9900, 0))
     check_lattice((0, 0, MAX_LATTICE_CELLS - 1))
     check_lattice((99, 99, 99))

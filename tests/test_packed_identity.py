@@ -24,13 +24,13 @@ from qdominance import lemma, polyring
 from qdominance.antitelescope import split_identity_sides
 from qdominance.proposal import fourvar_identity_sides
 from qdominance.polyring import (
-    IdentityCapError,
     MultiPoly,
     RationalTerm,
     VariableMismatchError,
     _pack_difference,
     identity_check,
 )
+from qdominance.series import ResourceError
 from reference_polyring import cleared_numerator, mono, mp_mul, mp_neg, mp_sub, reference_identity_check
 
 VARIABLES = ("t", "x", "y", "z", "a", "b", "c")
@@ -281,7 +281,7 @@ class TestResourceBound:
         lhs = [RationalTerm(MultiPoly(("x",), {(0,): 1, (span - 1,): 1}))]
         tracemalloc.start()
         try:
-            with pytest.raises(IdentityCapError, match=str(polyring.MAX_IDENTITY_BITS)):
+            with pytest.raises(ResourceError, match=f"x 3 bits exceeds the bound {polyring.MAX_IDENTITY_BITS}$"):
                 identity_check(lhs, [])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -296,7 +296,7 @@ class TestResourceBound:
         monkeypatch.setattr(polyring, "MAX_IDENTITY_BITS", size)
         assert identity_check(lhs, []).witness == {"monomial": {"x": 0, "y": 0}, "coefficient": "1"}
         monkeypatch.setattr(polyring, "MAX_IDENTITY_BITS", size - 1)
-        with pytest.raises(IdentityCapError):
+        with pytest.raises(ResourceError, match=f"^packed identity of 15 slots x 3 bits exceeds the bound {size - 1}$"):
             identity_check(lhs, [])
 
     def test_command_checks_are_far_below_the_bound(self):

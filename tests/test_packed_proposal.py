@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import reference_proposal as reference
 from qdominance import proposal, series
 from qdominance.polyring import _Form
-from qdominance.proposal import InjectionCapError, fourvar_identity, h_series, injection_evidence, proposal_params
-from qdominance.series import MAX_SERIES_WORK, SeriesCapError, reciprocal_from_exponents
+from qdominance.proposal import fourvar_identity, h_series, injection_evidence, proposal_params
+from qdominance.series import MAX_SERIES_WORK, ResourceError, reciprocal_from_exponents
 from reference_series import series_scale, series_shift
 
 sizes = st.integers(1, 5)
@@ -142,7 +142,7 @@ class TestInjectionBound:
             raise AssertionError("the bound must be checked before any vector is built")
 
         monkeypatch.setattr(proposal, "_count_prefixes", refuse)
-        with pytest.raises(InjectionCapError, match=str(proposal.MAX_INJECTION_SOURCES)):
+        with pytest.raises(ResourceError, match=f"up to weight 24 exceed the bound {proposal.MAX_INJECTION_SOURCES}$"):
             injection_evidence(self.EIGHT_UNITS, 24)
         assert sum(reciprocal_from_exponents(self.EIGHT_UNITS.source_sizes, 24).coeffs) > 10**7
 
@@ -151,7 +151,7 @@ class TestInjectionBound:
             raise AssertionError("the weight must be checked before any expansion")
 
         monkeypatch.setattr(proposal, "reciprocal_from_exponents", refuse)
-        with pytest.raises(SeriesCapError):
+        with pytest.raises(ResourceError, match=f"^series work .* exceeds the bound {MAX_SERIES_WORK}$"):
             injection_evidence(proposal_params((1, 2), (2, 3)), MAX_SERIES_WORK)
 
     def test_five_unit_sizes_stay_under_the_bound(self):

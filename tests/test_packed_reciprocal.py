@@ -22,7 +22,7 @@ from qdominance.series import (
     INF,
     MAX_SERIES_WORK,
     QSeries,
-    SeriesCapError,
+    ResourceError,
     SingularSeriesError,
     product_spec,
     reciprocal_from_exponents,
@@ -249,13 +249,13 @@ def test_series_work_guard_at_the_bound():
     # A base above the order puts no factor under it: the work is order + 1.
     far = product_spec((10 * MAX_SERIES_WORK,), 1, INF)
     require_series_work((far,), MAX_SERIES_WORK - 1)
-    with pytest.raises(SeriesCapError):
+    with pytest.raises(ResourceError, match=rf"\(1 \+ factors\) = {MAX_SERIES_WORK + 1} exceeds the bound {MAX_SERIES_WORK}$"):
         require_series_work((far,), MAX_SERIES_WORK)
     # Unbounded with modulus 1, `order` factors: the work is (order + 1)^2.
     dense = product_spec((1,), 1, INF)
     side = 3161  # 3162^2 <= MAX_SERIES_WORK < 3163^2
     require_series_work((dense,), side)
-    with pytest.raises(SeriesCapError):
+    with pytest.raises(ResourceError, match=rf"\(1 \+ factors\) = {(side + 2) ** 2} exceeds the bound {MAX_SERIES_WORK}$"):
         require_series_work((dense,), side + 1)
 
 

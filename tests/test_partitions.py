@@ -9,7 +9,7 @@ from qdominance import partitions
 from qdominance.partitions import (
     BASE_LABELS,
     MAX_ENUMERATED_WEIGHT,
-    EnumerationCapError,
+    MAX_INTERPRET_N,
     PartitionParams,
     _first_violation,
     _part_kinds,
@@ -19,7 +19,7 @@ from qdominance.partitions import (
     interpretation_check,
     split_series,
 )
-from qdominance.series import product_spec
+from qdominance.series import ResourceError, product_spec
 from reference_partitions import ColoredPartition, part_size
 from reference_series import monomial, series_add, series_sub, spec_reciprocal
 
@@ -202,10 +202,10 @@ class TestEnumerate:
             assert len(enumerate_partitions(n, params)) == expected[n]
 
     def test_cap(self):
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(ResourceError, match=f"weight 41 exceeds the enumeration cap {MAX_ENUMERATED_WEIGHT}$"):
             enumerate_partitions(41, FLAGSHIP)
         sparse = PartitionParams(50, 20, 30, 1, 1, 1)
-        with pytest.raises(EnumerationCapError, match=f"enumeration cap {MAX_ENUMERATED_WEIGHT}$"):
+        with pytest.raises(ResourceError, match=f"enumeration cap {MAX_ENUMERATED_WEIGHT}$"):
             enumerate_partitions(MAX_ENUMERATED_WEIGHT + 1, sparse)
         assert len(enumerate_partitions(MAX_ENUMERATED_WEIGHT, sparse)) == 3
 
@@ -220,7 +220,7 @@ class TestEnumerate:
             raise AssertionError("the count bound must be checked before the walk")
 
         monkeypatch.setattr(partitions, "_reachable", refuse)
-        with pytest.raises(EnumerationCapError, match=f"{count} partitions of weight 12"):
+        with pytest.raises(ResourceError, match=f"{count} partitions of weight 12 exceed the bound {count - 1}$"):
             enumerate_partitions(12, params)
 
     def test_kinds_above_the_weight_are_never_built(self):
@@ -312,3 +312,18 @@ class TestInterpretation:
             )
             result = interpretation_check(params, 10)
             assert result["ok"], (params, result["witness"])
+
+    def test_max_n_above_the_bound_is_refused_before_any_counting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bound must be checked before any counting")
+
+        for name in ("count_profile", "split_series"):
+            monkeypatch.setattr(partitions, name, refuse)
+        with pytest.raises(ResourceError, match=f"^--max-n 101 exceeds the interpret-check bound {MAX_INTERPRET_N}$"):
+            interpretation_check(PartitionParams(1, 1, 1, 1, 1, 1), MAX_INTERPRET_N + 1)
+
+    def test_the_bound_itself_is_admitted(self, monkeypatch):
+        monkeypatch.setattr(partitions, "MAX_INTERPRET_N", 3)
+        assert interpretation_check(FLAGSHIP, 3)["ok"]
+        with pytest.raises(ResourceError, match="^--max-n 4 exceeds the interpret-check bound 3$"):
+            interpretation_check(FLAGSHIP, 4)

@@ -13,7 +13,7 @@ from qdominance.antitelescope import (
     decompositions,
     positivity_scan,
 )
-from qdominance.series import INF, QSeries, SeriesCapError, _Signed, product_spec, serialize
+from qdominance.series import INF, QSeries, ResourceError, _Signed, product_spec, serialize
 from reference_series import zero_series
 from reference_split import (
     group_negatives,
@@ -190,5 +190,5 @@ class TestScanWorkBound:
         monkeypatch.setattr("qdominance.series.MAX_SERIES_WORK", work)
         assert positivity_scan(P, Q, 10)["L"] == 5
         monkeypatch.setattr("qdominance.series.MAX_SERIES_WORK", work - 1)
-        with pytest.raises(SeriesCapError, match=rf"\(1 \+ rows \+ factors\) = {work} "):
+        with pytest.raises(ResourceError, match=rf"\(1 \+ rows \+ factors\) = {work} "):
             positivity_scan(P, Q, 10)

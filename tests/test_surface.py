@@ -173,3 +173,14 @@ def test_series_forms_a_fraction_only_in_ratio():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
                 builders.append(getattr(statement, "name", type(statement).__name__))
     assert builders == ["ratio"]
+
+
+def test_no_class_subclasses_resource_error():
+    """Every work bound raises `series.ResourceError` itself, so `cli.main` and the sweep workers catch one class."""
+    subclasses = [
+        f"{module}.{node.name}"
+        for module, statement in package_statements()
+        for node in ast.walk(statement)
+        if isinstance(node, ast.ClassDef) and "ResourceError" in set().union(*map(names_read, node.bases))
+    ]
+    assert not subclasses, "subclasses of ResourceError: " + ", ".join(subclasses)
