@@ -425,6 +425,56 @@ class TestSeriesWorkBound:
         assert len(calls) <= 12
 
 
+def _identity_past_its_bound():
+    # 1 + x^e spans e + 1 slots of 3 bits each: one bit above the bound
+    span = (polyring.MAX_IDENTITY_BITS + 1) // 3
+    polyring.identity_check([polyring.RationalTerm(polyring.MultiPoly(("x",), {(0,): 1, (span - 1,): 1}))], [])
+
+
+@pytest.mark.parametrize(
+    "module, former, base, request_past_the_bound",
+    [
+        pytest.param(
+            series, "SeriesCapError", ValueError,
+            lambda: series.require_series_work([product_spec((1,), 1)], MAX_SERIES_WORK),
+            id="SeriesCapError-ValueError",
+        ),
+        pytest.param(
+            polyring, "IdentityCapError", ValueError, _identity_past_its_bound,
+            id="IdentityCapError-ValueError",
+        ),
+        pytest.param(
+            proposal, "InjectionCapError", ValueError,
+            lambda: proposal.injection_evidence(proposal.proposal_params((1,) * 8, (1,) * 8), 24),
+            id="InjectionCapError-ValueError",
+        ),
+        pytest.param(
+            lemma, "LatticeCapError", RuntimeError,
+            lambda: lemma.check_lattice((100, 9900, 0)),
+            id="LatticeCapError-RuntimeError",
+        ),
+        pytest.param(
+            partitions, "EnumerationCapError", RuntimeError,
+            lambda: partitions.enumerate_partitions(41, partitions.PartitionParams(5, 1, 1, 2, 2, 2)),
+            id="EnumerationCapError-RuntimeError",
+        ),
+        pytest.param(
+            cli, "BoxCapError", ValueError,
+            lambda: expand_box(parse_box("m=1:100000000,r=2:1")),
+            id="BoxCapError-ValueError",
+        ),
+    ],
+)
+def test_every_cap_error_is_a_resource_error(module, former, base, request_past_the_bound):
+    # main and the sweep workers catch ResourceError alone: each bound raises it itself,
+    # not a per-module subclass, and the old second base no longer catches it
+    assert not hasattr(module, former)
+    with pytest.raises(ResourceError) as refused:
+        request_past_the_bound()
+    assert type(refused.value) is ResourceError
+    assert not isinstance(refused.value, base)
+
+
 class TestEnumerate:
     def test_lists_colored_partitions(self, capsys):
         code, out, _ = run_cli(["enumerate", "--params", "50,1,1,3,3,1", "--n", "2"], capsys)
