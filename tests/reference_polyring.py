@@ -8,6 +8,13 @@ The identity check brings the difference of the two sides over the least common
 denominator with one `mp_mul` per missing factor, and reads the verdict
 and witness off the cleared numerator as a `MultiPoly`.
 
+`product_pack_difference` is the packer that `polyring._pack_difference`
+replaced: the same box, strides and slot width, but each group's packed
+share is multiplied by every missing factor's packed int raised to its
+count, one big-int product per factor, where the package applies the
+factor term by term as shifts.  The substitution is a ring homomorphism,
+so the two totals are the same int.
+
 `three_factor_identity_sides` and `four_factor_identity_sides` are the
 Thm1 and Thm2 split identities transcribed by hand, at a generic t, the
 oracle of `antitelescope.split_identity_sides`, which reads them off the
@@ -17,16 +24,20 @@ polynomials that `polyring.identity_check` takes.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from qdominance.polyring import (
+    MAX_IDENTITY_BITS,
     IdentityVerdict,
     MultiPoly,
     RationalTerm,
     VariableMismatchError,
+    _canonical_key,
     _common_variables,
+    _PackedDifference,
+    _ScaledPoly,
 )
-from qdominance.series import Coefficient
+from qdominance.series import Coefficient, ResourceError
 
 
 def mono(variables, coeff: Coefficient = 1, **exps) -> MultiPoly:
@@ -175,6 +186,78 @@ def reference_identity_check(lhs, rhs) -> IdentityVerdict:
         "coefficient": str(Fraction(diff.terms[exps])),
     }
     return IdentityVerdict(False, witness)
+
+
+def product_pack_difference(lhs, rhs) -> _PackedDifference | None:
+    """The packed cleared numerator of sum(lhs) - sum(rhs) by products of powers.
+
+    Layout and refusal as `polyring._pack_difference`; each factor is
+    packed once at its lowest corner, and a group's share is multiplied by
+    packed[index] ** count, the powers cached by (index, count).
+    """
+    lhs = list(lhs)
+    rhs = list(rhs)
+    variables = _common_variables(lhs + rhs)
+    width = len(variables)
+    lcd: dict[tuple, int] = {}
+    terms = []
+    for side, side_terms in ((1, lhs), (-1, rhs)):
+        for term in side_terms:
+            sign = side
+            own: dict[tuple, int] = {}
+            for f in term.denominator_factors:
+                key, s = _canonical_key(f)
+                sign *= s
+                own[key] = own.get(key, 0) + 1
+            for key, count in own.items():
+                lcd[key] = max(lcd.get(key, 0), count)
+            terms.append((sign, term.numerator, own))
+    keys = tuple(lcd)
+    groups: dict[tuple[int, ...], list] = {}
+    for sign, numerator, own in terms:
+        if numerator.terms:
+            missing = tuple(lcd[key] - own.get(key, 0) for key in keys)
+            groups.setdefault(missing, []).append((sign, _ScaledPoly(numerator.terms)))
+    if not groups:
+        return None
+    factors = [_ScaledPoly(dict(key)) for key in keys]
+    bound = 0
+    lows, highs, placed = [], [], []
+    for missing, members in groups.items():
+        offset = reach = (0,) * width
+        weight = 1
+        for f, count in zip(factors, missing):
+            offset = [o + count * e for o, e in zip(offset, f.lo)]
+            reach = [h + count * e for h, e in zip(reach, f.hi)]
+            weight *= f.l1**count
+        for _, num in members:
+            bound += num.l1 * weight
+            lows.append(tuple(map(add, num.lo, offset)))
+            highs.append(tuple(map(add, num.hi, reach)))
+        placed.append((missing, offset, members))
+    lo = tuple(map(min, zip(*lows)))
+    hi = tuple(map(max, zip(*highs)))
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    strides = [1] * width
+    for j in range(width - 1, 0, -1):
+        strides[j - 1] = strides[j] * spans[j]
+    slots = strides[0] * spans[0] if width else 1
+    slot_bits = bound.bit_length() + 1
+    if slots * slot_bits > MAX_IDENTITY_BITS:
+        raise ResourceError(f"packed identity of {slots} slots x {slot_bits} bits exceeds the bound {MAX_IDENTITY_BITS}")
+    packed = [f.pack(1, f.lo, strides, slot_bits) for f in factors]
+    powers: dict[tuple[int, int], int] = {}
+    total = 0
+    for missing, offset, members in placed:
+        origin = tuple(map(sub, lo, offset))
+        share = sum(num.pack(sign, origin, strides, slot_bits) for sign, num in members)
+        for index, count in enumerate(missing):
+            if count:
+                if (index, count) not in powers:
+                    powers[index, count] = packed[index] ** count
+                share *= powers[index, count]
+        total += share
+    return _PackedDifference(variables, lo, spans, strides, slot_bits, total)
 
 
 def three_factor_identity_sides() -> tuple[MultiPoly, MultiPoly]:

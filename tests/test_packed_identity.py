@@ -10,6 +10,14 @@ construction and then perturbed, and on every check of the `identities`
 command (the slice closed forms over free X = x^r and Y = y^R among them)
 and its 90 slice point checks, true and perturbed.  The width tests decode the whole packed
 int and compare it with the reference's cleared numerator.
+
+The package applies each missing denominator factor to a packed share
+term by term, as shifts; `reference_polyring.product_pack_difference`
+multiplies by the packed factor's powers instead.  Both must give the
+same packed int on the 15 `identities` checks, true and perturbed, and
+on random sides, whose factors have up to three terms.  Every
+denominator factor of the 15 checks is a binomial, the traffic the shift
+path is sized for.
 """
 
 import random
@@ -31,7 +39,15 @@ from qdominance.polyring import (
     identity_check,
 )
 from qdominance.series import ResourceError
-from reference_polyring import cleared_numerator, mono, mp_mul, mp_neg, mp_sub, reference_identity_check
+from reference_polyring import (
+    cleared_numerator,
+    mono,
+    mp_mul,
+    mp_neg,
+    mp_sub,
+    product_pack_difference,
+    reference_identity_check,
+)
 
 VARIABLES = ("t", "x", "y", "z", "a", "b", "c")
 coefficients = st.integers(-3, 3)
@@ -125,26 +141,33 @@ def slice_pairs(n, r, R):
     return [(one, three), (three, lemma.eqtwo_terms_rational(n, r, R))]
 
 
-def command_checks():
-    """The 15 (lhs, rhs) pairs that `identities` runs, and the 90 point checks
-    it runs only to name a failing slice.
-
-    The 15 are the slice closed forms over (x, y, X, Y) for n <= 4 (10
-    pairs), the Thm1 and Thm2 split numerators at t = 0 and at a generic t,
-    and the four-size splitting; the 90 are the slice closed forms at every
-    n <= 4 and r, R <= 3."""
-    pairs = []
-    for n in range(5):
-        pairs += slice_pairs(n, *lemma.SLICE_FORMS[2:])
-        for r in range(1, 4):
-            for R in range(1, 4):
-                pairs += slice_pairs(n, r, R)
+def identities_checks():
+    """The 15 (lhs, rhs) pairs that `identities` runs: the slice closed forms
+    over (x, y, X, Y) for n <= 4 (10 pairs), the Thm1 and Thm2 split
+    numerators at t = 0 and at a generic t, and the four-size splitting."""
+    pairs = [pair for n in range(5) for pair in slice_pairs(n, *lemma.SLICE_FORMS[2:])]
     for split in ("thm1", "thm2"):
         for t_zero in (True, False):
             lhs, rhs = split_identity_sides(split, t_zero)
             pairs.append(([RationalTerm(lhs)], [RationalTerm(rhs)]))
     pairs.append(fourvar_identity_sides())
     return pairs
+
+
+IDENTITIES_CHECKS = identities_checks()
+
+
+def command_checks():
+    """The 15 `identities` checks, each slice's pair followed by the 90 point
+    checks, the slice closed forms at every n <= 4 and r, R <= 3, that
+    `identities` ran before the forms were read over free X and Y."""
+    pairs = []
+    for n in range(5):
+        pairs += IDENTITIES_CHECKS[2 * n : 2 * n + 2]
+        for r in range(1, 4):
+            for R in range(1, 4):
+                pairs += slice_pairs(n, r, R)
+    return pairs + IDENTITIES_CHECKS[10:]
 
 
 COMMAND_CHECKS = command_checks()
@@ -186,6 +209,31 @@ def test_perturbed_command_checks_fail_like_reference(kind):
         verdict = identity_check(lhs, rhs)
         assert not verdict.equal
         assert verdict == reference_identity_check(lhs, rhs)
+
+
+def test_every_denominator_of_the_identities_checks_is_a_binomial():
+    assert len(IDENTITIES_CHECKS) == 15
+    factors = [f for lhs, rhs in IDENTITIES_CHECKS for term in [*lhs, *rhs] for f in term.denominator_factors]
+    assert factors
+    assert {len(f.terms) for f in factors} == {2}
+
+
+@pytest.mark.parametrize("kind", [None, 0, 1, 2], ids=["true", "plus-minus-one", "moved-monomial", "doubled"])
+def test_shift_packing_equals_the_product_packing_on_the_identities_checks(kind):
+    rng = random.Random(kind)
+    for lhs, rhs in IDENTITIES_CHECKS:
+        if kind is not None:
+            lhs = perturb(lhs, kind, rng)
+        packed = _pack_difference(lhs, rhs)
+        assert packed == product_pack_difference(lhs, rhs)
+        assert (packed.total == 0) == (kind is None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_shift_packing_equals_the_product_packing_on_random_sides(problem):
+    _, _, lhs, rhs = problem
+    assert outcome(_pack_difference, lhs, rhs) == outcome(product_pack_difference, lhs, rhs)
 
 
 def decode(packed) -> dict:
