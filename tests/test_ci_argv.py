@@ -21,6 +21,7 @@ from qdominance.cli import build_parser
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 CONTROL = set("();<>|&")
+REDIRECTIONS = {"<", ">", ">>", ">|", "<&", ">&", "&>", "&>>"}
 
 
 def run_scripts() -> list[str]:
@@ -47,18 +48,32 @@ def run_scripts() -> list[str]:
 
 
 def simple_commands(script: str) -> list[list[str]]:
-    """The script's words, split at control operators, one command line at a time."""
+    """The script's words, split at control operators, one command line at a time.
+
+    A redirection is dropped with its target (`> out.txt`, `2>&1`) and with
+    its fd, a number written right against the operator (`2> err.txt`);
+    `2 > out.txt` keeps 2 as a word, as the shell does.
+    """
     commands = []
     for line in script.splitlines():
         lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
         lexer.whitespace_split = True
         command: list[str] = []
+        fd = target = False
         for token in lexer:
-            if set(token) <= CONTROL:
+            if target:
+                target = fd = False
+            elif token in REDIRECTIONS:
+                if fd:
+                    command.pop()
+                target, fd = True, False
+            elif set(token) <= CONTROL:
                 commands.append(command)
-                command = []
+                command, fd = [], False
             else:
                 command.append(token)
+                # the lexer has just read the character that ended the word
+                fd = token.isdigit() and line[lexer.instream.tell() - 1] in "<>"
         commands.append(command)
     return commands
 
@@ -85,6 +100,20 @@ def test_the_workflow_has_lines_of_both_kinds():
     assert [argv for argv, must in LINES if not must] == [
         ("check", "--ineq", "RR", "--order", "10", "--bounds", "0,1,1")
     ]
+
+
+@pytest.mark.parametrize(
+    "line, commands",
+    [
+        ("qdominance sweep --jobs 2 2> err.txt", [["qdominance", "sweep", "--jobs", "2"]]),
+        ("qdominance sweep --jobs 2 > out.txt 2>&1", [["qdominance", "sweep", "--jobs", "2"]]),
+        ("qdominance sweep --jobs 2 > out.txt", [["qdominance", "sweep", "--jobs", "2"]]),
+        ("qdominance sweep --jobs 2>err.txt || code=$?", [["qdominance", "sweep", "--jobs"], ["code=$?"]]),
+    ],
+    ids=["fd-2-to-file", "stdout-and-fd-2-to-stdout", "argument-then-stdout", "fd-against-its-word"],
+)
+def test_redirections_are_not_words(line, commands):
+    assert simple_commands(line) == commands
 
 
 @pytest.mark.parametrize("argv, must_parse", LINES, ids=[" ".join(argv) for argv, _ in LINES])
