@@ -384,7 +384,7 @@ def interpretation_check(params: PartitionParams, max_n: int) -> dict:
     ResourceError before anything is counted.
     """
     if max_n > MAX_INTERPRET_N:
-        raise ResourceError(f"--max-n {max_n} exceeds the interpret-check bound {MAX_INTERPRET_N}")
+        raise ResourceError(f"max_n {max_n} exceeds the interpret-check bound {MAX_INTERPRET_N}")
     profile = count_profile(params, max_n)
     series = dict(zip(SYSTEMS, split_series(params, max_n)))
     rows, witness = [], None

@@ -319,11 +319,11 @@ class TestInterpretation:
 
         for name in ("count_profile", "split_series"):
             monkeypatch.setattr(partitions, name, refuse)
-        with pytest.raises(ResourceError, match=f"^--max-n 101 exceeds the interpret-check bound {MAX_INTERPRET_N}$"):
+        with pytest.raises(ResourceError, match=f"^max_n 101 exceeds the interpret-check bound {MAX_INTERPRET_N}$"):
             interpretation_check(PartitionParams(1, 1, 1, 1, 1, 1), MAX_INTERPRET_N + 1)
 
     def test_the_bound_itself_is_admitted(self, monkeypatch):
         monkeypatch.setattr(partitions, "MAX_INTERPRET_N", 3)
         assert interpretation_check(FLAGSHIP, 3)["ok"]
-        with pytest.raises(ResourceError, match="^--max-n 4 exceeds the interpret-check bound 3$"):
+        with pytest.raises(ResourceError, match="^max_n 4 exceeds the interpret-check bound 3$"):
             interpretation_check(FLAGSHIP, 4)
