@@ -8,7 +8,7 @@ coefficients, negative exponents, factors equal up to sign, repeated
 factors, zero numerators and empty sides), on sides equal by
 construction and then perturbed, and on every check of the `identities`
 command (the slice closed forms over free X = x^r and Y = y^R among them)
-and its 90 slice point checks, true and perturbed.  The width tests decode the whole packed
+and 90 slice point checks read with ints, true and perturbed.  The width tests decode the whole packed
 int and compare it with the reference's cleared numerator.
 
 The package applies each missing denominator factor to a packed share
@@ -158,9 +158,8 @@ IDENTITIES_CHECKS = identities_checks()
 
 
 def command_checks():
-    """The 15 `identities` checks, each slice's pair followed by the 90 point
-    checks, the slice closed forms at every n <= 4 and r, R <= 3, that
-    `identities` ran before the forms were read over free X and Y."""
+    """The 15 `identities` checks, each slice's pair followed by its 18 point
+    checks: the slice closed forms read with ints at every r, R <= 3."""
     pairs = []
     for n in range(5):
         pairs += IDENTITIES_CHECKS[2 * n : 2 * n + 2]
