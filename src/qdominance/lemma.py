@@ -9,18 +9,19 @@ This module expands f exactly on a bounded (t, x, y) lattice, evaluates the
 closed forms for its t-slices, and checks the argument that confines any
 negative per-term coefficient to a window, the negative cells of the
 slice's term T2, that the x/y swap symmetry then rules out.
-`certify_lemma` runs all of it in one pass: one expansion of f (two when
-the symmetry check needs the swapped (R, r) kernel), and one set of term
-grids per slice.
+`certify_lemma` runs all of it in one pass: one expansion of f, one set
+of term grids per slice, and the symmetry as one exact identity.
 
 f and the slice closed forms are stated as weighted binomial pieces,
 weight * x^a y^b * prod (1 - x^c y^d) (t too in f), which
 `polyring.from_pieces` expands; f's numerator is the bracket of the split
 group G4 (`antitelescope._thm2_numerators`), with T = q^t, q^x and q^y
-read as t, x and y.  The three closed forms of slice n are written once
-over the x and y units and r, R: the lattice scan reads them with ints,
-and `slice_identity(n)` with the forms of free X = x^r and Y = y^R, so
-one identity per slice proves them for every r, R >= 1.
+read as t, x and y.  Each is written once over the units and r, R (f
+over the forms of t, x, y, X = x^r and Y = y^R): the lattice scan reads
+it with ints, and the identities with the forms of free X and Y, so
+`kernel_symmetry()` proves f_(r,R)(t, x, y) = f_(R,r)(t, y, x), and one
+`slice_identity(n)` per slice the slice's closed forms, for every
+r, R >= 1.
 
 Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
 x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
@@ -32,9 +33,8 @@ as two halves P - N, the numerator's positive and negative monomials each
 over the factors, since a y shift must drop what spills into the next row
 and a mask would cut a signed plane's borrows.  A cell of a half is at
 most C(nt+3, 3) times the half's L1 norm, and dividing by only some of the
-factors gives less, each 1/(1 - m) = 1 + m + ... being at least 1.  The
-swapped (R, r) kernel has the same factors and numerator coefficients.
-Each monomial of a slice's nine terms is +-1 (T9's d is 0 or 1) over
+factors gives less, each 1/(1 - m) = 1 + m + ... being at least 1.  Each
+monomial of a slice's nine terms is +-1 (T9's d is 0 or 1) over
 (1-x)^px (1-y), px <= 1, whose cells are 0 or 1, and slice n has at most
 4n + 6 of each sign, so any sum of its term grids is within 4nt + 6.  B
 is the bit length of the larger bound plus one, rounded up to 1, 2, 4 or
@@ -67,10 +67,10 @@ _ZERO = _Form((0,) * 4)
 Monomials = list[tuple[int, int, int]]
 
 # Largest (t, x, y) lattice, in cells (nt+1)(nx+1)(ny+1).  A certificate holds
-# f's planes, the swapped kernel's, two halves while expanding and one
-# slice's term planes.  At this bound a `lemma` run peaks at 36 MB RSS at
-# (99, 99, 99) (0.6 s), 31 MB at (9, 315, 315) (0.4 s) and 28 MB at
-# (249999, 1, 1) (10 s), against 20 MB for the bare interpreter.
+# f's planes, two halves while expanding and one slice's term planes.  At
+# this bound `lemma --r 2 --R 3` peaks at 29 MB RSS at (99, 99, 99) (0.4 s),
+# 27 MB at (9, 315, 315) (0.3 s) and 23 MB at (249999, 1, 1) (9 s), against
+# 14 MB for the bare interpreter (2-vCPU shared VM, Python 3.11.7).
 MAX_LATTICE_CELLS = 10**6
 
 
@@ -98,25 +98,38 @@ def check_lattice(bounds: tuple[int, int, int]) -> None:
         )
 
 
+def _kernel(variables, t, x, y, X, Y) -> RationalTerm:
+    """f over `variables`, with t, x, y, X = x^r and Y = y^R read as exponent forms.
+
+    The numerator is G4's bracket, with (x - X)(y - Y) written as
+    xy (1 - X/x) (1 - Y/y); each factor is one binomial.
+    """
+    zero = t - t
+    numerator = from_pieces(
+        variables, [(1, zero, [x + y, t + X, t + Y]), (1, x + y, [t + t, X - x, Y - y])]
+    )
+    factors = tuple(from_pieces(variables, [(1, zero, [e])]) for e in (t + X, t + Y, x, y, t + x, t + y))
+    return RationalTerm(numerator, factors)
+
+
 @lru_cache(maxsize=64)
 def kernel_term(r: int, R: int) -> RationalTerm:
-    """f as a single rational term over the (t, x, y) variables; shared, not to be mutated.
+    """f as a single rational term over the (t, x, y) variables; shared, not to be mutated."""
+    t, x, y = _Form.units(3)
+    return _kernel(TXY, t, x, y, r * x, R * y)
 
-    The numerator is G4's bracket, with (x - x^r)(y - y^R) written as
-    xy (1 - x^(r-1)) (1 - y^(R-1)); each factor is one binomial.
+
+@lru_cache(maxsize=1)
+def kernel_symmetry() -> IdentityVerdict:
+    """f_(r,R)(t, x, y) = f_(R,r)(t, y, x) for every r, R >= 1; shared, not to be mutated.
+
+    f is read over (t, x, y, X, Y) with X and Y free, and the swap exchanges
+    (x, X) with (y, Y).  Substituting X = x^r and Y = y^R is a ring
+    homomorphism that sends none of the six factors to 0, so the equal
+    sides stay equal at every r and R.
     """
-    numerator = from_pieces(
-        TXY,
-        [
-            (1, (0, 0, 0), [(0, 1, 1), (1, r, 0), (1, 0, R)]),
-            (1, (0, 1, 1), [(2, 0, 0), (0, r - 1, 0), (0, 0, R - 1)]),
-        ],
-    )
-    factors = tuple(
-        from_pieces(TXY, [(1, (0, 0, 0), [e])])
-        for e in ((1, r, 0), (1, 0, R), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
-    )
-    return RationalTerm(numerator, factors)
+    variables, (t, x, y, X, Y) = ("t", *SLICE_VARIABLES), _Form.units(5)
+    return identity_check([_kernel(variables, t, x, y, X, Y)], [_kernel(variables, t, y, x, Y, X)])
 
 
 class Planes:
@@ -169,20 +182,6 @@ class Planes:
             mask = self._masks[dk] = self.expand([(1, 0, dk)], 1) * ((1 << self.bits) - 1)
         return (plane << (dj * self.width + dk) * self.bits) & mask
 
-    def transposed(self, plane: int) -> int:
-        """The signed plane with cell (j, k) moved to (k, j); the box must be square.
-
-        Row k of the biased plane's bytes becomes its column k, one strided
-        slice copy per byte of a slot, so no cell is decoded.
-        """
-        step, row = self.bits // 8, self.row_bytes
-        data = (plane + self.bias).to_bytes(self.cells * step, "little")
-        out = bytearray(len(data))
-        for k in range(self.width):
-            for b in range(step):
-                out[k * step + b :: row] = data[k * row + b : (k + 1) * row : step]
-        return int.from_bytes(out, "little") - self.bias
-
     def negatives(self, plane: int) -> int:
         """The top bit of every negative cell's slot."""
         return self.bias & ~(plane + self.bias)
@@ -201,28 +200,23 @@ class Planes:
         return lowest
 
 
-def f_expand(params: LemmaParams, planes: Planes, swap: bool = False) -> list[int]:
+def f_expand(params: LemmaParams, planes: Planes) -> list[int]:
     """The t-planes of f within the bounds: plane n holds t^n x^j y^k in cell (j, k).
 
-    With swap, x^j y^k goes to cell (k, j), which needs nx == ny.  Each half
-    expands its numerator monomials over 1 - x and 1 - y, the kernel's two
-    factors without t, with `Planes.expand`.  Each factor 1 - t^a x^b y^d
-    with a > 0 is then the recurrence s[n] += x^b y^d s[n - a], one
-    shift-add per plane in increasing n.
+    Each half expands its numerator monomials over 1 - x and 1 - y, the
+    kernel's two factors without t, with `Planes.expand`.  Each factor
+    1 - t^a x^b y^d with a > 0 is then the recurrence
+    s[n] += x^b y^d s[n - a], one shift-add per plane in increasing n.
     """
     nt = params.bounds[0]
     term = kernel_term(params.r, params.R)
     monomials: tuple[dict[int, Monomials], ...] = ({}, {})
     for (n, a, b), c in term.numerator.terms.items():
-        if swap:
-            a, b = b, a
         if n <= nt:
             monomials[c < 0].setdefault(n, []).append((abs(c), a, b))
     halves = [[planes.expand(half[n], 1) if n in half else 0 for n in range(nt + 1)] for half in monomials]
     for factor in term.denominator_factors:
         dn, dj, dk = next(filter(any, factor.terms))
-        if swap:
-            dj, dk = dk, dj
         if dn:
             for half in halves:
                 for n in range(dn, nt + 1):
@@ -474,49 +468,24 @@ def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
     return {"checks": checks, "negative_term_cells": negative_cells}, mismatch
 
 
-def _symmetry(planes: Planes, tri: list[int], mirror: list[int] | None) -> dict[str, Any]:
-    """f(n, j, k) == f_(R,r)(n, k, j) everywhere, or the first (n, j, k) that differs.
-
-    `mirror` holds the swapped kernel already in swapped cells, so its planes
-    compare with f's as ints; None means r == R, where each plane of f is
-    compared, as an int, with its own transpose (`Planes.transposed`).  Only
-    a plane that differs is decoded, to name its first mismatching cell.
-    """
-    width = planes.width
-    for n, plane in enumerate(tri):
-        if plane == (planes.transposed(plane) if mirror is None else mirror[n]):
-            continue
-        lhs = planes.decode(plane)
-        rhs = planes.decode(mirror[n]) if mirror is not None else [c for k in range(width) for c in lhs[k::width]]
-        cell = next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
-        if cell is not None:
-            j, k = divmod(cell, width)
-            details = {"n": n, "j": j, "k": k, "lhs": lhs[cell], "rhs": rhs[cell]}
-            return {"equal": False, "first_mismatch": details}
-    return {"equal": True, "first_mismatch": None}
-
-
 def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
     """Composite kernel-expansion check: signs, slices, window, symmetry.
 
-    f is expanded once; the swapped kernel only when r != R and the x/y
-    bounds are square (otherwise symmetry is a transpose of f itself, or not
-    checked).  The first failed check, in that order, is the witness.
+    f is expanded once.  The symmetry is `kernel_symmetry`'s verdict, which
+    holds for every r, R and box.  The first failed check, in that order,
+    is the witness.
     """
     params = LemmaParams(r, R, bounds)
     planes = Planes(params)
     tri = f_expand(params, planes)
     minimum = planes.minimum(tri)
     window, slice_mismatch = _scan_slices(params, planes, tri)
-    symmetry = None
-    if bounds[1] == bounds[2]:
-        mirror = None if r == R else f_expand(LemmaParams(R, r, bounds), planes, swap=True)
-        symmetry = _symmetry(planes, tri, mirror)
+    verdict = kernel_symmetry()
     checks = {
         "expansion_nonnegative": minimum >= 0,
         "slices_match": slice_mismatch is None,
         "window": all(window["checks"].values()),
-        "symmetry": None if symmetry is None else symmetry["equal"],
+        "symmetry": verdict.equal,
     }
     witness = None
     if not checks["expansion_nonnegative"]:
@@ -525,8 +494,8 @@ def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any
         witness = {"check": "slices_match", "n": slice_mismatch}
     elif not checks["window"]:
         witness = {"check": "window", "details": window["checks"]}
-    elif checks["symmetry"] is False:
-        witness = {"check": "symmetry", "details": symmetry["first_mismatch"]}
+    elif not verdict.equal:
+        witness = {"check": "symmetry", "details": verdict.witness}
     return {
         "r": r,
         "R": R,
@@ -534,7 +503,7 @@ def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any
         "checks": checks,
         "min_coefficient": minimum,
         "window": window,
-        "symmetry": symmetry,
+        "symmetry": {"equal": verdict.equal, "first_mismatch": verdict.witness},
         "ok": witness is None,
         "witness": witness,
     }

@@ -18,9 +18,9 @@ read the transcribed kernel.  `TriSeries` and `expand_rational` also
 serve `reference_series` and the polyring tests as a generic lattice tool.
 
 The row-wise kernels below (`rowwise_f_expand`, `rowwise_evaluate`,
-`row_sums`, `transpose_match`) are the nested-list certificate that the
-packed planes replaced; `unpack` and `lattice` read packed planes back as
-nested lists for comparing with them.
+`row_sums`) are the nested-list certificate that the packed planes
+replaced; `unpack` and `lattice` read packed planes back as nested lists
+for comparing with them.
 """
 
 from __future__ import annotations
@@ -570,19 +570,6 @@ def row_sums(grids) -> list[list[int]]:
             total = list(map(sum, zip(*filter(any, rows)))) or [0] * len(rows[0])
         out.append(total[:])
     return out
-
-
-def transpose_match(lhs, rhs) -> dict[str, Any]:
-    """lhs(n, j, k) == rhs(n, k, j) everywhere, or the first (n, j, k) that differs."""
-    for n, (plane, other) in enumerate(zip(lhs, rhs)):
-        for j, (row, column) in enumerate(zip(plane, zip(*other))):
-            if tuple(row) != column:
-                k = next(k for k, (a, b) in enumerate(zip(row, column)) if a != b)
-                return {
-                    "equal": False,
-                    "first_mismatch": {"n": n, "j": j, "k": k, "lhs": row[k], "rhs": column[k]},
-                }
-    return {"equal": True, "first_mismatch": None}
 
 
 def unpack(planes: Planes, plane: int) -> list[list[int]]:

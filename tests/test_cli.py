@@ -290,6 +290,14 @@ class TestAntitelescope:
         assert len(dumps) == 1 and set(dumps[0]["groups"]) == {"V", "W"}
 
 
+def x_and_y_swapped_without_X_and_Y():
+    """The symmetry identity's verdict with the swapped side's X and Y left in place: it fails."""
+    variables, (t, x, y, X, Y) = ("t", "x", "y", "X", "Y"), polyring._Form.units(5)
+    return polyring.identity_check(
+        [lemma._kernel(variables, t, x, y, X, Y)], [lemma._kernel(variables, t, y, x, X, Y)]
+    )
+
+
 class TestLemma:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run_cli(["lemma", "--r", "2", "--R", "2", "--bounds", "4,8,8"], capsys)
@@ -324,6 +332,28 @@ class TestLemma:
         code, _, err = run_cli(["lemma", "--r", "2", "--R", "3", "--bounds", "0,-1,5"], capsys)
         assert code == 2
         assert err == "qdominance: error: bounds must be three nonnegative integers: (0, -1, 5)\n"
+
+    def test_a_failing_symmetry_identity_is_the_witness_on_any_box(self, capsys, monkeypatch):
+        wrong = x_and_y_swapped_without_X_and_Y()
+        assert set(wrong.witness) == {"monomial", "coefficient"}
+        monkeypatch.setattr(lemma, "kernel_symmetry", lambda: wrong)
+        for bounds in ("3,8,8", "3,8,10"):
+            code, out, _ = run_cli(["lemma", "--r", "3", "--R", "1", "--bounds", bounds], capsys)
+            assert code == 1
+            envelope = report(out)
+            assert envelope["witness"] == {"check": "symmetry", "details": wrong.witness}
+            assert envelope["result"]["symmetry"] == {"equal": False, "first_mismatch": wrong.witness}
+            assert envelope["result"]["checks"]["symmetry"] is False
+
+    def test_a_failing_symmetry_identity_fails_every_lemma_sweep_point(self, capsys, monkeypatch):
+        monkeypatch.setattr(lemma, "kernel_symmetry", x_and_y_swapped_without_X_and_Y)
+        argv = ["sweep", "--kind", "lemma", "--box", "r=1:2,R=1:2", "--bounds", "3,8,10"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        result = report(out)["result"]
+        assert (result["total"], result["failed"]) == (4, 4)
+        details = x_and_y_swapped_without_X_and_Y().witness
+        assert all(f["witness"] == {"check": "symmetry", "details": details} for f in result["failures"])
 
     def test_dump_poly_prints_kernel(self, capsys):
         code, out, _ = run_cli(

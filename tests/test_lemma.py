@@ -14,7 +14,7 @@ from qdominance.lemma import (
     eqtwo_term_grids,
     slice_identity,
 )
-from qdominance.polyring import MultiPoly, RationalTerm, identity_check
+from qdominance.polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check
 from reference_lemma import lattice
 from reference_lemma import unpack
 
@@ -264,8 +264,95 @@ class TestSymmetry:
         assert certify_lemma(2, 3, (6, 25, 25))["symmetry"]["equal"]
         assert certify_lemma(1, 4, (6, 25, 25))["symmetry"]["equal"]
 
-    def test_requires_square_bounds(self):
-        # the x/y swap is only checked over square bounds
+    def test_holds_on_non_square_bounds(self):
+        # the x/y swap is one identity for every r and R, whatever the box
         report = certify_lemma(2, 3, (4, 10, 12))
-        assert report["symmetry"] is None
-        assert report["checks"]["symmetry"] is None
+        assert report["symmetry"] == {"equal": True, "first_mismatch": None}
+        assert report["checks"]["symmetry"] is True
+
+
+# f over (t, x, y, X, Y), with X = x^r and Y = y^R free
+KERNEL_VARIABLES = ("t", "x", "y", "X", "Y")
+t_FORM, x5, y5, X5, Y5 = _Form.units(5)
+
+
+def kernel(t=t_FORM, x=x5, y=y5, X=X5, Y=Y5):
+    return lemma._kernel(KERNEL_VARIABLES, t, x, y, X, Y)
+
+
+def assert_refused(lhs, rhs):
+    """identity_check refuses the two sides with a monomial witness over the five variables."""
+    verdict = identity_check([lhs], [rhs])
+    assert not verdict.equal
+    assert set(verdict.witness) == {"monomial", "coefficient"}
+    assert set(verdict.witness["monomial"]) == set(KERNEL_VARIABLES)
+    assert int(verdict.witness["coefficient"]) != 0
+
+
+def swapped():
+    """The identity's other side: f with (x, X) and (y, Y) exchanged."""
+    return kernel(x=y5, y=x5, X=Y5, Y=X5)
+
+
+def edited_side(side, term):
+    """The identity's (lhs, rhs) with `side` (0 or 1) replaced by `term`."""
+    pair = [kernel(), swapped()]
+    pair[side] = term
+    return pair
+
+
+class TestKernelSymmetry:
+    """f_(r,R)(t, x, y) = f_(R,r)(t, y, x) as one identity over (t, x, y, X, Y)."""
+
+    def test_holds_for_every_r_and_R(self):
+        assert lemma.kernel_symmetry() == IdentityVerdict(True)
+
+    def test_x_and_y_swapped_without_X_and_Y_is_refused(self):
+        assert_refused(kernel(), kernel(x=y5, y=x5))
+
+    def test_X_and_Y_swapped_without_x_and_y_is_refused(self):
+        assert_refused(kernel(), kernel(X=Y5, Y=X5))
+
+    def test_t_plus_t_written_as_t_is_refused(self, monkeypatch):
+        def t_for_t_plus_t(variables, pieces):
+            return from_pieces(variables, [(w, lead, [t_FORM if e == 2 * t_FORM else e for e in b]) for w, lead, b in pieces])
+
+        lhs, rhs = kernel(), swapped()
+        monkeypatch.setattr(lemma, "from_pieces", t_for_t_plus_t)
+        edited = swapped()
+        assert edited.numerator != rhs.numerator and edited.denominator_factors == rhs.denominator_factors
+        assert_refused(lhs, edited)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["lhs", "rhs"])
+    @pytest.mark.parametrize("dropped", range(6))
+    def test_one_factor_dropped_from_one_side_is_refused(self, side, dropped):
+        term = (kernel(), swapped())[side]
+        factors = term.denominator_factors
+        assert_refused(*edited_side(side, RationalTerm(term.numerator, factors[:dropped] + factors[dropped + 1 :])))
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["lhs", "rhs"])
+    @pytest.mark.parametrize("edit", ["doubled", "dropped"])
+    def test_one_numerator_monomial_doubled_or_dropped_is_refused(self, side, edit):
+        term = (kernel(), swapped())[side]
+        numerator = term.numerator
+        for exps, c in numerator.terms.items():
+            changed = MultiPoly(KERNEL_VARIABLES, {**numerator.terms, exps: 2 * c if edit == "doubled" else 0})
+            assert_refused(*edited_side(side, RationalTerm(changed, term.denominator_factors)))
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_the_five_variable_kernel_at_X_x_to_the_r_is_kernel_term(self, r):
+        """Substituting X = x^r and Y = y^R in the identity's kernel gives the
+        kernel the lattice expands, numerator and factors in order."""
+
+        def specialised(poly, R):
+            terms = {}
+            for (t, x, y, X, Y), c in poly.terms.items():
+                key = (t, x + r * X, y + R * Y)
+                terms[key] = terms.get(key, 0) + c
+            return MultiPoly(lemma.TXY, terms)
+
+        free = kernel()
+        for R in range(1, 7):
+            term = lemma.kernel_term(r, R)
+            assert specialised(free.numerator, R) == term.numerator, R
+            assert tuple(specialised(f, R) for f in free.denominator_factors) == term.denominator_factors, R
