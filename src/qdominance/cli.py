@@ -334,6 +334,7 @@ def _cmd_identities(args, config) -> Outcome:
     n = next((n for n in range(5) if not lemma.slice_identity(n).equal), None)
     first_failure = None if n is None else {"n": n}
     entries.append({"name": "slice-closed-forms", "equal": n is None, "first_failure": first_failure})
+    entries.append({"name": "kernel-symmetry", "equal": lemma.kernel_symmetry().equal})
     entries.append({"name": "four-variable-splitting", "equal": proposal.fourvar_identity().equal})
     ok = all(e["equal"] for e in entries)
     witness = None

@@ -675,6 +675,7 @@ class TestIdentities:
             "three-factor-difference": True,
             "four-factor-difference": True,
             "slice-closed-forms": True,
+            "kernel-symmetry": True,
             "four-variable-splitting": True,
         }
 
@@ -721,6 +722,14 @@ class TestIdentities:
         assert envelope["witness"] == {"name": "slice-closed-forms"}
         entry = {e["name"]: e for e in envelope["result"]["checks"]}["slice-closed-forms"]
         assert entry == {"name": "slice-closed-forms", "equal": False, "first_failure": {"n": 3}}
+
+    def test_a_failing_kernel_symmetry_names_its_entry(self, capsys, monkeypatch):
+        monkeypatch.setattr(lemma, "kernel_symmetry", x_and_y_swapped_without_X_and_Y)
+        code, out, _ = run_cli(["identities"], capsys)
+        assert code == 1
+        envelope = report(out)
+        assert envelope["witness"] == {"name": "kernel-symmetry"}
+        assert {"name": "kernel-symmetry", "equal": False} in envelope["result"]["checks"]
 
     def test_seed_and_order_leave_the_result_alone(self, capsys):
         """Every check holds for all parameters, so the run flags change only the config echo."""

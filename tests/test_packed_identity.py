@@ -14,9 +14,9 @@ int and compare it with the reference's cleared numerator.
 The package applies each missing denominator factor to a packed share
 term by term, as shifts; `reference_polyring.product_pack_difference`
 multiplies by the packed factor's powers instead.  Both must give the
-same packed int on the 15 `identities` checks, true and perturbed, and
+same packed int on the 16 `identities` checks, true and perturbed, and
 on random sides, whose factors have up to three terms.  Every
-denominator factor of the 15 checks is a binomial, the traffic the shift
+denominator factor of the 16 checks is a binomial, the traffic the shift
 path is sized for.
 """
 
@@ -142,15 +142,18 @@ def slice_pairs(n, r, R):
 
 
 def identities_checks():
-    """The 15 (lhs, rhs) pairs that `identities` runs: the slice closed forms
+    """The 16 (lhs, rhs) pairs that `identities` runs: the slice closed forms
     over (x, y, X, Y) for n <= 4 (10 pairs), the Thm1 and Thm2 split
-    numerators at t = 0 and at a generic t, and the four-size splitting."""
+    numerators at t = 0 and at a generic t, the four-size splitting, and
+    the kernel's x/y symmetry over (t, x, y, X, Y)."""
     pairs = [pair for n in range(5) for pair in slice_pairs(n, *lemma.SLICE_FORMS[2:])]
     for split in ("thm1", "thm2"):
         for t_zero in (True, False):
             lhs, rhs = split_identity_sides(split, t_zero)
             pairs.append(([RationalTerm(lhs)], [RationalTerm(rhs)]))
     pairs.append(fourvar_identity_sides())
+    variables, (t, x, y, X, Y) = ("t", *lemma.SLICE_VARIABLES), polyring._Form.units(5)
+    pairs.append(([lemma._kernel(variables, t, x, y, X, Y)], [lemma._kernel(variables, t, y, x, Y, X)]))
     return pairs
 
 
@@ -158,7 +161,7 @@ IDENTITIES_CHECKS = identities_checks()
 
 
 def command_checks():
-    """The 15 `identities` checks, each slice's pair followed by its 18 point
+    """The 16 `identities` checks, each slice's pair followed by its 18 point
     checks: the slice closed forms read with ints at every r, R <= 3."""
     pairs = []
     for n in range(5):
@@ -192,7 +195,7 @@ def perturb(side, kind: int, rng: random.Random):
 
 
 def test_command_checks_hold_and_match_reference():
-    assert len(COMMAND_CHECKS) == 105
+    assert len(COMMAND_CHECKS) == 106
     for lhs, rhs in COMMAND_CHECKS:
         assert identity_check(lhs, rhs) == reference_identity_check(lhs, rhs) == polyring.IdentityVerdict(True)
 
@@ -211,7 +214,7 @@ def test_perturbed_command_checks_fail_like_reference(kind):
 
 
 def test_every_denominator_of_the_identities_checks_is_a_binomial():
-    assert len(IDENTITIES_CHECKS) == 15
+    assert len(IDENTITIES_CHECKS) == 16
     factors = [f for lhs, rhs in IDENTITIES_CHECKS for term in [*lhs, *rhs] for f in term.denominator_factors]
     assert factors
     assert {len(f.terms) for f in factors} == {2}
