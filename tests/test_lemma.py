@@ -294,13 +294,6 @@ def swapped():
     return kernel(x=y5, y=x5, X=Y5, Y=X5)
 
 
-def edited_side(side, term):
-    """The identity's (lhs, rhs) with `side` (0 or 1) replaced by `term`."""
-    pair = [kernel(), swapped()]
-    pair[side] = term
-    return pair
-
-
 class TestKernelSymmetry:
     """f_(r,R)(t, x, y) = f_(R,r)(t, y, x) as one identity over (t, x, y, X, Y)."""
 
@@ -326,18 +319,21 @@ class TestKernelSymmetry:
     @pytest.mark.parametrize("side", [0, 1], ids=["lhs", "rhs"])
     @pytest.mark.parametrize("dropped", range(6))
     def test_one_factor_dropped_from_one_side_is_refused(self, side, dropped):
-        term = (kernel(), swapped())[side]
+        pair = [kernel(), swapped()]
+        term = pair[side]
         factors = term.denominator_factors
-        assert_refused(*edited_side(side, RationalTerm(term.numerator, factors[:dropped] + factors[dropped + 1 :])))
+        pair[side] = RationalTerm(term.numerator, factors[:dropped] + factors[dropped + 1 :])
+        assert_refused(*pair)
 
     @pytest.mark.parametrize("side", [0, 1], ids=["lhs", "rhs"])
     @pytest.mark.parametrize("edit", ["doubled", "dropped"])
     def test_one_numerator_monomial_doubled_or_dropped_is_refused(self, side, edit):
-        term = (kernel(), swapped())[side]
-        numerator = term.numerator
-        for exps, c in numerator.terms.items():
-            changed = MultiPoly(KERNEL_VARIABLES, {**numerator.terms, exps: 2 * c if edit == "doubled" else 0})
-            assert_refused(*edited_side(side, RationalTerm(changed, term.denominator_factors)))
+        pair = [kernel(), swapped()]
+        term = pair[side]
+        for exps, c in term.numerator.terms.items():
+            changed = MultiPoly(KERNEL_VARIABLES, {**term.numerator.terms, exps: 2 * c if edit == "doubled" else 0})
+            pair[side] = RationalTerm(changed, term.denominator_factors)
+            assert_refused(*pair)
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_the_five_variable_kernel_at_X_x_to_the_r_is_kernel_term(self, r):
