@@ -326,21 +326,17 @@ def _cmd_proposal(args, config) -> Outcome:
 
 
 def _cmd_identities(args, config) -> Outcome:
-    entries = [
-        {"name": name, "equal": antitelescope.split_identity(split).equal}
-        for name, split in (("three-factor-difference", "thm1"), ("four-factor-difference", "thm2"))
+    verdicts = [
+        ("three-factor-difference", antitelescope.split_identity("thm1")),
+        ("four-factor-difference", antitelescope.split_identity("thm2")),
+        ("kernel-slices", lemma.kernel_slices()),
+        ("kernel-symmetry", lemma.kernel_symmetry()),
+        ("four-variable-splitting", proposal.fourvar_identity()),
     ]
-    # slice n's identity covers every r and R; the first slice that fails is named
-    n = next((n for n in range(5) if not lemma.slice_identity(n).equal), None)
-    first_failure = None if n is None else {"n": n}
-    entries.append({"name": "slice-closed-forms", "equal": n is None, "first_failure": first_failure})
-    entries.append({"name": "kernel-symmetry", "equal": lemma.kernel_symmetry().equal})
-    entries.append({"name": "four-variable-splitting", "equal": proposal.fourvar_identity().equal})
-    ok = all(e["equal"] for e in entries)
-    witness = None
-    if not ok:
-        witness = {"name": next(e["name"] for e in entries if not e["equal"])}
-    return Outcome(ok, {}, witness, {"checks": entries}, None)
+    # the first failing identity is the witness, with its lowest differing monomial
+    witness = next(({"name": name, **v.witness} for name, v in verdicts if not v.equal), None)
+    checks = [{"name": name, "equal": v.equal} for name, v in verdicts]
+    return Outcome(witness is None, {}, witness, {"checks": checks}, None)
 
 
 # --- sweep ------------------------------------------------------------------

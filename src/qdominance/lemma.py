@@ -6,9 +6,9 @@ The kernel is
                  / ((1-t x^r)(1-t y^R)(1-x)(1-y)(1-tx)(1-ty)).
 
 This module expands f exactly on a bounded (t, x, y) lattice, evaluates the
-closed forms for its t-slices, and checks the argument that confines any
-negative per-term coefficient to a window, the negative cells of the
-slice's term T2, that the x/y swap symmetry then rules out.
+closed forms for its t-slices (`eqtwo_symbolic`), and checks the argument
+that confines any negative per-term coefficient to a window, the negative
+cells of the slice's term T2, that the x/y swap symmetry then rules out.
 `certify_lemma` runs all of it in one pass: one expansion of f, one set
 of term grids per slice, and the symmetry as one exact identity.
 
@@ -16,12 +16,13 @@ f and the slice closed forms are stated as weighted binomial pieces,
 weight * x^a y^b * prod (1 - x^c y^d) (t too in f), which
 `polyring.from_pieces` expands; f's numerator is the bracket of the split
 group G4 (`antitelescope._thm2_numerators`), with T = q^t, q^x and q^y
-read as t, x and y.  Each is written once over the units and r, R (f
-over the forms of t, x, y, X = x^r and Y = y^R): the lattice scan reads
-it with ints, and the identities with the forms of free X and Y, so
-`kernel_symmetry()` proves f_(r,R)(t, x, y) = f_(R,r)(t, y, x), and one
-`slice_identity(n)` per slice the slice's closed forms, for every
-r, R >= 1.
+read as t, x and y.  f is written once over the forms of t, x, y,
+X = x^r and Y = y^R (`_kernel`): the lattice reads it with X and Y the
+powers, and the identities with X and Y free.  The slices' nine terms,
+each summed over n with weight t^n, are 18 rational terms over the same
+variables (`_slices`).  So two identities hold for every r, R >= 1:
+`kernel_slices()` proves that slice n of f is the nine terms for every n,
+and `kernel_symmetry()` that f_(r,R)(t, x, y) = f_(R,r)(t, y, x).
 
 Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
 x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
@@ -53,15 +54,13 @@ from functools import lru_cache
 from math import comb
 from typing import Any
 
-from .polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check
+from .polyring import IdentityVerdict, RationalTerm, _Form, from_pieces, identity_check
 from .series import _INT_ONLY, ParameterError, ResourceError, _slots, positive_ints
 
-XY = ("x", "y")
 TXY = ("t", "x", "y")
 # the slice forms read with X = x^r and Y = y^R free, and the unit forms of x, y, X and Y
 SLICE_VARIABLES = ("x", "y", "X", "Y")
 SLICE_FORMS = _Form.units(4)
-_ZERO = _Form((0,) * 4)
 
 #: Monomials of one closed-form addend: (coefficient, x exponent, y exponent).
 Monomials = list[tuple[int, int, int]]
@@ -119,17 +118,95 @@ def kernel_term(r: int, R: int) -> RationalTerm:
     return _kernel(TXY, t, x, y, r * x, R * y)
 
 
+def _slices(variables, t, x, y, X, Y) -> list[tuple[str, list[RationalTerm]]]:
+    """The nine terms of `eqtwo_symbolic`, each summed over n with weight t^n, over `variables`.
+
+    Each sum is one or more rational terms over its slice denominator,
+    (1-x)(1-y), or 1-y for T4 and T6 to T9, with t, x, y, X = x^r and
+    Y = y^R read as exponent forms.  The finite sums of T5, T6 and T7 are
+    re-indexed by n - j, n - 2j - 1 and n - 2j, each >= 1, so each sum
+    over n is a product of geometric series; the n = 0 boundary is a
+    first index (T4 starts at n = 1) or a term of its own (T8's Y).
+    """
+    zero = t - t
+    tt, xx, XX, YY = t + t, x + x, X + X, Y + Y
+
+    def term(pieces, *factors) -> RationalTerm:
+        """Pieces (weight, lead, binomial exponents...) over 1 - v^e for each e of `factors`."""
+        return RationalTerm(
+            from_pieces(variables, [(w, lead, binomials) for w, lead, *binomials in pieces]),
+            tuple(from_pieces(variables, [(1, zero, [e])]) for e in factors),
+        )
+
+    return [
+        # x^n (1 - y^(n+1))
+        ("T1", [term([(1, zero)], t + x, x, y), term([(-1, y)], t + x + y, x, y)]),
+        # (x^n - X)(y^(n+1) - Y^(n+1))
+        ("T2", [
+            term([(1, y)], t + x + y, x, y),
+            term([(-1, X + y)], t + y, x, y),
+            term([(-1, Y)], t + x + Y, x, y),
+            term([(1, X + Y)], t + Y, x, y),
+        ]),
+        # (x^2 - X^2)(y^n - Y^n)
+        ("T3", [term([(1, xx), (-1, XX)], t + y, x, y), term([(-1, xx), (1, XX)], t + Y, x, y)]),
+        # x (y^n - Y^(n+1)) from n = 1
+        ("T4", [term([(1, t + x + y)], t + y, y), term([(-1, t + x + YY)], t + Y, y)]),
+        # (1 - X^2) X^(n-j) (y^j - Y^j), 0 < j < n
+        ("T5", [term([(1, tt + X + y, XX)], t + X, t + y, x, y), term([(-1, tt + X + Y, XX)], t + X, t + Y, x, y)]),
+        # (1 + x) x^m Y^(2j+1)
+        ("T6", [term([(1, tt + x + Y), (1, tt + xx + Y)], t + x, tt + YY, y)]),
+        # (1 + x) x^m (Y^(2j) - Y^(n+1))
+        ("T7", [
+            term([(1, tt + t + x + YY), (1, tt + t + xx + YY)], t + x, tt + YY, y),
+            term([(-1, tt + t + x + YY + YY), (-1, tt + t + xx + YY + YY)], t + x + Y, tt + YY, y),
+        ]),
+        # y^n from n = 1, and Y at n = 0
+        ("T8", [term([(1, t + y)], t + y, y), term([(1, Y)], y)]),
+        # x Y^(n+1) at odd n
+        ("T9", [term([(1, t + x + YY)], tt + YY, y)]),
+    ]
+
+
+def _free() -> tuple[tuple[str, ...], list[_Form]]:
+    """The variables (t, x, y, X, Y), with X = x^r and Y = y^R free, and their unit forms."""
+    return ("t", *SLICE_VARIABLES), _Form.units(5)
+
+
+def kernel_slices_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
+    """(the 18 terms of `_slices`, [f]) over (t, x, y, X, Y)."""
+    variables, units = _free()
+    return [term for _, terms in _slices(variables, *units) for term in terms], [_kernel(variables, *units)]
+
+
+@lru_cache(maxsize=1)
+def kernel_slices() -> IdentityVerdict:
+    """f = sum over n of t^n (slice n's nine terms) for every r, R >= 1; shared, not to be mutated.
+
+    The sides are `kernel_slices_sides`.  Substituting X = x^r and Y = y^R
+    is a ring homomorphism that sends no factor (1-tx, 1-txy, 1-ty, 1-txY,
+    1-tY, 1-tX, 1-t^2 Y^2, 1-x, 1-y) to 0, and each is a unit of
+    Q(x, y)[[t]], so the t^n coefficients agree: slice n of f is the sum
+    of the nine terms of `eqtwo_symbolic` for every n, r and R.
+    """
+    return identity_check(*kernel_slices_sides())
+
+
+def kernel_symmetry_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
+    """([f], [f with (x, X) and (y, Y) exchanged]) over (t, x, y, X, Y)."""
+    variables, (t, x, y, X, Y) = _free()
+    return [_kernel(variables, t, x, y, X, Y)], [_kernel(variables, t, y, x, Y, X)]
+
+
 @lru_cache(maxsize=1)
 def kernel_symmetry() -> IdentityVerdict:
     """f_(r,R)(t, x, y) = f_(R,r)(t, y, x) for every r, R >= 1; shared, not to be mutated.
 
-    f is read over (t, x, y, X, Y) with X and Y free, and the swap exchanges
-    (x, X) with (y, Y).  Substituting X = x^r and Y = y^R is a ring
-    homomorphism that sends none of the six factors to 0, so the equal
-    sides stay equal at every r and R.
+    The sides are `kernel_symmetry_sides`.  Substituting X = x^r and
+    Y = y^R is a ring homomorphism that sends none of the six factors to 0,
+    so the equal sides stay equal at every r and R.
     """
-    variables, (t, x, y, X, Y) = ("t", *SLICE_VARIABLES), _Form.units(5)
-    return identity_check([_kernel(variables, t, x, y, X, Y)], [_kernel(variables, t, y, x, Y, X)])
+    return identity_check(*kernel_symmetry_sides())
 
 
 class Planes:
@@ -224,26 +301,6 @@ def f_expand(params: LemmaParams, planes: Planes) -> list[int]:
     return [p - q for p, q in zip(*halves)]
 
 
-def _xy(*pieces) -> MultiPoly:
-    """The pieces (weight, (a, b), binomials) as a polynomial in x, y; see `polyring.from_pieces`."""
-    return from_pieces(XY, pieces)
-
-
-def _xyXY(*pieces) -> MultiPoly:
-    """The same over (x, y, X, Y), each pair (a, b) of forms (or 0) read as the exponent a + b."""
-    return from_pieces(SLICE_VARIABLES, [(w, _at(lead), list(map(_at, e))) for w, lead, e in pieces])
-
-
-def _at(pair) -> _Form:
-    return (pair[0] or _ZERO) + (pair[1] or _ZERO)
-
-
-def _reading(r) -> tuple:
-    """The x and y units and the builder of the slice forms: 1, 1 and `_xy` when r
-    is an int; the forms of x and y and `_xyXY` when r and R are the X and Y forms."""
-    return (*SLICE_FORMS[:2], _xyXY) if isinstance(r, _Form) else (1, 1, _xy)
-
-
 def eqtwo_symbolic(
     n: int, r: int, R: int, box: tuple[int, int] | None = None
 ) -> list[tuple[str, Monomials, tuple[int, int]]]:
@@ -251,10 +308,10 @@ def eqtwo_symbolic(
 
     The two finite sums are materialized for the concrete n, so each entry is
     a polynomial numerator over a denominator (1-x)^px (1-y)^py.  r and R
-    are ints, or the X and Y forms (see `_reading`), and each monomial is
-    (coefficient, x exponent, y exponent).  With ints and a
-    box (nx, ny), the T5, T6 and T7 sums skip every index whose monomials
-    all lie outside it: a monomial x^a y^b reaches only cells j >= a,
+    are ints, or the X and Y forms of `SLICE_FORMS` (x and y are then read
+    as their forms too), and each monomial is (coefficient, x exponent,
+    y exponent).  With ints and a box (nx, ny), the T5, T6 and T7 sums skip
+    every index whose monomials all lie outside it: a monomial x^a y^b reaches only cells j >= a,
     k >= b, so the slice is unchanged within the box, and it holds
     O(nx + ny) monomials whatever n is.
 
@@ -266,7 +323,7 @@ def eqtwo_symbolic(
     """
     if n < 0:
         raise ValueError(f"slice index must be nonnegative, got {n}")
-    x, y, _ = _reading(r)
+    x, y = SLICE_FORMS[:2] if isinstance(r, _Form) else (1, 1)
     d = n % 2
     t5_range = range(1, n)
     t6_range = range(0, (n - 2 - d) // 2 + 1)
@@ -311,124 +368,6 @@ def eqtwo_term_grids(n: int, params: LemmaParams, planes: Planes) -> list[tuple[
     """Each closed-form addend of the n-th slice (all are over 1 - y) as a signed plane."""
     terms = eqtwo_symbolic(n, params.r, params.R, params.bounds[1:])
     return [(name, planes.expand(monomials, px)) for name, monomials, (px, _) in terms]
-
-
-def eqone_terms(n: int, r, R) -> list[RationalTerm]:
-    """The five-addend closed form of the n-th slice, as rational terms; r and R as in `_reading`."""
-    x, y, xy = _reading(r)
-    base = (xy((1, (0, 0), [(x, 0)])), xy((1, (0, 0), [(0, y)])), xy((1, (x, 0), [(-x, y)])))
-    xr_minus_yR = xy((1, (r, 0), [(-r, R)]))
-    # (x - x^r)(y - y^R) = xy (1 - x^(r-1)) (1 - y^(R-1)): the binomials
-    # x_side and y_side, and xy folded into the leads
-    x_side, y_side = (r - x, 0), (0, R - y)
-    return [
-        # (1 - xy)(x^(n+1) - y^(n+1)) / ((1-x)(1-y)(x-y))
-        RationalTerm(xy((1, ((n + 1) * x, 0), [(x, y), (-(n + 1) * x, (n + 1) * y)])), base),
-        # (x^(nr+1)(1 - x^(2r)) - x^(n+r)(1 - x^2))(y - y^R) / (... (x^r - y^R))
-        RationalTerm(
-            xy((-1, (n * x + r, y), [(2 * x, 0), y_side]), (1, (n * r + x, y), [(2 * r, 0), y_side])),
-            (*base, xr_minus_yR),
-        ),
-        # (y^(nR+1)(1 - y^(2R)) - y^(n+R)(1 - y^2))(x - x^r) / (... (x^r - y^R))
-        RationalTerm(
-            xy((-1, (x, n * y + R), [(0, 2 * y), x_side]), (1, (x, n * R + y), [(0, 2 * R), x_side])),
-            (*base, xr_minus_yR),
-        ),
-        # (y x^(nr)(1 - x^(2r)) - x^r y^n (1 - y^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(x^r - y))
-        RationalTerm(
-            xy(
-                (1, (n * r + x, 2 * y), [(2 * r, 0), x_side, y_side]),
-                (-1, (r + x, (n + 1) * y), [(0, 2 * y), x_side, y_side]),
-            ),
-            (*base, xr_minus_yR, xy((1, (r, 0), [(-r, y)]))),
-        ),
-        # (x y^(nR)(1 - y^(2R)) - y^R x^n (1 - x^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(y^R - x))
-        RationalTerm(
-            xy(
-                (1, (2 * x, n * R + y), [(0, 2 * R), x_side, y_side]),
-                (-1, ((n + 1) * x, R + y), [(2 * x, 0), x_side, y_side]),
-            ),
-            (*base, xr_minus_yR, xy((1, (0, R), [(x, -R)]))),
-        ),
-    ]
-
-
-def eqthree_terms(n: int, r, R) -> list[RationalTerm]:
-    """The sum-free nine-addend closed form, as rational terms; r and R as in `_reading`."""
-    x, y, xy = _reading(r)
-    one_minus_y = xy((1, (0, 0), [(0, y)]))
-    base = (one_minus_y, xy((1, (0, 0), [(x, 0)])))
-    # each term's numerator over its denominator
-    return [
-        # x^n (1 - y^(n+1)) / ((1-y)(1-x))
-        RationalTerm(xy((1, (n * x, 0), [(0, (n + 1) * y)])), base),
-        # (y^(n+1) - y^((n+1)R))(x^n - x^r) / ((1-y)(1-x))
-        RationalTerm(xy((1, (n * x, (n + 1) * y), [(0, (n + 1) * (R - y)), (r - n * x, 0)])), base),
-        # (y^n - y^(nR))(x^2 - x^(2r)) / ((1-y)(1-x))
-        RationalTerm(xy((1, (2 * x, n * y), [(0, n * (R - y)), (2 * (r - x), 0)])), base),
-        # x (y^n - y^((n+1)R)) / (1-y)
-        RationalTerm(xy((1, (x, n * y), [(0, (n + 1) * R - n * y)])), (one_minus_y,)),
-        # y^n / (1-y)
-        RationalTerm(xy((1, (0, n * y), [])), (one_minus_y,)),
-        # (1 + x)(x^n y^R - x y^(nR)) / ((1-y)(x - y^R)), 1 + x as two leads
-        RationalTerm(
-            xy((1, (n * x, R), [((1 - n) * x, (n - 1) * R)]), (1, ((n + 1) * x, R), [((1 - n) * x, (n - 1) * R)])),
-            (one_minus_y, xy((1, (x, 0), [(-x, R)]))),
-        ),
-        # (x^(nr) y - x^r y^n)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y))
-        RationalTerm(
-            xy((1, (n * r, y), [(r - n * r, (n - 1) * y), (2 * r, 0)])),
-            (*base, xy((1, (r, 0), [(-r, y)]))),
-        ),
-        # -y^((n+1)R) (1 + x)(x^2 - x^n) / ((1-y)(1-x^2))
-        RationalTerm(
-            xy((-1, (2 * x, (n + 1) * R), [((n - 2) * x, 0)]), (-1, (3 * x, (n + 1) * R), [((n - 2) * x, 0)])),
-            (one_minus_y, xy((1, (0, 0), [(2 * x, 0)]))),
-        ),
-        # (x^r y^(nR) - x^(nr) y^R)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y^R))
-        RationalTerm(
-            xy((1, (r, n * R), [(n * r - r, R - n * R), (2 * r, 0)])),
-            (*base, xy((1, (r, 0), [(-r, R)]))),
-        ),
-    ]
-
-
-def eqtwo_terms_rational(n: int, r, R) -> list[RationalTerm]:
-    """The slice closed form with its finite sums materialized, term by term; r and R as in `_reading`."""
-    x, y, xy = _reading(r)
-    one_minus = xy((1, (0, 0), [(x, 0)])), xy((1, (0, 0), [(0, y)]))
-    return [
-        RationalTerm(
-            xy(*((c, (a, b), ()) for c, a, b in monomials)),
-            (one_minus[0],) * px + (one_minus[1],) * py,
-        )
-        for _, monomials, (px, py) in eqtwo_symbolic(n, r, R)
-    ]
-
-
-@dataclass(frozen=True)
-class LemmaVerdict:
-    """Joint result of the two closed-form equivalences of one slice, for every r and R."""
-
-    one_vs_three: IdentityVerdict
-    three_vs_two: IdentityVerdict
-
-    @property
-    def equal(self) -> bool:
-        return self.one_vs_three.equal and self.three_vs_two.equal
-
-
-def slice_identity(n: int) -> LemmaVerdict:
-    """The three closed forms of slice n agree for every r, R >= 1.
-
-    They are read over (x, y, X, Y) with X and Y free.  Substituting
-    X = x^r and Y = y^R is a ring homomorphism that sends no denominator
-    (X - Y, X - y, Y - x, 1 - x, 1 - x^2, 1 - y) to 0, so two equal sides
-    stay equal at every r and R.
-    """
-    X, Y = SLICE_FORMS[2:]
-    one, three = eqone_terms(n, X, Y), eqthree_terms(n, X, Y)
-    return LemmaVerdict(identity_check(one, three), identity_check(three, eqtwo_terms_rational(n, X, Y)))
 
 
 def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):

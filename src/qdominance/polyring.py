@@ -5,8 +5,8 @@ coefficients; the variable list is part of the value.  Every polynomial
 the package states is written as weighted binomial pieces,
 weight * v^lead * prod (1 - v^e), and expanded by `from_pieces`; nothing
 else in the package builds a polynomial from a formula.  The split
-numerators, the h numerator and the lemma's slice closed forms are
-written once over sizes: read with ints they are exponents, and read
+numerators, the h numerator, the lemma's kernel and the generating
+functions of its slices are written once over sizes: read with ints they are exponents, and read
 with the unit linear forms of `_Form` they are exponent vectors over
 free variables, one per size, so that one identity over those
 variables holds at every size.
@@ -38,10 +38,11 @@ class VariableMismatchError(ValueError):
 
 
 # Largest packed integer, slots x B bits, that one identity check may
-# build: 16 MiB.  The largest check of an `identities` request, slice 4's
-# closed forms over (x, y, X, Y), packs 5,120 slots x 12 bits = 61,440
-# bits in 0.7 ms (1.0 ms with its terms built; best of 21, 2-vCPU shared
-# Xeon VM, Python 3.11.7), so this leaves a factor of about 2,000.
+# build: 16 MiB.  The largest check of an `identities` request, the
+# kernel's slices over (t, x, y, X, Y) (`lemma.kernel_slices`), packs
+# 3,888 slots x 12 bits = 46,656 bits in 1.6 ms (2.0 ms with its terms
+# built; best of 21, 2-vCPU shared Xeon VM, Python 3.11.7), so this
+# leaves a factor of about 2,900.
 MAX_IDENTITY_BITS = 1 << 27
 
 

@@ -10,12 +10,18 @@ expands f a third time.  They share no state with `qdominance.lemma`'s
 packed certifier beyond the unclipped symbolic slice terms (the
 definitions being certified), so they pin the fast paths from outside.
 
-`kernel_term`, `eqone_terms`, `eqthree_terms` and `eqtwo_terms_rational`
-are the kernel and the slice closed forms transcribed with the dict
-polynomial arithmetic of `reference_polyring`, the oracle of the weighted
-binomial pieces `qdominance.lemma` writes them as; the expansions here
-read the transcribed kernel.  `TriSeries` and `expand_rational` also
-serve `reference_series` and the polyring tests as a generic lattice tool.
+`kernel_term`, `mp_eqone_terms`, `mp_eqthree_terms` and
+`mp_eqtwo_terms_rational` are the kernel and the slice closed forms
+transcribed with the dict polynomial arithmetic of `reference_polyring`,
+the oracle of the weighted binomial pieces; the expansions here read the
+transcribed kernel.  `eqone_terms`, `eqthree_terms` and
+`eqtwo_terms_rational` are the paper's three presentations of slice n as
+weighted binomial pieces, read with ints or with the forms of free
+X = x^r and Y = y^R, and `slice_identity(n)` chains them for every r and
+R.  The package proves the slices once for every n instead
+(`lemma.kernel_slices`), so this chain only pins the transcriptions.
+`TriSeries` and `expand_rational` also serve `reference_series` and the
+polyring tests as a generic lattice tool.
 
 The row-wise kernels below (`rowwise_f_expand`, `rowwise_evaluate`,
 `row_sums`) are the nested-list certificate that the packed planes
@@ -32,13 +38,15 @@ from operator import add
 from typing import Any
 
 from qdominance import lemma
-from qdominance.lemma import TXY, XY, LemmaParams, Planes, eqtwo_symbolic
-from qdominance.polyring import MultiPoly, RationalTerm, to_text
+from qdominance.lemma import SLICE_FORMS, SLICE_VARIABLES, TXY, LemmaParams, Planes, eqtwo_symbolic
+from qdominance.polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check, to_text
 from qdominance.series import Coefficient
 from reference_polyring import mono, mp_add, mp_mul, mp_sub
 
 # axis order for TriSeries lattices
 TRI_VARIABLES = ("t", "x", "y")
+XY = ("x", "y")
+_ZERO = _Form((0,) * 4)
 
 
 class SingularDenominatorError(ValueError):
@@ -146,7 +154,7 @@ def kernel_term(r: int, R: int) -> RationalTerm:
     return RationalTerm(numerator, factors)
 
 
-def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
+def mp_eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
     """The five-addend closed form of the n-th slice, as rational terms."""
     one = _xy_mono()
 
@@ -213,7 +221,7 @@ def eqone_terms(n: int, r: int, R: int) -> list[RationalTerm]:
     return [a1, a2, a3, a4, a5]
 
 
-def eqthree_terms(n: int, r: int, R: int) -> list[RationalTerm]:
+def mp_eqthree_terms(n: int, r: int, R: int) -> list[RationalTerm]:
     """The sum-free nine-addend closed form, as rational terms."""
     one = _xy_mono()
 
@@ -265,7 +273,7 @@ def eqthree_terms(n: int, r: int, R: int) -> list[RationalTerm]:
     return [h1, h2, h3, h4, h5, h6, h7, h8, h9]
 
 
-def eqtwo_terms_rational(n: int, r: int, R: int) -> list[RationalTerm]:
+def mp_eqtwo_terms_rational(n: int, r: int, R: int) -> list[RationalTerm]:
     """The slice closed form with its finite sums materialized, term by term."""
     out = []
     for _, monomials, (px, py) in eqtwo_symbolic(n, r, R):
@@ -582,3 +590,144 @@ def lattice(params: LemmaParams) -> list:
     """The packed expansion of f as nested lists, cells[n][j][k]."""
     planes = Planes(params)
     return [unpack(planes, plane) for plane in lemma.f_expand(params, planes)]
+
+
+# --- the paper's slice closed forms, as weighted binomial pieces ------------
+
+
+def _xy(*pieces) -> MultiPoly:
+    """The pieces (weight, (a, b), binomials) as a polynomial in x, y; see `polyring.from_pieces`."""
+    return from_pieces(XY, pieces)
+
+
+def _xyXY(*pieces) -> MultiPoly:
+    """The same over (x, y, X, Y), each pair (a, b) of forms (or 0) read as the exponent a + b."""
+    return from_pieces(SLICE_VARIABLES, [(w, _at(lead), list(map(_at, e))) for w, lead, e in pieces])
+
+
+def _at(pair) -> _Form:
+    return (pair[0] or _ZERO) + (pair[1] or _ZERO)
+
+
+def _reading(r) -> tuple:
+    """The x and y units and the builder of the slice forms: 1, 1 and `_xy` when r
+    is an int; the forms of x and y and `_xyXY` when r and R are the X and Y forms."""
+    return (*SLICE_FORMS[:2], _xyXY) if isinstance(r, _Form) else (1, 1, _xy)
+
+
+def eqone_terms(n: int, r, R) -> list[RationalTerm]:
+    """The five-addend closed form of the n-th slice, as rational terms; r and R as in `_reading`."""
+    x, y, xy = _reading(r)
+    base = (xy((1, (0, 0), [(x, 0)])), xy((1, (0, 0), [(0, y)])), xy((1, (x, 0), [(-x, y)])))
+    xr_minus_yR = xy((1, (r, 0), [(-r, R)]))
+    # (x - x^r)(y - y^R) = xy (1 - x^(r-1)) (1 - y^(R-1)): the binomials
+    # x_side and y_side, and xy folded into the leads
+    x_side, y_side = (r - x, 0), (0, R - y)
+    return [
+        # (1 - xy)(x^(n+1) - y^(n+1)) / ((1-x)(1-y)(x-y))
+        RationalTerm(xy((1, ((n + 1) * x, 0), [(x, y), (-(n + 1) * x, (n + 1) * y)])), base),
+        # (x^(nr+1)(1 - x^(2r)) - x^(n+r)(1 - x^2))(y - y^R) / (... (x^r - y^R))
+        RationalTerm(
+            xy((-1, (n * x + r, y), [(2 * x, 0), y_side]), (1, (n * r + x, y), [(2 * r, 0), y_side])),
+            (*base, xr_minus_yR),
+        ),
+        # (y^(nR+1)(1 - y^(2R)) - y^(n+R)(1 - y^2))(x - x^r) / (... (x^r - y^R))
+        RationalTerm(
+            xy((-1, (x, n * y + R), [(0, 2 * y), x_side]), (1, (x, n * R + y), [(0, 2 * R), x_side])),
+            (*base, xr_minus_yR),
+        ),
+        # (y x^(nr)(1 - x^(2r)) - x^r y^n (1 - y^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(x^r - y))
+        RationalTerm(
+            xy(
+                (1, (n * r + x, 2 * y), [(2 * r, 0), x_side, y_side]),
+                (-1, (r + x, (n + 1) * y), [(0, 2 * y), x_side, y_side]),
+            ),
+            (*base, xr_minus_yR, xy((1, (r, 0), [(-r, y)]))),
+        ),
+        # (x y^(nR)(1 - y^(2R)) - y^R x^n (1 - x^2))(x - x^r)(y - y^R) / (... (x^r - y^R)(y^R - x))
+        RationalTerm(
+            xy(
+                (1, (2 * x, n * R + y), [(0, 2 * R), x_side, y_side]),
+                (-1, ((n + 1) * x, R + y), [(2 * x, 0), x_side, y_side]),
+            ),
+            (*base, xr_minus_yR, xy((1, (0, R), [(x, -R)]))),
+        ),
+    ]
+
+
+def eqthree_terms(n: int, r, R) -> list[RationalTerm]:
+    """The sum-free nine-addend closed form, as rational terms; r and R as in `_reading`."""
+    x, y, xy = _reading(r)
+    one_minus_y = xy((1, (0, 0), [(0, y)]))
+    base = (one_minus_y, xy((1, (0, 0), [(x, 0)])))
+    # each term's numerator over its denominator
+    return [
+        # x^n (1 - y^(n+1)) / ((1-y)(1-x))
+        RationalTerm(xy((1, (n * x, 0), [(0, (n + 1) * y)])), base),
+        # (y^(n+1) - y^((n+1)R))(x^n - x^r) / ((1-y)(1-x))
+        RationalTerm(xy((1, (n * x, (n + 1) * y), [(0, (n + 1) * (R - y)), (r - n * x, 0)])), base),
+        # (y^n - y^(nR))(x^2 - x^(2r)) / ((1-y)(1-x))
+        RationalTerm(xy((1, (2 * x, n * y), [(0, n * (R - y)), (2 * (r - x), 0)])), base),
+        # x (y^n - y^((n+1)R)) / (1-y)
+        RationalTerm(xy((1, (x, n * y), [(0, (n + 1) * R - n * y)])), (one_minus_y,)),
+        # y^n / (1-y)
+        RationalTerm(xy((1, (0, n * y), [])), (one_minus_y,)),
+        # (1 + x)(x^n y^R - x y^(nR)) / ((1-y)(x - y^R)), 1 + x as two leads
+        RationalTerm(
+            xy((1, (n * x, R), [((1 - n) * x, (n - 1) * R)]), (1, ((n + 1) * x, R), [((1 - n) * x, (n - 1) * R)])),
+            (one_minus_y, xy((1, (x, 0), [(-x, R)]))),
+        ),
+        # (x^(nr) y - x^r y^n)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y))
+        RationalTerm(
+            xy((1, (n * r, y), [(r - n * r, (n - 1) * y), (2 * r, 0)])),
+            (*base, xy((1, (r, 0), [(-r, y)]))),
+        ),
+        # -y^((n+1)R) (1 + x)(x^2 - x^n) / ((1-y)(1-x^2))
+        RationalTerm(
+            xy((-1, (2 * x, (n + 1) * R), [((n - 2) * x, 0)]), (-1, (3 * x, (n + 1) * R), [((n - 2) * x, 0)])),
+            (one_minus_y, xy((1, (0, 0), [(2 * x, 0)]))),
+        ),
+        # (x^r y^(nR) - x^(nr) y^R)(1 - x^(2r)) / ((1-y)(1-x)(x^r - y^R))
+        RationalTerm(
+            xy((1, (r, n * R), [(n * r - r, R - n * R), (2 * r, 0)])),
+            (*base, xy((1, (r, 0), [(-r, R)]))),
+        ),
+    ]
+
+
+def eqtwo_terms_rational(n: int, r, R) -> list[RationalTerm]:
+    """The slice closed form with its finite sums materialized, term by term; r and R as in `_reading`."""
+    x, y, xy = _reading(r)
+    one_minus = xy((1, (0, 0), [(x, 0)])), xy((1, (0, 0), [(0, y)]))
+    return [
+        RationalTerm(
+            xy(*((c, (a, b), ()) for c, a, b in monomials)),
+            (one_minus[0],) * px + (one_minus[1],) * py,
+        )
+        for _, monomials, (px, py) in eqtwo_symbolic(n, r, R)
+    ]
+
+
+@dataclass(frozen=True)
+class LemmaVerdict:
+    """Joint result of the two closed-form equivalences of one slice, for every r and R."""
+
+    one_vs_three: IdentityVerdict
+    three_vs_two: IdentityVerdict
+
+    @property
+    def equal(self) -> bool:
+        return self.one_vs_three.equal and self.three_vs_two.equal
+
+
+def slice_identity(n: int) -> LemmaVerdict:
+    """The three closed forms of slice n agree for every r, R >= 1.
+
+    They are read over (x, y, X, Y) with X and Y free.  Substituting
+    X = x^r and Y = y^R is a ring homomorphism that sends no denominator
+    (X - Y, X - y, Y - x, 1 - x, 1 - x^2, 1 - y) to 0, so two equal sides
+    stay equal at every r and R.
+    """
+    X, Y = SLICE_FORMS[2:]
+    one, three = eqone_terms(n, X, Y), eqthree_terms(n, X, Y)
+    return LemmaVerdict(identity_check(one, three), identity_check(three, eqtwo_terms_rational(n, X, Y)))

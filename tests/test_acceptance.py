@@ -16,7 +16,7 @@ from qdominance.dominance import (
     build_specs,
     check_named,
 )
-from qdominance.lemma import LemmaParams, certify_lemma, slice_identity
+from qdominance.lemma import LemmaParams, certify_lemma, kernel_slices
 from qdominance.partitions import PartitionParams, interpretation_check
 from qdominance.polyring import RationalTerm, identity_check
 from qdominance.proposal import (
@@ -34,7 +34,7 @@ from qdominance.series import (
 )
 import reference_proposal
 from oracles import bga_expected
-from reference_lemma import lattice
+from reference_lemma import lattice, slice_identity
 from reference_polyring import four_factor_identity_sides, mp_times_int, three_factor_identity_sides
 from reference_series import (
     one_series,
@@ -165,8 +165,12 @@ class TestKernelGrid:
 
 
 class TestIdentityCertification:
+    def test_kernel_is_the_sum_of_its_slices(self):
+        # one identity: slice n of f is the nine closed-form terms, for every n, r, R >= 1
+        assert kernel_slices().equal
+
     def test_slice_closed_forms_agree_exactly(self):
-        # each slice's identity holds for every r, R >= 1 at once
+        # the paper's three presentations of each slice agree for every r, R >= 1 at once
         for n in range(7):
             verdict = slice_identity(n)
             assert verdict.one_vs_three.equal, n

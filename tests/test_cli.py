@@ -674,7 +674,7 @@ class TestIdentities:
         assert checks == {
             "three-factor-difference": True,
             "four-factor-difference": True,
-            "slice-closed-forms": True,
+            "kernel-slices": True,
             "kernel-symmetry": True,
             "four-variable-splitting": True,
         }
@@ -689,7 +689,9 @@ class TestIdentities:
         monkeypatch.setitem(antitelescope._SPLITS, "thm2", (n, dropped, scale))
         code, out, _ = run_cli(["identities", "--order", "20"], capsys)
         assert code == 1
-        assert report(out)["witness"] == {"name": "four-factor-difference"}
+        # the lowest monomial of the t = 0 identity's difference: the dropped binomial's a
+        monomial = {"t": 0, "x": 0, "y": 0, "z": 0, "a": 1, "b": 0, "c": 0}
+        assert report(out)["witness"] == {"name": "four-factor-difference", "monomial": monomial, "coefficient": "-1"}
 
     def test_a_patched_h_addend_fails_the_command(self, capsys, monkeypatch):
         table = list(proposal._H_ADDENDS)
@@ -697,38 +699,37 @@ class TestIdentities:
         monkeypatch.setattr(proposal, "_H_ADDENDS", tuple(table))
         code, out, _ = run_cli(["identities"], capsys)
         assert code == 1
-        assert report(out)["witness"] == {"name": "four-variable-splitting"}
+        monomial = {"x": 0, "y": 0, "z": 0, "w": 0, "a": 0, "b": 1, "c": 1, "d": 0}
+        assert report(out)["witness"] == {"name": "four-variable-splitting", "monomial": monomial, "coefficient": "-6"}
 
-    def test_a_patched_slice_monomial_names_the_slice(self, capsys, monkeypatch):
-        """One monomial of slices 3 and 4's eqthree forms doubled: slice 3 is
-        the first whose identity fails."""
-        eqthree = lemma.eqthree_terms
+    def test_a_patched_slice_term_names_kernel_slices(self, capsys, monkeypatch):
+        """T9's x Y^2 written as x Y^3: the slice identity fails with a monomial witness."""
+        slices = lemma._slices
 
-        def doubled(n, r, R):
-            terms = eqthree(n, r, R)
-            if n >= 3:
-                numerator = terms[0].numerator
-                exps = min(numerator.terms)
-                terms[0] = polyring.RationalTerm(
-                    polyring.MultiPoly(numerator.variables, {**numerator.terms, exps: 2 * numerator.terms[exps]}),
-                    terms[0].denominator_factors,
-                )
-            return terms
+        def t9_with_Y_cubed(variables, t, x, y, X, Y):
+            groups = slices(variables, t, x, y, X, Y)
+            [term] = groups[8][1]
+            numerator = {(*e[:4], e[4] + 1): c for e, c in term.numerator.terms.items()}
+            groups[8] = ("T9", [polyring.RationalTerm(polyring.MultiPoly(variables, numerator), term.denominator_factors)])
+            return groups
 
-        monkeypatch.setattr(lemma, "eqthree_terms", doubled)
+        monkeypatch.setattr(lemma, "_slices", t9_with_Y_cubed)
+        monkeypatch.setattr(lemma, "kernel_slices", lemma.kernel_slices.__wrapped__)
         code, out, _ = run_cli(["identities"], capsys)
         assert code == 1
         envelope = report(out)
-        assert envelope["witness"] == {"name": "slice-closed-forms"}
-        entry = {e["name"]: e for e in envelope["result"]["checks"]}["slice-closed-forms"]
-        assert entry == {"name": "slice-closed-forms", "equal": False, "first_failure": {"n": 3}}
+        # the lowest monomial of the cleared difference is T9's own t x Y^2
+        monomial = {"t": 1, "x": 1, "y": 0, "X": 0, "Y": 2}
+        assert envelope["witness"] == {"name": "kernel-slices", "monomial": monomial, "coefficient": "1"}
+        assert lemma.kernel_slices().witness == {"monomial": monomial, "coefficient": "1"}
+        assert {"name": "kernel-slices", "equal": False} in envelope["result"]["checks"]
 
     def test_a_failing_kernel_symmetry_names_its_entry(self, capsys, monkeypatch):
         monkeypatch.setattr(lemma, "kernel_symmetry", x_and_y_swapped_without_X_and_Y)
         code, out, _ = run_cli(["identities"], capsys)
         assert code == 1
         envelope = report(out)
-        assert envelope["witness"] == {"name": "kernel-symmetry"}
+        assert envelope["witness"] == {"name": "kernel-symmetry", **x_and_y_swapped_without_X_and_Y().witness}
         assert {"name": "kernel-symmetry", "equal": False} in envelope["result"]["checks"]
 
     def test_seed_and_order_leave_the_result_alone(self, capsys):

@@ -1,5 +1,8 @@
 """Kernel expansion, slice closed forms, and the negativity-window argument."""
 
+from fractions import Fraction
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +15,9 @@ from qdominance.lemma import (
     certify_lemma,
     eqtwo_symbolic,
     eqtwo_term_grids,
-    slice_identity,
 )
 from qdominance.polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check
-from reference_lemma import lattice
+from reference_lemma import lattice, slice_identity
 from reference_lemma import unpack
 
 
@@ -140,8 +142,8 @@ class TestTermsMatchTheTranscription:
         for n in range(9):
             for r in range(1, 5):
                 for R in range(1, 5):
-                    got = getattr(lemma, name)(n, r, R)
-                    assert_same_terms(got, getattr(transcribed, name)(n, r, R), (n, r, R))
+                    got = getattr(transcribed, name)(n, r, R)
+                    assert_same_terms(got, getattr(transcribed, "mp_" + name)(n, r, R), (n, r, R))
 
 
 READINGS = ("eqone_terms", "eqthree_terms", "eqtwo_terms_rational")
@@ -152,7 +154,7 @@ x_FORM, y_FORM, X_FORM, Y_FORM = lemma.SLICE_FORMS
 
 def form_readings(n, r=X_FORM):
     """The three closed forms of slice n over (x, y, X, Y), with r read as the form `r`."""
-    return [getattr(lemma, name)(n, r, Y_FORM) for name in READINGS]
+    return [getattr(transcribed, name)(n, r, Y_FORM) for name in READINGS]
 
 
 def refused(forms, changed):
@@ -170,11 +172,11 @@ def specialised(poly, r, R):
     for (a, b, c, d), k in poly.terms.items():
         key = (a + r * c, b + R * d)
         terms[key] = terms.get(key, 0) + k
-    return MultiPoly(lemma.XY, terms)
+    return MultiPoly(transcribed.XY, terms)
 
 
 class TestSliceFormIdentities:
-    """One identity per slice over (x, y, X, Y), with X = x^r and Y = y^R free."""
+    """The reference chain: one identity per slice over (x, y, X, Y), with X = x^r and Y = y^R free."""
 
     @pytest.mark.parametrize("n", range(5))
     def test_each_slice_holds_for_every_r_and_R(self, n):
@@ -210,9 +212,9 @@ class TestSliceFormIdentities:
     def test_the_form_reading_specialises_to_the_int_reading(self, n, r, R, name):
         got = [
             RationalTerm(specialised(t.numerator, r, R), tuple(specialised(f, r, R) for f in t.denominator_factors))
-            for t in getattr(lemma, name)(n, X_FORM, Y_FORM)
+            for t in getattr(transcribed, name)(n, X_FORM, Y_FORM)
         ]
-        assert_same_terms(got, getattr(lemma, name)(n, r, R), (n, r, R))
+        assert_same_terms(got, getattr(transcribed, name)(n, r, R), (n, r, R))
 
 
 class TestNegativityWindow:
@@ -281,8 +283,13 @@ def kernel(t=t_FORM, x=x5, y=y5, X=X5, Y=Y5):
 
 
 def assert_refused(lhs, rhs):
+    """identity_check refuses the two terms with a monomial witness over the five variables."""
+    assert_sides_refused([lhs], [rhs])
+
+
+def assert_sides_refused(lhs, rhs):
     """identity_check refuses the two sides with a monomial witness over the five variables."""
-    verdict = identity_check([lhs], [rhs])
+    verdict = identity_check(lhs, rhs)
     assert not verdict.equal
     assert set(verdict.witness) == {"monomial", "coefficient"}
     assert set(verdict.witness["monomial"]) == set(KERNEL_VARIABLES)
@@ -339,16 +346,132 @@ class TestKernelSymmetry:
     def test_the_five_variable_kernel_at_X_x_to_the_r_is_kernel_term(self, r):
         """Substituting X = x^r and Y = y^R in the identity's kernel gives the
         kernel the lattice expands, numerator and factors in order."""
-
-        def specialised(poly, R):
-            terms = {}
-            for (t, x, y, X, Y), c in poly.terms.items():
-                key = (t, x + r * X, y + R * Y)
-                terms[key] = terms.get(key, 0) + c
-            return MultiPoly(lemma.TXY, terms)
-
-        free = kernel()
         for R in range(1, 7):
-            term = lemma.kernel_term(r, R)
-            assert specialised(free.numerator, R) == term.numerator, R
-            assert tuple(specialised(f, R) for f in free.denominator_factors) == term.denominator_factors, R
+            assert_same_terms([at_powers(kernel(), r, R)], [lemma.kernel_term(r, R)], R)
+
+    def test_the_sides_are_the_public_ones(self):
+        lhs, rhs = lemma.kernel_symmetry_sides()
+        assert_same_terms(lhs, [kernel()], "lhs")
+        assert_same_terms(rhs, [swapped()], "rhs")
+
+
+def at_powers(term, r, R):
+    """A term over (t, x, y, X, Y) at X = x^r and Y = y^R, over (t, x, y)."""
+
+    def specialised(poly):
+        terms = {}
+        for (t, x, y, X, Y), c in poly.terms.items():
+            key = (t, x + r * X, y + R * Y)
+            terms[key] = terms.get(key, 0) + c
+        return MultiPoly(lemma.TXY, terms)
+
+    return RationalTerm(specialised(term.numerator), tuple(map(specialised, term.denominator_factors)))
+
+
+def slice_groups():
+    """The nine slice terms' generating functions over (t, x, y, X, Y), by name."""
+    return lemma._slices(KERNEL_VARIABLES, t_FORM, x5, y5, X5, Y5)
+
+
+def flat(groups):
+    return [term for _, terms in groups for term in terms]
+
+
+def moved(term, select, shift):
+    """The term with each numerator monomial that `select` picks times the monomial `shift`."""
+    terms = {}
+    for exps, c in term.numerator.terms.items():
+        key = tuple(map(add, exps, shift)) if select(exps) else exps
+        terms[key] = terms.get(key, 0) + c
+    return RationalTerm(MultiPoly(KERNEL_VARIABLES, terms), term.denominator_factors)
+
+
+def t_series(poly, point, order):
+    """A polynomial over (t, x, y) at (x, y) = point, as its t-coefficients up to t^order."""
+    series = [Fraction(0)] * (order + 1)
+    for (n, a, b), c in poly.terms.items():
+        if n <= order:
+            series[n] += c * point[0] ** a * point[1] ** b
+    return series
+
+
+def divided(series, divisor):
+    """series / divisor as truncated power series in t; divisor[0] is not 0."""
+    quotient = []
+    for n, c in enumerate(series):
+        quotient.append((c - sum(divisor[k] * quotient[n - k] for k in range(1, n + 1))) / divisor[0])
+    return quotient
+
+
+class TestKernelSlices:
+    """f = sum over n of t^n (slice n's nine terms) as one identity over (t, x, y, X, Y)."""
+
+    def test_holds_for_every_n_r_and_R(self):
+        assert lemma.kernel_slices() == IdentityVerdict(True)
+
+    def test_the_sides_are_the_nine_terms_and_the_kernel(self):
+        lhs, rhs = lemma.kernel_slices_sides()
+        groups = slice_groups()
+        assert [name for name, _ in groups] == [name for name, _, _ in eqtwo_symbolic(0, 1, 1)]
+        assert len(lhs) == 18
+        assert_same_terms(lhs, flat(groups), "terms")
+        assert_same_terms(rhs, [kernel()], "kernel")
+
+    @pytest.mark.parametrize("edit", ["dropped", "doubled"])
+    @pytest.mark.parametrize("index", range(9), ids=[f"T{i}" for i in range(1, 10)])
+    def test_one_term_dropped_or_doubled_is_refused(self, index, edit):
+        groups = slice_groups()
+        name, terms = groups[index]
+        groups[index] = (name, [] if edit == "dropped" else terms + terms)
+        assert_sides_refused(flat(groups), [kernel()])
+
+    def test_T5_s_X_squared_written_as_X_squared_x_is_refused(self):
+        groups = slice_groups()
+        name, terms = groups[4]
+        assert name == "T5"
+        edited = [moved(term, lambda exps: exps[3] == 3, x5) for term in terms]
+        assert all(a.numerator != b.numerator for a, b in zip(edited, terms))
+        groups[4] = (name, edited)
+        assert_sides_refused(flat(groups), [kernel()])
+
+    def test_T9_s_Y_squared_written_as_Y_cubed_is_refused(self):
+        groups = slice_groups()
+        name, [term] = groups[8]
+        assert name == "T9" and set(exps[4] for exps in term.numerator.terms) == {2}
+        groups[8] = (name, [moved(term, lambda exps: True, Y5)])
+        assert_sides_refused(flat(groups), [kernel()])
+
+    @pytest.mark.parametrize("r", range(1, 4))
+    def test_read_at_X_x_to_the_r_the_terms_sum_to_kernel_term(self, r):
+        """The terms read over (t, x, y) with X = x^r and Y = y^R are the free
+        terms at those powers, and they sum to the kernel the lattice expands."""
+        t, x, y = _Form.units(3)
+        lhs = slice_groups()
+        for R in range(1, 4):
+            read = lemma._slices(lemma.TXY, t, x, y, r * x, R * y)
+            assert_same_terms(flat(read), [at_powers(term, r, R) for term in flat(lhs)], (r, R))
+            assert identity_check(flat(read), [lemma.kernel_term(r, R)]) == IdentityVerdict(True), (r, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.tuples(*[st.fractions(-2, 2, max_denominator=7).filter(lambda v: v != 1)] * 2),
+    )
+    def test_each_term_s_t_coefficients_are_its_eqtwo_symbolic_term(self, r, R, point):
+        """Each generating function, expanded in t at an exact point, has slice n's term as its t^n coefficient."""
+        order = 12
+        t, x, y = _Form.units(3)
+        want = {name: [] for name, _ in slice_groups()}
+        for n in range(order + 1):
+            for name, monomials, (px, py) in eqtwo_symbolic(n, r, R):
+                value = sum(c * point[0] ** a * point[1] ** b for c, a, b in monomials)
+                want[name].append(value / ((1 - point[0]) ** px * (1 - point[1]) ** py))
+        for name, terms in lemma._slices(lemma.TXY, t, x, y, r * x, R * y):
+            got = [Fraction(0)] * (order + 1)
+            for term in terms:
+                series = t_series(term.numerator, point, order)
+                for factor in term.denominator_factors:
+                    series = divided(series, t_series(factor, point, order))
+                got = list(map(add, got, series))
+            assert got == want[name], name

@@ -6,18 +6,20 @@ one int; `reference_polyring.reference_identity_check` builds it as a
 agree on random sides over 1 to 7 variables (with int
 coefficients, negative exponents, factors equal up to sign, repeated
 factors, zero numerators and empty sides), on sides equal by
-construction and then perturbed, and on every check of the `identities`
-command (the slice closed forms over free X = x^r and Y = y^R among them)
-and 90 slice point checks read with ints, true and perturbed.  The width tests decode the whole packed
-int and compare it with the reference's cleared numerator.
+construction and then perturbed, on the 7 checks of the `identities`
+command, and on the 100 pairs of the reference slice chain
+(`reference_lemma.slice_identity`): its 10 pairs over free X = x^r and
+Y = y^R for n <= 4, and 90 pairs read with ints at r, R <= 3, all true
+and perturbed.  The width tests decode the whole packed int and compare
+it with the reference's cleared numerator.
 
 The package applies each missing denominator factor to a packed share
 term by term, as shifts; `reference_polyring.product_pack_difference`
 multiplies by the packed factor's powers instead.  Both must give the
-same packed int on the 16 `identities` checks, true and perturbed, and
-on random sides, whose factors have up to three terms.  Every
-denominator factor of the 16 checks is a binomial, the traffic the shift
-path is sized for.
+same packed int on the 7 command checks and the chain's 10 form pairs,
+true and perturbed, and on random sides, whose factors have up to three
+terms.  Every denominator factor of those 17 checks is a binomial, the
+traffic the shift path is sized for.
 """
 
 import random
@@ -39,6 +41,7 @@ from qdominance.polyring import (
     identity_check,
 )
 from qdominance.series import ResourceError
+import reference_lemma
 from reference_polyring import (
     cleared_numerator,
     mono,
@@ -137,42 +140,30 @@ def test_equal_sides_and_their_perturbations_match_reference(problem, data):
 
 def slice_pairs(n, r, R):
     """The two comparisons of slice n's closed forms, eqone with eqthree and eqthree with eqtwo."""
-    one, three = lemma.eqone_terms(n, r, R), lemma.eqthree_terms(n, r, R)
-    return [(one, three), (three, lemma.eqtwo_terms_rational(n, r, R))]
+    one, three = reference_lemma.eqone_terms(n, r, R), reference_lemma.eqthree_terms(n, r, R)
+    return [(one, three), (three, reference_lemma.eqtwo_terms_rational(n, r, R))]
 
 
-def identities_checks():
-    """The 16 (lhs, rhs) pairs that `identities` runs: the slice closed forms
-    over (x, y, X, Y) for n <= 4 (10 pairs), the Thm1 and Thm2 split
-    numerators at t = 0 and at a generic t, the four-size splitting, and
-    the kernel's x/y symmetry over (t, x, y, X, Y)."""
-    pairs = [pair for n in range(5) for pair in slice_pairs(n, *lemma.SLICE_FORMS[2:])]
+def command_checks():
+    """The 7 (lhs, rhs) pairs that `identities` runs, from the modules' sides:
+    the Thm1 and Thm2 split numerators at t = 0 and at a generic t, the
+    kernel's slices and its x/y symmetry over (t, x, y, X, Y), and the
+    four-size splitting."""
+    pairs = []
     for split in ("thm1", "thm2"):
         for t_zero in (True, False):
             lhs, rhs = split_identity_sides(split, t_zero)
             pairs.append(([RationalTerm(lhs)], [RationalTerm(rhs)]))
-    pairs.append(fourvar_identity_sides())
-    variables, (t, x, y, X, Y) = ("t", *lemma.SLICE_VARIABLES), polyring._Form.units(5)
-    pairs.append(([lemma._kernel(variables, t, x, y, X, Y)], [lemma._kernel(variables, t, y, x, Y, X)]))
-    return pairs
-
-
-IDENTITIES_CHECKS = identities_checks()
-
-
-def command_checks():
-    """The 16 `identities` checks, each slice's pair followed by its 18 point
-    checks: the slice closed forms read with ints at every r, R <= 3."""
-    pairs = []
-    for n in range(5):
-        pairs += IDENTITIES_CHECKS[2 * n : 2 * n + 2]
-        for r in range(1, 4):
-            for R in range(1, 4):
-                pairs += slice_pairs(n, r, R)
-    return pairs + IDENTITIES_CHECKS[10:]
+    return pairs + [lemma.kernel_slices_sides(), lemma.kernel_symmetry_sides(), fourvar_identity_sides()]
 
 
 COMMAND_CHECKS = command_checks()
+# the reference slice chain over (x, y, X, Y) for n <= 4, then read with ints at every r, R <= 3
+SLICE_FORM_CHECKS = [pair for n in range(5) for pair in slice_pairs(n, *lemma.SLICE_FORMS[2:])]
+SLICE_INT_CHECKS = [pair for n in range(5) for r in range(1, 4) for R in range(1, 4) for pair in slice_pairs(n, r, R)]
+# the checks whose factors are all binomials, and every check
+PACKED_CHECKS = COMMAND_CHECKS + SLICE_FORM_CHECKS
+ALL_CHECKS = PACKED_CHECKS + SLICE_INT_CHECKS
 
 
 def perturb(side, kind: int, rng: random.Random):
@@ -195,15 +186,15 @@ def perturb(side, kind: int, rng: random.Random):
 
 
 def test_command_checks_hold_and_match_reference():
-    assert len(COMMAND_CHECKS) == 106
-    for lhs, rhs in COMMAND_CHECKS:
+    assert (len(COMMAND_CHECKS), len(SLICE_FORM_CHECKS), len(SLICE_INT_CHECKS)) == (7, 10, 90)
+    for lhs, rhs in ALL_CHECKS:
         assert identity_check(lhs, rhs) == reference_identity_check(lhs, rhs) == polyring.IdentityVerdict(True)
 
 
 @pytest.mark.parametrize("kind", range(3), ids=["plus-minus-one", "moved-monomial", "doubled"])
 def test_perturbed_command_checks_fail_like_reference(kind):
     rng = random.Random(kind)
-    for lhs, rhs in COMMAND_CHECKS:
+    for lhs, rhs in ALL_CHECKS:
         if rng.random() < 0.5:
             lhs = perturb(lhs, kind, rng)
         else:
@@ -214,8 +205,8 @@ def test_perturbed_command_checks_fail_like_reference(kind):
 
 
 def test_every_denominator_of_the_identities_checks_is_a_binomial():
-    assert len(IDENTITIES_CHECKS) == 16
-    factors = [f for lhs, rhs in IDENTITIES_CHECKS for term in [*lhs, *rhs] for f in term.denominator_factors]
+    assert len(PACKED_CHECKS) == 17
+    factors = [f for lhs, rhs in PACKED_CHECKS for term in [*lhs, *rhs] for f in term.denominator_factors]
     assert factors
     assert {len(f.terms) for f in factors} == {2}
 
@@ -223,7 +214,7 @@ def test_every_denominator_of_the_identities_checks_is_a_binomial():
 @pytest.mark.parametrize("kind", [None, 0, 1, 2], ids=["true", "plus-minus-one", "moved-monomial", "doubled"])
 def test_shift_packing_equals_the_product_packing_on_the_identities_checks(kind):
     rng = random.Random(kind)
-    for lhs, rhs in IDENTITIES_CHECKS:
+    for lhs, rhs in PACKED_CHECKS:
         if kind is not None:
             lhs = perturb(lhs, kind, rng)
         packed = _pack_difference(lhs, rhs)
@@ -272,7 +263,7 @@ def assert_width_covers_reference(lhs, rhs):
 
 
 def test_width_covers_the_command_checks():
-    for lhs, rhs in COMMAND_CHECKS:
+    for lhs, rhs in ALL_CHECKS:
         assert_width_covers_reference(lhs, rhs)
         assert_width_covers_reference(perturb(lhs, 1, random.Random(0)), rhs)
 
@@ -350,6 +341,6 @@ class TestResourceBound:
             identity_check(lhs, [])
 
     def test_command_checks_are_far_below_the_bound(self):
-        packs = [_pack_difference(lhs, rhs) for lhs, rhs in COMMAND_CHECKS]
+        packs = [_pack_difference(lhs, rhs) for lhs, rhs in ALL_CHECKS]
         largest = max(prod(p.spans) * p.slot_bits for p in packs)
         assert largest * 1000 < polyring.MAX_IDENTITY_BITS
