@@ -129,7 +129,6 @@ def _slices(variables, t, x, y, X, Y) -> list[tuple[str, list[RationalTerm]]]:
     first index (T4 starts at n = 1) or a term of its own (T8's Y).
     """
     zero = t - t
-    tt, xx, XX, YY = t + t, x + x, X + X, Y + Y
 
     def term(pieces, *factors) -> RationalTerm:
         """Pieces (weight, lead, binomial exponents...) over 1 - v^e for each e of `factors`."""
@@ -149,33 +148,31 @@ def _slices(variables, t, x, y, X, Y) -> list[tuple[str, list[RationalTerm]]]:
             term([(1, X + Y)], t + Y, x, y),
         ]),
         # (x^2 - X^2)(y^n - Y^n)
-        ("T3", [term([(1, xx), (-1, XX)], t + y, x, y), term([(-1, xx), (1, XX)], t + Y, x, y)]),
+        ("T3", [term([(1, 2 * x), (-1, 2 * X)], t + y, x, y), term([(-1, 2 * x), (1, 2 * X)], t + Y, x, y)]),
         # x (y^n - Y^(n+1)) from n = 1
-        ("T4", [term([(1, t + x + y)], t + y, y), term([(-1, t + x + YY)], t + Y, y)]),
+        ("T4", [term([(1, t + x + y)], t + y, y), term([(-1, t + x + 2 * Y)], t + Y, y)]),
         # (1 - X^2) X^(n-j) (y^j - Y^j), 0 < j < n
-        ("T5", [term([(1, tt + X + y, XX)], t + X, t + y, x, y), term([(-1, tt + X + Y, XX)], t + X, t + Y, x, y)]),
+        ("T5", [
+            term([(1, 2 * t + X + y, 2 * X)], t + X, t + y, x, y),
+            term([(-1, 2 * t + X + Y, 2 * X)], t + X, t + Y, x, y),
+        ]),
         # (1 + x) x^m Y^(2j+1)
-        ("T6", [term([(1, tt + x + Y), (1, tt + xx + Y)], t + x, tt + YY, y)]),
+        ("T6", [term([(1, 2 * t + x + Y), (1, 2 * t + 2 * x + Y)], t + x, 2 * t + 2 * Y, y)]),
         # (1 + x) x^m (Y^(2j) - Y^(n+1))
         ("T7", [
-            term([(1, tt + t + x + YY), (1, tt + t + xx + YY)], t + x, tt + YY, y),
-            term([(-1, tt + t + x + YY + YY), (-1, tt + t + xx + YY + YY)], t + x + Y, tt + YY, y),
+            term([(1, 3 * t + x + 2 * Y), (1, 3 * t + 2 * x + 2 * Y)], t + x, 2 * t + 2 * Y, y),
+            term([(-1, 3 * t + x + 4 * Y), (-1, 3 * t + 2 * x + 4 * Y)], t + x + Y, 2 * t + 2 * Y, y),
         ]),
         # y^n from n = 1, and Y at n = 0
         ("T8", [term([(1, t + y)], t + y, y), term([(1, Y)], y)]),
         # x Y^(n+1) at odd n
-        ("T9", [term([(1, t + x + YY)], tt + YY, y)]),
+        ("T9", [term([(1, t + x + 2 * Y)], 2 * t + 2 * Y, y)]),
     ]
 
 
-def _free() -> tuple[tuple[str, ...], list[_Form]]:
-    """The variables (t, x, y, X, Y), with X = x^r and Y = y^R free, and their unit forms."""
-    return ("t", *SLICE_VARIABLES), _Form.units(5)
-
-
 def kernel_slices_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
-    """(the 18 terms of `_slices`, [f]) over (t, x, y, X, Y)."""
-    variables, units = _free()
+    """(the 18 terms of `_slices`, [f]) over (t, x, y, X, Y), with X = x^r and Y = y^R free."""
+    variables, units = ("t", *SLICE_VARIABLES), _Form.units(5)
     return [term for _, terms in _slices(variables, *units) for term in terms], [_kernel(variables, *units)]
 
 
@@ -193,8 +190,8 @@ def kernel_slices() -> IdentityVerdict:
 
 
 def kernel_symmetry_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
-    """([f], [f with (x, X) and (y, Y) exchanged]) over (t, x, y, X, Y)."""
-    variables, (t, x, y, X, Y) = _free()
+    """([f], [f with (x, X) and (y, Y) exchanged]) over (t, x, y, X, Y), with X and Y free."""
+    variables, (t, x, y, X, Y) = ("t", *SLICE_VARIABLES), _Form.units(5)
     return [_kernel(variables, t, x, y, X, Y)], [_kernel(variables, t, y, x, Y, X)]
 
 
