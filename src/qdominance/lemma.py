@@ -308,9 +308,9 @@ def eqtwo_symbolic(
     are ints, or the X and Y forms of `SLICE_FORMS` (x and y are then read
     as their forms too), and each monomial is (coefficient, x exponent,
     y exponent).  With ints and a box (nx, ny), the T5, T6 and T7 sums skip
-    every index whose monomials all lie outside it: a monomial x^a y^b reaches only cells j >= a,
-    k >= b, so the slice is unchanged within the box, and it holds
-    O(nx + ny) monomials whatever n is.
+    every index whose monomials all lie outside it: a monomial x^a y^b
+    reaches only cells j >= a, k >= b, so the slice is unchanged within
+    the box, and it holds O(nx + ny) monomials whatever n is.
 
     The n = 0 slice is a boundary case: the generic formula overshoots the
     true slice by (1+x)(1-y^R)/(1-y), so T4 is dropped and T8 starts at y^R

@@ -6,10 +6,10 @@ the package states is written as weighted binomial pieces,
 weight * v^lead * prod (1 - v^e), and expanded by `from_pieces`; nothing
 else in the package builds a polynomial from a formula.  The split
 numerators, the h numerator, the lemma's kernel and the generating
-functions of its slices are written once over sizes: read with ints they are exponents, and read
-with the unit linear forms of `_Form` they are exponent vectors over
-free variables, one per size, so that one identity over those
-variables holds at every size.
+functions of its slices are written once over sizes: read with ints
+they are exponents, and read with the unit linear forms of `_Form` they
+are exponent vectors over free variables, one per size, so that one
+identity over those variables holds at every size.
 
 identity_check compares two sums of rational terms over Z[x] exactly, by
 clearing all denominators; denominators there may be any nonzero

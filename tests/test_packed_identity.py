@@ -161,9 +161,9 @@ COMMAND_CHECKS = command_checks()
 # the reference slice chain over (x, y, X, Y) for n <= 4, then read with ints at every r, R <= 3
 SLICE_FORM_CHECKS = [pair for n in range(5) for pair in slice_pairs(n, *lemma.SLICE_FORMS[2:])]
 SLICE_INT_CHECKS = [pair for n in range(5) for r in range(1, 4) for R in range(1, 4) for pair in slice_pairs(n, r, R)]
-# the checks whose factors are all binomials, and every check
-PACKED_CHECKS = COMMAND_CHECKS + SLICE_FORM_CHECKS
-ALL_CHECKS = PACKED_CHECKS + SLICE_INT_CHECKS
+# the checks over forms, which the shift-packing and binomial-factor tests read, and every check
+FORM_CHECKS = COMMAND_CHECKS + SLICE_FORM_CHECKS
+ALL_CHECKS = FORM_CHECKS + SLICE_INT_CHECKS
 
 
 def perturb(side, kind: int, rng: random.Random):
@@ -205,8 +205,8 @@ def test_perturbed_command_checks_fail_like_reference(kind):
 
 
 def test_every_denominator_of_the_identities_checks_is_a_binomial():
-    assert len(PACKED_CHECKS) == 17
-    factors = [f for lhs, rhs in PACKED_CHECKS for term in [*lhs, *rhs] for f in term.denominator_factors]
+    assert len(FORM_CHECKS) == 17
+    factors = [f for lhs, rhs in FORM_CHECKS for term in [*lhs, *rhs] for f in term.denominator_factors]
     assert factors
     assert {len(f.terms) for f in factors} == {2}
 
@@ -214,7 +214,7 @@ def test_every_denominator_of_the_identities_checks_is_a_binomial():
 @pytest.mark.parametrize("kind", [None, 0, 1, 2], ids=["true", "plus-minus-one", "moved-monomial", "doubled"])
 def test_shift_packing_equals_the_product_packing_on_the_identities_checks(kind):
     rng = random.Random(kind)
-    for lhs, rhs in PACKED_CHECKS:
+    for lhs, rhs in FORM_CHECKS:
         if kind is not None:
             lhs = perturb(lhs, kind, rng)
         packed = _pack_difference(lhs, rhs)
