@@ -26,12 +26,13 @@ are read.
 The numerators are written once, over t = (i-1)m, the sizes x, y[, z] and
 the scaled sizes a = rx, b = Ry[, c = rho z]; every exponent is a sum,
 difference or double of these.  They are read two ways: the walk calls
-them with ints, and `split_identity` with unit linear forms (`_Form`),
-which `polyring.from_pieces` turns into polynomials in T = q^t and the
-q-powers of the sizes.  It checks exactly that they sum to
-scale * (prod over the Q layer of (1 - q^(b+t)) - prod over the P layer),
-at t = 0 (index 1) and at a generic t.  Substituting q-powers is a ring
-homomorphism, so that one identity says that the groups sum to
+them with ints, and `split_identity_sides` with unit linear forms
+(`_Form`), which `polyring.from_pieces` turns into polynomials in T = q^t
+and the q-powers of the sizes.  The module's `IDENTITIES` rows state that
+they sum to scale * (prod over the Q layer of (1 - q^(b+t)) - prod over
+the P layer), at t = 0 (index 1) and at a generic t, and
+`polyring.decide_identity` checks it exactly.  Substituting q-powers is a
+ring homomorphism, so that one identity says that the groups sum to
 scale * addend at every size, multiplier and index.
 
 The walk is packed (`series._Signed`): every series is one int with
@@ -65,10 +66,11 @@ scan's `--dump-series` and `group_totals` decode what they return.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from .dominance import SPLIT_MODES, nbase_params
-from .polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check
+from .polyring import RationalTerm, _Form, from_pieces
 from .series import (
     INF,
     Coefficient,
@@ -132,35 +134,31 @@ def _thm2_numerators(values, t):
 _SPLITS = {"thm1": (2, _thm1_numerators, 1), "thm2": (3, _thm2_numerators, 2)}
 
 
-def split_identity_sides(split: str, t_zero: bool) -> tuple[MultiPoly, MultiPoly]:
-    """scale * (prod Q layer - prod P layer) and the sum of the groups, over (t, x, y[, z], a, b[, c]).
+def split_identity_sides(split: str) -> list[tuple[list[RationalTerm], list[RationalTerm]]]:
+    """[scale * (prod Q layer - prod P layer)] and [the sum of the groups], over (t, x, y[, z], a, b[, c]).
 
-    The numerators are read at unit forms, with t the zero form when ``t_zero``.
+    The numerators are read at unit forms, first with t the zero form
+    (index 1), then with t free: one (lhs, rhs) pair each.
     """
     n, numerators, scale = _SPLITS[split]
     variables = ("t", *"xyz"[:n], *"abc"[:n])
     zero = _Form((0,) * len(variables))
     units = _Form.units(len(variables))
-    t, sizes, scaled = zero if t_zero else units[0], units[1 : n + 1], units[n + 1 :]
-    lhs = from_pieces(
-        variables,
-        [
-            (scale, zero, [t + e for e in (*scaled, sum(sizes, zero))]),
-            (-scale, zero, [t + e for e in (*sizes, sum(scaled, zero))]),
-        ],
-    )
-    groups = numerators((*sizes, *scaled), t)
-    rhs = from_pieces(variables, [(1, lead, exps) for _, pieces in groups for lead, exps in pieces])
-    return lhs, rhs
+    sizes, scaled = units[1 : n + 1], units[n + 1 :]
+    layers = ((scale, (*scaled, sum(sizes, zero))), (-scale, (*sizes, sum(scaled, zero))))
+    pairs = []
+    for t in (zero, units[0]):
+        lhs = from_pieces(variables, [(weight, zero, [t + e for e in layer]) for weight, layer in layers])
+        groups = [(1, lead, exps) for _, pieces in numerators((*sizes, *scaled), t) for lead, exps in pieces]
+        pairs.append(([RationalTerm(lhs)], [RationalTerm(from_pieces(variables, groups))]))
+    return pairs
 
 
-def split_identity(split: str) -> IdentityVerdict:
-    """The split's numerator identity at t = 0, then at a generic t: the first that fails, or the last."""
-    for t_zero in (True, False):
-        verdict = identity_check(*([RationalTerm(side)] for side in split_identity_sides(split, t_zero)))
-        if not verdict.equal:
-            break
-    return verdict
+# The all-parameter identities of this module, as (name, sides) rows; see `polyring.decide_identity`.
+IDENTITIES = (
+    ("three-factor-difference", partial(split_identity_sides, "thm1")),
+    ("four-factor-difference", partial(split_identity_sides, "thm2")),
+)
 
 
 def _layers(P: ProductSpec, Q: ProductSpec) -> tuple[int, int]:

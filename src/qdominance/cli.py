@@ -326,13 +326,8 @@ def _cmd_proposal(args, config) -> Outcome:
 
 
 def _cmd_identities(args, config) -> Outcome:
-    verdicts = [
-        ("three-factor-difference", antitelescope.split_identity("thm1")),
-        ("four-factor-difference", antitelescope.split_identity("thm2")),
-        ("kernel-slices", lemma.kernel_slices()),
-        ("kernel-symmetry", lemma.kernel_symmetry()),
-        ("four-variable-splitting", proposal.fourvar_identity()),
-    ]
+    rows = antitelescope.IDENTITIES + lemma.IDENTITIES + proposal.IDENTITIES
+    verdicts = [(name, polyring.decide_identity(sides)) for name, sides in rows]
     # the first failing identity is the witness, with its lowest differing monomial
     witness = next(({"name": name, **v.witness} for name, v in verdicts if not v.equal), None)
     checks = [{"name": name, "equal": v.equal} for name, v in verdicts]

@@ -20,9 +20,9 @@ read as t, x and y.  f is written once over the forms of t, x, y,
 X = x^r and Y = y^R (`_kernel`): the lattice reads it with X and Y the
 powers, and the identities with X and Y free.  The slices' nine terms,
 each summed over n with weight t^n, are 18 rational terms over the same
-variables (`_slices`).  So two identities hold for every r, R >= 1:
-`kernel_slices()` proves that slice n of f is the nine terms for every n,
-and `kernel_symmetry()` that f_(r,R)(t, x, y) = f_(R,r)(t, y, x).
+variables (`_slices`).  So the two rows of `IDENTITIES` hold for every
+r, R >= 1: `kernel-slices` says that slice n of f is the nine terms for
+every n, and `kernel-symmetry` that f_(r,R)(t, x, y) = f_(R,r)(t, y, x).
 
 Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
 x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
@@ -54,7 +54,7 @@ from functools import lru_cache
 from math import comb
 from typing import Any
 
-from .polyring import IdentityVerdict, RationalTerm, _Form, from_pieces, identity_check
+from .polyring import RationalTerm, _Form, decide_identity, from_pieces
 from .series import _INT_ONLY, ParameterError, ResourceError, _slots, positive_ints
 
 TXY = ("t", "x", "y")
@@ -170,40 +170,33 @@ def _slices(variables, t, x, y, X, Y) -> list[tuple[str, list[RationalTerm]]]:
     ]
 
 
-def kernel_slices_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
-    """(the 18 terms of `_slices`, [f]) over (t, x, y, X, Y), with X = x^r and Y = y^R free."""
+def kernel_slices_sides() -> list[tuple[list[RationalTerm], list[RationalTerm]]]:
+    """[(the 18 terms of `_slices`, [f])] over (t, x, y, X, Y), with X = x^r and Y = y^R free.
+
+    The pair is equal: f = sum over n of t^n (slice n's nine terms).
+    Substituting X = x^r and Y = y^R is a ring homomorphism that sends no
+    factor (1-tx, 1-txy, 1-ty, 1-txY, 1-tY, 1-tX, 1-t^2 Y^2, 1-x, 1-y) to
+    0, and each is a unit of Q(x, y)[[t]], so the t^n coefficients agree:
+    slice n of f is the sum of the nine terms of `eqtwo_symbolic` for
+    every n, r and R.
+    """
     variables, units = ("t", *SLICE_VARIABLES), _Form.units(5)
-    return [term for _, terms in _slices(variables, *units) for term in terms], [_kernel(variables, *units)]
+    return [([term for _, terms in _slices(variables, *units) for term in terms], [_kernel(variables, *units)])]
 
 
-@lru_cache(maxsize=1)
-def kernel_slices() -> IdentityVerdict:
-    """f = sum over n of t^n (slice n's nine terms) for every r, R >= 1; shared, not to be mutated.
+def kernel_symmetry_sides() -> list[tuple[list[RationalTerm], list[RationalTerm]]]:
+    """[([f], [f with (x, X) and (y, Y) exchanged])] over (t, x, y, X, Y), with X and Y free.
 
-    The sides are `kernel_slices_sides`.  Substituting X = x^r and Y = y^R
-    is a ring homomorphism that sends no factor (1-tx, 1-txy, 1-ty, 1-txY,
-    1-tY, 1-tX, 1-t^2 Y^2, 1-x, 1-y) to 0, and each is a unit of
-    Q(x, y)[[t]], so the t^n coefficients agree: slice n of f is the sum
-    of the nine terms of `eqtwo_symbolic` for every n, r and R.
+    The pair is equal: f_(r,R)(t, x, y) = f_(R,r)(t, y, x).  Substituting
+    X = x^r and Y = y^R is a ring homomorphism that sends none of the six
+    factors to 0, so the equal sides stay equal at every r and R.
     """
-    return identity_check(*kernel_slices_sides())
-
-
-def kernel_symmetry_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
-    """([f], [f with (x, X) and (y, Y) exchanged]) over (t, x, y, X, Y), with X and Y free."""
     variables, (t, x, y, X, Y) = ("t", *SLICE_VARIABLES), _Form.units(5)
-    return [_kernel(variables, t, x, y, X, Y)], [_kernel(variables, t, y, x, Y, X)]
+    return [([_kernel(variables, t, x, y, X, Y)], [_kernel(variables, t, y, x, Y, X)])]
 
 
-@lru_cache(maxsize=1)
-def kernel_symmetry() -> IdentityVerdict:
-    """f_(r,R)(t, x, y) = f_(R,r)(t, y, x) for every r, R >= 1; shared, not to be mutated.
-
-    The sides are `kernel_symmetry_sides`.  Substituting X = x^r and
-    Y = y^R is a ring homomorphism that sends none of the six factors to 0,
-    so the equal sides stay equal at every r and R.
-    """
-    return identity_check(*kernel_symmetry_sides())
+# The all-parameter identities of this module, as (name, sides) rows; see `polyring.decide_identity`.
+IDENTITIES = (("kernel-slices", kernel_slices_sides), ("kernel-symmetry", kernel_symmetry_sides))
 
 
 class Planes:
@@ -407,8 +400,8 @@ def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
 def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
     """Composite kernel-expansion check: signs, slices, window, symmetry.
 
-    f is expanded once.  The symmetry is `kernel_symmetry`'s verdict, which
-    holds for every r, R and box.  The first failed check, in that order,
+    f is expanded once.  The symmetry is the verdict of the `kernel-symmetry`
+    row of `IDENTITIES`, which holds for every r, R and box.  The first failed check, in that order,
     is the witness.
     """
     params = LemmaParams(r, R, bounds)
@@ -416,7 +409,7 @@ def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any
     tri = f_expand(params, planes)
     minimum = planes.minimum(tri)
     window, slice_mismatch = _scan_slices(params, planes, tri)
-    verdict = kernel_symmetry()
+    verdict = decide_identity(dict(IDENTITIES)["kernel-symmetry"])
     checks = {
         "expansion_nonnegative": minimum >= 0,
         "slices_match": slice_mismatch is None,

@@ -9,7 +9,8 @@ numerators, the h numerator, the lemma's kernel and the generating
 functions of its slices are written once over sizes: read with ints
 they are exponents, and read with the unit linear forms of `_Form` they
 are exponent vectors over free variables, one per size, so that one
-identity over those variables holds at every size.
+identity over those variables holds at every size.  Each module states
+those identities once, as (name, sides) rows of its `IDENTITIES`.
 
 identity_check compares two sums of rational terms over Z[x] exactly, by
 clearing all denominators; denominators there may be any nonzero
@@ -28,6 +29,7 @@ rational functions agree exactly when one int is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add, mul, sub
 
 from qdominance.series import ResourceError
@@ -39,7 +41,7 @@ class VariableMismatchError(ValueError):
 
 # Largest packed integer, slots x B bits, that one identity check may
 # build: 16 MiB.  The largest check of an `identities` request, the
-# kernel's slices over (t, x, y, X, Y) (`lemma.kernel_slices`), packs
+# kernel's slices over (t, x, y, X, Y) (the `kernel-slices` row), packs
 # 3,888 slots x 12 bits = 46,656 bits in 1.6 ms (2.0 ms with its terms
 # built; best of 21, 2-vCPU shared Xeon VM, Python 3.11.7), so this
 # leaves a factor of about 2,900.
@@ -171,10 +173,22 @@ class RationalTerm:
 # identity checking
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityVerdict:
     equal: bool
     witness: dict | None = None
+
+
+@cache
+def decide_identity(sides) -> IdentityVerdict:
+    """The verdict of an `IDENTITIES` row: `identity_check`'s on the first of its
+    (lhs, rhs) pairs that fails, or an equal one.  Cached per `sides`, so a
+    row is decided at most once per process and its frozen verdict shared."""
+    for lhs, rhs in sides():
+        verdict = identity_check(lhs, rhs)
+        if not verdict.equal:
+            return verdict
+    return IdentityVerdict(True)
 
 
 def _canonical_key(factor: MultiPoly) -> tuple[tuple, int]:

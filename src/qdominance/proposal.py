@@ -14,8 +14,8 @@ of a run still goes through `_inject`, the weight check, the congruence
 check and `_invert` on its own, so the first failure names the same
 source as a source-by-source walk.  For three and
 four sizes the difference of reciprocals also splits through the auxiliary
-series `h_series`, and `fourvar_identity` certifies that splitting for four
-sizes once for every tuple.
+series `h_series`, and the `four-variable-splitting` row of `IDENTITIES`
+certifies that splitting for four sizes once for every tuple.
 `check_proposal` runs the coefficientwise comparison for arbitrary n and
 labels how strong the supporting argument is.
 
@@ -28,12 +28,13 @@ every exponent a sum or difference of them.  It is read two ways, like the
 split numerators in `antitelescope`.  `h_series` reads it with ints and
 packs it (`series._Signed`); the series is bounded coefficientwise by the
 numerator's L1 norm times the reciprocal of the six denominators, which
-fixes the slot width before anything is packed.  `fourvar_identity` reads
-it with unit forms (`polyring._Form`), so each size and scaled size is a
-free variable, and checks with `polyring.identity_check` that
-6/P - 6/Q is the sum of the four 6h, one per omitted size, over their six
-denominators and the two composite binomials.  Substituting q-powers is a
-ring homomorphism, so that one identity holds for every tuple and order.
+fixes the slot width before anything is packed.  `fourvar_identity_sides`
+reads it with unit forms (`polyring._Form`), so each size and scaled size
+is a free variable, and states that 6/P - 6/Q is the sum of the four 6h,
+one per omitted size, over their six denominators and the two composite
+binomials; `polyring.decide_identity` checks it exactly.  Substituting
+q-powers is a ring homomorphism, so that one identity holds for every
+tuple and order.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from itertools import combinations
 from operator import mul
 
 from .dominance import NamedInequality, check_named, nbase_pair, report_dict
-from .polyring import IdentityVerdict, RationalTerm, _Form, from_pieces, identity_check
+from .polyring import RationalTerm, _Form, from_pieces
 from .series import (
     QSeries,
     ResourceError,
@@ -248,13 +249,15 @@ def h_series(params, order: int) -> QSeries:
     return QSeries.from_coeffs([ratio(c, 6) for c in packing.decode(six_h).coeffs], order)
 
 
-def fourvar_identity_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
-    """(6/P - 6/Q, the four 6h over their denominators) over (x, y, z, w, a, b, c, d).
+def fourvar_identity_sides() -> list[tuple[list[RationalTerm], list[RationalTerm]]]:
+    """[(6/P - 6/Q, the four 6h over their denominators)] over (x, y, z, w, a, b, c, d).
 
     x..w are the q-powers of the sizes and a..d those of the scaled sizes;
     P runs over x..w and Sigma = abcd, Q over a..d and sigma = xyzw.  Each
     6h is `_h_numerator` at unit forms, over its three sizes' six
     denominators and the two composite binomials (1 - sigma)(1 - Sigma).
+    The pair is equal, so the four-size single-layer splitting holds
+    exactly for every tuple and every order.
     """
     variables = (*"xyzw", *"abcd")
     zero = _Form((0,) * len(variables))
@@ -271,17 +274,11 @@ def fourvar_identity_sides() -> tuple[list[RationalTerm], list[RationalTerm]]:
     for kept in combinations(zip(sizes, scaled), 3):
         own, own_scaled = zip(*kept)
         rhs.append(over(_h_numerator(own, own_scaled), (*own, *own_scaled, sigma, Sigma)))
-    return lhs, rhs
+    return [(lhs, rhs)]
 
 
-def fourvar_identity() -> IdentityVerdict:
-    """The four-size single-layer splitting, exactly, for every tuple and every order.
-
-    The difference of the two five-factor reciprocals equals the sum of
-    the four h series (one per omitted size) divided by the two composite
-    binomials; see `fourvar_identity_sides`.
-    """
-    return identity_check(*fourvar_identity_sides())
+# The all-parameter identities of this module, as (name, sides) rows; see `polyring.decide_identity`.
+IDENTITIES = (("four-variable-splitting", fourvar_identity_sides),)
 
 
 def proposal_status(n: int, L: int) -> str:

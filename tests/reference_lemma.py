@@ -18,8 +18,9 @@ transcribed kernel.  `eqone_terms`, `eqthree_terms` and
 `eqtwo_terms_rational` are the paper's three presentations of slice n as
 weighted binomial pieces, read with ints or with the forms of free
 X = x^r and Y = y^R, and `slice_identity(n)` chains them for every r and
-R.  The package proves the slices once for every n instead
-(`lemma.kernel_slices`), so this chain only pins the transcriptions.
+R.  The package proves the slices once for every n instead (the
+`kernel-slices` row of `lemma.IDENTITIES`), so this chain only pins the
+transcriptions.
 `TriSeries` and `expand_rational` also serve `reference_series` and the
 polyring tests as a generic lattice tool.
 

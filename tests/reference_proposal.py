@@ -2,8 +2,8 @@
 
 `h_terms` builds the nineteen addends of 6h as products of list series,
 block by block, with the O(N^2) Cauchy product; `h_series` and
-`fourvar_identity` sum them the way the package did before the Proposal
-layer was packed.  Both take the addend builder as an argument, so a test
+`fourvar_identity` sum them the way the package's h series and
+four-variable identity did before the Proposal layer was packed.  Both take the addend builder as an argument, so a test
 can perturb one addend here and in the package alike and compare the
 verdicts.
 """

@@ -9,19 +9,19 @@ import itertools
 import random
 import time
 
-from qdominance.antitelescope import decompositions, split_identity
+from qdominance import antitelescope, lemma, proposal
+from qdominance.antitelescope import decompositions
 from qdominance.dominance import (
     NamedInequality,
     bga_degenerate,
     build_specs,
     check_named,
 )
-from qdominance.lemma import LemmaParams, certify_lemma, kernel_slices
+from qdominance.lemma import LemmaParams, certify_lemma
 from qdominance.partitions import PartitionParams, interpretation_check
-from qdominance.polyring import RationalTerm, identity_check
+from qdominance.polyring import RationalTerm, decide_identity, identity_check
 from qdominance.proposal import (
     check_proposal,
-    fourvar_identity,
     h_series,
     injection_evidence,
     proposal_params,
@@ -48,6 +48,9 @@ from reference_series import (
 )
 
 SEED = 20260819
+
+# the identity table that the `identities` command walks, by row name
+IDENTITIES = dict(antitelescope.IDENTITIES + lemma.IDENTITIES + proposal.IDENTITIES)
 
 # Interpretation tuples (m, x, y, r, R, L): five size collisions (x == y),
 # one y == r*x collision, unit multipliers on either side, lengths 1..3.
@@ -167,7 +170,7 @@ class TestKernelGrid:
 class TestIdentityCertification:
     def test_kernel_is_the_sum_of_its_slices(self):
         # one identity: slice n of f is the nine closed-form terms, for every n, r, R >= 1
-        assert kernel_slices().equal
+        assert decide_identity(IDENTITIES["kernel-slices"]).equal
 
     def test_slice_closed_forms_agree_exactly(self):
         # the paper's three presentations of each slice agree for every r, R >= 1 at once
@@ -179,13 +182,13 @@ class TestIdentityCertification:
     def test_five_variable_polynomial_identity(self):
         lhs, rhs = three_factor_identity_sides()
         assert identity_check([RationalTerm(lhs)], [RationalTerm(rhs)]).equal
-        assert split_identity("thm1").equal
+        assert decide_identity(IDENTITIES["three-factor-difference"]).equal
 
     def test_seven_variable_polynomial_identity(self):
         # doubled, so that the half-weighted groups have int coefficients
         lhs, rhs = (mp_times_int(side, 2) for side in four_factor_identity_sides())
         assert identity_check([RationalTerm(lhs)], [RationalTerm(rhs)]).equal
-        assert split_identity("thm2").equal
+        assert decide_identity(IDENTITIES["four-factor-difference"]).equal
 
 
 class TestPartitionInterpretation:
@@ -244,7 +247,7 @@ class TestGeneralizedSuite:
 
     def test_four_variable_identity_on_sampled_tuples(self):
         """The identity for every tuple, and the list oracle on sampled tuples."""
-        verdict = fourvar_identity()
+        verdict = decide_identity(IDENTITIES["four-variable-splitting"])
         assert verdict.equal, verdict.witness
         rng = random.Random(SEED)
         for _ in range(50):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from qdominance import antitelescope
-from qdominance.antitelescope import decompositions, positivity_scan, split_identity, split_identity_sides
+from qdominance.antitelescope import decompositions, positivity_scan, split_identity_sides
 from qdominance.dominance import nbase_pair
-from qdominance.polyring import MultiPoly, RationalTerm, _Form, identity_check
+from qdominance.polyring import MultiPoly, RationalTerm, _Form, decide_identity, identity_check
 from qdominance.series import QSeries, first_negative, product_spec
 from reference_lemma import expand_rational
 from reference_polyring import four_factor_identity_sides, mono, mp_add, mp_mul, mp_sub, three_factor_identity_sides
@@ -322,6 +322,13 @@ def move_first_lead(numerators):
     return patched
 
 
+# the sides of each split's row of the identity table
+ROWS = {
+    split: dict(antitelescope.IDENTITIES)[name]
+    for split, name in (("thm1", "three-factor-difference"), ("thm2", "four-factor-difference"))
+}
+
+
 class TestSplitIdentity:
     """The split numerators the walk uses, read as polynomials, against the
     hand transcriptions in `reference_polyring`."""
@@ -331,14 +338,14 @@ class TestSplitIdentity:
     )
     def test_sides_equal_the_hand_transcription(self, split, hand, scale):
         hand_lhs, hand_rhs = hand()
-        assert split_identity_sides(split, False) == (times(hand_lhs, scale), times(hand_rhs, scale))
+        (zero_lhs, zero_rhs), generic = split_identity_sides(split)
+        assert generic == ([RationalTerm(times(hand_lhs, scale))], [RationalTerm(times(hand_rhs, scale))])
         # t = 0: the hand form at T = 1; the index-1 groups regroup the same sum
-        lhs, rhs = split_identity_sides(split, True)
-        assert lhs == rhs == times(hand_lhs, scale, t_zero=True)
+        assert zero_lhs == zero_rhs == [RationalTerm(times(hand_lhs, scale, t_zero=True))]
 
     @pytest.mark.parametrize("split", ["thm1", "thm2"])
     def test_identity_holds(self, split):
-        assert split_identity(split).equal
+        assert decide_identity(ROWS[split]).equal
 
     @pytest.mark.parametrize(
         "split, perturb", [("thm2", drop_first_binomial), ("thm1", move_first_lead), ("thm1", drop_first_binomial)]
@@ -346,10 +353,9 @@ class TestSplitIdentity:
     def test_a_perturbed_numerator_is_refused_at_both_t(self, split, perturb, monkeypatch):
         n, numerators, scale = antitelescope._SPLITS[split]
         monkeypatch.setitem(antitelescope._SPLITS, split, (n, perturb(numerators), scale))
-        for t_zero in (True, False):
-            lhs, rhs = split_identity_sides(split, t_zero)
-            assert not identity_check([RationalTerm(lhs)], [RationalTerm(rhs)]).equal, t_zero
-        verdict = split_identity(split)
+        for t, (lhs, rhs) in zip(("zero", "generic"), split_identity_sides(split)):
+            assert not identity_check(lhs, rhs).equal, t
+        verdict = decide_identity(ROWS[split])
         assert not verdict.equal
         assert verdict.witness["monomial"]["t"] == 0
 

@@ -291,11 +291,19 @@ class TestAntitelescope:
 
 
 def x_and_y_swapped_without_X_and_Y():
-    """The symmetry identity's verdict with the swapped side's X and Y left in place: it fails."""
+    """The symmetry identity's sides with the swapped side's X and Y left in place: they differ."""
     variables, (t, x, y, X, Y) = ("t", "x", "y", "X", "Y"), polyring._Form.units(5)
-    return polyring.identity_check(
-        [lemma._kernel(variables, t, x, y, X, Y)], [lemma._kernel(variables, t, y, x, X, Y)]
+    return [([lemma._kernel(variables, t, x, y, X, Y)], [lemma._kernel(variables, t, y, x, X, Y)])]
+
+
+def with_wrong_symmetry(monkeypatch):
+    """Give lemma's `kernel-symmetry` row the sides above; return their verdict."""
+    rows = tuple(
+        (name, x_and_y_swapped_without_X_and_Y if name == "kernel-symmetry" else sides)
+        for name, sides in lemma.IDENTITIES
     )
+    monkeypatch.setattr(lemma, "IDENTITIES", rows)
+    return polyring.decide_identity(x_and_y_swapped_without_X_and_Y)
 
 
 class TestLemma:
@@ -334,9 +342,8 @@ class TestLemma:
         assert err == "qdominance: error: bounds must be three nonnegative integers: (0, -1, 5)\n"
 
     def test_a_failing_symmetry_identity_is_the_witness_on_any_box(self, capsys, monkeypatch):
-        wrong = x_and_y_swapped_without_X_and_Y()
+        wrong = with_wrong_symmetry(monkeypatch)
         assert set(wrong.witness) == {"monomial", "coefficient"}
-        monkeypatch.setattr(lemma, "kernel_symmetry", lambda: wrong)
         for bounds in ("3,8,8", "3,8,10"):
             code, out, _ = run_cli(["lemma", "--r", "3", "--R", "1", "--bounds", bounds], capsys)
             assert code == 1
@@ -346,13 +353,12 @@ class TestLemma:
             assert envelope["result"]["checks"]["symmetry"] is False
 
     def test_a_failing_symmetry_identity_fails_every_lemma_sweep_point(self, capsys, monkeypatch):
-        monkeypatch.setattr(lemma, "kernel_symmetry", x_and_y_swapped_without_X_and_Y)
+        details = with_wrong_symmetry(monkeypatch).witness
         argv = ["sweep", "--kind", "lemma", "--box", "r=1:2,R=1:2", "--bounds", "3,8,10"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 1
         result = report(out)["result"]
         assert (result["total"], result["failed"]) == (4, 4)
-        details = x_and_y_swapped_without_X_and_Y().witness
         assert all(f["witness"] == {"check": "symmetry", "details": details} for f in result["failures"])
 
     def test_dump_poly_prints_kernel(self, capsys):
@@ -714,22 +720,21 @@ class TestIdentities:
             return groups
 
         monkeypatch.setattr(lemma, "_slices", t9_with_Y_cubed)
-        monkeypatch.setattr(lemma, "kernel_slices", lemma.kernel_slices.__wrapped__)
         code, out, _ = run_cli(["identities"], capsys)
         assert code == 1
         envelope = report(out)
         # the lowest monomial of the cleared difference is T9's own t x Y^2
         monomial = {"t": 1, "x": 1, "y": 0, "X": 0, "Y": 2}
         assert envelope["witness"] == {"name": "kernel-slices", "monomial": monomial, "coefficient": "1"}
-        assert lemma.kernel_slices().witness == {"monomial": monomial, "coefficient": "1"}
+        assert polyring.decide_identity(lemma.kernel_slices_sides).witness == {"monomial": monomial, "coefficient": "1"}
         assert {"name": "kernel-slices", "equal": False} in envelope["result"]["checks"]
 
     def test_a_failing_kernel_symmetry_names_its_entry(self, capsys, monkeypatch):
-        monkeypatch.setattr(lemma, "kernel_symmetry", x_and_y_swapped_without_X_and_Y)
+        wrong = with_wrong_symmetry(monkeypatch)
         code, out, _ = run_cli(["identities"], capsys)
         assert code == 1
         envelope = report(out)
-        assert envelope["witness"] == {"name": "kernel-symmetry", **x_and_y_swapped_without_X_and_Y().witness}
+        assert envelope["witness"] == {"name": "kernel-symmetry", **wrong.witness}
         assert {"name": "kernel-symmetry", "equal": False} in envelope["result"]["checks"]
 
     def test_seed_and_order_leave_the_result_alone(self, capsys):
@@ -747,6 +752,22 @@ class TestIdentities:
         code, out, err = run_cli(["identities", "--order", "0", "--seed", "-4"], capsys)
         assert (code, err) == (0, "")
         assert report(out)["config"] == {"order": 0, "seed": -4, "format": "json"}
+
+    def test_each_check_is_decided_once_per_process(self, capsys, monkeypatch):
+        """Two identities runs and a lemma request decide the table's 7 pairs once each."""
+        calls = []
+        check = polyring.identity_check
+
+        def counted(lhs, rhs):
+            calls.append(1)
+            return check(lhs, rhs)
+
+        for module in (antitelescope, lemma, polyring, proposal):
+            if hasattr(module, "identity_check"):
+                monkeypatch.setattr(module, "identity_check", counted)
+        for argv in (["identities"], ["identities"], ["lemma", "--r", "2", "--R", "3", "--bounds", "2,5,5"]):
+            assert run_cli(argv, capsys)[0] == 0
+        assert len(calls) == 7
 
     def test_identity_bound_is_a_resource_error(self, capsys, monkeypatch):
         monkeypatch.setattr(polyring, "MAX_IDENTITY_BITS", 1)

@@ -18,7 +18,7 @@ from qdominance.lemma import (
     eqtwo_term_grids,
     kernel_term,
 )
-from qdominance.polyring import IdentityVerdict, MultiPoly, RationalTerm
+from qdominance.polyring import MultiPoly, RationalTerm, decide_identity
 from qdominance.series import ResourceError
 
 multiplier = st.integers(1, 6)
@@ -64,7 +64,8 @@ def project(report: dict) -> dict:
     both are asserted before `project_window` drops them.  `checks.window`
     and a window witness are recomputed from the two checks left.  The
     reference checks the symmetry on square boxes only, cell by cell; it
-    is replaced by `kernel_symmetry`'s verdict, which holds for every box.
+    is replaced by the verdict of lemma's `kernel-symmetry` row, which
+    holds for every box.
     """
     window, checks = report["window"], report["checks"]
     if checks["slices_match"]:
@@ -73,7 +74,7 @@ def project(report: dict) -> dict:
     _, nx, ny = report["bounds"]
     if nx != ny:
         assert report["symmetry"] is None
-    symmetry = lemma.kernel_symmetry()
+    symmetry = decide_identity(dict(lemma.IDENTITIES)["kernel-symmetry"])
     projected = project_window(window)
     witness = report["witness"]
     if witness is not None and witness["check"] == "window":
@@ -273,9 +274,14 @@ def _expansion_edit(target, n, j, k, by):
 
 
 def _failing_symmetry(real):
-    """A replacement for kernel_symmetry whose identity fails at one monomial."""
-    witness = {"monomial": dict.fromkeys(("t", "x", "y", "X", "Y"), 0), "coefficient": "1"}
-    return lambda: IdentityVerdict(False, witness)
+    """lemma's table with a `kernel-symmetry` row whose pair differs by 1 at one monomial."""
+    variables = ("t", "x", "y", "X", "Y")
+
+    def sides():
+        [(lhs, rhs)] = lemma.kernel_symmetry_sides()
+        return [(lhs + [RationalTerm(MultiPoly(variables, {(0,) * 5: 1}))], rhs)]
+
+    return tuple((name, sides if name == "kernel-symmetry" else row) for name, row in real)
 
 
 @pytest.mark.parametrize(
@@ -288,7 +294,7 @@ def _failing_symmetry(real):
         # the same negative term, balanced by T8, leaves the sum unchanged
         (2, 3, "eqtwo_term_grids", _grids_edit(1, [("T1", 0, 0, -1), ("T8", 0, 0, 1)]), "window"),
         # only the symmetry identity fails: it is checked after the window
-        (2, 3, "kernel_symmetry", _failing_symmetry, "symmetry"),
+        (2, 3, "IDENTITIES", _failing_symmetry, "symmetry"),
         # with r == R an asymmetric f also breaks its slices, which win
         (2, 2, "f_expand", _expansion_edit((2, 2), 2, 1, 4, 1), "slices_match"),
     ],

@@ -6,8 +6,10 @@ one int; `reference_polyring.reference_identity_check` builds it as a
 agree on random sides over 1 to 7 variables (with int
 coefficients, negative exponents, factors equal up to sign, repeated
 factors, zero numerators and empty sides), on sides equal by
-construction and then perturbed, on the 7 checks of the `identities`
-command, and on the 100 pairs of the reference slice chain
+construction and then perturbed, on the (lhs, rhs) pairs of the
+identity table that the `identities` command walks (`IDENTITIES` of
+`antitelescope`, `lemma` and `proposal`), and on the 100 pairs of the
+reference slice chain
 (`reference_lemma.slice_identity`): its 10 pairs over free X = x^r and
 Y = y^R for n <= 4, and 90 pairs read with ints at r, R <= 3, all true
 and perturbed.  The width tests decode the whole packed int and compare
@@ -16,10 +18,16 @@ it with the reference's cleared numerator.
 The package applies each missing denominator factor to a packed share
 term by term, as shifts; `reference_polyring.product_pack_difference`
 multiplies by the packed factor's powers instead.  Both must give the
-same packed int on the 7 command checks and the chain's 10 form pairs,
+same packed int on the table's pairs and the chain's 10 form pairs,
 true and perturbed, and on random sides, whose factors have up to three
-terms.  Every denominator factor of those 17 checks is a binomial, the
+terms.  Every denominator factor of those checks is a binomial, the
 traffic the shift path is sized for.
+
+The table gate walks every row of the table, every pair and both sides:
+it drops and doubles each rational term, drops each denominator factor,
+and drops and doubles each numerator monomial of a seeded sample.  Each
+edit must be refused with a monomial witness over the pair's variables,
+so a row added to the table gets the gate with no test of its own.
 """
 
 import random
@@ -30,14 +38,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdominance import lemma, polyring
-from qdominance.antitelescope import split_identity_sides
-from qdominance.proposal import fourvar_identity_sides
+from qdominance import antitelescope, lemma, polyring, proposal
 from qdominance.polyring import (
     MultiPoly,
     RationalTerm,
     VariableMismatchError,
     _pack_difference,
+    decide_identity,
     identity_check,
 )
 from qdominance.series import ResourceError
@@ -144,20 +151,9 @@ def slice_pairs(n, r, R):
     return [(one, three), (three, reference_lemma.eqtwo_terms_rational(n, r, R))]
 
 
-def command_checks():
-    """The 7 (lhs, rhs) pairs that `identities` runs, from the modules' sides:
-    the Thm1 and Thm2 split numerators at t = 0 and at a generic t, the
-    kernel's slices and its x/y symmetry over (t, x, y, X, Y), and the
-    four-size splitting."""
-    pairs = []
-    for split in ("thm1", "thm2"):
-        for t_zero in (True, False):
-            lhs, rhs = split_identity_sides(split, t_zero)
-            pairs.append(([RationalTerm(lhs)], [RationalTerm(rhs)]))
-    return pairs + [lemma.kernel_slices_sides(), lemma.kernel_symmetry_sides(), fourvar_identity_sides()]
-
-
-COMMAND_CHECKS = command_checks()
+# the identity table, row by row, as the `identities` command walks it, and its (lhs, rhs) pairs
+TABLE = antitelescope.IDENTITIES + lemma.IDENTITIES + proposal.IDENTITIES
+COMMAND_CHECKS = [pair for _, sides in TABLE for pair in sides()]
 # the reference slice chain over (x, y, X, Y) for n <= 4, then read with ints at every r, R <= 3
 SLICE_FORM_CHECKS = [pair for n in range(5) for pair in slice_pairs(n, *lemma.SLICE_FORMS[2:])]
 SLICE_INT_CHECKS = [pair for n in range(5) for r in range(1, 4) for R in range(1, 4) for pair in slice_pairs(n, r, R)]
@@ -186,9 +182,12 @@ def perturb(side, kind: int, rng: random.Random):
 
 
 def test_command_checks_hold_and_match_reference():
+    # two pairs for each split row, at t = 0 and at a generic t, and one for each other row
+    assert [len(sides()) for _, sides in TABLE] == [2, 2, 1, 1, 1]
     assert (len(COMMAND_CHECKS), len(SLICE_FORM_CHECKS), len(SLICE_INT_CHECKS)) == (7, 10, 90)
     for lhs, rhs in ALL_CHECKS:
         assert identity_check(lhs, rhs) == reference_identity_check(lhs, rhs) == polyring.IdentityVerdict(True)
+    assert all(decide_identity(sides) == polyring.IdentityVerdict(True) for _, sides in TABLE)
 
 
 @pytest.mark.parametrize("kind", range(3), ids=["plus-minus-one", "moved-monomial", "doubled"])
@@ -209,6 +208,52 @@ def test_every_denominator_of_the_identities_checks_is_a_binomial():
     factors = [f for lhs, rhs in FORM_CHECKS for term in [*lhs, *rhs] for f in term.denominator_factors]
     assert factors
     assert {len(f.terms) for f in factors} == {2}
+
+
+def with_term(side, i, *terms):
+    """The side with its i-th term replaced by `terms`."""
+    return side[:i] + list(terms) + side[i + 1 :]
+
+
+def edits(side, rng: random.Random):
+    """(what, edited side) for every edit the table gate makes to one side.
+
+    Each term is dropped and doubled, each of its denominator factors is
+    dropped, and each numerator monomial of a sample of four (every one,
+    when the term has at most four) is dropped and doubled.
+    """
+    for i, term in enumerate(side):
+        yield f"term {i} dropped", with_term(side, i)
+        yield f"term {i} doubled", with_term(side, i, term, term)
+        factors = term.denominator_factors
+        for j in range(len(factors)):
+            fewer = RationalTerm(term.numerator, factors[:j] + factors[j + 1 :])
+            yield f"term {i} factor {j} dropped", with_term(side, i, fewer)
+        numerator = term.numerator
+        monomials = sorted(numerator.terms)
+        for exps in monomials if len(monomials) <= 4 else rng.sample(monomials, 4):
+            for what, c in (("dropped", 0), ("doubled", 2 * numerator.terms[exps])):
+                edited = MultiPoly(numerator.variables, {**numerator.terms, exps: c})
+                yield f"term {i} monomial {exps} {what}", with_term(side, i, RationalTerm(edited, factors))
+
+
+@pytest.mark.parametrize("name, sides", TABLE, ids=[name for name, _ in TABLE])
+def test_the_table_gate_refuses_every_edit(name, sides):
+    rng = random.Random(name)
+    refused = 0
+    for k, (lhs, rhs) in enumerate(sides()):
+        variables = set(lhs[0].numerator.variables)
+        for side in (0, 1):
+            for what, edited in edits((lhs, rhs)[side], rng):
+                pair = (edited, rhs) if side == 0 else (lhs, edited)
+                verdict = identity_check(*pair)
+                where = (name, k, ("lhs", "rhs")[side], what)
+                assert not verdict.equal, where
+                assert set(verdict.witness) == {"monomial", "coefficient"}, where
+                assert set(verdict.witness["monomial"]) == variables, where
+                assert int(verdict.witness["coefficient"]) != 0, where
+                refused += 1
+    assert refused >= 20
 
 
 @pytest.mark.parametrize("kind", [None, 0, 1, 2], ids=["true", "plus-minus-one", "moved-monomial", "doubled"])

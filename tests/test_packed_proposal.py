@@ -5,9 +5,10 @@ as q^lead times binomials over six fixed denominators and sums 6h in one
 `series._Signed`; `reference_proposal` builds the same addends as list
 series with the Cauchy product.  Values must agree, also when one
 addend's weight or lead is patched on both sides, and 6h must fit its
-proven slots.  `proposal.fourvar_identity` reads the same numerator with
-unit forms: the two readings must agree at every point, and the identity
-must refuse every change of one addend's weight or of one of its letters.
+proven slots.  `proposal.fourvar_identity_sides` reads the same numerator
+with unit forms: the two readings must agree at every point, and the
+identity must refuse every change of one addend's weight or of one of its
+letters.
 """
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import reference_proposal as reference
 from qdominance import proposal, series
-from qdominance.polyring import _Form
-from qdominance.proposal import fourvar_identity, h_series, injection_evidence, proposal_params
+from qdominance.polyring import _Form, decide_identity, identity_check
+from qdominance.proposal import fourvar_identity_sides, h_series, injection_evidence, proposal_params
 from qdominance.series import MAX_SERIES_WORK, ResourceError, reciprocal_from_exponents
 from reference_series import series_scale, series_shift
 
@@ -93,7 +94,8 @@ def test_every_weight_and_letter_change_is_refused(monkeypatch):
     assert len(tables) == 38 + 114
     for table in tables:
         monkeypatch.setattr(proposal, "_H_ADDENDS", table)
-        assert not fourvar_identity().equal, table
+        [(lhs, rhs)] = fourvar_identity_sides()
+        assert not identity_check(lhs, rhs).equal, table
 
 
 # (addend index, patched six-fold weight, extra lead in units of the first
@@ -121,7 +123,7 @@ def test_a_patched_addend_fails_with_the_oracles_witness(index, weight, shift, m
 
     monkeypatch.setattr(proposal, "_h_numerator", patched)
     params = (1, 2, 1, 3, 2, 3, 2, 2)
-    verdict = fourvar_identity()
+    verdict = decide_identity(fourvar_identity_sides)
     assert not verdict.equal and verdict.witness is not None
     oracle = reference.fourvar_identity(params, 30, patched_terms)
     assert not oracle["equal"], oracle

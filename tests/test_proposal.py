@@ -14,12 +14,13 @@ from qdominance.proposal import (
     _inject,
     _invert,
     check_proposal,
-    fourvar_identity,
+    fourvar_identity_sides,
     h_series,
     injection_evidence,
     proposal_params,
     proposal_status,
 )
+from qdominance.polyring import decide_identity
 from qdominance.series import first_negative
 from reference_proposal import fourvar_identity as fourvar_by_lists
 from reference_proposal import fourvar_sides
@@ -178,7 +179,7 @@ class TestFourvarIdentity:
     """The identity once, and the tuples it covers through the list oracle."""
 
     def test_unit_multipliers_trivial(self):
-        verdict = fourvar_identity()
+        verdict = decide_identity(fourvar_identity_sides)
         assert verdict.equal and verdict.witness is None
         lhs, rhs = fourvar_sides((1, 1, 1, 1, 1, 1, 1, 1), 20)
         assert lhs.is_zero() and rhs.is_zero()
@@ -195,7 +196,7 @@ class TestFourvarIdentity:
 
     def test_validation(self):
         # one identity for every tuple: there is nothing to validate
-        assert not inspect.signature(fourvar_identity).parameters
+        assert not inspect.signature(fourvar_identity_sides).parameters
         with pytest.raises(ValueError):
             fourvar_by_lists((1, 1, 1, 1, 2, 2, 2), 10)
         with pytest.raises(ValueError):
