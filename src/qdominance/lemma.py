@@ -5,71 +5,76 @@ The kernel is
     f(x, y, t) = ((1-xy)(1-t x^r)(1-t y^R) + (1-t^2)(x-x^r)(y-y^R))
                  / ((1-t x^r)(1-t y^R)(1-x)(1-y)(1-tx)(1-ty)).
 
-This module expands f exactly on a bounded (t, x, y) lattice, evaluates the
-closed forms for its t-slices (`eqtwo_symbolic`), and checks the argument
+This module expands f exactly on a bounded (t, x, y) lattice, expands the
+nine terms of its t-slices on the same lattice, and checks the argument
 that confines any negative per-term coefficient to a window, the negative
 cells of the slice's term T2, that the x/y swap symmetry then rules out.
-`certify_lemma` runs all of it in one pass: one expansion of f, one set
-of term grids per slice, and the symmetry as one exact identity.
+`certify_lemma` runs all of it in one pass: one expansion of f, one of
+each slice term, and the symmetry as one exact identity.
 
-f and the slice closed forms are stated as weighted binomial pieces,
-weight * x^a y^b * prod (1 - x^c y^d) (t too in f), which
+f and the slice terms are stated as weighted binomial pieces,
+weight * t^n x^a y^b * prod (1 - t^c x^d y^e), which
 `polyring.from_pieces` expands; f's numerator is the bracket of the split
 group G4 (`antitelescope._thm2_numerators`), with T = q^t, q^x and q^y
 read as t, x and y.  f is written once over the forms of t, x, y,
-X = x^r and Y = y^R (`_kernel`): the lattice reads it with X and Y the
-powers, and the identities with X and Y free.  The slices' nine terms,
-each summed over n with weight t^n, are 18 rational terms over the same
-variables (`_slices`).  So the two rows of `IDENTITIES` hold for every
-r, R >= 1: `kernel-slices` says that slice n of f is the nine terms for
-every n, and `kernel-symmetry` that f_(r,R)(t, x, y) = f_(R,r)(t, y, x).
+X = x^r and Y = y^R (`_kernel`), and so are the slices' nine terms, each
+summed over n with weight t^n, as 18 rational terms (`_slices`).  The
+lattice reads both with X and Y the powers (`kernel_term`,
+`slice_terms`), and the identities with X and Y free.  So the two rows
+of `IDENTITIES` hold for every r, R >= 1: `kernel-slices` says that
+slice n of f is the nine terms for every n, and `kernel-symmetry` that
+f_(r,R)(t, x, y) = f_(R,r)(t, y, x).
 
 Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
 x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
-is packed.  A cell of 1/prod(factors) counts the multiplicities
-(m1, ..., m6) of t x^r, t y^R, x, y, t x, t y that reach t^n x^j y^k;
-m1, m2 and m5 fix the other three (m6 = n - m1 - m2 - m5, then m3 and m4)
-and m1 + m2 + m5 <= n, so the cell is at most C(nt+3, 3).  f is carried
-as two halves P - N, the numerator's positive and negative monomials each
-over the factors, since a y shift must drop what spills into the next row
-and a mask would cut a signed plane's borrows.  A cell of a half is at
-most C(nt+3, 3) times the half's L1 norm, and dividing by only some of the
-factors gives less, each 1/(1 - m) = 1 + m + ... being at least 1.  Each
-monomial of a slice's nine terms is +-1 (T9's d is 0 or 1) over
-(1-x)^px (1-y), px <= 1, whose cells are 0 or 1, and slice n has at most
-4n + 6 of each sign, so any sum of its term grids is within 4nt + 6.  B
-is the bit length of the larger bound plus one, rounded up to 1, 2, 4 or
-8 bytes (the widths `series._slots` reads in one call; more only past 63
-bits), so every cell read is below 2^(B-1) in absolute value.  A signed
-plane, the exact sum of c_jk 2^(B(j(ny+1)+k)), then has a unique digit
-per cell: two planes are equal iff their cells are, and v + H, with
-2^(B-1) in every slot, holds c_jk + 2^(B-1) in each slot with no carry,
-so the negative cells are the slots whose top bit it leaves clear.
+is packed.  Each term expanded, f or a slice term, is a numerator over
+1 - y, perhaps 1 - x, and k factors 1 - t^a x^b y^d with a > 0 (k = 4
+for f, k <= 2 for a slice term).  A cell of 1/prod(factors) counts the
+multiplicities of the factors' monomials that reach t^n x^j y^k: those
+of k - 1 factors with t, summing to at most n, fix all the others, so it
+is at most C(nt + k - 1, k - 1), or 1 when k = 0.  A term is carried as
+two halves P - N, the numerator's positive and negative monomials each
+over the factors, since a y shift must drop what spills into the next
+row and a mask would cut a signed plane's borrows.  A cell of a half is
+at most that count times the half's L1 norm, and dividing by only some
+of the factors gives less, each 1/(1 - m) = 1 + m + ... being at least 1;
+a cell of a sum of halves is at most the sum of their bounds.  B covers
+f's halves, and the slice terms' halves of each sign all summed
+(`_cell_bound`), so it covers every plane read: f's, or a sum of slice
+terms.  B is the bit length of the larger bound plus one, rounded up to
+1, 2, 4 or 8 bytes (the widths `series._slots` reads in one call; more
+only past 63 bits), so every cell read is below 2^(B-1) in absolute
+value.  A signed plane, the exact sum of c_jk 2^(B(j(ny+1)+k)), then has
+a unique digit per cell: two planes are equal iff their cells are, and
+v + H, with 2^(B-1) in every slot, holds c_jk + 2^(B-1) in each slot with
+no carry, so the negative cells are the slots whose top bit it leaves
+clear.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Any
 
-from .polyring import RationalTerm, _Form, decide_identity, from_pieces
+from .polyring import MultiPoly, RationalTerm, _Form, decide_identity, from_pieces
 from .series import _INT_ONLY, ParameterError, ResourceError, _slots, positive_ints
 
 TXY = ("t", "x", "y")
-# the slice forms read with X = x^r and Y = y^R free, and the unit forms of x, y, X and Y
+# the variables besides t when X = x^r and Y = y^R are read free
 SLICE_VARIABLES = ("x", "y", "X", "Y")
-SLICE_FORMS = _Form.units(4)
 
-#: Monomials of one closed-form addend: (coefficient, x exponent, y exponent).
+#: Monomials of one plane: (coefficient, x exponent, y exponent).
 Monomials = list[tuple[int, int, int]]
 
 # Largest (t, x, y) lattice, in cells (nt+1)(nx+1)(ny+1).  A certificate holds
-# f's planes, two halves while expanding and one slice's term planes.  At
-# this bound `lemma --r 2 --R 3` peaks at 29 MB RSS at (99, 99, 99) (0.4 s),
-# 27 MB at (9, 315, 315) (0.3 s) and 23 MB at (249999, 1, 1) (9 s), against
-# 14 MB for the bare interpreter (2-vCPU shared VM, Python 3.11.7).
+# f's planes, T2's, the slice sums without T2, and one slice term's planes
+# with its two halves while expanding.  At this bound `lemma --r 2 --R 3`
+# peaks at 41 MB RSS at (99, 99, 99) (0.2 s), 32 MB at (9, 315, 315)
+# (0.14 s) and 32 MB at (249999, 1, 1) (3 s), against 13 MB for the bare
+# interpreter (2-vCPU shared VM, Python 3.11.7).
 MAX_LATTICE_CELLS = 10**6
 
 
@@ -119,7 +124,7 @@ def kernel_term(r: int, R: int) -> RationalTerm:
 
 
 def _slices(variables, t, x, y, X, Y) -> list[tuple[str, list[RationalTerm]]]:
-    """The nine terms of `eqtwo_symbolic`, each summed over n with weight t^n, over `variables`.
+    """The nine terms of slice n of f, each summed over n with weight t^n, over `variables`.
 
     Each sum is one or more rational terms over its slice denominator,
     (1-x)(1-y), or 1-y for T4 and T6 to T9, with t, x, y, X = x^r and
@@ -127,14 +132,17 @@ def _slices(variables, t, x, y, X, Y) -> list[tuple[str, list[RationalTerm]]]:
     re-indexed by n - j, n - 2j - 1 and n - 2j, each >= 1, so each sum
     over n is a product of geometric series; the n = 0 boundary is a
     first index (T4 starts at n = 1) or a term of its own (T8's Y).
+    Each factor 1 - v^e is built once and shared by the terms that divide
+    by it.
     """
     zero = t - t
+    factor = cache(lambda e: from_pieces(variables, [(1, zero, [e])]))
 
     def term(pieces, *factors) -> RationalTerm:
         """Pieces (weight, lead, binomial exponents...) over 1 - v^e for each e of `factors`."""
         return RationalTerm(
             from_pieces(variables, [(w, lead, binomials) for w, lead, *binomials in pieces]),
-            tuple(from_pieces(variables, [(1, zero, [e])]) for e in factors),
+            tuple(map(factor, factors)),
         )
 
     return [
@@ -170,6 +178,13 @@ def _slices(variables, t, x, y, X, Y) -> list[tuple[str, list[RationalTerm]]]:
     ]
 
 
+@lru_cache(maxsize=64)
+def slice_terms(r: int, R: int) -> tuple[tuple[str, tuple[RationalTerm, ...]], ...]:
+    """The nine slice terms of `_slices` over the (t, x, y) variables; shared, not to be mutated."""
+    t, x, y = _Form.units(3)
+    return tuple((name, tuple(terms)) for name, terms in _slices(TXY, t, x, y, r * x, R * y))
+
+
 def kernel_slices_sides() -> list[tuple[list[RationalTerm], list[RationalTerm]]]:
     """[(the 18 terms of `_slices`, [f])] over (t, x, y, X, Y), with X = x^r and Y = y^R free.
 
@@ -177,8 +192,7 @@ def kernel_slices_sides() -> list[tuple[list[RationalTerm], list[RationalTerm]]]
     Substituting X = x^r and Y = y^R is a ring homomorphism that sends no
     factor (1-tx, 1-txy, 1-ty, 1-txY, 1-tY, 1-tX, 1-t^2 Y^2, 1-x, 1-y) to
     0, and each is a unit of Q(x, y)[[t]], so the t^n coefficients agree:
-    slice n of f is the sum of the nine terms of `eqtwo_symbolic` for
-    every n, r and R.
+    slice n of f is the sum of the nine terms for every n, r and R.
     """
     variables, units = ("t", *SLICE_VARIABLES), _Form.units(5)
     return [([term for _, terms in _slices(variables, *units) for term in terms], [_kernel(variables, *units)])]
@@ -204,9 +218,8 @@ class Planes:
 
     def __init__(self, params: LemmaParams) -> None:
         nt, self.nx, self.ny = params.bounds
-        coefficients = kernel_term(params.r, params.R).numerator.terms.values()
-        weight = max(sum(c for c in coefficients if c > 0), -sum(c for c in coefficients if c < 0))
-        bound = max(comb(nt + 3, 3) * weight, 4 * nt + 6)
+        terms = [term for _, group in slice_terms(params.r, params.R) for term in group]
+        bound = max(_cell_bound([kernel_term(params.r, params.R)], nt), _cell_bound(terms, nt))
         self.bits = bits = 8 << (-(-(bound.bit_length() + 1) // 8) - 1).bit_length()
         self.width = self.ny + 1
         self.cells = (self.nx + 1) * self.width
@@ -267,97 +280,66 @@ class Planes:
         return lowest
 
 
-def f_expand(params: LemmaParams, planes: Planes) -> list[int]:
-    """The t-planes of f within the bounds: plane n holds t^n x^j y^k in cell (j, k).
+def _exponents(factor: MultiPoly) -> tuple[int, int, int]:
+    """The (t, x, y) exponents of m in a factor 1 - m."""
+    return next(filter(any, factor.terms))
 
-    Each half expands its numerator monomials over 1 - x and 1 - y, the
-    kernel's two factors without t, with `Planes.expand`.  Each factor
-    1 - t^a x^b y^d with a > 0 is then the recurrence
-    s[n] += x^b y^d s[n - a], one shift-add per plane in increasing n.
+
+def _cell_bound(terms: list[RationalTerm], nt: int) -> int:
+    """The larger of the terms' positive and negative halves' cell bounds,
+    each summed over the terms; see the module docstring."""
+    sums = [0, 0]
+    for term in terms:
+        k = sum(1 for factor in term.denominator_factors if _exponents(factor)[0])
+        paths = comb(nt + k - 1, k - 1) if k else 1
+        for c in term.numerator.terms.values():
+            sums[c < 0] += paths * abs(c)
+    return max(sums)
+
+
+def _expand_term(term: RationalTerm, planes: Planes, nt: int) -> list[int]:
+    """The t-planes of a term over (t, x, y) within the bounds: plane n holds t^n x^j y^k in cell (j, k).
+
+    The term divides by 1 - y, perhaps by 1 - x, and by factors
+    1 - t^a x^b y^d with a > 0.  Each half expands its numerator monomials
+    over the first two with `Planes.expand`.  Each other factor is then
+    the recurrence s[n] += x^b y^d s[n - a], one shift-add per plane in
+    increasing n.
     """
-    nt = params.bounds[0]
-    term = kernel_term(params.r, params.R)
     monomials: tuple[dict[int, Monomials], ...] = ({}, {})
     for (n, a, b), c in term.numerator.terms.items():
         if n <= nt:
             monomials[c < 0].setdefault(n, []).append((abs(c), a, b))
-    halves = [[planes.expand(half[n], 1) if n in half else 0 for n in range(nt + 1)] for half in monomials]
-    for factor in term.denominator_factors:
-        dn, dj, dk = next(filter(any, factor.terms))
+    steps = list(map(_exponents, term.denominator_factors))
+    px = int((0, 1, 0) in steps)
+    halves = [[planes.expand(half[n], px) if n in half else 0 for n in range(nt + 1)] for half in monomials]
+    for dn, dj, dk in steps:
         if dn:
             for half in halves:
                 for n in range(dn, nt + 1):
-                    half[n] += planes.shifted(half[n - dn], dj, dk)
-    return [p - q for p, q in zip(*halves)]
+                    if half[n - dn]:
+                        half[n] += planes.shifted(half[n - dn], dj, dk)
+    positive, negative = halves
+    for n, plane in enumerate(negative):
+        positive[n] -= plane
+    return positive
 
 
-def eqtwo_symbolic(
-    n: int, r: int, R: int, box: tuple[int, int] | None = None
-) -> list[tuple[str, Monomials, tuple[int, int]]]:
-    """The nine t-slice addends: name, numerator monomials, (1-x)/(1-y) powers.
-
-    The two finite sums are materialized for the concrete n, so each entry is
-    a polynomial numerator over a denominator (1-x)^px (1-y)^py.  r and R
-    are ints, or the X and Y forms of `SLICE_FORMS` (x and y are then read
-    as their forms too), and each monomial is (coefficient, x exponent,
-    y exponent).  With ints and a box (nx, ny), the T5, T6 and T7 sums skip
-    every index whose monomials all lie outside it: a monomial x^a y^b
-    reaches only cells j >= a, k >= b, so the slice is unchanged within
-    the box, and it holds O(nx + ny) monomials whatever n is.
-
-    The n = 0 slice is a boundary case: the generic formula overshoots the
-    true slice by (1+x)(1-y^R)/(1-y), so T4 is dropped and T8 starts at y^R
-    instead of y^0 there; with that adjustment the terms sum to the slice for
-    every n, each term still expanding with no negative coefficient at n = 0
-    (T3's four monomials cancel there).
-    """
-    if n < 0:
-        raise ValueError(f"slice index must be nonnegative, got {n}")
-    x, y = SLICE_FORMS[:2] if isinstance(r, _Form) else (1, 1)
-    d = n % 2
-    t5_range = range(1, n)
-    t6_range = range(0, (n - 2 - d) // 2 + 1)
-    t7_range = range(1, (n - 2 + d) // 2 + 1)
-    if box is not None:
-        nx, ny = box
-        # the least x and y exponents of each index's monomials must fit
-        t5_range = _clip(t5_range, n - nx // r, ny)  # (n-j)r and j
-        t6_range = _clip(t6_range, -((nx + 1 - n) // 2), (ny // R - 1) // 2)  # n-2j-1, R(2j+1)
-        t7_range = _clip(t7_range, -((nx - n) // 2), ny // (2 * R))  # n-2j and 2jR
-    xn, yn, yn1, top = n * x, n * y, (n + 1) * y, (n + 1) * R
-    terms: list[tuple[str, Monomials, tuple[int, int]]] = [
-        ("T1", [(1, xn, 0), (-1, xn, yn1)], (1, 1)),
-        ("T2", [(1, xn, yn1), (-1, r, yn1), (-1, xn, top), (1, r, top)], (1, 1)),
-        ("T3", [(1, 2 * x, yn), (-1, 2 * r, yn), (-1, 2 * x, n * R), (1, 2 * r, n * R)], (1, 1)),
-        ("T4", [(1, x, yn), (-1, x, top)] if n else [], (0, 1)),
-    ]
-    t5: Monomials = []
-    for j in t5_range:
-        a = (n - j) * r
-        t5 += [(1, a, j * y), (-1, a, j * R), (-1, a + 2 * r, j * y), (1, a + 2 * r, j * R)]
-    terms.append(("T5", t5, (1, 1)))
-    t6: Monomials = []
-    for j in t6_range:
-        t6 += [(1, (n - 2 * j - 1) * x, R * (2 * j + 1)), (1, (n - 2 * j) * x, R * (2 * j + 1))]
-    terms.append(("T6", t6, (0, 1)))
-    t7: Monomials = []
-    for j in t7_range:
-        for dx in (0, 1):
-            t7 += [(1, (n - 2 * j + dx) * x, 2 * j * R), (-1, (n - 2 * j + dx) * x, top)]
-    terms.append(("T7", t7, (0, 1)))
-    terms.append(("T8", [(1, 0, yn or R)], (0, 1)))
-    terms.append(("T9", [(d, x, top)], (0, 1)))
-    return terms
+def f_expand(params: LemmaParams, planes: Planes) -> list[int]:
+    """The t-planes of f within the bounds: plane n holds t^n x^j y^k in cell (j, k)."""
+    return _expand_term(kernel_term(params.r, params.R), planes, params.bounds[0])
 
 
-def _clip(indices: range, low: int, high: int) -> range:
-    return range(max(indices.start, low), min(indices.stop, high + 1))
-
-
-def eqtwo_term_grids(n: int, params: LemmaParams, planes: Planes) -> list[tuple[str, int]]:
-    """Each closed-form addend of the n-th slice (all are over 1 - y) as a signed plane."""
-    terms = eqtwo_symbolic(n, params.r, params.R, params.bounds[1:])
-    return [(name, planes.expand(monomials, px)) for name, monomials, (px, _) in terms]
+def slice_planes(params: LemmaParams, planes: Planes) -> Iterator[tuple[str, list[int]]]:
+    """Each of the nine slice terms, by name, as its t-planes within the bounds:
+    plane n is the term's part of slice n of f."""
+    nt = params.bounds[0]
+    for name, (first, *others) in slice_terms(params.r, params.R):
+        grids = _expand_term(first, planes, nt)
+        for term in others:
+            for n, plane in enumerate(_expand_term(term, planes, nt)):
+                grids[n] += plane
+        yield name, grids
 
 
 def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
@@ -368,31 +350,35 @@ def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
     without T2 is nonnegative; (b) every negative per-term cell lies in
     the window, T2's own negative cells.  T2's four monomials over
     (1-x)(1-y) are -(x^r+...+x^(n-1)) (y^(n+1)+...+y^((n+1)R-1)), so the
-    window is r <= j < n < k < (n+1)R, empty unless r < n.  Each slice's
-    nine term grids are built once, and both checks and the slice
-    comparison read them.  Where every slice matches, the slice totals
-    are f's planes, so their signs are `certify_lemma`'s
+    window is r <= j < n < k < (n+1)R, empty unless r < n.  The slice
+    terms are expanded one at a time, and both checks and the slice
+    comparison read their planes.  Where every slice matches, the slice
+    totals are f's planes, so their signs are `certify_lemma`'s
     expansion_nonnegative and are not checked again here.
     """
-    checks = dict.fromkeys(("sum_without_t2_nonnegative", "window_contained"), True)
+    rest = [0] * len(tri)  # the slice sums without T2
+    outside = [0] * len(tri)  # the negative cells of every term but T2
     negative_cells = 0
-    mismatch = None
-    for n in range(params.bounds[0] + 1):
-        grids = dict(eqtwo_term_grids(n, params, planes))
-        t2 = grids.pop("T2")
-        window = planes.negatives(t2)
-        negative_cells += window.bit_count()
-        without_t2 = 0
-        for grid in grids.values():
+    for name, grids in slice_planes(params, planes):
+        if name == "T2":
+            t2 = grids
+            continue
+        for n, grid in enumerate(grids):
             negatives = planes.negatives(grid)
             if negatives:
                 negative_cells += negatives.bit_count()
-                if negatives & ~window:
-                    checks["window_contained"] = False
-            without_t2 += grid
+                outside[n] |= negatives
+            rest[n] += grid
+    checks = dict.fromkeys(("sum_without_t2_nonnegative", "window_contained"), True)
+    mismatch = None
+    for n, (without_t2, grid, f) in enumerate(zip(rest, t2, tri)):
+        window = planes.negatives(grid)
+        negative_cells += window.bit_count()
+        if outside[n] & ~window:
+            checks["window_contained"] = False
         if planes.negatives(without_t2):
             checks["sum_without_t2_nonnegative"] = False
-        if mismatch is None and without_t2 + t2 != tri[n]:
+        if mismatch is None and without_t2 + grid != f:
             mismatch = n
     return {"checks": checks, "negative_term_cells": negative_cells}, mismatch
 

@@ -6,9 +6,10 @@ expands any numerator over unit binomials 1 - c*t^a x^b y^d in a subset of
 a time and normalizing every cell it touches; `_evaluate` takes its prefix
 sums cell by cell, `negativity_window` rebuilds every slice's term grids,
 `symmetry_check` expands f for both (r, R) and (R, r), and `lemma_report`
-expands f a third time.  They share no state with `qdominance.lemma`'s
-packed certifier beyond the unclipped symbolic slice terms (the
-definitions being certified), so they pin the fast paths from outside.
+expands f a third time.  They read slice n's nine terms from
+`eqtwo_symbolic`, the per-n closed form that the package states only as
+generating functions (`lemma._slices`), so they share no state with
+`qdominance.lemma`'s packed certifier and pin its fast paths from outside.
 
 `kernel_term`, `mp_eqone_terms`, `mp_eqthree_terms` and
 `mp_eqtwo_terms_rational` are the kernel and the slice closed forms
@@ -39,7 +40,7 @@ from operator import add
 from typing import Any
 
 from qdominance import lemma
-from qdominance.lemma import SLICE_FORMS, SLICE_VARIABLES, TXY, LemmaParams, Planes, eqtwo_symbolic
+from qdominance.lemma import SLICE_VARIABLES, TXY, LemmaParams, Monomials, Planes
 from qdominance.polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check, to_text
 from qdominance.series import Coefficient
 from reference_polyring import mono, mp_add, mp_mul, mp_sub
@@ -47,6 +48,8 @@ from reference_polyring import mono, mp_add, mp_mul, mp_sub
 # axis order for TriSeries lattices
 TRI_VARIABLES = ("t", "x", "y")
 XY = ("x", "y")
+# the unit forms of x, y, X and Y over SLICE_VARIABLES
+SLICE_FORMS = _Form.units(4)
 _ZERO = _Form((0,) * 4)
 
 
@@ -272,6 +275,51 @@ def mp_eqthree_terms(n: int, r: int, R: int) -> list[RationalTerm]:
         (one_minus_y, one_minus_x, xr_minus_yR),
     )
     return [h1, h2, h3, h4, h5, h6, h7, h8, h9]
+
+
+def eqtwo_symbolic(n: int, r, R) -> list[tuple[str, Monomials, tuple[int, int]]]:
+    """The nine t-slice addends: name, numerator monomials, (1-x)/(1-y) powers.
+
+    The two finite sums are materialized for the concrete n, so each entry is
+    a polynomial numerator over a denominator (1-x)^px (1-y)^py.  r and R
+    are ints, or the X and Y forms of `SLICE_FORMS` (x and y are then read
+    as their forms too), and each monomial is (coefficient, x exponent,
+    y exponent).
+
+    The n = 0 slice is a boundary case: the generic formula overshoots the
+    true slice by (1+x)(1-y^R)/(1-y), so T4 is dropped and T8 starts at y^R
+    instead of y^0 there; with that adjustment the terms sum to the slice for
+    every n, each term still expanding with no negative coefficient at n = 0
+    (T3's four monomials cancel there).
+    """
+    if n < 0:
+        raise ValueError(f"slice index must be nonnegative, got {n}")
+    x, y = SLICE_FORMS[:2] if isinstance(r, _Form) else (1, 1)
+    d = n % 2
+    xn, yn, yn1, top = n * x, n * y, (n + 1) * y, (n + 1) * R
+    terms: list[tuple[str, Monomials, tuple[int, int]]] = [
+        ("T1", [(1, xn, 0), (-1, xn, yn1)], (1, 1)),
+        ("T2", [(1, xn, yn1), (-1, r, yn1), (-1, xn, top), (1, r, top)], (1, 1)),
+        ("T3", [(1, 2 * x, yn), (-1, 2 * r, yn), (-1, 2 * x, n * R), (1, 2 * r, n * R)], (1, 1)),
+        ("T4", [(1, x, yn), (-1, x, top)] if n else [], (0, 1)),
+    ]
+    t5: Monomials = []
+    for j in range(1, n):
+        a = (n - j) * r
+        t5 += [(1, a, j * y), (-1, a, j * R), (-1, a + 2 * r, j * y), (1, a + 2 * r, j * R)]
+    terms.append(("T5", t5, (1, 1)))
+    t6: Monomials = []
+    for j in range(0, (n - 2 - d) // 2 + 1):
+        t6 += [(1, (n - 2 * j - 1) * x, R * (2 * j + 1)), (1, (n - 2 * j) * x, R * (2 * j + 1))]
+    terms.append(("T6", t6, (0, 1)))
+    t7: Monomials = []
+    for j in range(1, (n - 2 + d) // 2 + 1):
+        for dx in (0, 1):
+            t7 += [(1, (n - 2 * j + dx) * x, 2 * j * R), (-1, (n - 2 * j + dx) * x, top)]
+    terms.append(("T7", t7, (0, 1)))
+    terms.append(("T8", [(1, 0, yn or R)], (0, 1)))
+    terms.append(("T9", [(d, x, top)], (0, 1)))
+    return terms
 
 
 def mp_eqtwo_terms_rational(n: int, r: int, R: int) -> list[RationalTerm]:

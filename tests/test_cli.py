@@ -377,10 +377,10 @@ class TestLemma:
         def refuse(*args, **kwargs):
             raise AssertionError("the bound must be checked before any packing")
 
-        # the packed planes, the kernel's expansion and the slices' term planes
+        # the packed planes, the kernel's expansion and the slice terms' planes
         monkeypatch.setattr(lemma, "Planes", refuse)
         monkeypatch.setattr(lemma, "f_expand", refuse)
-        monkeypatch.setattr(lemma, "eqtwo_term_grids", refuse)
+        monkeypatch.setattr(lemma, "slice_planes", refuse)
         argv = ["lemma", "--r", "2", "--R", "3", "--bounds", self.CAPPED_BOUNDS]
         code, out, err = run_cli(argv, capsys)
         assert code == 2

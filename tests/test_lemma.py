@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 import reference_lemma as transcribed
 from qdominance import lemma
-from qdominance.lemma import (
-    LemmaParams,
-    Planes,
-    certify_lemma,
-    eqtwo_symbolic,
-    eqtwo_term_grids,
-)
+from qdominance.lemma import LemmaParams, Planes, certify_lemma, slice_planes
 from qdominance.polyring import (
     IdentityVerdict,
     MultiPoly,
@@ -25,14 +19,14 @@ from qdominance.polyring import (
     from_pieces,
     identity_check,
 )
-from reference_lemma import lattice, slice_identity
+from reference_lemma import eqtwo_symbolic, lattice, slice_identity
 from reference_lemma import unpack
 
 
 def slice_eqtwo(n, params):
-    """The n-th t-slice of f as the sum of its closed-form term planes, as rows."""
+    """The n-th t-slice of f as the sum of its slice terms' planes, as rows."""
     planes = Planes(params)
-    return unpack(planes, sum(grid for _, grid in eqtwo_term_grids(n, params, planes)))
+    return unpack(planes, sum(grids[n] for _, grids in slice_planes(params, planes)))
 
 
 class TestFExpand:
@@ -157,7 +151,7 @@ class TestTermsMatchTheTranscription:
 READINGS = ("eqone_terms", "eqthree_terms", "eqtwo_terms_rational")
 # the two comparisons of a slice, as pairs of readings
 COMPARED = ((0, 1), (1, 2))
-x_FORM, y_FORM, X_FORM, Y_FORM = lemma.SLICE_FORMS
+x_FORM, y_FORM, X_FORM, Y_FORM = transcribed.SLICE_FORMS
 
 
 def form_readings(n, r=X_FORM):
@@ -244,8 +238,8 @@ class TestNegativityWindow:
             if (c := grid[j][k])
         }
         assert cells == {(2, k): -1 for k in (4, 5, 6, 7)}
-        grids = dict(eqtwo_term_grids(3, params, planes))
-        assert unpack(planes, grids["T2"]) == grid
+        t2 = dict(slice_planes(params, planes))["T2"]
+        assert unpack(planes, t2[3]) == grid
 
     def test_totals_stay_nonnegative_in_window(self):
         params = LemmaParams(2, 2, (4, 12, 12))
@@ -352,10 +346,14 @@ class TestKernelSymmetry:
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_the_five_variable_kernel_at_X_x_to_the_r_is_kernel_term(self, r):
-        """Substituting X = x^r and Y = y^R in the identity's kernel gives the
-        kernel the lattice expands, numerator and factors in order."""
+        """Substituting X = x^r and Y = y^R in the identities' kernel and slice
+        terms gives the kernel and the slice terms the lattice expands,
+        numerator and factors in order."""
         for R in range(1, 7):
             assert_same_terms([at_powers(kernel(), r, R)], [lemma.kernel_term(r, R)], R)
+            read = lemma.slice_terms(r, R)
+            assert [name for name, _ in read] == [name for name, _ in slice_groups()]
+            assert_same_terms(flat(read), [at_powers(term, r, R) for term in flat(slice_groups())], (r, R))
 
     def test_the_sides_are_the_public_ones(self):
         [(lhs, rhs)] = lemma.kernel_symmetry_sides()
@@ -451,14 +449,11 @@ class TestKernelSlices:
 
     @pytest.mark.parametrize("r", range(1, 4))
     def test_read_at_X_x_to_the_r_the_terms_sum_to_kernel_term(self, r):
-        """The terms read over (t, x, y) with X = x^r and Y = y^R are the free
-        terms at those powers, and they sum to the kernel the lattice expands."""
-        t, x, y = _Form.units(3)
-        lhs = slice_groups()
+        """The terms the lattice expands, read over (t, x, y) with X = x^r and
+        Y = y^R, sum to the kernel it expands."""
         for R in range(1, 4):
-            read = lemma._slices(lemma.TXY, t, x, y, r * x, R * y)
-            assert_same_terms(flat(read), [at_powers(term, r, R) for term in flat(lhs)], (r, R))
-            assert identity_check(flat(read), [lemma.kernel_term(r, R)]) == IdentityVerdict(True), (r, R)
+            verdict = identity_check(flat(lemma.slice_terms(r, R)), [lemma.kernel_term(r, R)])
+            assert verdict == IdentityVerdict(True), (r, R)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -469,13 +464,12 @@ class TestKernelSlices:
     def test_each_term_s_t_coefficients_are_its_eqtwo_symbolic_term(self, r, R, point):
         """Each generating function, expanded in t at an exact point, has slice n's term as its t^n coefficient."""
         order = 12
-        t, x, y = _Form.units(3)
         want = {name: [] for name, _ in slice_groups()}
         for n in range(order + 1):
             for name, monomials, (px, py) in eqtwo_symbolic(n, r, R):
                 value = sum(c * point[0] ** a * point[1] ** b for c, a, b in monomials)
                 want[name].append(value / ((1 - point[0]) ** px * (1 - point[1]) ** py))
-        for name, terms in lemma._slices(lemma.TXY, t, x, y, r * x, R * y):
+        for name, terms in lemma.slice_terms(r, R):
             got = [Fraction(0)] * (order + 1)
             for term in terms:
                 series = t_series(term.numerator, point, order)

@@ -14,9 +14,9 @@ from qdominance.lemma import (
     Planes,
     certify_lemma,
     check_lattice,
-    eqtwo_symbolic,
-    eqtwo_term_grids,
     kernel_term,
+    slice_planes,
+    slice_terms,
 )
 from qdominance.polyring import MultiPoly, RationalTerm, decide_identity
 from qdominance.series import ResourceError
@@ -116,6 +116,10 @@ def test_views_match_the_reference(r, R, bounds):
         assert got["symmetry"] == reference.symmetry_check(r, R, bounds)
 
 
+def _largest_cell(lattice) -> int:
+    return max(c for plane in lattice for row in plane for c in row)
+
+
 def _halves(term: RationalTerm):
     """The numerator's positive and negative monomials, each over the term's factors."""
     items = term.numerator.terms.items()
@@ -132,8 +136,14 @@ def test_slot_width_holds_every_half_and_slice_sum(r, R, bounds):
     params = LemmaParams(r, R, bounds)
     top = 1 << Planes(params).bits - 1
     for half in _halves(kernel_term(r, R)):
-        cells = reference.expand_rational(half, bounds).coeffs
-        assert max(c for plane in cells for row in plane for c in row) < top
+        assert _largest_cell(reference.expand_rational(half, bounds).coeffs) < top
+    # the 18 slice terms' positive halves, then their negative halves: each one, and their sum
+    terms = [term for _, group in slice_terms(r, R) for term in group]
+    for halves in zip(*map(_halves, terms)):
+        lattices = [reference.expand_rational(half, bounds).coeffs for half in halves]
+        assert max(map(_largest_cell, lattices)) < top
+        total = [[list(map(sum, zip(*rows))) for rows in zip(*planes)] for planes in zip(*lattices)]
+        assert _largest_cell(total) < top
     for n in range(bounds[0] + 1):
         grids = dict(reference.eqtwo_term_grids(n, params))
         sums = [grid for grid in grids.values()]
@@ -162,13 +172,13 @@ def test_term_planes_match_the_rowwise_grids(bounds):
         for R in range(1, 5):
             params = LemmaParams(r, R, bounds)
             planes = Planes(params)
+            packed = list(slice_planes(params, planes))
             for n in range(bounds[0] + 1):
-                packed = eqtwo_term_grids(n, params, planes)
-                unclipped = eqtwo_symbolic(n, r, R)
-                rowwise = [reference.rowwise_evaluate(m, powers, nx, ny) for _, m, powers in unclipped]
-                assert [name for name, _ in packed] == [name for name, _, _ in unclipped]
-                assert [reference.unpack(planes, grid) for _, grid in packed] == rowwise, (r, R, n)
-                total = reference.unpack(planes, sum(grid for _, grid in packed))
+                terms = reference.eqtwo_symbolic(n, r, R)
+                rowwise = [reference.rowwise_evaluate(m, powers, nx, ny) for _, m, powers in terms]
+                assert [name for name, _ in packed] == [name for name, _, _ in terms]
+                assert [reference.unpack(planes, grids[n]) for _, grids in packed] == rowwise, (r, R, n)
+                total = reference.unpack(planes, sum(grids[n] for _, grids in packed))
                 assert total == reference.row_sums(rowwise), (r, R, n)
 
 
@@ -181,28 +191,17 @@ def test_t2_negative_cells_are_the_window(bounds):
         for R in range(1, 8):
             params = LemmaParams(r, R, bounds)
             planes = Planes(params)
+            t2 = dict(slice_planes(params, planes))["T2"]
             for n in range(bounds[0] + 1):
-                t2 = dict(eqtwo_term_grids(n, params, planes))["T2"]
                 window = sum(
                     1 << (j * planes.width + k) * planes.bits
                     for j in range(nx + 1)
                     for k in range(ny + 1)
                     if reference._in_window(n, j, k, r, R)
                 )
-                assert planes.negatives(t2) == window << planes.bits - 1, (r, R, n)
+                assert planes.negatives(t2[n]) == window << planes.bits - 1, (r, R, n)
                 if r < n:
-                    assert t2 == -window, (r, R, n)
-
-
-def test_clipped_slice_size_does_not_grow_with_n():
-    n = 10**6
-    for r in range(1, 4):
-        for R in range(1, 4):
-            for box in [(0, 0), (1, 1), (4, 3), (2, 5)]:
-                terms = eqtwo_symbolic(n, r, R, box)
-                assert sum(len(monomials) for _, monomials, _ in terms) <= 16, (r, R, box)
-    # a box as deep as the slice: every index of the three sums is kept
-    assert eqtwo_symbolic(9, 2, 3, (200, 200)) == eqtwo_symbolic(9, 2, 3)
+                    assert t2[n] == -window, (r, R, n)
 
 
 @pytest.mark.parametrize(
@@ -228,23 +227,25 @@ def test_kernel_is_expanded_once(monkeypatch, r, R, bounds):
 
 
 def _grids_edit(n, edits):
-    """A wrapper for eqtwo_term_grids, packed or the reference's, that adds
-    `by` to cell (j, k) of the named term grids of slice n."""
+    """A wrapper for slice_planes, or for the reference's eqtwo_term_grids,
+    that adds `by` to cell (j, k) of slice n of the named terms."""
 
     def wrap(real):
-        def patched(m, params, planes=None):
-            grids = real(m, params) if planes is None else real(m, params, planes)
-            if m != n:
-                return grids
-            edited = []
-            for name, grid in grids:
+        def patched(first, second):
+            if isinstance(first, LemmaParams):
+                # slice_planes(params, planes): each term's planes of every slice
+                planes = second
+                terms = list(real(first, planes))
+                for name, grids in terms:
+                    for j, k, by in (edit[1:] for edit in edits if edit[0] == name):
+                        grids[n] += by << (j * planes.width + k) * planes.bits
+                return terms
+            # eqtwo_term_grids(m, params): each term's grid of slice m
+            grids = real(first, second)
+            for name, grid in grids if first == n else []:
                 for j, k, by in (edit[1:] for edit in edits if edit[0] == name):
-                    if planes is None:
-                        grid[j][k] += by
-                    else:
-                        grid += by << (j * planes.width + k) * planes.bits
-                edited.append((name, grid))
-            return edited
+                    grid[j][k] += by
+            return grids
 
         return patched
 
@@ -284,15 +285,19 @@ def _failing_symmetry(real):
     return tuple((name, sides if name == "kernel-symmetry" else row) for name, row in real)
 
 
+# the reference function that plays a patched one's part, where the names differ
+REFERENCE_TWINS = {"slice_planes": "eqtwo_term_grids"}
+
+
 @pytest.mark.parametrize(
     "r, R, target, edit, witness",
     [
         # a negative cell in f wins over the slice mismatch it also causes
         (2, 3, "f_expand", _expansion_edit((2, 3), 1, 0, 0, -100), "expansion_nonnegative"),
         # one term made negative outside the window also moves the slice sum
-        (2, 3, "eqtwo_term_grids", _grids_edit(1, [("T1", 0, 0, -1)]), "slices_match"),
+        (2, 3, "slice_planes", _grids_edit(1, [("T1", 0, 0, -1)]), "slices_match"),
         # the same negative term, balanced by T8, leaves the sum unchanged
-        (2, 3, "eqtwo_term_grids", _grids_edit(1, [("T1", 0, 0, -1), ("T8", 0, 0, 1)]), "window"),
+        (2, 3, "slice_planes", _grids_edit(1, [("T1", 0, 0, -1), ("T8", 0, 0, 1)]), "window"),
         # only the symmetry identity fails: it is checked after the window
         (2, 3, "IDENTITIES", _failing_symmetry, "symmetry"),
         # with r == R an asymmetric f also breaks its slices, which win
@@ -302,8 +307,9 @@ def _failing_symmetry(real):
 def test_witness_precedence(monkeypatch, r, R, target, edit, witness):
     bounds = (3, 8, 8)
     monkeypatch.setattr(lemma, target, edit(getattr(lemma, target)))
-    if hasattr(reference, target):
-        monkeypatch.setattr(reference, target, edit(getattr(reference, target)))
+    twin = REFERENCE_TWINS.get(target, target)
+    if hasattr(reference, twin):
+        monkeypatch.setattr(reference, twin, edit(getattr(reference, twin)))
     got = certify_lemma(r, R, bounds)
     assert got["ok"] is False
     assert got["witness"]["check"] == witness
@@ -316,7 +322,8 @@ def test_lattice_bound_is_checked_before_expanding(monkeypatch):
 
     monkeypatch.setattr(lemma, "Planes", refuse)
     monkeypatch.setattr(lemma, "f_expand", refuse)
-    monkeypatch.setattr(lemma, "eqtwo_term_grids", refuse)
+    monkeypatch.setattr(lemma, "slice_planes", refuse)
+    monkeypatch.setattr(lemma, "_expand_term", refuse)
     # (0+1)(0+1)(MAX+1) cells: one above the bound
     with pytest.raises(ResourceError, match=f"lattice of {MAX_LATTICE_CELLS + 1} cells, above the lemma bound"):
         certify_lemma(1, 1, (0, 0, MAX_LATTICE_CELLS))

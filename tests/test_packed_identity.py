@@ -155,7 +155,7 @@ def slice_pairs(n, r, R):
 TABLE = antitelescope.IDENTITIES + lemma.IDENTITIES + proposal.IDENTITIES
 COMMAND_CHECKS = [pair for _, sides in TABLE for pair in sides()]
 # the reference slice chain over (x, y, X, Y) for n <= 4, then read with ints at every r, R <= 3
-SLICE_FORM_CHECKS = [pair for n in range(5) for pair in slice_pairs(n, *lemma.SLICE_FORMS[2:])]
+SLICE_FORM_CHECKS = [pair for n in range(5) for pair in slice_pairs(n, *reference_lemma.SLICE_FORMS[2:])]
 SLICE_INT_CHECKS = [pair for n in range(5) for r in range(1, 4) for R in range(1, 4) for pair in slice_pairs(n, r, R)]
 # the checks over forms, which the shift-packing and binomial-factor tests read, and every check
 FORM_CHECKS = COMMAND_CHECKS + SLICE_FORM_CHECKS
