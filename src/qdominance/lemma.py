@@ -38,17 +38,31 @@ over the factors, since a y shift must drop what spills into the next
 row and a mask would cut a signed plane's borrows.  A cell of a half is
 at most that count times the half's L1 norm, and dividing by only some
 of the factors gives less, each 1/(1 - m) = 1 + m + ... being at least 1;
-a cell of a sum of halves is at most the sum of their bounds.  B covers
-f's halves, and the slice terms' halves of each sign all summed
-(`_cell_bound`), so it covers every plane read: f's, or a sum of slice
-terms.  B is the bit length of the larger bound plus one, rounded up to
-1, 2, 4 or 8 bytes (the widths `series._slots` reads in one call; more
-only past 63 bits), so every cell read is below 2^(B-1) in absolute
-value.  A signed plane, the exact sum of c_jk 2^(B(j(ny+1)+k)), then has
-a unique digit per cell: two planes are equal iff their cells are, and
-v + H, with 2^(B-1) in every slot, holds c_jk + 2^(B-1) in each slot with
-no carry, so the negative cells are the slots whose top bit it leaves
-clear.
+a cell of a sum of halves is at most the sum of their bounds.  Each
+expansion gets the B its own bound proves (`_cell_bound`, `packings`).
+The slice scan's B covers the slice terms' halves of each sign all
+summed, so it covers every plane the scan reads: a slice term, or a sum
+of them.  f is expanded, and its minimum read, in slots that cover f's
+halves and are never narrower than the scan's.  They are usually wider:
+f's four factors with t give C(nt + 3, 3) paths against nt + 1 for a
+slice term's two, so f needs 16-bit slots where the scan needs 8 on the
+lattices that lemma requests run.  The slice comparison brings each of
+f's planes into the scan's slots once (`Planes.narrowed`); a plane with
+a cell that does not fit there cannot equal the slice sum, which always
+fits, and reads as a mismatch.  B is the bit length of the bound plus
+one, rounded up to 1, 2, 4 or 8 bytes (the widths `series._slots` reads
+in one call; more only past 63 bits), so every cell read is below
+2^(B-1) in absolute value.  A signed plane, the exact sum of
+c_jk 2^(B(j(ny+1)+k)), then has a unique digit per cell: two planes are
+equal iff their cells are, and v + H, with 2^(B-1) in every slot, holds
+c_jk + 2^(B-1) in each slot with no carry, so the negative cells are the
+slots whose top bit it leaves clear.
+
+Every numerator monomial and every factor with t, of f and of each slice
+term, has an x + y degree at least its t degree, so plane n is 0 in the
+box for n > nx + ny.  Only the planes through min(nt, nx + ny) are
+expanded (`Planes.depth`); where planes are skipped, f's minimum takes 0
+in.  The slot widths are still proven from nt.
 """
 
 from __future__ import annotations
@@ -70,11 +84,13 @@ SLICE_VARIABLES = ("x", "y", "X", "Y")
 Monomials = list[tuple[int, int, int]]
 
 # Largest (t, x, y) lattice, in cells (nt+1)(nx+1)(ny+1).  A certificate holds
-# f's planes, T2's, the slice sums without T2, and one slice term's planes
-# with its two halves while expanding.  At this bound `lemma --r 2 --R 3`
-# peaks at 41 MB RSS at (99, 99, 99) (0.2 s), 32 MB at (9, 315, 315)
-# (0.14 s) and 32 MB at (249999, 1, 1) (3 s), against 13 MB for the bare
-# interpreter (2-vCPU shared VM, Python 3.11.7).
+# f's planes, their copy in the scan's slots, T2's, the slice sums without
+# T2, and one slice term's planes with its two halves while expanding, all
+# through plane min(nt, nx + ny).  At this bound `lemma --r 2 --R 3`, run
+# in process after the CLI import (15 MB; 13 MB for the bare interpreter),
+# peaks at 33 MB RSS at (99, 99, 99) (0.10 s), 28 MB at (9, 315, 315)
+# (0.08 s) and 17 MB at (249999, 1, 1) (0.01 s) (best of 3, 2-vCPU shared
+# VM, Python 3.11.7).
 MAX_LATTICE_CELLS = 10**6
 
 
@@ -214,12 +230,12 @@ IDENTITIES = (("kernel-slices", kernel_slices_sides), ("kernel-symmetry", kernel
 
 
 class Planes:
-    """The packing of one certificate's (x, y) box; see the module docstring."""
+    """The packing of one (x, y) box in slots proven to hold every cell below
+    `bound` in absolute value; see the module docstring."""
 
-    def __init__(self, params: LemmaParams) -> None:
-        nt, self.nx, self.ny = params.bounds
-        terms = [term for _, group in slice_terms(params.r, params.R) for term in group]
-        bound = max(_cell_bound([kernel_term(params.r, params.R)], nt), _cell_bound(terms, nt))
+    def __init__(self, bounds: tuple[int, int, int], bound: int) -> None:
+        nt, self.nx, self.ny = bounds
+        self.depth = min(nt, self.nx + self.ny) + 1  # the t-planes that can hold a nonzero cell
         self.bits = bits = 8 << (-(-(bound.bit_length() + 1) // 8) - 1).bit_length()
         self.width = self.ny + 1
         self.cells = (self.nx + 1) * self.width
@@ -255,16 +271,18 @@ class Planes:
     def _biased(self, row: int) -> bytes:
         return (row + self.row_bias).to_bytes(self.row_bytes, "little")
 
-    def shifted(self, plane: int, dj: int, dk: int) -> int:
-        """x^dj y^dk times a plane of nonnegative cells, cut to the box."""
+    def shift(self, dj: int, dk: int) -> tuple[int, int]:
+        """The bit shift and the mask that take a plane of nonnegative cells
+        to x^dj y^dk times it, cut to the box: (plane << shift) & mask."""
         mask = self._masks.get(dk)
         if mask is None:
             mask = self._masks[dk] = self.expand([(1, 0, dk)], 1) * ((1 << self.bits) - 1)
-        return (plane << (dj * self.width + dk) * self.bits) & mask
+        return (dj * self.width + dk) * self.bits, mask
 
     def negatives(self, plane: int) -> int:
         """The top bit of every negative cell's slot."""
-        return self.bias & ~(plane + self.bias)
+        # bias & ~(plane + bias), with nonnegative operands only
+        return self.bias ^ ((plane + self.bias) & self.bias)
 
     def decode(self, plane: int) -> list[int]:
         """The cells of a signed plane, row by row."""
@@ -278,6 +296,44 @@ class Planes:
             if self.negatives(plane) or lowest > 0 and self.negatives(plane - lowest * self.ones):
                 lowest = min(lowest, *self.decode(plane))
         return lowest
+
+    def narrowed(self, planes: list[int], wide: Planes) -> list[int | None]:
+        """`wide`'s signed planes of this box, in these slots, no wider: each
+        plane's cells, or None where one of them does not fit.
+
+        Both biases go into every wide slot, 2^(W-1) + 2^(B-1) for W and B
+        bits.  Where every cell c fits, no slot carries, and each holds
+        2^(W-1) plus the narrow biased cell c + 2^(B-1) in its low B bits.
+        Otherwise the lowest slot whose cell does not fit takes no carry
+        from below, so its bits above the low B are not 2^(W-1), whether it
+        carries or not.  The low B bits of every slot are read with a byte
+        stride.
+        """
+        if wide.bits == self.bits:
+            return planes
+        step, size = wide.bits // 8, self.bits // 8
+        biases = wide.bias + (wide.ones << self.bits - 1)
+        high = wide.ones * ((1 << wide.bits) - (1 << self.bits))
+        out, narrow = [], bytearray(self.cells * size)
+        for plane in planes:
+            plane += biases
+            if plane & high != wide.bias:
+                out.append(None)
+                continue
+            data = plane.to_bytes(wide.cells * step, "little")
+            for i in range(size):
+                narrow[i::size] = data[i::step]
+            out.append(int.from_bytes(narrow, "little") - self.bias)
+        return out
+
+
+def packings(params: LemmaParams) -> tuple[Planes, Planes]:
+    """f's packing, and the slice scan's in slots no wider; see the module docstring."""
+    nt = params.bounds[0]
+    terms = [term for _, group in slice_terms(params.r, params.R) for term in group]
+    scan = _cell_bound(terms, nt)
+    kernel = max(scan, _cell_bound([kernel_term(params.r, params.R)], nt))
+    return Planes(params.bounds, kernel), Planes(params.bounds, scan)
 
 
 def _exponents(factor: MultiPoly) -> tuple[int, int, int]:
@@ -297,8 +353,9 @@ def _cell_bound(terms: list[RationalTerm], nt: int) -> int:
     return max(sums)
 
 
-def _expand_term(term: RationalTerm, planes: Planes, nt: int) -> list[int]:
-    """The t-planes of a term over (t, x, y) within the bounds: plane n holds t^n x^j y^k in cell (j, k).
+def _expand_term(term: RationalTerm, planes: Planes) -> list[int]:
+    """The t-planes of a term over (t, x, y) within the box, through plane
+    `planes.depth` - 1: plane n holds t^n x^j y^k in cell (j, k).
 
     The term divides by 1 - y, perhaps by 1 - x, and by factors
     1 - t^a x^b y^d with a > 0.  Each half expands its numerator monomials
@@ -306,19 +363,21 @@ def _expand_term(term: RationalTerm, planes: Planes, nt: int) -> list[int]:
     the recurrence s[n] += x^b y^d s[n - a], one shift-add per plane in
     increasing n.
     """
+    depth = planes.depth
     monomials: tuple[dict[int, Monomials], ...] = ({}, {})
     for (n, a, b), c in term.numerator.terms.items():
-        if n <= nt:
+        if n < depth:
             monomials[c < 0].setdefault(n, []).append((abs(c), a, b))
     steps = list(map(_exponents, term.denominator_factors))
     px = int((0, 1, 0) in steps)
-    halves = [[planes.expand(half[n], px) if n in half else 0 for n in range(nt + 1)] for half in monomials]
+    halves = [[planes.expand(half[n], px) if n in half else 0 for n in range(depth)] for half in monomials]
     for dn, dj, dk in steps:
         if dn:
+            shift, mask = planes.shift(dj, dk)
             for half in halves:
-                for n in range(dn, nt + 1):
+                for n in range(dn, depth):
                     if half[n - dn]:
-                        half[n] += planes.shifted(half[n - dn], dj, dk)
+                        half[n] += half[n - dn] << shift & mask
     positive, negative = halves
     for n, plane in enumerate(negative):
         positive[n] -= plane
@@ -326,25 +385,27 @@ def _expand_term(term: RationalTerm, planes: Planes, nt: int) -> list[int]:
 
 
 def f_expand(params: LemmaParams, planes: Planes) -> list[int]:
-    """The t-planes of f within the bounds: plane n holds t^n x^j y^k in cell (j, k)."""
-    return _expand_term(kernel_term(params.r, params.R), planes, params.bounds[0])
+    """The t-planes of f within the box, through plane `planes.depth` - 1:
+    plane n holds t^n x^j y^k in cell (j, k)."""
+    return _expand_term(kernel_term(params.r, params.R), planes)
 
 
 def slice_planes(params: LemmaParams, planes: Planes) -> Iterator[tuple[str, list[int]]]:
-    """Each of the nine slice terms, by name, as its t-planes within the bounds:
-    plane n is the term's part of slice n of f."""
-    nt = params.bounds[0]
+    """Each of the nine slice terms, by name, as its t-planes within the box,
+    through plane `planes.depth` - 1: plane n is the term's part of slice n of f."""
     for name, (first, *others) in slice_terms(params.r, params.R):
-        grids = _expand_term(first, planes, nt)
+        grids = _expand_term(first, planes)
         for term in others:
-            for n, plane in enumerate(_expand_term(term, planes, nt)):
+            for n, plane in enumerate(_expand_term(term, planes)):
                 grids[n] += plane
         yield name, grids
 
 
-def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
+def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int | None]):
     """The negativity-window report, plus the first slice whose term sum
-    differs from the matching plane of `tri` (None when all match).
+    differs from the matching plane of `tri` (None when all match).  A
+    plane of `tri` is None where one of its cells does not fit these
+    slots; the slice sums always fit, so that slice differs.
 
     The report checks, for every slice n within bounds: (a) the slice sum
     without T2 is nonnegative; (b) every negative per-term cell lies in
@@ -386,15 +447,19 @@ def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int]):
 def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
     """Composite kernel-expansion check: signs, slices, window, symmetry.
 
-    f is expanded once.  The symmetry is the verdict of the `kernel-symmetry`
-    row of `IDENTITIES`, which holds for every r, R and box.  The first failed check, in that order,
-    is the witness.
+    f is expanded once, in its own packing, and brought once into the
+    scan's narrower one for the slice comparison.  The symmetry is the
+    verdict of the `kernel-symmetry` row of `IDENTITIES`, which holds for
+    every r, R and box.  The first failed check, in that order, is the
+    witness.
     """
     params = LemmaParams(r, R, bounds)
-    planes = Planes(params)
+    planes, scan = packings(params)
     tri = f_expand(params, planes)
     minimum = planes.minimum(tri)
-    window, slice_mismatch = _scan_slices(params, planes, tri)
+    if planes.depth <= bounds[0]:
+        minimum = min(minimum, 0)  # the planes past nx + ny, all 0 in the box
+    window, slice_mismatch = _scan_slices(params, scan, scan.narrowed(tri, planes))
     verdict = decide_identity(dict(IDENTITIES)["kernel-symmetry"])
     checks = {
         "expansion_nonnegative": minimum >= 0,

@@ -636,9 +636,11 @@ def unpack(planes: Planes, plane: int) -> list[list[int]]:
 
 
 def lattice(params: LemmaParams) -> list:
-    """The packed expansion of f as nested lists, cells[n][j][k]."""
-    planes = Planes(params)
-    return [unpack(planes, plane) for plane in lemma.f_expand(params, planes)]
+    """The packed expansion of f as nested lists, cells[n][j][k]; the planes
+    past nx + ny, which it does not expand, are 0 in the box."""
+    planes, _ = lemma.packings(params)
+    tri = [unpack(planes, plane) for plane in lemma.f_expand(params, planes)]
+    return tri + [_grid(planes.nx, planes.ny) for _ in range(params.bounds[0] + 1 - len(tri))]
 
 
 # --- the paper's slice closed forms, as weighted binomial pieces ------------

@@ -15,6 +15,7 @@ from qdominance.lemma import (
     certify_lemma,
     check_lattice,
     kernel_term,
+    packings,
     slice_planes,
     slice_terms,
 )
@@ -99,8 +100,8 @@ def test_certificate_matches_the_reference(r, R, bounds):
 
 
 def test_deep_lattices_need_wide_slots():
-    # the strategy above reaches slots wider than 16 bits, and the reference agrees there
-    assert Planes(LemmaParams(2, 3, (40, 2, 2))).bits > 16
+    # the strategy above reaches f slots wider than 16 bits, and the reference agrees there
+    assert packings(LemmaParams(2, 3, (40, 2, 2)))[0].bits > 16
     for bounds in [(40, 2, 2), (35, 0, 3), (31, 4, 4)]:
         got = certify_lemma(2, 3, bounds)
         assert json.dumps(got) == json.dumps(project(reference.lemma_report(2, 3, bounds)))
@@ -134,10 +135,14 @@ def _halves(term: RationalTerm):
 )
 def test_slot_width_holds_every_half_and_slice_sum(r, R, bounds):
     params = LemmaParams(r, R, bounds)
-    top = 1 << Planes(params).bits - 1
+    f_planes, scan = packings(params)
+    assert f_planes.bits >= scan.bits
+    top = 1 << f_planes.bits - 1
     for half in _halves(kernel_term(r, R)):
         assert _largest_cell(reference.expand_rational(half, bounds).coeffs) < top
-    # the 18 slice terms' positive halves, then their negative halves: each one, and their sum
+    # in the scan's slots: the 18 slice terms' positive halves, then their
+    # negative halves: each one, and their sum
+    top = 1 << scan.bits - 1
     terms = [term for _, group in slice_terms(r, R) for term in group]
     for halves in zip(*map(_halves, terms)):
         lattices = [reference.expand_rational(half, bounds).coeffs for half in halves]
@@ -151,6 +156,52 @@ def test_slot_width_holds_every_half_and_slice_sum(r, R, bounds):
         others = [grid for name, grid in grids.items() if name != "T2"]
         sums.append([list(map(sum, zip(*rows))) for rows in zip(*others)])
         assert max(abs(c) for grid in sums for row in grid for c in row) < top
+
+
+def test_workload_lattices_scan_in_narrower_slots():
+    # on lattices of the size lemma requests run, f needs 16-bit slots and the slice scan 8
+    for r in range(1, 6):
+        for R in range(1, 6):
+            for bounds in [(9, 36, 36), (10, 40, 40), (11, 44, 44), (5, 20, 20), (7, 28, 28)]:
+                f_planes, scan = packings(LemmaParams(r, R, bounds))
+                assert (f_planes.bits, scan.bits) == (16, 8), (r, R, bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(8, 16), (16, 32), (8, 32), (8, 64)]),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_narrowing_keeps_the_cells_that_fit(widths, nx, ny, data):
+    narrow_bits, wide_bits = widths
+    wide, narrow = (Planes((0, nx, ny), (1 << bits - 2) + 1) for bits in (wide_bits, narrow_bits))
+    assert (wide.bits, narrow.bits) == (wide_bits, narrow_bits)
+    top, edge = 1 << wide_bits - 1, 1 << narrow_bits - 1
+    cell = st.one_of(st.integers(-edge, edge - 1), st.integers(-top + 1, top - 1), st.sampled_from([-edge - 1, edge]))
+    rows = [[data.draw(cell) for _ in range(ny + 1)] for _ in range(nx + 1)]
+    plane = sum(c << (j * wide.width + k) * wide_bits for j, row in enumerate(rows) for k, c in enumerate(row))
+    [got] = narrow.narrowed([plane], wide)
+    if all(-edge <= c < edge for row in rows for c in row):
+        assert reference.unpack(narrow, got) == rows
+    else:
+        assert got is None
+
+
+def test_planes_past_the_box_diagonal_are_zero():
+    # every numerator monomial and every t-factor of f and of the slice terms has
+    # an x + y degree at least its t degree, so plane n is 0 in the box past nx + ny
+    def degrees_cover_t(poly):
+        return all(n <= a + b for (n, a, b) in poly.terms)
+
+    for r in range(1, 7):
+        for R in range(1, 7):
+            terms = [kernel_term(r, R), *(term for _, group in slice_terms(r, R) for term in group)]
+            for term in terms:
+                assert degrees_cover_t(term.numerator), (r, R, term)
+                for factor in term.denominator_factors:
+                    assert degrees_cover_t(factor), (r, R, factor)
 
 
 def test_kernel_expansion_matches_the_reference():
@@ -171,14 +222,16 @@ def test_term_planes_match_the_rowwise_grids(bounds):
     for r in range(1, 5):
         for R in range(1, 5):
             params = LemmaParams(r, R, bounds)
-            planes = Planes(params)
+            _, planes = packings(params)
             packed = list(slice_planes(params, planes))
             for n in range(bounds[0] + 1):
                 terms = reference.eqtwo_symbolic(n, r, R)
                 rowwise = [reference.rowwise_evaluate(m, powers, nx, ny) for _, m, powers in terms]
                 assert [name for name, _ in packed] == [name for name, _, _ in terms]
-                assert [reference.unpack(planes, grids[n]) for _, grids in packed] == rowwise, (r, R, n)
-                total = reference.unpack(planes, sum(grids[n] for _, grids in packed))
+                # the planes past nx + ny are not expanded, and are 0 in the box
+                unpacked = [reference.unpack(planes, grids[n] if n < planes.depth else 0) for _, grids in packed]
+                assert unpacked == rowwise, (r, R, n)
+                total = reference.unpack(planes, sum(grids[n] for _, grids in packed if n < planes.depth))
                 assert total == reference.row_sums(rowwise), (r, R, n)
 
 
@@ -190,7 +243,7 @@ def test_t2_negative_cells_are_the_window(bounds):
     for r in range(1, 8):
         for R in range(1, 8):
             params = LemmaParams(r, R, bounds)
-            planes = Planes(params)
+            _, planes = packings(params)
             t2 = dict(slice_planes(params, planes))["T2"]
             for n in range(bounds[0] + 1):
                 window = sum(
@@ -302,10 +355,14 @@ REFERENCE_TWINS = {"slice_planes": "eqtwo_term_grids"}
         (2, 3, "IDENTITIES", _failing_symmetry, "symmetry"),
         # with r == R an asymmetric f also breaks its slices, which win
         (2, 2, "f_expand", _expansion_edit((2, 2), 2, 1, 4, 1), "slices_match"),
+        # an f cell that does not fit the scan's slots breaks its slice
+        (2, 3, "f_expand", _expansion_edit((2, 3), 2, 1, 1, 1000), "slices_match"),
     ],
 )
 def test_witness_precedence(monkeypatch, r, R, target, edit, witness):
-    bounds = (3, 8, 8)
+    bounds = (5, 8, 8)
+    f_planes, scan = packings(LemmaParams(r, R, bounds))
+    assert (f_planes.bits, scan.bits) == (16, 8)
     monkeypatch.setattr(lemma, target, edit(getattr(lemma, target)))
     twin = REFERENCE_TWINS.get(target, target)
     if hasattr(reference, twin):
