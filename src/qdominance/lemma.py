@@ -290,7 +290,13 @@ class Planes:
         return [c - half for c in _slots(plane + self.bias, self.cells - 1, self.bits)]
 
     def minimum(self, planes: list[int]) -> int:
-        """The least cell of the planes; only a plane that may hold a lower one is decoded."""
+        """The least cell of the planes; only a plane that may hold a lower one is decoded.
+
+        Where no cell is negative, the least is 0 iff a cell of some plane
+        minus 1 in every cell is negative, and nothing is decoded.
+        """
+        if not any(map(self.negatives, planes)) and any(self.negatives(plane - self.ones) for plane in planes):
+            return 0
         lowest = min(self.decode(planes[0]))
         for plane in planes[1:]:
             if self.negatives(plane) or lowest > 0 and self.negatives(plane - lowest * self.ones):

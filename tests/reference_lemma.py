@@ -635,6 +635,16 @@ def unpack(planes: Planes, plane: int) -> list[list[int]]:
     return [cells[i : i + planes.width] for i in range(0, planes.cells, planes.width)]
 
 
+def decoding_minimum(planes: Planes, tri: list[int]) -> int:
+    """The least cell of the planes, read by decoding: plane 0 in full,
+    then every plane that may hold a lower cell."""
+    lowest = min(planes.decode(tri[0]))
+    for plane in tri[1:]:
+        if planes.negatives(plane) or lowest > 0 and planes.negatives(plane - lowest * planes.ones):
+            lowest = min(lowest, *planes.decode(plane))
+    return lowest
+
+
 def lattice(params: LemmaParams) -> list:
     """The packed expansion of f as nested lists, cells[n][j][k]; the planes
     past nx + ny, which it does not expand, are 0 in the box."""

@@ -1,6 +1,7 @@
 """The packed lemma certificate against the cell-by-cell and row-wise references."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,27 @@ def test_narrowing_keeps_the_cells_that_fit(widths, nx, ny, data):
         assert reference.unpack(narrow, got) == rows
     else:
         assert got is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimum_matches_the_decoding_reading(seed):
+    # f's planes as expanded, with every cell raised by 1 (no zero cell, so
+    # `minimum` decodes), and with one cell lowered below 0
+    rng = random.Random(seed)
+    r, R = rng.randint(1, 6), rng.randint(1, 6)
+    bounds = (rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 12))
+    params = LemmaParams(r, R, bounds)
+    planes, _ = packings(params)
+    tri = lemma.f_expand(params, planes)
+    n, cell = rng.randrange(len(tri)), rng.randrange(planes.cells)
+    drop = planes.decode(tri[n])[cell] + rng.randint(1, 9)
+    lowered = tri[:n] + [tri[n] - (drop << cell * planes.bits)] + tri[n + 1 :]
+    raised = [plane + planes.ones for plane in tri]
+    assert max(max(planes.decode(plane)) for plane in raised) < 1 << planes.bits - 1
+    for case in (tri, raised, lowered):
+        want = min(min(planes.decode(plane)) for plane in case)
+        assert planes.minimum(case) == reference.decoding_minimum(planes, case) == want
+    assert planes.minimum(raised) > 0 and planes.minimum(lowered) < 0
 
 
 def test_planes_past_the_box_diagonal_are_zero():

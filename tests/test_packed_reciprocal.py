@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdominance import dominance, series
+from qdominance import antitelescope, dominance, series
 from qdominance.series import (
     INF,
     MAX_SERIES_WORK,
@@ -199,6 +199,132 @@ def test_pair_shares_the_common_factors_of_a_deep_proposal():
     got = packing.decode(a), packing.decode(b), packing.decode(a - b)
     assert got == list_pair(*sides, order)
     assert packing.bits > max(map(max_bits, got))
+
+
+def full_width_pair(packing, first, second):
+    """The pair as `divide` gives it: every factor doubled in the packing's own slots."""
+    order = packing.order
+    shared, (a, b) = series._split_shared(series._factors(first, order), series._factors(second, order))
+    x = packing.divide(1, shared)
+    return packing.divide(x, a), packing.divide(x, b)
+
+
+def pair_plan(packing, first, second):
+    order = packing.order
+    return series._pair_stages(series._factors(first, order), series._factors(second, order), order, packing.bits // 8)
+
+
+@st.composite
+def staged_pairs(draw):
+    """(first, second, order, bits): pairs on both sides of the one-stage
+    cut, in the slots `for_reciprocals` proves or in narrower ones."""
+    first, second, order = draw(exponent_pairs())
+    order = draw(st.one_of(st.just(order), st.integers(150, 700)))
+    bits = series._Signed.for_reciprocals(order, first, second).bits
+    return first, second, order, draw(st.sampled_from((bits, 8, 24)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(staged_pairs())
+@example(([1] * 8 + [2] * 6, [1] * 8, 227, 80))
+@example(([1] * 12, [1, 2, 3], 2100, 8))
+@example(([], [1, 1, 2, 700], 600, 64))
+@example(([5, 5, 5, 3], [5, 5, 9, 9, 9, 701], 700, 48))
+def test_staged_pair_matches_full_width_doubling(case):
+    # Every narrow stage is exact, so the staged pair is the residue that
+    # doubling every factor at the packing's width gives, even in slots too
+    # narrow for the series, where both wrap.
+    first, second, order, bits = case
+    packing = series._Signed(order, bits)
+    staged, full = packing.reciprocal_pair(first, second), full_width_pair(packing, first, second)
+    assert [x & packing.mask for x in staged] == [x & packing.mask for x in full]
+    if bits == series._Signed.for_reciprocals(order, first, second).bits:
+        assert staged == full
+
+
+def test_side_stages_count_the_shared_least_exponent():
+    # Side one's factors, 2, are larger than the shared ones, 1, so its
+    # bound takes k = order // 1 from the shared factors; k = order // 2
+    # would plan slots too narrow for its prefix products.
+    first, second, order = [1] * 8 + [2] * 6, [1] * 8, 227
+    packing = series._Signed.for_reciprocals(order, first, second)
+    (_, shared), (_, side), _ = pair_plan(packing, first, second)
+    assert len(shared) + len(side) >= 3
+    assert side == [(3, 8), (6, 10)]
+    assert packing.reciprocal_pair(first, second) == full_width_pair(packing, first, second)
+
+
+def apply_stages(x, width, factors, stages, top):
+    """x times 1/(1 - q^e) over the factors, by the list kernel, checking
+    each stage's slots against the product of every factor applied by its
+    end; (the product, the last stage's width)."""
+    start = 0
+    for end, size in stages:
+        # stages widen at least twofold, up to the packing's width
+        assert width <= size <= top and (size in (width, top) or size >= 2 * width)
+        x = divide_binomials(x, factors[start:end])
+        assert max_bits(x) <= 8 * size, (factors, stages)
+        start, width = end, size
+    return x, width
+
+
+def test_every_stage_holds_its_prefix_product():
+    # Each part starts where the shared factors end, and each side ends in
+    # the packing's own slots.
+    rng = random.Random(35)
+    staged = 0
+    for _ in range(40):
+        order = rng.randrange(100, 500)
+        pool = rng.choice((6, 30, order + 40))
+        shared = [rng.randint(1, pool) for _ in range(rng.randrange(0, 10))]
+        first = shared + [rng.randint(1, pool) for _ in range(rng.randrange(0, 10))]
+        second = shared + [rng.randint(1, pool) for _ in range(rng.randrange(0, 10))]
+        packing = series._Signed.for_reciprocals(order, first, second)
+        top = packing.bits // 8
+        (shared, stages), *sides = pair_plan(packing, first, second)
+        x, width = apply_stages(one_series(order), 0, shared, stages, top)
+        for side, side_stages in sides:
+            apply_stages(x, width, side, side_stages, top)
+            assert side_stages[-1][1] == top
+        staged += len(stages) + len(sides[0][1]) > 1
+    assert staged >= 30
+
+
+@pytest.mark.parametrize(
+    "ineq, params, order",
+    [
+        ("BGa", {"m": 8, "r": 3, "L": 115}, 1356),
+        ("Thm2", {"L": 33, "m": 3, "x": 4, "y": 4, "z": 4, "r": 1, "R": 2, "rho": 2}, 1467),
+        ("Proposal", {"L": 21, "m": 1, "xs": (1, 2, 3, 2), "rs": (2, 1, 2, 1)}, 1453),
+    ],
+)
+def test_deep_dump_pairs_are_staged(ineq, params, order):
+    # the pairs of the check-bga-deep-dump, check-thm2-deep-dump and
+    # check-proposal-n4-deep-dump goldens; CI times the Thm2 check
+    P, Q = dominance.build_specs(dominance.NamedInequality(ineq, params))
+    sides = P.exponents(order), Q.exponents(order)
+    packing = series._Signed.for_reciprocals(order, *sides)
+    (_, shared), *rest = pair_plan(packing, *sides)
+    assert all(len(shared) + len(stages) >= 2 for _, stages in rest)
+
+
+@pytest.mark.parametrize("R", range(1, 5))
+@pytest.mark.parametrize("rho", range(1, 5))
+def test_split_sweep_walks_take_one_stage(R, rho):
+    # the order-60 walks of the CI split sweep; their series are too short
+    # for staging to pay
+    params = {"L": 4, "m": 2, "x": 1, "y": 1, "z": 2, "r": 2, "R": R, "rho": rho}
+    P, Q = dominance.build_specs(dominance.NamedInequality("Thm2", params))
+    walk = antitelescope._Walk(P, Q, 60, "thm2")
+    assert all(len(stages) == 1 for _, stages in pair_plan(walk.packing, *walk.exponents))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2000), st.integers(1, 320))
+def test_bias_is_the_division_formula(order, bits):
+    packing = series._Signed(order, bits)
+    B = packing.bits
+    assert packing.bias == packing.mask // ((1 << B) - 1) << (B - 1)
 
 
 @pytest.mark.parametrize(
