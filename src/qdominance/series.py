@@ -281,18 +281,10 @@ def _split_shared(first: list[int], second: list[int]) -> tuple[list[int], list[
 def _prefix_bytes(applied: int, least: int, order: int, top: int) -> int:
     """Bytes that hold every coefficient through q^order of a product of
     `applied` factors 1/(1 - q^e), each e at least `least`, or `top` if
-    that is fewer.
-
-    C(applied + k, k), k = order // least, bounds them (see the module
-    docstring).  It is C(n, j) with n = applied + k and j the smaller of
-    applied and k, which is at least (n // j)^j, so a bound that this
-    already puts above `top` bytes is not computed.
-    """
+    that is fewer: C(applied + k, k), k = order // least, bounds them (see
+    the module docstring)."""
     k = order // least
-    n, j = applied + k, min(applied, k)
-    if j and j * ((n // j).bit_length() - 1) >= 8 * top:
-        return top
-    return min(top, -(-math.comb(n, j).bit_length() // 8))
+    return min(top, -(-math.comb(applied + k, k).bit_length() // 8))
 
 
 def _stages(factors: list[int], order: int, top: int, applied: int, least: int, width: int) -> list[tuple[int, int]]:
