@@ -8,7 +8,10 @@ the expanded product, and check that every bound behind B holds the
 largest coefficient.  The pair form, `_Signed.reciprocal_pair` in the
 slots of `_Signed.for_reciprocals`, applies the factors two lists share
 once, at the width of the wider side; both sides and their difference
-are checked against the list kernel over every shape of overlap.
+are checked against the list kernel over every shape of overlap.  The
+pair is expanded in stages of growing slot width: it is checked against
+`divide`, every factor doubled at full width, and each stage's width
+against the largest coefficient of its prefix product.
 """
 
 import random
@@ -210,6 +213,7 @@ def full_width_pair(packing, first, second):
 
 
 def pair_plan(packing, first, second):
+    """The stages `reciprocal_pair` runs for the pair in the packing's slots."""
     order = packing.order
     return series._pair_stages(series._factors(first, order), series._factors(second, order), order, packing.bits // 8)
 
