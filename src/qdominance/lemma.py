@@ -5,12 +5,13 @@ The kernel is
     f(x, y, t) = ((1-xy)(1-t x^r)(1-t y^R) + (1-t^2)(x-x^r)(y-y^R))
                  / ((1-t x^r)(1-t y^R)(1-x)(1-y)(1-tx)(1-ty)).
 
-This module expands f exactly on a bounded (t, x, y) lattice, expands the
-nine terms of its t-slices on the same lattice, and checks the argument
-that confines any negative per-term coefficient to a window, the negative
-cells of the slice's term T2, that the x/y swap symmetry then rules out.
-`certify_lemma` runs all of it in one pass: one expansion of f, one of
-each slice term, and the symmetry as one exact identity.
+This module expands the nine terms of f's t-slices exactly on a bounded
+(t, x, y) lattice, reads f's coefficients off their sums, and checks the
+argument that confines any negative per-term coefficient to a window,
+the negative cells of the slice's term T2, that the x/y swap symmetry
+then rules out.  `certify_lemma` runs all of it in one pass: one
+expansion of each slice term, and the slices and the symmetry as exact
+identities.
 
 f and the slice terms are stated as weighted binomial pieces,
 weight * t^n x^a y^b * prod (1 - t^c x^d y^e), which
@@ -23,46 +24,41 @@ lattice reads both with X and Y the powers (`kernel_term`,
 `slice_terms`), and the identities with X and Y free.  So the two rows
 of `IDENTITIES` hold for every r, R >= 1: `kernel-slices` says that
 slice n of f is the nine terms for every n, and `kernel-symmetry` that
-f_(r,R)(t, x, y) = f_(R,r)(t, y, x).
+f_(r,R)(t, x, y) = f_(R,r)(t, y, x).  By the first, the slice totals
+are f's planes, so f itself is never expanded: its minimum is read off
+the totals.
 
 Every (x, y) grid is one int, a plane (`Planes`): the coefficient of
 x^j y^k sits in the B-bit slot j(ny+1) + k.  B is proven before anything
-is packed.  Each term expanded, f or a slice term, is a numerator over
-1 - y, perhaps 1 - x, and k factors 1 - t^a x^b y^d with a > 0 (k = 4
-for f, k <= 2 for a slice term).  A cell of 1/prod(factors) counts the
-multiplicities of the factors' monomials that reach t^n x^j y^k: those
-of k - 1 factors with t, summing to at most n, fix all the others, so it
-is at most C(nt + k - 1, k - 1), or 1 when k = 0.  A term is carried as
-two halves P - N, the numerator's positive and negative monomials each
-over the factors, since a y shift must drop what spills into the next
-row and a mask would cut a signed plane's borrows.  A cell of a half is
-at most that count times the half's L1 norm, and dividing by only some
-of the factors gives less, each 1/(1 - m) = 1 + m + ... being at least 1;
-a cell of a sum of halves is at most the sum of their bounds.  Each
-expansion gets the B its own bound proves (`_cell_bound`, `packings`).
-The slice scan's B covers the slice terms' halves of each sign all
-summed, so it covers every plane the scan reads: a slice term, or a sum
-of them.  f is expanded, and its minimum read, in slots that cover f's
-halves and are never narrower than the scan's.  They are usually wider:
-f's four factors with t give C(nt + 3, 3) paths against nt + 1 for a
-slice term's two, so f needs 16-bit slots where the scan needs 8 on the
-lattices that lemma requests run.  The slice comparison brings each of
-f's planes into the scan's slots once (`Planes.narrowed`); a plane with
-a cell that does not fit there cannot equal the slice sum, which always
-fits, and reads as a mismatch.  B is the bit length of the bound plus
-one, rounded up to 1, 2, 4 or 8 bytes (the widths `series._slots` reads
-in one call; more only past 63 bits), so every cell read is below
-2^(B-1) in absolute value.  A signed plane, the exact sum of
-c_jk 2^(B(j(ny+1)+k)), then has a unique digit per cell: two planes are
-equal iff their cells are, and v + H, with 2^(B-1) in every slot, holds
-c_jk + 2^(B-1) in each slot with no carry, so the negative cells are the
-slots whose top bit it leaves clear.
+is packed.  Each slice term is a numerator over 1 - y, perhaps 1 - x,
+and k <= 2 factors 1 - t^a x^b y^d with a > 0.  A cell of
+1/prod(factors) counts the multiplicities of the factors' monomials that
+reach t^n x^j y^k: those of k - 1 factors with t, summing to at most n,
+fix all the others, so it is at most C(nt + k - 1, k - 1), or 1 when
+k = 0.  A term is carried as two halves P - N, the numerator's positive
+and negative monomials each over the factors, since a y shift must drop
+what spills into the next row and a mask would cut a signed plane's
+borrows.  A cell of a half is at most that count times the half's L1
+norm, and dividing by only some of the factors gives less, each
+1/(1 - m) = 1 + m + ... being at least 1; a cell of a sum of halves is
+at most the sum of their bounds.  B covers the slice terms' halves of
+each sign all summed (`_cell_bound`, `packings`), so it covers every
+plane the scan reads: a slice term, or a sum of them, f's slice totals
+included.  The norms are summed once per (r, R), by k
+(`_slice_norms`), so a request's bound is a few binomials.  B is the
+bit length of the bound plus one, rounded up to 1, 2, 4 or 8 bytes (the
+widths `series._slots` reads in one call; more only past 63 bits), so
+every cell read is below 2^(B-1) in absolute value.  A signed plane, the
+exact sum of c_jk 2^(B(j(ny+1)+k)), then has a unique digit per cell:
+two planes are equal iff their cells are, and v + H, with 2^(B-1) in
+every slot, holds c_jk + 2^(B-1) in each slot with no carry, so the
+negative cells are the slots whose top bit it leaves clear.
 
-Every numerator monomial and every factor with t, of f and of each slice
-term, has an x + y degree at least its t degree, so plane n is 0 in the
-box for n > nx + ny.  Only the planes through min(nt, nx + ny) are
-expanded (`Planes.depth`); where planes are skipped, f's minimum takes 0
-in.  The slot widths are still proven from nt.
+Every numerator monomial and every factor with t of each slice term has
+an x + y degree at least its t degree, so plane n is 0 in the box for
+n > nx + ny, and so is f's.  Only the planes through min(nt, nx + ny)
+are expanded (`Planes.depth`); where planes are skipped, f's minimum
+takes 0 in.  The slot widths are still proven from nt.
 """
 
 from __future__ import annotations
@@ -84,13 +80,14 @@ SLICE_VARIABLES = ("x", "y", "X", "Y")
 Monomials = list[tuple[int, int, int]]
 
 # Largest (t, x, y) lattice, in cells (nt+1)(nx+1)(ny+1).  A certificate holds
-# f's planes, their copy in the scan's slots, T2's, the slice sums without
-# T2, and one slice term's planes with its two halves while expanding, all
-# through plane min(nt, nx + ny).  At this bound `lemma --r 2 --R 3`, run
-# in process after the CLI import (15 MB; 13 MB for the bare interpreter),
-# peaks at 33 MB RSS at (99, 99, 99) (0.10 s), 28 MB at (9, 315, 315)
-# (0.08 s) and 17 MB at (249999, 1, 1) (0.01 s) (best of 3, 2-vCPU shared
-# VM, Python 3.11.7).
+# the slice sums (without T2, then with it), T2's planes, every other term's
+# negative cells, and one slice term's planes with its two halves while
+# expanding, all through plane min(nt, nx + ny).  At this bound `lemma --r 2
+# --R 3`, run in process after the CLI import (16 MB; 14 MB for the bare
+# interpreter), deciding the two identities it reads in that run, peaks at
+# 27 MB RSS at (99, 99, 99) (0.09 s), 22 MB at (9, 315, 315) (0.05 s) and
+# 17 MB at (249999, 1, 1) (0.02 s) (best of 3, 2-vCPU shared VM, Python
+# 3.11.7).
 MAX_LATTICE_CELLS = 10**6
 
 
@@ -303,43 +300,10 @@ class Planes:
                 lowest = min(lowest, *self.decode(plane))
         return lowest
 
-    def narrowed(self, planes: list[int], wide: Planes) -> list[int | None]:
-        """`wide`'s signed planes of this box, in these slots, no wider: each
-        plane's cells, or None where one of them does not fit.
 
-        Both biases go into every wide slot, 2^(W-1) + 2^(B-1) for W and B
-        bits.  Where every cell c fits, no slot carries, and each holds
-        2^(W-1) plus the narrow biased cell c + 2^(B-1) in its low B bits.
-        Otherwise the lowest slot whose cell does not fit takes no carry
-        from below, so its bits above the low B are not 2^(W-1), whether it
-        carries or not.  The low B bits of every slot are read with a byte
-        stride.
-        """
-        if wide.bits == self.bits:
-            return planes
-        step, size = wide.bits // 8, self.bits // 8
-        biases = wide.bias + (wide.ones << self.bits - 1)
-        high = wide.ones * ((1 << wide.bits) - (1 << self.bits))
-        out, narrow = [], bytearray(self.cells * size)
-        for plane in planes:
-            plane += biases
-            if plane & high != wide.bias:
-                out.append(None)
-                continue
-            data = plane.to_bytes(wide.cells * step, "little")
-            for i in range(size):
-                narrow[i::size] = data[i::step]
-            out.append(int.from_bytes(narrow, "little") - self.bias)
-        return out
-
-
-def packings(params: LemmaParams) -> tuple[Planes, Planes]:
-    """f's packing, and the slice scan's in slots no wider; see the module docstring."""
-    nt = params.bounds[0]
-    terms = [term for _, group in slice_terms(params.r, params.R) for term in group]
-    scan = _cell_bound(terms, nt)
-    kernel = max(scan, _cell_bound([kernel_term(params.r, params.R)], nt))
-    return Planes(params.bounds, kernel), Planes(params.bounds, scan)
+def packings(params: LemmaParams) -> Planes:
+    """The slice scan's packing, which holds f's slice totals too; see the module docstring."""
+    return Planes(params.bounds, _cell_bound(params))
 
 
 def _exponents(factor: MultiPoly) -> tuple[int, int, int]:
@@ -347,15 +311,29 @@ def _exponents(factor: MultiPoly) -> tuple[int, int, int]:
     return next(filter(any, factor.terms))
 
 
-def _cell_bound(terms: list[RationalTerm], nt: int) -> int:
-    """The larger of the terms' positive and negative halves' cell bounds,
-    each summed over the terms; see the module docstring."""
-    sums = [0, 0]
-    for term in terms:
-        k = sum(1 for factor in term.denominator_factors if _exponents(factor)[0])
+@lru_cache(maxsize=64)
+def _slice_norms(r: int, R: int) -> tuple[tuple[int, int, int], ...]:
+    """(k, positive L1 norm, negative L1 norm) for each count k of factors
+    with t, the norms summed over the slice terms' numerators with k such
+    factors; beside `slice_terms(r, R)`."""
+    norms: dict[int, list[int]] = {}
+    for _, group in slice_terms(r, R):
+        for term in group:
+            k = sum(1 for factor in term.denominator_factors if _exponents(factor)[0])
+            pair = norms.setdefault(k, [0, 0])
+            for c in term.numerator.terms.values():
+                pair[c < 0] += abs(c)
+    return tuple((k, *pair) for k, pair in sorted(norms.items()))
+
+
+def _cell_bound(params: LemmaParams) -> int:
+    """The larger of the slice terms' positive and negative halves' cell
+    bounds, each summed over the terms; see the module docstring."""
+    nt, sums = params.bounds[0], [0, 0]
+    for k, positive, negative in _slice_norms(params.r, params.R):
         paths = comb(nt + k - 1, k - 1) if k else 1
-        for c in term.numerator.terms.values():
-            sums[c < 0] += paths * abs(c)
+        sums[0] += paths * positive
+        sums[1] += paths * negative
     return max(sums)
 
 
@@ -390,12 +368,6 @@ def _expand_term(term: RationalTerm, planes: Planes) -> list[int]:
     return positive
 
 
-def f_expand(params: LemmaParams, planes: Planes) -> list[int]:
-    """The t-planes of f within the box, through plane `planes.depth` - 1:
-    plane n holds t^n x^j y^k in cell (j, k)."""
-    return _expand_term(kernel_term(params.r, params.R), planes)
-
-
 def slice_planes(params: LemmaParams, planes: Planes) -> Iterator[tuple[str, list[int]]]:
     """Each of the nine slice terms, by name, as its t-planes within the box,
     through plane `planes.depth` - 1: plane n is the term's part of slice n of f."""
@@ -407,24 +379,20 @@ def slice_planes(params: LemmaParams, planes: Planes) -> Iterator[tuple[str, lis
         yield name, grids
 
 
-def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int | None]):
-    """The negativity-window report, plus the first slice whose term sum
-    differs from the matching plane of `tri` (None when all match).  A
-    plane of `tri` is None where one of its cells does not fit these
-    slots; the slice sums always fit, so that slice differs.
+def _scan_slices(params: LemmaParams, planes: Planes) -> tuple[dict[str, Any], list[int]]:
+    """The negativity-window report, and the slice totals: f's planes, by
+    the `kernel-slices` row.
 
     The report checks, for every slice n within bounds: (a) the slice sum
     without T2 is nonnegative; (b) every negative per-term cell lies in
     the window, T2's own negative cells.  T2's four monomials over
     (1-x)(1-y) are -(x^r+...+x^(n-1)) (y^(n+1)+...+y^((n+1)R-1)), so the
     window is r <= j < n < k < (n+1)R, empty unless r < n.  The slice
-    terms are expanded one at a time, and both checks and the slice
-    comparison read their planes.  Where every slice matches, the slice
-    totals are f's planes, so their signs are `certify_lemma`'s
-    expansion_nonnegative and are not checked again here.
+    terms are expanded one at a time, and both checks read their planes;
+    T2 then goes into the sums without it, which makes them the totals.
     """
-    rest = [0] * len(tri)  # the slice sums without T2
-    outside = [0] * len(tri)  # the negative cells of every term but T2
+    totals = [0] * planes.depth  # the slice sums without T2, until T2 is added
+    outside = [0] * planes.depth  # the negative cells of every term but T2
     negative_cells = 0
     for name, grids in slice_planes(params, planes):
         if name == "T2":
@@ -435,53 +403,52 @@ def _scan_slices(params: LemmaParams, planes: Planes, tri: list[int | None]):
             if negatives:
                 negative_cells += negatives.bit_count()
                 outside[n] |= negatives
-            rest[n] += grid
+            totals[n] += grid
     checks = dict.fromkeys(("sum_without_t2_nonnegative", "window_contained"), True)
-    mismatch = None
-    for n, (without_t2, grid, f) in enumerate(zip(rest, t2, tri)):
+    for n, grid in enumerate(t2):
         window = planes.negatives(grid)
         negative_cells += window.bit_count()
         if outside[n] & ~window:
             checks["window_contained"] = False
-        if planes.negatives(without_t2):
+        if planes.negatives(totals[n]):
             checks["sum_without_t2_nonnegative"] = False
-        if mismatch is None and without_t2 + grid != f:
-            mismatch = n
-    return {"checks": checks, "negative_term_cells": negative_cells}, mismatch
+        totals[n] += grid
+    return {"checks": checks, "negative_term_cells": negative_cells}, totals
 
 
 def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
     """Composite kernel-expansion check: signs, slices, window, symmetry.
 
-    f is expanded once, in its own packing, and brought once into the
-    scan's narrower one for the slice comparison.  The symmetry is the
-    verdict of the `kernel-symmetry` row of `IDENTITIES`, which holds for
-    every r, R and box.  The first failed check, in that order, is the
-    witness.
+    Only the 18 slice terms are expanded, once each, in one packing.  The
+    slices are the verdict of the `kernel-slices` row of `IDENTITIES`:
+    the nine terms sum to f for every n, r and R, so the slice totals are
+    f's planes, and f's minimum is read off them.  The symmetry is the
+    verdict of the `kernel-symmetry` row.  Both rows hold for every r, R
+    and box.  The first failed check, in that order, is the witness.
     """
     params = LemmaParams(r, R, bounds)
-    planes, scan = packings(params)
-    tri = f_expand(params, planes)
-    minimum = planes.minimum(tri)
+    planes = packings(params)
+    window, totals = _scan_slices(params, planes)
+    minimum = planes.minimum(totals)
     if planes.depth <= bounds[0]:
         minimum = min(minimum, 0)  # the planes past nx + ny, all 0 in the box
-    window, slice_mismatch = _scan_slices(params, scan, scan.narrowed(tri, planes))
-    verdict = decide_identity(dict(IDENTITIES)["kernel-symmetry"])
+    rows = dict(IDENTITIES)
+    slices, symmetry = decide_identity(rows["kernel-slices"]), decide_identity(rows["kernel-symmetry"])
     checks = {
         "expansion_nonnegative": minimum >= 0,
-        "slices_match": slice_mismatch is None,
+        "slices_match": slices.equal,
         "window": all(window["checks"].values()),
-        "symmetry": verdict.equal,
+        "symmetry": symmetry.equal,
     }
     witness = None
     if not checks["expansion_nonnegative"]:
         witness = {"check": "expansion_nonnegative", "min_coefficient": minimum}
-    elif not checks["slices_match"]:
-        witness = {"check": "slices_match", "n": slice_mismatch}
+    elif not slices.equal:
+        witness = {"check": "slices_match", "details": slices.witness}
     elif not checks["window"]:
         witness = {"check": "window", "details": window["checks"]}
-    elif not verdict.equal:
-        witness = {"check": "symmetry", "details": verdict.witness}
+    elif not symmetry.equal:
+        witness = {"check": "symmetry", "details": symmetry.witness}
     return {
         "r": r,
         "R": R,
@@ -489,7 +456,7 @@ def certify_lemma(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any
         "checks": checks,
         "min_coefficient": minimum,
         "window": window,
-        "symmetry": {"equal": verdict.equal, "first_mismatch": verdict.witness},
+        "symmetry": {"equal": symmetry.equal, "first_mismatch": symmetry.witness},
         "ok": witness is None,
         "witness": witness,
     }

@@ -511,14 +511,6 @@ def reciprocal_from_exponents(exponents, order: int) -> QSeries:
     return packing.decode(packing.divide(1, exponents))
 
 
-def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
-    """Smallest exponent carrying a negative coefficient, or None."""
-    for n, c in enumerate(a.coeffs):
-        if c < 0:
-            return (n, c)
-    return None
-
-
 def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ...]:
     """The values as a tuple of positive ints, or ParameterError naming the label.
 

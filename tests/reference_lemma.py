@@ -29,6 +29,13 @@ The row-wise kernels below (`rowwise_f_expand`, `rowwise_evaluate`,
 `row_sums`) are the nested-list certificate that the packed planes
 replaced; `unpack` and `lattice` read packed planes back as nested lists
 for comparing with them.
+
+`expanded_f_certificate` is the packed certificate that expanded f on
+its own (`packed_f_expand`), in slots of f's own proven width
+(`two_packings`), and brought each of f's planes into the scan's slots
+(`narrowed`) to compare it with the slice sums (`scan_against`).  The
+package reads f off the slice sums instead, by the `kernel-slices` row,
+so this is the oracle of that step.
 """
 
 from __future__ import annotations
@@ -36,12 +43,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
+from math import comb
 from operator import add
 from typing import Any
 
 from qdominance import lemma
 from qdominance.lemma import SLICE_VARIABLES, TXY, LemmaParams, Monomials, Planes
-from qdominance.polyring import IdentityVerdict, MultiPoly, RationalTerm, _Form, from_pieces, identity_check, to_text
+from qdominance.polyring import (
+    IdentityVerdict,
+    MultiPoly,
+    RationalTerm,
+    _Form,
+    decide_identity,
+    from_pieces,
+    identity_check,
+    to_text,
+)
 from qdominance.series import Coefficient
 from reference_polyring import mono, mp_add, mp_mul, mp_sub
 
@@ -648,9 +665,147 @@ def decoding_minimum(planes: Planes, tri: list[int]) -> int:
 def lattice(params: LemmaParams) -> list:
     """The packed expansion of f as nested lists, cells[n][j][k]; the planes
     past nx + ny, which it does not expand, are 0 in the box."""
-    planes, _ = lemma.packings(params)
-    tri = [unpack(planes, plane) for plane in lemma.f_expand(params, planes)]
-    return tri + [_grid(planes.nx, planes.ny) for _ in range(params.bounds[0] + 1 - len(tri))]
+    planes, _ = two_packings(params)
+    return padded(planes, params, packed_f_expand(params, planes))
+
+
+def padded(planes: Planes, params: LemmaParams, tri: list[int]) -> list:
+    """Planes through `planes.depth` - 1 as nested lists, with the planes
+    past nx + ny, which are 0 in the box, added through nt."""
+    grids = [unpack(planes, plane) for plane in tri]
+    return grids + [_grid(planes.nx, planes.ny) for _ in range(params.bounds[0] + 1 - len(grids))]
+
+
+# --- the packed certificate that expanded f on its own ----------------------
+
+
+def _cell_bound(terms: list[RationalTerm], nt: int) -> int:
+    """The larger of the terms' positive and negative halves' cell bounds,
+    each summed over the terms; see the `lemma` module docstring."""
+    sums = [0, 0]
+    for term in terms:
+        k = sum(1 for factor in term.denominator_factors if lemma._exponents(factor)[0])
+        paths = comb(nt + k - 1, k - 1) if k else 1
+        for c in term.numerator.terms.values():
+            sums[c < 0] += paths * abs(c)
+    return max(sums)
+
+
+def two_packings(params: LemmaParams) -> tuple[Planes, Planes]:
+    """f's packing, and the slice scan's in slots no wider."""
+    nt = params.bounds[0]
+    terms = [term for _, group in lemma.slice_terms(params.r, params.R) for term in group]
+    scan = _cell_bound(terms, nt)
+    kernel = max(scan, _cell_bound([lemma.kernel_term(params.r, params.R)], nt))
+    return Planes(params.bounds, kernel), Planes(params.bounds, scan)
+
+
+def packed_f_expand(params: LemmaParams, planes: Planes) -> list[int]:
+    """The t-planes of f within the box, through plane `planes.depth` - 1:
+    plane n holds t^n x^j y^k in cell (j, k)."""
+    return lemma._expand_term(lemma.kernel_term(params.r, params.R), planes)
+
+
+def narrowed(narrow: Planes, planes: list[int], wide: Planes) -> list[int | None]:
+    """`wide`'s signed planes of this box, in `narrow`'s slots, no wider:
+    each plane's cells, or None where one of them does not fit.
+
+    Both biases go into every wide slot, 2^(W-1) + 2^(B-1) for W and B
+    bits.  Where every cell c fits, no slot carries, and each holds
+    2^(W-1) plus the narrow biased cell c + 2^(B-1) in its low B bits.
+    Otherwise the lowest slot whose cell does not fit takes no carry
+    from below, so its bits above the low B are not 2^(W-1), whether it
+    carries or not.  The low B bits of every slot are read with a byte
+    stride.
+    """
+    if wide.bits == narrow.bits:
+        return planes
+    step, size = wide.bits // 8, narrow.bits // 8
+    biases = wide.bias + (wide.ones << narrow.bits - 1)
+    high = wide.ones * ((1 << wide.bits) - (1 << narrow.bits))
+    out, cells = [], bytearray(narrow.cells * size)
+    for plane in planes:
+        plane += biases
+        if plane & high != wide.bias:
+            out.append(None)
+            continue
+        data = plane.to_bytes(wide.cells * step, "little")
+        for i in range(size):
+            cells[i::size] = data[i::step]
+        out.append(int.from_bytes(cells, "little") - narrow.bias)
+    return out
+
+
+def scan_against(params: LemmaParams, planes: Planes, tri: list[int | None]):
+    """The negativity-window report, plus the first slice whose term sum
+    differs from the matching plane of `tri` (None when all match).  A
+    plane of `tri` is None where one of its cells does not fit these
+    slots; the slice sums always fit, so that slice differs."""
+    rest = [0] * len(tri)  # the slice sums without T2
+    outside = [0] * len(tri)  # the negative cells of every term but T2
+    negative_cells = 0
+    for name, grids in lemma.slice_planes(params, planes):
+        if name == "T2":
+            t2 = grids
+            continue
+        for n, grid in enumerate(grids):
+            negatives = planes.negatives(grid)
+            if negatives:
+                negative_cells += negatives.bit_count()
+                outside[n] |= negatives
+            rest[n] += grid
+    checks = dict.fromkeys(("sum_without_t2_nonnegative", "window_contained"), True)
+    mismatch = None
+    for n, (without_t2, grid, f) in enumerate(zip(rest, t2, tri)):
+        window = planes.negatives(grid)
+        negative_cells += window.bit_count()
+        if outside[n] & ~window:
+            checks["window_contained"] = False
+        if planes.negatives(without_t2):
+            checks["sum_without_t2_nonnegative"] = False
+        if mismatch is None and without_t2 + grid != f:
+            mismatch = n
+    return {"checks": checks, "negative_term_cells": negative_cells}, mismatch
+
+
+def expanded_f_certificate(r: int, R: int, bounds: tuple[int, int, int]) -> dict[str, Any]:
+    """`lemma.certify_lemma` as it was with f expanded once, in its own
+    packing, and brought once into the scan's narrower one for the slice
+    comparison; the symmetry is the `kernel-symmetry` row's verdict."""
+    params = LemmaParams(r, R, bounds)
+    planes, scan = two_packings(params)
+    tri = packed_f_expand(params, planes)
+    minimum = planes.minimum(tri)
+    if planes.depth <= bounds[0]:
+        minimum = min(minimum, 0)  # the planes past nx + ny, all 0 in the box
+    window, slice_mismatch = scan_against(params, scan, narrowed(scan, tri, planes))
+    verdict = decide_identity(dict(lemma.IDENTITIES)["kernel-symmetry"])
+    checks = {
+        "expansion_nonnegative": minimum >= 0,
+        "slices_match": slice_mismatch is None,
+        "window": all(window["checks"].values()),
+        "symmetry": verdict.equal,
+    }
+    witness = None
+    if not checks["expansion_nonnegative"]:
+        witness = {"check": "expansion_nonnegative", "min_coefficient": minimum}
+    elif not checks["slices_match"]:
+        witness = {"check": "slices_match", "n": slice_mismatch}
+    elif not checks["window"]:
+        witness = {"check": "window", "details": window["checks"]}
+    elif not verdict.equal:
+        witness = {"check": "symmetry", "details": verdict.witness}
+    return {
+        "r": r,
+        "R": R,
+        "bounds": list(bounds),
+        "checks": checks,
+        "min_coefficient": minimum,
+        "window": window,
+        "symmetry": {"equal": verdict.equal, "first_mismatch": verdict.witness},
+        "ok": witness is None,
+        "witness": witness,
+    }
 
 
 # --- the paper's slice closed forms, as weighted binomial pieces ------------

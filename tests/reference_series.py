@@ -11,7 +11,8 @@ the `zero_series`, `one_series` and `monomial` constructors are the list
 kernels the package ran on before every series was packed, and
 `multiply_binomials`, `divide_binomials` and `series_shift` build on
 them; they carry the list references of the packed kernels.
-`series_sub` subtracts two series as lists, and `dominates_by_lists`
+`series_sub` subtracts two series as lists, `first_negative` finds the
+least exponent with a negative coefficient, and `dominates_by_lists`
 is the list reference of `dominance.dominates`.  The list kernels
 compute over rationals: `series_scale` multiplies a series by a
 rational and, like `_norm`, keeps an integral value an int.
@@ -30,10 +31,17 @@ from qdominance.series import (
     ProductSpec,
     QSeries,
     SingularSeriesError,
-    first_negative,
     reciprocal_from_exponents,
 )
 from reference_lemma import TriSeries, _tri_exponents, expand_rational
+
+
+def first_negative(a: QSeries) -> tuple[int, Coefficient] | None:
+    """Smallest exponent carrying a negative coefficient, or None."""
+    for n, c in enumerate(a.coeffs):
+        if c < 0:
+            return (n, c)
+    return None
 
 
 class OrderMismatchError(ValueError):

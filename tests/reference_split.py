@@ -29,7 +29,6 @@ from qdominance.antitelescope import AddendDecomposition
 from qdominance.dominance import nbase_pair
 from qdominance.series import (
     QSeries,
-    first_negative,
     require_series_work,
     serialize,
 )
@@ -37,6 +36,7 @@ from reference_series import (
     _norm,
     divide_binomial,
     divide_binomials,
+    first_negative,
     monomial,
     multiply_binomial,
     multiply_binomials,

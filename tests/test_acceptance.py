@@ -28,7 +28,6 @@ from qdominance.proposal import (
 )
 from qdominance.series import (
     QSeries,
-    first_negative,
     product_spec,
     reciprocal_from_exponents,
 )
@@ -37,6 +36,7 @@ from oracles import bga_expected
 from reference_lemma import lattice, slice_identity
 from reference_polyring import four_factor_identity_sides, mp_times_int, three_factor_identity_sides
 from reference_series import (
+    first_negative,
     one_series,
     poly_from_exponents,
     series_add,

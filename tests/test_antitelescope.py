@@ -8,11 +8,12 @@ from qdominance import antitelescope
 from qdominance.antitelescope import decompositions, positivity_scan, split_identity_sides
 from qdominance.dominance import nbase_pair
 from qdominance.polyring import MultiPoly, RationalTerm, _Form, decide_identity, identity_check
-from qdominance.series import QSeries, first_negative, product_spec
+from qdominance.series import QSeries, product_spec
 from reference_lemma import expand_rational
 from reference_polyring import four_factor_identity_sides, mono, mp_add, mp_mul, mp_sub, three_factor_identity_sides
 from reference_series import (
     divide_binomial,
+    first_negative,
     monomial,
     multiply_binomial,
     poly_from_exponents,

@@ -377,9 +377,8 @@ class TestLemma:
         def refuse(*args, **kwargs):
             raise AssertionError("the bound must be checked before any packing")
 
-        # the packed planes, the kernel's expansion and the slice terms' planes
+        # the packed planes and the slice terms' planes
         monkeypatch.setattr(lemma, "Planes", refuse)
-        monkeypatch.setattr(lemma, "f_expand", refuse)
         monkeypatch.setattr(lemma, "slice_planes", refuse)
         argv = ["lemma", "--r", "2", "--R", "3", "--bounds", self.CAPPED_BOUNDS]
         code, out, err = run_cli(argv, capsys)
@@ -394,7 +393,7 @@ class TestLemma:
 
         monkeypatch.setattr(cli, "_sweep_job", refuse)
         monkeypatch.setattr(lemma, "Planes", refuse)
-        monkeypatch.setattr(lemma, "f_expand", refuse)
+        monkeypatch.setattr(lemma, "slice_planes", refuse)
         argv = ["sweep", "--kind", "lemma", "--box", "r=1:2,R=1:2", "--bounds", self.CAPPED_BOUNDS]
         code, out, err = run_cli(argv, capsys)
         assert code == 2

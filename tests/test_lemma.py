@@ -25,7 +25,7 @@ from reference_lemma import unpack
 
 def slice_eqtwo(n, params):
     """The n-th t-slice of f as the sum of its slice terms' planes, as rows."""
-    _, planes = packings(params)
+    planes = packings(params)
     return unpack(planes, sum(grids[n] for _, grids in slice_planes(params, planes)))
 
 
@@ -229,7 +229,7 @@ class TestNegativityWindow:
     def test_documented_t2_instance(self):
         # n=3, r=2, R=2: term two = -x^2 (y^4+y^5+y^6+y^7)
         params = LemmaParams(2, 2, (4, 10, 10))
-        _, planes = packings(params)
+        planes = packings(params)
         grid = transcribed.t2_closed_form(3, 2, 2, 10, 10)
         cells = {
             (j, k): c

@@ -1,4 +1,5 @@
-"""The packed lemma certificate against the cell-by-cell and row-wise references."""
+"""The packed lemma certificate against the cell-by-cell and row-wise references,
+and against the packed certificate that expanded f on its own."""
 
 import json
 import random
@@ -12,7 +13,6 @@ from qdominance import lemma
 from qdominance.lemma import (
     MAX_LATTICE_CELLS,
     LemmaParams,
-    Planes,
     certify_lemma,
     check_lattice,
     kernel_term,
@@ -30,8 +30,8 @@ multiplier = st.integers(1, 6)
 def lemma_bounds(draw):
     """(nt, nx, ny): up to (6, 20, 24), square about half the time, zero sides
     included; or a deep lattice, nt in [12, 40] over a box of at most 4 x 4,
-    whose slots are wider than 16 bits from nt = 31 (nt = 35 when r or R
-    is 1) on."""
+    whose slots are 16 bits wide from nt = 20 (nt = 19 for some r and R)
+    on, and 8 bits below."""
     if draw(st.booleans()):
         nt = draw(st.integers(12, 40))
         nx = draw(st.integers(0, 4))
@@ -61,31 +61,39 @@ def project_window(window: dict) -> dict:
 def project(report: dict) -> dict:
     """The reference's lemma report in the certificate's shape.
 
-    Where every slice matches, the slice totals are f's planes, so their
-    sign is expansion_nonnegative and their minimum min(0, f's minimum):
-    both are asserted before `project_window` drops them.  `checks.window`
-    and a window witness are recomputed from the two checks left.  The
-    reference checks the symmetry on square boxes only, cell by cell; it
-    is replaced by the verdict of lemma's `kernel-symmetry` row, which
-    holds for every box.
+    The reference compares f with the slice sums cell by cell, and they
+    match: that is asserted, and the comparison is replaced by the verdict
+    of lemma's `kernel-slices` row, which holds for every n.  So the slice
+    totals are f's planes, their sign is expansion_nonnegative and their
+    minimum min(0, f's minimum): both are asserted before `project_window`
+    drops them.  `checks.window` is recomputed from the two checks left.
+    The reference checks the symmetry on square boxes only, cell by cell;
+    it is replaced by the verdict of lemma's `kernel-symmetry` row, which
+    holds for every box.  The witness is then the first failed check.
     """
     window, checks = report["window"], report["checks"]
-    if checks["slices_match"]:
-        assert window["checks"]["total_nonnegative"] == checks["expansion_nonnegative"]
-        assert window["min_total_coefficient"] == min(0, report["min_coefficient"])
+    assert checks["slices_match"] is True
+    assert window["checks"]["total_nonnegative"] == checks["expansion_nonnegative"]
+    assert window["min_total_coefficient"] == min(0, report["min_coefficient"])
     _, nx, ny = report["bounds"]
     if nx != ny:
         assert report["symmetry"] is None
-    symmetry = decide_identity(dict(lemma.IDENTITIES)["kernel-symmetry"])
+    rows = dict(lemma.IDENTITIES)
+    slices, symmetry = decide_identity(rows["kernel-slices"]), decide_identity(rows["kernel-symmetry"])
     projected = project_window(window)
+    window_ok = all(projected["checks"].values())
     witness = report["witness"]
-    if witness is not None and witness["check"] == "window":
-        witness = {"check": "window", "details": projected["checks"]}
-    elif witness is None or witness["check"] == "symmetry":
-        witness = None if symmetry.equal else {"check": "symmetry", "details": symmetry.witness}
+    if checks["expansion_nonnegative"]:
+        witness = None
+        if not slices.equal:
+            witness = {"check": "slices_match", "details": slices.witness}
+        elif not window_ok:
+            witness = {"check": "window", "details": projected["checks"]}
+        elif not symmetry.equal:
+            witness = {"check": "symmetry", "details": symmetry.witness}
     return {
         **report,
-        "checks": {**checks, "window": all(projected["checks"].values()), "symmetry": symmetry.equal},
+        "checks": {**checks, "slices_match": slices.equal, "window": window_ok, "symmetry": symmetry.equal},
         "window": projected,
         "symmetry": {"equal": symmetry.equal, "first_mismatch": symmetry.witness},
         "ok": witness is None,
@@ -101,11 +109,15 @@ def test_certificate_matches_the_reference(r, R, bounds):
 
 
 def test_deep_lattices_need_wide_slots():
-    # the strategy above reaches f slots wider than 16 bits, and the reference agrees there
-    assert packings(LemmaParams(2, 3, (40, 2, 2)))[0].bits > 16
-    for bounds in [(40, 2, 2), (35, 0, 3), (31, 4, 4)]:
+    # the strategy above reaches 16-bit slots, and the reference agrees there
+    assert packings(LemmaParams(2, 3, (40, 2, 2))).bits == 16
+    for bounds in [(40, 2, 2), (35, 0, 3), (20, 4, 4)]:
         got = certify_lemma(2, 3, bounds)
         assert json.dumps(got) == json.dumps(project(reference.lemma_report(2, 3, bounds)))
+    # slots wider than 16 bits, from nt = 5500, against the certificate that expanded f
+    for bounds in [(6000, 2, 2), (8000, 0, 3), (5500, 1, 1)]:
+        assert packings(LemmaParams(2, 3, bounds)).bits == 32
+        assert json.dumps(certify_lemma(2, 3, bounds)) == json.dumps(reference.expanded_f_certificate(2, 3, bounds))
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,14 +148,9 @@ def _halves(term: RationalTerm):
 )
 def test_slot_width_holds_every_half_and_slice_sum(r, R, bounds):
     params = LemmaParams(r, R, bounds)
-    f_planes, scan = packings(params)
-    assert f_planes.bits >= scan.bits
-    top = 1 << f_planes.bits - 1
-    for half in _halves(kernel_term(r, R)):
-        assert _largest_cell(reference.expand_rational(half, bounds).coeffs) < top
-    # in the scan's slots: the 18 slice terms' positive halves, then their
-    # negative halves: each one, and their sum
-    top = 1 << scan.bits - 1
+    # the 18 slice terms' positive halves, then their negative halves: each
+    # one, and their sum
+    top = 1 << packings(params).bits - 1
     terms = [term for _, group in slice_terms(r, R) for term in group]
     for halves in zip(*map(_halves, terms)):
         lattices = [reference.expand_rational(half, bounds).coeffs for half in halves]
@@ -159,47 +166,16 @@ def test_slot_width_holds_every_half_and_slice_sum(r, R, bounds):
         assert max(abs(c) for grid in sums for row in grid for c in row) < top
 
 
-def test_workload_lattices_scan_in_narrower_slots():
-    # on lattices of the size lemma requests run, f needs 16-bit slots and the slice scan 8
-    for r in range(1, 6):
-        for R in range(1, 6):
-            for bounds in [(9, 36, 36), (10, 40, 40), (11, 44, 44), (5, 20, 20), (7, 28, 28)]:
-                f_planes, scan = packings(LemmaParams(r, R, bounds))
-                assert (f_planes.bits, scan.bits) == (16, 8), (r, R, bounds)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([(8, 16), (16, 32), (8, 32), (8, 64)]),
-    st.integers(0, 5),
-    st.integers(0, 5),
-    st.data(),
-)
-def test_narrowing_keeps_the_cells_that_fit(widths, nx, ny, data):
-    narrow_bits, wide_bits = widths
-    wide, narrow = (Planes((0, nx, ny), (1 << bits - 2) + 1) for bits in (wide_bits, narrow_bits))
-    assert (wide.bits, narrow.bits) == (wide_bits, narrow_bits)
-    top, edge = 1 << wide_bits - 1, 1 << narrow_bits - 1
-    cell = st.one_of(st.integers(-edge, edge - 1), st.integers(-top + 1, top - 1), st.sampled_from([-edge - 1, edge]))
-    rows = [[data.draw(cell) for _ in range(ny + 1)] for _ in range(nx + 1)]
-    plane = sum(c << (j * wide.width + k) * wide_bits for j, row in enumerate(rows) for k, c in enumerate(row))
-    [got] = narrow.narrowed([plane], wide)
-    if all(-edge <= c < edge for row in rows for c in row):
-        assert reference.unpack(narrow, got) == rows
-    else:
-        assert got is None
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_minimum_matches_the_decoding_reading(seed):
-    # f's planes as expanded, with every cell raised by 1 (no zero cell, so
-    # `minimum` decodes), and with one cell lowered below 0
+    # f's planes, the slice totals, with every cell raised by 1 (no zero
+    # cell, so `minimum` decodes), and with one cell lowered below 0
     rng = random.Random(seed)
     r, R = rng.randint(1, 6), rng.randint(1, 6)
     bounds = (rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 12))
     params = LemmaParams(r, R, bounds)
-    planes, _ = packings(params)
-    tri = lemma.f_expand(params, planes)
+    planes = packings(params)
+    _, tri = lemma._scan_slices(params, planes)
     n, cell = rng.randrange(len(tri)), rng.randrange(planes.cells)
     drop = planes.decode(tri[n])[cell] + rng.randint(1, 9)
     lowered = tri[:n] + [tri[n] - (drop << cell * planes.bits)] + tri[n + 1 :]
@@ -236,6 +212,10 @@ def test_kernel_expansion_matches_the_reference():
                 want = reference.expand_rational(kernel_term(r, R), bounds)
                 assert got == want.coeffs, (r, R, bounds)
                 assert got == reference.rowwise_f_expand(params), (r, R, bounds)
+                # the certificate's slice totals are the same planes
+                planes = packings(params)
+                _, totals = lemma._scan_slices(params, planes)
+                assert reference.padded(planes, params, totals) == got, (r, R, bounds)
 
 
 @pytest.mark.parametrize("bounds", [(7, 9, 12), (5, 0, 4), (9, 21, 3), (12, 30, 30)])
@@ -244,7 +224,7 @@ def test_term_planes_match_the_rowwise_grids(bounds):
     for r in range(1, 5):
         for R in range(1, 5):
             params = LemmaParams(r, R, bounds)
-            _, planes = packings(params)
+            planes = packings(params)
             packed = list(slice_planes(params, planes))
             for n in range(bounds[0] + 1):
                 terms = reference.eqtwo_symbolic(n, r, R)
@@ -265,7 +245,7 @@ def test_t2_negative_cells_are_the_window(bounds):
     for r in range(1, 8):
         for R in range(1, 8):
             params = LemmaParams(r, R, bounds)
-            _, planes = packings(params)
+            planes = packings(params)
             t2 = dict(slice_planes(params, planes))["T2"]
             for n in range(bounds[0] + 1):
                 window = sum(
@@ -288,25 +268,37 @@ def test_t2_negative_cells_are_the_window(bounds):
         (4, 1, (2, 0, 0)),
     ],
 )
-def test_kernel_is_expanded_once(monkeypatch, r, R, bounds):
-    calls = []
-    real = lemma.f_expand
+def test_each_slice_term_is_expanded_once(monkeypatch, r, R, bounds):
+    # the 18 terms of the slices, in order, and never f
+    expanded = []
+    real = lemma._expand_term
 
-    def counting(params, planes):
-        calls.append((params.r, params.R))
-        return real(params, planes)
+    def counting(term, planes):
+        expanded.append(term)
+        return real(term, planes)
 
-    monkeypatch.setattr(lemma, "f_expand", counting)
+    monkeypatch.setattr(lemma, "_expand_term", counting)
     certify_lemma(r, R, bounds)
-    assert calls == [(r, R)]
+    terms = [term for _, group in slice_terms(r, R) for term in group]
+    assert len(terms) == 18
+    assert list(map(id, expanded)) == list(map(id, terms))
+    f = kernel_term(r, R)
+    assert all(term is not f for term in expanded)
 
 
 def _grids_edit(n, edits):
-    """A wrapper for slice_planes, or for the reference's eqtwo_term_grids,
-    that adds `by` to cell (j, k) of slice n of the named terms."""
+    """A wrapper for slice_planes, or for the reference's eqtwo_term_grids or
+    f_expand, that adds `by` to cell (j, k) of slice n of the named terms,
+    or of f by the edits' sum, so that f stays the sum of the slices."""
 
     def wrap(real):
-        def patched(first, second):
+        def patched(first, second=None):
+            if isinstance(first, LemmaParams) and second is None:
+                # the reference's f_expand(params): f's cells of every slice
+                tri = real(first)
+                for _, j, k, by in edits:
+                    tri[n][j][k] += by
+                return tri
             if isinstance(first, LemmaParams):
                 # slice_planes(params, planes): each term's planes of every slice
                 planes = second
@@ -327,72 +319,158 @@ def _grids_edit(n, edits):
     return wrap
 
 
-def _expansion_edit(target, n, j, k, by):
-    """A wrapper for f_expand, packed or the reference's, that moves one cell
-    of the (r, R) = target lattice."""
+def _failing(*names):
+    """A wrapper for lemma's table whose named rows' pairs differ by 1 at one monomial."""
+    variables = ("t", "x", "y", "X", "Y")
+
+    def broken(row):
+        def sides():
+            [(lhs, rhs)] = row()
+            return [(lhs + [RationalTerm(MultiPoly(variables, {(0,) * 5: 1}))], rhs)]
+
+        return sides
 
     def wrap(real):
-        def patched(params, planes=None):
-            hit = (params.r, params.R) == target
-            if planes is None:
-                tri = real(params)
-                if hit:
-                    tri[n][j][k] += by
-                return tri
-            tri = real(params, planes)
-            if hit:
-                tri[n] += by << (j * planes.width + k) * planes.bits
-            return tri
-
-        return patched
+        return tuple((name, broken(row) if name in names else row) for name, row in real)
 
     return wrap
 
 
 def _failing_symmetry(real):
-    """lemma's table with a `kernel-symmetry` row whose pair differs by 1 at one monomial."""
-    variables = ("t", "x", "y", "X", "Y")
-
-    def sides():
-        [(lhs, rhs)] = lemma.kernel_symmetry_sides()
-        return [(lhs + [RationalTerm(MultiPoly(variables, {(0,) * 5: 1}))], rhs)]
-
-    return tuple((name, sides if name == "kernel-symmetry" else row) for name, row in real)
+    return _failing("kernel-symmetry")(real)
 
 
-# the reference function that plays a patched one's part, where the names differ
-REFERENCE_TWINS = {"slice_planes": "eqtwo_term_grids"}
+def _failing_slices(real):
+    return _failing("kernel-slices")(real)
+
+
+def _failing_rows(real):
+    return _failing("kernel-slices", "kernel-symmetry")(real)
+
+
+# the reference functions that play a patched one's part
+REFERENCE_TWINS = {"slice_planes": ("eqtwo_term_grids", "f_expand")}
+# one term made negative outside the window, balanced by T8 in the total
+BALANCED = _grids_edit(1, [("T1", 0, 0, -1), ("T8", 0, 0, 1)])
+
+
+def _certify_edited(monkeypatch, r, R, edits) -> dict:
+    """The certificate at (5, 8, 8) with each (target, edit) patched into lemma,
+    and into the reference's twins; it fails, and is the reference's report
+    as projected."""
+    bounds = (5, 8, 8)
+    assert packings(LemmaParams(r, R, bounds)).bits == 8
+    for target, edit in edits:
+        monkeypatch.setattr(lemma, target, edit(getattr(lemma, target)))
+        for twin in REFERENCE_TWINS.get(target, ()):
+            monkeypatch.setattr(reference, twin, edit(getattr(reference, twin)))
+    got = certify_lemma(r, R, bounds)
+    assert got["ok"] is False
+    assert json.dumps(got) == json.dumps(project(reference.lemma_report(r, R, bounds)))
+    return got
 
 
 @pytest.mark.parametrize(
     "r, R, target, edit, witness",
     [
-        # a negative cell in f wins over the slice mismatch it also causes
-        (2, 3, "f_expand", _expansion_edit((2, 3), 1, 0, 0, -100), "expansion_nonnegative"),
-        # one term made negative outside the window also moves the slice sum
-        (2, 3, "slice_planes", _grids_edit(1, [("T1", 0, 0, -1)]), "slices_match"),
-        # the same negative term, balanced by T8, leaves the sum unchanged
-        (2, 3, "slice_planes", _grids_edit(1, [("T1", 0, 0, -1), ("T8", 0, 0, 1)]), "window"),
+        # one term made negative outside the window also makes the total negative (f's cell is 0)
+        (2, 3, "slice_planes", _grids_edit(1, [("T1", 0, 0, -1)]), "expansion_nonnegative"),
+        # the same negative term, balanced by T8, leaves the total unchanged
+        (2, 3, "slice_planes", BALANCED, "window"),
+        # only the slices identity fails
+        (2, 3, "IDENTITIES", _failing_slices, "slices_match"),
         # only the symmetry identity fails: it is checked after the window
         (2, 3, "IDENTITIES", _failing_symmetry, "symmetry"),
-        # with r == R an asymmetric f also breaks its slices, which win
-        (2, 2, "f_expand", _expansion_edit((2, 2), 2, 1, 4, 1), "slices_match"),
-        # an f cell that does not fit the scan's slots breaks its slice
-        (2, 3, "f_expand", _expansion_edit((2, 3), 2, 1, 1, 1000), "slices_match"),
+        # with both rows failing, the slices win
+        (2, 2, "IDENTITIES", _failing_rows, "slices_match"),
     ],
 )
 def test_witness_precedence(monkeypatch, r, R, target, edit, witness):
-    bounds = (5, 8, 8)
-    f_planes, scan = packings(LemmaParams(r, R, bounds))
-    assert (f_planes.bits, scan.bits) == (16, 8)
-    monkeypatch.setattr(lemma, target, edit(getattr(lemma, target)))
-    twin = REFERENCE_TWINS.get(target, target)
-    if hasattr(reference, twin):
-        monkeypatch.setattr(reference, twin, edit(getattr(reference, twin)))
-    got = certify_lemma(r, R, bounds)
-    assert got["ok"] is False
+    got = _certify_edited(monkeypatch, r, R, [(target, edit)])
     assert got["witness"]["check"] == witness
-    assert json.dumps(got) == json.dumps(project(reference.lemma_report(r, R, bounds)))
+
+
+@pytest.mark.parametrize(
+    "edit, witness",
+    [
+        # a negative total cell wins over a failing slices row, and over the window it also breaks
+        (_grids_edit(1, [("T1", 0, 0, -100)]), "expansion_nonnegative"),
+        # a failing slices row wins over the window
+        (BALANCED, "slices_match"),
+    ],
+)
+def test_a_failing_slices_row_comes_after_the_signs_and_before_the_window(monkeypatch, edit, witness):
+    got = _certify_edited(monkeypatch, 2, 3, [("slice_planes", edit), ("IDENTITIES", _failing_slices)])
+    assert got["checks"]["slices_match"] is False
+    assert got["witness"]["check"] == witness
+
+
+def _seeded_lattices(count: int):
+    """(r, R, bounds) with r, R <= 7, nt <= 12 and sides <= 30, zero sides and
+    nt > nx + ny among them."""
+    rng = random.Random(2013)
+    for _ in range(count):
+        yield rng.randint(1, 7), rng.randint(1, 7), (rng.randint(0, 12), rng.randint(0, 30), rng.randint(0, 30))
+
+
+def test_certificate_matches_the_expanded_f_certificate_on_seeded_lattices():
+    for r, R, bounds in _seeded_lattices(80):
+        assert json.dumps(certify_lemma(r, R, bounds)) == json.dumps(
+            reference.expanded_f_certificate(r, R, bounds)
+        ), (r, R, bounds)
+
+
+@pytest.mark.parametrize(
+    "r, R, bounds",
+    [
+        # zero sides
+        (1, 1, (0, 0, 0)),
+        (3, 2, (7, 0, 0)),
+        (2, 5, (0, 12, 0)),
+        (4, 4, (5, 0, 9)),
+        (1, 6, (12, 30, 0)),
+        # nt > nx + ny
+        (2, 3, (12, 3, 4)),
+        (5, 1, (40, 2, 2)),
+        (1, 7, (30, 0, 5)),
+        # the largest cube, the widest square and the deepest lattice the cap admits
+        (2, 3, (99, 99, 99)),
+        (2, 3, (9, 315, 315)),
+        (2, 3, (249999, 1, 1)),
+    ],
+)
+def test_certificate_matches_the_expanded_f_certificate(r, R, bounds):
+    assert json.dumps(certify_lemma(r, R, bounds)) == json.dumps(reference.expanded_f_certificate(r, R, bounds))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_one_cell_edit_of_a_slice_term_moves_the_certificate(monkeypatch, seed):
+    """A term's nonnegative cell lowered to -1 adds one negative term cell to
+    the window report; lowered so that the total there is -1, it makes
+    min_coefficient -1."""
+    rng = random.Random(seed)
+    r, R = rng.randint(1, 6), rng.randint(1, 6)
+    bounds = (rng.randint(1, 10), rng.randint(1, 15), rng.randint(1, 15))
+    params = LemmaParams(r, R, bounds)
+    planes = packings(params)
+    clean = certify_lemma(r, R, bounds)
+    assert clean["ok"] and clean["min_coefficient"] >= 0
+    _, totals = lemma._scan_slices(params, planes)
+    name, grids = rng.choice(list(slice_planes(params, planes)))
+    n, cell = rng.choice(
+        [(n, cell) for n, plane in enumerate(grids) for cell, c in enumerate(planes.decode(plane)) if c >= 0]
+    )
+    j, k = divmod(cell, planes.width)
+    term_cell, total_cell = planes.decode(grids[n])[cell], planes.decode(totals[n])[cell]
+    real = lemma.slice_planes
+    for by in (-1 - term_cell, -1 - total_cell):
+        monkeypatch.setattr(lemma, "slice_planes", _grids_edit(n, [(name, j, k, by)])(real))
+        got = certify_lemma(r, R, bounds)
+        if by == -1 - term_cell:
+            assert got["window"]["negative_term_cells"] == clean["window"]["negative_term_cells"] + 1
+        if by == -1 - total_cell:
+            assert got["min_coefficient"] == -1
+            assert got["witness"] == {"check": "expansion_nonnegative", "min_coefficient": -1}
 
 
 def test_lattice_bound_is_checked_before_expanding(monkeypatch):
@@ -400,7 +478,6 @@ def test_lattice_bound_is_checked_before_expanding(monkeypatch):
         raise AssertionError("the lattice bound must be checked before any expansion")
 
     monkeypatch.setattr(lemma, "Planes", refuse)
-    monkeypatch.setattr(lemma, "f_expand", refuse)
     monkeypatch.setattr(lemma, "slice_planes", refuse)
     monkeypatch.setattr(lemma, "_expand_term", refuse)
     # (0+1)(0+1)(MAX+1) cells: one above the bound

@@ -21,9 +21,9 @@ from qdominance.proposal import (
     proposal_status,
 )
 from qdominance.polyring import decide_identity
-from qdominance.series import first_negative
 from reference_proposal import fourvar_identity as fourvar_by_lists
 from reference_proposal import fourvar_sides
+from reference_series import first_negative
 from reference_partitions import CountVector, image_vectors, source_vectors
 
 EXAMPLE = proposal_params((1, 2), (2, 3))

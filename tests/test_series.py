@@ -11,13 +11,13 @@ from qdominance.series import (
     INF,
     QSeries,
     SingularSeriesError,
-    first_negative,
     product_spec,
     ratio,
     serialize,
 )
 from reference_series import (
     OrderMismatchError,
+    first_negative,
     divide_binomial,
     divide_binomials,
     monomial,
