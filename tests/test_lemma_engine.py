@@ -463,14 +463,16 @@ def test_a_one_cell_edit_of_a_slice_term_moves_the_certificate(monkeypatch, seed
     j, k = divmod(cell, planes.width)
     term_cell, total_cell = planes.decode(grids[n])[cell], planes.decode(totals[n])[cell]
     real = lemma.slice_planes
-    for by in (-1 - term_cell, -1 - total_cell):
+
+    def edited(by):
         monkeypatch.setattr(lemma, "slice_planes", _grids_edit(n, [(name, j, k, by)])(real))
-        got = certify_lemma(r, R, bounds)
-        if by == -1 - term_cell:
-            assert got["window"]["negative_term_cells"] == clean["window"]["negative_term_cells"] + 1
-        if by == -1 - total_cell:
-            assert got["min_coefficient"] == -1
-            assert got["witness"] == {"check": "expansion_nonnegative", "min_coefficient": -1}
+        return certify_lemma(r, R, bounds)
+
+    got = edited(-1 - term_cell)
+    assert got["window"]["negative_term_cells"] == clean["window"]["negative_term_cells"] + 1
+    got = edited(-1 - total_cell)
+    assert got["min_coefficient"] == -1
+    assert got["witness"] == {"check": "expansion_nonnegative", "min_coefficient": -1}
 
 
 def test_lattice_bound_is_checked_before_expanding(monkeypatch):
