@@ -58,9 +58,11 @@ first t = (i-1)m above N, so a running total is at most
 min(L, N // m + 1) * K * C.  B is the bit length of that bound plus 2,
 in whole bytes.  Reading needs no unpacking: the sign test and the
 first negative coefficient come from the biased top bit of each slot,
-and "groups sum to scale * addend" and the telescope check compare
-residues.  `certify_split` decodes nothing else; `decompositions`, the
-scan's `--dump-series` and `group_totals` decode what they return.
+and "groups sum to scale * addend" compares residues.  The telescope
+check multiplies back: F_L times P(L)'s binomials is 1 modulo M iff F_L
+is the residue of 1/P(L), since P(L) has constant term 1 and so is a
+unit modulo M.  `certify_split` decodes nothing else; `decompositions`,
+the scan's `--dump-series` and `group_totals` decode what they return.
 """
 
 from __future__ import annotations
@@ -195,15 +197,11 @@ class _Walk:
         indices = min(self.L, order // self.m + 1)
         self.packing = _Signed.for_bound(sum(self.exponents, []), order, indices * weight)
 
-    def reciprocals(self) -> tuple[int, int]:
-        """(1/P, 1/Q), packed; 1/Q is F_0."""
-        return self.packing.reciprocal_pair(*self.exponents)
-
     def steps(self, f: int | None = None):
         """Yield (i, t, addend, groups) for i = 1..L, every series packed.
 
-        The walk starts from F_0 = f, 1/Q as `reciprocals` gives it, or
-        expands 1/Q on its own when f is None.
+        The walk starts from F_0 = f, or expands 1/Q itself when f is
+        None; F_i is f plus the addends through index i.
         """
         P, Q, numerators, values = self.P, self.Q, self.numerators, self.values
         packing = self.packing
@@ -272,21 +270,21 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     their addend, that every addend and the difference 1/P(L) - 1/Q(L) are
     nonnegative, and that the addends sum to the difference exactly.
     Returns {"ok", "witness"}; the witness is the first failed check.
-    The addends are differences of consecutive F_j, so the telescoping
-    check compares the end of the walk, F_L, with a direct expansion of
-    1/P(L).  The walk stops at the first index with t = (i-1)m above the
-    order, as in `group_totals`: from there on every addend and group is 0
-    through q^order, so the cost does not grow with L.  A pair over the
-    series work bound raises ResourceError before any expansion.
+    The addends are differences of consecutive F_j, so they sum to the
+    difference iff F_L times P(L)'s binomials is 1 (module docstring);
+    1/P(L) is expanded only where that fails.  The walk stops, as in
+    `group_totals`, at the first index with t = (i-1)m above the order,
+    so the cost does not grow with L.  A pair over the series work bound
+    raises ResourceError before any expansion.
     """
     if split not in _SPLITS:
         raise ParameterError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
     require_series_work((P, Q), order)
     walk = _Walk(P, Q, order, split)
-    negative, mask, scale = walk.packing.negative, walk.packing.mask, walk.scale
-    reciprocal_p, reciprocal_q = walk.reciprocals()
-    total = 0
-    for i, t, addend, groups in walk.steps(reciprocal_q):
+    packing, scale, (exponents_p, exponents_q) = walk.packing, walk.scale, walk.exponents
+    negative, mask = packing.negative, packing.mask
+    f = first = packing.divide(1, exponents_q)
+    for i, t, addend, groups in walk.steps(first):
         if t > order:
             break
         for name, g in groups:
@@ -298,12 +296,12 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
         neg = negative(addend)
         if neg is not None:
             return _failed({"i": i, "location": "addend", "exponent": neg[0], "coefficient": neg[1]})
-        total += addend
-    diff = reciprocal_p - reciprocal_q
-    neg = negative(diff)
+        f += addend
+    telescopes = not (packing.times_binomials(f, exponents_p) - 1) & mask
+    neg = negative((f if telescopes else packing.divide(1, exponents_p)) - first)
     if neg is not None:
         return _failed({"location": "difference", "exponent": neg[0], "coefficient": neg[1]})
-    if (total - diff) & mask:
+    if not telescopes:
         return _failed({"location": "telescope"})
     return {"ok": True, "witness": None}
 

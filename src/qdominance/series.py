@@ -50,7 +50,7 @@ Proposal, Thm2 at L = 31) break even at 1,500 to 2,500 bytes and expand
 20 to 45% faster from about 5,000 bytes on, while under 1,000 bytes
 staging took up to 1.9 times as long; pairs of 9 to 16 factors a side
 stay within the runs' spread of about 10% at every size up to 17,000
-bytes.
+bytes.  `dominance.dominates` is the pair's only caller.
 
 Every proof starts from one bound on the coefficients of prod 1/(1 - q^e)
 (`_coeff_bits`): the product of the per-factor multiplicity ranges or the
@@ -531,7 +531,8 @@ def positive_ints(values, label: str, count: int | None = None) -> tuple[int, ..
         wanted = "a positive integer"
     else:
         wanted = "positive integers" if count is None else f"{count} positive integers"
-    raise ParameterError(f"{label} must be {wanted}, got {items!r}")
+    got = items[0] if count == len(items) == 1 else items
+    raise ParameterError(f"{label} must be {wanted}, got {got!r}")
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,53 @@ def test_forced_witnesses_match_list_engine(kind, values, order):
             assert positivity_scan(P, Q, order, split, True) == want
 
 
+def divide_calls(mp) -> list[list[int]]:
+    """The exponent lists that `_Signed.divide` receives from here on."""
+    divide, calls = series._Signed.divide, []
+
+    def counted(packing, x, exponents):
+        calls.append(list(exponents))
+        return divide(packing, x, exponents)
+
+    mp.setattr(series._Signed, "divide", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "values, order",
+    [((3, 2, 1, 2, 2, 2), 40), ((3, 2, 1, 2, 1, 2, 2, 2), 40), ((10**6, 2, 1, 2, 2, 2), 10)],
+)
+def test_a_passing_certificate_never_expands_one_over_p(values, order, monkeypatch):
+    # The last F times P's binomials is 1, so neither the staged pair nor a
+    # divide by all of P's factors runs; P's layers are each a proper part.
+    def refuse(*args):
+        raise AssertionError("the split certificate expands no reciprocal pair")
+
+    monkeypatch.setattr(series._Signed, "reciprocal_pair", refuse)
+    calls = divide_calls(monkeypatch)
+    P, Q = thm_pair(values)
+    assert len(P.exponents(order)) > len(P.bases)
+    assert certify_split(P, Q, order, split_of(values)) == {"ok": True, "witness": None}
+    assert Q.exponents(order) in calls and P.exponents(order) not in calls
+
+
+@pytest.mark.parametrize("values", [(2, 2, 1, 2, 2, 2), (2, 2, 1, 2, 1, 2, 2, 2)])
+def test_a_failed_telescope_reports_a_negative_difference_first(values, monkeypatch):
+    # The reversed pair walked over no index: its last F is 1/Q, which P's
+    # binomials do not take to 1, and 1/P - 1/Q has a negative coefficient.
+    # 1/P is expanded on this path, and the difference comes first.
+    split = split_of(values)
+    patch(monkeypatch, "difference", split)
+    Q, P = thm_pair(values)
+    walk = antitelescope._Walk(P, Q, 40, split)
+    packing, (exponents_p, exponents_q) = walk.packing, walk.exponents
+    assert packing.times_binomials(packing.divide(1, exponents_q), exponents_p) & packing.mask != 1
+    calls = divide_calls(monkeypatch)
+    got = certify_split(P, Q, 40, split)
+    assert got["witness"]["location"] == "difference" and exponents_p in calls
+    assert got == list_certify_split(P, Q, 40, split)
+
+
 # --- widths ------------------------------------------------------------------
 
 
@@ -310,14 +357,17 @@ def test_coefficient_bound_is_near_the_largest_coefficient():
 @given(thm_values, st.integers(0, 100), st.booleans())
 def test_walk_values_stay_below_the_modulus(values, order, split_groups):
     # Every series the walk hands on is below M in absolute value, so none
-    # grows past its slots.
+    # grows past its slots, and the last F times P's binomials is 1.
     P, Q = thm_pair(values)
     walk = antitelescope._Walk(P, Q, order, split_of(values) if split_groups else "none")
-    M = walk.packing.mask + 1
-    reciprocals = walk.reciprocals()
-    assert all(0 <= x < M for x in reciprocals)
-    for _, _, addend, groups in walk.steps(reciprocals[1]):
+    packing, (exponents_p, exponents_q) = walk.packing, walk.exponents
+    M = packing.mask + 1
+    f = packing.divide(1, exponents_q)
+    assert 0 <= f < M
+    for _, _, addend, groups in walk.steps(f):
         assert all(-M < x < M for x in (addend, *(g for _, g in groups)))
+        f += addend
+    assert packing.times_binomials(f, exponents_p) & packing.mask == 1
 
 
 # --- signed packing ----------------------------------------------------------

@@ -10,7 +10,9 @@ from oracles import partition_counts_upto, residue_parts
 from qdominance.series import (
     INF,
     QSeries,
+    ParameterError,
     SingularSeriesError,
+    positive_ints,
     product_spec,
     ratio,
     serialize,
@@ -253,6 +255,23 @@ class TestPochhammer:
             product_spec((1.5,), 5, 2)
         with pytest.raises(ValueError):
             product_spec((1,), 5, 2.0)
+
+
+class TestPositiveInts:
+    @pytest.mark.parametrize(
+        "values, count, message",
+        [
+            ((0,), 1, "order must be a positive integer, got 0"),
+            ((True,), 1, "order must be a positive integer, got True"),
+            ((1, 2), 1, "order must be a positive integer, got (1, 2)"),
+            ((0, 2), 2, "order must be 2 positive integers, got (0, 2)"),
+            ((0,), None, "order must be positive integers, got (0,)"),
+        ],
+    )
+    def test_a_refusal_names_a_single_value_bare(self, values, count, message):
+        with pytest.raises(ParameterError) as refused:
+            positive_ints(values, "order", count)
+        assert str(refused.value) == message
 
 
 class TestFirstNegative:

@@ -179,7 +179,7 @@ class TestCertifySplit:
 
         monkeypatch.setattr(_Signed, "divide", counted)
         assert certify_split(*thm_pair((10**6, *params)), order, split) == short
-        assert len(calls) <= order + 2
+        assert len(calls) <= order + 3
 
 
 class TestScanWorkBound:
