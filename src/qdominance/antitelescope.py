@@ -53,16 +53,18 @@ times a polynomial of L1 norm at most K: for an addend
 2^|Q layer| + 2^|P layer|, for a group the sum over its pieces of
 2^(number of binomials), at the engine's scale.  A scaled addend and
 the sum of one index's groups are then at most K * C.  Only
-`certify_split` and `group_totals` sum over i, and both stop at the
-first t = (i-1)m above N, so a running total is at most
-min(L, N // m + 1) * K * C.  B is the bit length of that bound plus 2,
-in whole bytes.  Reading needs no unpacking: the sign test and the
-first negative coefficient come from the biased top bit of each slot,
-and "groups sum to scale * addend" compares residues.  The telescope
-check multiplies back: F_L times P(L)'s binomials is 1 modulo M iff F_L
-is the residue of 1/P(L), since P(L) has constant term 1 and so is a
-unit modulo M.  `certify_split` decodes nothing else; `decompositions`,
-the scan's `--dump-series` and `group_totals` decode what they return.
+`certify_split` and `group_totals` sum over i, and the walk stops such
+a walk itself after i = min(L, N // m + 1), past which every addend and
+group is 0 through q^N; so no caller has to stop it, and a running total
+is at most min(L, N // m + 1) * K * C.  B is the bit length of that
+bound plus 2, in whole bytes.  Reading needs no unpacking: the sign
+test and the first negative coefficient come from the biased top bit
+of each slot, and "groups sum to scale * addend" compares residues.
+The telescope check multiplies back: F_L times P(L)'s binomials is 1
+modulo M iff F_L is the residue of 1/P(L), since P(L) has constant
+term 1 and so is a unit modulo M.  `certify_split` decodes nothing
+else; `decompositions`, the scan's `--dump-series` and `group_totals`
+decode what they return.
 """
 
 from __future__ import annotations
@@ -174,13 +176,18 @@ def _layers(P: ProductSpec, Q: ProductSpec) -> tuple[int, int]:
 
 
 class _Walk:
-    """The packed walk over i = 1..L of one pair and split; see the module docstring."""
+    """The packed walk of one pair and split, admitted before any expansion; see the module docstring.
 
-    def __init__(self, P: ProductSpec, Q: ProductSpec, order: int, split: str) -> None:
+    A ``per_index`` walk counts its L rows in the series work and steps i = 1..L; a summing
+    walk steps i = 1..min(L, order // m + 1), the indices its slot width is proven for.
+    """
+
+    def __init__(self, P: ProductSpec, Q: ProductSpec, order: int, split: str, per_index: bool = False) -> None:
         if split not in SPLIT_MODES:
             raise ParameterError(f"split must be one of {SPLIT_MODES}, got {split!r}")
         self.P, self.Q = P, Q
         self.m, self.L = _layers(P, Q)
+        self.exponents = require_series_work((P, Q), order, self.L if per_index else 0)
         self.numerators, self.scale, self.values = None, 1, ()
         if split != "none":
             n, self.numerators, self.scale = _SPLITS[split]
@@ -193,12 +200,12 @@ class _Walk:
             for t in (0, self.m):
                 groups = self.numerators(self.values, t)
                 weight = max(weight, sum(2 ** len(exps) for _, pieces in groups for _, exps in pieces))
-        self.exponents = P.exponents(order), Q.exponents(order)
         indices = min(self.L, order // self.m + 1)
         self.packing = _Signed.for_bound(sum(self.exponents, []), order, indices * weight)
+        self.stop = self.L if per_index else indices
 
     def steps(self, f: int | None = None):
-        """Yield (i, t, addend, groups) for i = 1..L, every series packed.
+        """Yield (i, t, addend, groups) for i = 1 up to the walk's stop, every series packed.
 
         The walk starts from F_0 = f, or expands 1/Q itself when f is
         None; F_i is f plus the addends through index i.
@@ -208,7 +215,7 @@ class _Walk:
         if f is None:
             f = packing.divide(1, self.exponents[1])
         times, times_pieces = packing.times_binomials, packing.times_pieces
-        for i in range(1, self.L + 1):
+        for i in range(1, self.stop + 1):
             t = (i - 1) * self.m
             d = packing.divide(f, [b + t for b in P.bases])
             f_next = times(d, [b + t for b in Q.bases])
@@ -238,9 +245,10 @@ def decompositions(P: ProductSpec, Q: ProductSpec, order: int, split: str = "non
     needs them to be the `nbase_pair` with two (thm1) or three (thm2)
     sizes.  One denominator reciprocal D_i per index is shared by the
     addend and all split groups; see the module docstring.  Split groups
-    are yielded at the engine's integer scale (Thm2 doubled).
+    are yielded at the engine's integer scale (Thm2 doubled).  As in
+    `positivity_scan`, the L indices count in the series work bound.
     """
-    walk = _Walk(P, Q, order, split)
+    walk = _Walk(P, Q, order, split, per_index=True)
     for step in walk.steps():
         yield walk.decomposition(*step)
 
@@ -249,15 +257,13 @@ def group_totals(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dict
     """Each split group summed over i = 1..L, at the engine's integer scale.
 
     The sums are carried packed and each is decoded once.  The walk stops
-    at the first index with t = (i-1)m above the order: every group lead
-    from there on is t plus a positive size, so every later group is 0
-    through q^order, and the cost does not grow with L.
+    before the first index with t = (i-1)m above the order: every group
+    lead from there on is t plus a positive size, so every later group is
+    0 through q^order, and the cost does not grow with L.
     """
     walk = _Walk(P, Q, order, split)
     totals: dict[str, int] = {}
-    for _, t, _, groups in walk.steps():
-        if t > order:
-            break
+    for _, _, _, groups in walk.steps():
         for name, g in groups:
             totals[name] = totals.get(name, 0) + g
     return {name: walk.packing.decode(x) for name, x in totals.items()}
@@ -273,20 +279,17 @@ def certify_split(P: ProductSpec, Q: ProductSpec, order: int, split: str) -> dic
     The addends are differences of consecutive F_j, so they sum to the
     difference iff F_L times P(L)'s binomials is 1 (module docstring);
     1/P(L) is expanded only where that fails.  The walk stops, as in
-    `group_totals`, at the first index with t = (i-1)m above the order,
-    so the cost does not grow with L.  A pair over the series work bound
-    raises ResourceError before any expansion.
+    `group_totals`, before the first index with t = (i-1)m above the
+    order, so the cost does not grow with L.  A pair over the series work
+    bound raises ResourceError before any expansion.
     """
     if split not in _SPLITS:
         raise ParameterError(f"split must be one of {tuple(_SPLITS)}, got {split!r}")
-    require_series_work((P, Q), order)
     walk = _Walk(P, Q, order, split)
     packing, scale, (exponents_p, exponents_q) = walk.packing, walk.scale, walk.exponents
     negative, mask = packing.negative, packing.mask
     f = first = packing.divide(1, exponents_q)
-    for i, t, addend, groups in walk.steps(first):
-        if t > order:
-            break
+    for i, _, addend, groups in walk.steps(first):
         for name, g in groups:
             neg = walk.group_negative(g)
             if neg is not None:
@@ -325,8 +328,7 @@ def positivity_scan(
     coefficients each, and a pair over the bound raises ResourceError
     before any expansion.
     """
-    require_series_work((P, Q), order, _layers(P, Q)[1])
-    walk = _Walk(P, Q, order, split)
+    walk = _Walk(P, Q, order, split, per_index=True)
     rows = []
     dumps = []
     all_nonnegative = True

@@ -90,8 +90,7 @@ def dominates(lhs: ProductSpec, rhs: ProductSpec, order: int) -> DominanceReport
 
     A pair over the series work bound raises ResourceError before any expansion.
     """
-    require_series_work((lhs, rhs), order)
-    first, second = lhs.exponents(order), rhs.exponents(order)
+    first, second = require_series_work((lhs, rhs), order)
     packing = _Signed.for_reciprocals(order, first, second)
     reciprocal_lhs, reciprocal_rhs = packing.reciprocal_pair(first, second)
     diff = reciprocal_lhs - reciprocal_rhs

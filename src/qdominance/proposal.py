@@ -302,15 +302,15 @@ def injection_evidence(params: ProposalParams, max_weight: int) -> dict:
     before any vector is built, as does a weight over the series work
     bound, before the count.
     """
-    require_series_work(nbase_pair(params.x, params.r, 1, 1), max_weight)
-    planned = sum(reciprocal_from_exponents(params.source_sizes, max_weight).coeffs)
+    image, source = require_series_work(nbase_pair(params.x, params.r, 1, 1), max_weight)
+    planned = sum(reciprocal_from_exponents(source, max_weight).coeffs)
     if planned > MAX_INJECTION_SOURCES:
         raise ResourceError(
             f"{planned} injection sources up to weight {max_weight} exceed the bound {MAX_INJECTION_SOURCES}"
         )
     source_count, per_weight, failure = _walk_sources(params, max_weight)
     if failure is None:
-        unrestricted = reciprocal_from_exponents(params.image_sizes, max_weight)
+        unrestricted = reciprocal_from_exponents(image, max_weight)
         for weight in range(max_weight + 1):
             if per_weight[weight] > unrestricted.coeff(weight):
                 failure = f"source count exceeds dominant count at weight {weight}"

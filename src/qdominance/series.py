@@ -565,32 +565,30 @@ class ProductSpec:
         """Factor exponents under the truncation order, base by base, j ascending."""
         return [e for r in self._ranges(order) for e in r]
 
-    def factor_count(self, order: int) -> int:
-        """Number of factor exponents under the truncation order, without listing them."""
-        return sum(map(len, self._ranges(order)))
-
 
 def product_spec(bases, modulus: int, length: int | float = INF) -> ProductSpec:
     """Spec for the multi-argument product over the given base exponents."""
     return ProductSpec(tuple(bases), modulus, length)
 
 
-def require_series_work(specs, order: int, rows: int = 0) -> None:
-    """Refuse a request whose series work is above MAX_SERIES_WORK, before any expansion.
+def require_series_work(specs, order: int, rows: int = 0) -> list[list[int]]:
+    """Each spec's factor exponents under the order, or ResourceError above MAX_SERIES_WORK.
 
     The work is (order + 1) * (1 + rows + the factors of all the specs
     under the order): every factor, and every row of a per-index report,
     costs one pass over order + 1 coefficients, and the series themselves
-    hold order + 1 each even when no factor is under the order.  The
-    factors are counted, not listed, so the check allocates nothing
-    whatever the order.
+    hold order + 1 each even when no factor is under the order.  Each
+    spec's factor ranges are taken once, counted and, only when admitted,
+    listed, so a refusal allocates nothing whatever the order.
     """
-    work = (order + 1) * (1 + rows + sum(spec.factor_count(order) for spec in specs))
+    ranges = [spec._ranges(order) for spec in specs]
+    work = (order + 1) * (1 + rows + sum(len(r) for spec_ranges in ranges for r in spec_ranges))
     if work > MAX_SERIES_WORK:
         terms = "1 + rows + factors" if rows else "1 + factors"
         raise ResourceError(
             f"series work (order + 1) x ({terms}) = {work} exceeds the bound {MAX_SERIES_WORK}"
         )
+    return [[e for r in spec_ranges for e in r] for spec_ranges in ranges]
 
 
 def serialize(a: QSeries) -> str:

@@ -11,7 +11,9 @@ once, at the width of the wider side; both sides and their difference
 are checked against the list kernel over every shape of overlap.  The
 pair is expanded in stages of growing slot width: it is checked against
 `divide`, every factor doubled at full width, and each stage's width
-against the largest coefficient of its prefix product.
+against the largest coefficient of its prefix product, and the pairs
+`dominates` expands for small-order checks are pinned under the
+one-stage cut.
 """
 
 import random
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdominance import antitelescope, dominance, series
+from qdominance import dominance, series
 from qdominance.series import (
     INF,
     MAX_SERIES_WORK,
@@ -312,15 +314,45 @@ def test_deep_dump_pairs_are_staged(ineq, params, order):
     assert all(len(shared) + len(stages) >= 2 for _, stages in rest)
 
 
+def dominates_plans(monkeypatch, ineq, params, order):
+    """[(series bytes, stages per part)] of every pair `dominates` expands for the check."""
+    plan_of, plans = series._pair_stages, []
+
+    def recorded(first, second, order, top):
+        plan = plan_of(first, second, order, top)
+        plans.append(((order + 1) * top, [len(stages) for _, stages in plan]))
+        return plan
+
+    monkeypatch.setattr(series, "_pair_stages", recorded)
+    dominance.dominates(*dominance.build_specs(dominance.NamedInequality(ineq, params)), order)
+    return plans
+
+
 @pytest.mark.parametrize("R", range(1, 5))
 @pytest.mark.parametrize("rho", range(1, 5))
-def test_split_sweep_walks_take_one_stage(R, rho):
-    # the order-60 walks of the CI split sweep; their series are too short
-    # for staging to pay
+def test_split_sweep_walks_take_one_stage(R, rho, monkeypatch):
+    # The CI split sweep's Thm2 pairs, checked by `dominates` as `check`
+    # would: at order 60 the series is under _STAGED_BYTES and every part
+    # takes one stage; at order 400 it is over, and the shared part is staged.
     params = {"L": 4, "m": 2, "x": 1, "y": 1, "z": 2, "r": 2, "R": R, "rho": rho}
-    P, Q = dominance.build_specs(dominance.NamedInequality("Thm2", params))
-    walk = antitelescope._Walk(P, Q, 60, "thm2")
-    assert all(len(stages) == 1 for _, stages in pair_plan(walk.packing, *walk.exponents))
+    [(size, stages)] = dominates_plans(monkeypatch, "Thm2", params, 60)
+    assert size < series._STAGED_BYTES and stages == [1, 1, 1]
+    [(size, stages)] = dominates_plans(monkeypatch, "Thm2", params, 400)
+    assert size >= series._STAGED_BYTES and stages[0] >= 2
+
+
+@pytest.mark.parametrize(
+    "ineq, params, order",
+    [
+        ("RR", {}, 20),
+        ("Thm1", {"L": 2, "m": 2, "x": 1, "y": 2, "r": 2, "R": 2}, 60),
+        ("Proposal", {"L": 2, "m": 1, "xs": (1, 2, 3, 2), "rs": (2, 1, 2, 1)}, 100),
+    ],
+)
+def test_small_check_pairs_take_one_stage(ineq, params, order, monkeypatch):
+    # Staging these pairs made `dominates` 1.2 to 2.8 times slower.
+    [(size, stages)] = dominates_plans(monkeypatch, ineq, params, order)
+    assert size < series._STAGED_BYTES and stages == [1, 1, 1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -371,8 +403,17 @@ def test_negative_exponent_is_refused():
     st.integers(0, 200),
 )
 def test_factor_count_counts_the_exponents(bases, modulus, length, order):
+    # The bound lists exactly the exponents it counts, and counts each one.
     spec = product_spec(bases, modulus, length)
-    assert spec.factor_count(order) == len(spec.exponents(order))
+    exponents = spec.exponents(order)
+    assert require_series_work((spec,), order) == [exponents]
+    work = (order + 1) * (1 + len(exponents))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "MAX_SERIES_WORK", work)
+        assert require_series_work((spec,), order) == [exponents]
+        mp.setattr(series, "MAX_SERIES_WORK", work - 1)
+        with pytest.raises(ResourceError):
+            require_series_work((spec,), order)
 
 
 def test_series_work_guard_at_the_bound():

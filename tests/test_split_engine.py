@@ -1,6 +1,7 @@
 """The shared-denominator engine against the per-group-divide reference."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from qdominance.antitelescope import (
     AddendDecomposition,
     certify_split,
     decompositions,
+    group_totals,
     positivity_scan,
 )
-from qdominance.series import INF, QSeries, ResourceError, _Signed, product_spec, serialize
+from qdominance.dominance import dominates
+from qdominance.series import INF, ProductSpec, QSeries, ResourceError, _Signed, product_spec, serialize
 from reference_series import zero_series
 from reference_split import (
     group_negatives,
@@ -192,3 +195,82 @@ class TestScanWorkBound:
         monkeypatch.setattr("qdominance.series.MAX_SERIES_WORK", work - 1)
         with pytest.raises(ResourceError, match=rf"\(1 \+ rows \+ factors\) = {work} "):
             positivity_scan(P, Q, 10)
+
+
+def counted_ranges(monkeypatch) -> list:
+    """The specs `ProductSpec._ranges` is called on from now on, in call order."""
+    ranges, calls = ProductSpec._ranges, []
+
+    def counted(spec, order):
+        calls.append(spec)
+        return ranges(spec, order)
+
+    monkeypatch.setattr(ProductSpec, "_ranges", counted)
+    return calls
+
+
+class TestFrontDoor:
+    """`_Walk` admits each walk once: the bound counts the factor ranges and
+    lists only what it admitted, and the walk stops a summing walk itself."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda P, Q: certify_split(P, Q, 40, "thm2"),
+            lambda P, Q: group_totals(P, Q, 40, "thm2"),
+            lambda P, Q: list(decompositions(P, Q, 40, "thm2")),
+            lambda P, Q: positivity_scan(P, Q, 40, "thm2"),
+            lambda P, Q: dominates(P, Q, 40),
+        ],
+        ids=["certify_split", "group_totals", "decompositions", "positivity_scan", "dominates"],
+    )
+    def test_each_spec_has_its_ranges_taken_once(self, run, monkeypatch):
+        P, Q = thm_pair((3, 2, 1, 2, 1, 2, 3, 2))
+        calls = counted_ranges(monkeypatch)
+        run(P, Q)
+        assert calls == [P, Q]
+
+    @staticmethod
+    def refuse_expansion(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a walk over the bound must expand nothing")
+
+        monkeypatch.setattr(_Signed, "divide", refuse)
+
+    def test_decompositions_over_the_bound_expand_nothing(self, monkeypatch):
+        self.refuse_expansion(monkeypatch)
+        # every index is a row: 61 x (1 + 10^6 rows + 176 factors)
+        walk = decompositions(*thm_pair((10**6, 2, 1, 2, 2, 2)), 60, "thm1")
+        with pytest.raises(ResourceError, match=r"\(1 \+ rows \+ factors\) = 61010797 "):
+            next(walk)
+
+    def test_group_totals_over_the_bound_expand_nothing(self, monkeypatch):
+        self.refuse_expansion(monkeypatch)
+        # a summing walk counts no rows, but about 6 factors per coefficient
+        with pytest.raises(ResourceError, match=r"\(1 \+ factors\) = "):
+            group_totals(*thm_pair((10**6, 1, 1, 2, 2, 2)), 3000, "thm1")
+
+    @pytest.mark.parametrize(
+        "params, order",
+        [((10**6, 2, 1, 2, 2, 2), 60), ((10**6, 3, 1, 2, 1, 2, 3, 2), 40), ((10**6, 1, 1, 1, 1, 1), 0), ((5, 1, 1, 2, 2, 2), 60)],
+    )
+    def test_a_summing_walk_stops_itself(self, params, order):
+        L, m = params[:2]
+        split = "thm1" if len(params) == 6 else "thm2"
+        walk = antitelescope._Walk(*thm_pair(params), order, split)
+        expected = min(L, order // m + 1)
+        # one step past the expected stop is asked for, so a walk that goes on is caught at once
+        steps = list(islice(walk.steps(), expected + 1))
+        assert [i for i, *_ in steps] == list(range(1, expected + 1))
+
+    @pytest.mark.parametrize("params, order", [((30, 2, 1, 2, 2, 2), 10), ((7, 3, 1, 2, 1, 2, 3, 2), 0)])
+    def test_a_per_index_walk_steps_every_index(self, params, order):
+        L, m = params[:2]
+        assert L > order // m + 1
+        split = "thm1" if len(params) == 6 else "thm2"
+        walk = antitelescope._Walk(*thm_pair(params), order, split, per_index=True)
+        steps = list(walk.steps())
+        assert [i for i, *_ in steps] == list(range(1, L + 1))
+        # past the summed indices every addend and group is 0 through the order
+        zero = [x for _, t, addend, groups in steps if t > order for x in (addend, *(g for _, g in groups))]
+        assert zero and not any(x & walk.packing.mask for x in zero)
