@@ -52,14 +52,16 @@ coefficients `series._coeff_bits` bounds.  Each addend or group is D_i
 times a polynomial of L1 norm at most K: for an addend
 2^|Q layer| + 2^|P layer|, for a group the sum over its pieces of
 2^(number of binomials), at the engine's scale.  A scaled addend and
-the sum of one index's groups are then at most K * C.  Only
+the sum of one index's groups are then at most K * C.  A per-index
+walk (`positivity_scan`, `decompositions`) reads one index at a time,
+so its B is the bit length of K * C plus 2, in whole bytes.  Only
 `certify_split` and `group_totals` sum over i, and the walk stops such
 a walk itself after i = min(L, N // m + 1), past which every addend and
 group is 0 through q^N; so no caller has to stop it, and a running total
-is at most min(L, N // m + 1) * K * C.  B is the bit length of that
-bound plus 2, in whole bytes.  Reading needs no unpacking: the sign
-test and the first negative coefficient come from the biased top bit
-of each slot, and "groups sum to scale * addend" compares residues.
+is at most min(L, N // m + 1) * K * C, whose bit length plus 2, in
+whole bytes, is the summing walk's B.  Reading needs no unpacking: the
+sign test and the first negative coefficient come from the biased top
+bit of each slot, and "groups sum to scale * addend" compares residues.
 The telescope check multiplies back: F_L times P(L)'s binomials is 1
 modulo M iff F_L is the residue of 1/P(L), since P(L) has constant
 term 1 and so is a unit modulo M.  `certify_split` decodes nothing
@@ -178,8 +180,9 @@ def _layers(P: ProductSpec, Q: ProductSpec) -> tuple[int, int]:
 class _Walk:
     """The packed walk of one pair and split, admitted before any expansion; see the module docstring.
 
-    A ``per_index`` walk counts its L rows in the series work and steps i = 1..L; a summing
-    walk steps i = 1..min(L, order // m + 1), the indices its slot width is proven for.
+    A ``per_index`` walk counts its L rows in the series work, steps i = 1..L and reads one
+    index at a time, so its slots hold one index's series; a summing walk steps
+    i = 1..min(L, order // m + 1), the indices its slot width is proven for.
     """
 
     def __init__(self, P: ProductSpec, Q: ProductSpec, order: int, split: str, per_index: bool = False) -> None:
@@ -201,7 +204,7 @@ class _Walk:
                 groups = self.numerators(self.values, t)
                 weight = max(weight, sum(2 ** len(exps) for _, pieces in groups for _, exps in pieces))
         indices = min(self.L, order // self.m + 1)
-        self.packing = _Signed.for_bound(sum(self.exponents, []), order, indices * weight)
+        self.packing = _Signed.for_bound(sum(self.exponents, []), order, weight if per_index else indices * weight)
         self.stop = self.L if per_index else indices
 
     def steps(self, f: int | None = None):

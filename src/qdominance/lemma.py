@@ -46,13 +46,11 @@ each sign all summed (`_cell_bound`, `packings`), so it covers every
 plane the scan reads: a slice term, or a sum of them, f's slice totals
 included.  The norms are summed once per (r, R), by k
 (`_slice_norms`), so a request's bound is a few binomials.  B is the
-bit length of the bound plus one, rounded up to 1, 2, 4 or 8 bytes (the
-widths `series._slots` reads in one call; more only past 63 bits), so
-every cell read is below 2^(B-1) in absolute value.  A signed plane, the
-exact sum of c_jk 2^(B(j(ny+1)+k)), then has a unique digit per cell:
-two planes are equal iff their cells are, and v + H, with 2^(B-1) in
-every slot, holds c_jk + 2^(B-1) in each slot with no carry, so the
-negative cells are the slots whose top bit it leaves clear.
+bit length of the bound plus one, so every cell read is below 2^(B-1) in
+absolute value.  A signed plane, the exact sum of c_jk 2^(B(j(ny+1)+k)),
+is then a series of `series._Signed` over the box's cells, row by row,
+which rounds B up to whole bytes and whose readers find the negative
+cells and decode the plane (`Planes.negatives`, `Planes.decode`).
 
 Every numerator monomial and every factor with t of each slice term has
 an x + y degree at least its t degree, so plane n is 0 in the box for
@@ -70,7 +68,7 @@ from math import comb
 from typing import Any
 
 from .polyring import MultiPoly, RationalTerm, _Form, decide_identity, from_pieces
-from .series import _INT_ONLY, ParameterError, ResourceError, _slots, positive_ints
+from .series import _INT_ONLY, ParameterError, ResourceError, _Signed, positive_ints
 
 TXY = ("t", "x", "y")
 # the variables besides t when X = x^r and Y = y^R are read free
@@ -85,9 +83,9 @@ Monomials = list[tuple[int, int, int]]
 # expanding, all through plane min(nt, nx + ny).  At this bound `lemma --r 2
 # --R 3`, run in process after the CLI import (16 MB; 14 MB for the bare
 # interpreter), deciding the two identities it reads in that run, peaks at
-# 27 MB RSS at (99, 99, 99) (0.09 s), 22 MB at (9, 315, 315) (0.05 s) and
-# 17 MB at (249999, 1, 1) (0.02 s) (best of 3, 2-vCPU shared VM, Python
-# 3.11.7).
+# 26 MB RSS at (99, 99, 99) (0.07 s), 22 MB at (9, 315, 315) (0.04 s) and
+# 17 MB at (249999, 1, 1) in 24-bit slots (0.02 s) (best of 3, 2-vCPU
+# shared VM, Python 3.11.7).
 MAX_LATTICE_CELLS = 10**6
 
 
@@ -233,14 +231,15 @@ class Planes:
     def __init__(self, bounds: tuple[int, int, int], bound: int) -> None:
         nt, self.nx, self.ny = bounds
         self.depth = min(nt, self.nx + self.ny) + 1  # the t-planes that can hold a nonzero cell
-        self.bits = bits = 8 << (-(-(bound.bit_length() + 1) // 8) - 1).bit_length()
         self.width = self.ny + 1
         self.cells = (self.nx + 1) * self.width
+        self.packing = packing = _Signed(self.cells - 1, bound.bit_length() + 1)
+        self.bits = bits = packing.bits
+        self.bias, self.negatives = packing.bias, packing.negatives
+        self.ones = self.bias >> bits - 1
         self.row_bytes = self.width * bits // 8
-        self.row_ones = int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * self.width, "little")
-        self.row_bias = self.row_ones << bits - 1
-        self.ones = int.from_bytes(self.row_ones.to_bytes(self.row_bytes, "little") * (self.nx + 1), "little")
-        self.bias = self.ones << bits - 1
+        self.row_bias = _Signed(self.ny, bits).bias
+        self.row_ones = self.row_bias >> bits - 1
         self._masks: dict[int, int] = {}
 
     def expand(self, monomials: Monomials, px: int) -> int:
@@ -276,15 +275,9 @@ class Planes:
             mask = self._masks[dk] = self.expand([(1, 0, dk)], 1) * ((1 << self.bits) - 1)
         return (dj * self.width + dk) * self.bits, mask
 
-    def negatives(self, plane: int) -> int:
-        """The top bit of every negative cell's slot."""
-        # bias & ~(plane + bias), with nonnegative operands only
-        return self.bias ^ ((plane + self.bias) & self.bias)
-
     def decode(self, plane: int) -> list[int]:
         """The cells of a signed plane, row by row."""
-        half = 1 << self.bits - 1
-        return [c - half for c in _slots(plane + self.bias, self.cells - 1, self.bits)]
+        return list(self.packing.decode(plane).coeffs)
 
     def minimum(self, planes: list[int]) -> int:
         """The least cell of the planes; only a plane that may hold a lower one is decoded.

@@ -403,13 +403,15 @@ class _Signed:
 
     Every method but the readers is a ring operation on residues, so its
     result is the residue of the true series even where a value on the way
-    wraps.  `negative` and `decode` read a residue x back through
-    y = (x + H) & (M - 1), H holding 2^(B-1) in every slot: for a series
-    whose every |d_n| is below 2^(B-1), slot n of y is d_n + 2^(B-1)
-    exactly, so d_n < 0 iff the top bit of slot n is clear.  Two series
-    whose every |coefficient| is below 2^(B-2) are equal iff their
-    residues are, since their difference is then below 2^(B-1).  B is the
-    requested width rounded up to whole bytes.
+    wraps.  The readers (`negatives`, `negative`, `decode`) read a residue
+    x back through y = (x + H) & (M - 1), H holding 2^(B-1) in every slot:
+    for a series whose every |d_n| is below 2^(B-1), slot n of y is
+    d_n + 2^(B-1) exactly, so d_n < 0 iff the top bit of slot n is clear.
+    The exact sum of d_n 2^(Bn), a signed int, is one representative of
+    its residue, so they read it too.  Two series whose every
+    |coefficient| is below 2^(B-2) are equal iff their residues are,
+    since their difference is then below 2^(B-1).  B is the requested
+    width rounded up to whole bytes.
     """
 
     __slots__ = ("order", "bits", "mask", "bias")
@@ -480,19 +482,23 @@ class _Signed:
                 total += self.times_binomials((x << lead * bits) & mask, exponents)
         return total & mask
 
-    def negative(self, x: int) -> tuple[int, int] | None:
-        """(n, d_n) for the first negative coefficient of the series x holds, or None.
+    def negatives(self, x: int) -> int:
+        """The top bit of the slot of every negative coefficient of the series x holds.
 
         Only the low B(order+1) bits of x + H are read, and they depend only
         on x mod M, so x may be any representative of its residue.
         """
-        y = x + self.bias
-        clear = self.bias & ~y
+        # bias & ~(x + bias), with nonnegative operands wherever x + bias is
+        return self.bias ^ ((x + self.bias) & self.bias)
+
+    def negative(self, x: int) -> tuple[int, int] | None:
+        """(n, d_n) for the first negative coefficient of the series x holds, or None."""
+        clear = self.negatives(x)
         if not clear:
             return None
         bits = self.bits
         n = ((clear & -clear).bit_length() - 1) // bits
-        return n, ((y >> n * bits) & ((1 << bits) - 1)) - (1 << bits - 1)
+        return n, (((x + self.bias) >> n * bits) & ((1 << bits) - 1)) - (1 << bits - 1)
 
     def decode(self, x: int) -> QSeries:
         """The series x holds."""
@@ -560,10 +566,6 @@ class ProductSpec:
             top = order if self.length == INF else min(order, b + (self.length - 1) * self.modulus)
             out.append(range(b, top + 1, self.modulus))
         return out
-
-    def exponents(self, order: int) -> list[int]:
-        """Factor exponents under the truncation order, base by base, j ascending."""
-        return [e for r in self._ranges(order) for e in r]
 
 
 def product_spec(bases, modulus: int, length: int | float = INF) -> ProductSpec:

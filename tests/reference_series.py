@@ -5,7 +5,8 @@
 package itself only ever divides by binomials, so these serve as
 independent oracles for `spec_reciprocal` and the split engine.
 `spec_reciprocal` expands one product on its own; the package expands
-the two sides of a pair together.
+the two sides of a pair together.  `exponents` lists a product's factor
+exponents under the order, as `series.require_series_work` does.
 `multiply_binomial`, `divide_binomial`, `series_add`, `series_mul` and
 the `zero_series`, `one_series` and `monomial` constructors are the list
 kernels the package ran on before every series was packed, and
@@ -127,9 +128,14 @@ def divide_binomial(a: QSeries, exponent: int) -> QSeries:
     return QSeries.from_coeffs(out, a.order)
 
 
+def exponents(spec: ProductSpec, order: int) -> list[int]:
+    """The spec's factor exponents under the truncation order, base by base, j ascending."""
+    return [e for r in spec._ranges(order) for e in r]
+
+
 def spec_reciprocal(spec: ProductSpec, order: int) -> QSeries:
     """Reciprocal of the spec's product, taken factor by factor."""
-    return reciprocal_from_exponents(spec.exponents(order), order)
+    return reciprocal_from_exponents(exponents(spec, order), order)
 
 
 def multiply_binomials(a: QSeries, exponents) -> QSeries:
@@ -148,7 +154,7 @@ def divide_binomials(a: QSeries, exponents) -> QSeries:
 
 def dominates_by_lists(P: ProductSpec, Q: ProductSpec, order: int):
     """(first negative, difference) of 1/P - 1/Q, each side by the list kernel."""
-    sides = [divide_binomials(one_series(order), spec.exponents(order)) for spec in (P, Q)]
+    sides = [divide_binomials(one_series(order), exponents(spec, order)) for spec in (P, Q)]
     diff = series_sub(*sides)
     return first_negative(diff), diff
 
@@ -195,7 +201,7 @@ def pochhammer(spec: ProductSpec, order: int) -> QSeries:
     """Expand the spec's product of binomial factors, truncated."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return poly_from_exponents(spec.exponents(order), order)
+    return poly_from_exponents(exponents(spec, order), order)
 
 
 def tri_multiply(tri: TriSeries, poly: MultiPoly) -> TriSeries:

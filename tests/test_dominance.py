@@ -22,7 +22,7 @@ from qdominance.dominance import (
 from qdominance.series import INF, product_spec
 
 from oracles import bga_expected, partition_counts_upto, residue_parts
-from reference_series import dominates_by_lists, spec_reciprocal
+from reference_series import dominates_by_lists, exponents, spec_reciprocal
 
 
 def named(ineq_id, **parameters):
@@ -91,7 +91,7 @@ def separate_packed_reciprocals(packing, first, second):
 
 
 def paired_reciprocals(P, Q, order):
-    first, second = P.exponents(order), Q.exponents(order)
+    first, second = exponents(P, order), exponents(Q, order)
     packing = series._Signed.for_reciprocals(order, first, second)
     return tuple(map(packing.decode, packing.reciprocal_pair(first, second)))
 

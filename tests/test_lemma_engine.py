@@ -116,7 +116,7 @@ def test_deep_lattices_need_wide_slots():
         assert json.dumps(got) == json.dumps(project(reference.lemma_report(2, 3, bounds)))
     # slots wider than 16 bits, from nt = 5500, against the certificate that expanded f
     for bounds in [(6000, 2, 2), (8000, 0, 3), (5500, 1, 1)]:
-        assert packings(LemmaParams(2, 3, bounds)).bits == 32
+        assert packings(LemmaParams(2, 3, bounds)).bits == 24
         assert json.dumps(certify_lemma(2, 3, bounds)) == json.dumps(reference.expanded_f_certificate(2, 3, bounds))
 
 

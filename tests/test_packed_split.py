@@ -28,6 +28,7 @@ from reference_split import (
 )
 from reference_series import (
     divide_binomials,
+    exponents,
     multiply_binomial,
     multiply_binomials,
     series_add,
@@ -229,9 +230,9 @@ def test_a_passing_certificate_never_expands_one_over_p(values, order, monkeypat
     monkeypatch.setattr(series._Signed, "reciprocal_pair", refuse)
     calls = divide_calls(monkeypatch)
     P, Q = thm_pair(values)
-    assert len(P.exponents(order)) > len(P.bases)
+    assert len(exponents(P, order)) > len(P.bases)
     assert certify_split(P, Q, order, split_of(values)) == {"ok": True, "witness": None}
-    assert Q.exponents(order) in calls and P.exponents(order) not in calls
+    assert exponents(Q, order) in calls and exponents(P, order) not in calls
 
 
 @pytest.mark.parametrize("values", [(2, 2, 1, 2, 2, 2), (2, 2, 1, 2, 1, 2, 2, 2)])
@@ -305,11 +306,14 @@ def test_width_is_the_proven_bound():
         P, Q = thm_pair(values)
         scale, pieces = {"none": (1, 0), "thm1": (1, 2 * 2**3), "thm2": (2, 7 * 2**4)}[split]
         K = max(scale * 2 * 2 ** (n + 1), pieces)
-        factors = [e for e in P.exponents(order) + Q.exponents(order) if e <= order]
+        factors = [e for e in exponents(P, order) + exponents(Q, order) if e <= order]
         c = series._coeff_bits(factors, order)
         indices = min(values[0], order // values[1] + 1)
         want = max(8, -(-(c + (indices * K).bit_length() + 2) // 8) * 8)
         assert antitelescope._Walk(P, Q, order, split).packing.bits == want
+        # a per-index walk reads one index at a time: B = c + bit_length(K) + 2
+        want = max(8, -(-(c + K.bit_length() + 2) // 8) * 8)
+        assert antitelescope._Walk(P, Q, order, split, per_index=True).packing.bits == want
 
 
 @pytest.mark.parametrize(
@@ -334,6 +338,29 @@ def test_split_walk_widths_follow_the_saddle_bound():
     assert antitelescope._Walk(*thm_pair((4, 2, 1, 1, 2, 2, 2, 3)), 60, "thm2").packing.bits == 56
 
 
+@settings(max_examples=60, deadline=None)
+@given(thm_values, st.integers(0, 120), st.booleans())
+def test_per_index_read_series_fit_a_quarter_of_their_slot(values, order, split_groups):
+    # the scan and the dump read each index's addend and groups, never a sum over i
+    P, Q = thm_pair(values)
+    split = split_of(values) if split_groups else "none"
+    bits = antitelescope._Walk(P, Q, order, split, per_index=True).packing.bits
+    read = [s for dec in list_decompositions(P, Q, order, split) for s in (dec.addend, *(g for _, g in dec.groups))]
+    assert max(abs(c) for s in read for c in s.coeffs) < 1 << bits - 2
+
+
+@pytest.mark.parametrize(
+    "pair, split, per_index, summing",
+    [(((1, 2), (2, 2), 1, 100), "thm1", 56, 64), (((1, 1, 2), (2, 2, 2), 1, 61), "thm2", 64, 72)],
+)
+def test_per_index_walks_take_one_index_width(pair, split, per_index, summing):
+    # at order 60 these walks are one byte narrower per slot than a summing walk
+    P, Q = dominance.nbase_pair(*pair)
+    assert antitelescope._Walk(P, Q, 60, split, per_index=True).packing.bits == per_index
+    assert antitelescope._Walk(P, Q, 60, split).packing.bits == summing
+    assert positivity_scan(P, Q, 60, split, True) == list_positivity_scan(P, Q, 60, split, True)
+
+
 def test_coefficient_bound_is_near_the_largest_coefficient():
     # Where the product bound is above a machine word, `_coeff_bits` takes
     # the saddle bound, which stays within 16 bits of the largest
@@ -344,7 +371,7 @@ def test_coefficient_bound_is_near_the_largest_coefficient():
     for _ in range(200):
         n = rng.choice((2, 3))
         P, Q = thm_pair(tuple(rng.randrange(1, 5) for _ in range(2 * n + 2)))
-        factors = [e for e in P.exponents(order) + Q.exponents(order) if e <= order]
+        factors = [e for e in exponents(P, order) + exponents(Q, order) if e <= order]
         if series._product_bits(factors, order) <= 64:
             continue
         largest = max(reciprocal_from_exponents(factors, order).coeffs).bit_length()
@@ -390,6 +417,27 @@ def test_signed_residues_read_back(bits):
         first = next(((n, c) for n, c in enumerate(coeffs) if c < 0), None)
         assert packing.negative(x) == first
         assert packing.negative(x + 5 * packing.mask + 5) == first  # any representative
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_signed_negatives_are_the_top_bits_of_the_negative_slots(size):
+    # |coefficients| below 2^(B-1), both extremes and 0 among them, read from
+    # a residue, from x + M and x - M, and from the exact signed int (a lemma plane)
+    bits = 8 * size
+    top = (1 << bits - 1) - 1
+    rng = random.Random(size)
+    for _ in range(100):
+        coeffs = [-top, top, 0] + [rng.randint(-top, top) for _ in range(rng.randrange(0, 38))]
+        rng.shuffle(coeffs)
+        packing = series._Signed(len(coeffs) - 1, bits)
+        exact = sum(c << n * bits for n, c in enumerate(coeffs))
+        x, M = exact & packing.mask, packing.mask + 1
+        want = sum(1 << (n + 1) * bits - 1 for n, c in enumerate(coeffs) if c < 0)
+        first = next((n, c) for n, c in enumerate(coeffs) if c < 0)
+        assert first[0] == ((want & -want).bit_length() - 1) // bits
+        for y in (x, x + M, x - M, exact):
+            assert packing.negatives(y) == want
+            assert packing.negative(y) == first
 
 
 @pytest.mark.parametrize("bits", [8, 16, 24])

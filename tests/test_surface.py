@@ -184,3 +184,15 @@ def test_no_class_subclasses_resource_error():
         if isinstance(node, ast.ClassDef) and "ResourceError" in set().union(*map(names_read, node.bases))
     ]
     assert not subclasses, "subclasses of ResourceError: " + ", ".join(subclasses)
+
+
+def test_only_series_reads_the_slot_format():
+    """`series._Signed` is the one reader of packed slots, so no other module reads its byte format."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "series":
+            continue
+        tree = ast.parse(path.read_text())
+        names = names_read(tree) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        readers += [f"{path.stem}.{name}" for name in sorted(names & {"_slots", "_CAST_FORMATS"})]
+    assert not readers, "modules that read the slot format: " + ", ".join(readers)
