@@ -50,7 +50,13 @@ bit length of the bound plus one, so every cell read is below 2^(B-1) in
 absolute value.  A signed plane, the exact sum of c_jk 2^(B(j(ny+1)+k)),
 is then a series of `series._Signed` over the box's cells, row by row,
 which rounds B up to whole bytes and whose readers find the negative
-cells and decode the plane (`Planes.negatives`, `Planes.decode`).
+cells and decode the plane (`Planes.negatives`, `Planes.decode`).  A
+half is written in the same series (`Planes.expand`): each nonnegative
+numerator monomial over 1 - y fills its row from its y power on, and
+1/(1 - x), a shift by one row, is `_Signed.divide`.  Every value on the
+way lies between 0 and the half, which B covers, so no slot wraps and
+the half is exact.  A factor 1 - t^a x^b y^d with b > nx or d > ny is 1
+in the box and is skipped, so a multiplier past the box costs nothing.
 
 Every numerator monomial and every factor with t of each slice term has
 an x + y degree at least its t degree, so plane n is 0 in the box for
@@ -81,9 +87,9 @@ Monomials = list[tuple[int, int, int]]
 # the slice sums (without T2, then with it), T2's planes, every other term's
 # negative cells, and one slice term's planes with its two halves while
 # expanding, all through plane min(nt, nx + ny).  At this bound `lemma --r 2
-# --R 3`, run in process after the CLI import (16 MB; 14 MB for the bare
+# --R 3`, run in process after the CLI import (16 MB; 13 MB for the bare
 # interpreter), deciding the two identities it reads in that run, peaks at
-# 26 MB RSS at (99, 99, 99) (0.07 s), 22 MB at (9, 315, 315) (0.04 s) and
+# 27 MB RSS at (99, 99, 99) (0.09 s), 23 MB at (9, 315, 315) (0.04 s) and
 # 17 MB at (249999, 1, 1) in 24-bit slots (0.02 s) (best of 3, 2-vCPU
 # shared VM, Python 3.11.7).
 MAX_LATTICE_CELLS = 10**6
@@ -237,35 +243,26 @@ class Planes:
         self.bits = bits = packing.bits
         self.bias, self.negatives = packing.bias, packing.negatives
         self.ones = self.bias >> bits - 1
-        self.row_bytes = self.width * bits // 8
-        self.row_bias = _Signed(self.ny, bits).bias
-        self.row_ones = self.row_bias >> bits - 1
+        self.row_ones = self.ones >> self.nx * self.width * bits
         self._masks: dict[int, int] = {}
 
     def expand(self, monomials: Monomials, px: int) -> int:
-        """The monomials over (1-x)^px (1-y), as a signed plane, assembled row by row.
+        """Nonnegative monomials over (1-x)^px (1-y), as a plane.
 
-        A monomial x^a y^b adds its coefficient to the cells k >= b of row a
-        (a small int of one row); with px = 1 row j is the sum of those rows
-        a <= j.  Each row is written biased, as bytes, so the plane is one
-        `int.from_bytes` minus H whatever the number of monomials.
+        A monomial c x^a y^b adds c to the cells k >= b of row a.  With
+        px = 1 the plane is then divided by 1 - x, a shift by one row, with
+        `_Signed.divide`, the box's last cell being its order.  Every value
+        on the way lies between 0 and the result, which the slots hold, so
+        no slot wraps and the plane is exact.
         """
-        nx, bits = self.nx, self.bits
-        rows: dict[int, int] = {}
+        nx, ny, bits = self.nx, self.ny, self.bits
+        plane = 0
         for c, a, b in monomials:
-            if c and a <= nx and b <= self.ny:
-                rows[a] = rows.get(a, 0) + c * (self.row_ones >> b * bits << b * bits)
-        parts, row, start = [], 0, 0
-        for a in sorted(rows):
-            parts.append(self._biased(row if px else 0) * (a - start))
-            row = (row if px else 0) + rows[a]
-            parts.append(self._biased(row))
-            start = a + 1
-        parts.append(self._biased(row if px else 0) * (nx + 1 - start))
-        return int.from_bytes(b"".join(parts), "little") - self.bias
-
-    def _biased(self, row: int) -> bytes:
-        return (row + self.row_bias).to_bytes(self.row_bytes, "little")
+            if a <= nx and b <= ny:
+                plane += c * (self.row_ones >> b * bits << b * bits) << a * self.width * bits
+        if px:
+            plane = self.packing.divide(plane, [self.width]) & self.packing.mask
+        return plane
 
     def shift(self, dj: int, dk: int) -> tuple[int, int]:
         """The bit shift and the mask that take a plane of nonnegative cells
@@ -338,7 +335,7 @@ def _expand_term(term: RationalTerm, planes: Planes) -> list[int]:
     1 - t^a x^b y^d with a > 0.  Each half expands its numerator monomials
     over the first two with `Planes.expand`.  Each other factor is then
     the recurrence s[n] += x^b y^d s[n - a], one shift-add per plane in
-    increasing n.
+    increasing n, unless b > nx or d > ny: it is then 1 in the box.
     """
     depth = planes.depth
     monomials: tuple[dict[int, Monomials], ...] = ({}, {})
@@ -349,7 +346,7 @@ def _expand_term(term: RationalTerm, planes: Planes) -> list[int]:
     px = int((0, 1, 0) in steps)
     halves = [[planes.expand(half[n], px) if n in half else 0 for n in range(depth)] for half in monomials]
     for dn, dj, dk in steps:
-        if dn:
+        if dn and dj <= planes.nx and dk <= planes.ny:
             shift, mask = planes.shift(dj, dk)
             for half in halves:
                 for n in range(dn, depth):

@@ -28,7 +28,8 @@ polyring tests as a generic lattice tool.
 The row-wise kernels below (`rowwise_f_expand`, `rowwise_evaluate`,
 `row_sums`) are the nested-list certificate that the packed planes
 replaced; `unpack` and `lattice` read packed planes back as nested lists
-for comparing with them.
+for comparing with them.  `byte_row_expand` is the byte-row plane writer
+that `Planes.expand` replaced with `_Signed.divide`.
 
 `expanded_f_certificate` is the packed certificate that expanded f on
 its own (`packed_f_expand`), in slots of f's own proven width
@@ -59,7 +60,7 @@ from qdominance.polyring import (
     identity_check,
     to_text,
 )
-from qdominance.series import Coefficient
+from qdominance.series import Coefficient, _Signed
 from reference_polyring import mono, mp_add, mp_mul, mp_sub
 
 # axis order for TriSeries lattices
@@ -644,6 +645,37 @@ def row_sums(grids) -> list[list[int]]:
             total = list(map(sum, zip(*filter(any, rows)))) or [0] * len(rows[0])
         out.append(total[:])
     return out
+
+
+def byte_row_expand(planes: Planes, monomials: Monomials, px: int) -> int:
+    """The monomials over (1-x)^px (1-y), as a signed plane, assembled row by row.
+
+    A monomial x^a y^b adds its coefficient to the cells k >= b of row a
+    (a small int of one row); with px = 1 row j is the sum of those rows
+    a <= j.  Each row is written biased, as bytes, so the plane is one
+    `int.from_bytes` minus H whatever the number of monomials.  This is
+    the writer `Planes.expand` replaced; it takes signed coefficients too.
+    """
+    nx, ny, bits = planes.nx, planes.ny, planes.bits
+    row_bytes = planes.width * bits // 8
+    row_bias = _Signed(ny, bits).bias
+    row_ones = row_bias >> bits - 1
+
+    def biased(row: int) -> bytes:
+        return (row + row_bias).to_bytes(row_bytes, "little")
+
+    rows: dict[int, int] = {}
+    for c, a, b in monomials:
+        if c and a <= nx and b <= ny:
+            rows[a] = rows.get(a, 0) + c * (row_ones >> b * bits << b * bits)
+    parts, row, start = [], 0, 0
+    for a in sorted(rows):
+        parts.append(biased(row if px else 0) * (a - start))
+        row = (row if px else 0) + rows[a]
+        parts.append(biased(row))
+        start = a + 1
+    parts.append(biased(row if px else 0) * (nx + 1 - start))
+    return int.from_bytes(b"".join(parts), "little") - planes.bias
 
 
 def unpack(planes: Planes, plane: int) -> list[list[int]]:

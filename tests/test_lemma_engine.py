@@ -3,6 +3,7 @@ and against the packed certificate that expanded f on its own."""
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from qdominance import lemma
 from qdominance.lemma import (
     MAX_LATTICE_CELLS,
     LemmaParams,
+    Planes,
     certify_lemma,
     check_lattice,
     kernel_term,
@@ -216,6 +218,57 @@ def test_kernel_expansion_matches_the_reference():
                 planes = packings(params)
                 _, totals = lemma._scan_slices(params, planes)
                 assert reference.padded(planes, params, totals) == got, (r, R, bounds)
+
+
+@st.composite
+def plane_writes(draw):
+    """(nx, ny, monomials, px): a box of at most 13 x 13 cells and nonnegative
+    monomials, some past it, with coefficients up to 2^20."""
+    nx, ny = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    monomial = st.tuples(st.integers(0, 1 << 20), st.integers(0, nx + 3), st.integers(0, ny + 3))
+    return nx, ny, draw(st.lists(monomial, max_size=6)), draw(st.sampled_from((0, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_writes())
+def test_plane_writer_matches_the_byte_row_writer(write):
+    nx, ny, monomials, px = write
+    # a cell of the monomials over (1-x)^px (1-y) is at most the sum of their coefficients
+    planes = Planes((0, nx, ny), sum(c for c, _, _ in monomials))
+    assert planes.expand(monomials, px) == reference.byte_row_expand(planes, monomials, px)
+
+
+def _certify_at(side: str, m: int, bounds) -> dict:
+    """The certificate with the multiplier `side` at m and the other at 2, without the field `side`."""
+    got = certify_lemma(*((m, 2) if side == "r" else (2, m)), bounds)
+    return {k: v for k, v in got.items() if k != side}
+
+
+@pytest.mark.parametrize("bounds", [(10, 40, 40), (5, 3, 7), (20, 6, 2)])
+@pytest.mark.parametrize("side", ["r", "R"])
+def test_a_multiplier_past_the_box_certifies_as_the_one_just_past_it(side, bounds):
+    # every monomial with a power of X = x^r has x-degree at least r, so for
+    # r > nx the box holds f and the slice terms at X = 0; likewise in R past ny
+    edge = bounds[1 if side == "r" else 2] + 1
+    want = _certify_at(side, edge, bounds)
+    for m in (edge + 1, edge + 7, 10**7, 10**15):
+        assert _certify_at(side, m, bounds) == want, m
+
+
+@pytest.mark.parametrize("side", ["r", "R"])
+def test_a_huge_multiplier_allocates_nothing_past_the_box(side):
+    # a factor 1 - t^a x^b y^d with b > nx or d > ny is 1 in the box and is
+    # skipped, so no plane is shifted by a multiplier's worth of slots
+    bounds = (10, 40, 40)
+    want = _certify_at(side, 41, bounds)  # decides the identities outside the trace
+    tracemalloc.start()
+    try:
+        got = _certify_at(side, 10**7, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == want
 
 
 @pytest.mark.parametrize("bounds", [(7, 9, 12), (5, 0, 4), (9, 21, 3), (12, 30, 30)])

@@ -186,13 +186,25 @@ def test_no_class_subclasses_resource_error():
     assert not subclasses, "subclasses of ResourceError: " + ", ".join(subclasses)
 
 
-def test_only_series_reads_the_slot_format():
-    """`series._Signed` is the one reader of packed slots, so no other module reads its byte format."""
+def read_outside_series(wanted: set[str]) -> list[str]:
+    """module.name for each name of `wanted` that a package module other than `series` reads or imports."""
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "series":
             continue
         tree = ast.parse(path.read_text())
         names = names_read(tree) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
-        readers += [f"{path.stem}.{name}" for name in sorted(names & {"_slots", "_CAST_FORMATS"})]
+        readers += [f"{path.stem}.{name}" for name in sorted(names & wanted)]
+    return readers
+
+
+def test_only_series_reads_the_slot_format():
+    """`series._Signed` is the one reader of packed slots, so no other module reads its byte format."""
+    readers = read_outside_series({"_slots", "_CAST_FORMATS"})
     assert not readers, "modules that read the slot format: " + ", ".join(readers)
+
+
+def test_only_series_turns_ints_into_bytes():
+    """`series._Signed` packs and reads slots, so no other module turns a packed int into bytes or back."""
+    callers = read_outside_series({"to_bytes", "from_bytes"})
+    assert not callers, "modules that call to_bytes or from_bytes: " + ", ".join(callers)
